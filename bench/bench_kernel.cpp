@@ -1,8 +1,8 @@
 // End-to-end simulation-kernel benchmark: wall-times one pinned
 // fig3a-class configuration (mpeg2enc, 8 MB total L2, decay64K — a cell of
 // the paper's Figure 3(a) grid) plus its always-on baseline, and writes the
-// result to BENCH_kernel.json so the kernel's throughput is tracked across
-// PRs.
+// result as JSON (the committed trajectory is BENCH_kernel.json) so the
+// kernel's throughput is tracked across PRs.
 //
 // Unlike the figure benches this deliberately bypasses the result cache:
 // every invocation simulates, because the simulation itself is the thing
@@ -10,8 +10,10 @@
 // the default of 1M instructions/core keeps a full-fidelity sample under a
 // couple of seconds.
 //
-// Usage: bench_kernel [output.json] [--baseline file] [--tolerance ratio]
-//   output.json   where to write this run's numbers (default BENCH_kernel.json)
+// Usage: bench_kernel <output.json> [--baseline file] [--tolerance ratio]
+//   output.json   where to write this run's numbers (required, so a run
+//                 from the repo root cannot overwrite the committed
+//                 BENCH_kernel.json it is gated against)
 //   --baseline    a previously committed BENCH_kernel.json to gate against:
 //                 the deterministic fields (events, cycles, l2_misses,
 //                 decay_turnoffs, occupation) must match BIT-EXACTLY when the
@@ -336,7 +338,7 @@ int check_against_baseline(const std::vector<Sample>& samples,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_kernel.json";
+  std::string out;
   std::string baseline_path;
   double tolerance = 3.0;
   for (int i = 1; i < argc; ++i) {
@@ -365,6 +367,12 @@ int main(int argc, char** argv) {
     } else {
       out = arg;
     }
+  }
+  if (out.empty()) {
+    std::fprintf(stderr,
+                 "usage: bench_kernel <output.json> [--baseline file] "
+                 "[--tolerance ratio]\n");
+    return 2;
   }
 
   // Load (and validate) the baseline up front so a bad path fails in

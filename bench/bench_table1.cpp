@@ -3,7 +3,7 @@
 //
 // Regenerates the paper's decision matrix from the library's
 // turnoff-legality encoding, and cross-validates the multiprocessor column
-// against the live Figure 2 FSM (classify_turnoff).
+// against the live Figure 2 FSM (classify_turnoff) under MESI and MOESI.
 
 #include <iostream>
 #include <string>
@@ -27,6 +27,18 @@ std::string describe(const TurnOffVerdict& v) {
   if (v.requires_writeback) s += " + write back";
   if (v.requires_upper_inval) s += " + invalidate upper level";
   return s;
+}
+
+const char* describe(TurnOffClass c) {
+  switch (c) {
+    case TurnOffClass::kCleanTurnOff: return "clean: invalidate L1, off";
+    case TurnOffClass::kDirtyTurnOff:
+      return "dirty: invalidate L1, write back, off";
+    case TurnOffClass::kOwnedTurnOff:
+      return "owned: recall sharers, invalidate L1, write back, off";
+    case TurnOffClass::kIgnore: return "ignore";
+  }
+  return "?";
 }
 
 }  // namespace
@@ -54,19 +66,22 @@ int main() {
   }
   t.print(std::cout);
 
-  // Cross-check against the FSM (multiprocessor column).
+  // Cross-check against the FSM (multiprocessor column). MESI never enters
+  // O, so only the MOESI rows include it.
   std::cout << "\nFSM cross-check (multiprocessor, WT L1):\n";
   TextTable f;
-  f.row().cell("MESI state").cell("classify_turnoff").cell("transient");
-  for (const MesiState s :
-       {MesiState::kShared, MesiState::kExclusive, MesiState::kModified}) {
-    const TurnOffClass c = classify_turnoff(s);
-    f.row()
-        .cell(std::string(to_string(s)))
-        .cell(c == TurnOffClass::kDirtyTurnOff
-                  ? "dirty: invalidate L1, write back, off"
-                  : "clean: invalidate L1, off")
-        .cell(std::string(to_string(turnoff_transient(s))));
+  f.row().cell("protocol").cell("state").cell("classify_turnoff").cell(
+      "transient");
+  for (const Protocol p : {Protocol::kMesi, Protocol::kMoesi}) {
+    for (const MesiState s : {MesiState::kShared, MesiState::kExclusive,
+                              MesiState::kModified, MesiState::kOwned}) {
+      if (p == Protocol::kMesi && s == MesiState::kOwned) continue;
+      f.row()
+          .cell(std::string(to_string(p)))
+          .cell(std::string(to_string(s)))
+          .cell(describe(classify_turnoff(p, s)))
+          .cell(std::string(to_string(turnoff_transient(s))));
+    }
   }
   f.print(std::cout);
   return 0;

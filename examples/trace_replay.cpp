@@ -8,8 +8,8 @@
 //       technique handles the sharing pattern (the original example).
 //
 //   $ ./trace_replay prog_a.cdt [prog_b.cdt ...] [flags]
-//       Streams one or more .cdt traces (v1 or chunked v2 — the magic is
-//       sniffed) through a full CmpSystem. One trace with machine cores ==
+//       Streams one or more chunked .cdt v2 traces (any other file is
+//       rejected) through a full CmpSystem. One trace with machine cores ==
 //       trace cores is exact per-core replay; several traces (or more
 //       machine cores than trace cores) become a rate-mode co-scheduled
 //       mix: core c runs program c % P (see cdsim/sim/scenario.hpp).

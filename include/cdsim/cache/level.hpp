@@ -33,7 +33,6 @@
 
 #include <concepts>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <type_traits>
 #include <unordered_map>
@@ -48,6 +47,7 @@
 #include "cdsim/coherence/mesi.hpp"
 #include "cdsim/common/assert.hpp"
 #include "cdsim/common/event_queue.hpp"
+#include "cdsim/common/small_fn.hpp"
 #include "cdsim/common/stats.hpp"
 #include "cdsim/decay/sweeper.hpp"
 #include "cdsim/decay/technique.hpp"
@@ -114,7 +114,7 @@ class CacheLevel {
 
   CacheLevel(EventQueue& eq, const Geometry& geo, const LevelTiming& timing,
              const decay::DecayConfig& dcfg, const LevelPolicy& policy,
-             std::function<void(Cycle)> sweep_fn)
+             SmallFn<void(Cycle)> sweep_fn)
       : eq_(eq),
         timing_(timing),
         dcfg_(dcfg),

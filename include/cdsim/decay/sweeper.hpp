@@ -22,11 +22,11 @@
 // turn-off choreography (and therefore every metric) is bit-identical.
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "cdsim/common/event_queue.hpp"
+#include "cdsim/common/small_fn.hpp"
 #include "cdsim/decay/technique.hpp"
 
 namespace cdsim::decay {
@@ -114,7 +114,7 @@ class DecaySweeper {
  public:
   /// `sweep_fn(now)` must examine the cache and turn off expired lines.
   DecaySweeper(EventQueue& eq, const DecayConfig& cfg,
-               std::function<void(Cycle)> sweep_fn)
+               SmallFn<void(Cycle)> sweep_fn)
       : eq_(eq), cfg_(cfg), sweep_fn_(std::move(sweep_fn)) {}
 
   /// Arms the periodic sweep (no-op for techniques without decay). The
@@ -142,7 +142,7 @@ class DecaySweeper {
 
   EventQueue& eq_;
   DecayConfig cfg_;
-  std::function<void(Cycle)> sweep_fn_;
+  SmallFn<void(Cycle)> sweep_fn_;
   bool stopped_ = false;
   std::uint64_t sweeps_ = 0;
 };

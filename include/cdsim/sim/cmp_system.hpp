@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "cdsim/bus/snoop_bus.hpp"
-#include "cdsim/coherence/protocol.hpp"
+#include "cdsim/coherence/mesi.hpp"
 #include "cdsim/noc/directory_mesh.hpp"
 #include "cdsim/common/event_queue.hpp"
 #include "cdsim/core/core_model.hpp"

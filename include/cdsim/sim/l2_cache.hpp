@@ -39,7 +39,6 @@
 #include "cdsim/cache/mshr.hpp"
 #include "cdsim/cache/tag_array.hpp"
 #include "cdsim/coherence/mesi.hpp"
-#include "cdsim/coherence/protocol.hpp"
 #include "cdsim/common/event_queue.hpp"
 #include "cdsim/common/stats.hpp"
 #include "cdsim/decay/sweeper.hpp"

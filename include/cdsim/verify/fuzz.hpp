@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "cdsim/coherence/protocol.hpp"
+#include "cdsim/coherence/mesi.hpp"
 #include "cdsim/decay/technique.hpp"
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/verify/oracle.hpp"

@@ -1,65 +1,32 @@
 #pragma once
-// Portable .cdt v1 trace format: capture, storage, and replay of per-core
-// memory-operation streams.
+// In-memory traces: capture and replay of per-core memory-operation
+// streams without touching disk.
 //
 // A Trace is the exact sequence of MemOps the simulator drew from each
 // core's workload stream, in global draw order. Because every workload
 // stream is a deterministic function of its inputs and the event kernel is
 // deterministic, replaying a captured trace (with per-core budgets of
 // exactly sum(gap+1)) reproduces the original run bit-identically — which
-// is what makes traces usable as divergence repros, as shrinker input, and
-// as a scenario class of their own (real program traces driven through the
-// leakage techniques).
+// is what makes traces usable as divergence repros and as shrinker input.
 //
-// On-disk layout (.cdt, all integers little-endian, version 1):
-//
-//   offset  size  field
-//   0       4     magic "CDTF"
-//   4       4     u32 format version (1)
-//   8       4     u32 num_cores
-//   12      8     u64 record count N
-//   20      16*N  records: u64 addr | u32 gap | u8 core | u8 type
-//                          | u8 flags (bit0 = dependent) | u8 chain
-//   20+16N  8     u64 FNV-1a checksum over the N*16 record bytes
-//
-// The reader rejects wrong magic, unsupported versions, truncated or
-// oversized files, checksum mismatches, and out-of-range fields — a
-// corrupt trace fails loudly instead of replaying garbage.
-//
-// v1 is the uncompressed, load-it-whole format kept for shrinker repros
-// and hand-built tests; the chunked, compressed, O(1)-memory successor is
-// .cdt v2 (trace_v2.hpp). open_trace_source() in trace_v2.hpp streams
-// either version through the TraceSource interface.
+// On disk, traces are .cdt v2 files (trace_v2.hpp): save_v2() writes a
+// Trace, and open_trace_source() streams one back.
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "cdsim/workload/trace_source.hpp"
 
 namespace cdsim::workload {
 
-/// A captured (or hand-built) in-memory trace plus its .cdt v1
-/// (de)serialization. Implements TraceSink, so capture decorators write
-/// into it directly.
+/// A captured (or hand-built) in-memory trace. Implements TraceSink, so
+/// capture decorators write into it directly.
 struct Trace : TraceSink {
-  static constexpr std::uint32_t kFormatVersion = 1;
-
   std::uint32_t num_cores = 0;
   std::vector<TraceRecord> records;  ///< Global draw order.
 
   void append(const TraceRecord& rec) override { records.push_back(rec); }
-
-  /// Writes the trace to `path`. Returns false (and sets *error) on I/O
-  /// failure or unserializable content.
-  bool save(const std::string& path, std::string* error = nullptr) const;
-
-  /// Reads a .cdt v1 file. Returns nullopt (and sets *error) for
-  /// unreadable, corrupt, truncated, or version-mismatched files.
-  static std::optional<Trace> load(const std::string& path,
-                                   std::string* error = nullptr);
 
   /// Per-core op sequences, in draw order (size = num_cores).
   [[nodiscard]] std::vector<std::vector<MemOp>> ops_by_core() const;
@@ -71,8 +38,8 @@ struct Trace : TraceSink {
 };
 
 /// TraceSource cursor over an in-memory Trace (shared, never copied).
-/// Bridges v1 traces — and any hand-built Trace — into the streaming
-/// replay machinery.
+/// Bridges captured and hand-built traces — the shrinker's candidates and
+/// the fuzz replays — into the streaming replay machinery.
 class InMemoryTraceSource final : public TraceSource {
  public:
   explicit InMemoryTraceSource(std::shared_ptr<const Trace> trace)

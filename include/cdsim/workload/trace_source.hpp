@@ -6,7 +6,7 @@
 // order (capture decorators write into one; an in-memory Trace and the
 // chunked .cdt v2 writer both implement it). A TraceSource is a forward
 // cursor over a stored trace — pull records one at a time, O(1) state —
-// implemented by the in-memory v1 Trace bridge and the chunked v2 reader.
+// implemented by the in-memory Trace bridge and the chunked v2 reader.
 // Replay is built on sources, never on materialized per-core vectors, so
 // a multi-gigabyte trace replays without ever living in memory:
 //

@@ -1,6 +1,8 @@
 #pragma once
-// Chunked, compressed .cdt v2: the streaming trace format. Multi-gigabyte
+// Chunked, compressed .cdt v2: the on-disk trace format. Multi-gigabyte
 // traces replay with O(chunk) memory; capture streams straight to disk.
+// In-memory traces (trace_file.hpp) are written with save_v2() and every
+// file is read back through open_trace_source().
 //
 // On-disk layout (all integers little-endian):
 //
@@ -36,7 +38,7 @@
 // with prev_addr reset to 0 at every chunk boundary, so any chunk decodes
 // without its predecessors — that is what makes the footer index a real
 // seek table (seek/resume lands on a chunk and decodes forward). Typical
-// captures compress ~3-4x against v1's fixed 16-byte records.
+// captures compress ~3-4x against fixed 16-byte records.
 //
 // The reader validates the header, the trailer magic, the footer checksum
 // and every cross-reference (chunk offsets contiguous from the header to
@@ -188,10 +190,10 @@ bool write_v2_from_source(TraceSource& src, const std::string& path,
                           std::uint32_t chunk_records =
                               ChunkedTraceWriter::kDefaultChunkRecords);
 
-/// Sniffs the magic and opens a streaming cursor over either format: v2
-/// files stream chunk-by-chunk; v1 files load whole (they are small —
-/// shrinker repros and goldens) behind an InMemoryTraceSource shim.
-/// Returns nullptr and sets *error on failure.
+/// Opens a streaming cursor over a .cdt file, the one entry point every
+/// replay consumer uses. .cdt is v2-only: any other file, including a
+/// retired v1 ("CDTF") trace, is rejected. Returns nullptr and sets *error
+/// on failure.
 std::unique_ptr<TraceSource> open_trace_source(const std::string& path,
                                                std::string* error = nullptr);
 

@@ -140,7 +140,7 @@ bool deserialize_v4(const std::string& line, RunMetrics& m) {
 struct ParsedCacheLine {
   std::string key;      ///< Always carries the CURRENT version suffix.
   std::string payload;
-  bool shimmed = false;  ///< Loaded through the v3 shim.
+  bool shimmed = false;  ///< Loaded through the v4 shim.
 };
 
 /// Splits a cache line into (key, payload), accepting the current version

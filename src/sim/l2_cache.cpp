@@ -451,13 +451,13 @@ void L2Cache::decay_sweep(Cycle now) {
 
     const Addr line_addr = ln.tag();
     switch (coherence::classify_turnoff(cfg_.protocol, p.state)) {
-      case coherence::MoesiTurnOffClass::kCleanTurnOff:
+      case coherence::TurnOffClass::kCleanTurnOff:
         p.state = MesiState::kTransientClean;
         ++initiated;
         eq_.schedule_in(cfg_.l1_inval_latency,
                         [this, line_addr] { turn_off_clean(line_addr); });
         break;
-      case coherence::MoesiTurnOffClass::kDirtyTurnOff: {
+      case coherence::TurnOffClass::kDirtyTurnOff: {
         p.state = MesiState::kTransientDirty;
         p.td_wb_token = std::make_shared<bool>(true);
         ++initiated;
@@ -465,7 +465,7 @@ void L2Cache::decay_sweep(Cycle now) {
                         [this, line_addr] { turn_off_dirty(line_addr); });
         break;
       }
-      case coherence::MoesiTurnOffClass::kOwnedTurnOff: {
+      case coherence::TurnOffClass::kOwnedTurnOff: {
         // §III: "considering the Owned state of the MOESI, other copies
         // must be invalidated before a line is turned off."
         p.state = MesiState::kTransientDirty;
@@ -475,7 +475,7 @@ void L2Cache::decay_sweep(Cycle now) {
                         [this, line_addr] { turn_off_owned(line_addr); });
         break;
       }
-      case coherence::MoesiTurnOffClass::kIgnore:
+      case coherence::TurnOffClass::kIgnore:
         break;  // unreachable for stationary states; defensive
     }
   });

@@ -9,6 +9,7 @@
 #include "cdsim/common/assert.hpp"
 #include "cdsim/verify/shrink.hpp"
 #include "cdsim/workload/benchmarks.hpp"
+#include "cdsim/workload/trace_v2.hpp"
 
 namespace cdsim::verify {
 
@@ -323,10 +324,10 @@ void write_failure_report(const std::string& dir, const FuzzFailure& f) {
       dir + "/fuzz_" + std::to_string(f.scenario.index);
 
   std::string err;
-  const bool full_ok = f.trace.save(stem + ".cdt", &err);
+  const bool full_ok = workload::save_v2(f.trace, stem + ".cdt", &err);
   bool min_ok = false;
   if (!f.shrunk.records.empty()) {
-    min_ok = f.shrunk.save(stem + ".min.cdt", &err);
+    min_ok = workload::save_v2(f.shrunk, stem + ".min.cdt", &err);
   }
 
   std::ofstream rep(stem + ".report.txt", std::ios::trunc);
@@ -340,8 +341,9 @@ void write_failure_report(const std::string& dir, const FuzzFailure& f) {
   for (const Divergence& d : f.divergences) {
     rep << "  " << to_string(d) << "\n";
   }
-  rep << "\nreplay: load the .cdt with workload::Trace::load, rebuild the\n"
-         "scenario config (label above), and run verify::replay_scenario.\n";
+  rep << "\nreplay: read the .cdt with workload::open_trace_source into a\n"
+         "workload::Trace, rebuild the scenario config (label above), and\n"
+         "run verify::replay_scenario.\n";
 }
 
 }  // namespace

@@ -2,9 +2,6 @@
 
 #include <limits>
 #include <memory>
-#include <optional>
-#include <string_view>
-#include <utility>
 
 namespace cdsim::workload {
 
@@ -501,7 +498,7 @@ bool ChunkedTraceReader::seek(std::uint64_t rec) {
 }
 
 // ---------------------------------------------------------------------------
-// Conversions + format sniffing
+// Conversions + opening
 // ---------------------------------------------------------------------------
 
 bool save_v2(const Trace& trace, const std::string& path, std::string* error,
@@ -529,27 +526,7 @@ bool write_v2_from_source(TraceSource& src, const std::string& path,
 
 std::unique_ptr<TraceSource> open_trace_source(const std::string& path,
                                                std::string* error) {
-  std::ifstream sniff(path, std::ios::binary);
-  if (!sniff) {
-    set_error(error, "cannot open \"" + path + "\" for reading");
-    return nullptr;
-  }
-  char magic[4] = {};
-  sniff.read(magic, sizeof(magic));
-  if (!sniff.good()) {
-    set_error(error, "\"" + path + "\" is too short to be a .cdt trace");
-    return nullptr;
-  }
-  sniff.close();
-  if (std::string_view(magic, 4) == std::string_view(kMagic, 4)) {
-    return ChunkedTraceReader::open(path, error);
-  }
-  // v1 shim: load whole (v1 files are small — repros and goldens) and
-  // stream through the in-memory bridge.
-  std::optional<Trace> t = Trace::load(path, error);
-  if (!t.has_value()) return nullptr;
-  return std::make_unique<InMemoryTraceSource>(
-      std::make_shared<const Trace>(std::move(*t)));
+  return ChunkedTraceReader::open(path, error);
 }
 
 }  // namespace cdsim::workload

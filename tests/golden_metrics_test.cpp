@@ -27,7 +27,7 @@
 #include "cdsim/sim/experiment.hpp"
 #include "cdsim/workload/benchmarks.hpp"
 #include "cdsim/workload/fuzzer.hpp"
-#include "cdsim/workload/trace_file.hpp"
+#include "cdsim/workload/trace_v2.hpp"
 
 namespace {
 
@@ -168,10 +168,9 @@ TEST(GoldenMetricsTest, TraceReplayCdtPathIsPinned) {
                            std::to_string(static_cast<long>(::getpid())) +
                            ".cdt";
   std::string err;
-  ASSERT_TRUE(t.save(path, &err)) << err;
-  const auto loaded = workload::Trace::load(path, &err);
-  std::remove(path.c_str());
-  ASSERT_TRUE(loaded.has_value()) << err;
+  ASSERT_TRUE(workload::save_v2(t, path, &err)) << err;
+  const auto loaded = workload::open_trace_source(path, &err);
+  ASSERT_NE(loaded, nullptr) << err;
 
   sim::SystemConfig cfg;
   cfg.num_cores = 2;
@@ -183,8 +182,11 @@ TEST(GoldenMetricsTest, TraceReplayCdtPathIsPinned) {
   ASSERT_EQ(cfg.per_core_instructions[1], 286103u);
   workload::Benchmark bench;
   bench.config.name = "trace-replay";
-  sim::CmpSystem sys(cfg, bench, workload::replay_factory(*loaded));
+  sim::CmpSystem sys(cfg, bench, workload::replay_factory([&path] {
+                       return workload::open_trace_source(path);
+                     }));
   const sim::RunMetrics m = sys.run();
+  std::remove(path.c_str());
 
   EXPECT_EQ(m.cycles, 93395u);
   EXPECT_EQ(m.instructions, 493354u);

@@ -1,18 +1,16 @@
-// .cdt trace format: round-trip fidelity, replay determinism, and the
-// reader's corruption/version error paths.
+// In-memory traces: capture -> .cdt -> replay determinism, per-core
+// budgets, and idle-core replay.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "cdsim/verify/fuzz.hpp"
 #include "cdsim/workload/fuzzer.hpp"
-#include "cdsim/workload/trace_file.hpp"
+#include "cdsim/workload/trace_v2.hpp"
 
 namespace {
 
@@ -52,19 +50,8 @@ void expect_traces_equal(const Trace& a, const Trace& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Round trips
+// Round trip
 // ---------------------------------------------------------------------------
-
-TEST(TraceFile, SaveLoadRoundTripPreservesEveryField) {
-  const Trace t = small_trace();
-  const std::string path = temp_path("roundtrip");
-  std::string err;
-  ASSERT_TRUE(t.save(path, &err)) << err;
-  const auto loaded = Trace::load(path, &err);
-  ASSERT_TRUE(loaded.has_value()) << err;
-  expect_traces_equal(t, *loaded);
-  std::remove(path.c_str());
-}
 
 TEST(TraceFile, CaptureReadReplayIsBitIdentical) {
   // Capture a hostile scenario, write it to disk, read it back, replay it
@@ -82,13 +69,17 @@ TEST(TraceFile, CaptureReadReplayIsBitIdentical) {
 
   const std::string path = temp_path("capture");
   std::string err;
-  ASSERT_TRUE(original.trace.save(path, &err)) << err;
-  const auto loaded = Trace::load(path, &err);
-  ASSERT_TRUE(loaded.has_value()) << err;
-  expect_traces_equal(original.trace, *loaded);
+  ASSERT_TRUE(workload::save_v2(original.trace, path, &err)) << err;
+  const auto src = workload::open_trace_source(path, &err);
+  ASSERT_NE(src, nullptr) << err;
+  Trace loaded;
+  loaded.num_cores = src->num_cores();
+  TraceRecord rec;
+  while (src->next(rec)) loaded.append(rec);
   std::remove(path.c_str());
+  expect_traces_equal(original.trace, loaded);
 
-  const verify::ScenarioOutcome replay = verify::replay_scenario(sc, *loaded);
+  const verify::ScenarioOutcome replay = verify::replay_scenario(sc, loaded);
   EXPECT_EQ(replay.total_divergences, 0u);
   EXPECT_EQ(replay.metrics.cycles, original.metrics.cycles);
   EXPECT_EQ(replay.metrics.instructions, original.metrics.instructions);
@@ -138,112 +129,6 @@ TEST(TraceFile, IdleCoreGetsUnitBudgetAndFillerStream) {
   const verify::ScenarioOutcome out = verify::replay_scenario(sc, t);
   EXPECT_EQ(out.total_divergences, 0u);
   EXPECT_EQ(out.metrics.instructions, 3u + 1 + 1 + 1);
-}
-
-// ---------------------------------------------------------------------------
-// Reader error paths
-// ---------------------------------------------------------------------------
-
-class TraceFileErrors : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = temp_path("errors");
-    std::string err;
-    ASSERT_TRUE(small_trace().save(path_, &err)) << err;
-    std::ifstream in(path_, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    bytes_ = ss.str();
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  void write_bytes(const std::string& b) {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(b.data(), static_cast<std::streamsize>(b.size()));
-  }
-
-  std::string path_;
-  std::string bytes_;
-};
-
-TEST_F(TraceFileErrors, RejectsBadMagic) {
-  std::string b = bytes_;
-  b[0] = 'X';
-  write_bytes(b);
-  std::string err;
-  EXPECT_FALSE(Trace::load(path_, &err).has_value());
-  EXPECT_NE(err.find("bad magic"), std::string::npos) << err;
-}
-
-TEST_F(TraceFileErrors, RejectsVersionMismatch) {
-  std::string b = bytes_;
-  b[4] = 99;  // version little-endian low byte
-  write_bytes(b);
-  std::string err;
-  EXPECT_FALSE(Trace::load(path_, &err).has_value());
-  EXPECT_NE(err.find("version"), std::string::npos) << err;
-}
-
-TEST_F(TraceFileErrors, RejectsTruncation) {
-  write_bytes(bytes_.substr(0, bytes_.size() - 5));
-  std::string err;
-  EXPECT_FALSE(Trace::load(path_, &err).has_value());
-  EXPECT_NE(err.find("truncated"), std::string::npos) << err;
-}
-
-TEST_F(TraceFileErrors, RejectsCorruptRecordByte) {
-  std::string b = bytes_;
-  b[20] ^= 0x5a;  // first record's addr low byte
-  write_bytes(b);
-  std::string err;
-  EXPECT_FALSE(Trace::load(path_, &err).has_value());
-  EXPECT_NE(err.find("checksum"), std::string::npos) << err;
-}
-
-TEST_F(TraceFileErrors, RejectsOverflowingRecordCount) {
-  // A crafted header whose record count makes the naive size arithmetic
-  // (header + n*16 + checksum) wrap back to the file size must be rejected
-  // loudly, not reserve petabytes or read out of bounds. The 8 trailing
-  // bytes hold the FNV-1a basis — the checksum of a wrapped zero-length
-  // record region — so only the count validation stands between this file
-  // and the record parser.
-  std::string b;
-  b += "CDTF";
-  const auto u32 = [&b](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) b.push_back(static_cast<char>(v >> (8 * i)));
-  };
-  const auto u64 = [&b](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) b.push_back(static_cast<char>(v >> (8 * i)));
-  };
-  u32(Trace::kFormatVersion);
-  u32(2);                             // num_cores
-  u64(1ull << 60);                    // record count: (1<<60)*16 wraps to 0
-  u64(14695981039346656037ull);       // FNV-1a offset basis
-  write_bytes(b);
-  std::string err;
-  EXPECT_FALSE(Trace::load(path_, &err).has_value());
-  EXPECT_NE(err.find("truncated or oversized"), std::string::npos) << err;
-}
-
-TEST_F(TraceFileErrors, RejectsHeaderShorterThanMinimum) {
-  write_bytes("CDTF");
-  std::string err;
-  EXPECT_FALSE(Trace::load(path_, &err).has_value());
-  EXPECT_NE(err.find("too short"), std::string::npos) << err;
-}
-
-TEST_F(TraceFileErrors, RejectsMissingFile) {
-  std::string err;
-  EXPECT_FALSE(Trace::load(path_ + ".does-not-exist", &err).has_value());
-  EXPECT_NE(err.find("cannot open"), std::string::npos) << err;
-}
-
-TEST_F(TraceFileErrors, SaveRejectsOutOfRangeCore) {
-  Trace t = small_trace();
-  t.records[1].core = 9;  // > num_cores
-  std::string err;
-  EXPECT_FALSE(t.save(path_, &err));
-  EXPECT_NE(err.find("core"), std::string::npos) << err;
 }
 
 }  // namespace

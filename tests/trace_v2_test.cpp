@@ -1,7 +1,8 @@
-// Chunked .cdt v2: round-trip fidelity against v1, corruption rejection at
-// chunk and footer granularity, truncation, seek/resume, and bit-identical
-// replay between the streaming and load-it-whole paths — plus the
-// multi-program scenario mixes built on top (sim/scenario.hpp).
+// Chunked .cdt v2: round-trip fidelity, rejection of retired v1 files,
+// corruption rejection at chunk and footer granularity, truncation,
+// seek/resume, and bit-identical replay between the streaming and
+// load-it-whole paths — plus the multi-program scenario mixes built on top
+// (sim/scenario.hpp).
 
 #include <gtest/gtest.h>
 
@@ -102,43 +103,43 @@ TEST(TraceV2, RoundTripPreservesEveryFieldAcrossChunks) {
   std::remove(path.c_str());
 }
 
-TEST(TraceV2, MatchesV1RoundTripBitForBit) {
-  // The exact record sequence a v1 file preserves, v2 must too.
-  const Trace t = corner_trace(2, 41);
-  const std::string p1 = temp_path("v1");
-  const std::string p2 = temp_path("v2");
-  std::string err;
-  ASSERT_TRUE(t.save(p1, &err)) << err;
-  ASSERT_TRUE(workload::save_v2(t, p2, &err, /*chunk_records=*/8)) << err;
-
-  const auto v1 = Trace::load(p1, &err);
-  ASSERT_TRUE(v1.has_value()) << err;
-  auto v2 = ChunkedTraceReader::open(p2, &err);
-  ASSERT_NE(v2, nullptr) << err;
-  expect_traces_equal(*v1, drain(*v2));
-
-  // v2 should not be larger than v1 even on this delta-hostile trace.
-  std::ifstream f1(p1, std::ios::binary | std::ios::ate);
-  std::ifstream f2(p2, std::ios::binary | std::ios::ate);
-  EXPECT_GT(f1.tellg(), 0);
-  EXPECT_GT(f2.tellg(), 0);
-  std::remove(p1.c_str());
-  std::remove(p2.c_str());
-}
-
 TEST(TraceV2, OpenTraceSourceSniffsBothFormats) {
-  const Trace t = corner_trace(2, 10);
+  // .cdt is v2-only: a well-formed retired v1 file ("CDTF", u32 version 1,
+  // u32 cores, u64 record count, 16-byte records, u64 FNV-1a checksum) is
+  // rejected with an error, never replayed.
   const std::string p1 = temp_path("sniff1");
   const std::string p2 = temp_path("sniff2");
+  {
+    // One load record (addr 0x1040, gap 3, core 0), twice.
+    const std::string rec("\x40\x10\0\0\0\0\0\0\3\0\0\0\0\0\0\0", 16);
+    const std::string body = rec + rec;
+    std::uint64_t sum = 14695981039346656037ull;
+    for (const char c : body) {
+      sum = (sum ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    }
+    std::string v1 = "CDTF";
+    const auto put = [&v1](std::uint64_t v, int bytes) {
+      for (int i = 0; i < bytes; ++i) {
+        v1.push_back(static_cast<char>(v >> (8 * i)));
+      }
+    };
+    put(1, 4);  // format version
+    put(2, 4);  // num_cores
+    put(2, 8);  // record count
+    v1 += body;
+    put(sum, 8);
+    std::ofstream out(p1, std::ios::binary);
+    out << v1;
+  }
   std::string err;
-  ASSERT_TRUE(t.save(p1, &err)) << err;
-  ASSERT_TRUE(workload::save_v2(t, p2, &err)) << err;
+  EXPECT_EQ(workload::open_trace_source(p1, &err), nullptr);
+  EXPECT_FALSE(err.empty());
 
-  auto s1 = workload::open_trace_source(p1, &err);
-  ASSERT_NE(s1, nullptr) << err;  // v1 through the shim
+  const Trace t = corner_trace(2, 10);
+  ASSERT_TRUE(workload::save_v2(t, p2, &err)) << err;
   auto s2 = workload::open_trace_source(p2, &err);
   ASSERT_NE(s2, nullptr) << err;
-  expect_traces_equal(drain(*s1), drain(*s2));
+  expect_traces_equal(t, drain(*s2));
   std::remove(p1.c_str());
   std::remove(p2.c_str());
 }
@@ -395,7 +396,7 @@ TEST(TraceV2, SeekLandsOnAnyRecordAndResumes) {
 }
 
 // ---------------------------------------------------------------------------
-// Replay equivalence: streaming v2 == in-memory v1, bit for bit
+// Replay equivalence: streaming v2 == in-memory trace, bit for bit
 // ---------------------------------------------------------------------------
 
 TEST(TraceV2, StreamingReplayIsBitIdenticalToInMemoryReplay) {

@@ -29,6 +29,7 @@
 #include "cdsim/verify/fuzz.hpp"
 #include "cdsim/verify/oracle.hpp"
 #include "cdsim/verify/shrink.hpp"
+#include "cdsim/workload/trace_v2.hpp"
 
 namespace {
 
@@ -381,11 +382,14 @@ TEST(InjectedBug, RunFuzzPipelineReportsAndShrinksFailures) {
     const std::string stem =
         dir + "/fuzz_" + std::to_string(f.scenario.index);
     std::string err;
-    const auto full = workload::Trace::load(stem + ".cdt", &err);
-    EXPECT_TRUE(full.has_value()) << err;
-    const auto min = workload::Trace::load(stem + ".min.cdt", &err);
-    ASSERT_TRUE(min.has_value()) << err;
-    EXPECT_EQ(min->records.size(), f.shrunk.records.size());
+    const auto full = workload::open_trace_source(stem + ".cdt", &err);
+    EXPECT_NE(full, nullptr) << err;
+    const auto min = workload::open_trace_source(stem + ".min.cdt", &err);
+    ASSERT_NE(min, nullptr) << err;
+    std::size_t min_records = 0;
+    workload::TraceRecord rec;
+    while (min->next(rec)) ++min_records;
+    EXPECT_EQ(min_records, f.shrunk.records.size());
     std::ifstream report(stem + ".report.txt");
     EXPECT_TRUE(report.good());
     // Clean up.

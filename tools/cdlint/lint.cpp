@@ -331,12 +331,13 @@ std::string_view suggestion_for(std::string_view rule) {
 // ---------------------------------------------------------------------------
 
 LintConfig::LintConfig() {
-  // Hot paths where SmallFn is mandated (PR 2's contract): the event queue,
-  // the MSHR/write-buffer machinery, and the fabric request hooks.
+  // Hot paths where SmallFn is mandated: the event queue, the MSHR/write-
+  // buffer machinery, the fabric request hooks and the decay sweep callback.
   hot_paths = {
       "common/event_queue.hpp", "common/small_fn.hpp",
       "cache/mshr.hpp",         "cache/write_buffer.hpp",
       "bus/snoop_bus.hpp",      "noc/interconnect.hpp",
+      "decay/sweeper.hpp",      "cache/level.hpp",
   };
   random_homes = {"common/rng.hpp", "common/rng.cpp"};
   uninit_field_scopes = {"include/cdsim/"};

@@ -41,7 +41,10 @@
 //
 //   cdtrace stats <file>
 //       Full streaming pass: per-core and per-type counts, address range,
-//       gap total. Works on v1 and v2 files alike.
+//       gap total.
+//
+//   inspect, head and stats read .cdt v2 only; any other file (a retired
+//   v1 trace included) is rejected with a nonzero exit.
 
 #include <cctype>
 #include <cinttypes>
@@ -393,7 +396,7 @@ int cmd_inspect(const Flags& f) {
   std::printf("file bytes    %" PRIu64 "\n", info.file_bytes);
   if (info.total_records > 0) {
     std::printf("payload       %" PRIu64 " bytes (%.2f B/record, %.2fx vs "
-                "v1's 16)\n",
+                "16 B/record)\n",
                 info.payload_bytes,
                 static_cast<double>(info.payload_bytes) /
                     static_cast<double>(info.total_records),
