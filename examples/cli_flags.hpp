@@ -8,7 +8,6 @@
 // malformed flag prints an error and parse() returns false.
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <utility>
@@ -16,6 +15,7 @@
 
 #include "cdsim/noc/interconnect.hpp"
 #include "cdsim/sim/cmp_system.hpp"
+#include "cdsim/sim/experiment.hpp"
 
 namespace cdsim::examples {
 
@@ -68,13 +68,12 @@ class FlagParser {
       return true;
     });
     value_option("cores", [out](const std::string& v) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-      if (n == 0 || end == nullptr || *end != '\0') {
+      const auto n = sim::detail::parse_positive_u64(v.c_str());
+      if (!n || *n > 0xffffffffu) {
         std::fprintf(stderr, "invalid --cores value \"%s\"\n", v.c_str());
         return false;
       }
-      out->cores = static_cast<std::uint32_t>(n);
+      out->cores = static_cast<std::uint32_t>(*n);
       out->any_set = true;
       return true;
     });
@@ -97,15 +96,14 @@ class FlagParser {
   FlagParser& u64(const std::string& name, std::uint64_t* out,
                   bool* seen = nullptr) {
     value_option(name, [name, out, seen](const std::string& v) {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-      if (n == 0 || end == nullptr || *end != '\0') {
+      const auto n = sim::detail::parse_positive_u64(v.c_str());
+      if (!n) {
         std::fprintf(stderr,
                      "invalid --%s value \"%s\" (want a positive integer)\n",
                      name.c_str(), v.c_str());
         return false;
       }
-      *out = n;
+      *out = *n;
       if (seen != nullptr) *seen = true;
       return true;
     });

@@ -1,6 +1,9 @@
 // diagnose — internal-counters dump for one configuration.
 //
 // Usage: diagnose <benchmark> <technique> <decay_time_k> [instr]
+//   <technique> is baseline|protocol|decay|sel_decay; an unknown name, a
+//   non-numeric decay_time_k or instr, or a config the simulator rejects
+//   (e.g. a decaying technique with decay_time_k 0) exits 2.
 //                 [--topology=bus|dmesh] [--hierarchy=2|3] [--cores=N]
 //                 [--trace-out=FILE] [--sample-out=FILE]
 //                 [--sample-every=N] [--profile]
@@ -13,15 +16,16 @@
 //
 // Observability (all strictly observer-only — metrics are bit-identical
 // with and without them):
-//   --trace-out=FILE     Chrome-trace-event JSON timeline (load it in
-//                        Perfetto / chrome://tracing).
+//   --trace-out=FILE     binary .cdtl timeline; `cdtrace render FILE
+//                        out.json` turns it into Chrome trace-event JSON
+//                        for Perfetto / chrome://tracing.
 //   --sample-out=FILE    windowed time-series CSV.
 //   --sample-every=N     sampling window in cycles (default 100000).
 //   --profile            host wall-clock phase profile on stderr.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "cdsim/common/host_timer.hpp"
@@ -53,11 +57,26 @@ int main(int argc, char** argv) {
       .u64("sample-every", &sample_every)
       .toggle("profile", &profile)
       .on_positional([&](int pos, const std::string& arg) {
+        // decay_time_k may be 0 (baseline/protocol ignore it) but must
+        // not overflow when scaled to cycles; instr must be positive.
+        const auto number = [&](const char* what, std::uint64_t lo,
+                                std::uint64_t hi, std::uint64_t* out) {
+          const auto v = sim::detail::parse_u64(arg.c_str());
+          if (v && *v >= lo && *v <= hi) {
+            *out = *v;
+            return;
+          }
+          std::fprintf(stderr,
+                       "invalid %s \"%s\" (want an integer in %llu..%llu)\n",
+                       what, arg.c_str(), static_cast<unsigned long long>(lo),
+                       static_cast<unsigned long long>(hi));
+          bad_positional = true;
+        };
         switch (pos) {
           case 0: bench_name = arg; break;
           case 1: tech_name = arg; break;
-          case 2: decay_k = std::strtoull(arg.c_str(), nullptr, 10); break;
-          case 3: instr = std::strtoull(arg.c_str(), nullptr, 10); break;
+          case 2: number("decay_time_k", 0, ~0ull / 1024, &decay_k); break;
+          case 3: number("instr", 1, ~0ull, &instr); break;
           default:
             std::fprintf(stderr, "unexpected argument \"%s\"\n", arg.c_str());
             bad_positional = true;
@@ -65,15 +84,21 @@ int main(int argc, char** argv) {
         }
       });
   if (!parser.parse(argc, argv) || bad_positional) return 2;
+  const std::optional<decay::Technique> technique =
+      decay::parse_technique(tech_name);
+  if (!technique) {
+    std::fprintf(stderr,
+                 "unknown technique \"%s\" (baseline|protocol|decay|"
+                 "sel_decay)\n",
+                 tech_name.c_str());
+    return 2;
+  }
   const noc::Topology topology = mf.topology;
   const sim::Hierarchy hierarchy = mf.hierarchy;
   const std::uint32_t cores = mf.effective_cores();
 
   decay::DecayConfig d;
-  if (tech_name == "baseline") d.technique = decay::Technique::kBaseline;
-  else if (tech_name == "protocol") d.technique = decay::Technique::kProtocol;
-  else if (tech_name == "decay") d.technique = decay::Technique::kDecay;
-  else d.technique = decay::Technique::kSelectiveDecay;
+  d.technique = *technique;
   d.decay_time = decay_k * 1024;
 
   sim::SystemConfig cfg = sim::make_system_config(4 * MiB, d);
@@ -91,6 +116,12 @@ int main(int argc, char** argv) {
   cfg.instructions_per_core = instr;
 
   const auto& bench = workload::benchmark_by_name(bench_name);
+  try {
+    sim::validate_system_config(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "diagnose: %s\n", e.what());
+    return 2;
+  }
   sim::CmpSystem sys(cfg, bench);
 
   obs::TraceRecorder recorder;

@@ -27,8 +27,9 @@
 //                          bit-identical to the streaming run
 //       --max-rss-mb=N     fail if peak RSS exceeded N MiB
 //       --metrics-out=F    append "key value" lines (hexfloat doubles) to F
-//       --trace-out=F      Chrome-trace-event JSON timeline of the
-//                          streaming replay (Perfetto-loadable)
+//       --trace-out=F      binary .cdtl timeline of the streaming replay;
+//                          `cdtrace render F out.json` makes it
+//                          Perfetto-loadable JSON
 //       --sample-out=F     windowed time-series CSV of the streaming replay
 //       --sample-every=N   sampling window in cycles (default 100000)
 //       --profile          host wall-clock phase profile on stderr
@@ -40,6 +41,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -252,16 +254,17 @@ int main(int argc, char** argv) {
     programs[idx].weight = mult;
   }
 
-  decay::DecayConfig d;
-  if (tech_name == "baseline") d.technique = decay::Technique::kBaseline;
-  else if (tech_name == "protocol") d.technique = decay::Technique::kProtocol;
-  else if (tech_name == "decay") d.technique = decay::Technique::kDecay;
-  else if (tech_name == "sel_decay") {
-    d.technique = decay::Technique::kSelectiveDecay;
-  } else {
-    std::fprintf(stderr, "unknown technique \"%s\"\n", tech_name.c_str());
+  const std::optional<decay::Technique> technique =
+      decay::parse_technique(tech_name);
+  if (!technique) {
+    std::fprintf(stderr,
+                 "unknown technique \"%s\" (baseline|protocol|decay|"
+                 "sel_decay)\n",
+                 tech_name.c_str());
     return 2;
   }
+  decay::DecayConfig d;
+  d.technique = *technique;
   d.decay_time = decay_k * 1024;
 
   // Machine cores: explicit --cores wins; otherwise a single program

@@ -3,6 +3,7 @@
 // always-on baseline they are normalized against.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -37,6 +38,17 @@ constexpr std::string_view to_string(Technique t) noexcept {
     case Technique::kSelectiveDecay: return "sel_decay";
   }
   return "?";
+}
+
+/// Inverse of to_string: the technique named `name`, or nullopt when the
+/// name is none of "baseline", "protocol", "decay", "sel_decay".
+constexpr std::optional<Technique> parse_technique(
+    std::string_view name) noexcept {
+  for (const Technique t : {Technique::kBaseline, Technique::kProtocol,
+                            Technique::kDecay, Technique::kSelectiveDecay}) {
+    if (to_string(t) == name) return t;
+  }
+  return std::nullopt;
 }
 
 /// True when the technique power-gates invalid lines (everything except the
@@ -86,8 +98,10 @@ struct DecayConfig {
   /// after its last touch (Kaxiras et al. §3).
   std::uint32_t hierarchical_ticks = 4;
 
+  /// Cycles between counter ticks; 0 when hierarchical_ticks is 0, a
+  /// config validate_system_config rejects for decaying techniques.
   [[nodiscard]] constexpr Cycle tick_period() const noexcept {
-    return decay_time / hierarchical_ticks;
+    return hierarchical_ticks == 0 ? 0 : decay_time / hierarchical_ticks;
   }
 
   /// Decayed test as the hierarchical counters would observe it: evaluated

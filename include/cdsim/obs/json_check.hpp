@@ -1,10 +1,9 @@
 #pragma once
 // Minimal dependency-free JSON well-formedness checker.
 //
-// Shared by `cdtrace inspect --timeline` (sanity-check a trace before
-// summarizing it) and obs_test (prove that a truncated or corrupted
-// trace stream is *detected*, and that every complete stream the
-// recorder emits validates). This is a validator, not a parser: it
+// obs_test runs it on every timeline render, proving that what
+// `cdtrace render` writes validates (CI cross-checks with an independent
+// parser, python3 -m json.tool). This is a validator, not a parser: it
 // walks the grammar and reports the first structural error, keeping
 // nothing in memory but a containment stack. Accepts any JSON value at
 // top level; trailing whitespace is fine, trailing garbage is not.

@@ -1,10 +1,11 @@
 #pragma once
-// Streaming Chrome-trace-event recorder: the timeline half of cdsim::obs.
+// Streaming timeline recorder: the timeline half of cdsim::obs.
 //
 // A TraceRecorder turns instrumentation hooks scattered through the
 // simulator (core stalls, cache miss lifetimes, decay sweeps, bus grants,
-// DRAM bank activity, TLB walks) into a single Perfetto/chrome://tracing
-// loadable JSON file. The contract mirrors verify::AccessObserver exactly:
+// DRAM bank activity, TLB walks) into a single .cdtl timeline file, which
+// `cdtrace render` turns into Perfetto/chrome://tracing JSON offline. The
+// contract mirrors verify::AccessObserver exactly:
 //
 //   * Observer-only. A recorder never reads back into simulated state and
 //     never schedules events; attaching one must leave every RunMetrics
@@ -13,18 +14,17 @@
 //     defaults to nullptr and guard every emission with one branch; the
 //     disabled cost is that branch and nothing else (bench_kernel gates
 //     it).
-//   * O(chunk) memory. Events stream through a fixed buffer to the file
-//     as they happen, like the .cdt v2 chunk writer — a trace of any
-//     length never materializes in memory.
+//   * O(chunk) memory. Events stream through one fixed 64 KiB buffer to
+//     the file as they happen — a trace of any length never materializes
+//     in memory.
+//   * No text on the simulation thread. An emission appends one 40-byte
+//     binary record; names are interned by content and written once. The
+//     file layout and the JSON it renders to are specified in
+//     obs/timeline_file.hpp.
 //
-// File format: the Chrome trace-event "JSON object" flavor,
-//   {"traceEvents":[ ... ]}
-// with "X" complete events for spans, "i" instants, and "M" thread_name
-// metadata naming each track. One simulated cycle maps to one microsecond
-// of trace time (ts/dur are µs in the format), so Perfetto's timeline
-// reads directly in cycles. Every track is a (pid=1, tid=track-id) pair;
-// track() registers the name lazily and emission is append-only, so the
-// writer needs no global state beyond "has anything been written yet".
+// Every track is a timeline row; track() registers its name and emission
+// is append-only. One simulated cycle maps to one microsecond of rendered
+// trace time, so Perfetto's timeline reads directly in cycles.
 
 #include <cstdint>
 #include <cstdio>
@@ -49,14 +49,14 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// Opens `path` for streaming and writes the JSON preamble. Returns
-  /// false (with *err filled when non-null) on failure; the recorder then
-  /// stays inactive and every emission is a no-op.
+  /// Opens `path` for streaming and writes the file header. Returns false
+  /// (with *err filled when non-null) on failure; the recorder then stays
+  /// inactive and every emission is a no-op.
   bool open(const std::string& path, std::string* err = nullptr);
 
   [[nodiscard]] bool active() const noexcept { return out_ != nullptr; }
 
-  /// Registers a timeline row and emits its thread_name metadata event.
+  /// Registers a timeline row and emits its track-name record.
   /// Deterministic: ids are handed out in call order, which the plumbing
   /// keeps fixed (cores, caches, fabric, memory, in CmpSystem wiring
   /// order).
@@ -70,34 +70,55 @@ class TraceRecorder {
                std::uint64_t value);
 
   /// Duration event covering [begin, end]. Zero-length spans are emitted
-  /// with dur 0 (Perfetto renders them as slivers), so callers don't need
-  /// their own emptiness checks.
+  /// with dur 0 (Perfetto renders them as slivers), and so are spans with
+  /// end < begin, so callers don't need their own emptiness checks.
   void span(TrackId t, const char* name, Cycle begin, Cycle end);
   void span(TrackId t, const char* name, Cycle begin, Cycle end,
             const char* key, std::uint64_t value);
 
-  /// Flushes the buffer and writes the closing "]}"; returns false if any
-  /// write failed along the way (short disk, closed pipe). Safe to call
-  /// twice; the destructor calls it.
+  /// Flushes the last chunk and writes the trailer; returns false if any
+  /// write failed along the way (short disk, closed pipe) or a name was
+  /// too long for a chunk. Safe to call twice; the destructor calls it.
   bool close();
 
-  /// Events emitted so far (metadata events included) — cdtrace's
-  /// --timeline summary and the tests use this to cross-check the file.
+  /// Events emitted since open() (track-name records included) — the
+  /// file's trailer carries the same count, which the reader cross-checks.
   [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
   [[nodiscard]] std::uint32_t tracks() const noexcept { return next_track_; }
 
  private:
-  void emit(const char* data, std::size_t len);
-  void emit_str(const std::string& s) { emit(s.data(), s.size()); }
-  /// Appends the separating comma (all events but the first) and counts.
-  void begin_event();
-  void flush_buffer();
+  static constexpr std::uint32_t kFreeSlot = 0xffffffffu;
+  /// Open-addressing slot of the name intern table.
+  struct NameSlot {
+    std::uint64_t hash = 0;
+    std::uint32_t id = kFreeSlot;
+    std::uint32_t offset = 0;  ///< Into name_bytes_.
+    std::uint32_t size = 0;
+  };
+
+  /// The id of `s`, defining it in the stream on first use.
+  std::uint32_t intern(const char* s);
+  std::uint32_t intern(const char* s, std::size_t n, std::uint64_t hash);
+  std::uint32_t define_name(const char* s, std::size_t n, std::uint64_t hash);
+  /// First free slot on `hash`'s probe sequence.
+  [[nodiscard]] std::size_t free_slot(std::uint64_t hash) const;
+  void append(std::uint64_t w0, std::uint64_t w1, Cycle ts, Cycle dur,
+              std::uint64_t value);
+  void flush_chunk();
 
   std::FILE* out_ = nullptr;
-  std::string buf_;           ///< Pending bytes; flushed at ~64 KiB.
+  /// The open chunk: two header words, then payload. Sized once by
+  /// open(), 64 KiB in all.
+  std::vector<std::uint64_t> buf_;
+  std::size_t fill_ = 0;  ///< Words used in buf_, header included.
+  std::uint32_t chunk_events_ = 0;
+  std::uint32_t chunks_ = 0;
+  std::vector<NameSlot> name_slots_;  ///< Power-of-two size.
+  std::string name_bytes_;            ///< Every interned name, back to back.
+  std::uint32_t names_ = 0;
   std::uint64_t events_ = 0;
   std::uint32_t next_track_ = 0;
-  bool any_event_ = false;    ///< Comma bookkeeping for valid JSON.
+  std::uint32_t file_tracks_ = 0;  ///< Track-name records in this file.
   bool write_error_ = false;
 };
 

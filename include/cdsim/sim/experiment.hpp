@@ -23,10 +23,12 @@
 namespace cdsim::sim {
 
 namespace detail {
-/// Strict base-10 parse of a positive 64-bit integer: rejects empty
-/// strings, signs, whitespace, trailing garbage, zero, and overflow.
-/// Used for the CDSIM_* environment variables so a typo'd value fails
-/// loudly instead of silently falling back to a default.
+/// Strict base-10 parse of a 64-bit integer: rejects empty strings,
+/// signs, whitespace, trailing garbage, and overflow. The one number
+/// syntax of the CDSIM_* environment variables and the tools' flags, so a
+/// typo'd value fails loudly instead of silently becoming another number.
+std::optional<std::uint64_t> parse_u64(const char* s) noexcept;
+/// parse_u64 that also rejects zero.
 std::optional<std::uint64_t> parse_positive_u64(const char* s) noexcept;
 }  // namespace detail
 

@@ -22,6 +22,13 @@ static_assert(!arms_on_entry(Technique::kSelectiveDecay, MesiState::kModified));
 static_assert(!arms_on_entry(Technique::kSelectiveDecay, MesiState::kOwned));
 static_assert(arms_on_entry(Technique::kDecay, MesiState::kOwned));
 
+// Names round-trip; anything else is no technique.
+static_assert(parse_technique("sel_decay") == Technique::kSelectiveDecay);
+static_assert(parse_technique(to_string(Technique::kProtocol)) ==
+              Technique::kProtocol);
+static_assert(!parse_technique("decya").has_value());
+static_assert(!parse_technique("").has_value());
+
 // Protocol / baseline never decay.
 static_assert(!arms_on_entry(Technique::kProtocol, MesiState::kShared));
 static_assert(!arms_on_entry(Technique::kBaseline, MesiState::kModified));
@@ -42,6 +49,7 @@ constexpr bool expired_at(Cycle touch, Cycle now) {
 }
 }  // namespace
 static_assert(kD.tick_period() == 250);
+static_assert(DecayConfig{Technique::kDecay, 1000, 0}.tick_period() == 0);
 // Touch at 0: deadline 1000, already a tick multiple.
 static_assert(kD.first_expiry_tick(0) == 1000);
 static_assert(expired_at(0, kD.first_expiry_tick(0)));

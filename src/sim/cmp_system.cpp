@@ -61,14 +61,22 @@ void validate_system_config(const SystemConfig& cfg) {
            std::to_string(cfg.l3.ways) + " ways)");
     }
   }
+  // The same check at every level: a decaying technique needs at least one
+  // counter tick per interval, and ticks at least one cycle apart.
   const auto check_decay = [&fail](const decay::DecayConfig& d,
                                    const char* level) {
-    if (decay::uses_decay(d.technique) && d.tick_period() == 0) {
-      fail(std::string(level) +
-           " decay technique needs a nonzero decay_time / tick period");
+    if (!decay::uses_decay(d.technique)) return;
+    if (d.hierarchical_ticks == 0) {
+      fail(std::string(level) + " decay needs hierarchical_ticks >= 1");
+    }
+    if (d.tick_period() == 0) {
+      fail(std::string(level) + " decay technique needs a nonzero tick " +
+           "period (decay_time " + std::to_string(d.decay_time) + " / " +
+           std::to_string(d.hierarchical_ticks) + " ticks)");
     }
   };
   check_decay(cfg.l1_decay, "L1");
+  check_decay(cfg.decay, "L2");
   check_decay(cfg.l3_decay, "L3");
 }
 

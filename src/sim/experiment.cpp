@@ -170,7 +170,7 @@ std::optional<ParsedCacheLine> parse_cache_line(const std::string& line) {
 }  // namespace
 
 namespace detail {
-std::optional<std::uint64_t> parse_positive_u64(const char* s) noexcept {
+std::optional<std::uint64_t> parse_u64(const char* s) noexcept {
   if (s == nullptr || *s == '\0') return std::nullopt;
   // strtoull accepts leading whitespace, '+'/'-' (negatives wrap!), and
   // stops at the first bad character; insist on pure digits instead.
@@ -179,10 +179,16 @@ std::optional<std::uint64_t> parse_positive_u64(const char* s) noexcept {
   }
   errno = 0;
   // The digit loop above already rejected empty strings and any non-digit;
-  // only overflow and zero remain.
+  // only overflow remains.
   const unsigned long long v = std::strtoull(s, nullptr, 10);
-  if (errno == ERANGE || v == 0) return std::nullopt;
+  if (errno == ERANGE) return std::nullopt;
   return static_cast<std::uint64_t>(v);
+}
+
+std::optional<std::uint64_t> parse_positive_u64(const char* s) noexcept {
+  const std::optional<std::uint64_t> v = parse_u64(s);
+  if (!v || *v == 0) return std::nullopt;
+  return v;
 }
 }  // namespace detail
 

@@ -114,6 +114,39 @@ TEST(ConfigValidation, PerLevelDecayNeedsNonzeroWindow) {
   EXPECT_NO_THROW(validate_system_config(cfg));
 }
 
+// Zero ticks per interval (which used to divide by zero) and a tick
+// period that rounds to 0 cycles are rejected at each level by name.
+TEST(ConfigValidation, L1DecayNeedsTicksAndAPeriod) {
+  SystemConfig cfg = base();
+  cfg.l1_decay = decay::DecayConfig{decay::Technique::kDecay, 65536, 0};
+  expect_invalid(cfg, "L1 decay needs hierarchical_ticks");
+  cfg.l1_decay = decay::DecayConfig{decay::Technique::kDecay, 3, 4};
+  expect_invalid(cfg, "L1 decay technique needs a nonzero tick period");
+}
+
+TEST(ConfigValidation, L2DecayNeedsTicksAndAPeriod) {
+  SystemConfig cfg = base();
+  cfg.decay = decay::DecayConfig{decay::Technique::kSelectiveDecay, 65536, 0};
+  expect_invalid(cfg, "L2 decay needs hierarchical_ticks");
+  cfg.decay = decay::DecayConfig{decay::Technique::kDecay, 0, 4};
+  expect_invalid(cfg, "L2 decay technique needs a nonzero tick period");
+  // The constructor runs the same check before building any cache.
+  EXPECT_THROW(CmpSystem(cfg, workload::benchmark_by_name("mpeg2enc")),
+               std::invalid_argument);
+  cfg.decay = decay::DecayConfig{decay::Technique::kProtocol, 0, 0};
+  EXPECT_NO_THROW(validate_system_config(cfg));
+}
+
+TEST(ConfigValidation, L3DecayNeedsTicksAndAPeriod) {
+  SystemConfig cfg = base();
+  cfg.hierarchy = Hierarchy::kThreeLevel;
+  cfg.topology = noc::Topology::kDirectoryMesh;
+  cfg.l3_decay = decay::DecayConfig{decay::Technique::kDecay, 65536, 0};
+  expect_invalid(cfg, "L3 decay needs hierarchical_ticks");
+  cfg.l3_decay = decay::DecayConfig{decay::Technique::kDecay, 1, 2};
+  expect_invalid(cfg, "L3 decay technique needs a nonzero tick period");
+}
+
 TEST(ConfigValidation, CmpSystemConstructorEnforcesIt) {
   SystemConfig cfg = base();
   cfg.num_cores = 0;

@@ -301,6 +301,11 @@ TEST_F(ExperimentCacheTest, ParsePositiveU64) {
   // One past uint64 max, and something absurdly long.
   EXPECT_FALSE(parse_positive_u64("18446744073709551616").has_value());
   EXPECT_FALSE(parse_positive_u64("999999999999999999999999").has_value());
+  // parse_u64 is the same syntax with zero allowed.
+  EXPECT_EQ(sim::detail::parse_u64("0"), 0u);
+  EXPECT_EQ(sim::detail::parse_u64("42"), 42u);
+  EXPECT_FALSE(sim::detail::parse_u64("4x").has_value());
+  EXPECT_FALSE(sim::detail::parse_u64("-1").has_value());
 }
 
 using ExperimentCacheDeathTest = ExperimentCacheTest;

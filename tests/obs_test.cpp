@@ -4,11 +4,12 @@
 // The load-bearing property is in AttachedVsDetached*: attaching the full
 // observability stack to a run must leave every RunMetrics field
 // bit-identical to the detached run. Everything else here checks the
-// artifacts themselves: the trace file is valid Chrome-trace JSON (and
-// truncation/corruption is *detected*, not shrugged at), the sampler's
-// window arithmetic covers the run exactly, zero-event runs still produce
-// valid files, and the series checksum for a pinned config is pinned like
-// the golden hexfloat metrics.
+// artifacts themselves: a .cdtl capture renders to valid Chrome-trace JSON
+// whose bytes are pinned (and truncation/corruption of the capture is
+// *detected*, not shrugged at), the sampler's window arithmetic covers
+// the run exactly, zero-event runs still produce valid files, and the
+// series checksum for a pinned config is pinned like the golden hexfloat
+// metrics.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -23,6 +25,7 @@
 #include "cdsim/common/host_timer.hpp"
 #include "cdsim/obs/interval_sampler.hpp"
 #include "cdsim/obs/json_check.hpp"
+#include "cdsim/obs/timeline_file.hpp"
 #include "cdsim/obs/trace_recorder.hpp"
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
@@ -69,75 +72,219 @@ sim::RunMetrics run_small(obs::TraceRecorder* rec, obs::IntervalSampler* s) {
 
 // --- trace recorder ---------------------------------------------------------
 
-TEST(TraceRecorder, EmitsWellFormedJson) {
-  const std::string path = tmp_path("obs_trace") + ".json";
-  obs::TraceRecorder rec;
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Renders a .cdtl capture and returns the JSON text (the JSON file is
+/// removed again).
+std::string render(const std::string& cdtl,
+                   obs::TimelineTotals* totals = nullptr) {
+  const std::string json = cdtl + ".json";
   std::string err;
-  ASSERT_TRUE(rec.open(path, &err)) << err;
-  const sim::RunMetrics m = run_small(&rec, nullptr);
+  EXPECT_TRUE(obs::render_timeline_json(cdtl, json, &err, totals)) << err;
+  std::string text = slurp(json);
+  std::remove(json.c_str());
+  return text;
+}
+
+/// Captures run_small into `path`.
+void capture_small(const std::string& path, obs::TraceRecorder& rec) {
+  ASSERT_TRUE(rec.open(path));
+  run_small(&rec, nullptr);
   ASSERT_TRUE(rec.close());
-  EXPECT_GT(m.instructions, 0u);
+}
+
+// FNV-1a64 over the rendered JSON of run_small and of the kDram+TLB
+// machine in DramMachineTracesAndStaysBitIdentical. Like the golden
+// hexfloat metrics they fix every emission point's order, names and
+// arguments plus the JSON layout; re-capture (the EXPECT_EQ message shows
+// the live value) only in a commit that changes emission on purpose.
+constexpr std::uint64_t kSmallRenderFnv = 0xbb968312dae8228bULL;
+constexpr std::uint64_t kDramRenderFnv = 0xb3a0ac674410d9b4ULL;
+
+TEST(TraceRecorder, RenderFormatIsPinned) {
+  // Every event shape, a span whose end precedes its begin (dur clamps to
+  // 0), and a track name that needs JSON escaping.
+  const std::string path = tmp_path("obs_format") + ".cdtl";
+  obs::TraceRecorder rec;
+  ASSERT_TRUE(rec.open(path));
+  const obs::TrackId a = rec.track("core0");
+  const obs::TrackId b = rec.track("odd \"name\"\\\n\t\x01");
+  rec.instant(a, "finish", 7);
+  rec.instant(b, "toff.clean", 8, "line", 4096);
+  rec.span(a, "miss", 10, 25);
+  const std::string miss = "miss";  // same content, another pointer
+  rec.span(b, miss.c_str(), 30, 42, "line", 64);
+  rec.span(a, "stall.rob", 50, 40);
+  char reused[8] = "wb.a";  // one pointer, two contents
+  rec.instant(a, reused, 60);
+  std::memcpy(reused, "wb.b", 5);
+  rec.instant(a, reused, 61);
+  ASSERT_TRUE(rec.close());
+  EXPECT_EQ(rec.events(), 9u);
+  EXPECT_EQ(rec.tracks(), 2u);
+
+  obs::TimelineTotals totals;
+  const std::string json = render(path, &totals);
+  std::remove(path.c_str());
+  const std::string expected =
+      R"({"traceEvents":[)"
+      R"({"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"core0"}},)"
+      R"({"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"odd \"name\"\\\n\t\u0001"}},)"
+      R"({"ph":"i","pid":1,"tid":0,"ts":7,"s":"t","name":"finish"},)"
+      R"({"ph":"i","pid":1,"tid":1,"ts":8,"s":"t","name":"toff.clean","args":{"line":4096}},)"
+      R"({"ph":"X","pid":1,"tid":0,"ts":10,"dur":15,"name":"miss"},)"
+      R"({"ph":"X","pid":1,"tid":1,"ts":30,"dur":12,"name":"miss","args":{"line":64}},)"
+      R"({"ph":"X","pid":1,"tid":0,"ts":50,"dur":0,"name":"stall.rob"},)"
+      R"({"ph":"i","pid":1,"tid":0,"ts":60,"s":"t","name":"wb.a"},)"
+      R"({"ph":"i","pid":1,"tid":0,"ts":61,"s":"t","name":"wb.b"})"
+      "]}\n";
+  EXPECT_EQ(json, expected);
+  // Names are matched by content: "miss" and "line" are stored once each,
+  // the reused buffer's two contents twice.
+  EXPECT_EQ(totals.names, 9u);
+  EXPECT_EQ(totals.events, 9u);
+  EXPECT_EQ(totals.tracks, 2u);
+}
+
+TEST(TraceRecorder, EmitsWellFormedJson) {
+  const std::string path = tmp_path("obs_trace") + ".cdtl";
+  obs::TraceRecorder rec;
+  capture_small(path, rec);
   EXPECT_GT(rec.events(), 0u);
   EXPECT_GT(rec.tracks(), 0u);
 
-  const std::string text = slurp(path);
+  obs::TimelineTotals totals;
+  const std::string text = render(path, &totals);
   std::remove(path.c_str());
   ASSERT_FALSE(text.empty());
   const obs::JsonCheckResult r = obs::json_check(text);
   EXPECT_TRUE(r.ok) << "at byte " << r.error_at << ": " << r.error;
 
-  // The metadata events name exactly the registered tracks, and every
-  // emitted event is accounted for in the file.
+  // The trailer's totals match the recorder's, and so does the JSON: the
+  // metadata events name exactly the registered tracks, and every
+  // emitted event is accounted for.
+  EXPECT_EQ(totals.events, rec.events());
+  EXPECT_EQ(totals.tracks, rec.tracks());
+  EXPECT_GT(totals.chunks, 1u);
   EXPECT_EQ(count_token(text, "\"ph\":\"M\""), rec.tracks());
   EXPECT_EQ(count_token(text, "\"ph\":"), rec.events());
   // The wiring registers one track per core plus the caches and fabric.
   EXPECT_NE(text.find("\"core0\""), std::string::npos);
   EXPECT_NE(text.find("\"L2.0\""), std::string::npos);
   EXPECT_NE(text.find("\"fabric\""), std::string::npos);
+  EXPECT_EQ(fnv1a64(text), kSmallRenderFnv)
+      << std::hex << "live value 0x" << fnv1a64(text);
+}
+
+TEST(TraceRecorder, CapturesAndRendersAreDeterministic) {
+  std::string capture[2];
+  std::string json[2];
+  for (int i = 0; i < 2; ++i) {
+    const std::string path =
+        tmp_path("obs_det") + std::to_string(i) + ".cdtl";
+    obs::TraceRecorder rec;
+    capture_small(path, rec);
+    capture[i] = slurp(path);
+    json[i] = render(path);
+    std::remove(path.c_str());
+  }
+  ASSERT_FALSE(capture[0].empty());
+  EXPECT_TRUE(capture[0] == capture[1]) << "captures differ";
+  EXPECT_TRUE(json[0] == json[1]) << "renders differ";
+}
+
+/// Writes `bytes` as a .cdtl file and expects rendering it to fail with an
+/// error containing `where`, leaving no JSON behind.
+void expect_render_fails(const std::string& bytes, const std::string& where) {
+  const std::string path = tmp_path("obs_bad") + ".cdtl";
+  const std::string json = path + ".json";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  std::string err;
+  EXPECT_FALSE(obs::render_timeline_json(path, json, &err));
+  EXPECT_NE(err.find(where), std::string::npos) << err;
+  EXPECT_FALSE(std::ifstream(json).good()) << "partial JSON left behind";
+  std::remove(path.c_str());
+}
+
+std::uint32_t u32_at(const std::string& bytes, std::size_t off) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + off, sizeof v);
+  return v;
 }
 
 TEST(TraceRecorder, TruncatedFileIsDetected) {
-  const std::string path = tmp_path("obs_trunc") + ".json";
+  const std::string path = tmp_path("obs_trunc") + ".cdtl";
   obs::TraceRecorder rec;
-  ASSERT_TRUE(rec.open(path));
-  run_small(&rec, nullptr);
-  ASSERT_TRUE(rec.close());
-  const std::string text = slurp(path);
+  capture_small(path, rec);
+  const std::string bytes = slurp(path);
   std::remove(path.c_str());
-  ASSERT_GT(text.size(), 64u);
 
-  // A stream cut anywhere before the closing "]}" must fail validation —
-  // this is what lets cdtrace flag a crashed/killed run's trace instead of
-  // silently summarizing half a timeline.
-  EXPECT_FALSE(obs::json_check(text.substr(0, text.size() / 2)).ok);
-  EXPECT_FALSE(obs::json_check(text.substr(0, text.size() - 3)).ok);
+  // Frame offsets: a 16-byte file header, then chunks of a 16-byte header
+  // (payload_bytes first) plus payload. run_small spans several chunks.
+  const std::size_t chunk0 = 16;
+  const std::size_t chunk1 = chunk0 + 16 + u32_at(bytes, chunk0);
+  const std::size_t chunk2 = chunk1 + 16 + u32_at(bytes, chunk1);
+  ASSERT_LT(chunk2 + 16 + u32_at(bytes, chunk2), bytes.size() - 32);
 
-  // Single-byte corruption in the middle is caught too, with a position.
-  std::string corrupt = text;
-  corrupt[corrupt.size() / 2] = '\x01';
-  const obs::JsonCheckResult r = obs::json_check(corrupt);
-  EXPECT_FALSE(r.ok);
-  EXPECT_GT(r.error_at, 0u);
+  // A stream cut anywhere — what a killed run leaves — fails in the
+  // reader with the failing frame's position, never summarizes half a
+  // timeline.
+  expect_render_fails(bytes.substr(0, chunk1),
+                      "offset " + std::to_string(chunk1) + " after 1 chunk");
+  expect_render_fails(bytes.substr(0, chunk1 + 16 + u32_at(bytes, chunk1) / 2),
+                      "chunk 1 at offset " + std::to_string(chunk1));
+  expect_render_fails(bytes.substr(0, bytes.size() - 10),
+                      "trailer at offset " + std::to_string(bytes.size() - 32));
+
+  // So is one flipped payload byte, by the chunk's checksum.
+  std::string corrupt = bytes;
+  corrupt[chunk2 + 16 + 100] ^= 0x01;
+  expect_render_fails(corrupt, "chunk 2 at offset " + std::to_string(chunk2) +
+                                   ": checksum mismatch");
+}
+
+TEST(TraceRecorder, RenderNeverOverwritesItsInput) {
+  const std::string path = tmp_path("obs_self") + ".cdtl";
+  obs::TraceRecorder rec;
+  capture_small(path, rec);
+  const std::string before = slurp(path);
+  std::string err;
+  EXPECT_FALSE(obs::render_timeline_json(path, path, &err));
+  EXPECT_NE(err.find("is the input file"), std::string::npos) << err;
+  EXPECT_TRUE(slurp(path) == before) << "capture was modified";
+  std::remove(path.c_str());
 }
 
 TEST(TraceRecorder, ZeroEventRunIsValidEmptyFile) {
-  const std::string path = tmp_path("obs_empty") + ".json";
+  const std::string path = tmp_path("obs_empty") + ".cdtl";
   obs::TraceRecorder rec;
   ASSERT_TRUE(rec.open(path));
   ASSERT_TRUE(rec.close());
   EXPECT_EQ(rec.events(), 0u);
 
-  const std::string text = slurp(path);
+  obs::TimelineTotals totals;
+  const std::string text = render(path, &totals);
   std::remove(path.c_str());
-  const obs::JsonCheckResult r = obs::json_check(text);
-  EXPECT_TRUE(r.ok) << "at byte " << r.error_at << ": " << r.error;
-  EXPECT_NE(text.find("traceEvents"), std::string::npos);
+  EXPECT_EQ(text, "{\"traceEvents\":[]}\n");
+  EXPECT_TRUE(obs::json_check(text).ok);
+  EXPECT_EQ(totals.events, 0u);
+  EXPECT_EQ(totals.chunks, 0u);
 }
 
 TEST(TraceRecorder, OpenFailureLeavesRecorderInactive) {
   obs::TraceRecorder rec;
   std::string err;
-  EXPECT_FALSE(rec.open("/nonexistent-dir/trace.json", &err));
+  EXPECT_FALSE(rec.open("/nonexistent-dir/trace.cdtl", &err));
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(rec.active());
   // Emission against an inactive recorder is a defined no-op.
@@ -201,7 +348,7 @@ TEST(IntervalSampler, ChecksumCoversBitsNotText) {
 TEST(Observability, AttachedVsDetachedMetricsAreBitIdentical) {
   const sim::RunMetrics plain = run_small(nullptr, nullptr);
 
-  const std::string path = tmp_path("obs_attached") + ".json";
+  const std::string path = tmp_path("obs_attached") + ".cdtl";
   obs::TraceRecorder rec;
   ASSERT_TRUE(rec.open(path));
   obs::IntervalSampler s(5000);
@@ -248,7 +395,7 @@ TEST(Observability, DramMachineTracesAndStaysBitIdentical) {
   sim::CmpSystem plain_sys(sim::normalized_run_config(cfg, bench), bench);
   const sim::RunMetrics plain = plain_sys.run();
 
-  const std::string path = tmp_path("obs_dram") + ".json";
+  const std::string path = tmp_path("obs_dram") + ".cdtl";
   obs::TraceRecorder rec;
   ASSERT_TRUE(rec.open(path));
   sim::CmpSystem traced_sys(sim::normalized_run_config(cfg, bench), bench);
@@ -262,12 +409,14 @@ TEST(Observability, DramMachineTracesAndStaysBitIdentical) {
   EXPECT_EQ(plain.dram_row_conflicts, traced.dram_row_conflicts);
   EXPECT_EQ(plain.tlb_misses, traced.tlb_misses);
 
-  const std::string text = slurp(path);
+  const std::string text = render(path);
   std::remove(path.c_str());
   EXPECT_TRUE(obs::json_check(text).ok);
   EXPECT_NE(text.find("\"dram.c0\""), std::string::npos);
   EXPECT_NE(text.find("\"dram.c0.b0\""), std::string::npos);
   EXPECT_NE(text.find("\"tlb.0\""), std::string::npos);
+  EXPECT_EQ(fnv1a64(text), kDramRenderFnv)
+      << std::hex << "live value 0x" << fnv1a64(text);
 }
 
 // --- golden series pin ------------------------------------------------------

@@ -30,11 +30,17 @@
 //       Header/footer summary (no chunk decodes): cores, chunks, records,
 //       per-core budgets, compression ratio.
 //
-//   cdtrace inspect --timeline <trace.json>
-//       Validates a Chrome-trace-event timeline emitted by the simulator's
-//       --trace-out flag (full JSON well-formedness walk, first error with
-//       byte offset) and summarizes it: tracks, spans, instants, and the
-//       covered cycle range.
+//   cdtrace inspect --timeline <run.cdtl>
+//       Validates a .cdtl timeline written by the simulator's --trace-out
+//       flag chunk by chunk (checksums, records, trailer totals; the first
+//       error names the chunk and byte offset) and summarizes it: tracks,
+//       spans, instants, and the covered cycle range. Streaming: O(chunk)
+//       memory for any file size.
+//
+//   cdtrace render <run.cdtl> <out.json>
+//       Renders a .cdtl timeline as Chrome trace-event JSON for Perfetto /
+//       chrome://tracing, validating as it streams. A bad file exits 1 and
+//       leaves no output behind.
 //
 //   cdtrace head <file> [--n=N]
 //       First N records (default 10) in the simple text format.
@@ -45,7 +51,11 @@
 //
 //   inspect, head and stats read .cdt v2 only; any other file (a retired
 //   v1 trace included) is rejected with a nonzero exit.
+//
+//   Numeric flags take plain decimal digits within the flag's range;
+//   anything else exits 2 with an error naming the flag.
 
+#include <algorithm>
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
@@ -53,12 +63,14 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cdsim/common/rng.hpp"
-#include "cdsim/obs/json_check.hpp"
+#include "cdsim/obs/timeline_file.hpp"
+#include "cdsim/sim/experiment.hpp"
 #include "cdsim/workload/trace_v2.hpp"
 
 namespace {
@@ -72,7 +84,8 @@ int usage() {
                "       cdtrace convert <in> <out> [--format=simple|lackey] "
                "[--cores=N] [--chunk-records=N]\n"
                "       cdtrace inspect <file>\n"
-               "       cdtrace inspect --timeline <trace.json>\n"
+               "       cdtrace inspect --timeline <run.cdtl>\n"
+               "       cdtrace render <run.cdtl> <out.json>\n"
                "       cdtrace head <file> [--n=N]\n"
                "       cdtrace stats <file>\n");
   return 2;
@@ -92,25 +105,50 @@ struct Flags {
   std::vector<std::string> paths;
 };
 
+/// Parses the decimal `value` of `flag` into *out: plain digits within
+/// [lo, hi]. Prints an error naming the flag otherwise.
+bool parse_number(const std::string& flag, const std::string& value,
+                  std::uint64_t lo, std::uint64_t hi, std::uint64_t* out) {
+  const std::optional<std::uint64_t> v = sim::detail::parse_u64(value.c_str());
+  if (!v || *v < lo || *v > hi) {
+    std::fprintf(stderr,
+                 "cdtrace: invalid %s value \"%s\" (want an integer in "
+                 "%" PRIu64 "..%" PRIu64 ")\n",
+                 flag.c_str(), value.c_str(), lo, hi);
+    return false;
+  }
+  *out = *v;
+  return true;
+}
+
 bool parse_flags(int argc, char** argv, int first, Flags& f) {
+  constexpr std::uint64_t kU32Max = 0xffffffffu;
+  constexpr std::uint64_t kU64Max = ~0ull;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto num = [&arg](std::size_t prefix) {
-      return std::strtoull(arg.c_str() + prefix, nullptr, 10);
-    };
-    if (arg.rfind("--records=", 0) == 0) {
-      f.records = num(10);
-    } else if (arg.rfind("--cores=", 0) == 0) {
-      f.cores = static_cast<std::uint32_t>(num(8));
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const std::string value =
+        eq == std::string::npos ? std::string() : arg.substr(eq + 1);
+    std::uint64_t v = 0;
+    if (flag == "--records") {
+      if (!parse_number(flag, value, 1, kU64Max, &v)) return false;
+      f.records = v;
+    } else if (flag == "--cores") {
+      if (!parse_number(flag, value, 1, 255, &v)) return false;
+      f.cores = static_cast<std::uint32_t>(v);
       f.cores_set = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      f.seed = num(7);
-    } else if (arg.rfind("--n=", 0) == 0) {
-      f.n = num(4);
-    } else if (arg.rfind("--chunk-records=", 0) == 0) {
-      f.chunk_records = static_cast<std::uint32_t>(num(16));
+    } else if (flag == "--seed") {
+      if (!parse_number(flag, value, 0, kU64Max, &v)) return false;
+      f.seed = v;
+    } else if (flag == "--n") {
+      if (!parse_number(flag, value, 0, kU64Max, &v)) return false;
+      f.n = v;
+    } else if (flag == "--chunk-records") {
+      if (!parse_number(flag, value, 1, kU32Max, &v)) return false;
+      f.chunk_records = static_cast<std::uint32_t>(v);
     } else if (arg.rfind("--format=", 0) == 0) {
-      f.format = arg.substr(9);
+      f.format = value;
     } else if (arg == "--text") {
       f.text = true;
     } else if (arg == "--timeline") {
@@ -315,66 +353,57 @@ int cmd_convert(const Flags& f) {
   return 0;
 }
 
-/// Counts non-overlapping occurrences of `needle` in `hay`.
-std::uint64_t count_token(const std::string& hay, std::string_view needle) {
-  std::uint64_t n = 0;
-  for (std::size_t at = hay.find(needle); at != std::string::npos;
-       at = hay.find(needle, at + needle.size())) {
-    ++n;
-  }
-  return n;
-}
-
 int cmd_inspect_timeline(const Flags& f) {
-  std::ifstream in(f.paths[0], std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cdtrace: cannot open %s\n", f.paths[0].c_str());
+  std::string err;
+  const auto r = obs::TimelineReader::open(f.paths[0], &err);
+  if (r == nullptr) {
+    std::fprintf(stderr, "cdtrace: %s\n", err.c_str());
     return 1;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  const obs::JsonCheckResult chk = obs::json_check(text);
-  if (!chk.ok) {
-    std::fprintf(stderr,
-                 "cdtrace: %s: invalid trace JSON at byte %zu: %s\n",
-                 f.paths[0].c_str(), chk.error_at, chk.error.c_str());
-    return 1;
-  }
-
-  // The checker proved well-formedness and the recorder's emitter writes
-  // exactly one "ph" marker per event, so token counts are an accurate
-  // summary without a DOM in memory.
-  const std::uint64_t tracks = count_token(text, "\"ph\":\"M\"");
-  const std::uint64_t spans = count_token(text, "\"ph\":\"X\"");
-  const std::uint64_t instants = count_token(text, "\"ph\":\"i\"");
-
-  // Covered cycle range: scan "ts": values (and span ends via "dur").
+  std::uint64_t spans = 0;
+  std::uint64_t instants = 0;
   std::uint64_t ts_lo = ~0ull;
   std::uint64_t ts_hi = 0;
-  for (std::size_t at = text.find("\"ts\":"); at != std::string::npos;
-       at = text.find("\"ts\":", at + 5)) {
-    char* end = nullptr;
-    const std::uint64_t ts = std::strtoull(text.c_str() + at + 5, &end, 10);
-    std::uint64_t hi = ts;
-    const std::size_t dur = text.find("\"dur\":", at);
-    const std::size_t next = text.find("\"ts\":", at + 5);
-    if (dur != std::string::npos && (next == std::string::npos || dur < next)) {
-      hi += std::strtoull(text.c_str() + dur + 6, &end, 10);
+  obs::TimelineEvent ev;
+  while (r->next(ev)) {
+    if (ev.kind == obs::cdtl::kTrackName) continue;
+    if (ev.kind == obs::cdtl::kSpan) {
+      ++spans;
+    } else {
+      ++instants;
     }
-    if (ts < ts_lo) ts_lo = ts;
-    if (hi > ts_hi) ts_hi = hi;
+    ts_lo = std::min(ts_lo, ev.ts);
+    ts_hi = std::max(ts_hi, ev.ts + ev.dur);
   }
-
-  std::printf("format        trace-event JSON (valid)\n");
-  std::printf("file bytes    %zu\n", text.size());
-  std::printf("tracks        %" PRIu64 "\n", tracks);
+  if (r->failed()) {
+    std::fprintf(stderr, "cdtrace: invalid timeline: %s\n",
+                 r->error().c_str());
+    return 1;
+  }
+  const obs::TimelineTotals& t = r->totals();
+  std::printf("format        .cdtl timeline (valid)\n");
+  std::printf("file bytes    %" PRIu64 "\n", t.file_bytes);
+  std::printf("chunks        %u\n", t.chunks);
+  std::printf("tracks        %u\n", t.tracks);
   std::printf("spans         %" PRIu64 "\n", spans);
   std::printf("instants      %" PRIu64 "\n", instants);
+  std::printf("names         %u\n", t.names);
   if (spans + instants > 0) {
     std::printf("cycle range   [%" PRIu64 ", %" PRIu64 "]\n", ts_lo, ts_hi);
   }
+  return 0;
+}
+
+int cmd_render(const Flags& f) {
+  if (f.paths.size() != 2) return usage();
+  std::string err;
+  obs::TimelineTotals t;
+  if (!obs::render_timeline_json(f.paths[0], f.paths[1], &err, &t)) {
+    std::fprintf(stderr, "cdtrace: %s\n", err.c_str());
+    return 1;
+  }
+  std::printf("rendered %" PRIu64 " events on %u tracks to %s\n", t.events,
+              t.tracks, f.paths[1].c_str());
   return 0;
 }
 
@@ -479,6 +508,7 @@ int main(int argc, char** argv) {
   if (cmd == "gen") return cmd_gen(f);
   if (cmd == "convert") return cmd_convert(f);
   if (cmd == "inspect") return cmd_inspect(f);
+  if (cmd == "render") return cmd_render(f);
   if (cmd == "head") return cmd_head(f);
   if (cmd == "stats") return cmd_stats(f);
   return usage();
