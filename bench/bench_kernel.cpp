@@ -15,9 +15,10 @@
 //                 from the repo root cannot overwrite the committed
 //                 BENCH_kernel.json it is gated against)
 //   --baseline    a previously committed BENCH_kernel.json to gate against:
-//                 the deterministic fields (events, cycles, l2_misses,
-//                 decay_turnoffs, occupation) must match BIT-EXACTLY when the
-//                 instruction budgets agree, and best_ms may not exceed
+//                 its instruction budget must equal this run's (exit 2
+//                 before any rep otherwise), the deterministic fields
+//                 (events, cycles, l2_misses, decay_turnoffs, occupation)
+//                 must match BIT-EXACTLY, and best_ms may not exceed
 //                 baseline * tolerance. This is the CI perf gate for the
 //                 throughput-class sweep.
 //   --tolerance   wall-clock slowdown ratio allowed vs. the baseline
@@ -26,7 +27,6 @@
 //                 hardware; the gate catches order-of-magnitude sins, the
 //                 committed history catches drift).
 
-#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <cstdio>
@@ -98,26 +98,6 @@ Sample run_pinned(const decay::DecayConfig& dcfg, std::uint64_t instr,
     s.metrics = std::move(m);
   }
   return s;
-}
-
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-/// Bit-identity across the fields the golden tests pin. Tolerance-free on
-/// purpose: the observability seam promises *zero* perturbation, not
-/// "close enough".
-bool metrics_identical(const sim::RunMetrics& a, const sim::RunMetrics& b) {
-  return a.cycles == b.cycles && a.instructions == b.instructions &&
-         same_bits(a.ipc, b.ipc) &&
-         same_bits(a.l2_occupation, b.l2_occupation) &&
-         same_bits(a.l2_miss_rate, b.l2_miss_rate) &&
-         a.l2_accesses == b.l2_accesses && a.l2_misses == b.l2_misses &&
-         a.l2_decay_turnoffs == b.l2_decay_turnoffs &&
-         same_bits(a.amat, b.amat) && same_bits(a.energy, b.energy) &&
-         a.mem_bytes == b.mem_bytes &&
-         same_bits(a.bus_utilization, b.bus_utilization) &&
-         same_bits(a.avg_l2_temp_kelvin, b.avg_l2_temp_kelvin);
 }
 
 void print_json(std::FILE* f, const std::vector<Sample>& samples,
@@ -260,23 +240,13 @@ std::optional<Baseline> load_baseline(const std::string& path) {
   return b;
 }
 
-/// Compares this run against the baseline. Deterministic fields (event
-/// count, cycles, misses, turnoffs, occupation) are a hard gate: the
+/// Compares this run against a same-budget baseline. Deterministic fields
+/// (event count, cycles, misses, turnoffs, occupation) are a hard gate: the
 /// simulator promises bit-identical runs per config, so ANY drift is a
 /// functional regression, not noise. Wall clock is gated by `tolerance`
 /// (slowdown only — getting faster is the point). Returns failure count.
 int check_against_baseline(const std::vector<Sample>& samples,
-                           const Baseline& base, std::uint64_t instr,
-                           double tolerance) {
-  if (base.instructions_per_core != instr) {
-    std::printf(
-        "bench_kernel: baseline was recorded at %llu instr/core, this run "
-        "uses %llu — skipping gate (rerun with CDSIM_INSTR=%llu to compare)\n",
-        static_cast<unsigned long long>(base.instructions_per_core),
-        static_cast<unsigned long long>(instr),
-        static_cast<unsigned long long>(base.instructions_per_core));
-    return 0;
-  }
+                           const Baseline& base, double tolerance) {
   int failures = 0;
   const auto fail = [&failures](const std::string& label, const char* what,
                                 double got, double want) {
@@ -396,6 +366,16 @@ int main(int argc, char** argv) {
     }
     instr = *v;
   }
+  // A baseline recorded at another budget cannot gate this run.
+  if (baseline.has_value() && baseline->instructions_per_core != instr) {
+    const auto want =
+        static_cast<unsigned long long>(baseline->instructions_per_core);
+    std::fprintf(stderr,
+                 "bench_kernel: baseline was recorded at %llu instr/core, "
+                 "this run would use %llu; set CDSIM_INSTR=%llu to gate\n",
+                 want, static_cast<unsigned long long>(instr), want);
+    return 2;
+  }
 
   const decay::DecayConfig decay64k{decay::Technique::kDecay, 64 * 1024, 4};
   std::vector<Sample> samples;
@@ -404,12 +384,15 @@ int main(int argc, char** argv) {
   samples.push_back(run_pinned(decay64k, instr, /*traced=*/true));
 
   // The observer-only gate: attaching the recorder + sampler must leave
-  // every pinned metric bit-identical. A drift here means an emission
+  // every RunMetrics leaf bit-identical. A drift here means an emission
   // point read back into (or scheduled into) simulated state.
-  if (!metrics_identical(samples[1].metrics, samples[2].metrics)) {
+  const std::string drift =
+      sim::first_difference(samples[1].metrics, samples[2].metrics);
+  if (!drift.empty()) {
     std::fprintf(stderr,
-                 "bench_kernel: FAIL — metrics drifted with observability "
-                 "attached (traced run is not observer-only)\n");
+                 "bench_kernel: FAIL — %s drifted with observability "
+                 "attached (traced run is not observer-only)\n",
+                 drift.c_str());
     return 1;
   }
   const double traced_over_plain =
@@ -441,8 +424,7 @@ int main(int argc, char** argv) {
   // The perf gate runs AFTER the JSON is written: a failing run still
   // leaves its numbers on disk for the CI artifact upload / postmortem.
   if (baseline.has_value()) {
-    const int failures =
-        check_against_baseline(samples, *baseline, instr, tolerance);
+    const int failures = check_against_baseline(samples, *baseline, tolerance);
     if (failures != 0) {
       std::fprintf(stderr, "bench_kernel: %d baseline gate failure(s)\n",
                    failures);

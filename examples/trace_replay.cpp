@@ -26,7 +26,8 @@
 //                          path and fail unless the metrics are
 //                          bit-identical to the streaming run
 //       --max-rss-mb=N     fail if peak RSS exceeded N MiB
-//       --metrics-out=F    append "key value" lines (hexfloat doubles) to F
+//       --metrics-out=F    append a "name value" line per RunMetrics leaf
+//                          to F (sim::format_metrics; hexfloat doubles)
 //       --trace-out=F      binary .cdtl timeline of the streaming replay;
 //                          `cdtrace render F out.json` makes it
 //                          Perfetto-loadable JSON
@@ -391,18 +392,13 @@ int main(int argc, char** argv) {
         cfg, workload::replay_factory(
                  std::shared_ptr<const workload::Trace>(whole)),
         verify, "trace_replay");
-    const bool same = mem.metrics.cycles == m.cycles &&
-                      mem.metrics.ipc == m.ipc &&
-                      mem.metrics.energy == m.energy &&
-                      mem.metrics.l2_miss_rate == m.l2_miss_rate &&
-                      mem.metrics.l2_accesses == m.l2_accesses &&
-                      mem.metrics.l2_misses == m.l2_misses;
-    if (same) {
+    const std::string diff = sim::first_difference(m, mem.metrics);
+    if (diff.empty()) {
       std::printf("in-memory A/B: bit-identical to the streaming replay\n");
     } else {
-      std::printf("in-memory A/B: MISMATCH (streaming %llu cycles, "
-                  "in-memory %llu)\n",
-                  static_cast<unsigned long long>(m.cycles),
+      std::printf("in-memory A/B: MISMATCH, first at %s (streaming %llu "
+                  "cycles, in-memory %llu)\n",
+                  diff.c_str(), static_cast<unsigned long long>(m.cycles),
                   static_cast<unsigned long long>(mem.metrics.cycles));
       rc = 1;
     }
@@ -423,9 +419,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", metrics_out.c_str());
       return 1;
     }
-    std::fprintf(f, "cycles %llu\nipc %a\nl2_miss_rate %a\nenergy %a\n",
-                 static_cast<unsigned long long>(m.cycles), m.ipc,
-                 m.l2_miss_rate, m.energy);
+    std::fputs(sim::format_metrics(m).c_str(), f);
     std::fclose(f);
   }
   return rc;

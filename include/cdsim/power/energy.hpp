@@ -39,8 +39,7 @@ enum class Component : std::uint8_t {
   kL3Leakage,       ///< Powered L3 lines (incl. Gated-Vdd area overhead).
   kL3OffResidual,   ///< Residual leakage of gated (off) L3 lines.
   /// Residual leakage of gated (off) L1 lines (l1_decay active). Appended
-  /// after the L3 block to keep component indices append-only (the
-  /// experiment-cache shim depends on old indices staying valid).
+  /// after the L3 block to keep component indices append-only.
   kL1OffResidual,
   /// Off-chip DRAM row activations (kDram model only; flat runs log zero,
   /// so the "system" total of every golden pin is untouched — DRAM energy

@@ -158,7 +158,7 @@ class ExperimentRunner {
   void load_disk_cache();
   /// Atomically rewrites the cache file (temp + rename) with the union of
   /// on-disk and in-memory entries, dropping lines from other cache
-  /// versions. Caller must hold mu_.
+  /// versions and corrupt lines. Caller must hold mu_.
   void persist_disk_cache_locked();
 
   /// Serial run() persists after this many new results (run_grid persists

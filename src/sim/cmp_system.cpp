@@ -589,7 +589,7 @@ RunMetrics CmpSystem::collect(Cycle end) const {
     m.dir_deferrals = mesh_->deferrals();
   }
 
-  // --- per-level attribution (cache-v4) -------------------------------------
+  // --- per-level attribution ------------------------------------------------
   m.hierarchy = std::string(to_string(cfg_.hierarchy));
   double l1_powered = 0.0;
   double l1_cap = 0.0;
@@ -624,7 +624,7 @@ RunMetrics CmpSystem::collect(Cycle end) const {
     m.l3.occupation = l3_->occupation(end);
   }
 
-  // --- memory side (cache-v5) -----------------------------------------------
+  // --- memory side ----------------------------------------------------------
   m.mem_model = std::string(mem::to_string(cfg_.mem.model));
   const mem::DramStats& ds = mem_->dram_stats();
   m.dram_row_hits = ds.row_hits;

@@ -23,149 +23,70 @@
 namespace cdsim::sim {
 
 namespace {
-// Bump when the simulator's calibration changes so stale caches re-run.
-// Seeds derive from the version-free configuration description (see
-// derive_config_seed), so bumping this never changes simulation results.
-// v2: per-configuration seeds (was: fixed 42); sizes keyed in bytes.
-// v3: interconnect/directory metrics appended to the line format, and the
-//     ledger grew the noc_dyn component.
-// v4: per-level attribution (hierarchy tag, total_l3_bytes, and one
-//     LevelMetrics block per level) appended; the ledger grew the three
-//     L3 components. v3 lines loaded through a shim while v4 was current;
-//     that shim is retired (one-back policy).
-// v5: memory-side block appended (mem_model tag, DRAM row-buffer /
-//     activate / precharge / refresh / write-forward counters, TLB
-//     hits/misses) and the ledger grew the two DRAM components. v4 lines
-//     load through deserialize_v4: the memory block defaults to a flat
-//     channel with zero DRAM/TLB activity — exactly what every v4 run
-//     simulated — and the entry is re-keyed to v5.
+// Bump when the simulator's calibration or the persisted schema changes, so
+// stale caches re-run: only the current version loads. The payload is
+// every kRunMetricsFields leaf after the labels, in table order, so a
+// schema change is a table edit plus a bump here. Seeds derive from the
+// version-free configuration description (see derive_config_seed), so
+// bumping this never changes simulation results. v5 added the memory side
+// (mem_model, DRAM and TLB counters, two DRAM ledger components).
 constexpr const char* kCacheVersion = "v5";
-constexpr const char* kShimCacheVersion = "v4";
-/// Ledger width when v4 was current (components have only ever been
-/// appended, so v4 indices map 1:1 onto today's enum).
-constexpr std::size_t kV4LedgerComponents =
-    static_cast<std::size_t>(power::Component::kDramActivate);
 
-void serialize_level(std::ostringstream& os, const LevelMetrics& l) {
-  os << ' ' << l.accesses << ' ' << l.hits << ' ' << l.misses << ' '
-     << l.decay_turnoffs << ' ' << l.decay_induced_misses << ' '
-     << l.writebacks << ' ' << l.occupation;
-}
-
-bool deserialize_level(std::istringstream& is, LevelMetrics& l) {
-  return static_cast<bool>(is >> l.accesses >> l.hits >> l.misses >>
-                           l.decay_turnoffs >> l.decay_induced_misses >>
-                           l.writebacks >> l.occupation);
-}
-
+/// The payload: every leaf after the labels (the key carries those),
+/// space-separated, doubles at max_digits10 so the round trip is exact.
 std::string serialize(const RunMetrics& m) {
   std::ostringstream os;
   os.precision(17);
-  os << m.cycles << ' ' << m.instructions << ' ' << m.ipc << ' '
-     << m.l2_occupation << ' ' << m.l2_miss_rate << ' ' << m.l2_accesses
-     << ' ' << m.l2_misses << ' ' << m.l2_decay_turnoffs << ' '
-     << m.l2_decay_induced_misses << ' ' << m.l2_coherence_invals << ' '
-     << m.l2_writebacks << ' ' << m.amat << ' ' << m.mem_bandwidth << ' '
-     << m.mem_bytes << ' ' << m.energy << ' ' << m.avg_l2_temp_kelvin << ' '
-     << m.bus_utilization;
-  for (std::size_t i = 0; i < power::kNumComponents; ++i) {
-    os << ' ' << m.ledger.get(static_cast<power::Component>(i));
-  }
-  os << ' ' << m.topology << ' ' << m.noc_flit_hops << ' '
-     << m.noc_avg_packet_latency << ' ' << m.dir_directed_snoops << ' '
-     << m.dir_recalls << ' ' << m.dir_deferrals;
-  // v4 tail: hierarchy + per-level attribution.
-  os << ' ' << m.hierarchy << ' ' << m.total_l3_bytes;
-  serialize_level(os, m.l1);
-  serialize_level(os, m.l2);
-  serialize_level(os, m.l3);
-  // v5 tail: memory-side model tag + DRAM/TLB counters.
-  os << ' ' << m.mem_model << ' ' << m.dram_row_hits << ' '
-     << m.dram_row_misses << ' ' << m.dram_row_conflicts << ' '
-     << m.dram_activates << ' ' << m.dram_precharges << ' '
-     << m.dram_refreshes << ' ' << m.dram_write_forwards << ' '
-     << m.tlb_hits << ' ' << m.tlb_misses;
-  return os.str();
+  std::size_t leaf = 0;
+  for_each_metric(
+      [&](const std::string&, const auto& v) {
+        if (leaf++ >= kRunLabelFields) os << ' ' << v;
+      },
+      m);
+  return os.str().substr(1);
 }
 
-/// Shared prefix of the v3 and v4 line formats, with a version-dependent
-/// ledger width (components are append-only, so old indices stay valid).
-bool deserialize_prefix(std::istringstream& is, RunMetrics& m,
-                        std::size_t ledger_components) {
-  if (!(is >> m.cycles >> m.instructions >> m.ipc >> m.l2_occupation >>
-        m.l2_miss_rate >> m.l2_accesses >> m.l2_misses >>
-        m.l2_decay_turnoffs >> m.l2_decay_induced_misses >>
-        m.l2_coherence_invals >> m.l2_writebacks >> m.amat >>
-        m.mem_bandwidth >> m.mem_bytes >> m.energy >>
-        m.avg_l2_temp_kelvin >> m.bus_utilization)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < ledger_components; ++i) {
-    double v = 0.0;
-    if (!(is >> v)) return false;
-    m.ledger.add(static_cast<power::Component>(i), v);
-  }
-  return static_cast<bool>(is >> m.topology >> m.noc_flit_hops >>
-                           m.noc_avg_packet_latency >> m.dir_directed_snoops >>
-                           m.dir_recalls >> m.dir_deferrals);
+/// Inverse of serialize; short, long and negative-energy payloads fail.
+bool deserialize(const std::string& payload, RunMetrics& m) {
+  std::istringstream is(payload);
+  std::size_t leaf = 0;
+  for_each_metric(
+      [&](const std::string&, auto&& v) {
+        if (leaf++ < kRunLabelFields) return;
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
+                                     LedgerLeaf>) {
+          // EnergyLedger::add asserts that energy only accumulates; a
+          // corrupt line must be rejected here, not abort the loader.
+          double e = 0.0;
+          if (is >> e && e < 0.0) is.setstate(std::ios::failbit);
+          if (!is.fail()) v.ledger->add(v.component, e);
+        } else {
+          is >> v;
+        }
+      },
+      m);
+  return !is.fail() && (is >> std::ws).eof();
 }
 
-bool deserialize(const std::string& line, RunMetrics& m) {
-  std::istringstream is(line);
-  if (!deserialize_prefix(is, m, power::kNumComponents)) return false;
-  if (!(is >> m.hierarchy >> m.total_l3_bytes)) return false;
-  if (!(deserialize_level(is, m.l1) && deserialize_level(is, m.l2) &&
-        deserialize_level(is, m.l3))) {
-    return false;
-  }
-  return static_cast<bool>(
-      is >> m.mem_model >> m.dram_row_hits >> m.dram_row_misses >>
-      m.dram_row_conflicts >> m.dram_activates >> m.dram_precharges >>
-      m.dram_refreshes >> m.dram_write_forwards >> m.tlb_hits >>
-      m.tlb_misses);
-}
-
-/// The v4 loader shim: parses the old line format and synthesizes the v5
-/// memory block. Every v4 run simulated the flat channel, so the defaults
-/// (mem_model "flat", zero DRAM/TLB counters) are the true historical
-/// values — nothing is approximated.
-bool deserialize_v4(const std::string& line, RunMetrics& m) {
-  std::istringstream is(line);
-  if (!deserialize_prefix(is, m, kV4LedgerComponents)) return false;
-  if (!(is >> m.hierarchy >> m.total_l3_bytes)) return false;
-  return deserialize_level(is, m.l1) && deserialize_level(is, m.l2) &&
-         deserialize_level(is, m.l3);
-}
-
-struct ParsedCacheLine {
-  std::string key;      ///< Always carries the CURRENT version suffix.
-  std::string payload;
-  bool shimmed = false;  ///< Loaded through the v4 shim.
-};
-
-/// Splits a cache line into (key, payload), accepting the current version
-/// and — through the shim — the previous one (the key is upgraded to the
-/// current suffix so lookups hit). Malformed and older-version lines yield
-/// nullopt. The single gatekeeper for both loading and persisting, so the
-/// two can never disagree on which entries are valid.
-std::optional<ParsedCacheLine> parse_cache_line(const std::string& line) {
+/// Parses one cache line into its key and metrics (labels recovered from
+/// the key); malformed lines, corrupt payloads and other versions yield
+/// nullopt. The single gatekeeper for both loading and persisting.
+std::optional<std::pair<std::string, RunMetrics>> parse_cache_line(
+    const std::string& line) {
   const auto bar = line.find('|');
   if (bar == std::string::npos) return std::nullopt;
   std::string key = line.substr(0, bar);
-  const auto has_suffix = [&key](const std::string& sfx) {
-    return key.size() >= sfx.size() &&
-           key.compare(key.size() - sfx.size(), sfx.size(), sfx) == 0;
-  };
-  const std::string current = std::string("/") + kCacheVersion;
-  if (has_suffix(current)) {
-    return ParsedCacheLine{std::move(key), line.substr(bar + 1), false};
-  }
-  const std::string shim = std::string("/") + kShimCacheVersion;
-  if (has_suffix(shim)) {
-    key.replace(key.size() - shim.size(), shim.size(), current);
-    return ParsedCacheLine{std::move(key), line.substr(bar + 1), true};
-  }
-  return std::nullopt;
+  if (!key.ends_with(std::string("/") + kCacheVersion)) return std::nullopt;
+  RunMetrics m;
+  if (!deserialize(line.substr(bar + 1), m)) return std::nullopt;
+  // The key is bench/size/technique/...
+  std::istringstream ks(key);
+  std::string size;
+  std::getline(ks, m.benchmark, '/');
+  std::getline(ks, size, '/');
+  std::getline(ks, m.technique, '/');
+  m.total_l2_bytes = std::strtoull(size.c_str(), nullptr, 10);
+  return std::pair{std::move(key), std::move(m)};
 }
 }  // namespace
 
@@ -366,43 +287,11 @@ ExperimentRunner::~ExperimentRunner() {
 
 void ExperimentRunner::load_disk_cache() {
   std::ifstream in(cache_path_);
-  if (!in) return;
   std::string line;
-  std::vector<std::pair<std::string, RunMetrics>> shimmed;
-  const auto recover_labels = [](const std::string& key, RunMetrics& m) {
-    // Recover the labels encoded in the key: bench/size/technique/...
-    std::istringstream ks(key);
-    std::getline(ks, m.benchmark, '/');
-    std::string size_s, tech;
-    std::getline(ks, size_s, '/');
-    std::getline(ks, tech, '/');
-    m.technique = tech;
-    m.total_l2_bytes = std::strtoull(size_s.c_str(), nullptr, 10);
-  };
   while (std::getline(in, line)) {
     // Other-version entries may deserialize cleanly but describe a
-    // different simulator; never let them into the memo. v4 entries load
-    // through the shim (key upgraded, new fields defaulted) — but only
-    // into gaps: a genuine v5 entry for the same key always wins,
-    // regardless of file order (shimmed lines are applied after the loop).
-    auto parsed = parse_cache_line(line);
-    if (!parsed) continue;
-    const std::string& key = parsed->key;
-    RunMetrics m;
-    if (parsed->shimmed ? !deserialize_v4(parsed->payload, m)
-                        : !deserialize(parsed->payload, m)) {
-      continue;
-    }
-    if (parsed->shimmed) {
-      shimmed.emplace_back(key, std::move(m));
-      continue;
-    }
-    recover_labels(key, m);
-    cache_.emplace(key, std::move(m));
-  }
-  for (auto& [key, m] : shimmed) {
-    recover_labels(key, m);
-    cache_.emplace(key, std::move(m));  // fills gaps only: v5 entries win
+    // different simulator; parse_cache_line keeps them out of the memo.
+    if (auto entry = parse_cache_line(line)) cache_.insert(std::move(*entry));
   }
 }
 
@@ -410,9 +299,9 @@ void ExperimentRunner::persist_disk_cache_locked() {
   // Merge whatever is on disk (another process may have added results since
   // we loaded) with the in-memory memo, then replace the file atomically:
   // the rename guarantees readers and concurrent writers only ever see a
-  // complete file, never interleaved or half-written lines. Lines from
-  // other cache versions are dead weight (lookups can never hit them) and
-  // are dropped here.
+  // complete file, never interleaved or half-written lines. Lines that
+  // parse_cache_line rejects (other cache versions, corrupt payloads) are
+  // dead weight, since lookups can never hit them, and are dropped here.
   //
   // Happens-before (persistence): the caller holds mu_, so this snapshot
   // of cache_ happens-after every insertion it contains. Within one
@@ -426,25 +315,10 @@ void ExperimentRunner::persist_disk_cache_locked() {
   {
     std::ifstream in(cache_path_);
     std::string line;
-    std::vector<std::pair<std::string, std::string>> shimmed;
-    while (in && std::getline(in, line)) {
-      auto parsed = parse_cache_line(line);
-      if (!parsed) continue;
-      if (parsed->shimmed) {
-        // A v4 line merged from disk: upgrade its payload to the v5
-        // format (the key was already upgraded by the parser). Applied
-        // after the loop so a genuine v5 line for the same key wins
-        // regardless of file order — the same precedence load_disk_cache
-        // uses.
-        RunMetrics m;
-        if (!deserialize_v4(parsed->payload, m)) continue;
-        shimmed.emplace_back(std::move(parsed->key), serialize(m));
-      } else {
-        lines.emplace(std::move(parsed->key), std::move(parsed->payload));
+    while (std::getline(in, line)) {
+      if (auto entry = parse_cache_line(line)) {
+        lines.emplace(std::move(entry->first), serialize(entry->second));
       }
-    }
-    for (auto& [key, payload] : shimmed) {
-      lines.emplace(std::move(key), std::move(payload));
     }
   }
   for (const auto& [key, m] : cache_) lines[key] = serialize(m);

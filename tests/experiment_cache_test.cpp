@@ -29,27 +29,20 @@ decay::DecayConfig protocol() {
   return decay::DecayConfig{decay::Technique::kProtocol, 0, 4};
 }
 
-void expect_metrics_identical(const sim::RunMetrics& a,
-                              const sim::RunMetrics& b) {
-  EXPECT_EQ(a.benchmark, b.benchmark);
-  EXPECT_EQ(a.technique, b.technique);
-  EXPECT_EQ(a.total_l2_bytes, b.total_l2_bytes);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.l2_occupation, b.l2_occupation);
-  EXPECT_EQ(a.l2_miss_rate, b.l2_miss_rate);
-  EXPECT_EQ(a.amat, b.amat);
-  EXPECT_EQ(a.mem_bandwidth, b.mem_bandwidth);
-  EXPECT_EQ(a.mem_bytes, b.mem_bytes);
-  EXPECT_EQ(a.energy, b.energy);
-  EXPECT_EQ(a.avg_l2_temp_kelvin, b.avg_l2_temp_kelvin);
-  EXPECT_EQ(a.bus_utilization, b.bus_utilization);
-  for (std::size_t i = 0; i < power::kNumComponents; ++i) {
-    const auto c = static_cast<power::Component>(i);
-    EXPECT_EQ(a.ledger.get(c), b.ledger.get(c)) << to_string(c);
-  }
-}
+// mpeg2enc / 1 MiB / protocol() at kPinInstr as the cache persists it:
+// the key, then every RunMetrics leaf after the labels (kRunMetricsFields
+// order). Captured from the build that introduced cache v5.
+constexpr std::uint64_t kPinInstr = 5'000;
+constexpr const char* kPinnedLine =
+    "mpeg2enc/1048576/protocol/dt0t0/5000/v5|12481 20008 1.6030766765483535 "
+    "0.031380848303483797 0.6739965095986038 2865 1931 0 0 0 0 "
+    "108.8975988700565 4.8560211521512695 60608 32142.993739197933 "
+    "329.78714193845644 0.45525198301418157 8003.2000000000007 "
+    "20459.333562476651 235.80000000000001 2231.9272977247256 "
+    "580.55000000000007 207.10253704653357 182.64834195002007 "
+    "242.43200000000002 0 0 0 0 0 0 0 0 bus 0 0 0 0 0 2L 0 7860 1605 6255 0 "
+    "0 0 1 2865 934 1931 0 0 0 0.031380848303483797 0 0 0 0 0 0 1 flat 0 0 0 "
+    "0 0 0 0 0 0";
 
 class ExperimentCacheTest : public ::testing::Test {
  protected:
@@ -85,7 +78,9 @@ TEST_F(ExperimentCacheTest, RoundTripIsLossless) {
       reader.run_grid({bench()}, {1 * MiB}, {});  // baseline not cached yet
   EXPECT_EQ(sweep.reused, 0u);
   EXPECT_EQ(sweep.simulated, 1u);
-  expect_metrics_identical(first, reader.run(bench(), 1 * MiB, protocol()));
+  EXPECT_EQ(sim::first_difference(first,
+                                  reader.run(bench(), 1 * MiB, protocol())),
+            "");
 }
 
 TEST_F(ExperimentCacheTest, CachedEntriesAreNotResimulated) {
@@ -105,9 +100,14 @@ TEST_F(ExperimentCacheTest, CorruptLinesAreIgnoredAndResimulated) {
   const std::string path = cache_path("corrupt");
   sim::RunMetrics reference;
   {
-    sim::ExperimentRunner clean(kInstr, cache_path("corrupt_ref"));
+    sim::ExperimentRunner clean(kPinInstr, cache_path("corrupt_ref"));
     reference = clean.run(bench(), 1 * MiB, protocol());
   }
+  // The pinned line with ledger.core_dyn negated: it parses, but energy
+  // only accumulates, so loading it would trip EnergyLedger::add.
+  const std::string core_dyn = " 8003.2000000000007 ";
+  std::string negative = kPinnedLine;
+  negative.replace(negative.find(core_dyn), core_dyn.size(), " -1 ");
 
   {
     std::ofstream out(path);
@@ -116,18 +116,22 @@ TEST_F(ExperimentCacheTest, CorruptLinesAreIgnoredAndResimulated) {
         << "WATER-NS/1/protocol/50000/v2|1 2 3\n"  // truncated payload
         << "|\n"
         << "\n"
-        << "\x01\x02\x03|\x04\x05\n";
+        << "\x01\x02\x03|\x04\x05\n"
+        << negative << '\n'
+        << kPinnedLine << " 7\n";  // one token too many
   }
 
   // Loading must not crash, and none of the junk may masquerade as a
   // result: the real configuration gets re-simulated and matches the
   // clean-cache reference bit-for-bit.
-  sim::ExperimentRunner runner(kInstr, path);
+  sim::ExperimentRunner runner(kPinInstr, path);
   const sim::SweepStats sweep =
       runner.run_grid({bench()}, {1 * MiB}, {protocol()});
   EXPECT_EQ(sweep.simulated, 2u);
   EXPECT_EQ(sweep.reused, 0u);
-  expect_metrics_identical(reference, runner.run(bench(), 1 * MiB, protocol()));
+  EXPECT_EQ(sim::first_difference(reference,
+                                  runner.run(bench(), 1 * MiB, protocol())),
+            "");
 }
 
 TEST_F(ExperimentCacheTest, TruncatedTailIsIgnored) {
@@ -151,111 +155,51 @@ TEST_F(ExperimentCacheTest, TruncatedTailIsIgnored) {
 }
 
 TEST_F(ExperimentCacheTest, StaleVersionEntriesAreNeitherLoadedNorKept) {
+  // The pinned line in the v4 format: v4 key, 14 ledger components (no
+  // DRAM ones) and no memory-side tail. Only the current version loads.
+  std::string v4 = kPinnedLine;
+  v4.replace(v4.find("/v5|"), 4, "/v4|");
+  v4.replace(v4.find(" 0 0 bus "), 9, " bus ");
+  v4.erase(v4.find(" flat "));
+
   const std::string path = cache_path("stale");
   {
-    // A well-formed line from an older cache version: the payload parses,
-    // but the key's version tag is not current.
+    // Well-formed lines from older cache versions: the payloads parse, but
+    // the keys' version tags are not current.
     std::ofstream out(path);
     out << "WATER-NS/1/protocol/50000/v1|";
     for (int i = 0; i < 27; ++i) out << (i ? " " : "") << i + 1;
-    out << '\n';
+    out << '\n' << v4 << '\n';
   }
 
-  sim::ExperimentRunner runner(kInstr, path);
-  // The v1 entry must not satisfy any lookup...
+  sim::ExperimentRunner runner(kPinInstr, path);
+  // Neither entry may satisfy a lookup...
   const sim::SweepStats sweep =
       runner.run_grid({bench()}, {1 * MiB}, {protocol()});
   EXPECT_EQ(sweep.simulated, 2u);
   EXPECT_EQ(sweep.reused, 0u);
 
-  // ...and the rewritten file must have dropped it.
+  // ...and the rewritten file must have dropped both.
   std::ifstream in(path);
-  std::string line;
-  std::size_t v1_lines = 0;
-  while (std::getline(in, line)) {
-    if (line.find("/v1|") != std::string::npos) ++v1_lines;
+  for (std::string line; std::getline(in, line);) {
+    EXPECT_TRUE(line.find("/v5|") != std::string::npos) << line;
   }
-  EXPECT_EQ(v1_lines, 0u);
 }
 
-TEST_F(ExperimentCacheTest, V4EntriesLoadThroughTheShimAndAreRekeyed) {
-  // Build a genuine v5 cache entry, then rewrite it in the v4 line format
-  // (v4 key suffix, 14-component ledger, no memory-side tail). The runner
-  // must serve it through the loader shim — no re-simulation — with the
-  // per-level blocks preserved exactly and the memory block defaulting to
-  // a flat channel, and persist it back re-keyed to v5.
-  const std::string path = cache_path("v4shim");
-  sim::RunMetrics reference;
+// The persisted line, pinned byte for byte: a cache written by any build
+// of this cache version must keep hitting. A schema change bumps
+// kCacheVersion rather than editing kPinnedLine.
+TEST_F(ExperimentCacheTest, PersistedLineIsPinned) {
+  const std::string path = cache_path("pin");
   {
-    sim::ExperimentRunner writer(kInstr, path);
-    reference = writer.run(bench(), 1 * MiB, protocol());
+    sim::ExperimentRunner writer(kPinInstr, path);
+    writer.run(bench(), 1 * MiB, protocol());
   }
-
-  std::string key, payload;
-  {
-    std::ifstream in(path);
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    const auto bar = line.find('|');
-    ASSERT_NE(bar, std::string::npos);
-    key = line.substr(0, bar);
-    payload = line.substr(bar + 1);
-  }
-  ASSERT_NE(key.find("/v5"), std::string::npos);
-
-  // v5 payload: 17 prefix + kNumComponents ledger + 6 interconnect +
-  // per-level tail + 10 memory-side tokens; v4 was the same minus the
-  // memory tail with a 14-component ledger (components are append-only,
-  // so the first 14 ledger values are the v4 ledger).
-  std::vector<std::string> tok;
-  {
-    std::istringstream is(payload);
-    std::string t;
-    while (is >> t) tok.push_back(t);
-  }
-  const std::size_t ic = 17 + power::kNumComponents;  // interconnect start
-  ASSERT_GE(tok.size(), ic + 6u + 10u);
-  std::ostringstream v4;
-  for (std::size_t i = 0; i < 17; ++i) v4 << (i ? " " : "") << tok[i];
-  for (std::size_t i = 17; i < 17 + 14; ++i) v4 << ' ' << tok[i];
-  for (std::size_t i = ic; i < tok.size() - 10; ++i) v4 << ' ' << tok[i];
-  {
-    std::ofstream out(path, std::ios::trunc);
-    std::string v4key = key;
-    v4key.replace(v4key.find("/v5"), 3, "/v4");
-    out << v4key << '|' << v4.str() << '\n';
-  }
-
-  sim::ExperimentRunner reader(kInstr, path);
-  const sim::SweepStats sweep =
-      reader.run_grid({bench()}, {1 * MiB}, {});  // the baseline cell
-  EXPECT_EQ(sweep.simulated, 1u);  // only the baseline; protocol() shimmed
-  const sim::RunMetrics& shimmed = reader.run(bench(), 1 * MiB, protocol());
-  EXPECT_EQ(shimmed.cycles, reference.cycles);
-  EXPECT_EQ(shimmed.energy, reference.energy);
-  // The v4 per-level blocks survive the shim exactly...
-  EXPECT_EQ(shimmed.l1.accesses, reference.l1.accesses);
-  EXPECT_EQ(shimmed.l2.accesses, reference.l2_accesses);
-  EXPECT_EQ(shimmed.l2.misses, reference.l2_misses);
-  EXPECT_EQ(shimmed.l2.writebacks, reference.l2_writebacks);
-  EXPECT_EQ(shimmed.hierarchy, reference.hierarchy);
-  // ...while the memory block defaults to the flat channel every v4 run
-  // actually simulated.
-  EXPECT_EQ(shimmed.mem_model, "flat");
-  EXPECT_EQ(shimmed.dram_row_hits, 0u);
-  EXPECT_EQ(shimmed.dram_activates, 0u);
-  EXPECT_EQ(shimmed.tlb_misses, 0u);
-
-  // The rewritten file carries only current-version keys.
   std::ifstream in(path);
   std::string line;
-  std::size_t v4_lines = 0, v5_lines = 0;
-  while (std::getline(in, line)) {
-    if (line.find("/v4|") != std::string::npos) ++v4_lines;
-    if (line.find("/v5|") != std::string::npos) ++v5_lines;
-  }
-  EXPECT_EQ(v4_lines, 0u);
-  EXPECT_GE(v5_lines, 2u);  // the shimmed entry + the fresh baseline
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, kPinnedLine);
+  EXPECT_FALSE(std::getline(in, line));
 }
 
 TEST_F(ExperimentCacheTest, PersistLeavesNoTempFilesAndParsableLines) {

@@ -10,9 +10,9 @@
 // exactly: turn-off schedules, event interleaving, power integrals,
 // everything.
 //
-// If an intentional modeling change shifts these numbers, re-capture with
-// the documented procedure (see the comment on kGolden) in the same commit
-// that changes the model — never loosen the comparisons.
+// If an intentional modeling change shifts these numbers, re-capture them
+// in the same commit — never loosen the comparisons. A failing pinned test
+// prints every live leaf (sim::format_metrics, doubles in hexfloat) to copy.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +32,12 @@
 namespace {
 
 using namespace cdsim;
+
+/// The re-capture printout, once the current test has failed.
+void print_live_metrics_on_failure(const sim::RunMetrics& m) {
+  if (!::testing::Test::HasFailure()) return;
+  std::printf("live metrics:\n%s", sim::format_metrics(m).c_str());
+}
 
 struct GoldenCase {
   const char* bench;
@@ -62,9 +68,9 @@ struct GoldenCase {
 };
 
 // Captured by running each configuration through sim::run_config and
-// printing every field with "%a" / exact integers (one-off harness; the
-// same values are cross-checkable via bench_kernel's JSON for the 8 MiB
-// decay64K cell). Hexfloat constants are exact — no rounding on re-parse.
+// printing every field with "%a" / exact integers, as a failing test does
+// (the 8 MiB decay64K cell is also in bench_kernel's JSON). Hexfloat
+// constants are exact — no rounding on re-parse.
 constexpr GoldenCase kGolden[] = {
     // mpeg2enc 4MiB decay64K ticks=4 instr=200000
     {"mpeg2enc", 4, decay::Technique::kDecay, 64 * 1024, 4, 200000,
@@ -141,6 +147,7 @@ TEST_P(GoldenMetricsTest, RunMetricsAreBitIdentical) {
     const auto c = static_cast<power::Component>(i);
     EXPECT_EQ(m.ledger.get(c), g.ledger[i]) << to_string(c);
   }
+  print_live_metrics_on_failure(m);
 }
 
 INSTANTIATE_TEST_SUITE_P(PinnedConfigs, GoldenMetricsTest,
@@ -203,14 +210,15 @@ TEST(GoldenMetricsTest, TraceReplayCdtPathIsPinned) {
   EXPECT_EQ(m.amat, 0x1.040db33747356p+7);
   EXPECT_EQ(m.mem_bandwidth, 0x1.4758c098cbffep+0);
   EXPECT_EQ(m.energy, 0x1.152adee424fddp+18);
+  print_live_metrics_on_failure(m);
 }
 
 // The three-level hierarchy, pinned the same way: an 8-core directory
 // mesh with private L2 slices behind the shared home-banked L3, MOESI,
 // and decay active at EVERY level (L1 64K / L2 64K / L3 128K windows).
-// Captured with the one-off "%a" harness when the hierarchy was
-// introduced; any drift means the three-level machine's simulated
-// behavior changed.
+// Captured with "%a" when the hierarchy was introduced (a failing run
+// prints the live values); any drift means the three-level machine's
+// simulated behavior changed.
 TEST(GoldenMetricsTest, ThreeLevelConfigIsPinned) {
   sim::SystemConfig cfg;
   cfg.num_cores = 8;
@@ -286,15 +294,16 @@ TEST(GoldenMetricsTest, ThreeLevelConfigIsPinned) {
     const auto c = static_cast<power::Component>(i);
     EXPECT_EQ(m.ledger.get(c), ledger[i]) << to_string(c);
   }
+  print_live_metrics_on_failure(m);
 }
 
 // The banked-DRAM memory model, pinned the same way: the mpeg2enc decay64K
 // configuration re-run with mem.model = kDram and the per-core TLBs on.
-// Captured with the one-off "%a" harness when the DRAM controller was
-// introduced; any drift means the DRAM scheduler's simulated behavior
-// (row-buffer policy, FR-FCFS order, refresh, TLB walks) changed. The
-// flat-mode pins above are untouched by construction — kFlat timing is the
-// historical channel, bit for bit.
+// Captured with "%a" when the DRAM controller was introduced (a failing
+// run prints the live values); any drift means the DRAM scheduler's
+// simulated behavior (row-buffer policy, FR-FCFS order, refresh, TLB
+// walks) changed. The flat-mode pins above are untouched by construction —
+// kFlat timing is the historical channel, bit for bit.
 TEST(GoldenMetricsTest, DramConfigIsPinned) {
   decay::DecayConfig d{decay::Technique::kDecay, 64 * 1024, 4};
   sim::SystemConfig cfg = sim::make_system_config(4 * MiB, d);
@@ -347,6 +356,7 @@ TEST(GoldenMetricsTest, DramConfigIsPinned) {
     const auto c = static_cast<power::Component>(i);
     EXPECT_EQ(m.ledger.get(c), ledger[i]) << to_string(c);
   }
+  print_live_metrics_on_failure(m);
 }
 
 // The kernel must also be self-deterministic: two runs of the same config
@@ -358,10 +368,7 @@ TEST(GoldenMetricsTest, RepeatRunsAreIdentical) {
   const auto& bench = workload::benchmark_by_name("FMM");
   const sim::RunMetrics a = sim::run_config(cfg, bench);
   const sim::RunMetrics b = sim::run_config(cfg, bench);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.energy, b.energy);
-  EXPECT_EQ(a.l2_decay_turnoffs, b.l2_decay_turnoffs);
-  EXPECT_EQ(a.l2_occupation, b.l2_occupation);
+  EXPECT_EQ(sim::first_difference(a, b), "");
 }
 
 }  // namespace

@@ -356,29 +356,8 @@ TEST(Observability, AttachedVsDetachedMetricsAreBitIdentical) {
   ASSERT_TRUE(rec.close());
   std::remove(path.c_str());
 
-  // Bit-for-bit across every pinned field — EXPECT_EQ on doubles is exact.
-  EXPECT_EQ(plain.cycles, traced.cycles);
-  EXPECT_EQ(plain.instructions, traced.instructions);
-  EXPECT_EQ(plain.ipc, traced.ipc);
-  EXPECT_EQ(plain.l2_occupation, traced.l2_occupation);
-  EXPECT_EQ(plain.l2_miss_rate, traced.l2_miss_rate);
-  EXPECT_EQ(plain.l2_accesses, traced.l2_accesses);
-  EXPECT_EQ(plain.l2_misses, traced.l2_misses);
-  EXPECT_EQ(plain.l2_decay_turnoffs, traced.l2_decay_turnoffs);
-  EXPECT_EQ(plain.l2_decay_induced_misses, traced.l2_decay_induced_misses);
-  EXPECT_EQ(plain.l2_coherence_invals, traced.l2_coherence_invals);
-  EXPECT_EQ(plain.l2_writebacks, traced.l2_writebacks);
-  EXPECT_EQ(plain.amat, traced.amat);
-  EXPECT_EQ(plain.mem_bandwidth, traced.mem_bandwidth);
-  EXPECT_EQ(plain.mem_bytes, traced.mem_bytes);
-  EXPECT_EQ(plain.energy, traced.energy);
-  EXPECT_EQ(plain.avg_l2_temp_kelvin, traced.avg_l2_temp_kelvin);
-  EXPECT_EQ(plain.bus_utilization, traced.bus_utilization);
-  for (std::size_t i = 0; i < power::kNumComponents; ++i) {
-    const auto comp = static_cast<power::Component>(i);
-    EXPECT_EQ(plain.ledger.get(comp), traced.ledger.get(comp))
-        << to_string(comp);
-  }
+  // Bit-for-bit across every leaf, doubles by their IEEE bits.
+  EXPECT_EQ(sim::first_difference(plain, traced), "");
 }
 
 TEST(Observability, DramMachineTracesAndStaysBitIdentical) {
@@ -403,11 +382,7 @@ TEST(Observability, DramMachineTracesAndStaysBitIdentical) {
   const sim::RunMetrics traced = traced_sys.run();
   ASSERT_TRUE(rec.close());
 
-  EXPECT_EQ(plain.cycles, traced.cycles);
-  EXPECT_EQ(plain.energy, traced.energy);
-  EXPECT_EQ(plain.dram_row_hits, traced.dram_row_hits);
-  EXPECT_EQ(plain.dram_row_conflicts, traced.dram_row_conflicts);
-  EXPECT_EQ(plain.tlb_misses, traced.tlb_misses);
+  EXPECT_EQ(sim::first_difference(plain, traced), "");
 
   const std::string text = render(path);
   std::remove(path.c_str());
@@ -470,9 +445,7 @@ TEST(HostProfiler, ProfiledRunIsStillBitIdentical) {
   prof::HostProfiler::set_enabled(true);
   const sim::RunMetrics profiled = run_small(nullptr, nullptr);
   prof::HostProfiler::set_enabled(false);
-  EXPECT_EQ(plain.cycles, profiled.cycles);
-  EXPECT_EQ(plain.energy, profiled.energy);
-  EXPECT_EQ(plain.ipc, profiled.ipc);
+  EXPECT_EQ(sim::first_difference(plain, profiled), "");
   // The run loop was really measured.
   EXPECT_GT(prof::HostProfiler::calls(prof::Phase::kEventDispatch), 0u);
   EXPECT_GT(prof::HostProfiler::nanos(prof::Phase::kEventDispatch), 0u);

@@ -20,36 +20,6 @@ namespace {
 
 using namespace cdsim;
 
-// Exact, field-by-field comparison. Doubles are compared with == on
-// purpose: the parallel path must be *bit*-identical, not merely close.
-void expect_metrics_identical(const sim::RunMetrics& a,
-                              const sim::RunMetrics& b) {
-  EXPECT_EQ(a.benchmark, b.benchmark);
-  EXPECT_EQ(a.technique, b.technique);
-  EXPECT_EQ(a.total_l2_bytes, b.total_l2_bytes);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.l2_occupation, b.l2_occupation);
-  EXPECT_EQ(a.l2_miss_rate, b.l2_miss_rate);
-  EXPECT_EQ(a.l2_accesses, b.l2_accesses);
-  EXPECT_EQ(a.l2_misses, b.l2_misses);
-  EXPECT_EQ(a.l2_decay_turnoffs, b.l2_decay_turnoffs);
-  EXPECT_EQ(a.l2_decay_induced_misses, b.l2_decay_induced_misses);
-  EXPECT_EQ(a.l2_coherence_invals, b.l2_coherence_invals);
-  EXPECT_EQ(a.l2_writebacks, b.l2_writebacks);
-  EXPECT_EQ(a.amat, b.amat);
-  EXPECT_EQ(a.mem_bandwidth, b.mem_bandwidth);
-  EXPECT_EQ(a.mem_bytes, b.mem_bytes);
-  EXPECT_EQ(a.energy, b.energy);
-  EXPECT_EQ(a.avg_l2_temp_kelvin, b.avg_l2_temp_kelvin);
-  EXPECT_EQ(a.bus_utilization, b.bus_utilization);
-  for (std::size_t i = 0; i < power::kNumComponents; ++i) {
-    const auto c = static_cast<power::Component>(i);
-    EXPECT_EQ(a.ledger.get(c), b.ledger.get(c)) << to_string(c);
-  }
-}
-
 class ParallelRunnerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -150,8 +120,9 @@ TEST_F(ParallelRunnerTest, ParallelGridIsBitIdenticalToSerial) {
            {&baseline, &techs[0], &techs[1], &techs[2], &techs[3]}) {
         SCOPED_TRACE(bench.config.name + "/" + std::to_string(bytes / MiB) +
                      "MB/" + tech->label());
-        expect_metrics_identical(serial.run(bench, bytes, *tech),
-                                 parallel.run(bench, bytes, *tech));
+        EXPECT_EQ(sim::first_difference(serial.run(bench, bytes, *tech),
+                                        parallel.run(bench, bytes, *tech)),
+                  "");
       }
     }
   }

@@ -81,18 +81,7 @@ TEST(TraceFile, CaptureReadReplayIsBitIdentical) {
 
   const verify::ScenarioOutcome replay = verify::replay_scenario(sc, loaded);
   EXPECT_EQ(replay.total_divergences, 0u);
-  EXPECT_EQ(replay.metrics.cycles, original.metrics.cycles);
-  EXPECT_EQ(replay.metrics.instructions, original.metrics.instructions);
-  EXPECT_EQ(replay.metrics.l2_accesses, original.metrics.l2_accesses);
-  EXPECT_EQ(replay.metrics.l2_misses, original.metrics.l2_misses);
-  EXPECT_EQ(replay.metrics.l2_decay_turnoffs,
-            original.metrics.l2_decay_turnoffs);
-  EXPECT_EQ(replay.metrics.l2_writebacks, original.metrics.l2_writebacks);
-  EXPECT_EQ(replay.metrics.mem_bytes, original.metrics.mem_bytes);
-  EXPECT_EQ(replay.metrics.ipc, original.metrics.ipc);
-  EXPECT_EQ(replay.metrics.amat, original.metrics.amat);
-  EXPECT_EQ(replay.metrics.energy, original.metrics.energy);
-  EXPECT_EQ(replay.metrics.l2_occupation, original.metrics.l2_occupation);
+  EXPECT_EQ(sim::first_difference(replay.metrics, original.metrics), "");
 }
 
 // ---------------------------------------------------------------------------

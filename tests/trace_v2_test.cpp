@@ -435,15 +435,7 @@ TEST(TraceV2, StreamingReplayIsBitIdenticalToInMemoryReplay) {
   const sim::RunMetrics streamed = sys.run();
   EXPECT_EQ(checker.total_divergences(), 0u);
 
-  EXPECT_EQ(streamed.cycles, in_memory.metrics.cycles);
-  EXPECT_EQ(streamed.instructions, in_memory.metrics.instructions);
-  EXPECT_EQ(streamed.l2_accesses, in_memory.metrics.l2_accesses);
-  EXPECT_EQ(streamed.l2_misses, in_memory.metrics.l2_misses);
-  EXPECT_EQ(streamed.l2_decay_turnoffs, in_memory.metrics.l2_decay_turnoffs);
-  EXPECT_EQ(streamed.ipc, in_memory.metrics.ipc);
-  EXPECT_EQ(streamed.amat, in_memory.metrics.amat);
-  EXPECT_EQ(streamed.energy, in_memory.metrics.energy);
-  EXPECT_EQ(streamed.l2_occupation, in_memory.metrics.l2_occupation);
+  EXPECT_EQ(sim::first_difference(streamed, in_memory.metrics), "");
   std::remove(path.c_str());
 }
 
@@ -572,9 +564,7 @@ TEST_F(ScenarioMix, FourProgramRateModeMixRunsWithZeroDivergences) {
     if (pass == 0) {
       first = m;
     } else {
-      EXPECT_EQ(m.cycles, first.cycles);
-      EXPECT_EQ(m.ipc, first.ipc);
-      EXPECT_EQ(m.energy, first.energy);
+      EXPECT_EQ(sim::first_difference(m, first), "");
     }
   }
 }
@@ -632,9 +622,7 @@ TEST(TraceV2, MultiProgramFuzzCellCapturesAndReplaysBitIdentically) {
   const verify::ScenarioOutcome replay =
       verify::replay_scenario(sc, out.trace);
   EXPECT_EQ(replay.total_divergences, 0u);
-  EXPECT_EQ(replay.metrics.cycles, out.metrics.cycles);
-  EXPECT_EQ(replay.metrics.ipc, out.metrics.ipc);
-  EXPECT_EQ(replay.metrics.energy, out.metrics.energy);
+  EXPECT_EQ(sim::first_difference(replay.metrics, out.metrics), "");
 }
 
 }  // namespace

@@ -33,37 +33,6 @@ namespace {
 
 using namespace cdsim;
 
-// Exact comparison on purpose: under TSan the scheduler interleavings are
-// nothing like the Release build's, so equality here certifies that results
-// depend only on the configuration, never on thread timing.
-void expect_metrics_identical(const sim::RunMetrics& a,
-                              const sim::RunMetrics& b) {
-  EXPECT_EQ(a.benchmark, b.benchmark);
-  EXPECT_EQ(a.technique, b.technique);
-  EXPECT_EQ(a.total_l2_bytes, b.total_l2_bytes);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.l2_occupation, b.l2_occupation);
-  EXPECT_EQ(a.l2_miss_rate, b.l2_miss_rate);
-  EXPECT_EQ(a.l2_accesses, b.l2_accesses);
-  EXPECT_EQ(a.l2_misses, b.l2_misses);
-  EXPECT_EQ(a.l2_decay_turnoffs, b.l2_decay_turnoffs);
-  EXPECT_EQ(a.l2_decay_induced_misses, b.l2_decay_induced_misses);
-  EXPECT_EQ(a.l2_coherence_invals, b.l2_coherence_invals);
-  EXPECT_EQ(a.l2_writebacks, b.l2_writebacks);
-  EXPECT_EQ(a.amat, b.amat);
-  EXPECT_EQ(a.mem_bandwidth, b.mem_bandwidth);
-  EXPECT_EQ(a.mem_bytes, b.mem_bytes);
-  EXPECT_EQ(a.energy, b.energy);
-  EXPECT_EQ(a.avg_l2_temp_kelvin, b.avg_l2_temp_kelvin);
-  EXPECT_EQ(a.bus_utilization, b.bus_utilization);
-  for (std::size_t i = 0; i < power::kNumComponents; ++i) {
-    const auto c = static_cast<power::Component>(i);
-    EXPECT_EQ(a.ledger.get(c), b.ledger.get(c)) << to_string(c);
-  }
-}
-
 class TsanGridTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -115,8 +84,9 @@ TEST_F(TsanGridTest, ParallelGridMatchesSerialUnderInstrumentation) {
       for (const auto* tech : {&baseline, &techs[0], &techs[1], &techs[2]}) {
         SCOPED_TRACE(bench.config.name + "/" + std::to_string(bytes / MiB) +
                      "MB/" + tech->label());
-        expect_metrics_identical(serial.run(bench, bytes, *tech),
-                                 parallel.run(bench, bytes, *tech));
+        EXPECT_EQ(sim::first_difference(serial.run(bench, bytes, *tech),
+                                        parallel.run(bench, bytes, *tech)),
+                  "");
       }
     }
   }
@@ -150,7 +120,9 @@ TEST_F(TsanGridTest, ConcurrentRunCallsShareOneMemoEntry) {
   // memoized entry, and its contents must match a fresh serial run.
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
   sim::ExperimentRunner reference(kInstr, cache_path("memo_ref"));
-  expect_metrics_identical(*seen[0], reference.run(bench, 1 * MiB, tech));
+  EXPECT_EQ(
+      sim::first_difference(*seen[0], reference.run(bench, 1 * MiB, tech)),
+      "");
 }
 
 // run_grid racing concurrent run() calls over an overlapping cell set: the
@@ -179,7 +151,9 @@ TEST_F(TsanGridTest, GridRacingSerialRunsStaysCoherent) {
   // Whoever lost the race reused the winner's entry; either way the cell
   // count adds up and both views of the cell are the same object.
   EXPECT_EQ(sweep.simulated + sweep.reused, 3u);  // baseline + 2 techniques
-  expect_metrics_identical(direct, runner.run(benches[0], 1 * MiB, techs[1]));
+  EXPECT_EQ(sim::first_difference(
+                direct, runner.run(benches[0], 1 * MiB, techs[1])),
+            "");
 }
 
 // Two runners sharing one cache FILE, persisting concurrently: temp+rename
@@ -206,8 +180,9 @@ TEST_F(TsanGridTest, SharedCacheFileSurvivesConcurrentPersist) {
   sim::ExperimentRunner fresh(kInstr, shared);
   sim::ExperimentRunner reference(kInstr, cache_path("shared_ref"));
   for (const auto* tech : {&protocol, &decay64}) {
-    expect_metrics_identical(fresh.run(suite[0], 1 * MiB, *tech),
-                             reference.run(suite[0], 1 * MiB, *tech));
+    EXPECT_EQ(sim::first_difference(fresh.run(suite[0], 1 * MiB, *tech),
+                                    reference.run(suite[0], 1 * MiB, *tech)),
+              "");
   }
 }
 
