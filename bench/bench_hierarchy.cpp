@@ -23,6 +23,7 @@
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
 #include "cdsim/workload/benchmarks.hpp"
+#include "figure_common.hpp"
 
 using namespace cdsim;
 
@@ -168,7 +169,7 @@ int main(int argc, char** argv) {
                  i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  if (!bench::close_output(f, "bench_hierarchy", out)) return 1;
   std::printf("bench_hierarchy: wrote %s (%zu configs)\n", out,
               cells.size());
   return 0;

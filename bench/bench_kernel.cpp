@@ -42,6 +42,7 @@
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
 #include "cdsim/workload/benchmarks.hpp"
+#include "figure_common.hpp"
 
 namespace {
 
@@ -418,7 +419,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   print_json(f, samples, instr, traced_over_plain);
-  std::fclose(f);
+  if (!bench::close_output(f, "bench_kernel", out.c_str())) return 1;
   std::printf("wrote %s\n", out.c_str());
 
   // The perf gate runs AFTER the JSON is written: a failing run still

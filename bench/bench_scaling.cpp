@@ -22,6 +22,7 @@
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
 #include "cdsim/workload/benchmarks.hpp"
+#include "figure_common.hpp"
 
 using namespace cdsim;
 
@@ -130,7 +131,7 @@ int main(int argc, char** argv) {
                  i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  if (!bench::close_output(f, "bench_scaling", out)) return 1;
   std::printf("bench_scaling: wrote %s (%zu configs)\n", out, cells.size());
   return 0;
 }

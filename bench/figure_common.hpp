@@ -1,10 +1,11 @@
 #pragma once
-// Shared scaffolding for the per-figure bench binaries.
+// Shared scaffolding for the bench binaries.
 //
 // Every figure bench sweeps (a subset of) the paper's grid — 6 benchmarks x
 // {1,2,4,8} MB x 7 techniques + baseline — through one ExperimentRunner,
 // which persists results to cdsim_results.cache so the whole bench suite
-// pays for each configuration exactly once.
+// pays for each configuration exactly once. The JSON-writing benches share
+// the output check below.
 
 #include <cstdio>
 #include <functional>
@@ -17,6 +18,19 @@
 #include "cdsim/workload/benchmarks.hpp"
 
 namespace cdsim::bench {
+
+/// Closes a bench's output file and reports whether every write reached
+/// it (a full disk fails only at the final flush). On failure prints a
+/// message naming `path`, so the caller can exit 1 instead of leaving a
+/// truncated datapoint behind a success status.
+inline bool close_output(std::FILE* f, const char* tool, const char* path) {
+  const bool written = std::ferror(f) == 0;
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "%s: failed writing %s\n", tool, path);
+    return false;
+  }
+  return true;
+}
 
 /// Fills the paper grid (suite x sizes x techniques + baselines) in
 /// parallel and reports what actually had to be simulated. After this,

@@ -11,15 +11,13 @@
 // that could not be reused); now a controller composes one CacheLevel and
 // keeps only its protocol choreography — MESI/MOESI snooping for a private
 // coherent level, write-through draining for the L1 front end, memory-side
-// absorption for the shared L3.
+// absorption for the shared L3. The engine never branches on the protocol
+// itself; the per-level turn-off legality rules live in the controllers
+// (DESIGN.md §3a).
 //
-// The LevelPolicy describes what kind of level this is: whether writes
-// allocate, whether stores propagate straight through, whether the level
-// back-invalidates the level above on line death (inclusion), whether it
-// participates in coherence as a snooper, and whether it carries a write
-// buffer. The policy is descriptive — the engine never branches on the
-// protocol itself — but it is what makes a level's turn-off legality rules
-// (DESIGN.md §Section-III-per-level) checkable in one place.
+// Every structure reports through one counter snapshot, LevelCounters:
+// CmpSystem's §V energy model and its end-of-run LevelMetrics read every
+// level — L1, L2 slice, summed L3 banks — the same way (DESIGN.md §3b).
 //
 // The Payload template parameter carries the controller's per-line metadata
 // and must embed a `decay::LineDecayState decay;` member — the engine owns
@@ -34,7 +32,6 @@
 #include <concepts>
 #include <cstdint>
 #include <optional>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -54,25 +51,6 @@
 
 namespace cdsim::cache {
 
-/// What kind of level a CacheLevel instance is. Controllers configure it
-/// once; tests and documentation read it back.
-struct LevelPolicy {
-  const char* name = "L?";
-  /// Write misses allocate the line (write-allocate). The write-through L1
-  /// front end does not allocate on stores; the L2 and L3 do.
-  bool allocate_on_write = true;
-  /// Stores propagate immediately to the level below (write-through).
-  bool write_through = false;
-  /// Line death at this level back-invalidates the level above (inclusion).
-  bool inclusive_above = false;
-  /// The level is a coherence participant (a Snooper on the fabric). The
-  /// shared L3 is memory-side: the directory home serializes for it.
-  bool coherent = false;
-  /// Coalescing write-buffer entries between this level and the one below
-  /// (0 = no write buffer).
-  std::uint32_t write_buffer_entries = 0;
-};
-
 /// Shape/timing knobs shared by every level.
 struct LevelTiming {
   Cycle hit_latency = 1;
@@ -80,18 +58,49 @@ struct LevelTiming {
   /// Backoff before re-attempting an access that found its line transient
   /// or the MSHR file full.
   Cycle retry_interval = 4;
+  /// Coalescing write-buffer entries between this level and the one below
+  /// (0 = no write buffer).
+  std::uint32_t write_buffer_entries = 0;
 };
 
-// LevelPolicy is read by designated-initializer configs all over the tree
-// and snapshotted by value into every CacheLevel; keep it an aggregate of
-// trivially-copyable flags so a policy can never grow behavior of its own
-// (the engine must stay policy-descriptive, never policy-dispatched).
-static_assert(std::is_aggregate_v<LevelPolicy>,
-              "LevelPolicy must stay an aggregate: controllers build it "
-              "with designated initializers");
-static_assert(std::is_trivially_copyable_v<LevelPolicy>,
-              "LevelPolicy must stay trivially copyable: CacheLevel "
-              "snapshots it by value in its constructor");
+/// One structure's counters at an instant `now`: everything the §V energy
+/// model and the end-of-run LevelMetrics read. Snapshots of several
+/// structures add up to a whole level (operator+=, in structure order).
+struct LevelCounters {
+  std::uint64_t accesses = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t fills = 0;
+  std::uint64_t decay_turnoffs = 0;
+  std::uint64_t decay_induced_misses = 0;
+  std::uint64_t writebacks = 0;
+  std::uint64_t coherence_invals = 0;
+  std::uint64_t capacity_lines = 0;
+  /// Exact time integral of powered lines over [0, now]. For gated
+  /// techniques this integrates valid lines; for the baseline every line
+  /// is always powered.
+  double powered_line_cycles = 0.0;
+
+  LevelCounters& operator+=(const LevelCounters& o) noexcept {
+    accesses += o.accesses;
+    misses += o.misses;
+    fills += o.fills;
+    decay_turnoffs += o.decay_turnoffs;
+    decay_induced_misses += o.decay_induced_misses;
+    writebacks += o.writebacks;
+    coherence_invals += o.coherence_invals;
+    capacity_lines += o.capacity_lines;
+    powered_line_cycles += o.powered_line_cycles;
+    return *this;
+  }
+
+  /// Powered fraction of the structure(s), time-averaged over [0, now] —
+  /// the paper's occupation rate.
+  [[nodiscard]] double occupation(Cycle now) const noexcept {
+    if (now == 0) return 1.0;
+    return powered_line_cycles /
+           (static_cast<double>(capacity_lines) * static_cast<double>(now));
+  }
+};
 
 /// Compile-time contract for CacheLevel's Payload parameter. The engine
 /// owns decay bookkeeping (arming, wheel registration, expiry) uniformly
@@ -113,12 +122,10 @@ class CacheLevel {
   using LineT = LineRef<Payload>;
 
   CacheLevel(EventQueue& eq, const Geometry& geo, const LevelTiming& timing,
-             const decay::DecayConfig& dcfg, const LevelPolicy& policy,
-             SmallFn<void(Cycle)> sweep_fn)
+             const decay::DecayConfig& dcfg, SmallFn<void(Cycle)> sweep_fn)
       : eq_(eq),
         timing_(timing),
         dcfg_(dcfg),
-        policy_(policy),
         tags_(geo),
         mshr_(timing.mshr_entries),
         sweeper_(eq, dcfg, std::move(sweep_fn)) {
@@ -132,8 +139,8 @@ class CacheLevel {
                   "`decay::LineDecayState decay;` member — the decay engine "
                   "reaches line state through that field");
     CDSIM_ASSERT(timing_.hit_latency >= 1);
-    if (policy_.write_buffer_entries > 0) {
-      wb_.emplace(policy_.write_buffer_entries);
+    if (timing_.write_buffer_entries > 0) {
+      wb_.emplace(timing_.write_buffer_entries);
     }
     wheel_.configure(dcfg_);
   }
@@ -163,14 +170,9 @@ class CacheLevel {
   [[nodiscard]] const Geometry& geometry() const noexcept {
     return tags_.geometry();
   }
-  [[nodiscard]] const decay::DecayConfig& decay_config() const noexcept {
-    return dcfg_;
-  }
-  [[nodiscard]] const LevelPolicy& policy() const noexcept { return policy_; }
 
   // --- shared counters ----------------------------------------------------
   [[nodiscard]] Counter& fills() noexcept { return fills_; }
-  [[nodiscard]] const Counter& fills() const noexcept { return fills_; }
   [[nodiscard]] Counter& transient_retries() noexcept {
     return transient_retries_;
   }
@@ -276,28 +278,24 @@ class CacheLevel {
   [[nodiscard]] std::uint64_t lines_on() const noexcept {
     return static_cast<std::uint64_t>(on_lines_.value());
   }
-  [[nodiscard]] std::uint64_t capacity_lines() const noexcept {
-    return tags_.capacity_lines();
-  }
 
-  /// Exact time integral of powered lines over [0, now]. For gated
-  /// techniques this integrates valid lines; for the baseline every line
-  /// is always powered.
-  [[nodiscard]] double powered_line_cycles(Cycle now) const {
-    if (!decay::gates_invalid_lines(dcfg_.technique)) {
-      return static_cast<double>(tags_.capacity_lines()) *
-             static_cast<double>(now);
-    }
-    return on_lines_.integral(now);
-  }
-
-  /// Powered fraction of the array, time-averaged over [0, now] — the
-  /// paper's occupation rate for this structure.
-  [[nodiscard]] double occupation(Cycle now) const {
-    if (now == 0) return 1.0;
-    return powered_line_cycles(now) /
-           (static_cast<double>(tags_.capacity_lines()) *
-            static_cast<double>(now));
+  /// This structure's counter snapshot at `now`.
+  [[nodiscard]] LevelCounters counters(Cycle now) const {
+    const std::uint64_t capacity = tags_.capacity_lines();
+    return {
+        .accesses = stats_.accesses(),
+        .misses = stats_.misses(),
+        .fills = fills_.value(),
+        .decay_turnoffs = stats_.decay_turnoffs.value(),
+        .decay_induced_misses = stats_.decay_induced_misses.value(),
+        .writebacks = stats_.writebacks.value(),
+        .coherence_invals = stats_.coherence_invals.value(),
+        .capacity_lines = capacity,
+        .powered_line_cycles =
+            decay::gates_invalid_lines(dcfg_.technique)
+                ? on_lines_.integral(now)
+                : static_cast<double>(capacity) * static_cast<double>(now),
+    };
   }
 
   // --- miss accounting + decay attribution --------------------------------
@@ -357,7 +355,6 @@ class CacheLevel {
   EventQueue& eq_;
   LevelTiming timing_;
   decay::DecayConfig dcfg_;
-  LevelPolicy policy_;
 
   TagArray<Payload> tags_;
   MshrFile mshr_;

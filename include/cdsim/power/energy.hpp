@@ -95,12 +95,6 @@ class EnergyLedger {
     return t;
   }
 
-  /// Sum of the L2-related components (for the optimized-fraction metric).
-  [[nodiscard]] double l2_total() const {
-    return get(Component::kL2Dynamic) + get(Component::kL2Leakage) +
-           get(Component::kL2OffResidual) + get(Component::kDecayOverhead);
-  }
-
  private:
   std::array<double, kNumComponents> e_{};
 };

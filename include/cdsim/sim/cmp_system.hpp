@@ -207,16 +207,11 @@ class CmpSystem {
   // Sampling state: previous counter snapshots per window.
   Cycle last_sample_ = 0;
   std::vector<std::uint64_t> prev_committed_;
-  std::vector<std::uint64_t> prev_l1_acc_;
-  std::vector<double> prev_l1_powered_;
-  std::vector<std::uint64_t> prev_l2_acc_;
-  std::vector<std::uint64_t> prev_l2_fills_;
-  std::vector<double> prev_l2_powered_;
+  std::vector<cache::LevelCounters> prev_l1_;  ///< Per core.
+  std::vector<cache::LevelCounters> prev_l2_;  ///< Per slice.
+  cache::LevelCounters prev_l3_;               ///< All banks.
   std::uint64_t prev_bus_bytes_ = 0;
   std::uint64_t prev_noc_flit_hops_ = 0;
-  std::uint64_t prev_l3_acc_ = 0;
-  std::uint64_t prev_l3_fills_ = 0;
-  double prev_l3_powered_ = 0.0;
   std::uint64_t prev_dram_act_ = 0;
   std::uint64_t prev_dram_pre_ = 0;
 
@@ -228,9 +223,7 @@ class CmpSystem {
   Cycle sampler_wstart_ = 0;      ///< Start of the open window.
   Cycle sampler_next_ = 0;        ///< Next window boundary.
   std::uint64_t s_prev_instr_ = 0;
-  std::uint64_t s_prev_l2_acc_ = 0;
-  std::uint64_t s_prev_l2_miss_ = 0;
-  double s_prev_l2_powered_ = 0.0;
+  cache::LevelCounters s_prev_l2_;  ///< Summed over the slices.
   std::uint64_t s_prev_row_hits_ = 0;
   std::uint64_t s_prev_row_activity_ = 0;
   double s_prev_fabric_busy_ = 0.0;

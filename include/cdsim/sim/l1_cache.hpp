@@ -109,14 +109,8 @@ class L1Cache final : public core::LoadStorePort {
   [[nodiscard]] const cache::CacheStats& stats() const noexcept {
     return level_.stats();
   }
-  [[nodiscard]] const cache::Geometry& geometry() const noexcept {
-    return level_.geometry();
-  }
   [[nodiscard]] const cache::WriteBuffer& write_buffer() const noexcept {
     return level_.write_buffer();
-  }
-  [[nodiscard]] const cache::LevelPolicy& policy() const noexcept {
-    return level_.policy();
   }
   [[nodiscard]] bool has_line(Addr line_addr) const {
     return static_cast<bool>(level_.tags().find(line_addr));
@@ -127,19 +121,9 @@ class L1Cache final : public core::LoadStorePort {
         .for_each_valid([&](cache::LineRef<Payload> ln) { fn(ln.tag()); });
   }
   [[nodiscard]] CoreId core() const noexcept { return core_; }
-  /// Total accesses (for dynamic-energy accounting).
-  [[nodiscard]] std::uint64_t accesses() const noexcept {
-    return level_.stats().accesses();
-  }
-  /// Powered-line integral / capacity (per-level leakage ledger).
-  [[nodiscard]] double powered_line_cycles(Cycle now) const {
-    return level_.powered_line_cycles(now);
-  }
-  [[nodiscard]] std::uint64_t capacity_lines() const noexcept {
-    return level_.capacity_lines();
-  }
-  [[nodiscard]] std::uint64_t lines_on() const noexcept {
-    return level_.lines_on();
+  /// Counter snapshot for the energy model and the end-of-run metrics.
+  [[nodiscard]] cache::LevelCounters counters(Cycle now) const {
+    return level_.counters(now);
   }
 
  private:

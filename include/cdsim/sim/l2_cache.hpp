@@ -123,51 +123,30 @@ class L2Cache final : public noc::Snooper {
   [[nodiscard]] const cache::CacheStats& stats() const noexcept {
     return level_.stats();
   }
-  [[nodiscard]] const cache::Geometry& geometry() const noexcept {
-    return level_.geometry();
-  }
-  [[nodiscard]] const decay::DecayConfig& decay_config() const noexcept {
-    return level_.decay_config();
-  }
-  [[nodiscard]] const cache::LevelPolicy& policy() const noexcept {
-    return level_.policy();
-  }
   [[nodiscard]] CoreId core() const noexcept { return core_; }
 
-  /// Exact time integral of powered lines over [0, now]. For gated
-  /// techniques this integrates valid lines; for the baseline every line is
-  /// always powered.
-  [[nodiscard]] double powered_line_cycles(Cycle now) const {
-    return level_.powered_line_cycles(now);
+  /// Counter snapshot for the energy model and the end-of-run metrics.
+  [[nodiscard]] cache::LevelCounters counters(Cycle now) const {
+    return level_.counters(now);
   }
   /// Powered fraction of the array, time-averaged over [0, now] — the
   /// paper's occupation rate for this slice.
   [[nodiscard]] double occupation(Cycle now) const {
-    return level_.occupation(now);
+    return counters(now).occupation(now);
   }
   /// Currently powered lines.
   [[nodiscard]] std::uint64_t lines_on() const noexcept {
     return level_.lines_on();
   }
   [[nodiscard]] std::uint64_t capacity_lines() const noexcept {
-    return level_.capacity_lines();
+    return level_.tags().capacity_lines();
   }
 
-  /// Lifetime counters for dynamic-energy accounting.
-  [[nodiscard]] std::uint64_t fills() const noexcept {
-    return level_.fills().value();
-  }
   [[nodiscard]] std::uint64_t transient_retries() const noexcept {
     return level_.transient_retries().value();
   }
   [[nodiscard]] std::uint64_t upgrades() const noexcept {
     return upgrades_.value();
-  }
-
-  /// Effective hit latency: +1 cycle when decay hardware is present
-  /// (Gated-Vdd access penalty, paper §V).
-  [[nodiscard]] Cycle access_latency() const noexcept {
-    return level_.access_latency();
   }
 
   /// Test hook: state of a line (Invalid when absent).

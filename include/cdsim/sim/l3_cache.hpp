@@ -87,34 +87,15 @@ class L3Cache final : public noc::MemorySideCache {
   // --- decay ----------------------------------------------------------------
   void decay_sweep(std::uint32_t bank, Cycle now);
 
-  // --- introspection (aggregated over all banks) ----------------------------
+  // --- introspection --------------------------------------------------------
   [[nodiscard]] std::uint32_t num_banks() const noexcept {
     return static_cast<std::uint32_t>(banks_.size());
   }
   [[nodiscard]] const cache::CacheStats& bank_stats(std::uint32_t b) const {
     return banks_.at(b)->level.stats();
   }
-  [[nodiscard]] const decay::DecayConfig& decay_config() const noexcept {
-    return banks_.front()->level.decay_config();
-  }
-  [[nodiscard]] const cache::LevelPolicy& policy() const noexcept {
-    return banks_.front()->level.policy();
-  }
-
-  [[nodiscard]] std::uint64_t accesses() const noexcept;
-  [[nodiscard]] std::uint64_t hits() const noexcept;
-  [[nodiscard]] std::uint64_t misses() const noexcept;
-  [[nodiscard]] std::uint64_t decay_turnoffs() const noexcept;
-  [[nodiscard]] std::uint64_t decay_induced_misses() const noexcept;
-  [[nodiscard]] std::uint64_t writebacks() const noexcept;
-  [[nodiscard]] std::uint64_t evictions() const noexcept;
-  [[nodiscard]] std::uint64_t fills() const noexcept;
-  [[nodiscard]] std::uint64_t lines_on() const noexcept;
-  [[nodiscard]] std::uint64_t capacity_lines() const noexcept;
-  /// Exact powered-line time integral over all banks.
-  [[nodiscard]] double powered_line_cycles(Cycle now) const;
-  /// Powered fraction of the whole L3, time-averaged over [0, now].
-  [[nodiscard]] double occupation(Cycle now) const;
+  /// The whole L3's counter snapshot: every bank's, summed in bank order.
+  [[nodiscard]] cache::LevelCounters counters(Cycle now) const;
 
   /// Test hook: whether a bank holds `line`, and whether it is dirty.
   [[nodiscard]] bool has_line(std::uint32_t bank, Addr line) const;

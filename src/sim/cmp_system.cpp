@@ -1,6 +1,7 @@
 #include "cdsim/sim/cmp_system.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -78,12 +79,97 @@ void validate_system_config(const SystemConfig& cfg) {
   check_decay(cfg.l1_decay, "L1");
   check_decay(cfg.decay, "L2");
   check_decay(cfg.l3_decay, "L3");
+  // The power sampler re-arms every sample_period cycles, and the thermal
+  // step and the leakage model divide by the clock and by T0.
+  if (cfg.thermal.sample_period == 0) {
+    fail("thermal.sample_period must be at least 1 cycle");
+  }
+  const auto check_positive = [&fail](double v, const char* field) {
+    if (!(std::isfinite(v) && v > 0.0)) {
+      fail(std::string(field) + " " + std::to_string(v) +
+           " must be positive and finite");
+    }
+  };
+  check_positive(cfg.thermal.clock_hz, "thermal.clock_hz");
+  check_positive(cfg.leakage.t0_kelvin, "leakage.t0_kelvin");
 }
+
+namespace {
+
+/// Validates before any member is built from the config (the leakage
+/// model asserts on its T0).
+const SystemConfig& validated(const SystemConfig& cfg) {
+  validate_system_config(cfg);
+  return cfg;
+}
+
+/// §V constants of one cache level, in eu (see power::PowerConfig).
+struct LevelRates {
+  double leak_per_line;  ///< Per powered line per cycle at T0.
+  double dyn_per_access;
+  double dyn_per_fill;
+};
+
+/// One structure's §V energy over one power-sample window, split the way
+/// the ledger books it.
+struct LevelEnergy {
+  double dyn = 0.0;
+  double leak = 0.0;      ///< Powered lines, incl. the Gated-Vdd overhead.
+  double off = 0.0;       ///< Residual leakage of gated-off lines.
+  double overhead = 0.0;  ///< Decay counters: leakage plus resets.
+
+  [[nodiscard]] double total() const { return dyn + leak + off + overhead; }
+};
+
+/// The paper's §V cache model, the same at every level: dynamic energy per
+/// access and per fill; leakage of powered lines (+ the Gated-Vdd overhead
+/// when the technique gates); residual leakage of gated-off lines; decay
+/// counter leakage and resets. `lf` is the temperature factor.
+LevelEnergy level_energy(const cache::LevelCounters& prev,
+                         const cache::LevelCounters& now, double dtd,
+                         const LevelRates& r, const power::PowerConfig& pw,
+                         decay::Technique technique, double lf) {
+  const double d_acc = static_cast<double>(now.accesses - prev.accesses);
+  const double d_fills = static_cast<double>(now.fills - prev.fills);
+  const double d_powered = now.powered_line_cycles - prev.powered_line_cycles;
+  const double cap_cycles = static_cast<double>(now.capacity_lines) * dtd;
+  const bool gated = decay::gates_invalid_lines(technique);
+
+  LevelEnergy e;
+  e.dyn = d_acc * r.dyn_per_access + d_fills * r.dyn_per_fill;
+  e.leak = d_powered * r.leak_per_line *
+           (gated ? 1.0 + pw.gated_vdd_overhead : 1.0) * lf;
+  if (gated) {
+    e.off = std::max(0.0, cap_cycles - d_powered) * r.leak_per_line *
+            pw.off_residual_frac * lf;
+  }
+  if (decay::uses_decay(technique)) {
+    // Per-line counters stay powered regardless of line state, and every
+    // access resets one.
+    e.overhead =
+        cap_cycles * r.leak_per_line * pw.decay_counter_leak_frac * lf +
+        d_acc * pw.decay_counter_dyn;
+  }
+  return e;
+}
+
+/// The end-of-run LevelMetrics of a level's summed counters. The caller
+/// supplies the occupation: the L2's is the mean of its slices'.
+LevelMetrics level_metrics(const cache::LevelCounters& c, double occupation) {
+  return {.accesses = c.accesses,
+          .hits = c.accesses - c.misses,
+          .misses = c.misses,
+          .decay_turnoffs = c.decay_turnoffs,
+          .decay_induced_misses = c.decay_induced_misses,
+          .writebacks = c.writebacks,
+          .occupation = occupation};
+}
+
+}  // namespace
 
 CmpSystem::CmpSystem(const SystemConfig& cfg, const workload::Benchmark& bench,
                      const workload::StreamFactory& streams)
-    : cfg_(cfg), bench_(bench), leak_model_(cfg.leakage) {
-  validate_system_config(cfg_);
+    : cfg_(validated(cfg)), bench_(bench), leak_model_(cfg.leakage) {
 
   mem_ = std::make_unique<mem::MemoryController>(eq_, cfg_.mem);
   if (cfg_.topology == noc::Topology::kSnoopBus) {
@@ -154,11 +240,8 @@ CmpSystem::CmpSystem(const SystemConfig& cfg, const workload::Benchmark& bench,
   }
 
   prev_committed_.assign(cfg_.num_cores, 0);
-  prev_l1_acc_.assign(cfg_.num_cores, 0);
-  prev_l1_powered_.assign(cfg_.num_cores, 0.0);
-  prev_l2_acc_.assign(cfg_.num_cores, 0);
-  prev_l2_fills_.assign(cfg_.num_cores, 0);
-  prev_l2_powered_.assign(cfg_.num_cores, 0.0);
+  prev_l1_.assign(cfg_.num_cores, {});
+  prev_l2_.assign(cfg_.num_cores, {});
 }
 
 CmpSystem::~CmpSystem() = default;
@@ -219,31 +302,26 @@ void CmpSystem::sample_window(Cycle wstart, Cycle wend) {
   const double dtd = static_cast<double>(wend - wstart);
 
   std::uint64_t instr = 0;
-  std::uint64_t l2a = 0;
-  std::uint64_t l2m = 0;
-  double powered = 0.0;
-  double cap_lines = 0.0;
+  cache::LevelCounters l2;
   double temp_sum = 0.0;
   double temp_max = 0.0;
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     instr += cores_[c]->committed();
-    const auto& st = l2s_[c]->stats();
-    l2a += st.accesses();
-    l2m += st.misses();
-    powered += l2s_[c]->powered_line_cycles(wend);
-    cap_lines += static_cast<double>(l2s_[c]->capacity_lines());
+    l2 += l2s_[c]->counters(wend);
     const double t =
         floorplan_->model.temperature(floorplan_->l2_block(c));
     temp_sum += t;
     temp_max = std::max(temp_max, t);
   }
   row.instructions = instr - s_prev_instr_;
-  row.l2_accesses = l2a - s_prev_l2_acc_;
-  row.l2_misses = l2m - s_prev_l2_miss_;
+  row.l2_accesses = l2.accesses - s_prev_l2_.accesses;
+  row.l2_misses = l2.misses - s_prev_l2_.misses;
   row.ipc = static_cast<double>(row.instructions) / dtd;
   row.l2_miss_rate = safe_div(static_cast<double>(row.l2_misses),
                               static_cast<double>(row.l2_accesses));
-  row.l2_powered_frac = (powered - s_prev_l2_powered_) / (cap_lines * dtd);
+  row.l2_powered_frac =
+      (l2.powered_line_cycles - s_prev_l2_.powered_line_cycles) /
+      (static_cast<double>(l2.capacity_lines) * dtd);
   row.avg_l2_temp_kelvin = temp_sum / static_cast<double>(cfg_.num_cores);
   row.max_l2_temp_kelvin = temp_max;
 
@@ -265,9 +343,7 @@ void CmpSystem::sample_window(Cycle wstart, Cycle wend) {
   sampler_->push(row);
 
   s_prev_instr_ = instr;
-  s_prev_l2_acc_ = l2a;
-  s_prev_l2_miss_ = l2m;
-  s_prev_l2_powered_ = powered;
+  s_prev_l2_ = l2;
   s_prev_row_hits_ = row_hits;
   s_prev_row_activity_ = row_activity;
   s_prev_fabric_busy_ = fabric_busy;
@@ -287,8 +363,17 @@ void CmpSystem::sample_power(Cycle upto) {
   if (dt == 0) return;
   const double dtd = static_cast<double>(dt);
   const auto& pw = cfg_.power;
-  const bool gated = decay::gates_invalid_lines(cfg_.decay.technique);
-  const bool decaying = decay::uses_decay(cfg_.decay.technique);
+  const LevelRates l2_rates{pw.l2_leak_per_line_cycle, pw.l2_dyn_per_access,
+                            pw.l2_dyn_per_fill};
+  // Every level books into its own three components; the decay-counter
+  // component is shared, in L1, L2 per core, then L3 order.
+  const auto book = [this](const LevelEnergy& e, power::Component dyn,
+                           power::Component leak, power::Component off) {
+    ledger_.add(dyn, e.dyn);
+    ledger_.add(leak, e.leak);
+    ledger_.add(off, e.off);
+    ledger_.add(power::Component::kDecayOverhead, e.overhead);
+  };
 
   std::vector<double> watts(floorplan_->model.num_blocks(), 0.0);
   const double w_per_eu = cfg_.thermal.watts_per_eu_cycle;
@@ -303,6 +388,7 @@ void CmpSystem::sample_power(Cycle upto) {
                             ? floorplan_->model.temperature(
                                   floorplan_->l2_block(c))
                             : leak_model_.params().t0_kelvin;
+    const double lf_core = leak_model_.factor(t_core);
 
     // --- core ---------------------------------------------------------------
     const std::uint64_t committed = cores_[c]->committed();
@@ -310,99 +396,35 @@ void CmpSystem::sample_power(Cycle upto) {
         static_cast<double>(committed - prev_committed_[c]);
     prev_committed_[c] = committed;
     const double core_dyn = d_instr * pw.core_dyn_per_instr;
-    const double core_leak =
-        dtd * pw.core_leak_per_cycle * leak_model_.factor(t_core);
+    const double core_leak = dtd * pw.core_leak_per_cycle * lf_core;
     ledger_.add(power::Component::kCoreDynamic, core_dyn);
     ledger_.add(power::Component::kCoreLeakage, core_leak);
 
-    // --- L1 -------------------------------------------------------------------
-    const std::uint64_t l1a = l1s_[c]->accesses();
-    const double d_l1 = static_cast<double>(l1a - prev_l1_acc_[c]);
-    prev_l1_acc_[c] = l1a;
-    const double l1_dyn = d_l1 * pw.l1_dyn_per_access;
-    double l1_leak;
-    double l1_off_leak = 0.0;
-    double l1_decay_ovh = 0.0;
-    if (!decay::gates_invalid_lines(cfg_.l1_decay.technique)) {
-      // Always-on L1 (the historical model): flat per-cycle leakage.
-      l1_leak = dtd * pw.l1_leak_per_cycle * leak_model_.factor(t_core);
-    } else {
-      // Gated L1 (l1_decay active): only powered lines leak, scaled from
-      // the same per-cache constant, plus the gated-off residual and the
-      // decay counter overhead — the L2's leakage model applied at level 1,
-      // with the same per-component ledger split (on-leak vs off-residual).
-      const double per_line =
-          pw.l1_leak_per_cycle /
-          static_cast<double>(l1s_[c]->capacity_lines());
-      const double cap_cycles_l1 =
-          static_cast<double>(l1s_[c]->capacity_lines()) * dtd;
-      const double powered_l1 = l1s_[c]->powered_line_cycles(upto);
-      const double d_powered_l1 = powered_l1 - prev_l1_powered_[c];
-      prev_l1_powered_[c] = powered_l1;
-      const double lf1 = leak_model_.factor(t_core);
-      l1_leak =
-          d_powered_l1 * per_line * (1.0 + pw.gated_vdd_overhead) * lf1;
-      l1_off_leak = std::max(0.0, cap_cycles_l1 - d_powered_l1) * per_line *
-                    pw.off_residual_frac * lf1;
-      ledger_.add(power::Component::kL1OffResidual, l1_off_leak);
-      if (decay::uses_decay(cfg_.l1_decay.technique)) {
-        l1_decay_ovh = cap_cycles_l1 * per_line *
-                           pw.decay_counter_leak_frac * lf1 +
-                       d_l1 * pw.decay_counter_dyn;
-        ledger_.add(power::Component::kDecayOverhead, l1_decay_ovh);
-      }
-    }
-    ledger_.add(power::Component::kL1Dynamic, l1_dyn);
-    ledger_.add(power::Component::kL1Leakage, l1_leak);
+    // --- L1: its per-cache leakage constant spread over its lines ----------
+    const cache::LevelCounters l1 = l1s_[c]->counters(upto);
+    const LevelRates l1_rates{
+        pw.l1_leak_per_cycle / static_cast<double>(l1.capacity_lines),
+        pw.l1_dyn_per_access, 0.0};
+    const LevelEnergy e1 = level_energy(prev_l1_[c], l1, dtd, l1_rates, pw,
+                                        cfg_.l1_decay.technique, lf_core);
+    prev_l1_[c] = l1;
+    book(e1, power::Component::kL1Dynamic, power::Component::kL1Leakage,
+         power::Component::kL1OffResidual);
 
-    // --- L2 dynamic --------------------------------------------------------------
-    const std::uint64_t l2a = l2s_[c]->stats().accesses();
-    const std::uint64_t l2f = l2s_[c]->fills();
-    const double d_l2a = static_cast<double>(l2a - prev_l2_acc_[c]);
-    const double d_l2f = static_cast<double>(l2f - prev_l2_fills_[c]);
-    prev_l2_acc_[c] = l2a;
-    prev_l2_fills_[c] = l2f;
-    const double l2_dyn =
-        d_l2a * pw.l2_dyn_per_access + d_l2f * pw.l2_dyn_per_fill;
-    ledger_.add(power::Component::kL2Dynamic, l2_dyn);
+    // --- L2 slice (the optimized structure) ---------------------------------
+    const cache::LevelCounters l2 = l2s_[c]->counters(upto);
+    const LevelEnergy e2 =
+        level_energy(prev_l2_[c], l2, dtd, l2_rates, pw,
+                     cfg_.decay.technique, leak_model_.factor(t_l2));
+    prev_l2_[c] = l2;
+    book(e2, power::Component::kL2Dynamic, power::Component::kL2Leakage,
+         power::Component::kL2OffResidual);
 
-    // --- L2 leakage (the optimized component) -------------------------------------
-    const double cap_cycles =
-        static_cast<double>(l2s_[c]->capacity_lines()) * dtd;
-    const double powered = l2s_[c]->powered_line_cycles(upto);
-    const double d_powered = powered - prev_l2_powered_[c];
-    prev_l2_powered_[c] = powered;
-    const double lf = leak_model_.factor(t_l2);
-    const double gating_mult = gated ? (1.0 + pw.gated_vdd_overhead) : 1.0;
-    const double on_leak =
-        d_powered * pw.l2_leak_per_line_cycle * gating_mult * lf;
-    ledger_.add(power::Component::kL2Leakage, on_leak);
-    double off_leak = 0.0;
-    if (gated) {
-      const double off_cycles = std::max(0.0, cap_cycles - d_powered);
-      off_leak = off_cycles * pw.l2_leak_per_line_cycle *
-                 pw.off_residual_frac * lf;
-      ledger_.add(power::Component::kL2OffResidual, off_leak);
-    }
-
-    // --- decay hardware overhead ------------------------------------------------------
-    double decay_ovh = 0.0;
-    if (decaying) {
-      // Per-line counters stay powered regardless of line state, and every
-      // L2 access resets one.
-      decay_ovh = cap_cycles * pw.l2_leak_per_line_cycle *
-                      pw.decay_counter_leak_frac * lf +
-                  d_l2a * pw.decay_counter_dyn;
-      ledger_.add(power::Component::kDecayOverhead, decay_ovh);
-    }
-
-    // --- per-block power for the thermal step -----------------------------------------
+    // --- per-block power for the thermal step -------------------------------
     watts[floorplan_->core_block(c)] +=
-        (core_dyn + core_leak + l1_dyn + l1_leak + l1_off_leak +
-         l1_decay_ovh) /
+        (core_dyn + core_leak + e1.dyn + e1.leak + e1.off + e1.overhead) /
         dtd * w_per_eu;
-    watts[floorplan_->l2_block(c)] +=
-        (l2_dyn + on_leak + off_leak + decay_ovh) / dtd * w_per_eu;
+    watts[floorplan_->l2_block(c)] += e2.total() / dtd * w_per_eu;
   }
 
   if (bus_ != nullptr) {
@@ -422,8 +444,6 @@ void CmpSystem::sample_power(Cycle upto) {
   }
   // --- shared L3 home banks (three-level hierarchy) -------------------------
   if (l3_ != nullptr) {
-    const bool l3_gated = decay::gates_invalid_lines(cfg_.l3_decay.technique);
-    const bool l3_decaying = decay::uses_decay(cfg_.l3_decay.technique);
     // The floorplan has no dedicated L3 blocks; the banks sit on the tiles
     // next to the routers, so their heat is attributed to the interconnect
     // block (documented simplification).
@@ -431,43 +451,16 @@ void CmpSystem::sample_power(Cycle upto) {
                             ? floorplan_->model.temperature(
                                   floorplan_->bus_block())
                             : leak_model_.params().t0_kelvin;
-    const double lf3 = leak_model_.factor(t_l3);
-
-    const std::uint64_t l3a = l3_->accesses();
-    const std::uint64_t l3f = l3_->fills();
-    const double d_l3a = static_cast<double>(l3a - prev_l3_acc_);
-    const double d_l3f = static_cast<double>(l3f - prev_l3_fills_);
-    prev_l3_acc_ = l3a;
-    prev_l3_fills_ = l3f;
-    const double l3_dyn =
-        d_l3a * pw.l3_dyn_per_access + d_l3f * pw.l3_dyn_per_fill;
-    ledger_.add(power::Component::kL3Dynamic, l3_dyn);
-
-    const double cap_cycles_l3 =
-        static_cast<double>(l3_->capacity_lines()) * dtd;
-    const double powered_l3 = l3_->powered_line_cycles(upto);
-    const double d_powered_l3 = powered_l3 - prev_l3_powered_;
-    prev_l3_powered_ = powered_l3;
-    const double gating3 = l3_gated ? (1.0 + pw.gated_vdd_overhead) : 1.0;
-    const double l3_on_leak =
-        d_powered_l3 * pw.l3_leak_per_line_cycle * gating3 * lf3;
-    ledger_.add(power::Component::kL3Leakage, l3_on_leak);
-    double l3_off_leak = 0.0;
-    if (l3_gated) {
-      const double off_cycles = std::max(0.0, cap_cycles_l3 - d_powered_l3);
-      l3_off_leak = off_cycles * pw.l3_leak_per_line_cycle *
-                    pw.off_residual_frac * lf3;
-      ledger_.add(power::Component::kL3OffResidual, l3_off_leak);
-    }
-    double l3_decay_ovh = 0.0;
-    if (l3_decaying) {
-      l3_decay_ovh = cap_cycles_l3 * pw.l3_leak_per_line_cycle *
-                         pw.decay_counter_leak_frac * lf3 +
-                     d_l3a * pw.decay_counter_dyn;
-      ledger_.add(power::Component::kDecayOverhead, l3_decay_ovh);
-    }
-    watts[floorplan_->bus_block()] +=
-        (l3_dyn + l3_on_leak + l3_off_leak + l3_decay_ovh) / dtd * w_per_eu;
+    const LevelRates l3_rates{pw.l3_leak_per_line_cycle,
+                              pw.l3_dyn_per_access, pw.l3_dyn_per_fill};
+    const cache::LevelCounters l3 = l3_->counters(upto);
+    const LevelEnergy e3 =
+        level_energy(prev_l3_, l3, dtd, l3_rates, pw,
+                     cfg_.l3_decay.technique, leak_model_.factor(t_l3));
+    prev_l3_ = l3;
+    book(e3, power::Component::kL3Dynamic, power::Component::kL3Leakage,
+         power::Component::kL3OffResidual);
+    watts[floorplan_->bus_block()] += e3.total() / dtd * w_per_eu;
   }
 
   watts[floorplan_->bus_block()] += bus_energy / dtd * w_per_eu;
@@ -549,20 +542,18 @@ RunMetrics CmpSystem::collect(Cycle end) const {
   m.total_l2_bytes = cfg_.total_l2_bytes;
   m.cycles = end;
 
+  cache::LevelCounters l1;
+  cache::LevelCounters l2;
   double occ_sum = 0.0;
   double lat_sum = 0.0;
   std::uint64_t lat_n = 0;
   double temp_sum = 0.0;
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     m.instructions += cores_[c]->committed();
-    occ_sum += l2s_[c]->occupation(end);
-    const auto& st = l2s_[c]->stats();
-    m.l2_accesses += st.accesses();
-    m.l2_misses += st.misses();
-    m.l2_decay_turnoffs += st.decay_turnoffs.value();
-    m.l2_decay_induced_misses += st.decay_induced_misses.value();
-    m.l2_coherence_invals += st.coherence_invals.value();
-    m.l2_writebacks += st.writebacks.value();
+    l1 += l1s_[c]->counters(end);
+    const cache::LevelCounters slice = l2s_[c]->counters(end);
+    occ_sum += slice.occupation(end);
+    l2 += slice;
     const auto& h = cores_[c]->load_latency();
     lat_sum += h.mean() * static_cast<double>(h.count());
     lat_n += h.count();
@@ -570,7 +561,14 @@ RunMetrics CmpSystem::collect(Cycle end) const {
   }
   m.ipc = safe_div(static_cast<double>(m.instructions),
                    static_cast<double>(end));
+  // Fig. 3(a): the mean of the slices' occupations.
   m.l2_occupation = occ_sum / static_cast<double>(cfg_.num_cores);
+  m.l2_accesses = l2.accesses;
+  m.l2_misses = l2.misses;
+  m.l2_decay_turnoffs = l2.decay_turnoffs;
+  m.l2_decay_induced_misses = l2.decay_induced_misses;
+  m.l2_coherence_invals = l2.coherence_invals;
+  m.l2_writebacks = l2.writebacks;
   m.l2_miss_rate = safe_div(static_cast<double>(m.l2_misses),
                             static_cast<double>(m.l2_accesses));
   m.amat = safe_div(lat_sum, static_cast<double>(lat_n));
@@ -591,37 +589,12 @@ RunMetrics CmpSystem::collect(Cycle end) const {
 
   // --- per-level attribution ------------------------------------------------
   m.hierarchy = std::string(to_string(cfg_.hierarchy));
-  double l1_powered = 0.0;
-  double l1_cap = 0.0;
-  for (CoreId c = 0; c < cfg_.num_cores; ++c) {
-    const auto& st = l1s_[c]->stats();
-    m.l1.accesses += st.accesses();
-    m.l1.hits += st.read_hits.value() + st.write_hits.value();
-    m.l1.misses += st.misses();
-    m.l1.decay_turnoffs += st.decay_turnoffs.value();
-    m.l1.decay_induced_misses += st.decay_induced_misses.value();
-    m.l1.writebacks += st.writebacks.value();  // 0: write-through
-    l1_powered += l1s_[c]->powered_line_cycles(end);
-    l1_cap += static_cast<double>(l1s_[c]->capacity_lines());
-  }
-  m.l1.occupation =
-      end == 0 ? 1.0 : l1_powered / (l1_cap * static_cast<double>(end));
-  m.l2.accesses = m.l2_accesses;
-  m.l2.hits = m.l2_accesses - m.l2_misses;
-  m.l2.misses = m.l2_misses;
-  m.l2.decay_turnoffs = m.l2_decay_turnoffs;
-  m.l2.decay_induced_misses = m.l2_decay_induced_misses;
-  m.l2.writebacks = m.l2_writebacks;
-  m.l2.occupation = m.l2_occupation;
+  m.l1 = level_metrics(l1, l1.occupation(end));
+  m.l2 = level_metrics(l2, m.l2_occupation);
   if (l3_ != nullptr) {
     m.total_l3_bytes = cfg_.total_l3_bytes;
-    m.l3.accesses = l3_->accesses();
-    m.l3.hits = l3_->hits();
-    m.l3.misses = l3_->misses();
-    m.l3.decay_turnoffs = l3_->decay_turnoffs();
-    m.l3.decay_induced_misses = l3_->decay_induced_misses();
-    m.l3.writebacks = l3_->writebacks();
-    m.l3.occupation = l3_->occupation(end);
+    const cache::LevelCounters l3 = l3_->counters(end);
+    m.l3 = level_metrics(l3, l3.occupation(end));
   }
 
   // --- memory side ----------------------------------------------------------

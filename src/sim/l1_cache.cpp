@@ -7,20 +7,10 @@
 namespace cdsim::sim {
 
 namespace {
-cache::LevelPolicy l1_policy(const L1Config& cfg) {
-  cache::LevelPolicy p;
-  p.name = "L1";
-  p.allocate_on_write = false;  // no-write-allocate
-  p.write_through = true;       // every store drains to the L2
-  p.inclusive_above = false;    // nothing above to back-invalidate
-  p.coherent = false;           // the L2 snoops on its behalf (inclusion)
-  p.write_buffer_entries = cfg.write_buffer_entries;
-  return p;
-}
-
 cache::LevelTiming l1_timing(const L1Config& cfg) {
   return cache::LevelTiming{cfg.hit_latency, cfg.mshr_entries,
-                            /*retry_interval=*/cfg.drain_interval};
+                            /*retry_interval=*/cfg.drain_interval,
+                            cfg.write_buffer_entries};
 }
 }  // namespace
 
@@ -30,8 +20,7 @@ L1Cache::L1Cache(EventQueue& eq, const L1Config& cfg, CoreId core,
       cfg_(cfg),
       core_(core),
       level_(eq, cache::Geometry(cfg.size_bytes, cfg.line_bytes, cfg.ways),
-             l1_timing(cfg), dcfg, l1_policy(cfg),
-             [this](Cycle now) { decay_sweep(now); }) {
+             l1_timing(cfg), dcfg, [this](Cycle now) { decay_sweep(now); }) {
   // The core's load bookkeeping relies on completion callbacks never firing
   // inside try_load itself (the engine asserts hit_latency >= 1 too).
   CDSIM_ASSERT_MSG(cfg_.hit_latency >= 1, "L1 hit latency must be >= 1");

@@ -12,17 +12,6 @@ using coherence::BusTxKind;
 using coherence::MesiState;
 
 namespace {
-cache::LevelPolicy l2_policy() {
-  cache::LevelPolicy p;
-  p.name = "L2";
-  p.allocate_on_write = true;   // write-allocate via BusRdX
-  p.write_through = false;      // dirty lines write back
-  p.inclusive_above = true;     // back-invalidates the L1 on line death
-  p.coherent = true;            // MESI/MOESI snooper on the fabric
-  p.write_buffer_entries = 0;
-  return p;
-}
-
 cache::LevelTiming l2_timing(const L2Config& cfg) {
   return cache::LevelTiming{cfg.hit_latency, cfg.mshr_entries,
                             cfg.retry_interval};
@@ -38,8 +27,7 @@ L2Cache::L2Cache(EventQueue& eq, const L2Config& cfg,
       ic_(ic),
       upper_(upper),
       level_(eq, cache::Geometry(cfg.size_bytes, cfg.line_bytes, cfg.ways),
-             l2_timing(cfg), dcfg, l2_policy(),
-             [this](Cycle now) { decay_sweep(now); }) {
+             l2_timing(cfg), dcfg, [this](Cycle now) { decay_sweep(now); }) {
   CDSIM_ASSERT(upper_ != nullptr);
 }
 

@@ -9,19 +9,6 @@ namespace cdsim::sim {
 
 using coherence::MesiState;
 
-namespace {
-cache::LevelPolicy l3_policy() {
-  cache::LevelPolicy p;
-  p.name = "L3";
-  p.allocate_on_write = true;   // absorbed write-backs allocate
-  p.write_through = false;      // dirty bank lines write back to memory
-  p.inclusive_above = false;    // memory-side: the directory tracks uppers
-  p.coherent = false;           // the home bank serializes on its behalf
-  p.write_buffer_entries = 0;
-  return p;
-}
-}  // namespace
-
 L3Cache::L3Cache(EventQueue& eq, const L3Config& cfg,
                  const decay::DecayConfig& dcfg, std::uint32_t num_banks)
     : eq_(eq), cfg_(cfg) {
@@ -32,8 +19,7 @@ L3Cache::L3Cache(EventQueue& eq, const L3Config& cfg,
   banks_.reserve(num_banks);
   for (std::uint32_t b = 0; b < num_banks; ++b) {
     banks_.push_back(std::make_unique<Bank>(
-        eq, geo, timing, dcfg, l3_policy(),
-        [this, b](Cycle now) { decay_sweep(b, now); }));
+        eq, geo, timing, dcfg, [this, b](Cycle now) { decay_sweep(b, now); }));
   }
 }
 
@@ -195,84 +181,13 @@ void L3Cache::decay_sweep(std::uint32_t bank, Cycle now) {
 }
 
 // ---------------------------------------------------------------------------
-// Aggregated introspection
+// Introspection
 // ---------------------------------------------------------------------------
 
-std::uint64_t L3Cache::accesses() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& b : banks_) n += b->level.stats().accesses();
-  return n;
-}
-
-std::uint64_t L3Cache::hits() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& b : banks_) {
-    n += b->level.stats().read_hits.value() +
-         b->level.stats().write_hits.value();
-  }
-  return n;
-}
-
-std::uint64_t L3Cache::misses() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& b : banks_) n += b->level.stats().misses();
-  return n;
-}
-
-std::uint64_t L3Cache::decay_turnoffs() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& b : banks_) n += b->level.stats().decay_turnoffs.value();
-  return n;
-}
-
-std::uint64_t L3Cache::decay_induced_misses() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& b : banks_) {
-    n += b->level.stats().decay_induced_misses.value();
-  }
-  return n;
-}
-
-std::uint64_t L3Cache::writebacks() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& b : banks_) n += b->level.stats().writebacks.value();
-  return n;
-}
-
-std::uint64_t L3Cache::evictions() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& b : banks_) n += b->level.stats().evictions.value();
-  return n;
-}
-
-std::uint64_t L3Cache::fills() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& b : banks_) n += b->level.fills().value();
-  return n;
-}
-
-std::uint64_t L3Cache::lines_on() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& b : banks_) n += b->level.lines_on();
-  return n;
-}
-
-std::uint64_t L3Cache::capacity_lines() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& b : banks_) n += b->level.capacity_lines();
-  return n;
-}
-
-double L3Cache::powered_line_cycles(Cycle now) const {
-  double s = 0.0;
-  for (const auto& b : banks_) s += b->level.powered_line_cycles(now);
-  return s;
-}
-
-double L3Cache::occupation(Cycle now) const {
-  if (now == 0) return 1.0;
-  return powered_line_cycles(now) /
-         (static_cast<double>(capacity_lines()) * static_cast<double>(now));
+cache::LevelCounters L3Cache::counters(Cycle now) const {
+  cache::LevelCounters sum;
+  for (const auto& b : banks_) sum += b->level.counters(now);
+  return sum;
 }
 
 bool L3Cache::has_line(std::uint32_t bank, Addr line) const {

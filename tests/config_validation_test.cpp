@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "cdsim/sim/cmp_system.hpp"
@@ -145,6 +146,41 @@ TEST(ConfigValidation, L3DecayNeedsTicksAndAPeriod) {
   expect_invalid(cfg, "L3 decay needs hierarchical_ticks");
   cfg.l3_decay = decay::DecayConfig{decay::Technique::kDecay, 1, 2};
   expect_invalid(cfg, "L3 decay technique needs a nonzero tick period");
+}
+
+// The power sampler re-arms every sample_period cycles (0 never advances),
+// the thermal step divides by the clock, and the leakage model by T0.
+TEST(ConfigValidation, ThermalSamplePeriodMustBeNonzero) {
+  SystemConfig cfg = base();
+  cfg.thermal.sample_period = 0;
+  expect_invalid(cfg, "thermal.sample_period");
+}
+
+TEST(ConfigValidation, ThermalClockMustBePositiveAndFinite) {
+  SystemConfig cfg = base();
+  for (const double hz : {0.0, -3.0e9, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.thermal.clock_hz = hz;
+    expect_invalid(cfg, "thermal.clock_hz");
+  }
+}
+
+TEST(ConfigValidation, LeakageT0MustBePositiveAndFinite) {
+  SystemConfig cfg = base();
+  for (const double t0 : {0.0, -343.0, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.leakage.t0_kelvin = t0;
+    expect_invalid(cfg, "leakage.t0_kelvin");
+  }
+}
+
+// The constructor validates before it builds the leakage model, whose own
+// assertion on T0 would otherwise abort first.
+TEST(ConfigValidation, CmpSystemConstructorRejectsZeroT0) {
+  SystemConfig cfg = base();
+  cfg.leakage.t0_kelvin = 0.0;
+  EXPECT_THROW(CmpSystem(cfg, workload::benchmark_by_name("mpeg2enc")),
+               std::invalid_argument);
 }
 
 TEST(ConfigValidation, CmpSystemConstructorEnforcesIt) {

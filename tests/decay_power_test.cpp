@@ -188,16 +188,6 @@ TEST(EnergyLedger, TotalsAreExactSums) {
   EXPECT_DOUBLE_EQ(l.total(), 5.0);
 }
 
-TEST(EnergyLedger, L2TotalGroupsL2Components) {
-  power::EnergyLedger l;
-  l.add(power::Component::kL2Dynamic, 1.0);
-  l.add(power::Component::kL2Leakage, 2.0);
-  l.add(power::Component::kL2OffResidual, 0.5);
-  l.add(power::Component::kDecayOverhead, 0.25);
-  l.add(power::Component::kCoreDynamic, 10.0);
-  EXPECT_DOUBLE_EQ(l.l2_total(), 3.75);
-}
-
 // --- thermal ------------------------------------------------------------------------
 
 TEST(Thermal, HeatsTowardSteadyState) {

@@ -56,9 +56,10 @@ TEST(L3Bank, MissThenInstallThenHit) {
   EXPECT_TRUE(h.l3.has_line(0, 0x1000));
   EXPECT_FALSE(h.l3.line_dirty(0, 0x1000));
   EXPECT_TRUE(h.l3.lookup_for_fill(0, 0x1000));  // now a hit
-  EXPECT_EQ(h.l3.hits(), 1u);
-  EXPECT_EQ(h.l3.misses(), 1u);
-  EXPECT_EQ(h.l3.fills(), 1u);
+  const cache::LevelCounters c = h.l3.counters(h.eq.now());
+  EXPECT_EQ(c.accesses - c.misses, 1u);  // the hit
+  EXPECT_EQ(c.misses, 1u);
+  EXPECT_EQ(c.fills, 1u);
 }
 
 TEST(L3Bank, AbsorbedWritebackIsDirtyAndOverwritesCleanCopy) {
@@ -82,8 +83,8 @@ TEST(L3Bank, DirtyVictimEvictionWritesToMemory) {
   EXPECT_FALSE(h.l3.has_line(0, 0x0));
   ASSERT_EQ(h.mem_writes.size(), 1u);
   EXPECT_EQ(h.mem_writes[0], 0x0u);
-  EXPECT_EQ(h.l3.evictions(), 1u);
-  EXPECT_EQ(h.l3.writebacks(), 1u);
+  EXPECT_EQ(h.l3.bank_stats(0).evictions.value(), 1u);
+  EXPECT_EQ(h.l3.bank_stats(0).writebacks.value(), 1u);
 }
 
 TEST(L3Bank, CleanVictimEvictionIsSilent) {
@@ -92,7 +93,7 @@ TEST(L3Bank, CleanVictimEvictionIsSilent) {
   h.l3.install_from_memory(0, 0x0);
   h.l3.install_from_memory(0, stride);
   h.l3.install_from_memory(0, 2 * stride);
-  EXPECT_EQ(h.l3.evictions(), 1u);
+  EXPECT_EQ(h.l3.bank_stats(0).evictions.value(), 1u);
   EXPECT_TRUE(h.mem_writes.empty());
 }
 
@@ -114,7 +115,7 @@ TEST(L3Bank, CleanLineDecaysSilently) {
   h.l3.install_from_memory(0, 0x1000);
   h.run_for(3 * 4096);
   EXPECT_FALSE(h.l3.has_line(0, 0x1000));
-  EXPECT_EQ(h.l3.decay_turnoffs(), 1u);
+  EXPECT_EQ(h.l3.bank_stats(0).decay_turnoffs.value(), 1u);
   EXPECT_TRUE(h.mem_writes.empty());  // clean: droppable for free
 }
 
@@ -123,7 +124,7 @@ TEST(L3Bank, DirtyLineDecayWritesBackFirst) {
   h.l3.absorb_writeback(0, 0x2000);
   h.run_for(3 * 4096);
   EXPECT_FALSE(h.l3.has_line(0, 0x2000));
-  EXPECT_EQ(h.l3.decay_turnoffs(), 1u);
+  EXPECT_EQ(h.l3.bank_stats(0).decay_turnoffs.value(), 1u);
   ASSERT_EQ(h.mem_writes.size(), 1u);  // §III: dirty must reach memory
   EXPECT_EQ(h.mem_writes[0], 0x2000u);
 }
@@ -146,7 +147,7 @@ TEST(L3Bank, TouchRestartsTheCountdown) {
     ASSERT_TRUE(h.l3.lookup_for_fill(0, 0x1000)) << "round " << i;
   }
   EXPECT_TRUE(h.l3.has_line(0, 0x1000));
-  EXPECT_EQ(h.l3.decay_turnoffs(), 0u);
+  EXPECT_EQ(h.l3.bank_stats(0).decay_turnoffs.value(), 0u);
 }
 
 TEST(L3Bank, DecayInducedMissesAreAttributed) {
@@ -155,7 +156,7 @@ TEST(L3Bank, DecayInducedMissesAreAttributed) {
   h.run_for(3 * 4096);
   ASSERT_FALSE(h.l3.has_line(0, 0x1000));
   EXPECT_FALSE(h.l3.lookup_for_fill(0, 0x1000));  // refetch of a killed line
-  EXPECT_EQ(h.l3.decay_induced_misses(), 1u);
+  EXPECT_EQ(h.l3.bank_stats(0).decay_induced_misses.value(), 1u);
 }
 
 // --- end-to-end three-level machine ----------------------------------------
@@ -218,22 +219,11 @@ TEST(ThreeLevelSystem, InvariantsHoldAndRunsAreDeterministic) {
   EXPECT_GT(a.ledger.get(power::Component::kL3Dynamic), 0.0);
 }
 
-TEST(ThreeLevelSystem, LevelPoliciesDescribeTheHierarchy) {
+TEST(ThreeLevelSystem, L3HasOneBankPerCore) {
   SystemConfig cfg = three_level_base();
   cfg.instructions_per_core = 1000;
   workload::Benchmark bench = workload::benchmark_by_name("FMM");
   CmpSystem sys(cfg, bench);
-  // The LevelPolicy is the machine-readable form of DESIGN.md's
-  // per-level legality table.
-  EXPECT_TRUE(sys.l1(0).policy().write_through);
-  EXPECT_FALSE(sys.l1(0).policy().allocate_on_write);
-  EXPECT_FALSE(sys.l1(0).policy().coherent);
-  EXPECT_GT(sys.l1(0).policy().write_buffer_entries, 0u);
-  EXPECT_TRUE(sys.l2(0).policy().coherent);
-  EXPECT_TRUE(sys.l2(0).policy().inclusive_above);
-  EXPECT_TRUE(sys.l2(0).policy().allocate_on_write);
-  EXPECT_FALSE(sys.l3().policy().coherent);      // home-bank serialized
-  EXPECT_FALSE(sys.l3().policy().inclusive_above);  // memory-side
   EXPECT_EQ(sys.l3().num_banks(), cfg.num_cores);
 }
 
