@@ -32,7 +32,6 @@
 #include <concepts>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -44,6 +43,7 @@
 #include "cdsim/coherence/mesi.hpp"
 #include "cdsim/common/assert.hpp"
 #include "cdsim/common/event_queue.hpp"
+#include "cdsim/common/line_map.hpp"
 #include "cdsim/common/small_fn.hpp"
 #include "cdsim/common/stats.hpp"
 #include "cdsim/decay/sweeper.hpp"
@@ -307,11 +307,9 @@ class CacheLevel {
     } else {
       stats_.read_misses.inc();
     }
-    auto it = decayed_lines_.find(line_addr);
-    if (it != decayed_lines_.end()) {
+    if (decayed_lines_.erase(line_addr)) {
       stats_.decay_induced_misses.inc();
       stats_.decay_induced_by_region[(line_addr >> 40) & 7].inc();
-      decayed_lines_.erase(it);
     }
   }
 
@@ -337,13 +335,8 @@ class CacheLevel {
   void age_decay_attribution(Cycle now) {
     if (decayed_lines_.size() < attribution_purge_at_) return;
     const Cycle window = kAttributionWindowIntervals * dcfg_.decay_time;
-    for (auto it = decayed_lines_.begin(); it != decayed_lines_.end();) {
-      if (now - it->second > window) {
-        it = decayed_lines_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    decayed_lines_.erase_if(
+        [now, window](Addr, Cycle off_at) { return now - off_at > window; });
     attribution_purge_at_ =
         std::max(kAttributionMinEntries, decayed_lines_.size() * 2);
   }
@@ -372,8 +365,9 @@ class CacheLevel {
   /// Lines killed by decay (line address -> turn-off cycle), to attribute
   /// later misses to the technique. Entries are consumed by the first
   /// subsequent miss (note_miss) or install of the same line; stale entries
-  /// are purged by age_decay_attribution.
-  std::unordered_map<Addr, Cycle> decayed_lines_;
+  /// are purged by age_decay_attribution. The purge and its threshold read
+  /// only entry ages and size(), never the table's order.
+  LineMap<Cycle> decayed_lines_;
   /// Purge when the map reaches this size (amortizes the O(size) scan).
   std::size_t attribution_purge_at_ = kAttributionMinEntries;
 

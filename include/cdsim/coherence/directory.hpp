@@ -30,10 +30,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "cdsim/coherence/mesi.hpp"
 #include "cdsim/common/assert.hpp"
+#include "cdsim/common/line_map.hpp"
 #include "cdsim/common/stats.hpp"
 #include "cdsim/common/types.hpp"
 
@@ -78,15 +78,17 @@ class Directory {
 
   [[nodiscard]] std::uint32_t num_cores() const noexcept { return num_cores_; }
 
-  /// Entry for `line`, created on first use.
+  /// Entry for `line`, created on first use. The reference is valid only
+  /// until the next call that creates or drops an entry (note_clean_drop,
+  /// writeback_granted, drop_if_uncached, lookup of another line): the
+  /// entries live in one open-addressing table (common/line_map.hpp).
   DirectoryEntry& lookup(Addr line) {
     stats_.lookups.inc();
     return map_[line];
   }
   /// Read-only find (nullptr when the line was never cached).
   [[nodiscard]] const DirectoryEntry* find(Addr line) const {
-    const auto it = map_.find(line);
-    return it == map_.end() ? nullptr : &it->second;
+    return map_.find(line);
   }
   [[nodiscard]] std::size_t entries() const noexcept { return map_.size(); }
 
@@ -104,20 +106,19 @@ class Directory {
   /// data traffic. Legal iff the directory agrees the copy existed and no
   /// write-back was owed; asserts that agreement, then clears the bit.
   void note_clean_drop(CoreId core, Addr line) {
-    auto it = map_.find(line);
-    CDSIM_ASSERT_MSG(it != map_.end() && it->second.tracked(core),
+    DirectoryEntry* e = map_.find(line);
+    CDSIM_ASSERT_MSG(e != nullptr && e->tracked(core),
                      "clean drop of a line the directory does not track");
-    DirectoryEntry& e = it->second;
-    if (e.owner == core) {
+    if (e->owner == core) {
       // The owner's copy was clean (E, or TC entered from E): had it been
       // dirty the controller would have taken the write-back path instead.
-      e.owner = kNoCore;
+      e->owner = kNoCore;
       stats_.exclusive_drops.inc();
     } else {
       stats_.clean_drops.inc();
     }
-    e.sharers &= ~(std::uint64_t{1} << core);
-    if (e.uncached()) map_.erase(it);
+    e->sharers &= ~(std::uint64_t{1} << core);
+    if (e->uncached()) map_.erase(line);
   }
 
   /// A write-back from `core` reached its home grant (and memory). Clears
@@ -125,17 +126,16 @@ class Directory {
   /// with `core` — a concurrent upgrade may have moved it on (the "late
   /// write-back" of directory protocols).
   void writeback_granted(CoreId core, Addr line) {
-    auto it = map_.find(line);
-    if (it == map_.end()) return;
-    DirectoryEntry& e = it->second;
-    if (e.owner == core) {
-      e.owner = kNoCore;
+    DirectoryEntry* e = map_.find(line);
+    if (e == nullptr) return;
+    if (e->owner == core) {
+      e->owner = kNoCore;
       stats_.owner_writebacks.inc();
     } else {
       stats_.late_writebacks.inc();
     }
-    e.sharers &= ~(std::uint64_t{1} << core);
-    if (e.uncached()) map_.erase(it);
+    e->sharers &= ~(std::uint64_t{1} << core);
+    if (e->uncached()) map_.erase(line);
   }
 
   /// Records `core`'s post-grant probed state into the entry: this is the
@@ -170,8 +170,8 @@ class Directory {
   }
 
   void drop_if_uncached(Addr line) {
-    const auto it = map_.find(line);
-    if (it != map_.end() && it->second.uncached()) map_.erase(it);
+    const DirectoryEntry* e = map_.find(line);
+    if (e != nullptr && e->uncached()) map_.erase(line);
   }
 
   [[nodiscard]] DirectoryStats& stats() noexcept { return stats_; }
@@ -179,7 +179,7 @@ class Directory {
 
  private:
   std::uint32_t num_cores_ = 0;
-  std::unordered_map<Addr, DirectoryEntry> map_;
+  LineMap<DirectoryEntry> map_;
   DirectoryStats stats_;
 };
 

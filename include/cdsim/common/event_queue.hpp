@@ -8,9 +8,10 @@
 //
 // The queue is built for throughput on the simulator's hot path:
 //
-//   * callbacks are SmallFn (move-only, 72-byte inline buffer, memcpy
-//     relocation for trivially-copyable captures), so scheduling a typical
-//     kernel lambda allocates nothing and moves cheaply;
+//   * callbacks are SmallFn (move-only, 72-byte inline buffer), and
+//     schedule_at builds the caller's lambda directly in its pool slot, so
+//     scheduling a typical kernel lambda allocates nothing and copies its
+//     captures once;
 //   * events live in a calendar ring of one bucket per cycle: scheduling is
 //     an O(1) append, popping is an O(1) index bump (plus an occasional
 //     scan over empty cycles — the simulated platform averages several
@@ -68,10 +69,12 @@ class EventQueue {
   [[nodiscard]] bool empty() const noexcept { return pending_ == 0; }
 
   /// Schedules `fn` to run at absolute cycle `when`. Scheduling in the past
-  /// is a logic error (asserts).
-  void schedule_at(Cycle when, Callback fn) {
+  /// is a logic error (asserts). `fn` is any callable, constructed directly
+  /// in its pool slot; a Callback is moved in.
+  template <typename F>
+  void schedule_at(Cycle when, F&& fn) {
     CDSIM_ASSERT_MSG(when >= now_, "event scheduled in the past");
-    const Event ev{when, acquire_slot(std::move(fn))};
+    const Event ev{when, acquire_slot(std::forward<F>(fn))};
     if (when < horizon_) {
       ring_[when & kRingMask].push_back(ev);
       if (when < scan_) {
@@ -88,8 +91,9 @@ class EventQueue {
   }
 
   /// Schedules `fn` to run `delta` cycles from now.
-  void schedule_in(Cycle delta, Callback fn) {
-    schedule_at(now_ + delta, std::move(fn));
+  template <typename F>
+  void schedule_in(Cycle delta, F&& fn) {
+    schedule_at(now_ + delta, std::forward<F>(fn));
   }
 
   /// Executes the earliest pending event, advancing now(). Returns false if
@@ -194,19 +198,20 @@ class EventQueue {
     return slot_chunks_[i >> kSlotChunkShift][i & kSlotChunkMask];
   }
 
-  [[nodiscard]] std::uint32_t acquire_slot(Callback&& fn) {
+  template <typename F>
+  [[nodiscard]] std::uint32_t acquire_slot(F&& fn) {
+    std::uint32_t i = 0;
     if (free_slots_.empty()) {
       if ((slot_count_ & kSlotChunkMask) == 0) {
         slot_chunks_.push_back(
             std::make_unique<Callback[]>(std::size_t{1} << kSlotChunkShift));
       }
-      const std::uint32_t i = slot_count_++;
-      slot(i) = std::move(fn);
-      return i;
+      i = slot_count_++;
+    } else {
+      i = free_slots_.back();
+      free_slots_.pop_back();
     }
-    const std::uint32_t i = free_slots_.back();
-    free_slots_.pop_back();
-    slot(i) = std::move(fn);
+    slot(i).assign(std::forward<F>(fn));
     return i;
   }
 

@@ -68,6 +68,21 @@ class SmallFn<R(Args...), InlineBytes> {
 
   ~SmallFn() { reset(); }
 
+  /// Replaces the target with `f`, built directly in this SmallFn's storage
+  /// — no temporary SmallFn and no relocation. The old target is destroyed
+  /// first. A SmallFn argument is moved in.
+  template <typename F>
+  void assign(F&& f) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<F>, SmallFn>) {
+      *this = std::forward<F>(f);
+    } else {
+      static_assert(std::is_invocable_r_v<R, std::remove_cvref_t<F>&, Args...>,
+                    "SmallFn::assign needs a callable matching the signature");
+      reset();
+      emplace(std::forward<F>(f));
+    }
+  }
+
   [[nodiscard]] explicit operator bool() const noexcept {
     return invoke_ != nullptr;
   }

@@ -22,9 +22,10 @@
 // a younger read can never bypass an older queued write and observe the
 // pre-write version. See DESIGN.md §9.
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -153,6 +154,8 @@ class DramController {
     std::uint32_t bytes = 0;
     bool is_write = false;
     std::uint32_t bypassed = 0;  ///< FR-FCFS bypass count (oldest only).
+    std::uint32_t bank = 0;      ///< Decoded once, at channel arrival.
+    std::uint64_t row = 0;
     MemCallback cb;
   };
   struct Bank {
@@ -165,6 +168,10 @@ class DramController {
     std::vector<Bank> banks;
     Cycle data_free = 0;  ///< Channel data bus busy until here.
     bool busy = false;    ///< A command is in service.
+    /// The in-service command's completion callback. It waits here, not in
+    /// the completion event's capture, which would overflow the event's
+    /// inline buffer and heap-allocate once per command.
+    MemCallback in_service;
     std::uint64_t refreshes_applied = 0;
   };
   struct Decoded {
@@ -316,6 +323,12 @@ class MemoryController {
   [[nodiscard]] const MemoryConfig& config() const noexcept { return cfg_; }
 
  private:
+  /// One busy interval [begin, end) of the flat channel.
+  struct Busy {
+    Cycle begin = 0;
+    Cycle end = 0;
+  };
+
   [[nodiscard]] Cycle transfer_cycles(std::uint32_t bytes) const noexcept {
     return (bytes + cfg_.bytes_per_cycle - 1) / cfg_.bytes_per_cycle;
   }
@@ -335,35 +348,35 @@ class MemoryController {
     // host a future claim (every in-tree issue point is >= now), so the
     // ledger stays O(outstanding transfers), not O(run length).
     const Cycle now = eq_.now();
-    while (!busy_.empty() && busy_.begin()->second <= now) {
-      busy_.erase(busy_.begin());
-    }
+    auto live = busy_.begin();
+    while (live != busy_.end() && live->end <= now) ++live;
+    busy_.erase(busy_.begin(), live);
     Cycle begin = start;
-    auto it = busy_.upper_bound(begin);
-    if (it != busy_.begin()) {
-      const auto prev = std::prev(it);
-      if (prev->second > begin) begin = prev->second;
+    auto it = std::upper_bound(
+        busy_.begin(), busy_.end(), begin,
+        [](Cycle c, const Busy& b) { return c < b.begin; });
+    if (it != busy_.begin() && std::prev(it)->end > begin) {
+      begin = std::prev(it)->end;
     }
-    while (it != busy_.end() && it->first < begin + len) {
-      if (it->second > begin) begin = it->second;
-      ++it;
+    for (; it != busy_.end() && it->begin < begin + len; ++it) {
+      if (it->end > begin) begin = it->end;
     }
-    // Insert [begin, begin + len), coalescing with exact neighbours.
-    Cycle nb = begin;
-    Cycle ne = begin + len;
-    const auto nxt = busy_.lower_bound(begin);
-    if (nxt != busy_.begin()) {
-      const auto prev = std::prev(nxt);
-      if (prev->second == nb) {
-        nb = prev->first;
-        busy_.erase(prev);
-      }
+    // Insert [begin, begin + len) before `it`, coalescing with exact
+    // neighbours. Every interval before `it` ends at or before `begin` and
+    // `it` starts at or after the new end, so `it` is the insertion point.
+    const Cycle end = begin + len;
+    const bool join_prev = it != busy_.begin() && std::prev(it)->end == begin;
+    const bool join_next = it != busy_.end() && it->begin == end;
+    if (join_prev && join_next) {
+      std::prev(it)->end = it->end;
+      busy_.erase(it);
+    } else if (join_prev) {
+      std::prev(it)->end = end;
+    } else if (join_next) {
+      it->begin = begin;
+    } else {
+      busy_.insert(it, Busy{begin, end});
     }
-    if (nxt != busy_.end() && nxt->first == ne) {
-      ne = nxt->second;
-      busy_.erase(nxt);
-    }
-    busy_[nb] = ne;
     return begin;
   }
 
@@ -372,8 +385,10 @@ class MemoryController {
   EventQueue& eq_;
   MemoryConfig cfg_;
   std::unique_ptr<DramController> dram_;  ///< kDram only (else null).
-  /// Flat-channel busy intervals [begin, end), coalesced, pruned at now().
-  std::map<Cycle, Cycle> busy_;
+  /// Flat-channel busy intervals, sorted by begin, disjoint and coalesced,
+  /// pruned at now(). Only outstanding transfers stay in it, so the vector
+  /// is a few entries long and stops growing after warm-up.
+  std::vector<Busy> busy_;
   Counter reads_, writes_, bytes_read_, bytes_written_;
 };
 

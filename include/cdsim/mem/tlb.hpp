@@ -156,10 +156,14 @@ class TlbPort final : public core::LoadStorePort {
     // Walked loads parked on a full MSHR retry first (FIFO order; a retry
     // that rejects again re-parks into the fresh deque). The core's own
     // waiter is then woken regardless — a spurious wake is benign, the
-    // core re-checks and parks again.
-    std::deque<ParkedLoad> retry;
-    retry.swap(parked_);
-    for (ParkedLoad& p : retry) issue_after_walk(p.addr, p.id);
+    // core re-checks and parks again. The swap is skipped when nothing is
+    // parked: constructing a std::deque allocates, and this runs on every
+    // L1 resources-freed notification.
+    if (!parked_.empty()) {
+      std::deque<ParkedLoad> retry;
+      retry.swap(parked_);
+      for (ParkedLoad& p : retry) issue_after_walk(p.addr, p.id);
+    }
     if (core_waiter_) core_waiter_();
   }
 

@@ -39,11 +39,11 @@
 #include <deque>
 #include <functional>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "cdsim/coherence/directory.hpp"
 #include "cdsim/common/event_queue.hpp"
+#include "cdsim/common/line_map.hpp"
 #include "cdsim/common/stats.hpp"
 #include "cdsim/mem/memory.hpp"
 #include "cdsim/noc/interconnect.hpp"
@@ -265,7 +265,7 @@ class DirectoryMesh final : public Interconnect {
   std::vector<TxId> tx_free_;
   /// Per-line FIFO of transactions waiting for an in-flight write-back
   /// (intrusive chains through Tx::next; an entry exists iff nonempty).
-  std::unordered_map<Addr, DefList> deferred_;
+  LineMap<DefList> deferred_;
 
   Counter tx_count_[4];
   Counter cancelled_;

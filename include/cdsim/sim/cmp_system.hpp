@@ -97,12 +97,13 @@ struct SystemConfig {
   std::uint64_t seed = 42;
 };
 
-/// Validates a SystemConfig, throwing std::invalid_argument with a
-/// descriptive message on misconfiguration (zero cores, > 64 cores, a
-/// total L2 size not divisible into per-core slices, a non-power-of-two
-/// core count on the mesh topology, or a per-core instruction vector of
-/// the wrong length). CmpSystem's constructor calls this; harnesses can
-/// call it early to fail before building workloads.
+/// Validates a SystemConfig, throwing std::invalid_argument with a message
+/// that names the field on misconfiguration: core counts the fabric cannot
+/// hold, cache geometry at any level, zero depths, widths and latencies a
+/// component asserts on, DRAM/TLB/mesh parameters of the selected models,
+/// decay and thermal settings, or a per-core instruction vector of the
+/// wrong length. CmpSystem's constructor calls this; harnesses can call it
+/// early to fail before building workloads.
 void validate_system_config(const SystemConfig& cfg);
 
 /// One fully-wired CMP simulation.

@@ -104,6 +104,8 @@ void DramController::issue(Cycle start, Request req) {
 void DramController::arrive(Request req) {
   const prof::ScopedPhase prof_scope(prof::Phase::kDram);
   const Decoded d = decode(req.line);
+  req.bank = d.bank;
+  req.row = d.row;
   Channel& ch = channels_[d.channel];
   if (!req.is_write) {
     // Write forwarding — the oracle-threading invariant: an older queued
@@ -179,8 +181,8 @@ void DramController::pump(std::size_t ci) {
   std::size_t pick = 0;
   if (ch.queue.front().bypassed < cfg_.dram.starvation_limit) {
     for (std::size_t i = 0; i < ch.queue.size(); ++i) {
-      const Decoded d = decode(ch.queue[i].line);
-      if (ch.banks[d.bank].open_row == static_cast<std::int64_t>(d.row)) {
+      const Request& q = ch.queue[i];
+      if (ch.banks[q.bank].open_row == static_cast<std::int64_t>(q.row)) {
         pick = i;
         break;
       }
@@ -191,14 +193,13 @@ void DramController::pump(std::size_t ci) {
   Request req = std::move(ch.queue[pick]);
   ch.queue.erase(ch.queue.begin() +
                  static_cast<std::ptrdiff_t>(pick));
-  const Decoded d = decode(req.line);
-  Bank& bank = ch.banks[d.bank];
+  Bank& bank = ch.banks[req.bank];
   const DramConfig& dc = cfg_.dram;
 
   const Cycle start = std::max(now, bank.ready);
   Cycle access = 0;
   const char* row_outcome = nullptr;
-  if (bank.open_row == static_cast<std::int64_t>(d.row)) {
+  if (bank.open_row == static_cast<std::int64_t>(req.row)) {
     access = dc.t_cas;
     ++stats_.row_hits;
     row_outcome = req.is_write ? "wr.hit" : "rd.hit";
@@ -214,7 +215,7 @@ void DramController::pump(std::size_t ci) {
     ++stats_.activates;
     row_outcome = req.is_write ? "wr.conflict" : "rd.conflict";
   }
-  bank.open_row = static_cast<std::int64_t>(d.row);
+  bank.open_row = static_cast<std::int64_t>(req.row);
 
   const Cycle data_start = std::max(start + access, ch.data_free);
   const Cycle done = data_start + transfer_cycles(req.bytes);
@@ -222,16 +223,21 @@ void DramController::pump(std::size_t ci) {
   bank.ready = done;
 
   if (trace_ != nullptr) {
-    trace_->span(bank_tracks_[ci * ch.banks.size() + d.bank], row_outcome,
-                 start, done, "row", d.row);
+    trace_->span(bank_tracks_[ci * ch.banks.size() + req.bank], row_outcome,
+                 start, done, "row", req.row);
   }
 
   // One command in service per channel at a time; the completion event
   // reopens the scheduler. (Bank-level overlap is folded into the access
   // latency — see the class comment.)
   ch.busy = true;
-  eq_.schedule_at(done, [this, ci, done, cb = std::move(req.cb)]() mutable {
-    channels_[ci].busy = false;
+  ch.in_service = std::move(req.cb);
+  eq_.schedule_at(done, [this, ci, done] {
+    Channel& c = channels_[ci];
+    c.busy = false;
+    // Moved out before the call: the callback may issue a request that
+    // re-pumps this channel and puts the next command in service.
+    const MemCallback cb = std::move(c.in_service);
     if (cb) cb(done);
     pump(ci);
   });

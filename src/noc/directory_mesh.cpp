@@ -106,10 +106,9 @@ void DirectoryMesh::home_arrive(TxId id) {
   // not the unblocking write-back joins the queue's tail.
   Tx& t = tx_pool_[id];
   if (t.kind != BusTxKind::kWriteBack) {
-    const auto it = deferred_.find(t.line);
-    if (it != deferred_.end()) {
+    if (DefList* q = deferred_.find(t.line)) {
       dir_.stats().deferrals.inc();
-      defer_append(it->second, id);
+      defer_append(*q, id);
       return;
     }
   }
@@ -416,10 +415,10 @@ void DirectoryMesh::data_legs(TxId id, BusResult res, std::uint64_t targets,
 }
 
 void DirectoryMesh::wake_deferred(Addr line) {
-  const auto it = deferred_.find(line);
-  if (it == deferred_.end()) return;
-  TxId cur = it->second.head;
-  deferred_.erase(it);
+  const DefList* q = deferred_.find(line);
+  if (q == nullptr) return;
+  TxId cur = q->head;
+  deferred_.erase(line);
   const std::uint32_t home = home_tile(line);
   while (cur != kNoTx) {
     // Re-grant in FIFO order through the bank; a transaction may defer

@@ -37,6 +37,37 @@ void validate_system_config(const SystemConfig& cfg) {
          " entries; expected 0 or num_cores (" +
          std::to_string(cfg.num_cores) + ")");
   }
+  // The same geometry rule at every level (cache::Geometry asserts it):
+  // power-of-two size, line and ways, and at least one set.
+  const auto check_geometry = [&fail](const std::string& size_field,
+                                      std::uint64_t size,
+                                      const char* line_field,
+                                      std::uint32_t line,
+                                      const char* ways_field,
+                                      std::uint32_t ways) {
+    if (!is_pow2(size)) {
+      fail(size_field + " " + std::to_string(size) +
+           " must be a power of two");
+    }
+    if (!is_pow2(line) || line < 8) {
+      fail(std::string(line_field) + " " + std::to_string(line) +
+           " must be a power of two >= 8");
+    }
+    if (!is_pow2(ways)) {
+      fail(std::string(ways_field) + " " + std::to_string(ways) +
+           " must be a power of two");
+    }
+    if (size < static_cast<std::uint64_t>(line) * ways) {
+      fail(size_field + " " + std::to_string(size) +
+           " is smaller than one set (" + std::to_string(line) +
+           " B lines x " + std::to_string(ways) + " ways)");
+    }
+  };
+  check_geometry("l1.size_bytes", cfg.l1.size_bytes, "l1.line_bytes",
+                 cfg.l1.line_bytes, "l1.ways", cfg.l1.ways);
+  check_geometry("per-core L2 slice (total_l2_bytes / num_cores)",
+                 cfg.total_l2_bytes / cfg.num_cores, "l2.line_bytes",
+                 cfg.l2.line_bytes, "l2.ways", cfg.l2.ways);
   if (cfg.hierarchy == Hierarchy::kThreeLevel) {
     if (cfg.topology != noc::Topology::kDirectoryMesh) {
       fail("three-level hierarchy requires the directory-mesh topology "
@@ -48,18 +79,54 @@ void validate_system_config(const SystemConfig& cfg) {
            " is not divisible into " + std::to_string(cfg.num_cores) +
            " home banks");
     }
-    const std::uint64_t bank = cfg.total_l3_bytes / cfg.num_cores;
-    if (!is_pow2(bank)) {
-      fail("per-bank L3 size " + std::to_string(bank) +
-           " must be a power of two");
-    }
     // The bank line size is overridden to the L2's at construction (one
     // coherence/interleave unit); validate with the value actually used.
-    if (bank < static_cast<std::uint64_t>(cfg.l2.line_bytes) * cfg.l3.ways) {
-      fail("per-bank L3 size " + std::to_string(bank) +
-           " is smaller than one set (" +
-           std::to_string(cfg.l2.line_bytes) + " B lines x " +
-           std::to_string(cfg.l3.ways) + " ways)");
+    check_geometry("per-bank L3 size (total_l3_bytes / num_cores)",
+                   cfg.total_l3_bytes / cfg.num_cores, "l2.line_bytes",
+                   cfg.l2.line_bytes, "l3.ways", cfg.l3.ways);
+  }
+  // Counts, widths and latencies the components assert to be nonzero at
+  // construction or at first use (l1.max_drains_in_flight = 0 would hang).
+  const auto check_nonzero = [&fail](std::uint64_t v, const char* field) {
+    if (v == 0) fail(std::string(field) + " must be at least 1");
+  };
+  check_nonzero(cfg.core.issue_width, "core.issue_width");
+  check_nonzero(cfg.core.max_outstanding_loads, "core.max_outstanding_loads");
+  check_nonzero(cfg.l1.hit_latency, "l1.hit_latency");
+  check_nonzero(cfg.l1.mshr_entries, "l1.mshr_entries");
+  check_nonzero(cfg.l1.write_buffer_entries, "l1.write_buffer_entries");
+  check_nonzero(cfg.l1.max_drains_in_flight, "l1.max_drains_in_flight");
+  check_nonzero(cfg.l2.hit_latency, "l2.hit_latency");
+  check_nonzero(cfg.l2.mshr_entries, "l2.mshr_entries");
+  if (cfg.hierarchy == Hierarchy::kThreeLevel) {
+    check_nonzero(cfg.l3.hit_latency, "l3.hit_latency");
+    check_nonzero(cfg.l3.mshr_entries, "l3.mshr_entries");
+  }
+  check_nonzero(cfg.mem.bytes_per_cycle, "mem.bytes_per_cycle");
+  if (cfg.mem.model == mem::MemoryModel::kDram) {
+    const mem::DramConfig& d = cfg.mem.dram;
+    check_nonzero(d.channels, "mem.dram.channels");
+    check_nonzero(d.ranks_per_channel, "mem.dram.ranks_per_channel");
+    check_nonzero(d.banks_per_rank, "mem.dram.banks_per_rank");
+    check_nonzero(d.interleave_bytes, "mem.dram.interleave_bytes");
+    check_nonzero(d.queue_depth, "mem.dram.queue_depth");
+    if (d.row_bytes < d.interleave_bytes) {
+      fail("mem.dram.row_bytes " + std::to_string(d.row_bytes) +
+           " is smaller than mem.dram.interleave_bytes " +
+           std::to_string(d.interleave_bytes));
+    }
+  }
+  if (cfg.mem.tlb.enabled) {
+    check_nonzero(cfg.mem.tlb.entries, "mem.tlb.entries");
+    check_nonzero(cfg.mem.tlb.page_bytes, "mem.tlb.page_bytes");
+  }
+  if (cfg.topology == noc::Topology::kDirectoryMesh) {
+    check_nonzero(cfg.dmesh.noc.link_credits, "dmesh.noc.link_credits");
+    check_nonzero(cfg.dmesh.noc.flit_bytes, "dmesh.noc.flit_bytes");
+    if (cfg.dmesh.mem_tile >= cfg.num_cores) {
+      fail("dmesh.mem_tile " + std::to_string(cfg.dmesh.mem_tile) +
+           " is not one of the " + std::to_string(cfg.num_cores) +
+           " mesh tiles");
     }
   }
   // The same check at every level: a decaying technique needs at least one

@@ -154,11 +154,27 @@ TEST(CdlintGolden, UninitializedFields) {
 TEST(CdlintGolden, HotPathAllocations) { expect_golden("bad_hot_alloc.hpp"); }
 
 TEST(CdlintGolden, HotAllocScopedToHotHeaders) {
-  // Outside the configured scopes (default: include/cdsim/{cache,noc,bus,
-  // core}/) the same shapes are legal — e.g. sim/ controllers own
-  // unique_ptr'd subsystems at construction time.
+  // Outside the configured scopes (default: include/cdsim/{cache,
+  // coherence,noc,bus,core}/) the same shapes are legal — e.g. sim/
+  // controllers own unique_ptr'd subsystems at construction time.
   LintConfig cfg;  // defaults: fixture path is not a hot-alloc scope
   EXPECT_TRUE(lint_fixture("bad_hot_alloc.hpp", cfg).empty());
+}
+
+TEST(CdlintGolden, NodeMapInCoherenceHeaderIsHotAlloc) {
+  // coherence/ is a hot-alloc scope: the directory runs on every mesh
+  // transaction, and a node map there allocates on every insert however
+  // bounded its size.
+  const LintConfig cfg;  // defaults
+  const auto findings = cdlint::lint_source(
+      cfg, "include/cdsim/coherence/directory.hpp",
+      "#include <unordered_map>\n"
+      "struct Directory {\n"
+      "  std::unordered_map<unsigned long, int> map_ = {};\n"
+      "};\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "hot-alloc");
+  EXPECT_EQ(findings[0].line, 3u);
 }
 
 TEST(CdlintGolden, UninitFieldScopedToHeaders) {

@@ -174,6 +174,89 @@ TEST(ConfigValidation, LeakageT0MustBePositiveAndFinite) {
   }
 }
 
+// Every field a component asserts on at construction or first use is
+// rejected here by name. Each row first applies the machine it needs (mesh,
+// three levels, DRAM, TLBs), which must validate, then the one bad value.
+TEST(ConfigValidation, FieldsComponentsAssertOnAreRejectedByName) {
+  using Edit = void (*)(SystemConfig&);
+  struct Row {
+    const char* field;  ///< Must appear in the message.
+    Edit machine;       ///< Valid context the field needs (may be null).
+    Edit bad;
+  };
+  const Edit mesh = [](SystemConfig& c) {
+    c.topology = noc::Topology::kDirectoryMesh;
+  };
+  const Edit three_level = [](SystemConfig& c) {
+    c.topology = noc::Topology::kDirectoryMesh;
+    c.hierarchy = Hierarchy::kThreeLevel;
+  };
+  const Edit dram = [](SystemConfig& c) {
+    c.mem.model = mem::MemoryModel::kDram;
+  };
+  const Edit tlb = [](SystemConfig& c) { c.mem.tlb.enabled = true; };
+  const Row rows[] = {
+      {"core.issue_width", nullptr,
+       [](SystemConfig& c) { c.core.issue_width = 0; }},
+      {"core.max_outstanding_loads", nullptr,
+       [](SystemConfig& c) { c.core.max_outstanding_loads = 0; }},
+      {"l1.size_bytes", nullptr,
+       [](SystemConfig& c) { c.l1.size_bytes = 48 * KiB; }},
+      {"l1.line_bytes", nullptr,
+       [](SystemConfig& c) { c.l1.line_bytes = 4; }},
+      {"l1.hit_latency", nullptr,
+       [](SystemConfig& c) { c.l1.hit_latency = 0; }},
+      {"l1.mshr_entries", nullptr,
+       [](SystemConfig& c) { c.l1.mshr_entries = 0; }},
+      {"l1.write_buffer_entries", nullptr,
+       [](SystemConfig& c) { c.l1.write_buffer_entries = 0; }},
+      {"l1.max_drains_in_flight", nullptr,
+       [](SystemConfig& c) { c.l1.max_drains_in_flight = 0; }},
+      {"l2.ways", nullptr, [](SystemConfig& c) { c.l2.ways = 6; }},
+      {"total_l2_bytes", nullptr,
+       [](SystemConfig& c) { c.total_l2_bytes = 12 * MiB; }},
+      {"l2.hit_latency", nullptr,
+       [](SystemConfig& c) { c.l2.hit_latency = 0; }},
+      {"l2.mshr_entries", nullptr,
+       [](SystemConfig& c) { c.l2.mshr_entries = 0; }},
+      {"l3.ways", three_level, [](SystemConfig& c) { c.l3.ways = 12; }},
+      {"l3.hit_latency", three_level,
+       [](SystemConfig& c) { c.l3.hit_latency = 0; }},
+      {"l3.mshr_entries", three_level,
+       [](SystemConfig& c) { c.l3.mshr_entries = 0; }},
+      {"mem.bytes_per_cycle", nullptr,
+       [](SystemConfig& c) { c.mem.bytes_per_cycle = 0; }},
+      {"mem.dram.channels", dram,
+       [](SystemConfig& c) { c.mem.dram.channels = 0; }},
+      {"mem.dram.ranks_per_channel", dram,
+       [](SystemConfig& c) { c.mem.dram.ranks_per_channel = 0; }},
+      {"mem.dram.banks_per_rank", dram,
+       [](SystemConfig& c) { c.mem.dram.banks_per_rank = 0; }},
+      {"mem.dram.interleave_bytes", dram,
+       [](SystemConfig& c) { c.mem.dram.interleave_bytes = 0; }},
+      {"mem.dram.queue_depth", dram,
+       [](SystemConfig& c) { c.mem.dram.queue_depth = 0; }},
+      {"mem.dram.row_bytes", dram,
+       [](SystemConfig& c) { c.mem.dram.row_bytes = 32; }},
+      {"mem.tlb.entries", tlb, [](SystemConfig& c) { c.mem.tlb.entries = 0; }},
+      {"mem.tlb.page_bytes", tlb,
+       [](SystemConfig& c) { c.mem.tlb.page_bytes = 0; }},
+      {"dmesh.noc.link_credits", mesh,
+       [](SystemConfig& c) { c.dmesh.noc.link_credits = 0; }},
+      {"dmesh.noc.flit_bytes", mesh,
+       [](SystemConfig& c) { c.dmesh.noc.flit_bytes = 0; }},
+      {"dmesh.mem_tile", mesh, [](SystemConfig& c) { c.dmesh.mem_tile = 4; }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.field);
+    SystemConfig cfg = base();
+    if (row.machine != nullptr) row.machine(cfg);
+    EXPECT_NO_THROW(validate_system_config(cfg));
+    row.bad(cfg);
+    expect_invalid(cfg, row.field);
+  }
+}
+
 // The constructor validates before it builds the leakage model, whose own
 // assertion on T0 would otherwise abort first.
 TEST(ConfigValidation, CmpSystemConstructorRejectsZeroT0) {

@@ -61,6 +61,74 @@ TEST(SmallFn, MoveAssignReplacesTarget) {
   EXPECT_EQ(destroyed, 2);  // no double-destroy, no leak
 }
 
+// assign() builds the new target in place over whatever the SmallFn held:
+// the old target is destroyed exactly once, the new one exactly once at
+// the end of its life, and the argument's moved-from shell never counts.
+TEST(SmallFn, InPlaceAssignDestroysOldTargetOnce) {
+  struct Probe {
+    int* counter;
+    explicit Probe(int* c) : counter(c) {}
+    Probe(Probe&& o) noexcept : counter(o.counter) { o.counter = nullptr; }
+    ~Probe() {
+      if (counter != nullptr) ++*counter;
+    }
+  };
+  struct Big {
+    char blob[200] = {};
+  };
+  using Fn = SmallFn<int(), 48>;
+  enum class Old { kEmpty, kTrivial, kManaged, kHeap };
+  for (const Old kind : {Old::kEmpty, Old::kTrivial, Old::kManaged, Old::kHeap}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    for (const bool new_on_heap : {false, true}) {
+      int old_destroyed = 0;
+      int new_destroyed = 0;
+      {
+        Fn f;
+        switch (kind) {
+          case Old::kEmpty:
+            break;
+          case Old::kTrivial:
+            f = [x = 5] { return x; };
+            break;
+          case Old::kManaged:
+            f = [p = Probe(&old_destroyed)] { return 1; };
+            break;
+          case Old::kHeap:
+            static_assert(!Fn::fits_inline_v<decltype([b = Big{}] {
+              return 0;
+            })>);
+            f = [p = Probe(&old_destroyed), b = Big{}] {
+              return static_cast<int>(b.blob[0]) + 2;
+            };
+            break;
+        }
+        if (new_on_heap) {
+          f.assign([p = Probe(&new_destroyed), b = Big{}] {
+            return static_cast<int>(b.blob[0]) + 40;
+          });
+        } else {
+          f.assign([p = Probe(&new_destroyed)] { return 41; });
+        }
+        const bool old_counted = kind == Old::kManaged || kind == Old::kHeap;
+        EXPECT_EQ(old_destroyed, old_counted ? 1 : 0);
+        EXPECT_EQ(new_destroyed, 0);
+        EXPECT_EQ(f(), new_on_heap ? 40 : 41);
+      }
+      EXPECT_EQ(new_destroyed, 1);
+      EXPECT_LE(old_destroyed, 1);
+    }
+  }
+}
+
+TEST(SmallFn, AssignMovesASmallFnIn) {
+  SmallFn<int(), 48> src = [] { return 3; };
+  SmallFn<int(), 48> dst = [] { return 4; };
+  dst.assign(std::move(src));
+  EXPECT_FALSE(static_cast<bool>(src));
+  EXPECT_EQ(dst(), 3);
+}
+
 TEST(SmallFn, OversizedCapturesFallBackToHeap) {
   struct Big {
     char blob[200];

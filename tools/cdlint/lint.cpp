@@ -286,8 +286,8 @@ std::string_view suggestion_for(std::string_view rule) {
   if (rule == "unordered-iter") {
     return "iterate a deterministically-ordered structure instead (std::map, "
            "sorted std::vector, or the index-ordered tag array); if the "
-           "loop's effect is provably order-independent (pure predicate "
-           "erase, like the CacheLevel attribution purge), grant it in "
+           "loop's effect is provably order-independent (a pure predicate "
+           "erase, the shape of LineMap::erase_if), grant it in "
            "tools/cdlint/allowlist.txt with a justification";
   }
   if (rule == "raw-random") {
@@ -317,11 +317,14 @@ std::string_view suggestion_for(std::string_view rule) {
   }
   if (rule == "hot-alloc") {
     return "keep the per-event path heap-free: replace the node container "
-           "with a reserve()d std::vector, a FifoRing (common/ring.hpp), or "
-           "a slot pool with a free list (EventQueue/MeshNoc are the "
-           "templates); if occupancy is provably bounded or growth stops at "
-           "a high-water mark, grant it in tools/cdlint/allowlist.txt with "
-           "that argument";
+           "with a reserve()d std::vector, a FifoRing (common/ring.hpp), a "
+           "LineMap (common/line_map.hpp) for per-line maps, or a slot pool "
+           "with a free list (EventQueue/MeshNoc are the templates); bounded "
+           "occupancy is not enough, since node maps allocate per insert and "
+           "a FIFO deque per chunk it slides across. Grant in "
+           "tools/cdlint/allowlist.txt only a container whose growth stops "
+           "at a high-water mark, or one whose grant names its cost and "
+           "where the fix is tracked";
   }
   return "";
 }
@@ -342,12 +345,13 @@ LintConfig::LintConfig() {
   random_homes = {"common/rng.hpp", "common/rng.cpp"};
   uninit_field_scopes = {"include/cdsim/"};
   // Headers whose code runs per simulated event: every cache access walks
-  // cache/, every coherence transaction walks noc/ or bus/, every
-  // instruction walks core/. Steady-state allocation here is a host-time
-  // regression the throughput bench would pay on each of millions of
-  // events.
+  // cache/, every coherence transaction walks coherence/ and noc/ or bus/,
+  // every instruction walks core/. Steady-state allocation here is a
+  // host-time regression the throughput bench would pay on each of
+  // millions of events.
   hot_alloc_scopes = {
       "include/cdsim/cache/",
+      "include/cdsim/coherence/",
       "include/cdsim/noc/",
       "include/cdsim/bus/",
       "include/cdsim/core/",

@@ -16,9 +16,10 @@
 //                         and libstdc++ version, so any observable effect of
 //                         the traversal is nondeterministic. Lookups are
 //                         fine; iteration needs an allowlist grant proving
-//                         the loop's effect is order-independent (the
-//                         CacheLevel attribution purge is the template: it
-//                         erases by simulated-time predicate only).
+//                         the loop's effect is order-independent (an
+//                         erase-by-predicate whose only effect is the set
+//                         of survivors is the template — the shape
+//                         LineMap::erase_if gives the attribution purge).
 //   raw-random            rand()/srand()/time()/clock()/std::random_device/
 //                         std::mt19937/chrono clock now() outside
 //                         common/rng. All randomness must flow through the
@@ -44,14 +45,16 @@
 //                         "identical" configs diverge (and how MSan/valgrind
 //                         findings are born).
 //   hot-alloc             Steady-state heap allocation in a hot-path header
-//                         (cache/, noc/, bus/, core/): `new`,
+//                         (cache/, coherence/, noc/, bus/, core/): `new`,
 //                         make_unique/make_shared, or a node/chunk-based
 //                         std container (deque, list, map/set families,
-//                         unordered_*). The SoA/arena PR moved the fabric
-//                         and tag arrays onto pre-sized pools and rings;
-//                         this rule keeps allocation from creeping back.
-//                         Grants must argue either bounded occupancy or
-//                         high-water-only growth (see allowlist.txt).
+//                         unordered_*). Pools, rings and LineMap keep the
+//                         per-event path heap-free; this rule keeps
+//                         allocation from creeping back. Bounded occupancy
+//                         is no defence — node maps allocate per insert and
+//                         a FIFO deque per chunk it slides across — so a
+//                         grant must argue high-water-only growth or name
+//                         its cost (see allowlist.txt).
 //
 // Escapes, both deliberate and committed to review history:
 //   - tools/cdlint/allowlist.txt: `<rule-id> <path-suffix>  # why`
