@@ -105,8 +105,8 @@ struct LevelCounters {
 /// Compile-time contract for CacheLevel's Payload parameter. The engine
 /// owns decay bookkeeping (arming, wheel registration, expiry) uniformly
 /// for every level, which requires an embedded `decay::LineDecayState
-/// decay;` member it can reach by name; payloads are also value types the
-/// tag array default-constructs per line.
+/// decay;` member it can reach by name; payloads are also trivially
+/// copyable values whose default state is all zero bytes (tag_array.hpp).
 template <typename P>
 concept LevelPayload = std::default_initializable<P> &&
                        std::copy_constructible<P> && requires(P p) {

@@ -12,12 +12,21 @@
 // by the same set-major line index. The per-access set scan (find,
 // pick_victim, pick_victim_if) therefore touches only the packed valid
 // word and the tag words of one set — it never strides over Payload
-// records, whose size is controller business (the L2's payload alone is
-// several cache lines of decay + coherence state). Controllers hold lines
-// through the LineRef handle below, which carries (array, index) instead
-// of a Line<Payload>*; the index is the same stable identity the expiry
-// wheel registers, so LineRef::index() == the wheel's line_index and
-// line_at() round-trips it.
+// records, whose size is controller business (the L2's is 48 bytes of
+// decay + coherence state). Controllers hold lines through the LineRef
+// handle below, which carries (array, index) instead of a Line<Payload>*;
+// the index is the same stable identity the expiry wheel registers, so
+// LineRef::index() == the wheel's line_index and line_at() round-trips it.
+//
+// Storage: the valid bitmap is an eagerly zeroed vector, because find()
+// reads it first on every lookup. Tags, LRU stamps and payloads live in
+// ZeroPageArrays (common/zero_pages.hpp), whose pages the kernel commits on
+// first write, so an array costs host memory for the sets a run installs
+// into rather than for the lines it configures. A never-installed way reads
+// as zero bytes, which is every payload's default state (MesiState::kInvalid,
+// an unarmed LineDecayState, false flags), and install() writes its tag,
+// stamp and payload before anything reads them. Payloads must therefore be
+// trivially copyable and trivially destructible.
 //
 // Semantics are bit-for-bit those of the previous AoS array (golden pins
 // depend on this; tests/tag_array_soa_test.cpp checks it differentially):
@@ -30,14 +39,18 @@
 
 #include <bit>
 #include <cstdint>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "cdsim/cache/geometry.hpp"
 #include "cdsim/common/assert.hpp"
 #include "cdsim/common/types.hpp"
+#include "cdsim/common/zero_pages.hpp"
 
 namespace cdsim::cache {
+
+/// Most ways a set may have: one set's valid bits are one 64-bit word.
+inline constexpr std::uint32_t kMaxWays = 64;
 
 template <typename Payload>
 class TagArray;
@@ -87,13 +100,22 @@ class LineRef {
 /// set's ways (ways <= 16 in practice, so a scan beats a linked list).
 template <typename Payload>
 class TagArray {
+  static_assert(std::is_trivially_copyable_v<Payload> &&
+                    std::is_trivially_destructible_v<Payload>,
+                "TagArray<Payload>: payloads live in zero-page storage and "
+                "start as zero bytes; no constructor or destructor runs");
+
  public:
   explicit TagArray(const Geometry& geo)
       : geo_(geo),
         valid_((geo.num_lines() + 63) / 64, 0),
-        tags_(geo.num_lines(), 0),
-        lru_stamp_(geo.num_lines(), 0),
-        payloads_(geo.num_lines()) {}
+        tags_(geo.num_lines()),
+        lru_stamp_(geo.num_lines()),
+        payloads_(geo.num_lines()) {
+    CDSIM_ASSERT_MSG(geo.ways() <= kMaxWays,
+                     "associativity above kMaxWays: a set's valid bits are "
+                     "one 64-bit word");
+  }
 
   using Ref = LineRef<Payload>;
 
@@ -180,7 +202,7 @@ class TagArray {
   Ref install(Ref slot, Addr addr, Payload payload) {
     set_valid(slot.index());
     tags_[slot.index()] = geo_.tag(addr);
-    payloads_[slot.index()] = std::move(payload);
+    payloads_[slot.index()] = payload;
     lru_stamp_[slot.index()] = ++clock_;
     return slot;
   }
@@ -247,17 +269,11 @@ class TagArray {
     return payloads_[idx];
   }
 
-  /// The set's validity bits as one word: bit w == valid(base + w).
-  /// Sets never straddle words when ways is a power of two <= 64 (base is
-  /// then way-aligned), but the generic splice keeps odd geometries right.
+  /// The set's validity bits as one word: bit w == valid(base + w). Ways
+  /// is a power of two (Geometry) and at most kMaxWays, so base is
+  /// way-aligned and a set never straddles two words.
   [[nodiscard]] std::uint64_t set_valid_bits(std::uint64_t base) const {
-    const std::size_t word = base >> 6;
-    const std::uint32_t off = base & 63;
-    std::uint64_t bits = valid_[word] >> off;
-    if (off != 0 && word + 1 < valid_.size()) {
-      bits |= valid_[word + 1] << (64 - off);
-    }
-    return bits & ways_mask();
+    return (valid_[base >> 6] >> (base & 63)) & ways_mask();
   }
   [[nodiscard]] std::uint64_t ways_mask() const noexcept {
     return geo_.ways() >= 64 ? ~std::uint64_t{0}
@@ -265,10 +281,10 @@ class TagArray {
   }
 
   Geometry geo_;
-  std::vector<std::uint64_t> valid_;     ///< Packed validity bitmap.
-  std::vector<Addr> tags_;               ///< Full line address per way.
-  std::vector<std::uint64_t> lru_stamp_; ///< True-LRU monotonic stamps.
-  std::vector<Payload> payloads_;        ///< Controller metadata per way.
+  std::vector<std::uint64_t> valid_;        ///< Packed validity bitmap.
+  ZeroPageArray<Addr> tags_;                ///< Full line address per way.
+  ZeroPageArray<std::uint64_t> lru_stamp_;  ///< True-LRU monotonic stamps.
+  ZeroPageArray<Payload> payloads_;         ///< Controller metadata per way.
   std::uint64_t clock_ = 0;
 };
 

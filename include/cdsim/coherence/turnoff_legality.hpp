@@ -4,9 +4,12 @@
 // The table compares three hierarchy design points (uniprocessor with
 // write-back L1, uniprocessor with write-through L1, private-L2
 // multiprocessor with write-through L1) against the state of the L2 line.
-// This header encodes that decision table as a function, used both by the
-// simulator's assertions and by the `bench_table1` harness that regenerates
-// the table; the gtest suite cross-checks it against the Figure 2 FSM.
+// This header encodes that decision table as a function. Its users are the
+// `static_assert`s in src/coherence/mesi_checks.cpp, the `bench_table1`
+// harness that regenerates the table, and coherence_test, which
+// cross-checks it against the Figure 2 FSM. The controllers do not call it:
+// their turn-off gates are coherence::classify_turnoff and the L1
+// write-buffer check in L2Cache::decay_sweep.
 
 #include <cstdint>
 #include <string_view>

@@ -18,8 +18,8 @@
 // issue-to-data latency feeds the AMAT histogram.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "cdsim/common/event_queue.hpp"
 #include "cdsim/common/small_fn.hpp"
@@ -164,11 +164,17 @@ class CoreModel {
   std::uint32_t gap_shift_ = 0;
   std::uint64_t gap_rem_ = 0;
 
-  // Outstanding loads in program order; slots index into this deque's
-  // logical sequence (we keep completed entries until they are the oldest,
-  // mirroring ROB retirement).
-  std::deque<OutstandingLoad> outstanding_;
-  std::uint64_t outstanding_count_ = 0;
+  // Outstanding loads in program order, in a ring of bit_ceil(rob_window
+  // + 2) slots allocated at construction. Completed entries stay until
+  // they are the oldest, mirroring ROB retirement. Each issued load
+  // commits an instruction and the ROB check admits a load only while the
+  // oldest incomplete one is at most rob_window instructions back, so at
+  // most rob_window + 1 entries are live: the ring never wraps onto a live
+  // slot, and completion callbacks keep pointers to their slots.
+  std::vector<OutstandingLoad> outstanding_;
+  std::size_t outstanding_head_ = 0;  ///< Slot of the oldest entry.
+  std::size_t outstanding_len_ = 0;   ///< Live entries, completed included.
+  std::uint64_t outstanding_count_ = 0;  ///< Live entries not completed.
   std::uint64_t next_load_seq_ = 1;
   /// Per-dependence-chain tracking: sequence id and in-flight flag of the
   /// newest load on each chain (see workload::MemOp::chain).

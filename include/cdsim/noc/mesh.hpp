@@ -168,6 +168,11 @@ class MeshNoc {
   /// Output direction of the XY route from `at` toward `dst` (at != dst).
   [[nodiscard]] std::uint32_t xy_dir(std::uint32_t at,
                                      std::uint32_t dst) const noexcept;
+  /// Link a packet at `tile` bound for `dst` takes next (tile != dst).
+  [[nodiscard]] std::uint32_t next_link(std::uint32_t tile,
+                                        std::uint32_t dst) const noexcept {
+    return next_link_[static_cast<std::size_t>(tile) * num_tiles() + dst];
+  }
 
   std::uint32_t acquire_slot(Packet&& p);
   void release_slot(std::uint32_t slot);
@@ -182,6 +187,9 @@ class MeshNoc {
   NocConfig cfg_;
   std::uint32_t width_ = 0, height_ = 0;
   std::vector<Link> links_;  ///< tile * kDirs + dir (unused edges inert).
+  /// XY route table, tile * num_tiles() + dst -> next link index, filled
+  /// at construction so a hop indexes instead of dividing by the width.
+  std::vector<std::uint32_t> next_link_;
   /// Packet slot pool + LIFO free list, pre-sized from the credit budget
   /// at construction so the steady-state fabric never touches the heap.
   /// Safe as a vector (growth moves elements): no Packet& is ever held

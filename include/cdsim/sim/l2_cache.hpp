@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "cdsim/noc/interconnect.hpp"
@@ -167,8 +166,11 @@ class L2Cache final : public noc::Snooper {
     decay::LineDecayState decay;
     bool fetching = false;   ///< Tag/state installed; data still in flight.
     bool upgrading = false;  ///< BusUpgr queued for this S line.
-    /// Cancellation token for a TD turn-off write-back queued on the bus.
-    std::shared_ptr<bool> td_wb_token;
+    /// Ticket of the TD turn-off write-back queued for this line (0 =
+    /// none). The write-back's validator holds the same ticket and lets
+    /// the transaction through only while this way still holds the line
+    /// with it; a cancel zeroes it.
+    std::uint64_t td_wb_ticket = 0;
   };
   using Level = cache::CacheLevel<Payload>;
   using LineT = cache::LineRef<Payload>;
@@ -189,7 +191,10 @@ class L2Cache final : public noc::Snooper {
   /// Queues the TD flush write-back (shared tail of the dirty and owned
   /// turn-off paths).
   void issue_turnoff_writeback(Addr line_addr);
-  void cancel_td_wb(Payload& p);
+  void cancel_td_wb(Payload& p) { p.td_wb_ticket = 0; }
+  /// The turn-off transactions' validator: true while `line_addr` is still
+  /// present and still carries write-back ticket `ticket`.
+  [[nodiscard]] bool td_wb_live(Addr line_addr, std::uint64_t ticket) const;
 
   EventQueue& eq_;
   L2Config cfg_;
@@ -203,6 +208,8 @@ class L2Cache final : public noc::Snooper {
   /// The level-agnostic engine: tags, MSHRs, decay machinery, stats.
   Level level_;
   Counter upgrades_;
+  /// Last TD write-back ticket issued by this slice (tickets start at 1).
+  std::uint64_t td_wb_tickets_ = 0;
 };
 
 }  // namespace cdsim::sim

@@ -29,7 +29,8 @@ CoreModel::CoreModel(EventQueue& eq, const CoreConfig& cfg, CoreId id,
       id_(id),
       stream_(stream),
       port_(port),
-      budget_(instr_budget) {
+      budget_(instr_budget),
+      outstanding_(std::bit_ceil(std::size_t{cfg.rob_window} + 2)) {
   CDSIM_ASSERT(cfg_.issue_width >= 1);
   CDSIM_ASSERT(cfg_.max_outstanding_loads >= 1);
   CDSIM_ASSERT(instr_budget >= 1);
@@ -90,10 +91,10 @@ void CoreModel::advance() {
 }
 
 bool CoreModel::rob_blocked() const {
-  if (outstanding_.empty()) return false;
+  if (outstanding_len_ == 0) return false;
   // Oldest incomplete load bounds the window (completed fronts were
   // retired in try_issue before this check).
-  const OutstandingLoad& oldest = outstanding_.front();
+  const OutstandingLoad& oldest = outstanding_[outstanding_head_];
   return committed_ > oldest.instr_no &&
          committed_ - oldest.instr_no > cfg_.rob_window;
 }
@@ -103,8 +104,10 @@ void CoreModel::try_issue() {
   CDSIM_ASSERT(have_op_);
 
   // Retire completed loads in program order (ROB head drains).
-  while (!outstanding_.empty() && outstanding_.front().completed) {
-    outstanding_.pop_front();
+  const std::size_t mask = outstanding_.size() - 1;
+  while (outstanding_len_ != 0 && outstanding_[outstanding_head_].completed) {
+    outstanding_head_ = (outstanding_head_ + 1) & mask;
+    --outstanding_len_;
   }
 
   const bool is_load = op_.type != AccessType::kStore;
@@ -122,9 +125,12 @@ void CoreModel::try_issue() {
       park(StallReason::kRob);
       return;
     }
-    outstanding_.push_back(
-        OutstandingLoad{committed_, eq_.now(), /*completed=*/false});
-    OutstandingLoad* slot = &outstanding_.back();
+    CDSIM_ASSERT_MSG(outstanding_len_ <= cfg_.rob_window,
+                     "outstanding-load ring would overwrite a live slot");
+    OutstandingLoad* slot =
+        &outstanding_[(outstanding_head_ + outstanding_len_) & mask];
+    *slot = OutstandingLoad{committed_, eq_.now(), /*completed=*/false};
+    ++outstanding_len_;
     const std::uint64_t seq = next_load_seq_++;
     const core::LoadOutcome out =
         port_.try_load(op_.addr, [this, slot, seq, chain](Cycle t) {
@@ -140,7 +146,7 @@ void CoreModel::try_issue() {
           wake();
         });
     if (!out.accepted) {
-      outstanding_.pop_back();
+      --outstanding_len_;
       park(StallReason::kPort);  // woken by the resources-freed callback
       return;
     }
@@ -148,7 +154,7 @@ void CoreModel::try_issue() {
     if (out.completed) {
       // Synchronous hit: a few cycles of latency, fully hidden by the
       // out-of-order window. No outstanding tracking needed.
-      outstanding_.pop_back();
+      --outstanding_len_;
       load_lat_.add(out.latency);
     } else {
       ++outstanding_count_;

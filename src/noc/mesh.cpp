@@ -53,6 +53,15 @@ MeshNoc::MeshNoc(EventQueue& eq, const NocConfig& cfg, std::uint32_t width,
   const std::size_t slot_budget = wired * cfg_.link_credits + num_tiles();
   slots_.reserve(slot_budget);
   free_slots_.reserve(slot_budget);
+  next_link_.resize(static_cast<std::size_t>(num_tiles()) * num_tiles());
+  for (std::uint32_t t = 0; t < num_tiles(); ++t) {
+    for (std::uint32_t d = 0; d < num_tiles(); ++d) {
+      if (d != t) {
+        next_link_[static_cast<std::size_t>(t) * num_tiles() + d] =
+            t * kDirs + xy_dir(t, d);
+      }
+    }
+  }
 }
 
 std::uint32_t MeshNoc::hops(std::uint32_t src,
@@ -119,7 +128,7 @@ void MeshNoc::advance(std::uint32_t slot, std::uint32_t tile) {
     if (cb) cb(eq_.now());
     return;
   }
-  const std::uint32_t link = tile * kDirs + xy_dir(tile, p.dst);
+  const std::uint32_t link = next_link(tile, p.dst);
   Link& l = links_[link];
   if (l.credits == 0) {
     l.waitq.push_back(slot);  // holds its current buffer: backpressure

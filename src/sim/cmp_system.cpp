@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "cdsim/cache/tag_array.hpp"
 #include "cdsim/common/assert.hpp"
 #include "cdsim/common/host_timer.hpp"
 
@@ -37,8 +38,9 @@ void validate_system_config(const SystemConfig& cfg) {
          " entries; expected 0 or num_cores (" +
          std::to_string(cfg.num_cores) + ")");
   }
-  // The same geometry rule at every level (cache::Geometry asserts it):
-  // power-of-two size, line and ways, and at least one set.
+  // The same geometry rule at every level (cache::Geometry and
+  // cache::TagArray assert it): power-of-two size, line and ways, at most
+  // cache::kMaxWays ways, and at least one set.
   const auto check_geometry = [&fail](const std::string& size_field,
                                       std::uint64_t size,
                                       const char* line_field,
@@ -56,6 +58,11 @@ void validate_system_config(const SystemConfig& cfg) {
     if (!is_pow2(ways)) {
       fail(std::string(ways_field) + " " + std::to_string(ways) +
            " must be a power of two");
+    }
+    if (ways > cache::kMaxWays) {
+      fail(std::string(ways_field) + " " + std::to_string(ways) +
+           " exceeds " + std::to_string(cache::kMaxWays) +
+           " (one set's valid bits are one 64-bit word)");
     }
     if (size < static_cast<std::uint64_t>(line) * ways) {
       fail(size_field + " " + std::to_string(size) +

@@ -38,11 +38,9 @@ void L2Cache::stop() { level_.stop(); }
 // Helpers
 // ---------------------------------------------------------------------------
 
-void L2Cache::cancel_td_wb(Payload& p) {
-  if (p.td_wb_token) {
-    *p.td_wb_token = false;
-    p.td_wb_token.reset();
-  }
+bool L2Cache::td_wb_live(Addr line_addr, std::uint64_t ticket) const {
+  const LineT ln = level_.tags().find(line_addr);
+  return ln && ln.payload().td_wb_ticket == ticket;
 }
 
 void L2Cache::line_off(LineT ln) {
@@ -447,7 +445,7 @@ void L2Cache::decay_sweep(Cycle now) {
         break;
       case coherence::TurnOffClass::kDirtyTurnOff: {
         p.state = MesiState::kTransientDirty;
-        p.td_wb_token = std::make_shared<bool>(true);
+        p.td_wb_ticket = ++td_wb_tickets_;
         ++initiated;
         eq_.schedule_in(cfg_.l1_inval_latency,
                         [this, line_addr] { turn_off_dirty(line_addr); });
@@ -457,7 +455,7 @@ void L2Cache::decay_sweep(Cycle now) {
         // §III: "considering the Owned state of the MOESI, other copies
         // must be invalidated before a line is turned off."
         p.state = MesiState::kTransientDirty;
-        p.td_wb_token = std::make_shared<bool>(true);
+        p.td_wb_ticket = ++td_wb_tickets_;
         ++initiated;
         eq_.schedule_in(cfg_.l1_inval_latency,
                         [this, line_addr] { turn_off_owned(line_addr); });
@@ -505,11 +503,13 @@ void L2Cache::turn_off_owned(Addr line_addr) {
   // Ownership-revocation broadcast: invalidate the remaining S copies
   // system-wide, then flush like a dirty turn-off. The validator drops the
   // broadcast when a snoop already finished this line off (the snoop's
-  // flush-and-cancel also cleared the token).
-  std::shared_ptr<bool> token = ln.payload().td_wb_token;
-  CDSIM_ASSERT(token != nullptr);
+  // flush-and-cancel also cleared the ticket).
+  const std::uint64_t ticket = ln.payload().td_wb_ticket;
+  CDSIM_ASSERT(ticket != 0);
   noc::RequestHooks hooks;
-  hooks.validator = [token] { return *token; };
+  hooks.validator = [this, line_addr, ticket] {
+    return td_wb_live(line_addr, ticket);
+  };
   hooks.on_done = [this, line_addr](const noc::BusResult&) {
     issue_turnoff_writeback(line_addr);
   };
@@ -541,11 +541,13 @@ void L2Cache::issue_turnoff_writeback(Addr line_addr) {
 
   // Flush on the bus (Grant/Flush edge); the validator lets a snoop that
   // already moved the data cancel this write-back.
-  std::shared_ptr<bool> token = ln.payload().td_wb_token;
-  CDSIM_ASSERT(token != nullptr);
+  const std::uint64_t ticket = ln.payload().td_wb_ticket;
+  CDSIM_ASSERT(ticket != 0);
   if (obs_) obs_->on_writeback_initiated(core_, line_addr, eq_.now());
   noc::RequestHooks hooks;
-  hooks.validator = [token] { return *token; };
+  hooks.validator = [this, line_addr, ticket] {
+    return td_wb_live(line_addr, ticket);
+  };
   hooks.on_done = [this, line_addr](const noc::BusResult&) {
     LineT l2 = level_.tags().find(line_addr);
     if (!l2 || l2.payload().state != MesiState::kTransientDirty) {

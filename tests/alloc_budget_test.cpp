@@ -6,9 +6,10 @@
 // executable replaces the global operator new, counts calls only while
 // CmpSystem::run() executes, and caps allocations per 1,000 executed
 // events on two machines: the three-level MOESI mesh with banked DRAM and
-// TLBs, and the paper's four-core flat-memory bus. Each ceiling is the
-// measured count plus about 25% headroom, so a change that puts a heap
-// allocation back on a per-event path fails here.
+// TLBs, and the paper's four-core flat-memory bus. Each ceiling was set at
+// a measured count plus about 25% headroom (the comment beside it gives
+// that count and the current one), so a change that puts heap allocations
+// back on the per-event paths fails here.
 //
 // It is its own test executable because the replacement operator new is
 // global to the binary.
@@ -83,11 +84,12 @@ TEST(AllocBudget, ThreeLevelMeshWithDramAndTlbs) {
   cfg.instructions_per_core = 40'000;
   const workload::Benchmark& fmm = workload::benchmark_by_name("FMM");
   const Budget b = measure_run(normalized_run_config(cfg, fmm), fmm);
-  // Measured 96,700 allocations in 1,700,530 events (56.9 per 1K). Before
-  // the attribution map, the directory and the deferral chains moved to
-  // LineMap and the DRAM and TLB paths stopped allocating: 679,098 (399.3
-  // per 1K). What remains is mostly the DRAM channel deques' chunks and
-  // the L2's dirty-turn-off tokens.
+  // Measured 50,820 allocations in 1,700,530 events (29.9 per 1K), mostly
+  // the DRAM channel deques' chunks. With the L2's dirty-turn-off tokens
+  // as shared_ptrs and the core's outstanding loads in a deque: 96,700
+  // (56.9 per 1K), which set this ceiling. Before the attribution map, the
+  // directory and the deferral chains moved to LineMap and the DRAM and
+  // TLB paths stopped allocating: 679,098 (399.3 per 1K).
   EXPECT_LE(b.per_kevent(), 71.0);
 }
 
@@ -97,10 +99,11 @@ TEST(AllocBudget, FourCoreFlatBus) {
       8 * MiB, decay::DecayConfig{decay::Technique::kDecay, 64 * 1024, 4});
   cfg.instructions_per_core = 200'000;
   const Budget b = measure_run(normalized_run_config(cfg, bench), bench);
-  // Measured 16,069 allocations in 301,226 events (53.3 per 1K), about
-  // half of them chunks of the core's outstanding-load deque as it slides.
-  // With the flat channel's busy ledger a std::map and the attribution map
-  // a std::unordered_map: 27,477 (91.2 per 1K).
+  // Measured 6,605 allocations in 301,226 events (21.9 per 1K). With the
+  // core's outstanding loads in a deque, which allocated a chunk each time
+  // it slid across one: 16,069 (53.3 per 1K), which set this ceiling. With
+  // the flat channel's busy ledger a std::map and the attribution map a
+  // std::unordered_map: 27,477 (91.2 per 1K).
   EXPECT_LE(b.per_kevent(), 67.0);
 }
 

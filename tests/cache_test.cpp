@@ -125,6 +125,27 @@ TEST(TagArray, InvalidateRemovesLine) {
   EXPECT_EQ(t.count_valid(), 0u);
 }
 
+// A set's valid bits are one 64-bit word: 64 ways is the widest set that
+// keeps every line findable, and a wider array is refused outright (a
+// 128-way set used to lose its upper 64 lines to find() while count_valid()
+// still counted them).
+TEST(TagArray, SixtyFourWaySetKeepsEveryLine) {
+  TagArray<Meta> t(Geometry(64 * 64, 64, 64));  // one set
+  for (Addr a = 0; a < 64 * 64; a += 64) {
+    t.install(t.pick_victim(a), a, Meta{static_cast<int>(a / 64)});
+  }
+  EXPECT_EQ(t.count_valid(), 64u);
+  for (Addr a = 0; a < 64 * 64; a += 64) {
+    const auto ln = t.find(a);
+    ASSERT_TRUE(ln) << "line " << a / 64;
+    EXPECT_EQ(ln.payload().value, static_cast<int>(a / 64));
+  }
+}
+
+TEST(TagArrayDeathTest, MoreThan64WaysAborts) {
+  EXPECT_DEATH(TagArray<Meta>(Geometry(128 * 64, 64, 128)), "associativity");
+}
+
 // --- MSHR ------------------------------------------------------------------------
 
 TEST(Mshr, AllocateFindComplete) {

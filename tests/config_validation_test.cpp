@@ -204,6 +204,9 @@ TEST(ConfigValidation, FieldsComponentsAssertOnAreRejectedByName) {
        [](SystemConfig& c) { c.l1.size_bytes = 48 * KiB; }},
       {"l1.line_bytes", nullptr,
        [](SystemConfig& c) { c.l1.line_bytes = 4; }},
+      // Above 64 ways a set's valid bits no longer fit the tag array's
+      // one 64-bit word per set (it used to pass and then lose lines).
+      {"l1.ways", nullptr, [](SystemConfig& c) { c.l1.ways = 128; }},
       {"l1.hit_latency", nullptr,
        [](SystemConfig& c) { c.l1.hit_latency = 0; }},
       {"l1.mshr_entries", nullptr,
@@ -213,6 +216,7 @@ TEST(ConfigValidation, FieldsComponentsAssertOnAreRejectedByName) {
       {"l1.max_drains_in_flight", nullptr,
        [](SystemConfig& c) { c.l1.max_drains_in_flight = 0; }},
       {"l2.ways", nullptr, [](SystemConfig& c) { c.l2.ways = 6; }},
+      {"l2.ways", nullptr, [](SystemConfig& c) { c.l2.ways = 128; }},
       {"total_l2_bytes", nullptr,
        [](SystemConfig& c) { c.total_l2_bytes = 12 * MiB; }},
       {"l2.hit_latency", nullptr,
@@ -220,6 +224,7 @@ TEST(ConfigValidation, FieldsComponentsAssertOnAreRejectedByName) {
       {"l2.mshr_entries", nullptr,
        [](SystemConfig& c) { c.l2.mshr_entries = 0; }},
       {"l3.ways", three_level, [](SystemConfig& c) { c.l3.ways = 12; }},
+      {"l3.ways", three_level, [](SystemConfig& c) { c.l3.ways = 128; }},
       {"l3.hit_latency", three_level,
        [](SystemConfig& c) { c.l3.hit_latency = 0; }},
       {"l3.mshr_entries", three_level,
