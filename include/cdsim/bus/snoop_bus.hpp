@@ -60,7 +60,9 @@ class SnoopBus final : public noc::Interconnect {
   using noc::Interconnect::request;  // the Completion convenience overload
 
   SnoopBus(EventQueue& eq, const BusConfig& cfg, mem::MemoryController& mem)
-      : eq_(eq), cfg_(cfg), mem_(mem) {}
+      : eq_(eq), cfg_(cfg), mem_(mem) {
+    CDSIM_ASSERT(cfg.bytes_per_cycle >= 1);
+  }
 
   SnoopBus(const SnoopBus&) = delete;
   SnoopBus& operator=(const SnoopBus&) = delete;
@@ -209,13 +211,12 @@ class SnoopBus final : public noc::Interconnect {
       flush_writes_memory = flush_writes_memory || r.memory_update;
     }
 
-    Cycle done = granted + cfg_.address_phase;
+    const Cycle mem_start = granted + cfg_.address_phase;
+    Cycle done = mem_start;
     const Cycle beats = transfer_cycles(tx.bytes);
-    const bool dram = mem_.model() == mem::MemoryModel::kDram;
-    // kDram resolves memory completions through callbacks; these flags
-    // divert the tail of execute() onto the asynchronous path.
-    bool async_read = false;
-    bool async_write = false;
+    // Memory decides when the transaction completes for a fill it supplies
+    // and for a non-posted write-back.
+    bool memory_completes = false;
 
     switch (tx.kind) {
       case coherence::BusTxKind::kBusRd:
@@ -228,18 +229,10 @@ class SnoopBus final : public noc::Interconnect {
           // got its data from the owner and never waits on memory.
           done += cfg_.cache_to_cache_latency + beats;
           if (flush_writes_memory) {
-            if (dram) {
-              mem_.dram_write(granted + cfg_.address_phase, tx.bytes,
-                              tx.line_addr, {});
-            } else {
-              mem_.post_write(granted + cfg_.address_phase, tx.bytes);
-            }
+            mem_.write(mem_start, tx.bytes, tx.line_addr, {});
           }
-        } else if (dram) {
-          async_read = true;  // memory supplies; fill time known later
         } else {
-          // Memory supplies.
-          done = mem_.schedule_read(granted + cfg_.address_phase, tx.bytes);
+          memory_completes = true;  // memory supplies
         }
         break;
       }
@@ -248,19 +241,12 @@ class SnoopBus final : public noc::Interconnect {
         break;
       case coherence::BusTxKind::kWriteBack:
         done += beats;
-        if (dram) {
-          if (mem_.config().posted_writes) {
-            mem_.dram_write(granted + cfg_.address_phase, tx.bytes,
-                            tx.line_addr, {});
-          } else {
-            async_write = true;  // completion rides the DRAM service
-          }
+        if (mem_.config().posted_writes) {
+          mem_.write(mem_start, tx.bytes, tx.line_addr, {});
         } else {
-          const Cycle wdone =
-              mem_.post_write(granted + cfg_.address_phase, tx.bytes);
           // Non-posted: the evicting cache holds the transaction open
-          // until the channel has absorbed the write.
-          if (!mem_.config().posted_writes && wdone > done) done = wdone;
+          // until memory has absorbed the write.
+          memory_completes = true;
         }
         if (obs_) {
           obs_->on_writeback_resolved(tx.requester, tx.line_addr, granted,
@@ -280,42 +266,36 @@ class SnoopBus final : public noc::Interconnect {
                    granted, occupied_until, "line", tx.line_addr);
     }
 
-    if (async_read || async_write) {
-      // DRAM decides the completion cycle. The grant-time contract is
-      // unchanged: on_grant consumers never read done_at (the directory
-      // mesh sets the same provisional value), coherence state still
-      // updates atomically at grant.
-      res.done_at = granted;  // provisional; the DRAM callback sets it
+    if (!memory_completes) {
+      res.done_at = done;
       if (tx.hooks.on_grant) tx.hooks.on_grant(res);
-      const Cycle local_done = done;
-      auto finish = [this, cb = std::move(tx.hooks.on_done), res,
-                     local_done](Cycle t) mutable {
-        if (!cb) return;
-        // A write-back is complete when both the bus data phase and the
-        // memory service are over (reads always finish at the fill).
-        res.done_at = t > local_done ? t : local_done;
-        if (res.done_at == t) {
-          cb(res);
-        } else {
-          eq_.schedule_at(res.done_at,
-                          [cb = std::move(cb), res]() mutable { cb(res); });
-        }
-      };
-      if (async_read) {
-        mem_.dram_read(granted + cfg_.address_phase, tx.bytes, tx.line_addr,
-                       std::move(finish));
-      } else {
-        mem_.dram_write(granted + cfg_.address_phase, tx.bytes, tx.line_addr,
-                        std::move(finish));
+      if (tx.hooks.on_done) {
+        eq_.schedule_at(done,
+                        [cb = std::move(tx.hooks.on_done), res] { cb(res); });
       }
       return;
     }
 
-    res.done_at = done;
+    // Memory decides the completion cycle. The grant-time contract is
+    // unchanged: on_grant consumers never read done_at (the directory mesh
+    // sets the same provisional value), and coherence state still updates
+    // atomically at grant. The memory call follows on_grant, and no grant
+    // hook issues memory traffic of its own.
+    res.done_at = granted;
     if (tx.hooks.on_grant) tx.hooks.on_grant(res);
-    if (tx.hooks.on_done) {
-      eq_.schedule_at(done,
-                      [cb = std::move(tx.hooks.on_done), res] { cb(res); });
+    auto finish = [this, cb = std::move(tx.hooks.on_done), res,
+                   done](Cycle t) mutable {
+      if (!cb) return;
+      // A write-back is complete when both the bus data phase and memory
+      // are done with it (reads always finish at the fill).
+      res.done_at = t > done ? t : done;
+      mem::resume_at(eq_, res.done_at,
+                     [cb = std::move(cb), res]() mutable { cb(res); });
+    };
+    if (tx.kind == coherence::BusTxKind::kWriteBack) {
+      mem_.write(mem_start, tx.bytes, tx.line_addr, std::move(finish));
+    } else {
+      mem_.read(mem_start, tx.bytes, tx.line_addr, std::move(finish));
     }
   }
 

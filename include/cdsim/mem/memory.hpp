@@ -1,5 +1,5 @@
 #pragma once
-// Main-memory models behind the bus / memory-channel seam.
+// Main-memory models behind the fabrics' one memory seam.
 //
 // Two models share one facade (MemoryController), selected by
 // MemoryConfig.model:
@@ -12,8 +12,14 @@
 //   * kDram — channels -> ranks -> banks with per-bank open-row state,
 //     row-buffer hit/miss/conflict timing (tCAS / tRCD+tCAS /
 //     tRP+tRCD+tCAS), an FR-FCFS scheduler over a bounded per-channel
-//     request queue, and a periodic (lazily applied) refresh. Requests
-//     complete through callbacks at their true service time.
+//     request queue, and a periodic (lazily applied) refresh.
+//
+// Fabrics issue every request through MemoryController::read/write and
+// never ask which model serves it. The MemCallback receives the completion
+// cycle as soon as the model knows it: the flat channel computes it and
+// calls back before read/write returns (with a cycle in the future), DRAM
+// calls back from its service event (at that cycle). mem::resume_at turns
+// either into "continue at the completion cycle" with no extra event.
 //
 // Oracle threading (kDram): the differential checker's memory shadow is
 // updated at write-back *grant* time, before the DRAM write is serviced. A
@@ -27,6 +33,7 @@
 #include <deque>
 #include <iterator>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cdsim/common/assert.hpp"
@@ -114,10 +121,24 @@ struct DramStats {
   std::uint64_t write_forwards = 0;  ///< Reads served from a queued write.
 };
 
-/// Completion callback for model-agnostic requests; invoked with the cycle
-/// the data is fully available. Inline budget fits the bus's DRAM-fill
-/// continuation (an on_done SmallFn plus a BusResult).
+/// Completion callback of a memory request; invoked with the cycle the data
+/// is fully available (reads) or the write is absorbed (writes). Inline
+/// budget fits the bus's completion continuation (an on_done SmallFn plus
+/// a BusResult).
 using MemCallback = SmallFn<void(Cycle), 96>;
+
+/// Continues a memory completion at cycle `t`: runs `fn` now when `t` is
+/// the current cycle (a DRAM service event), else schedules it at `t` (the
+/// flat channel reports completions ahead of time). Either way `fn` runs at
+/// cycle `t` in the position a completion event would give it.
+template <typename F>
+void resume_at(EventQueue& eq, Cycle t, F&& fn) {
+  if (t == eq.now()) {
+    fn();
+  } else {
+    eq.schedule_at(t, std::forward<F>(fn));
+  }
+}
 
 /// The banked-DRAM engine (MemoryConfig.model == kDram). Owns per-channel
 /// FR-FCFS queues, per-bank open-row state, and the lazy refresh clock;
@@ -198,15 +219,15 @@ class DramController {
   std::vector<obs::TrackId> bank_tracks_;     ///< [channel * banks + bank]
 };
 
-/// The memory-side facade every fabric talks to.
+/// The memory-side facade every fabric talks to: one read and one write,
+/// each completing through a MemCallback (see the file comment).
 ///
 /// kFlat: the channel serializes transfers — each request occupies it for
 /// ceil(bytes / bytes_per_cycle) cycles placed *time-ordered* (first fit
 /// into the earliest idle gap at or after its start cycle, so a claim
 /// issued out of call order is no longer queued behind later traffic).
 /// Reads additionally pay `read_latency` before their data is available.
-/// kDram: requests are forwarded to the DramController and complete
-/// asynchronously via dram_read()/dram_write() callbacks.
+/// kDram: requests are forwarded to the DramController.
 class MemoryController {
  public:
   MemoryController(EventQueue& eq, const MemoryConfig& cfg)
@@ -217,70 +238,17 @@ class MemoryController {
     }
   }
 
-  [[nodiscard]] MemoryModel model() const noexcept { return cfg_.model; }
-
-  // --- kFlat synchronous API (asserts on kDram) ----------------------------
-
-  /// Schedules a read of `bytes` starting at `start`; returns the cycle the
-  /// data is fully available at the on-chip side. Zero-byte requests are
-  /// no-ops (no channel claim, no counters).
-  Cycle schedule_read(Cycle start, std::uint32_t bytes) {
-    CDSIM_ASSERT_MSG(cfg_.model == MemoryModel::kFlat,
-                     "synchronous reads are flat-model only");
-    if (bytes == 0) return start;
-    const Cycle begin = claim_channel(start, bytes);
-    reads_.inc();
-    bytes_read_.inc(bytes);
-    return begin + cfg_.read_latency + transfer_cycles(bytes);
+  /// Reads `bytes` of `line`, arriving at the channel at `start` (>= now).
+  /// `cb` (may be empty) receives the cycle the data is fully available.
+  void read(Cycle start, std::uint32_t bytes, Addr line, MemCallback cb) {
+    access(/*is_write=*/false, start, bytes, line, std::move(cb));
   }
 
-  /// Posts a write of `bytes` at `start`. Returns the cycle the channel
-  /// finished moving it — the completion a non-posted issuer waits on
-  /// (posted issuers discard it). Zero-byte requests are no-ops.
-  Cycle post_write(Cycle start, std::uint32_t bytes) {
-    CDSIM_ASSERT_MSG(cfg_.model == MemoryModel::kFlat,
-                     "synchronous writes are flat-model only");
-    if (bytes == 0) return start;
-    const Cycle begin = claim_channel(start, bytes);
-    writes_.inc();
-    bytes_written_.inc(bytes);
-    return begin + transfer_cycles(bytes);
-  }
-
-  // --- kDram asynchronous API (asserts on kFlat) ---------------------------
-
-  /// Enqueues a DRAM read; `cb` fires at the true service-completion cycle
-  /// (possibly forwarded from a queued write to the same line).
-  void dram_read(Cycle start, std::uint32_t bytes, Addr line,
-                 MemCallback cb) {
-    CDSIM_ASSERT_MSG(dram_ != nullptr, "dram_read needs model == kDram");
-    if (bytes == 0) {  // no-op, like the flat path: no traffic, no counters
-      if (cb) {
-        const Cycle at = start > eq_.now() ? start : eq_.now();
-        eq_.schedule_at(at, [cb = std::move(cb), at]() mutable { cb(at); });
-      }
-      return;
-    }
-    reads_.inc();
-    bytes_read_.inc(bytes);
-    dram_->read(start, bytes, line, std::move(cb));
-  }
-
-  /// Enqueues a DRAM write; `cb` (may be empty for posted writes) fires
-  /// when the write is serviced.
-  void dram_write(Cycle start, std::uint32_t bytes, Addr line,
-                  MemCallback cb) {
-    CDSIM_ASSERT_MSG(dram_ != nullptr, "dram_write needs model == kDram");
-    if (bytes == 0) {  // no-op, like the flat path: no traffic, no counters
-      if (cb) {
-        const Cycle at = start > eq_.now() ? start : eq_.now();
-        eq_.schedule_at(at, [cb = std::move(cb), at]() mutable { cb(at); });
-      }
-      return;
-    }
-    writes_.inc();
-    bytes_written_.inc(bytes);
-    dram_->write(start, bytes, line, std::move(cb));
+  /// Writes `bytes` of `line` at `start`. `cb` (empty for posted writes)
+  /// receives the cycle memory has absorbed the write — the completion a
+  /// non-posted issuer waits on.
+  void write(Cycle start, std::uint32_t bytes, Addr line, MemCallback cb) {
+    access(/*is_write=*/true, start, bytes, line, std::move(cb));
   }
 
   /// Attaches the timeline recorder (kDram only — the flat channel is a
@@ -328,6 +296,29 @@ class MemoryController {
     Cycle begin = 0;
     Cycle end = 0;
   };
+
+  /// The one request path. A zero-byte request moves nothing on either
+  /// model: no traffic, no counters, complete at max(start, now).
+  void access(bool is_write, Cycle start, std::uint32_t bytes, Addr line,
+              MemCallback cb) {
+    if (bytes == 0) {
+      if (cb) cb(std::max(start, eq_.now()));
+      return;
+    }
+    (is_write ? writes_ : reads_).inc();
+    (is_write ? bytes_written_ : bytes_read_).inc(bytes);
+    if (dram_ != nullptr) {
+      if (is_write) {
+        dram_->write(start, bytes, line, std::move(cb));
+      } else {
+        dram_->read(start, bytes, line, std::move(cb));
+      }
+      return;
+    }
+    Cycle done = claim_channel(start, bytes) + transfer_cycles(bytes);
+    if (!is_write) done += cfg_.read_latency;
+    if (cb) cb(done);
+  }
 
   [[nodiscard]] Cycle transfer_cycles(std::uint32_t bytes) const noexcept {
     return (bytes + cfg_.bytes_per_cycle - 1) / cfg_.bytes_per_cycle;
@@ -380,8 +371,8 @@ class MemoryController {
     return begin;
   }
 
-  /// Once dead weight, now load-bearing: prunes the busy-interval ledger
-  /// against simulated time and clocks the DRAM engine.
+  /// Prunes the busy-interval ledger against simulated time and clocks the
+  /// DRAM engine.
   EventQueue& eq_;
   MemoryConfig cfg_;
   std::unique_ptr<DramController> dram_;  ///< kDram only (else null).

@@ -237,9 +237,6 @@ class DirectoryMesh final : public Interconnect {
   /// Re-dispatches transactions deferred on `line` (newest write-back for
   /// it just resolved).
   void wake_deferred(Addr line);
-  /// Posted memory write at the channel (model-dispatched): flat
-  /// post_write or a fire-and-forget DRAM enqueue.
-  void mem_write(Cycle at, std::uint32_t bytes, Addr line);
 
   EventQueue& eq_;
   DirectoryMeshConfig cfg_;

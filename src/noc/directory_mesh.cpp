@@ -69,17 +69,10 @@ void DirectoryMesh::attach_l3(MemorySideCache* l3) {
   // the mesh to the memory tile like any other data packet.
   l3_->connect_memory_port(
       [this](std::uint32_t bank, Addr line, std::uint32_t bytes) {
-        noc_.send(bank, cfg_.mem_tile, bytes,
-                  [this, bytes, line](Cycle c) { mem_write(c, bytes, line); });
+        noc_.send(bank, cfg_.mem_tile, bytes, [this, bytes, line](Cycle c) {
+          mem_.write(c, bytes, line, {});
+        });
       });
-}
-
-void DirectoryMesh::mem_write(Cycle at, std::uint32_t bytes, Addr line) {
-  if (mem_.model() == mem::MemoryModel::kDram) {
-    mem_.dram_write(at, bytes, line, {});
-  } else {
-    mem_.post_write(at, bytes);
-  }
 }
 
 void DirectoryMesh::note_clean_drop(CoreId core, Addr line_addr) {
@@ -289,7 +282,7 @@ void DirectoryMesh::data_legs(TxId id, BusResult res, std::uint64_t targets,
           const std::uint32_t bytes = tx.bytes;
           noc_.send(supplier, cfg_.mem_tile, bytes,
                     [this, bytes, line = tx.line](Cycle c) {
-                      mem_write(c, bytes, line);
+                      mem_.write(c, bytes, line, {});
                     });
         }
         // Forward home -> owner, then the line owner -> requester.
@@ -316,11 +309,8 @@ void DirectoryMesh::data_legs(TxId id, BusResult res, std::uint64_t targets,
         // critical path — the bank fill does not delay the requester).
         noc_.send(home, cfg_.mem_tile, cfg_.ctrl_bytes,
                   [this, id, res, req_tile, home](Cycle arr) {
-                    // The delivery leg runs when memory has the line: flat
-                    // computes the cycle synchronously, kDram resolves it
-                    // through the controller's completion callback.
-                    auto deliver = [this, id, res, req_tile,
-                                    home](Cycle /*ready*/) {
+                    // The delivery leg runs at the cycle memory has the line.
+                    const auto deliver = [this, id, res, req_tile, home] {
                       if (l3_ != nullptr) {
                         l3_->install_from_memory(home, tx_pool_[id].line);
                       }
@@ -329,16 +319,10 @@ void DirectoryMesh::data_legs(TxId id, BusResult res, std::uint64_t targets,
                                   finish_tx(id, res, a2);
                                 });
                     };
-                    if (mem_.model() == mem::MemoryModel::kDram) {
-                      mem_.dram_read(arr, tx_pool_[id].bytes,
-                                     tx_pool_[id].line, std::move(deliver));
-                    } else {
-                      const Cycle ready =
-                          mem_.schedule_read(arr, tx_pool_[id].bytes);
-                      eq_.schedule_at(
-                          ready, [deliver = std::move(deliver),
-                                  ready]() mutable { deliver(ready); });
-                    }
+                    mem_.read(arr, tx_pool_[id].bytes, tx_pool_[id].line,
+                              [this, deliver](Cycle ready) {
+                                mem::resume_at(eq_, ready, deliver);
+                              });
                   });
       }
       break;
@@ -384,19 +368,11 @@ void DirectoryMesh::data_legs(TxId id, BusResult res, std::uint64_t targets,
         // absorption completes locally — memory was never involved.)
         noc_.send(home, cfg_.mem_tile, bytes,
                   [this, id, res, local_done](Cycle c) {
-                    if (mem_.model() == mem::MemoryModel::kDram) {
-                      mem_.dram_write(
-                          c, tx_pool_[id].bytes, tx_pool_[id].line,
-                          [this, id, res, local_done](Cycle t) {
-                            wb_finish(id, res,
-                                      t > local_done ? t : local_done);
-                          });
-                    } else {
-                      const Cycle wdone =
-                          mem_.post_write(c, tx_pool_[id].bytes);
-                      wb_finish(id, res,
-                                wdone > local_done ? wdone : local_done);
-                    }
+                    mem_.write(c, tx_pool_[id].bytes, tx_pool_[id].line,
+                               [this, id, res, local_done](Cycle t) {
+                                 wb_finish(id, res,
+                                           t > local_done ? t : local_done);
+                               });
                   });
         break;
       }
@@ -405,7 +381,7 @@ void DirectoryMesh::data_legs(TxId id, BusResult res, std::uint64_t targets,
       } else {
         noc_.send(home, cfg_.mem_tile, bytes,
                   [this, bytes, line = tx.line](Cycle c) {
-                    mem_write(c, bytes, line);
+                    mem_.write(c, bytes, line, {});
                   });
       }
       wb_finish(id, res, local_done);

@@ -127,6 +127,9 @@ void validate_system_config(const SystemConfig& cfg) {
     check_nonzero(cfg.mem.tlb.entries, "mem.tlb.entries");
     check_nonzero(cfg.mem.tlb.page_bytes, "mem.tlb.page_bytes");
   }
+  if (cfg.topology == noc::Topology::kSnoopBus) {
+    check_nonzero(cfg.bus.bytes_per_cycle, "bus.bytes_per_cycle");
+  }
   if (cfg.topology == noc::Topology::kDirectoryMesh) {
     check_nonzero(cfg.dmesh.noc.link_credits, "dmesh.noc.link_credits");
     check_nonzero(cfg.dmesh.noc.flit_bytes, "dmesh.noc.flit_bytes");
@@ -542,7 +545,7 @@ void CmpSystem::sample_power(Cycle upto) {
   // Off-chip DRAM command energy (kDram only; flat stats are all zero).
   // Reported in the ledger but never attributed to an on-chip block — the
   // paper's "system" normalization excludes off-chip DRAM (§V, fn. 2).
-  if (mem_->model() == mem::MemoryModel::kDram) {
+  if (cfg_.mem.model == mem::MemoryModel::kDram) {
     const mem::DramStats& ds = mem_->dram_stats();
     ledger_.add(power::Component::kDramActivate,
                 static_cast<double>(ds.activates - prev_dram_act_) *

@@ -1,11 +1,11 @@
 #include "cdsim/sim/parallel.hpp"
 
+#include <cstdio>
 #include <exception>
 #include <set>
 #include <utility>
 
 #include "cdsim/common/host_timer.hpp"
-#include "cdsim/common/log.hpp"
 #include "cdsim/sim/experiment.hpp"
 
 namespace cdsim::sim {
@@ -160,13 +160,8 @@ SweepStats ExperimentRunner::run_grid(
 
   // Host-profiling aggregation: the phase accumulators are process-global
   // atomics, so worker shards fold in for free — one summary covers the
-  // whole grid. Reported through the logger (INFO) so library embedders
-  // stay quiet by default and tests can capture it through the sink.
-  if (prof::HostProfiler::enabled()) {
-    CDSIM_LOG_INFO("run_grid: %zu job(s) on %u worker(s); host-time profile:",
-                   jobs.size(), stats.workers);
-    prof::HostProfiler::report(stderr);
-  }
+  // whole grid.
+  if (prof::HostProfiler::enabled()) prof::HostProfiler::report(stderr);
 
   // Happens-before: this mu_ acquire pairs with the release in any
   // concurrent run() that inserted one of our cells while we simulated —

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "cdsim/bus/snoop_bus.hpp"
@@ -198,13 +199,53 @@ TEST(SnoopBus, TransactionsSerializeOnTheBus) {
 
 // --- memory controller --------------------------------------------------------
 
+// The flat channel knows a request's completion cycle when it is issued, so
+// its callback has already run when read()/write() returns. These helpers
+// return that cycle (and fail the test if the callback is still pending).
+Cycle flat_read(mem::MemoryController& mem, Cycle start,
+                std::uint32_t bytes) {
+  std::optional<Cycle> done;
+  mem.read(start, bytes, /*line=*/0, [&done](Cycle t) { done = t; });
+  EXPECT_TRUE(done.has_value()) << "flat read did not complete in the call";
+  return done.value_or(0);
+}
+
+Cycle flat_write(mem::MemoryController& mem, Cycle start,
+                 std::uint32_t bytes) {
+  std::optional<Cycle> done;
+  mem.write(start, bytes, /*line=*/0, [&done](Cycle t) { done = t; });
+  EXPECT_TRUE(done.has_value()) << "flat write did not complete in the call";
+  return done.value_or(0);
+}
+
 TEST(Memory, ReadLatencyAndTraffic) {
   EventQueue eq;
   mem::MemoryConfig cfg;
   mem::MemoryController mem(eq, cfg);
-  const Cycle done = mem.schedule_read(100, 64);
+  const Cycle done = flat_read(mem, 100, 64);
   EXPECT_EQ(done, 100 + cfg.read_latency + 64 / cfg.bytes_per_cycle);
   EXPECT_EQ(mem.bytes_read(), 64u);
+}
+
+TEST(Memory, FlatCallbackRunsBeforeTheCallReturns) {
+  // The callback gets the cycle the channel computes at issue (a read's
+  // data at channel start + latency + transfer, a write absorbed at channel
+  // start + transfer) and no event is queued for it.
+  EventQueue eq;
+  mem::MemoryConfig cfg;
+  mem::MemoryController mem(eq, cfg);
+  std::vector<Cycle> done;
+  mem.read(100, 64, 0, [&done](Cycle t) { done.push_back(t); });
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0], 100 + cfg.read_latency + 4);
+  mem.write(100, 64, 64, [&done](Cycle t) { done.push_back(t); });
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[1], 104 + 4);  // queued behind the read's transfer
+  EXPECT_TRUE(eq.empty());
+  // An empty callback (a posted write) still moves the data.
+  mem.write(100, 64, 128, {});
+  EXPECT_EQ(mem.write_count(), 2u);
+  EXPECT_EQ(flat_read(mem, 100, 64), 112 + cfg.read_latency + 4);
 }
 
 TEST(Memory, ChannelSerializesTransfers) {
@@ -212,8 +253,8 @@ TEST(Memory, ChannelSerializesTransfers) {
   mem::MemoryConfig cfg;
   mem::MemoryController mem(eq, cfg);
   const Cycle xfer = 64 / cfg.bytes_per_cycle;
-  const Cycle d1 = mem.schedule_read(0, 64);
-  const Cycle d2 = mem.schedule_read(0, 64);  // same start: queues behind
+  const Cycle d1 = flat_read(mem, 0, 64);
+  const Cycle d2 = flat_read(mem, 0, 64);  // same start: queues behind
   EXPECT_EQ(d2 - d1, xfer);
 }
 
@@ -221,8 +262,8 @@ TEST(Memory, PostedWritesConsumeBandwidth) {
   EventQueue eq;
   mem::MemoryConfig cfg;
   mem::MemoryController mem(eq, cfg);
-  mem.post_write(0, 64);
-  const Cycle done = mem.schedule_read(0, 64);
+  mem.write(0, 64, 0, {});
+  const Cycle done = flat_read(mem, 0, 64);
   // The read queued behind the write's channel occupancy.
   EXPECT_EQ(done, 64 / cfg.bytes_per_cycle + cfg.read_latency +
                       64 / cfg.bytes_per_cycle);
@@ -233,7 +274,7 @@ TEST(Memory, BandwidthMetric) {
   EventQueue eq;
   mem::MemoryConfig cfg;
   mem::MemoryController mem(eq, cfg);
-  mem.post_write(0, 640);
+  mem.write(0, 640, 0, {});
   EXPECT_DOUBLE_EQ(mem.bandwidth(1000), 0.64);
 }
 
@@ -245,12 +286,12 @@ TEST(Memory, OutOfOrderStartsFillEarlierGaps) {
   mem::MemoryConfig cfg;
   mem::MemoryController mem(eq, cfg);
   const Cycle xfer = 64 / cfg.bytes_per_cycle;  // 4
-  const Cycle late = mem.schedule_read(1000, 64);
+  const Cycle late = flat_read(mem, 1000, 64);
   EXPECT_EQ(late, 1000 + cfg.read_latency + xfer);
-  const Cycle early = mem.schedule_read(0, 64);  // fits the gap [0, 1000)
+  const Cycle early = flat_read(mem, 0, 64);  // fits the gap [0, 1000)
   EXPECT_EQ(early, 0 + cfg.read_latency + xfer);
   // A start that cannot finish before the booked claim queues behind it.
-  const Cycle squeezed = mem.schedule_read(998, 64);
+  const Cycle squeezed = flat_read(mem, 998, 64);
   EXPECT_EQ(squeezed, 1000 + xfer + cfg.read_latency + xfer);
 }
 
@@ -258,14 +299,40 @@ TEST(Memory, ZeroByteTransfersAreNoOps) {
   EventQueue eq;
   mem::MemoryConfig cfg;
   mem::MemoryController mem(eq, cfg);
-  EXPECT_EQ(mem.schedule_read(100, 0), 100u);
-  EXPECT_EQ(mem.post_write(50, 0), 50u);
+  EXPECT_EQ(flat_read(mem, 100, 0), 100u);
+  EXPECT_EQ(flat_write(mem, 50, 0), 50u);
   EXPECT_EQ(mem.read_count(), 0u);
   EXPECT_EQ(mem.write_count(), 0u);
   EXPECT_EQ(mem.total_bytes(), 0u);
   // And no channel time was claimed: a real read still starts at cycle 0.
-  EXPECT_EQ(mem.schedule_read(0, 64),
+  EXPECT_EQ(flat_read(mem, 0, 64),
             0 + cfg.read_latency + 64 / cfg.bytes_per_cycle);
+}
+
+TEST(Memory, ZeroByteRequestsCompleteAtStartOrNowOnEitherModel) {
+  // Both models share one zero-byte path: no traffic, no counters, and
+  // completion at max(start, now), reported before the call returns.
+  for (const mem::MemoryModel model :
+       {mem::MemoryModel::kFlat, mem::MemoryModel::kDram}) {
+    SCOPED_TRACE(mem::to_string(model));
+    EventQueue eq;
+    eq.schedule_at(50, [] {});
+    eq.run();  // now() == 50
+    mem::MemoryConfig cfg;
+    cfg.model = model;
+    mem::MemoryController mem(eq, cfg);
+    std::vector<Cycle> done;
+    const auto record = [&done](Cycle t) { done.push_back(t); };
+    mem.read(20, 0, 0, record);   // starts in the past: completes now
+    mem.write(70, 0, 64, record);  // completes at its start
+    mem.read(50, 0, 128, record);
+    EXPECT_EQ(done, (std::vector<Cycle>{50, 70, 50}));
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(mem.read_count(), 0u);
+    EXPECT_EQ(mem.write_count(), 0u);
+    EXPECT_EQ(mem.total_bytes(), 0u);
+    EXPECT_EQ(mem.dram_stats().row_misses, 0u);
+  }
 }
 
 TEST(Memory, OddSizesRoundUpToWholeCycles) {
@@ -273,40 +340,47 @@ TEST(Memory, OddSizesRoundUpToWholeCycles) {
   mem::MemoryConfig cfg;
   mem::MemoryController mem(eq, cfg);
   // 17 bytes at 16 B/cycle occupies ceil(17/16) = 2 channel cycles.
-  EXPECT_EQ(mem.schedule_read(0, 17), 0 + cfg.read_latency + 2);
+  EXPECT_EQ(flat_read(mem, 0, 17), 0 + cfg.read_latency + 2);
   // A single byte still costs a full cycle, queued behind the first claim.
-  EXPECT_EQ(mem.schedule_read(0, 1), 2 + cfg.read_latency + 1);
+  EXPECT_EQ(flat_read(mem, 0, 1), 2 + cfg.read_latency + 1);
 }
 
 TEST(SnoopBus, NonPostedWriteBackWaitsForTheMemoryChannel) {
   // posted=true: the write-back completes at bus-occupancy time no matter
   // how congested the memory channel is. posted=false: the evicting cache
   // holds the transaction open until the channel absorbs the write.
-  Cycle done_at[2] = {0, 0};
-  for (int np = 0; np < 2; ++np) {
+  const auto write_back = [](bool posted, std::uint32_t mem_bytes_per_cycle,
+                             std::uint32_t congest_bytes) {
     EventQueue eq;
     mem::MemoryConfig mcfg;
-    mcfg.posted_writes = (np == 0);
+    mcfg.posted_writes = posted;
+    mcfg.bytes_per_cycle = mem_bytes_per_cycle;
     mem::MemoryController mem(eq, mcfg);
     bus::BusConfig bcfg;
     bus::SnoopBus bus(eq, bcfg, mem);
     FakeSnooper s0, s1;
     bus.attach(&s0);
     bus.attach(&s1);
-    mem.post_write(0, 640);  // congest the channel until cycle 40
+    if (congest_bytes > 0) mem.write(0, congest_bytes, 0, {});
     BusResult got;
     bus.request(BusTxKind::kWriteBack, 0x80, 0, 64,
                 [&](const BusResult& r) { got = r; });
     eq.run();
-    if (np == 0) {
-      EXPECT_EQ(got.done_at, got.granted_at + bcfg.address_phase +
-                                 64 / bcfg.bytes_per_cycle);
-    }
-    done_at[np] = got.done_at;
-  }
-  EXPECT_GT(done_at[1], done_at[0]);
+    return got;
+  };
+  const bus::BusConfig bcfg;
+  const Cycle data_phase = bcfg.address_phase + 64 / bcfg.bytes_per_cycle;
+  // 640 bytes congest the default 16 B/cycle channel until cycle 40.
+  const BusResult posted = write_back(true, 16, 640);
+  EXPECT_EQ(posted.done_at, posted.granted_at + data_phase);
+  const BusResult held = write_back(false, 16, 640);
+  EXPECT_GT(held.done_at, posted.done_at);
   // Behind the 640-byte burst plus the write's own transfer.
-  EXPECT_EQ(done_at[1], 640 / 16 + 64 / 16);
+  EXPECT_EQ(held.done_at, 640 / 16 + 64 / 16);
+  // Memory faster than the bus (64 B/cycle, idle channel) absorbs the write
+  // in one cycle, before the bus data phase ends: that end is done_at.
+  const BusResult fast = write_back(false, 64, 0);
+  EXPECT_EQ(fast.done_at, fast.granted_at + data_phase);
 }
 
 }  // namespace

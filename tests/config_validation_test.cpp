@@ -231,6 +231,9 @@ TEST(ConfigValidation, FieldsComponentsAssertOnAreRejectedByName) {
        [](SystemConfig& c) { c.l3.mshr_entries = 0; }},
       {"mem.bytes_per_cycle", nullptr,
        [](SystemConfig& c) { c.mem.bytes_per_cycle = 0; }},
+      // The bus divides by its data width; 0 used to crash with SIGFPE.
+      {"bus.bytes_per_cycle", nullptr,
+       [](SystemConfig& c) { c.bus.bytes_per_cycle = 0; }},
       {"mem.dram.channels", dram,
        [](SystemConfig& c) { c.mem.dram.channels = 0; }},
       {"mem.dram.ranks_per_channel", dram,

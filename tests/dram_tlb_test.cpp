@@ -38,9 +38,9 @@ TEST(Dram, RowHitMissConflictTiming) {
   const Cycle xfer = 64 / cfg.bytes_per_cycle;  // 4
   std::vector<Cycle> done;
   const auto record = [&done](Cycle t) { done.push_back(t); };
-  mem.dram_read(0, 64, 0, record);     // closed bank: tRCD + tCAS
-  mem.dram_read(0, 64, 64, record);    // same row: tCAS
-  mem.dram_read(0, 64, 4096, record);  // other row, same bank: conflict
+  mem.read(0, 64, 0, record);     // closed bank: tRCD + tCAS
+  mem.read(0, 64, 64, record);    // same row: tCAS
+  mem.read(0, 64, 4096, record);  // other row, same bank: conflict
   eq.run();
   const DramConfig& d = cfg.dram;
   ASSERT_EQ(done.size(), 3u);
@@ -61,9 +61,9 @@ TEST(Dram, FrFcfsServesRowHitsFirst) {
   EventQueue eq;
   MemoryController mem(eq, dram_cfg());
   std::vector<char> order;
-  mem.dram_read(0, 64, 0, [&](Cycle) { order.push_back('A'); });
-  mem.dram_read(0, 64, 4096, [&](Cycle) { order.push_back('B'); });
-  mem.dram_read(0, 64, 64, [&](Cycle) { order.push_back('C'); });
+  mem.read(0, 64, 0, [&](Cycle) { order.push_back('A'); });
+  mem.read(0, 64, 4096, [&](Cycle) { order.push_back('B'); });
+  mem.read(0, 64, 64, [&](Cycle) { order.push_back('C'); });
   eq.run();
   // A opens row 0; C is a row hit and bypasses the older conflicting B.
   EXPECT_EQ(std::string(order.begin(), order.end()), "ACB");
@@ -75,10 +75,10 @@ TEST(Dram, StarvationCapForcesTheOldestRequest) {
   cfg.dram.starvation_limit = 1;
   MemoryController mem(eq, cfg);
   std::vector<char> order;
-  mem.dram_read(0, 64, 0, [&](Cycle) { order.push_back('A'); });
-  mem.dram_read(0, 64, 4096, [&](Cycle) { order.push_back('B'); });
-  mem.dram_read(0, 64, 64, [&](Cycle) { order.push_back('C'); });
-  mem.dram_read(0, 64, 128, [&](Cycle) { order.push_back('D'); });
+  mem.read(0, 64, 0, [&](Cycle) { order.push_back('A'); });
+  mem.read(0, 64, 4096, [&](Cycle) { order.push_back('B'); });
+  mem.read(0, 64, 64, [&](Cycle) { order.push_back('C'); });
+  mem.read(0, 64, 128, [&](Cycle) { order.push_back('D'); });
   eq.run();
   // C bypasses B once; the cap then forces B ahead of the row-hitting D.
   EXPECT_EQ(std::string(order.begin(), order.end()), "ACBD");
@@ -94,10 +94,10 @@ TEST(Dram, RefreshClosesRowsAndStallsTheBank) {
   const Cycle xfer = 64 / cfg.bytes_per_cycle;
   std::vector<Cycle> done;
   const auto record = [&done](Cycle t) { done.push_back(t); };
-  mem.dram_read(0, 64, 0, record);
+  mem.read(0, 64, 0, record);
   // Arrives after the cycle-100 refresh tick: the row it would have hit
   // is closed again and the bank is held until tick + tRFC = 150.
-  mem.dram_read(140, 64, 64, record);
+  mem.read(140, 64, 64, record);
   eq.run();
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(done[0], d.t_rcd + d.t_cas + xfer);
@@ -113,11 +113,11 @@ TEST(Dram, QueuedWriteForwardsToAYoungerRead) {
   const MemoryConfig cfg = dram_cfg();
   MemoryController mem(eq, cfg);
   std::vector<std::pair<char, Cycle>> done;
-  mem.dram_write(0, 64, 0, [&](Cycle t) { done.push_back({'w', t}); });
-  mem.dram_write(0, 64, 4096, [&](Cycle t) { done.push_back({'W', t}); });
+  mem.write(0, 64, 0, [&](Cycle t) { done.push_back({'w', t}); });
+  mem.write(0, 64, 4096, [&](Cycle t) { done.push_back({'W', t}); });
   // The read matches the still-queued second write: it is served from the
   // queue at tCAS + transfer and never visits (or waits for) the bank.
-  mem.dram_read(0, 64, 4096, [&](Cycle t) { done.push_back({'r', t}); });
+  mem.read(0, 64, 4096, [&](Cycle t) { done.push_back({'r', t}); });
   eq.run();
   ASSERT_EQ(done.size(), 3u);
   EXPECT_EQ(done[0].first, 'r');
@@ -125,12 +125,30 @@ TEST(Dram, QueuedWriteForwardsToAYoungerRead) {
   EXPECT_EQ(mem.dram_stats().write_forwards, 1u);
 }
 
+TEST(Dram, CallbacksRunAtTheirCompletionCycle) {
+  // DRAM reports a completion from the event that ends the service (or the
+  // forwarded read): the callback's cycle is always now().
+  EventQueue eq;
+  MemoryController mem(eq, dram_cfg());
+  std::vector<std::pair<Cycle, Cycle>> seen;  // (t, now)
+  const auto record = [&seen, &eq](Cycle t) { seen.push_back({t, eq.now()}); };
+  mem.read(0, 64, 0, record);
+  mem.write(10, 64, 4096, record);
+  mem.read(10, 64, 4096, record);  // forwarded from the queued write
+  mem.read(300, 64, 2048, record);
+  EXPECT_TRUE(seen.empty());  // nothing completes inside the call
+  eq.run();
+  ASSERT_EQ(seen.size(), 4u);
+  for (const auto& [t, now] : seen) EXPECT_EQ(t, now);
+  EXPECT_EQ(mem.dram_stats().write_forwards, 1u);
+}
+
 TEST(Dram, ZeroByteRequestsCompleteWithoutTraffic) {
   EventQueue eq;
   MemoryController mem(eq, dram_cfg());
   std::vector<Cycle> done;
-  mem.dram_read(5, 0, 0, [&](Cycle t) { done.push_back(t); });
-  mem.dram_write(7, 0, 64, [&](Cycle t) { done.push_back(t); });
+  mem.read(5, 0, 0, [&](Cycle t) { done.push_back(t); });
+  mem.write(7, 0, 64, [&](Cycle t) { done.push_back(t); });
   eq.run();
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(done[0], 5u);

@@ -24,12 +24,12 @@
 
 #include "cdsim/common/host_timer.hpp"
 #include "cdsim/obs/interval_sampler.hpp"
-#include "cdsim/obs/json_check.hpp"
 #include "cdsim/obs/timeline_file.hpp"
 #include "cdsim/obs/trace_recorder.hpp"
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
 #include "cdsim/workload/benchmarks.hpp"
+#include "json_check.hpp"
 
 namespace {
 
