@@ -29,8 +29,6 @@
 #include "cdsim/common/host_timer.hpp"
 #include "cdsim/mem/memory.hpp"
 #include "cdsim/noc/interconnect.hpp"
-#include "cdsim/obs/trace_recorder.hpp"
-#include "cdsim/verify/observer.hpp"
 
 namespace cdsim::bus {
 
@@ -70,29 +68,8 @@ class SnoopBus final : public noc::Interconnect {
   /// Registers a snooping agent. The agent's position in attach order is
   /// its round-robin arbitration slot. Must be called before any request.
   void attach(Snooper* s) override {
-    CDSIM_ASSERT(s != nullptr);
-    snoopers_.push_back(s);
+    noc::Interconnect::attach(s);
     queues_.emplace_back(kQueueCapacity);
-  }
-
-  [[nodiscard]] std::size_t num_agents() const noexcept override {
-    return snoopers_.size();
-  }
-
-  /// Attaches a differential-verification observer (nullptr detaches). The
-  /// bus reports write-back resolutions — the single point that knows
-  /// whether a queued write-back actually reached memory or was dropped by
-  /// its cancellation validator.
-  void set_observer(verify::AccessObserver* obs) noexcept override {
-    obs_ = obs;
-  }
-
-  /// Attaches the timeline recorder (observer-only; nullptr detaches):
-  /// one span per grant covering the bus-occupied window, named by the
-  /// transaction kind.
-  void set_trace(obs::TraceRecorder* rec, obs::TrackId track) noexcept {
-    trace_ = rec;
-    trace_track_ = track;
   }
 
   /// Full-control variant with grant hook and cancellation validator.
@@ -106,16 +83,8 @@ class SnoopBus final : public noc::Interconnect {
   }
 
   // --- statistics ---------------------------------------------------------
-  [[nodiscard]] std::uint64_t transactions(
-      coherence::BusTxKind k) const override {
-    return tx_count_[static_cast<std::size_t>(k)].value();
-  }
-  [[nodiscard]] std::uint64_t total_transactions() const override {
-    std::uint64_t n = 0;
-    for (const auto& c : tx_count_) n += c.value();
-    return n;
-  }
-  [[nodiscard]] std::uint64_t bytes_transferred() const noexcept override {
+  /// Payload bytes accepted onto the bus (the §V bus energy).
+  [[nodiscard]] std::uint64_t bytes_transferred() const noexcept {
     return bytes_.value();
   }
   /// Fraction of cycles the bus was occupied over [0, now]. The last
@@ -124,11 +93,6 @@ class SnoopBus final : public noc::Interconnect {
     const double u =
         safe_div(static_cast<double>(busy_cycles_), static_cast<double>(now));
     return u > 1.0 ? 1.0 : u;
-  }
-
-  /// Transactions dropped by their validator (cancelled write-backs).
-  [[nodiscard]] std::uint64_t cancelled_transactions() const noexcept override {
-    return cancelled_.value();
   }
 
  private:
@@ -181,18 +145,10 @@ class SnoopBus final : public noc::Interconnect {
     const prof::ScopedPhase prof_scope(prof::Phase::kFabric);
     const Cycle granted = eq_.now();
 
-    // A cancelled transaction vanishes before the address phase: no snoop,
-    // no occupancy, no memory traffic.
-    if (tx.hooks.validator && !tx.hooks.validator()) {
-      cancelled_.inc();
-      if (obs_ && tx.kind == coherence::BusTxKind::kWriteBack) {
-        obs_->on_writeback_resolved(tx.requester, tx.line_addr, granted,
-                                    /*cancelled=*/true);
-      }
+    if (!admit(tx.kind, tx.line_addr, tx.requester, tx.hooks, granted)) {
       if (tx.hooks.on_cancel) tx.hooks.on_cancel();
       return;
     }
-    tx_count_[static_cast<std::size_t>(tx.kind)].inc();
 
     BusResult res;
     res.granted_at = granted;
@@ -201,15 +157,8 @@ class SnoopBus final : public noc::Interconnect {
     // (Write-backs are point-to-point to memory; no snoop needed, but they
     // are still broadcast for protocol completeness — third parties ignore
     // them, see coherence::apply_snoop.)
-    bool flush_writes_memory = false;
-    for (std::size_t i = 0; i < snoopers_.size(); ++i) {
-      if (static_cast<CoreId>(i) == tx.requester) continue;
-      const SnoopReply r = snoopers_[i]->snoop(tx.kind, tx.line_addr,
-                                               tx.requester);
-      res.shared = res.shared || r.had_line;
-      res.supplied_by_cache = res.supplied_by_cache || r.supplied_data;
-      flush_writes_memory = flush_writes_memory || r.memory_update;
-    }
+    const SnoopFold fold = snoop(~(std::uint64_t{1} << tx.requester),
+                                 tx.kind, tx.line_addr, tx.requester, res);
 
     const Cycle mem_start = granted + cfg_.address_phase;
     Cycle done = mem_start;
@@ -228,7 +177,7 @@ class SnoopBus final : public noc::Interconnect {
           // memory-update side of a flush is always posted — the requester
           // got its data from the owner and never waits on memory.
           done += cfg_.cache_to_cache_latency + beats;
-          if (flush_writes_memory) {
+          if (fold.memory_update) {
             mem_.write(mem_start, tx.bytes, tx.line_addr, {});
           }
         } else {
@@ -248,10 +197,7 @@ class SnoopBus final : public noc::Interconnect {
           // until memory has absorbed the write.
           memory_completes = true;
         }
-        if (obs_) {
-          obs_->on_writeback_resolved(tx.requester, tx.line_addr, granted,
-                                      /*cancelled=*/false);
-        }
+        writeback_accepted(tx.requester, tx.line_addr, granted);
         break;
     }
 
@@ -261,10 +207,7 @@ class SnoopBus final : public noc::Interconnect {
     busy_cycles_ += occupied_until - granted;
     free_at_ = occupied_until;
     bytes_.inc(tx.bytes);
-    if (trace_ != nullptr) {
-      trace_->span(trace_track_, coherence::to_string(tx.kind).data(),
-                   granted, occupied_until, "line", tx.line_addr);
-    }
+    trace_grant(tx.kind, tx.line_addr, granted, occupied_until);
 
     if (!memory_completes) {
       res.done_at = done;
@@ -302,10 +245,6 @@ class SnoopBus final : public noc::Interconnect {
   EventQueue& eq_;
   BusConfig cfg_;
   mem::MemoryController& mem_;
-  verify::AccessObserver* obs_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::TrackId trace_track_ = 0;
-  std::vector<Snooper*> snoopers_;
   static constexpr std::size_t kQueueCapacity = 16;
   /// Per-agent pending-request rings (FIFO within an agent, round-robin
   /// across agents). Sized for the in-flight budget an L2 can sustain (its
@@ -316,9 +255,7 @@ class SnoopBus final : public noc::Interconnect {
   std::size_t queued_ = 0;
   bool arb_armed_ = false;
   Cycle free_at_ = 0;
-  Counter tx_count_[4];
   Counter bytes_;
-  Counter cancelled_;
   Cycle busy_cycles_ = 0;
 };
 

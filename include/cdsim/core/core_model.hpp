@@ -72,7 +72,7 @@ class LoadStorePort {
 };
 
 struct CoreConfig {
-  std::uint32_t issue_width = 4;            ///< Non-mem instructions/cycle.
+  std::uint32_t issue_width = 4;  ///< Non-mem instructions/cycle (2^k).
   /// Load-queue entries: outstanding loads the core tracks. Distinct-line
   /// concurrency is limited by the L1 MSHR file, not this value; the ROB
   /// window limits run-ahead. Several loads of one missing line (a line
@@ -154,13 +154,8 @@ class CoreModel {
   std::uint64_t committed_ = 0;
   bool have_op_ = false;
   workload::MemOp op_{};
-  double gap_carry_ = 0.0;
-  /// Integer pacing fast path, used when issue_width is a power of two
-  /// (every config in the tree): the carry is kept exactly, in units of
-  /// 1/issue_width cycles. Bit-identical to the double accumulation —
-  /// division by a power of two is exact in binary floating point — while
-  /// skipping the per-op int<->double round trips.
-  bool pow2_width_ = false;
+  /// Issue pacing: log2(issue_width), and the carried fraction of a cycle
+  /// in units of 1/issue_width cycles.
   std::uint32_t gap_shift_ = 0;
   std::uint64_t gap_rem_ = 0;
 

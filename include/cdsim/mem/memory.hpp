@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -222,11 +221,11 @@ class DramController {
 /// The memory-side facade every fabric talks to: one read and one write,
 /// each completing through a MemCallback (see the file comment).
 ///
-/// kFlat: the channel serializes transfers — each request occupies it for
-/// ceil(bytes / bytes_per_cycle) cycles placed *time-ordered* (first fit
-/// into the earliest idle gap at or after its start cycle, so a claim
-/// issued out of call order is no longer queued behind later traffic).
-/// Reads additionally pay `read_latency` before their data is available.
+/// kFlat: the channel serializes transfers in start order — each request
+/// occupies it for ceil(bytes / bytes_per_cycle) cycles from max(start,
+/// the end of the previous transfer); starts never decrease (every caller
+/// issues at now() plus a fixed offset). Reads additionally pay
+/// `read_latency` before their data is available.
 /// kDram: requests are forwarded to the DramController.
 class MemoryController {
  public:
@@ -291,12 +290,6 @@ class MemoryController {
   [[nodiscard]] const MemoryConfig& config() const noexcept { return cfg_; }
 
  private:
-  /// One busy interval [begin, end) of the flat channel.
-  struct Busy {
-    Cycle begin = 0;
-    Cycle end = 0;
-  };
-
   /// The one request path. A zero-byte request moves nothing on either
   /// model: no traffic, no counters, complete at max(start, now).
   void access(bool is_write, Cycle start, std::uint32_t bytes, Addr line,
@@ -324,62 +317,23 @@ class MemoryController {
     return (bytes + cfg_.bytes_per_cycle - 1) / cfg_.bytes_per_cycle;
   }
 
-  /// Time-ordered channel arbitration: first fit into the earliest idle
-  /// gap at or after `start`. For nondecreasing starts this is identical
-  /// to the historical "begin at max(start, channel_free_at)" rule (a gap
-  /// can only open at a cycle some claim already started at, so later
-  /// claims — whose starts are >= that cycle — can never fit inside it),
-  /// which is what keeps flat-mode golden pins bit-exact. Out-of-order
-  /// starts now land in the gap they belong to instead of serializing
-  /// behind later traffic.
+  /// Start-ordered channel arbitration: the transfer begins at
+  /// max(start, end of the previous transfer).
   Cycle claim_channel(Cycle start, std::uint32_t bytes) {
     CDSIM_ASSERT(bytes > 0);
-    const Cycle len = transfer_cycles(bytes);
-    // Intervals that ended at or before the current event time can never
-    // host a future claim (every in-tree issue point is >= now), so the
-    // ledger stays O(outstanding transfers), not O(run length).
-    const Cycle now = eq_.now();
-    auto live = busy_.begin();
-    while (live != busy_.end() && live->end <= now) ++live;
-    busy_.erase(busy_.begin(), live);
-    Cycle begin = start;
-    auto it = std::upper_bound(
-        busy_.begin(), busy_.end(), begin,
-        [](Cycle c, const Busy& b) { return c < b.begin; });
-    if (it != busy_.begin() && std::prev(it)->end > begin) {
-      begin = std::prev(it)->end;
-    }
-    for (; it != busy_.end() && it->begin < begin + len; ++it) {
-      if (it->end > begin) begin = it->end;
-    }
-    // Insert [begin, begin + len) before `it`, coalescing with exact
-    // neighbours. Every interval before `it` ends at or before `begin` and
-    // `it` starts at or after the new end, so `it` is the insertion point.
-    const Cycle end = begin + len;
-    const bool join_prev = it != busy_.begin() && std::prev(it)->end == begin;
-    const bool join_next = it != busy_.end() && it->begin == end;
-    if (join_prev && join_next) {
-      std::prev(it)->end = it->end;
-      busy_.erase(it);
-    } else if (join_prev) {
-      std::prev(it)->end = end;
-    } else if (join_next) {
-      it->begin = begin;
-    } else {
-      busy_.insert(it, Busy{begin, end});
-    }
+    CDSIM_ASSERT_MSG(start >= last_start_,
+                     "flat-channel claims must arrive in start order");
+    last_start_ = start;
+    const Cycle begin = std::max(start, free_at_);
+    free_at_ = begin + transfer_cycles(bytes);
     return begin;
   }
 
-  /// Prunes the busy-interval ledger against simulated time and clocks the
-  /// DRAM engine.
   EventQueue& eq_;
   MemoryConfig cfg_;
   std::unique_ptr<DramController> dram_;  ///< kDram only (else null).
-  /// Flat-channel busy intervals, sorted by begin, disjoint and coalesced,
-  /// pruned at now(). Only outstanding transfers stay in it, so the vector
-  /// is a few entries long and stops growing after warm-up.
-  std::vector<Busy> busy_;
+  Cycle free_at_ = 0;     ///< Flat channel busy until here.
+  Cycle last_start_ = 0;  ///< Latest flat-channel claim start.
   Counter reads_, writes_, bytes_read_, bytes_written_;
 };
 

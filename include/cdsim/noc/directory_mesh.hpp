@@ -44,11 +44,9 @@
 #include "cdsim/coherence/directory.hpp"
 #include "cdsim/common/event_queue.hpp"
 #include "cdsim/common/line_map.hpp"
-#include "cdsim/common/stats.hpp"
 #include "cdsim/mem/memory.hpp"
 #include "cdsim/noc/interconnect.hpp"
 #include "cdsim/noc/mesh.hpp"
-#include "cdsim/obs/trace_recorder.hpp"
 
 namespace cdsim::noc {
 
@@ -124,22 +122,9 @@ class DirectoryMesh final : public Interconnect {
 
   // --- Interconnect -------------------------------------------------------
   void attach(Snooper* s) override;
-  [[nodiscard]] std::size_t num_agents() const noexcept override {
-    return snoopers_.size();
-  }
-  void set_observer(verify::AccessObserver* obs) noexcept override {
-    obs_ = obs;
-  }
   void request(coherence::BusTxKind kind, Addr line_addr, CoreId requester,
                std::uint32_t bytes, RequestHooks hooks) override;
   void note_clean_drop(CoreId core, Addr line_addr) override;
-
-  /// Attaches the timeline recorder (observer-only; nullptr detaches):
-  /// one span per home-bank grant, named by the transaction kind.
-  void set_trace(obs::TraceRecorder* rec, obs::TrackId track) noexcept {
-    trace_ = rec;
-    trace_track_ = track;
-  }
 
   /// Wires the shared L3 home banks into the memory legs (three-level
   /// hierarchy). Must be called before any request; also hands the cache
@@ -147,25 +132,10 @@ class DirectoryMesh final : public Interconnect {
   /// detaches (two-level behavior, bit-identical to pre-L3 builds).
   void attach_l3(MemorySideCache* l3);
 
-  [[nodiscard]] std::uint64_t transactions(
-      coherence::BusTxKind k) const override {
-    return tx_count_[static_cast<std::size_t>(k)].value();
-  }
-  [[nodiscard]] std::uint64_t total_transactions() const override {
-    std::uint64_t n = 0;
-    for (const auto& c : tx_count_) n += c.value();
-    return n;
-  }
-  [[nodiscard]] std::uint64_t bytes_transferred() const noexcept override {
-    return noc_.bytes_injected();
-  }
   /// Bottleneck (busiest-link) occupancy — the mesh's analogue of bus
   /// utilization.
   [[nodiscard]] double utilization(Cycle now) const override {
     return noc_.max_link_utilization(now);
-  }
-  [[nodiscard]] std::uint64_t cancelled_transactions() const noexcept override {
-    return cancelled_.value();
   }
 
   // --- introspection ------------------------------------------------------
@@ -243,11 +213,7 @@ class DirectoryMesh final : public Interconnect {
   mem::MemoryController& mem_;
   MeshNoc noc_;
   coherence::Directory dir_;
-  verify::AccessObserver* obs_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::TrackId trace_track_ = 0;
   MemorySideCache* l3_ = nullptr;  ///< Shared L3 banks (three-level only).
-  std::vector<Snooper*> snoopers_;
 
   /// Earliest next grant per home bank.
   std::vector<Cycle> bank_free_;
@@ -263,9 +229,6 @@ class DirectoryMesh final : public Interconnect {
   /// Per-line FIFO of transactions waiting for an in-flight write-back
   /// (intrusive chains through Tx::next; an entry exists iff nonempty).
   LineMap<DefList> deferred_;
-
-  Counter tx_count_[4];
-  Counter cancelled_;
 };
 
 }  // namespace cdsim::noc

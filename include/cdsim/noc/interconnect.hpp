@@ -18,14 +18,20 @@
 // atomic at the grant, on_grant/on_done/validator/on_cancel fire with the
 // same meaning — so the L2 controller, the decay techniques, and the
 // differential-verification oracle are topology-agnostic. Only timing,
-// traffic, and energy differ.
+// traffic, and energy differ. The grant-time half of that contract is
+// implemented once, here: each fabric's grant calls admit() (the validator
+// drop) and then snoop() (the snoop fold), and the observer and timeline
+// hooks are the base's.
 
 #include <cstdint>
+#include <vector>
 
 #include "cdsim/coherence/mesi.hpp"
 #include "cdsim/common/assert.hpp"
 #include "cdsim/common/small_fn.hpp"
+#include "cdsim/common/stats.hpp"
 #include "cdsim/common/types.hpp"
+#include "cdsim/obs/trace_recorder.hpp"
 #include "cdsim/verify/observer.hpp"
 
 namespace cdsim::noc {
@@ -111,15 +117,26 @@ class Interconnect {
   virtual ~Interconnect() = default;
 
   /// Registers an agent; its position in attach order is its CoreId on the
-  /// fabric. Must be called before any request.
-  virtual void attach(Snooper* s) = 0;
-  [[nodiscard]] virtual std::size_t num_agents() const noexcept = 0;
+  /// fabric. Must be called before any request. Fabrics that keep
+  /// per-agent state extend it and call this first.
+  virtual void attach(Snooper* s) {
+    CDSIM_ASSERT(s != nullptr);
+    CDSIM_ASSERT_MSG(agents_.size() < 64, "snoop sets are 64-bit masks");
+    agents_.push_back(s);
+  }
 
   /// Attaches a differential-verification observer (nullptr detaches). The
   /// fabric reports write-back resolutions — the single point that knows
   /// whether a queued write-back actually reached memory or was dropped by
   /// its cancellation validator.
-  virtual void set_observer(verify::AccessObserver* obs) noexcept = 0;
+  void set_observer(verify::AccessObserver* obs) noexcept { obs_ = obs; }
+
+  /// Attaches the timeline recorder (observer-only; nullptr detaches): one
+  /// span per grant on `track`, named by the transaction kind.
+  void set_trace(obs::TraceRecorder* rec, obs::TrackId track) noexcept {
+    trace_ = rec;
+    trace_track_ = track;
+  }
 
   /// Full-control transaction issue with grant hook and cancellation
   /// validator. `bytes` is the payload size (a line for fills and
@@ -147,18 +164,89 @@ class Interconnect {
   }
 
   // --- statistics ---------------------------------------------------------
-  [[nodiscard]] virtual std::uint64_t transactions(
-      coherence::BusTxKind k) const = 0;
-  [[nodiscard]] virtual std::uint64_t total_transactions() const = 0;
-  /// Payload bytes accepted onto the fabric.
-  [[nodiscard]] virtual std::uint64_t bytes_transferred() const noexcept = 0;
   /// Occupancy of the fabric's scarcest resource over [0, now], in [0, 1]:
   /// the single bus for kSnoopBus, the busiest mesh link for
   /// kDirectoryMesh.
   [[nodiscard]] virtual double utilization(Cycle now) const = 0;
   /// Transactions dropped by their validator (cancelled write-backs).
-  [[nodiscard]] virtual std::uint64_t cancelled_transactions()
-      const noexcept = 0;
+  [[nodiscard]] std::uint64_t cancelled_transactions() const noexcept {
+    return cancelled_.value();
+  }
+
+ protected:
+  /// What snoop() learned beyond the BusResult flags.
+  struct SnoopFold {
+    CoreId supplier = kNoCore;  ///< The agent that supplied the data.
+    /// Some reply's flush also writes memory (SnoopReply::memory_update).
+    bool memory_update = false;
+  };
+
+  [[nodiscard]] std::size_t num_attached() const noexcept {
+    return agents_.size();
+  }
+  [[nodiscard]] Snooper& agent(CoreId c) const { return *agents_[c]; }
+
+  /// Runs the transaction's validator at its grant. A dropped transaction
+  /// vanishes before its snoop phase (no snoop, no occupancy, no traffic):
+  /// this counts it and reports a dropped write-back to the observer, and
+  /// the caller then releases what it holds and fires `on_cancel`.
+  [[nodiscard]] bool admit(coherence::BusTxKind kind, Addr line,
+                           CoreId requester, const RequestHooks& hooks,
+                           Cycle granted) {
+    if (!hooks.validator || hooks.validator()) return true;
+    cancelled_.inc();
+    if (obs_ != nullptr && kind == coherence::BusTxKind::kWriteBack) {
+      obs_->on_writeback_resolved(requester, line, granted,
+                                  /*cancelled=*/true);
+    }
+    return false;
+  }
+
+  /// Snoops every attached agent in `targets` (a CoreId bitmask) in CoreId
+  /// order, atomically at the caller's grant, and folds the replies into
+  /// `res`.
+  SnoopFold snoop(std::uint64_t targets, coherence::BusTxKind kind,
+                  Addr line, CoreId requester, BusResult& res) {
+    SnoopFold fold;
+    for (CoreId t = 0; t < static_cast<CoreId>(agents_.size()); ++t) {
+      if (((targets >> t) & 1u) == 0) continue;
+      const SnoopReply r = agents_[t]->snoop(kind, line, requester);
+      res.shared = res.shared || r.had_line;
+      if (r.supplied_data) {
+        CDSIM_ASSERT_MSG(fold.supplier == kNoCore,
+                         "two suppliers for one line");
+        res.supplied_by_cache = true;
+        fold.supplier = t;
+      }
+      fold.memory_update = fold.memory_update || r.memory_update;
+    }
+    return fold;
+  }
+
+  /// Reports an accepted write-back to the observer (see set_observer).
+  void writeback_accepted(CoreId requester, Addr line, Cycle granted,
+                          bool to_l3 = false) {
+    if (obs_ != nullptr) {
+      obs_->on_writeback_resolved(requester, line, granted,
+                                  /*cancelled=*/false, to_l3);
+    }
+  }
+
+  /// Emits the grant span [from, to) on the fabric's timeline track.
+  void trace_grant(coherence::BusTxKind kind, Addr line, Cycle from,
+                   Cycle to) {
+    if (trace_ != nullptr) {
+      trace_->span(trace_track_, coherence::to_string(kind).data(), from, to,
+                   "line", line);
+    }
+  }
+
+ private:
+  std::vector<Snooper*> agents_;
+  verify::AccessObserver* obs_ = nullptr;
+  obs::TraceRecorder* trace_ = nullptr;
+  obs::TrackId trace_track_ = 0;
+  Counter cancelled_;
 };
 
 }  // namespace cdsim::noc

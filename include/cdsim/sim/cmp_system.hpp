@@ -161,8 +161,6 @@ class CmpSystem {
     return *l3_;
   }
   [[nodiscard]] bool has_l3() const noexcept { return l3_ != nullptr; }
-  /// Topology-agnostic view of the coherence fabric.
-  [[nodiscard]] noc::Interconnect& interconnect() noexcept { return *ic_; }
   [[nodiscard]] mem::MemoryController& memory() noexcept { return *mem_; }
   [[nodiscard]] const SystemConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const thermal::RcThermalModel& thermal_model() const {

@@ -31,10 +31,9 @@ CoreModel::CoreModel(EventQueue& eq, const CoreConfig& cfg, CoreId id,
       port_(port),
       budget_(instr_budget),
       outstanding_(std::bit_ceil(std::size_t{cfg.rob_window} + 2)) {
-  CDSIM_ASSERT(cfg_.issue_width >= 1);
+  CDSIM_ASSERT(std::has_single_bit(cfg_.issue_width));
   CDSIM_ASSERT(cfg_.max_outstanding_loads >= 1);
   CDSIM_ASSERT(instr_budget >= 1);
-  pow2_width_ = std::has_single_bit(cfg_.issue_width);
   gap_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.issue_width));
   port_.set_resources_freed([this] { wake(); });
 }
@@ -63,21 +62,12 @@ void CoreModel::advance() {
   have_op_ = true;
 
   // The gap's non-memory instructions retire at issue_width per cycle;
-  // carry fractional cycles so pacing is exact in the long run. For
-  // power-of-two widths the carry lives in integer 1/width units (exactly
-  // the value the double path would hold — /2^k is exact in binary FP).
+  // the fractional cycle carries over, in 1/issue_width units, so pacing
+  // is exact in the long run.
   committed_ += op_.gap;
-  Cycle delay;
-  if (pow2_width_) {
-    gap_rem_ += op_.gap;
-    delay = gap_rem_ >> gap_shift_;
-    gap_rem_ &= (std::uint64_t{1} << gap_shift_) - 1;
-  } else {
-    gap_carry_ +=
-        static_cast<double>(op_.gap) / static_cast<double>(cfg_.issue_width);
-    delay = static_cast<Cycle>(gap_carry_);
-    gap_carry_ -= static_cast<double>(delay);
-  }
+  gap_rem_ += op_.gap;
+  const Cycle delay = gap_rem_ >> gap_shift_;
+  gap_rem_ &= (std::uint64_t{1} << gap_shift_) - 1;
 
   // Zero-delay ops issue in the same cycle; calling directly (with a depth
   // guard) avoids an event per operation on the hot path.

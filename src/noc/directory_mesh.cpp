@@ -25,10 +25,9 @@ DirectoryMesh::DirectoryMesh(EventQueue& eq, const DirectoryMeshConfig& cfg,
 }
 
 void DirectoryMesh::attach(Snooper* s) {
-  CDSIM_ASSERT(s != nullptr);
-  CDSIM_ASSERT_MSG(snoopers_.size() < noc_.num_tiles(),
+  CDSIM_ASSERT_MSG(num_attached() < noc_.num_tiles(),
                    "one agent per mesh tile");
-  snoopers_.push_back(s);
+  Interconnect::attach(s);
 }
 
 std::uint32_t DirectoryMesh::alloc_tx(Tx&& tx) {
@@ -51,7 +50,7 @@ void DirectoryMesh::free_tx(TxId id) {
 
 void DirectoryMesh::request(BusTxKind kind, Addr line_addr, CoreId requester,
                             std::uint32_t bytes, RequestHooks hooks) {
-  CDSIM_ASSERT(requester < snoopers_.size());
+  CDSIM_ASSERT(requester < num_attached());
   const TxId id =
       alloc_tx(Tx{kind, line_addr, requester, bytes, std::move(hooks)});
   // A write-back's request packet carries the line; everything else is a
@@ -144,19 +143,9 @@ void DirectoryMesh::process(TxId id) {
 
   // Home-bank grant span: the window this transaction occupies its
   // serialization point (matches the bank_occupancy reserved at arrival).
-  if (trace_ != nullptr) {
-    trace_->span(trace_track_, coherence::to_string(kind).data(), granted,
-                 granted + cfg_.bank_occupancy, "line", line);
-  }
+  trace_grant(kind, line, granted, granted + cfg_.bank_occupancy);
 
-  // A cancelled transaction vanishes before its snoop phase: no snoops, no
-  // traffic, no memory write — identical to the bus's validator semantics.
-  if (tx.hooks.validator && !tx.hooks.validator()) {
-    cancelled_.inc();
-    if (obs_ && kind == BusTxKind::kWriteBack) {
-      obs_->on_writeback_resolved(tx.requester, line, granted,
-                                  /*cancelled=*/true);
-    }
+  if (!admit(kind, line, tx.requester, tx.hooks, granted)) {
     // Move the fallback hook out before releasing the slot: on_cancel
     // reenters request() (e.g. a dropped BusUpgr reissued as BusRdX), which
     // may immediately reuse this very id.
@@ -175,7 +164,7 @@ void DirectoryMesh::process(TxId id) {
     if (e != nullptr && e->owner != kNoCore) {
       const bool owner_has_data =
           e->owner != tx.requester &&
-          coherence::holds_data(snoopers_[e->owner]->probe(line));
+          coherence::holds_data(agent(e->owner).probe(line));
       if (!owner_has_data) {
         dir_.stats().deferrals.inc();
         defer_append(deferred_[line], id);
@@ -184,14 +173,11 @@ void DirectoryMesh::process(TxId id) {
     }
   }
 
-  tx_count_[static_cast<std::size_t>(kind)].inc();
-
   BusResult res;
   res.granted_at = granted;
   res.done_at = granted;  // provisional; the data legs set the real value
 
-  bool flush_mem = false;
-  CoreId supplier = kNoCore;
+  SnoopFold fold;
   std::uint64_t targets = 0;
 
   if (kind == BusTxKind::kWriteBack) {
@@ -200,17 +186,12 @@ void DirectoryMesh::process(TxId id) {
     // power-off completes, and the L2 reports that death through
     // note_clean_drop. Eviction write-backs (the copy died at evict time)
     // release here.
-    if (snoopers_[tx.requester]->probe(line) ==
-        MesiState::kTransientDirty) {
+    if (agent(tx.requester).probe(line) == MesiState::kTransientDirty) {
       dir_.stats().owner_writebacks.inc();
     } else {
       dir_.writeback_granted(tx.requester, line);
     }
-    if (obs_) {
-      obs_->on_writeback_resolved(tx.requester, line, granted,
-                                  /*cancelled=*/false,
-                                  /*to_l3=*/l3_ != nullptr);
-    }
+    writeback_accepted(tx.requester, line, granted, /*to_l3=*/l3_ != nullptr);
   } else {
     coherence::DirectoryEntry& e = dir_.lookup(line);
     targets = dir_.snoop_targets(e, tx.requester);
@@ -219,25 +200,15 @@ void DirectoryMesh::process(TxId id) {
     // §III Owned-turn-off invalidation round — served here as a recall
     // directed at exactly the tracked sharers, not a broadcast.
     if (kind == BusTxKind::kBusUpgr &&
-        snoopers_[tx.requester]->probe(line) ==
-            MesiState::kTransientDirty) {
+        agent(tx.requester).probe(line) == MesiState::kTransientDirty) {
       dir_.stats().recalls.inc();
     }
 
     // Directed snoops, atomic at this grant (the bus's address phase,
     // narrowed to the tracked holders).
-    for (CoreId t = 0; t < static_cast<CoreId>(snoopers_.size()); ++t) {
-      if (((targets >> t) & 1u) == 0) continue;
-      dir_.stats().directed_snoops.inc();
-      const SnoopReply r = snoopers_[t]->snoop(kind, line, tx.requester);
-      res.shared = res.shared || r.had_line;
-      if (r.supplied_data) {
-        CDSIM_ASSERT_MSG(supplier == kNoCore, "two suppliers for one line");
-        res.supplied_by_cache = true;
-        supplier = t;
-      }
-      flush_mem = flush_mem || r.memory_update;
-    }
+    dir_.stats().directed_snoops.inc(
+        static_cast<std::uint64_t>(std::popcount(targets)));
+    fold = snoop(targets, kind, line, tx.requester, res);
   }
 
   // Install/commit at the grant — the same atomic contract as the bus.
@@ -250,16 +221,16 @@ void DirectoryMesh::process(TxId id) {
     coherence::DirectoryEntry& e = dir_.lookup(line);
     const std::uint64_t involved =
         targets | (std::uint64_t{1} << tx.requester);
-    for (CoreId t = 0; t < static_cast<CoreId>(snoopers_.size()); ++t) {
+    for (CoreId t = 0; t < static_cast<CoreId>(num_attached()); ++t) {
       if (((involved >> t) & 1u) == 0) continue;
-      dir_.record_probe(e, t, snoopers_[t]->probe(line));
+      dir_.record_probe(e, t, agent(t).probe(line));
     }
     CDSIM_ASSERT_MSG(e.owner == kNoCore || e.tracked(e.owner),
                      "directory owner must be a tracked sharer");
     dir_.drop_if_uncached(line);
   }
 
-  data_legs(id, res, targets, flush_mem, supplier);
+  data_legs(id, res, targets, fold.memory_update, fold.supplier);
   if (kind == BusTxKind::kWriteBack) wake_deferred(line);
 }
 
@@ -339,7 +310,7 @@ void DirectoryMesh::data_legs(TxId id, BusResult res, std::uint64_t targets,
                   [this, id, res](Cycle a) { finish_tx(id, res, a); });
         break;
       }
-      for (CoreId t = 0; t < static_cast<CoreId>(snoopers_.size()); ++t) {
+      for (CoreId t = 0; t < static_cast<CoreId>(num_attached()); ++t) {
         if (((targets >> t) & 1u) == 0) continue;
         noc_.send(home, t, cfg_.ctrl_bytes,
                   [this, t, home, id, res, req_tile](Cycle) {

@@ -93,11 +93,22 @@ void validate_system_config(const SystemConfig& cfg) {
                    cfg.l2.line_bytes, "l3.ways", cfg.l3.ways);
   }
   // Counts, widths and latencies the components assert to be nonzero at
-  // construction or at first use (l1.max_drains_in_flight = 0 would hang).
+  // construction or at first use (l1.max_drains_in_flight = 0 would hang,
+  // and l2.retry_interval = 0 would stop simulated time).
   const auto check_nonzero = [&fail](std::uint64_t v, const char* field) {
     if (v == 0) fail(std::string(field) + " must be at least 1");
   };
-  check_nonzero(cfg.core.issue_width, "core.issue_width");
+  if (cfg.per_core_instructions.empty()) {
+    check_nonzero(cfg.instructions_per_core, "instructions_per_core");
+  }
+  for (const std::uint64_t budget : cfg.per_core_instructions) {
+    check_nonzero(budget, "every per_core_instructions entry");
+  }
+  // The core paces issue in exact 1/issue_width-cycle units.
+  if (!is_pow2(cfg.core.issue_width)) {
+    fail("core.issue_width " + std::to_string(cfg.core.issue_width) +
+         " must be a power of two");
+  }
   check_nonzero(cfg.core.max_outstanding_loads, "core.max_outstanding_loads");
   check_nonzero(cfg.l1.hit_latency, "l1.hit_latency");
   check_nonzero(cfg.l1.mshr_entries, "l1.mshr_entries");
@@ -105,6 +116,7 @@ void validate_system_config(const SystemConfig& cfg) {
   check_nonzero(cfg.l1.max_drains_in_flight, "l1.max_drains_in_flight");
   check_nonzero(cfg.l2.hit_latency, "l2.hit_latency");
   check_nonzero(cfg.l2.mshr_entries, "l2.mshr_entries");
+  check_nonzero(cfg.l2.retry_interval, "l2.retry_interval");
   if (cfg.hierarchy == Hierarchy::kThreeLevel) {
     check_nonzero(cfg.l3.hit_latency, "l3.hit_latency");
     check_nonzero(cfg.l3.mshr_entries, "l3.mshr_entries");
@@ -351,10 +363,7 @@ void CmpSystem::set_trace_recorder(obs::TraceRecorder* rec) {
                                 ? rec->track("L2." + std::to_string(c))
                                 : 0);
   }
-  const obs::TrackId fabric =
-      rec != nullptr ? rec->track("fabric") : 0;
-  if (bus_ != nullptr) bus_->set_trace(rec, fabric);
-  if (mesh_ != nullptr) mesh_->set_trace(rec, fabric);
+  ic_->set_trace(rec, rec != nullptr ? rec->track("fabric") : 0);
   if (l3_ != nullptr) {
     l3_->set_trace(rec, rec != nullptr ? rec->track("L3") : 0);
   }

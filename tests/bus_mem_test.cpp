@@ -278,23 +278,6 @@ TEST(Memory, BandwidthMetric) {
   EXPECT_DOUBLE_EQ(mem.bandwidth(1000), 0.64);
 }
 
-TEST(Memory, OutOfOrderStartsFillEarlierGaps) {
-  // Channel arbitration is time-ordered, not call-ordered: a claim issued
-  // late but starting early lands in the idle gap in front of already
-  // booked traffic.
-  EventQueue eq;
-  mem::MemoryConfig cfg;
-  mem::MemoryController mem(eq, cfg);
-  const Cycle xfer = 64 / cfg.bytes_per_cycle;  // 4
-  const Cycle late = flat_read(mem, 1000, 64);
-  EXPECT_EQ(late, 1000 + cfg.read_latency + xfer);
-  const Cycle early = flat_read(mem, 0, 64);  // fits the gap [0, 1000)
-  EXPECT_EQ(early, 0 + cfg.read_latency + xfer);
-  // A start that cannot finish before the booked claim queues behind it.
-  const Cycle squeezed = flat_read(mem, 998, 64);
-  EXPECT_EQ(squeezed, 1000 + xfer + cfg.read_latency + xfer);
-}
-
 TEST(Memory, ZeroByteTransfersAreNoOps) {
   EventQueue eq;
   mem::MemoryConfig cfg;

@@ -195,9 +195,19 @@ TEST(ConfigValidation, FieldsComponentsAssertOnAreRejectedByName) {
     c.mem.model = mem::MemoryModel::kDram;
   };
   const Edit tlb = [](SystemConfig& c) { c.mem.tlb.enabled = true; };
+  const Edit per_core = [](SystemConfig& c) {
+    c.per_core_instructions.assign(c.num_cores, 1000);
+  };
   const Row rows[] = {
+      {"instructions_per_core", nullptr,
+       [](SystemConfig& c) { c.instructions_per_core = 0; }},
+      {"per_core_instructions", per_core,
+       [](SystemConfig& c) { c.per_core_instructions.back() = 0; }},
       {"core.issue_width", nullptr,
        [](SystemConfig& c) { c.core.issue_width = 0; }},
+      // The core paces issue in 1/issue_width-cycle units.
+      {"core.issue_width", nullptr,
+       [](SystemConfig& c) { c.core.issue_width = 3; }},
       {"core.max_outstanding_loads", nullptr,
        [](SystemConfig& c) { c.core.max_outstanding_loads = 0; }},
       {"l1.size_bytes", nullptr,
@@ -223,6 +233,9 @@ TEST(ConfigValidation, FieldsComponentsAssertOnAreRejectedByName) {
        [](SystemConfig& c) { c.l2.hit_latency = 0; }},
       {"l2.mshr_entries", nullptr,
        [](SystemConfig& c) { c.l2.mshr_entries = 0; }},
+      // A retry at the same cycle stops simulated time; never run one.
+      {"l2.retry_interval", nullptr,
+       [](SystemConfig& c) { c.l2.retry_interval = 0; }},
       {"l3.ways", three_level, [](SystemConfig& c) { c.l3.ways = 12; }},
       {"l3.ways", three_level, [](SystemConfig& c) { c.l3.ways = 128; }},
       {"l3.hit_latency", three_level,

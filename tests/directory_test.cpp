@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <vector>
 
 #include "cdsim/coherence/directory.hpp"
@@ -15,6 +14,7 @@
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/verify/oracle.hpp"
 #include "cdsim/workload/fuzzer.hpp"
+#include "mini_cache.hpp"
 
 namespace cdsim {
 namespace {
@@ -92,37 +92,7 @@ TEST(Directory, LateWritebackLeavesNewOwnerAlone) {
 // DirectoryMesh transport (mini coherent caches on a mesh)
 // ---------------------------------------------------------------------------
 
-/// A minimal coherent cache: per-line MESI/MOESI state driven by the real
-/// protocol functions, installing at on_grant like the L2 does — but with
-/// no timing, MSHRs or decay, so directory/transport behavior is isolated.
-class MiniCache final : public noc::Snooper {
- public:
-  explicit MiniCache(coherence::Protocol p = coherence::Protocol::kMesi)
-      : protocol_(p) {}
-
-  coherence::Protocol protocol_;
-  std::map<Addr, MesiState> lines;
-  int snoops_seen = 0;
-
-  noc::SnoopReply snoop(BusTxKind kind, Addr line, CoreId) override {
-    ++snoops_seen;
-    const auto it = lines.find(line);
-    const MesiState s = it == lines.end() ? MesiState::kInvalid : it->second;
-    const coherence::SnoopOutcome out =
-        coherence::apply_snoop(protocol_, s, kind);
-    if (out.next == MesiState::kInvalid) {
-      lines.erase(line);
-    } else {
-      lines[line] = out.next;
-    }
-    return {out.had_line, out.supply_data, out.memory_update};
-  }
-
-  [[nodiscard]] MesiState probe(Addr line) const override {
-    const auto it = lines.find(line);
-    return it == lines.end() ? MesiState::kInvalid : it->second;
-  }
-};
+using test::MiniCache;
 
 struct MeshFixture {
   EventQueue eq;
