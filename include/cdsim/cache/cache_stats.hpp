@@ -8,7 +8,7 @@
 
 namespace cdsim::cache {
 
-/// Hit/miss bookkeeping plus the latency histogram behind AMAT.
+/// Hit/miss, eviction, write-back and decay bookkeeping of one structure.
 struct CacheStats {
   Counter read_hits;
   Counter read_misses;
@@ -34,10 +34,6 @@ struct CacheStats {
   }
   [[nodiscard]] std::uint64_t misses() const noexcept {
     return read_misses.value() + write_misses.value();
-  }
-  [[nodiscard]] double miss_rate() const noexcept {
-    return safe_div(static_cast<double>(misses()),
-                    static_cast<double>(accesses()));
   }
 };
 

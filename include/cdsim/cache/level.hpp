@@ -2,18 +2,33 @@
 // Level-agnostic cache engine: the mechanics every cache level shares.
 //
 // A cache level — the per-core L1, a private L2 slice, or a shared L3 home
-// bank — is built from the same parts: a set-associative tag array, an MSHR
-// file, an optional coalescing write buffer, the decay sweeper with its
-// expiry wheel, the powered-line time integral behind the paper's
-// occupation metric, the decay-attribution map behind decay-induced-miss
-// accounting, and the hit/miss statistics. Before this engine existed those
-// parts were wired by hand inside each controller (631 lines of L2 logic
-// that could not be reused); now a controller composes one CacheLevel and
-// keeps only its protocol choreography — MESI/MOESI snooping for a private
-// coherent level, write-through draining for the L1 front end, memory-side
-// absorption for the shared L3. The engine never branches on the protocol
+// bank — is built from the same parts: a set-associative tag array, the
+// decay sweeper with its expiry wheel, the powered-line time integral
+// behind the paper's occupation metric, the decay-attribution map behind
+// decay-induced-miss accounting, and the hit/miss statistics. A controller
+// composes one CacheLevel and keeps only its protocol choreography —
+// MESI/MOESI snooping for a private coherent level, write-through draining
+// for the L1 front end, memory-side absorption for the shared L3 — plus
+// whatever only it uses (the L1's MSHR file and write buffer, the L2's
+// MSHR file and retry backoff). The engine never branches on the protocol
 // itself; the per-level turn-off legality rules live in the controllers
 // (DESIGN.md §3a).
+//
+// Line lifecycle. Every line event that the paper's Fig. 3 metrics book
+// goes through one engine call, so no level can forget a step:
+//   fill(slot, line, payload, arm_as)  into an empty way: stamps the
+//       line's last touch, arms decay as on an entry into `arm_as` (§IV),
+//       installs the line, registers it with the expiry wheel, powers it
+//       on and clears any pending decay attribution for the address;
+//   drop(ln)                           invalidates the line and powers it
+//       off (eviction victim, invalidation, or the end of a turn-off);
+//   note_turnoff(line)                 counts a decay turn-off and
+//       remembers the address, so the next miss to it is decay-induced;
+//   arm_on_entry(d, to)                re-arms a resident line on a state
+//       change (decay::arms_on_entry; `to` is S, E, M or O).
+// Non-coherent levels map their line flavor onto the equivalent MESI state
+// (clean -> kShared, dirty -> kModified), so the Selective Decay rule means
+// the same thing at every level.
 //
 // Every structure reports through one counter snapshot, LevelCounters:
 // CmpSystem's §V energy model and its end-of-run LevelMetrics read every
@@ -23,23 +38,16 @@
 // and must embed a `decay::LineDecayState decay;` member — the engine owns
 // the decay bookkeeping (arming, wheel registration, expiry) uniformly for
 // every level.
-//
-// Extraction contract: every method here was moved verbatim from the L2
-// controller (PR 2's expiry-wheel and attribution-aging semantics
-// included), so a two-level system rebuilt on this engine is bit-identical
-// to the hand-wired one — the golden-metrics pins prove it.
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "cdsim/cache/cache_stats.hpp"
 #include "cdsim/cache/geometry.hpp"
-#include "cdsim/cache/mshr.hpp"
 #include "cdsim/cache/tag_array.hpp"
-#include "cdsim/cache/write_buffer.hpp"
 #include "cdsim/coherence/mesi.hpp"
 #include "cdsim/common/assert.hpp"
 #include "cdsim/common/event_queue.hpp"
@@ -50,18 +58,6 @@
 #include "cdsim/decay/technique.hpp"
 
 namespace cdsim::cache {
-
-/// Shape/timing knobs shared by every level.
-struct LevelTiming {
-  Cycle hit_latency = 1;
-  std::uint32_t mshr_entries = 8;
-  /// Backoff before re-attempting an access that found its line transient
-  /// or the MSHR file full.
-  Cycle retry_interval = 4;
-  /// Coalescing write-buffer entries between this level and the one below
-  /// (0 = no write buffer).
-  std::uint32_t write_buffer_entries = 0;
-};
 
 /// One structure's counters at an instant `now`: everything the §V energy
 /// model and the end-of-run LevelMetrics read. Snapshots of several
@@ -121,13 +117,12 @@ class CacheLevel {
   /// Line handle (SoA LineRef, passed by value — see tag_array.hpp).
   using LineT = LineRef<Payload>;
 
-  CacheLevel(EventQueue& eq, const Geometry& geo, const LevelTiming& timing,
+  CacheLevel(EventQueue& eq, const Geometry& geo, Cycle hit_latency,
              const decay::DecayConfig& dcfg, SmallFn<void(Cycle)> sweep_fn)
       : eq_(eq),
-        timing_(timing),
+        hit_latency_(hit_latency),
         dcfg_(dcfg),
         tags_(geo),
-        mshr_(timing.mshr_entries),
         sweeper_(eq, dcfg, std::move(sweep_fn)) {
     // Checked here, not at class scope: controllers nest their Payload
     // inside themselves, and a nested struct's default member initializers
@@ -138,10 +133,7 @@ class CacheLevel {
                   "default-constructible, copyable, and embed a "
                   "`decay::LineDecayState decay;` member — the decay engine "
                   "reaches line state through that field");
-    CDSIM_ASSERT(timing_.hit_latency >= 1);
-    if (timing_.write_buffer_entries > 0) {
-      wb_.emplace(timing_.write_buffer_entries);
-    }
+    CDSIM_ASSERT(hit_latency_ >= 1);
     wheel_.configure(dcfg_);
   }
 
@@ -156,41 +148,55 @@ class CacheLevel {
   [[nodiscard]] const TagArray<Payload>& tags() const noexcept {
     return tags_;
   }
-  [[nodiscard]] MshrFile& mshr() noexcept { return mshr_; }
-  [[nodiscard]] WriteBuffer& write_buffer() noexcept {
-    CDSIM_ASSERT_MSG(wb_.has_value(), "level has no write buffer");
-    return *wb_;
-  }
-  [[nodiscard]] const WriteBuffer& write_buffer() const noexcept {
-    CDSIM_ASSERT_MSG(wb_.has_value(), "level has no write buffer");
-    return *wb_;
-  }
   [[nodiscard]] CacheStats& stats() noexcept { return stats_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const Geometry& geometry() const noexcept {
     return tags_.geometry();
   }
-
-  // --- shared counters ----------------------------------------------------
+  /// Line fills, counted by each controller where its data lands.
   [[nodiscard]] Counter& fills() noexcept { return fills_; }
-  [[nodiscard]] Counter& transient_retries() noexcept {
-    return transient_retries_;
-  }
-  [[nodiscard]] const Counter& transient_retries() const noexcept {
-    return transient_retries_;
-  }
 
   // --- timing -------------------------------------------------------------
   /// Effective hit latency: +1 cycle when decay hardware is present
   /// (Gated-Vdd access penalty, paper §V) — at any level that decays.
   [[nodiscard]] Cycle access_latency() const noexcept {
-    return timing_.hit_latency +
-           (decay::uses_decay(dcfg_.technique) ? 1 : 0);
+    return hit_latency_ + (decay::uses_decay(dcfg_.technique) ? 1 : 0);
   }
 
-  /// Schedules `fn` after the level's retry backoff.
-  void retry(EventQueue::Callback fn) {
-    eq_.schedule_in(timing_.retry_interval, std::move(fn));
+  // --- line lifecycle -----------------------------------------------------
+  /// Installs `line` into `slot`, a way from pick_victim that the caller
+  /// has already emptied (drop() a valid victim first), with decay armed as
+  /// on an entry into `arm_as`.
+  LineT fill(LineT slot, Addr line, Payload p, coherence::MesiState arm_as) {
+    CDSIM_ASSERT_MSG(!slot.valid(), "fill into a way still holding a line");
+    p.decay.last_touch = eq_.now();
+    arm_on_entry(p.decay, arm_as);
+    const LineT ln = tags_.install(slot, line, std::move(p));
+    wheel_register(ln);
+    power_on();
+    clear_attribution(line);
+    return ln;
+  }
+
+  /// The line stops holding data: invalidated and powered off. The payload
+  /// is left as is (tag_array.hpp); a later fill overwrites it.
+  void drop(LineT ln) {
+    tags_.invalidate(ln);
+    power_off();
+  }
+
+  /// A decay turn-off of `line_addr`: counted, and remembered so that the
+  /// next miss to the address is attributed to decay (note_miss).
+  void note_turnoff(Addr line_addr) {
+    stats_.decay_turnoffs.inc();
+    decayed_lines_[line_addr] = eq_.now();
+  }
+
+  /// Sets the decay-arming bit on a transition *into* `to` (paper §IV).
+  void arm_on_entry(decay::LineDecayState& d, coherence::MesiState to) const {
+    CDSIM_ASSERT_MSG(coherence::is_stationary(to),
+                     "decay arms only on entry into S, E, M or O");
+    d.armed = decay::arms_on_entry(dcfg_.technique, to);
   }
 
   // --- LRU + decay countdown ----------------------------------------------
@@ -209,26 +215,6 @@ class CacheLevel {
     if (!d.armed || d.wheel_ticket != 0 || !wheel_.enabled()) return;
     d.wheel_ticket =
         wheel_.add(ln.index(), dcfg_.first_expiry_tick(d.last_touch));
-  }
-
-  /// Updates the decay-arming bit on a transition *into* `to` (paper §IV).
-  /// Non-coherent levels map their line flavor onto the equivalent MESI
-  /// state (dirty -> kModified, clean -> kShared) so the selective-decay
-  /// rule — never arm a line whose turn-off would cost a write-back — means
-  /// the same thing at every level.
-  void arm_on_entry(decay::LineDecayState& d, coherence::MesiState to) const {
-    using coherence::MesiState;
-    if (dcfg_.technique == decay::Technique::kDecay) {
-      d.armed = coherence::holds_data(to);
-    } else if (dcfg_.technique == decay::Technique::kSelectiveDecay) {
-      if (to == MesiState::kShared || to == MesiState::kExclusive) {
-        d.armed = true;
-      } else if (to == MesiState::kModified || to == MesiState::kOwned) {
-        // Dirty states disarm: Selective Decay avoids costly dirty
-        // turn-offs, and an Owned turn-off is costlier still.
-        d.armed = false;
-      }
-    }
   }
 
   /// One decay-sweep tick: visits every line whose registration is due and
@@ -268,12 +254,7 @@ class CacheLevel {
         wheel_.add(line_index, now + dcfg_.tick_period());
   }
 
-  // --- powered-line accounting --------------------------------------------
-  /// A line started holding data (fill/install).
-  void power_on() { on_lines_.add(eq_.now(), +1.0); }
-  /// A line stopped holding data (eviction, invalidation, turn-off).
-  void power_off() { on_lines_.add(eq_.now(), -1.0); }
-
+  // --- accounting ---------------------------------------------------------
   /// Currently powered lines.
   [[nodiscard]] std::uint64_t lines_on() const noexcept {
     return static_cast<std::uint64_t>(on_lines_.value());
@@ -298,7 +279,6 @@ class CacheLevel {
     };
   }
 
-  // --- miss accounting + decay attribution --------------------------------
   /// Counts a miss and attributes it to a decay turn-off when this line was
   /// recently killed by the sweeper.
   void note_miss(Addr line_addr, bool is_write) {
@@ -313,17 +293,18 @@ class CacheLevel {
     }
   }
 
-  /// Records a decay turn-off of `line_addr` for later miss attribution.
-  void mark_decayed(Addr line_addr) { decayed_lines_[line_addr] = eq_.now(); }
-
-  /// Drops any pending attribution for `line_addr` (the line was refilled
-  /// through a path that already consumed or invalidated it).
-  void clear_attribution(Addr line_addr) { decayed_lines_.erase(line_addr); }
-
   /// Live decay-attribution entries (test/diagnostic hook).
   [[nodiscard]] std::size_t decay_attribution_entries() const noexcept {
     return decayed_lines_.size();
   }
+
+ private:
+  static constexpr std::size_t kAttributionMinEntries = 4096;
+  static constexpr Cycle kAttributionWindowIntervals = 16;
+
+  void power_on() { on_lines_.add(eq_.now(), +1.0); }
+  void power_off() { on_lines_.add(eq_.now(), -1.0); }
+  void clear_attribution(Addr line_addr) { decayed_lines_.erase(line_addr); }
 
   /// Deterministic aging of the attribution map: purges entries older than
   /// kAttributionWindowIntervals full decay intervals once the map reaches
@@ -341,17 +322,11 @@ class CacheLevel {
         std::max(kAttributionMinEntries, decayed_lines_.size() * 2);
   }
 
- private:
-  static constexpr std::size_t kAttributionMinEntries = 4096;
-  static constexpr Cycle kAttributionWindowIntervals = 16;
-
   EventQueue& eq_;
-  LevelTiming timing_;
+  Cycle hit_latency_ = 0;
   decay::DecayConfig dcfg_;
 
   TagArray<Payload> tags_;
-  MshrFile mshr_;
-  std::optional<WriteBuffer> wb_;
   decay::DecaySweeper sweeper_;
   /// Expiry wheel feeding the sweep: O(due lines) per tick instead of a
   /// full tag-array walk, with a bit-identical turn-off schedule.
@@ -364,7 +339,7 @@ class CacheLevel {
 
   /// Lines killed by decay (line address -> turn-off cycle), to attribute
   /// later misses to the technique. Entries are consumed by the first
-  /// subsequent miss (note_miss) or install of the same line; stale entries
+  /// subsequent miss (note_miss) or fill of the same line; stale entries
   /// are purged by age_decay_attribution. The purge and its threshold read
   /// only entry ages and size(), never the table's order.
   LineMap<Cycle> decayed_lines_;
@@ -372,7 +347,7 @@ class CacheLevel {
   std::size_t attribution_purge_at_ = kAttributionMinEntries;
 
   CacheStats stats_;
-  Counter fills_, transient_retries_;
+  Counter fills_;
 };
 
 }  // namespace cdsim::cache

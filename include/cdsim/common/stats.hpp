@@ -3,13 +3,10 @@
 //
 // Counters are plain 64-bit accumulators; TimeWeightedValue integrates a
 // piecewise-constant signal over simulated time exactly (no sampling error) —
-// this is what makes the paper's "occupation rate" metric exact; Histogram
-// supports the latency distributions behind AMAT.
+// this is what makes the paper's "occupation rate" metric exact; SampleMean
+// keeps the exact count and sum behind AMAT.
 
-#include <algorithm>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "cdsim/common/assert.hpp"
 #include "cdsim/common/types.hpp"
@@ -21,7 +18,6 @@ class Counter {
  public:
   void inc(std::uint64_t by = 1) noexcept { value_ += by; }
   [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;
@@ -30,7 +26,7 @@ class Counter {
 /// Exact integral of a piecewise-constant signal over simulated time.
 ///
 /// Call set(now, v) whenever the signal changes; integral(now) returns
-/// ∫ signal dt from construction (or last reset) to `now`. Used for
+/// ∫ signal dt from construction to `now`. Used for
 /// "number of powered-on lines" whose time integral, divided by
 /// lines × elapsed cycles, is the paper's L2 occupation rate.
 class TimeWeightedValue {
@@ -56,61 +52,16 @@ class TimeWeightedValue {
     return integral_ + value_ * static_cast<double>(now - last_change_);
   }
 
-  /// Time-average of the signal over [start, now].
-  [[nodiscard]] double average(Cycle now, Cycle start = 0) const {
-    if (now <= start) return value_;
-    return integral(now) / static_cast<double>(now - start);
-  }
-
-  void reset(Cycle now, double v) {
-    integral_ = 0.0;
-    last_change_ = now;
-    value_ = v;
-  }
-
  private:
   double value_ = 0.0;
   double integral_ = 0.0;
   Cycle last_change_ = 0;
 };
 
-/// Streaming mean/min/max/variance (Welford).
-class RunningStat {
+/// Exact mean of integer samples: the count and the sum, no buckets.
+class SampleMean {
  public:
-  void add(double x) noexcept {
-    ++n_;
-    const double d = x - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
-    min_ = (n_ == 1) ? x : std::min(min_, x);
-    max_ = (n_ == 1) ? x : std::max(max_, x);
-  }
-  [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return mean_; }
-  [[nodiscard]] double variance() const noexcept {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0, m2_ = 0.0, min_ = 0.0, max_ = 0.0;
-};
-
-/// Fixed-bucket histogram with a configurable bucket width; the last bucket
-/// absorbs overflow. Tracks the exact sum so mean() has no bucketing error.
-class Histogram {
- public:
-  Histogram(std::uint64_t bucket_width, std::size_t num_buckets)
-      : width_(bucket_width), buckets_(num_buckets, 0) {
-    CDSIM_ASSERT(bucket_width > 0 && num_buckets > 0);
-  }
-
   void add(std::uint64_t x) noexcept {
-    const std::size_t i =
-        std::min<std::size_t>(x / width_, buckets_.size() - 1);
-    ++buckets_[i];
     ++n_;
     sum_ += x;
   }
@@ -119,30 +70,8 @@ class Histogram {
   [[nodiscard]] double mean() const noexcept {
     return n_ ? static_cast<double>(sum_) / static_cast<double>(n_) : 0.0;
   }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    return buckets_.at(i);
-  }
-  [[nodiscard]] std::size_t num_buckets() const noexcept {
-    return buckets_.size();
-  }
-
-  /// Smallest value v such that at least `q` fraction of samples are <= the
-  /// upper edge of v's bucket. Returns the bucket upper edge.
-  [[nodiscard]] std::uint64_t quantile_upper_bound(double q) const {
-    CDSIM_ASSERT(q >= 0.0 && q <= 1.0);
-    const std::uint64_t target =
-        static_cast<std::uint64_t>(q * static_cast<double>(n_));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      seen += buckets_[i];
-      if (seen >= target) return (i + 1) * width_;
-    }
-    return buckets_.size() * width_;
-  }
 
  private:
-  std::uint64_t width_ = 0;
-  std::vector<std::uint64_t> buckets_;
   std::uint64_t n_ = 0;
   std::uint64_t sum_ = 0;
 };

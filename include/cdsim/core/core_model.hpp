@@ -15,7 +15,7 @@
 //    when the buffer is full.
 //
 // IPC falls out of (instruction budget) / (finish cycle); every load's
-// issue-to-data latency feeds the AMAT histogram.
+// issue-to-data latency feeds the AMAT mean.
 
 #include <cstdint>
 #include <functional>
@@ -101,7 +101,7 @@ class CoreModel {
   [[nodiscard]] double ipc(Cycle now) const;
 
   /// Issue-to-data latency of every load, in cycles (AMAT numerator).
-  [[nodiscard]] const Histogram& load_latency() const noexcept {
+  [[nodiscard]] const SampleMean& load_latency() const noexcept {
     return load_lat_;
   }
   [[nodiscard]] std::uint64_t loads_issued() const noexcept {
@@ -189,7 +189,7 @@ class CoreModel {
   StallReason park_reason_ = StallReason::kDep;
   obs::TraceRecorder* trace_ = nullptr;
   obs::TrackId trace_track_ = 0;
-  Histogram load_lat_{4, 256};  ///< 4-cycle buckets up to ~1K cycles.
+  SampleMean load_lat_;
 };
 
 }  // namespace cdsim::core

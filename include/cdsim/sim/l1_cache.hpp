@@ -4,9 +4,10 @@
 // design" of the turn-off mechanism).
 //
 // Built on the generic cache::CacheLevel engine (cache/level.hpp): the tag
-// array, MSHR file, write buffer, statistics, and — when enabled — the
-// decay sweeper all come from the engine; this controller keeps the
-// write-through drain choreography and the core-facing port.
+// array, line lifecycle, statistics, and — when enabled — the decay sweeper
+// come from the engine; this controller owns its MSHR file and write
+// buffer and keeps the write-through drain choreography and the
+// core-facing port.
 //
 // Responsibilities:
 //  * serve core loads (hit latency or miss via L2 read + fill);
@@ -23,7 +24,6 @@
 //    yet" — the level-1 form of the Table I pending-write gate.
 
 #include <cstdint>
-#include <functional>
 
 #include "cdsim/cache/cache_stats.hpp"
 #include "cdsim/cache/geometry.hpp"
@@ -98,7 +98,7 @@ class L1Cache final : public core::LoadStorePort {
   /// True when a buffered store to `line_addr` has not drained yet —
   /// the paper's Table I "pending write" condition.
   [[nodiscard]] bool pending_write(Addr line_addr) const {
-    return level_.write_buffer().pending_to(line_addr);
+    return wb_.pending_to(line_addr);
   }
 
   // --- decay ----------------------------------------------------------------
@@ -110,13 +110,14 @@ class L1Cache final : public core::LoadStorePort {
     return level_.stats();
   }
   [[nodiscard]] const cache::WriteBuffer& write_buffer() const noexcept {
-    return level_.write_buffer();
+    return wb_;
   }
   [[nodiscard]] bool has_line(Addr line_addr) const {
     return static_cast<bool>(level_.tags().find(line_addr));
   }
   /// Test/checker hook: visits every valid line's address.
-  void for_each_valid_line(const std::function<void(Addr)>& fn) const {
+  template <typename Fn>
+  void for_each_valid_line(Fn&& fn) const {
     const_cast<cache::TagArray<Payload>&>(level_.tags())
         .for_each_valid([&](cache::LineRef<Payload> ln) { fn(ln.tag()); });
   }
@@ -144,8 +145,10 @@ class L1Cache final : public core::LoadStorePort {
   obs::TraceRecorder* trace_ = nullptr;
   obs::TrackId trace_track_ = 0;
 
-  /// The level-agnostic engine: tags, MSHRs, write buffer, decay, stats.
+  /// The level-agnostic engine: tags, line lifecycle, decay, stats.
   Level level_;
+  cache::MshrFile mshr_;
+  cache::WriteBuffer wb_;
   std::uint32_t drains_in_flight_ = 0;
 
   core::FreedCallback resources_freed_;

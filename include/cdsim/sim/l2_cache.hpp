@@ -2,13 +2,13 @@
 // Private, inclusive, MESI-snoopy L2 cache controller with the paper's
 // turn-off mechanism (§III) and the three leakage techniques (§IV).
 //
-// The level mechanics — tag array, MSHR file, decay sweeper + expiry wheel,
-// powered-line integral, decay attribution, statistics — live in the
+// The level mechanics — tag array, line lifecycle, decay sweeper + expiry
+// wheel, powered-line integral, decay attribution, statistics — live in the
 // generic cache::CacheLevel engine (cache/level.hpp); this controller keeps
-// only the coherence choreography. In the two-level hierarchy it is the
-// outermost private level on the fabric; in the three-level hierarchy the
-// same controller runs as the (smaller) private mid-level cache in front of
-// the shared L3 banks.
+// the coherence choreography, its MSHR file and its retry backoff. In the
+// two-level hierarchy it is the outermost private level on the fabric; in
+// the three-level hierarchy the same controller runs as the (smaller)
+// private mid-level cache in front of the shared L3 banks.
 //
 // Coherence state changes are atomic in bus order: a fill installs its
 // tag+state at the grant cycle (data arrives later, tracked by the
@@ -29,8 +29,6 @@
 // the valid bit, so "powered" == "valid (incl. TC/TD)".
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "cdsim/noc/interconnect.hpp"
 #include "cdsim/cache/cache_stats.hpp"
@@ -142,7 +140,7 @@ class L2Cache final : public noc::Snooper {
   }
 
   [[nodiscard]] std::uint64_t transient_retries() const noexcept {
-    return level_.transient_retries().value();
+    return transient_retries_.value();
   }
   [[nodiscard]] std::uint64_t upgrades() const noexcept {
     return upgrades_.value();
@@ -157,8 +155,11 @@ class L2Cache final : public noc::Snooper {
   }
 
   /// Test/checker hook: visits every valid line as (line_addr, state).
-  void for_each_valid_line(
-      const std::function<void(Addr, coherence::MesiState)>& fn) const;
+  template <typename Fn>
+  void for_each_valid_line(Fn&& fn) const {
+    const_cast<cache::TagArray<Payload>&>(level_.tags())
+        .for_each_valid([&](LineT ln) { fn(ln.tag(), ln.payload().state); });
+  }
 
  private:
   struct Payload {
@@ -182,7 +183,11 @@ class L2Cache final : public noc::Snooper {
                         const noc::BusResult& res);
   void evict(LineT victim);
   void line_off(LineT ln);
-  void retry(EventQueue::Callback fn) { level_.retry(std::move(fn)); }
+  /// Re-attempts an access that found its line transient or the MSHR
+  /// file full, after the configured backoff.
+  void retry(EventQueue::Callback fn) {
+    eq_.schedule_in(cfg_.retry_interval, std::move(fn));
+  }
   void turn_off_clean(Addr line_addr);
   void turn_off_dirty(Addr line_addr);
   /// MOESI O-state turn-off: revoke the remaining S copies (BusUpgr
@@ -205,9 +210,10 @@ class L2Cache final : public noc::Snooper {
   obs::TraceRecorder* trace_ = nullptr;
   obs::TrackId trace_track_ = 0;
 
-  /// The level-agnostic engine: tags, MSHRs, decay machinery, stats.
+  /// The level-agnostic engine: tags, line lifecycle, decay, stats.
   Level level_;
-  Counter upgrades_;
+  cache::MshrFile mshr_;
+  Counter transient_retries_, upgrades_;
   /// Last TD write-back ticket issued by this slice (tickets start at 1).
   std::uint64_t td_wb_tickets_ = 0;
 };

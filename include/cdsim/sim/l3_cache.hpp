@@ -43,9 +43,6 @@ struct L3Config {
   /// Bank access latency on the fill-serve path (slower, bigger arrays
   /// than the private L2 slices).
   Cycle hit_latency = 24;
-  /// Engine bookkeeping only: the home bank serializes per-line, so the
-  /// bank never tracks concurrent fills itself.
-  std::uint32_t mshr_entries = 4;
 };
 
 /// The shared L3: an array of home banks implementing the fabric's
@@ -77,7 +74,7 @@ class L3Cache final : public noc::MemorySideCache {
     mem_port_ = std::move(port);
   }
   [[nodiscard]] Cycle access_latency() const override {
-    return banks_.front()->level.access_latency();
+    return banks_.front()->access_latency();
   }
   bool lookup_for_fill(std::uint32_t bank, Addr line) override;
   void install_from_memory(std::uint32_t bank, Addr line) override;
@@ -92,7 +89,7 @@ class L3Cache final : public noc::MemorySideCache {
     return static_cast<std::uint32_t>(banks_.size());
   }
   [[nodiscard]] const cache::CacheStats& bank_stats(std::uint32_t b) const {
-    return banks_.at(b)->level.stats();
+    return banks_.at(b)->stats();
   }
   /// The whole L3's counter snapshot: every bank's, summed in bank order.
   [[nodiscard]] cache::LevelCounters counters(Cycle now) const;
@@ -110,13 +107,7 @@ class L3Cache final : public noc::MemorySideCache {
   using Level = cache::CacheLevel<Payload>;
   using LineT = cache::LineRef<Payload>;
 
-  struct Bank {
-    template <typename... Args>
-    explicit Bank(Args&&... args) : level(std::forward<Args>(args)...) {}
-    Level level;
-  };
-
-  void line_off(Bank& b, LineT ln);
+  void line_off(Level& b, LineT ln);
   void evict(std::uint32_t bank, LineT victim);
   void push_to_memory(std::uint32_t bank, Addr line);
 
@@ -126,7 +117,7 @@ class L3Cache final : public noc::MemorySideCache {
   obs::TraceRecorder* trace_ = nullptr;
   obs::TrackId trace_track_ = 0;
   MemWritePort mem_port_;
-  std::vector<std::unique_ptr<Bank>> banks_;
+  std::vector<std::unique_ptr<Level>> banks_;
 };
 
 // Fail here, at the implementation, if the fabric interface grows a member

@@ -99,11 +99,6 @@ class RcThermalModel {
     }
   }
 
-  /// Seconds per sample period, for callers converting cycles to time.
-  [[nodiscard]] double sample_dt_sec() const noexcept {
-    return static_cast<double>(cfg_.sample_period) / cfg_.clock_hz;
-  }
-
   [[nodiscard]] const ThermalConfig& config() const noexcept { return cfg_; }
 
  private:

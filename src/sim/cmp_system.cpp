@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "cdsim/cache/tag_array.hpp"
 #include "cdsim/common/assert.hpp"
@@ -119,7 +120,6 @@ void validate_system_config(const SystemConfig& cfg) {
   check_nonzero(cfg.l2.retry_interval, "l2.retry_interval");
   if (cfg.hierarchy == Hierarchy::kThreeLevel) {
     check_nonzero(cfg.l3.hit_latency, "l3.hit_latency");
-    check_nonzero(cfg.l3.mshr_entries, "l3.mshr_entries");
   }
   check_nonzero(cfg.mem.bytes_per_cycle, "mem.bytes_per_cycle");
   if (cfg.mem.model == mem::MemoryModel::kDram) {
@@ -181,6 +181,45 @@ void validate_system_config(const SystemConfig& cfg) {
   };
   check_positive(cfg.thermal.clock_hz, "thermal.clock_hz");
   check_positive(cfg.leakage.t0_kelvin, "leakage.t0_kelvin");
+  // The RC network divides by the lateral resistance and starts every
+  // block at ambient, where the leakage model needs a positive temperature.
+  check_positive(cfg.thermal.ambient_kelvin, "thermal.ambient_kelvin");
+  check_positive(cfg.thermal.lateral_r, "thermal.lateral_r");
+  if (!std::isfinite(cfg.leakage.beta)) {
+    fail("leakage.beta " + std::to_string(cfg.leakage.beta) +
+         " must be finite");
+  }
+  // The energy ledger only accumulates non-negative contributions.
+  const auto check_nonnegative = [&fail](double v, const char* field) {
+    if (!(std::isfinite(v) && v >= 0.0)) {
+      fail(std::string(field) + " " + std::to_string(v) +
+           " must be non-negative and finite");
+    }
+  };
+  check_nonnegative(cfg.thermal.watts_per_eu_cycle,
+                    "thermal.watts_per_eu_cycle");
+  const power::PowerConfig& pw = cfg.power;
+  const std::pair<double, const char*> power_constants[] = {
+      {pw.l2_leak_per_line_cycle, "power.l2_leak_per_line_cycle"},
+      {pw.gated_vdd_overhead, "power.gated_vdd_overhead"},
+      {pw.off_residual_frac, "power.off_residual_frac"},
+      {pw.l2_dyn_per_access, "power.l2_dyn_per_access"},
+      {pw.l2_dyn_per_fill, "power.l2_dyn_per_fill"},
+      {pw.decay_counter_leak_frac, "power.decay_counter_leak_frac"},
+      {pw.decay_counter_dyn, "power.decay_counter_dyn"},
+      {pw.core_leak_per_cycle, "power.core_leak_per_cycle"},
+      {pw.core_dyn_per_instr, "power.core_dyn_per_instr"},
+      {pw.l1_leak_per_cycle, "power.l1_leak_per_cycle"},
+      {pw.l1_dyn_per_access, "power.l1_dyn_per_access"},
+      {pw.bus_dyn_per_byte, "power.bus_dyn_per_byte"},
+      {pw.noc_dyn_per_flit_hop, "power.noc_dyn_per_flit_hop"},
+      {pw.l3_leak_per_line_cycle, "power.l3_leak_per_line_cycle"},
+      {pw.l3_dyn_per_access, "power.l3_dyn_per_access"},
+      {pw.l3_dyn_per_fill, "power.l3_dyn_per_fill"},
+      {pw.dram_act_energy, "power.dram_act_energy"},
+      {pw.dram_pre_energy, "power.dram_pre_energy"},
+  };
+  for (const auto& [v, field] : power_constants) check_nonnegative(v, field);
 }
 
 namespace {

@@ -6,21 +6,15 @@
 
 namespace cdsim::sim {
 
-namespace {
-cache::LevelTiming l1_timing(const L1Config& cfg) {
-  return cache::LevelTiming{cfg.hit_latency, cfg.mshr_entries,
-                            /*retry_interval=*/cfg.drain_interval,
-                            cfg.write_buffer_entries};
-}
-}  // namespace
-
 L1Cache::L1Cache(EventQueue& eq, const L1Config& cfg, CoreId core,
                  const decay::DecayConfig& dcfg)
     : eq_(eq),
       cfg_(cfg),
       core_(core),
       level_(eq, cache::Geometry(cfg.size_bytes, cfg.line_bytes, cfg.ways),
-             l1_timing(cfg), dcfg, [this](Cycle now) { decay_sweep(now); }) {
+             cfg.hit_latency, dcfg, [this](Cycle now) { decay_sweep(now); }),
+      mshr_(cfg.mshr_entries),
+      wb_(cfg.write_buffer_entries) {
   // The core's load bookkeeping relies on completion callbacks never firing
   // inside try_load itself (the engine asserts hit_latency >= 1 too).
   CDSIM_ASSERT_MSG(cfg_.hit_latency >= 1, "L1 hit latency must be >= 1");
@@ -49,17 +43,16 @@ core::LoadOutcome L1Cache::try_load(Addr addr, core::LoadCallback on_done) {
   }
 
   // Miss. Merge into an outstanding fill when possible.
-  if (cache::MshrEntry* e = level_.mshr().find(line)) {
+  if (cache::MshrEntry* e = mshr_.find(line)) {
     level_.note_miss(line, /*is_write=*/false);
-    level_.mshr().merge(*e, /*is_write=*/false, std::move(on_done));
+    mshr_.merge(*e, /*is_write=*/false, std::move(on_done));
     return {.accepted = true};
   }
-  if (level_.mshr().full()) return {};  // core parks; woken on completion
+  if (mshr_.full()) return {};  // core parks; woken on completion
 
   level_.note_miss(line, /*is_write=*/false);
-  cache::MshrEntry& e =
-      level_.mshr().allocate(line, /*is_write=*/false, eq_.now());
-  level_.mshr().merge(e, /*is_write=*/false, std::move(on_done));
+  cache::MshrEntry& e = mshr_.allocate(line, /*is_write=*/false, eq_.now());
+  mshr_.merge(e, /*is_write=*/false, std::move(on_done));
 
   l2_->read(line, [this, line](Cycle done, bool may_cache) {
     // Inclusion guard: install only if the backing L2 line is (still)
@@ -71,19 +64,12 @@ core::LoadOutcome L1Cache::try_load(Addr addr, core::LoadCallback on_done) {
       const LineT slot = level_.tags().pick_victim(line);
       if (slot.valid()) {
         level_.stats().evictions.inc();
-        level_.power_off();
+        level_.drop(slot);
       }
-      Payload p;
-      p.decay.last_touch = eq_.now();
       // Every L1 line is a clean copy: arm as the equivalent of Shared.
-      level_.arm_on_entry(p.decay, coherence::MesiState::kShared);
-      const LineT installed =
-          level_.tags().install(slot, line, std::move(p));
-      level_.wheel_register(installed);
-      level_.power_on();
-      level_.clear_attribution(line);
+      level_.fill(slot, line, Payload{}, coherence::MesiState::kShared);
     }
-    level_.mshr().complete(line, done);
+    mshr_.complete(line, done);
     notify_resources_freed();
   });
   return {.accepted = true};
@@ -102,7 +88,7 @@ bool L1Cache::try_store(Addr addr) {
   }
 
   // Write-through: every store retires through the write buffer.
-  if (!level_.write_buffer().push(line, eq_.now())) {
+  if (!wb_.push(line, eq_.now())) {
     return false;  // buffer full: core parks
   }
   drain_write_buffer();
@@ -111,7 +97,7 @@ bool L1Cache::try_store(Addr addr) {
 
 void L1Cache::drain_write_buffer() {
   while (drains_in_flight_ < cfg_.max_drains_in_flight) {
-    const std::optional<Addr> line = level_.write_buffer().drain_next();
+    const std::optional<Addr> line = wb_.drain_next();
     if (!line.has_value()) return;
     ++drains_in_flight_;
     const Cycle drain_issued = eq_.now();
@@ -123,10 +109,10 @@ void L1Cache::drain_write_buffer() {
       }
       // The slot is released only once the write reached the L2 — until
       // then pending_write() reports it, which is exactly the Table I gate.
-      level_.write_buffer().drain_done(line);
+      wb_.drain_done(line);
       --drains_in_flight_;
       notify_resources_freed();
-      if (!level_.write_buffer().empty()) {
+      if (!wb_.empty()) {
         eq_.schedule_in(cfg_.drain_interval,
                         [this] { drain_write_buffer(); });
       }
@@ -136,8 +122,7 @@ void L1Cache::drain_write_buffer() {
 
 void L1Cache::back_invalidate(Addr line_addr) {
   if (LineT ln = level_.tags().find(line_addr)) {
-    level_.tags().invalidate(ln);
-    level_.power_off();
+    level_.drop(ln);
     level_.stats().backinvals.inc();
     if (trace_ != nullptr) {
       trace_->instant(trace_track_, "backinval", eq_.now(), "line",
@@ -157,7 +142,7 @@ void L1Cache::decay_sweep(Cycle now) {
     // Table I at level 1: a line with a buffered store that has not
     // reached the L2 yet must not be switched off (the store would lose
     // its local copy mid-flight). Re-examine next tick.
-    if (level_.write_buffer().pending_to(ln.tag())) {
+    if (wb_.pending_to(ln.tag())) {
       level_.defer_to_next_tick(ln, line_index, now);
       return;
     }
@@ -166,10 +151,8 @@ void L1Cache::decay_sweep(Cycle now) {
     // Inclusion is top-down only (the L2 keeps its backing copy), and the
     // differential oracle's copy shadow tracks the L2 slice, so an L1
     // turn-off is not a data-movement event.
-    level_.stats().decay_turnoffs.inc();
-    level_.mark_decayed(ln.tag());
-    level_.tags().invalidate(ln);
-    level_.power_off();
+    level_.note_turnoff(ln.tag());
+    level_.drop(ln);
     ++swept;
   });
   if (trace_ != nullptr && swept > 0) {

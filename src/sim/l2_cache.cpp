@@ -11,13 +11,6 @@ namespace cdsim::sim {
 using coherence::BusTxKind;
 using coherence::MesiState;
 
-namespace {
-cache::LevelTiming l2_timing(const L2Config& cfg) {
-  return cache::LevelTiming{cfg.hit_latency, cfg.mshr_entries,
-                            cfg.retry_interval};
-}
-}  // namespace
-
 L2Cache::L2Cache(EventQueue& eq, const L2Config& cfg,
                  const decay::DecayConfig& dcfg, CoreId core,
                  noc::Interconnect& ic, L1Cache* upper)
@@ -27,7 +20,8 @@ L2Cache::L2Cache(EventQueue& eq, const L2Config& cfg,
       ic_(ic),
       upper_(upper),
       level_(eq, cache::Geometry(cfg.size_bytes, cfg.line_bytes, cfg.ways),
-             l2_timing(cfg), dcfg, [this](Cycle now) { decay_sweep(now); }) {
+             cfg.hit_latency, dcfg, [this](Cycle now) { decay_sweep(now); }),
+      mshr_(cfg.mshr_entries) {
   CDSIM_ASSERT(upper_ != nullptr);
 }
 
@@ -50,20 +44,13 @@ void L2Cache::line_off(LineT ln) {
   ln.payload().state = MesiState::kInvalid;
   ln.payload().fetching = false;
   ln.payload().upgrading = false;
-  level_.tags().invalidate(ln);
-  level_.power_off();
+  level_.drop(ln);
 }
 
 coherence::MesiState L2Cache::line_state(Addr addr) const {
   const Addr line = level_.geometry().line_addr(addr);
   const LineT ln = level_.tags().find(line);
   return ln ? ln.payload().state : MesiState::kInvalid;
-}
-
-void L2Cache::for_each_valid_line(
-    const std::function<void(Addr, coherence::MesiState)>& fn) const {
-  const_cast<cache::TagArray<Payload>&>(level_.tags())
-      .for_each_valid([&](LineT ln) { fn(ln.tag(), ln.payload().state); });
 }
 
 // ---------------------------------------------------------------------------
@@ -80,7 +67,7 @@ void L2Cache::do_read(Addr line_addr, Response on_done, bool counted) {
 
   if (ln && !coherence::is_stationary(ln.payload().state)) {
     // TC/TD: the paper requires requests to wait for a stationary state.
-    level_.transient_retries().inc();
+    transient_retries_.inc();
     retry([this, line_addr, cb = std::move(on_done), counted]() mutable {
       do_read(line_addr, std::move(cb), counted);
     });
@@ -109,16 +96,15 @@ void L2Cache::do_read(Addr line_addr, Response on_done, bool counted) {
     };
   };
 
-  if (cache::MshrEntry* e = level_.mshr().find(line_addr)) {
+  if (cache::MshrEntry* e = mshr_.find(line_addr)) {
     if (!counted) level_.note_miss(line_addr, /*is_write=*/false);
-    level_.mshr().merge(*e, /*is_write=*/false,
-                        fill_responder(std::move(on_done)));
+    mshr_.merge(*e, /*is_write=*/false, fill_responder(std::move(on_done)));
     return;
   }
   CDSIM_ASSERT_MSG(!ln || !ln.payload().fetching,
                    "fetching line without an MSHR entry");
 
-  if (level_.mshr().full()) {
+  if (mshr_.full()) {
     retry([this, line_addr, cb = std::move(on_done), counted]() mutable {
       // Re-enter through do_read so a line filled meanwhile becomes a hit.
       do_read(line_addr, std::move(cb), counted);
@@ -128,9 +114,8 @@ void L2Cache::do_read(Addr line_addr, Response on_done, bool counted) {
 
   if (!counted) level_.note_miss(line_addr, /*is_write=*/false);
   cache::MshrEntry& e =
-      level_.mshr().allocate(line_addr, /*is_write=*/false, eq_.now());
-  level_.mshr().merge(e, /*is_write=*/false,
-                      fill_responder(std::move(on_done)));
+      mshr_.allocate(line_addr, /*is_write=*/false, eq_.now());
+  mshr_.merge(e, /*is_write=*/false, fill_responder(std::move(on_done)));
   issue_fetch(line_addr, /*is_write=*/false);
 }
 
@@ -143,7 +128,7 @@ void L2Cache::do_write(Addr line_addr, Response on_done, bool counted) {
   LineT ln = level_.tags().find(line_addr);
 
   if (ln && !coherence::is_stationary(ln.payload().state)) {
-    level_.transient_retries().inc();
+    transient_retries_.inc();
     retry([this, line_addr, cb = std::move(on_done), counted]() mutable {
       do_write(line_addr, std::move(cb), counted);
     });
@@ -156,7 +141,7 @@ void L2Cache::do_write(Addr line_addr, Response on_done, bool counted) {
     // Counting waits for that re-entry: if a snoop invalidates the line
     // before the fill lands, this is a genuine write miss (with its own
     // refetch and decay attribution), not the hit it looks like now.
-    cache::MshrEntry* e = level_.mshr().find(line_addr);
+    cache::MshrEntry* e = mshr_.find(line_addr);
     CDSIM_ASSERT_MSG(e != nullptr, "fetching line without an MSHR entry");
     auto waiter = [this, line_addr, cb = std::move(on_done),
                    counted](Cycle) mutable {
@@ -164,7 +149,7 @@ void L2Cache::do_write(Addr line_addr, Response on_done, bool counted) {
     };
     // The largest waiter on the write path; must not fall back to the heap.
     static_assert(cache::FillCallback::fits_inline_v<decltype(waiter)>);
-    level_.mshr().merge(*e, /*is_write=*/true, std::move(waiter));
+    mshr_.merge(*e, /*is_write=*/true, std::move(waiter));
     return;
   }
 
@@ -254,11 +239,11 @@ void L2Cache::do_write(Addr line_addr, Response on_done, bool counted) {
   }
 
   // Write miss: write-allocate via BusRdX.
-  if (cache::MshrEntry* e = level_.mshr().find(line_addr)) {
+  if (cache::MshrEntry* e = mshr_.find(line_addr)) {
     if (!counted) level_.note_miss(line_addr, /*is_write=*/true);
     // Merged into an outstanding (possibly read) fetch: re-enter after the
     // fill so E/S copies upgrade properly.
-    level_.mshr().merge(
+    mshr_.merge(
         *e, /*is_write=*/true,
         [this, line_addr, cb = std::move(on_done)](Cycle) mutable {
           do_write(line_addr, std::move(cb), /*counted=*/true);
@@ -266,7 +251,7 @@ void L2Cache::do_write(Addr line_addr, Response on_done, bool counted) {
     return;
   }
 
-  if (level_.mshr().full()) {
+  if (mshr_.full()) {
     retry([this, line_addr, cb = std::move(on_done), counted]() mutable {
       do_write(line_addr, std::move(cb), counted);
     });
@@ -275,8 +260,8 @@ void L2Cache::do_write(Addr line_addr, Response on_done, bool counted) {
 
   if (!counted) level_.note_miss(line_addr, /*is_write=*/true);
   cache::MshrEntry& e =
-      level_.mshr().allocate(line_addr, /*is_write=*/true, eq_.now());
-  level_.mshr().merge(
+      mshr_.allocate(line_addr, /*is_write=*/true, eq_.now());
+  mshr_.merge(
       e, /*is_write=*/true,
       [this, line_addr, cb = std::move(on_done)](Cycle fill_done) {
         LineT l2 = level_.tags().find(line_addr);
@@ -303,7 +288,7 @@ void L2Cache::issue_fetch(Addr line_addr, bool is_write) {
       ln.payload().fetching = false;
     }
     level_.fills().inc();
-    level_.mshr().complete(line_addr, res.done_at);
+    mshr_.complete(line_addr, res.done_at);
     if (trace_ != nullptr) {
       trace_->span(trace_track_, "miss", miss_begin, res.done_at, "line",
                    line_addr);
@@ -330,13 +315,7 @@ void L2Cache::install_at_grant(Addr line_addr, bool is_write,
   Payload p;
   p.state = coherence::fill_state(is_write, res.shared);
   p.fetching = true;
-  p.decay.last_touch = eq_.now();
-  level_.arm_on_entry(p.decay, p.state);
-  const LineT installed =
-      level_.tags().install(slot, line_addr, std::move(p));
-  level_.wheel_register(installed);
-  level_.power_on();
-  level_.clear_attribution(line_addr);
+  level_.fill(slot, line_addr, p, p.state);
   if (obs_) {
     // The fill's data source (owner flush vs memory) was decided by the
     // snoop broadcast that just resolved; a write-allocate fill also
@@ -475,8 +454,7 @@ void L2Cache::turn_off_clean(Addr line_addr) {
   // A snoop or eviction may have finished the line off already.
   if (!ln || ln.payload().state != MesiState::kTransientClean) return;
   upper_->back_invalidate(line_addr);
-  level_.stats().decay_turnoffs.inc();
-  level_.mark_decayed(line_addr);
+  level_.note_turnoff(line_addr);
   line_off(ln);
   if (trace_ != nullptr) {
     trace_->instant(trace_track_, "toff.clean", eq_.now(), "line", line_addr);
@@ -532,8 +510,7 @@ void L2Cache::issue_turnoff_writeback(Addr line_addr) {
     // that releases ownership, so the stale refetch (the divergence)
     // happens instead of a home deferral waiting forever for the
     // write-back this fault just swallowed.
-    level_.stats().decay_turnoffs.inc();
-    level_.mark_decayed(line_addr);
+    level_.note_turnoff(line_addr);
     line_off(ln);
     ic_.note_clean_drop(core_, line_addr);
     return;
@@ -553,9 +530,8 @@ void L2Cache::issue_turnoff_writeback(Addr line_addr) {
     if (!l2 || l2.payload().state != MesiState::kTransientDirty) {
       return;  // finished via snoop/eviction while the flush was queued
     }
-    level_.stats().decay_turnoffs.inc();
+    level_.note_turnoff(line_addr);
     level_.stats().writebacks.inc();
-    level_.mark_decayed(line_addr);
     line_off(l2);
     if (trace_ != nullptr) {
       trace_->instant(trace_track_, "toff.dirty", eq_.now(), "line",

@@ -14,33 +14,31 @@ L3Cache::L3Cache(EventQueue& eq, const L3Config& cfg,
     : eq_(eq), cfg_(cfg) {
   CDSIM_ASSERT(num_banks >= 1);
   const cache::Geometry geo(cfg.bank_bytes, cfg.line_bytes, cfg.ways);
-  const cache::LevelTiming timing{cfg.hit_latency, cfg.mshr_entries,
-                                  /*retry_interval=*/1};
   banks_.reserve(num_banks);
   for (std::uint32_t b = 0; b < num_banks; ++b) {
-    banks_.push_back(std::make_unique<Bank>(
-        eq, geo, timing, dcfg, [this, b](Cycle now) { decay_sweep(b, now); }));
+    banks_.push_back(std::make_unique<Level>(
+        eq, geo, cfg.hit_latency, dcfg,
+        [this, b](Cycle now) { decay_sweep(b, now); }));
   }
 }
 
 void L3Cache::start() {
-  for (auto& b : banks_) b->level.start();
+  for (auto& b : banks_) b->start();
 }
 
 void L3Cache::stop() {
-  for (auto& b : banks_) b->level.stop();
+  for (auto& b : banks_) b->stop();
 }
 
 // ---------------------------------------------------------------------------
 // Line death / memory push
 // ---------------------------------------------------------------------------
 
-void L3Cache::line_off(Bank& b, LineT ln) {
+void L3Cache::line_off(Level& b, LineT ln) {
   CDSIM_ASSERT(ln.valid());
   if (obs_) obs_->on_l3_invalidate(ln.tag(), eq_.now());
   ln.payload().dirty = false;
-  b.level.tags().invalidate(ln);
-  b.level.power_off();
+  b.drop(ln);
 }
 
 void L3Cache::push_to_memory(std::uint32_t bank, Addr line) {
@@ -53,12 +51,12 @@ void L3Cache::push_to_memory(std::uint32_t bank, Addr line) {
 }
 
 void L3Cache::evict(std::uint32_t bank, LineT victim) {
-  Bank& b = *banks_[bank];
-  b.level.stats().evictions.inc();
+  Level& b = *banks_[bank];
+  b.stats().evictions.inc();
   if (victim.payload().dirty) {
     // §III legality at the last level: dirty data the channel never saw
     // must reach memory before the line may die.
-    b.level.stats().writebacks.inc();
+    b.stats().writebacks.inc();
     push_to_memory(bank, victim.tag());
   }
   line_off(b, victim);
@@ -69,52 +67,44 @@ void L3Cache::evict(std::uint32_t bank, LineT victim) {
 // ---------------------------------------------------------------------------
 
 bool L3Cache::lookup_for_fill(std::uint32_t bank, Addr line) {
-  Bank& b = *banks_.at(bank);
-  LineT ln = b.level.tags().find(line);
+  Level& b = *banks_.at(bank);
+  LineT ln = b.tags().find(line);
   if (!ln) {
-    b.level.note_miss(line, /*is_write=*/false);
+    b.note_miss(line, /*is_write=*/false);
     return false;
   }
-  b.level.stats().read_hits.inc();
-  b.level.touch(ln);
+  b.stats().read_hits.inc();
+  b.touch(ln);
   return true;
 }
 
 void L3Cache::install_from_memory(std::uint32_t bank, Addr line) {
-  Bank& b = *banks_.at(bank);
-  if (LineT ln = b.level.tags().find(line)) {
+  Level& b = *banks_.at(bank);
+  if (LineT ln = b.tags().find(line)) {
     // A same-line fill raced this one through the channel (the first
     // install landed before the second read returned): just refresh.
-    b.level.touch(ln);
+    b.touch(ln);
     return;
   }
-  const LineT slot = b.level.tags().pick_victim(line);
+  const LineT slot = b.tags().pick_victim(line);
   if (slot.valid()) evict(bank, slot);
 
-  Payload p;
-  p.dirty = false;
-  p.decay.last_touch = eq_.now();
   // A clean bank line is the L3 analogue of Shared: cheap to drop, so
   // both decay flavours arm it.
-  b.level.arm_on_entry(p.decay, MesiState::kShared);
-  const LineT installed =
-      b.level.tags().install(slot, line, std::move(p));
-  b.level.wheel_register(installed);
-  b.level.power_on();
-  b.level.clear_attribution(line);
-  b.level.fills().inc();
+  b.fill(slot, line, Payload{}, MesiState::kShared);
+  b.fills().inc();
   if (obs_) obs_->on_l3_install(line, eq_.now());
 }
 
 void L3Cache::absorb_writeback(std::uint32_t bank, Addr line) {
-  Bank& b = *banks_.at(bank);
-  if (LineT ln = b.level.tags().find(line)) {
+  Level& b = *banks_.at(bank);
+  if (LineT ln = b.tags().find(line)) {
     // Overwrite in place: the write-back data supersedes whatever the bank
     // held (a clean copy, or an earlier absorbed version).
-    b.level.stats().write_hits.inc();
+    b.stats().write_hits.inc();
     ln.payload().dirty = true;
-    b.level.arm_on_entry(ln.payload().decay, MesiState::kModified);
-    b.level.touch(ln);
+    b.arm_on_entry(ln.payload().decay, MesiState::kModified);
+    b.touch(ln);
     return;
   }
   // An allocating absorb is a write "miss" for occupancy bookkeeping, but
@@ -122,33 +112,26 @@ void L3Cache::absorb_writeback(std::uint32_t bank, Addr line) {
   // zero traffic either way, so a preceding decay drop cost nothing here.
   // Bypassing note_miss leaves any attribution entry for this line to the
   // next genuine fill miss (the event that actually pays a refetch).
-  b.level.stats().write_misses.inc();
-  const LineT slot = b.level.tags().pick_victim(line);
+  b.stats().write_misses.inc();
+  const LineT slot = b.tags().pick_victim(line);
   if (slot.valid()) evict(bank, slot);
 
-  Payload p;
-  p.dirty = true;
-  p.decay.last_touch = eq_.now();
   // Dirty is the L3 analogue of Modified: Selective Decay disarms it (its
   // turn-off costs a memory write), full Decay arms everything.
-  b.level.arm_on_entry(p.decay, MesiState::kModified);
-  const LineT installed =
-      b.level.tags().install(slot, line, std::move(p));
-  b.level.wheel_register(installed);
-  b.level.power_on();
-  b.level.clear_attribution(line);
-  b.level.fills().inc();
+  b.fill(slot, line, Payload{.decay = {}, .dirty = true},
+         MesiState::kModified);
+  b.fills().inc();
   // No on_l3_install here: the verifier recorded the absorbed version at
   // on_writeback_resolved(to_l3=true); an install event would wrongly
   // overwrite it with the (stale) memory version.
 }
 
 void L3Cache::invalidate(std::uint32_t bank, Addr line) {
-  Bank& b = *banks_.at(bank);
-  if (LineT ln = b.level.tags().find(line)) {
+  Level& b = *banks_.at(bank);
+  if (LineT ln = b.tags().find(line)) {
     // A memory-updating owner flush just overwrote the channel copy: the
     // bank's copy — even a dirty one — is older and must not serve again.
-    b.level.stats().coherence_invals.inc();
+    b.stats().coherence_invals.inc();
     line_off(b, ln);
   }
 }
@@ -159,16 +142,15 @@ void L3Cache::invalidate(std::uint32_t bank, Addr line) {
 
 void L3Cache::decay_sweep(std::uint32_t bank, Cycle now) {
   const prof::ScopedPhase prof_scope(prof::Phase::kDecaySweep);
-  Bank& b = *banks_[bank];
+  Level& b = *banks_[bank];
   std::uint64_t swept = 0;
-  b.level.for_each_expired(now, [&](LineT ln, std::size_t /*line_index*/) {
+  b.for_each_expired(now, [&](LineT ln, std::size_t /*line_index*/) {
     // The home bank is the serialization point, so the Figure-2 transient
     // choreography degenerates: no snooper can race this turn-off.
-    b.level.stats().decay_turnoffs.inc();
-    b.level.mark_decayed(ln.tag());
+    b.note_turnoff(ln.tag());
     if (ln.payload().dirty) {
       // Dirty turn-off: the absorbed write-back must reach memory.
-      b.level.stats().writebacks.inc();
+      b.stats().writebacks.inc();
       push_to_memory(bank, ln.tag());
     }
     // Clean turn-off: silent drop — memory already holds the data.
@@ -186,16 +168,16 @@ void L3Cache::decay_sweep(std::uint32_t bank, Cycle now) {
 
 cache::LevelCounters L3Cache::counters(Cycle now) const {
   cache::LevelCounters sum;
-  for (const auto& b : banks_) sum += b->level.counters(now);
+  for (const auto& b : banks_) sum += b->counters(now);
   return sum;
 }
 
 bool L3Cache::has_line(std::uint32_t bank, Addr line) const {
-  return static_cast<bool>(banks_.at(bank)->level.tags().find(line));
+  return static_cast<bool>(banks_.at(bank)->tags().find(line));
 }
 
 bool L3Cache::line_dirty(std::uint32_t bank, Addr line) const {
-  const LineT ln = banks_.at(bank)->level.tags().find(line);
+  const LineT ln = banks_.at(bank)->tags().find(line);
   return ln && ln.payload().dirty;
 }
 

@@ -155,8 +155,9 @@ TEST(CdlintGolden, HotPathAllocations) { expect_golden("bad_hot_alloc.hpp"); }
 
 TEST(CdlintGolden, HotAllocScopedToHotHeaders) {
   // Outside the configured scopes (default: include/cdsim/{cache,
-  // coherence,noc,bus,core}/) the same shapes are legal — e.g. sim/
-  // controllers own unique_ptr'd subsystems at construction time.
+  // coherence,noc,bus,core}/ and the sim/ cache-controller headers
+  // l1_cache.hpp, l2_cache.hpp, l3_cache.hpp) the same shapes are legal —
+  // e.g. CmpSystem owns unique_ptr'd subsystems at construction time.
   LintConfig cfg;  // defaults: fixture path is not a hot-alloc scope
   EXPECT_TRUE(lint_fixture("bad_hot_alloc.hpp", cfg).empty());
 }
@@ -171,6 +172,21 @@ TEST(CdlintGolden, NodeMapInCoherenceHeaderIsHotAlloc) {
       "#include <unordered_map>\n"
       "struct Directory {\n"
       "  std::unordered_map<unsigned long, int> map_ = {};\n"
+      "};\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "hot-alloc");
+  EXPECT_EQ(findings[0].line, 3u);
+}
+
+TEST(CdlintGolden, NodeContainerInL2ControllerHeaderIsHotAlloc) {
+  // The L2 controller owns its MSHR file and retry path and runs on every
+  // L1 miss and write-buffer drain, so its header is a hot-alloc scope.
+  const LintConfig cfg;  // defaults
+  const auto findings = cdlint::lint_source(
+      cfg, "include/cdsim/sim/l2_cache.hpp",
+      "#include <deque>\n"
+      "class L2Cache {\n"
+      "  std::deque<unsigned long> retries_ = {};\n"
       "};\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "hot-alloc");

@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: event queue determinism, RNG
-// statistics, time-weighted integrals, histograms.
+// statistics, time-weighted integrals, sample means.
 
 #include <gtest/gtest.h>
 
@@ -135,7 +135,6 @@ TEST(TimeWeightedValue, ExactIntegral) {
   v.set(20, 2.0);   // 4 over [10,20)
   // 2 over [20,50)
   EXPECT_DOUBLE_EQ(v.integral(50), 4.0 * 10 + 2.0 * 30);
-  EXPECT_DOUBLE_EQ(v.average(50), (40.0 + 60.0) / 50.0);
 }
 
 TEST(TimeWeightedValue, AddDelta) {
@@ -147,33 +146,15 @@ TEST(TimeWeightedValue, AddDelta) {
   EXPECT_DOUBLE_EQ(v.value(), 0.0);
 }
 
-TEST(RunningStat, Moments) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.variance(), 4.571428, 1e-5);
-}
-
-TEST(Histogram, MeanIsExactDespiteBuckets) {
-  Histogram h(10, 8);
-  h.add(3);
-  h.add(17);
-  h.add(1000);  // overflows into the last bucket
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.mean(), (3 + 17 + 1000) / 3.0);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(7), 1u);
-}
-
-TEST(Histogram, Quantiles) {
-  Histogram h(1, 100);
-  for (std::uint64_t i = 0; i < 100; ++i) h.add(i);
-  EXPECT_LE(h.quantile_upper_bound(0.5), 51u);
-  EXPECT_GE(h.quantile_upper_bound(0.99), 98u);
+TEST(SampleMean, MeanIsExactSumOverCount) {
+  SampleMean m;
+  EXPECT_EQ(m.count(), 0u);
+  EXPECT_DOUBLE_EQ(m.mean(), 0.0);
+  m.add(3);
+  m.add(17);
+  m.add(1000);
+  EXPECT_EQ(m.count(), 3u);
+  EXPECT_DOUBLE_EQ(m.mean(), (3 + 17 + 1000) / 3.0);
 }
 
 TEST(SafeDiv, ZeroDenominator) {

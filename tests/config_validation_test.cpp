@@ -6,6 +6,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/workload/benchmarks.hpp"
@@ -174,6 +175,83 @@ TEST(ConfigValidation, LeakageT0MustBePositiveAndFinite) {
   }
 }
 
+// The RC network starts every block at ambient and divides by the lateral
+// resistance, and the leakage model needs a positive temperature.
+TEST(ConfigValidation, ThermalAmbientAndLateralRMustBePositiveAndFinite) {
+  for (const double v : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    SystemConfig cfg = base();
+    cfg.thermal.ambient_kelvin = v;
+    expect_invalid(cfg, "thermal.ambient_kelvin");
+    cfg = base();
+    cfg.thermal.lateral_r = v;
+    expect_invalid(cfg, "thermal.lateral_r");
+  }
+}
+
+TEST(ConfigValidation, ThermalWattsPerEuMustBeNonNegativeAndFinite) {
+  SystemConfig cfg = base();
+  cfg.thermal.watts_per_eu_cycle = 0.0;
+  EXPECT_NO_THROW(validate_system_config(cfg));
+  for (const double w : {-9.0, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.thermal.watts_per_eu_cycle = w;
+    expect_invalid(cfg, "thermal.watts_per_eu_cycle");
+  }
+}
+
+TEST(ConfigValidation, LeakageBetaMustBeFinite) {
+  SystemConfig cfg = base();
+  cfg.leakage.beta = -0.014;  // any finite slope is a model
+  EXPECT_NO_THROW(validate_system_config(cfg));
+  for (const double b : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.leakage.beta = b;
+    expect_invalid(cfg, "leakage.beta");
+  }
+}
+
+// The energy ledger asserts every contribution is non-negative: each §V
+// constant is rejected by name before a run can reach it.
+TEST(ConfigValidation, PowerConstantsMustBeNonNegativeAndFinite) {
+  using Field = double power::PowerConfig::*;
+  const std::pair<Field, const char*> fields[] = {
+      {&power::PowerConfig::l2_leak_per_line_cycle,
+       "power.l2_leak_per_line_cycle"},
+      {&power::PowerConfig::gated_vdd_overhead, "power.gated_vdd_overhead"},
+      {&power::PowerConfig::off_residual_frac, "power.off_residual_frac"},
+      {&power::PowerConfig::l2_dyn_per_access, "power.l2_dyn_per_access"},
+      {&power::PowerConfig::l2_dyn_per_fill, "power.l2_dyn_per_fill"},
+      {&power::PowerConfig::decay_counter_leak_frac,
+       "power.decay_counter_leak_frac"},
+      {&power::PowerConfig::decay_counter_dyn, "power.decay_counter_dyn"},
+      {&power::PowerConfig::core_leak_per_cycle, "power.core_leak_per_cycle"},
+      {&power::PowerConfig::core_dyn_per_instr, "power.core_dyn_per_instr"},
+      {&power::PowerConfig::l1_leak_per_cycle, "power.l1_leak_per_cycle"},
+      {&power::PowerConfig::l1_dyn_per_access, "power.l1_dyn_per_access"},
+      {&power::PowerConfig::bus_dyn_per_byte, "power.bus_dyn_per_byte"},
+      {&power::PowerConfig::noc_dyn_per_flit_hop,
+       "power.noc_dyn_per_flit_hop"},
+      {&power::PowerConfig::l3_leak_per_line_cycle,
+       "power.l3_leak_per_line_cycle"},
+      {&power::PowerConfig::l3_dyn_per_access, "power.l3_dyn_per_access"},
+      {&power::PowerConfig::l3_dyn_per_fill, "power.l3_dyn_per_fill"},
+      {&power::PowerConfig::dram_act_energy, "power.dram_act_energy"},
+      {&power::PowerConfig::dram_pre_energy, "power.dram_pre_energy"},
+  };
+  for (const auto& [field, name] : fields) {
+    SCOPED_TRACE(name);
+    SystemConfig cfg = base();
+    cfg.power.*field = 0.0;  // zero is a legal (free) component
+    EXPECT_NO_THROW(validate_system_config(cfg));
+    for (const double v : {-0.1, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+      cfg.power.*field = v;
+      expect_invalid(cfg, name);
+    }
+  }
+}
+
 // Every field a component asserts on at construction or first use is
 // rejected here by name. Each row first applies the machine it needs (mesh,
 // three levels, DRAM, TLBs), which must validate, then the one bad value.
@@ -240,8 +318,6 @@ TEST(ConfigValidation, FieldsComponentsAssertOnAreRejectedByName) {
       {"l3.ways", three_level, [](SystemConfig& c) { c.l3.ways = 128; }},
       {"l3.hit_latency", three_level,
        [](SystemConfig& c) { c.l3.hit_latency = 0; }},
-      {"l3.mshr_entries", three_level,
-       [](SystemConfig& c) { c.l3.mshr_entries = 0; }},
       {"mem.bytes_per_cycle", nullptr,
        [](SystemConfig& c) { c.mem.bytes_per_cycle = 0; }},
       // The bus divides by its data width; 0 used to crash with SIGFPE.

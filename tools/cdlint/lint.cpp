@@ -335,26 +335,32 @@ std::string_view suggestion_for(std::string_view rule) {
 
 LintConfig::LintConfig() {
   // Hot paths where SmallFn is mandated: the event queue, the MSHR/write-
-  // buffer machinery, the fabric request hooks and the decay sweep callback.
+  // buffer machinery, the fabric request hooks, the decay sweep callback
+  // and the cache controllers that own them.
   hot_paths = {
       "common/event_queue.hpp", "common/small_fn.hpp",
       "cache/mshr.hpp",         "cache/write_buffer.hpp",
       "bus/snoop_bus.hpp",      "noc/interconnect.hpp",
       "decay/sweeper.hpp",      "cache/level.hpp",
+      "sim/l1_cache.hpp",       "sim/l2_cache.hpp",
+      "sim/l3_cache.hpp",
   };
   random_homes = {"common/rng.hpp", "common/rng.cpp"};
   uninit_field_scopes = {"include/cdsim/"};
   // Headers whose code runs per simulated event: every cache access walks
-  // cache/, every coherence transaction walks coherence/ and noc/ or bus/,
-  // every instruction walks core/. Steady-state allocation here is a
-  // host-time regression the throughput bench would pay on each of
-  // millions of events.
+  // cache/ and the cache controllers in sim/, every coherence transaction
+  // walks coherence/ and noc/ or bus/, every instruction walks core/.
+  // Steady-state allocation here is a host-time regression the throughput
+  // bench would pay on each of millions of events.
   hot_alloc_scopes = {
       "include/cdsim/cache/",
       "include/cdsim/coherence/",
       "include/cdsim/noc/",
       "include/cdsim/bus/",
       "include/cdsim/core/",
+      "include/cdsim/sim/l1_cache.hpp",
+      "include/cdsim/sim/l2_cache.hpp",
+      "include/cdsim/sim/l3_cache.hpp",
   };
 }
 

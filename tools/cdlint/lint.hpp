@@ -152,7 +152,8 @@ struct LintConfig {
   /// use sites instead).
   std::vector<std::string> uninit_field_scopes;
   /// Path prefixes/substrings in which hot-alloc applies (the headers of
-  /// the per-event machinery: caches, fabric, bus, core model).
+  /// the per-event machinery: caches and their controllers, fabric, bus,
+  /// core model).
   std::vector<std::string> hot_alloc_scopes;
 
   LintConfig();
