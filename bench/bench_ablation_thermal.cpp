@@ -5,7 +5,9 @@
 // the 4 MB grid with the thermal feedback enabled vs. leakage pinned at the
 // reference temperature, showing how much the reported savings move.
 
+#include <initializer_list>
 #include <iostream>
+#include <vector>
 
 #include "cdsim/common/table.hpp"
 #include "cdsim/sim/experiment.hpp"
@@ -13,26 +15,49 @@
 
 namespace {
 
-cdsim::sim::RunMetrics run(const cdsim::workload::Benchmark& bench,
-                           cdsim::decay::Technique tech, bool feedback) {
+/// One run of the 4 MB machine under `techs.begin()`'s technique (decay
+/// 512K), its books kept once per technique in `techs`, all of one timing
+/// class.
+std::vector<cdsim::sim::RunMetrics> run(
+    const cdsim::workload::Benchmark& bench,
+    std::initializer_list<cdsim::decay::Technique> techs, bool feedback) {
   using namespace cdsim;
-  decay::DecayConfig d;
-  d.technique = tech;
-  d.decay_time = 512 * 1024;
-  sim::SystemConfig cfg = sim::make_system_config(4 * MiB, d);
+  const auto config = [](decay::Technique tech) {
+    return sim::make_system_config(4 * MiB,
+                                   decay::DecayConfig{tech, 512 * 1024, 4});
+  };
+  std::vector<sim::AccountingView> views;
+  for (const decay::Technique tech : techs) {
+    views.push_back(sim::AccountingView::of(config(tech)));
+  }
+  sim::SystemConfig cfg = config(*techs.begin());
   cfg.instructions_per_core = 1500000;
   cfg.thermal_feedback = feedback;
-  return sim::run_config(cfg, bench);
+  return sim::run_config(cfg, bench, views);
 }
 
 }  // namespace
 
 int main() {
   using namespace cdsim;
+  using decay::Technique;
   const auto& bench = workload::benchmark_by_name("facerec");
 
   std::cout << "Ablation: thermal feedback on leakage (facerec, 4MB, "
                "decay 512K)\n\n";
+
+  // Four runs: per feedback setting, the baseline (Protocol is a second
+  // accounting view of it, the same timing class) and decay.
+  struct Runs {
+    sim::RunMetrics base, protocol, decay;
+  };
+  const auto runs_at = [&bench](bool fb) {
+    std::vector<sim::RunMetrics> bp =
+        run(bench, {Technique::kBaseline, Technique::kProtocol}, fb);
+    return Runs{bp[0], bp[1], run(bench, {Technique::kDecay}, fb)[0]};
+  };
+  const Runs on = runs_at(true);
+  const Runs off = runs_at(false);
 
   TextTable t;
   t.row()
@@ -40,17 +65,16 @@ int main() {
       .cell("thermal feedback")
       .cell("avg L2 temp (K)")
       .cell("energy reduction");
-  for (const auto tech :
-       {decay::Technique::kProtocol, decay::Technique::kDecay}) {
+  for (const auto tech : {Technique::kProtocol, Technique::kDecay}) {
     for (const bool fb : {true, false}) {
-      const sim::RunMetrics base =
-          run(bench, decay::Technique::kBaseline, fb);
-      const sim::RunMetrics m = run(bench, tech, fb);
+      const Runs& r = fb ? on : off;
+      const sim::RunMetrics& m =
+          tech == Technique::kProtocol ? r.protocol : r.decay;
       t.row()
           .cell(std::string(decay::to_string(tech)))
           .cell(fb ? "on" : "off (T = T0)")
           .cell(m.avg_l2_temp_kelvin, 1)
-          .pct((base.energy - m.energy) / base.energy);
+          .pct((r.base.energy - m.energy) / r.base.energy);
     }
   }
   t.print(std::cout);

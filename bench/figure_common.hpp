@@ -33,7 +33,9 @@ inline bool close_output(std::FILE* f, const char* tool, const char* path) {
 }
 
 /// Fills the paper grid (suite x sizes x techniques + baselines) in
-/// parallel and reports what actually had to be simulated. After this,
+/// parallel and reports what actually had to be simulated: the results,
+/// and the timing runs they came from (baseline and protocol share one).
+/// After this,
 /// every runner.relative()/suite_average() on those cells is a memo hit.
 /// Figures that only need one column pass their own size list.
 inline sim::SweepStats prefetch_paper_grid(
@@ -44,9 +46,9 @@ inline sim::SweepStats prefetch_paper_grid(
   // Progress goes to stderr: stdout carries only figure data, so cached
   // and uncached runs of a bench produce identical redirectable output.
   if (sweep.simulated > 0) {
-    std::cerr << "[simulated " << sweep.simulated << " configurations on "
-              << sweep.workers << " workers; " << sweep.reused
-              << " already cached]\n";
+    std::cerr << "[simulated " << sweep.simulated << " configurations in "
+              << sweep.timing_runs << " timing runs on " << sweep.workers
+              << " workers; " << sweep.reused << " already cached]\n";
   }
   return sweep;
 }

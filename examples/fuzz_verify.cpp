@@ -150,16 +150,17 @@ int main(int argc, char** argv) {
       .toggle("three-level-smoke", &three_level_only)
       .on_positional([&](int pos, const std::string& arg) {
         if (pos == 0) {
-          const unsigned long long v =
-              std::strtoull(arg.c_str(), nullptr, 10);
-          if (v == 0) {
+          const auto v = sim::detail::parse_positive_u64(arg.c_str());
+          if (!v) {
             bad_positional = true;
             return;
           }
-          scenarios = static_cast<std::size_t>(v);
+          scenarios = static_cast<std::size_t>(*v);
           scenarios_set = true;
         } else if (pos == 1) {
           report_dir = arg;
+        } else {
+          bad_positional = true;
         }
       });
   if (!parser.parse(argc, argv) || bad_positional) {

@@ -16,10 +16,10 @@
 // those shapes are keyed outside the figure cache and simulate directly.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "cdsim/common/table.hpp"
@@ -36,18 +36,39 @@ int main(int argc, char** argv) {
   examples::MachineFlags mf;
   examples::FlagParser parser;
   bool bad_positional = false;
+  // A positive decimal integer no larger than `limit`, or a usage error.
+  const auto number = [&bad_positional](const std::string& arg,
+                                        std::uint64_t limit,
+                                        std::uint64_t& out) {
+    const auto v = sim::detail::parse_positive_u64(arg.c_str());
+    if (!v || *v > limit) {
+      std::fprintf(stderr, "invalid number \"%s\"\n", arg.c_str());
+      bad_positional = true;
+      return;
+    }
+    out = *v;
+  };
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   parser.machine(&mf).on_positional([&](int pos, const std::string& arg) {
     switch (pos) {
       case 0: bench_name = arg; break;
-      case 1: size_mb = std::strtoull(arg.c_str(), nullptr, 10); break;
-      case 2: instr = std::strtoull(arg.c_str(), nullptr, 10); break;
+      case 1: number(arg, kMax / MiB, size_mb); break;  // no wrap in bytes
+      case 2: number(arg, kMax, instr); break;
       default:
         std::fprintf(stderr, "unexpected argument \"%s\"\n", arg.c_str());
         bad_positional = true;
         break;
     }
   });
-  if (!parser.parse(argc, argv) || bad_positional) return 2;
+  const auto usage = [argv] {
+    std::fprintf(stderr,
+                 "usage: %s [benchmark] [total_l2_mb] "
+                 "[instructions_per_core] [--topology=bus|dmesh] "
+                 "[--hierarchy=2|3] [--cores=N]\n",
+                 argv[0]);
+    return 2;
+  };
+  if (!parser.parse(argc, argv) || bad_positional) return usage();
   const noc::Topology topology = mf.topology;
   const sim::Hierarchy hierarchy = mf.hierarchy;
   const bool default_machine = !mf.any_set;
@@ -56,8 +77,32 @@ int main(int argc, char** argv) {
   const auto& bench = workload::benchmark_by_name(bench_name);
   const std::uint64_t size = size_mb * MiB;
 
+  // The machine one technique runs on. The default bus machine is the
+  // figure grid's (the ExperimentRunner builds it); the family shapes
+  // override the fabric, depth and core count.
+  const auto machine = [&](const decay::DecayConfig& d) {
+    sim::SystemConfig cfg = sim::make_system_config(size, d);
+    cfg.instructions_per_core = instr;
+    if (default_machine) return cfg;
+    cfg.topology = topology;
+    cfg.hierarchy = hierarchy;
+    cfg.num_cores = cores;
+    if (hierarchy == sim::Hierarchy::kThreeLevel) {
+      cfg.total_l3_bytes = 4 * size;
+      cfg.l1_decay = cfg.decay;   // the technique runs at every level
+      cfg.l3_decay = cfg.decay;
+    }
+    return cfg;
+  };
+  try {
+    sim::validate_system_config(machine(sim::baseline_config()));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return usage();
+  }
+
   std::printf(
-      "leakage_explorer: %s, %lluMB total L2, %s%u cores, %s hierarchy, "
+      "leakage_explorer: %s, %lluMB total L2, %s, %u cores, %s hierarchy, "
       "%llu instr/core\n\n",
       bench.config.name.c_str(), static_cast<unsigned long long>(size_mb),
       std::string(noc::to_string(topology)).c_str(), cores,
@@ -76,17 +121,8 @@ int main(int argc, char** argv) {
     const std::string key = d.label();
     const auto it = direct.find(key);
     if (it != direct.end()) return it->second;
-    sim::SystemConfig cfg = sim::make_system_config(size, d);
-    cfg.topology = topology;
-    cfg.hierarchy = hierarchy;
-    cfg.num_cores = cores;
-    cfg.instructions_per_core = instr;
-    if (hierarchy == sim::Hierarchy::kThreeLevel) {
-      cfg.total_l3_bytes = 4 * size;
-      cfg.l1_decay = cfg.decay;   // the technique runs at every level
-      cfg.l3_decay = cfg.decay;
-    }
-    return direct.emplace(key, sim::run_config(cfg, bench)).first->second;
+    return direct.emplace(key, sim::run_config(machine(d), bench))
+        .first->second;
   };
 
   const sim::RunMetrics& baseline = run_one(sim::baseline_config());

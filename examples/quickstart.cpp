@@ -7,8 +7,8 @@
 //   $ ./quickstart [instructions_per_core]
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "cdsim/common/table.hpp"
 #include "cdsim/sim/experiment.hpp"
@@ -17,7 +17,15 @@ int main(int argc, char** argv) {
   using namespace cdsim;
 
   std::uint64_t instr = 400000;  // small default: this is a demo
-  if (argc > 1) instr = std::strtoull(argv[1], nullptr, 10);
+  if (argc > 1) {
+    const auto v = argc == 2 ? sim::detail::parse_positive_u64(argv[1])
+                             : std::nullopt;
+    if (!v) {
+      std::fprintf(stderr, "usage: %s [instructions_per_core]\n", argv[0]);
+      return 2;
+    }
+    instr = *v;
+  }
 
   const auto& bench = workload::benchmark_by_name("mpeg2dec");
   sim::ExperimentRunner runner(instr);
@@ -27,7 +35,7 @@ int main(int argc, char** argv) {
               "instructions/core\n\n",
               bench.config.name.c_str(), 4u,
               static_cast<unsigned long long>(size / MiB),
-              static_cast<unsigned long long>(instr));
+              static_cast<unsigned long long>(runner.instructions_per_core()));
 
   TextTable t;
   t.row()

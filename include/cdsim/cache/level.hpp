@@ -32,7 +32,8 @@
 //
 // Every structure reports through one counter snapshot, LevelCounters:
 // CmpSystem's §V energy model and its end-of-run LevelMetrics read every
-// level — L1, L2 slice, summed L3 banks — the same way (DESIGN.md §3b).
+// level — L1, L2 slice, summed L3 banks — the same way, once per
+// accounting view and under that view's technique (DESIGN.md §3b).
 //
 // The Payload template parameter carries the controller's per-line metadata
 // and must embed a `decay::LineDecayState decay;` member — the engine owns
@@ -260,8 +261,14 @@ class CacheLevel {
     return static_cast<std::uint64_t>(on_lines_.value());
   }
 
-  /// This structure's counter snapshot at `now`.
-  [[nodiscard]] LevelCounters counters(Cycle now) const {
+  /// This structure's counter snapshot at `now`, booked as under
+  /// `technique`: the powered-line integral counts the valid lines when
+  /// the technique gates them and the whole capacity when it does not.
+  /// Nothing else in the snapshot reads the technique, so a level run
+  /// under one config reports every config of its timing class
+  /// (decay::same_timing) exactly as a run under that config would.
+  [[nodiscard]] LevelCounters counters(Cycle now,
+                                       decay::Technique technique) const {
     const std::uint64_t capacity = tags_.capacity_lines();
     return {
         .accesses = stats_.accesses(),
@@ -273,10 +280,14 @@ class CacheLevel {
         .coherence_invals = stats_.coherence_invals.value(),
         .capacity_lines = capacity,
         .powered_line_cycles =
-            decay::gates_invalid_lines(dcfg_.technique)
+            decay::gates_invalid_lines(technique)
                 ? on_lines_.integral(now)
                 : static_cast<double>(capacity) * static_cast<double>(now),
     };
+  }
+  /// The snapshot under this level's own technique.
+  [[nodiscard]] LevelCounters counters(Cycle now) const {
+    return counters(now, dcfg_.technique);
   }
 
   /// Counts a miss and attributes it to a decay turn-off when this line was

@@ -17,7 +17,9 @@ enum class Technique : std::uint8_t {
   kBaseline,
   /// "Turn off on Protocol Invalidation": the valid bit gates Vdd, so a
   /// line is off exactly when it is invalid (cold or protocol-invalidated).
-  /// Timing is identical to baseline — no extra misses, ever.
+  /// Timing is identical to baseline — no extra misses, ever — so the two
+  /// share a timing class (same_timing) and a Protocol result is booked as
+  /// an accounting view of the baseline's run (sim::AccountingView).
   kProtocol,
   /// Fixed-interval cache decay (Kaxiras et al.) on top of the coherence-
   /// safe turn-off primitive: every valid line decays after `decay_time`
@@ -130,6 +132,17 @@ struct DecayConfig {
     if (!uses_decay(technique)) return base;
     return base + std::to_string(decay_time / 1024) + "K";
   }
+
+  friend constexpr bool operator==(const DecayConfig&,
+                                   const DecayConfig&) noexcept = default;
 };
+
+/// Whether a level runs cycle for cycle the same under `a` as under `b`:
+/// the same config, or two techniques that never decay. Baseline and
+/// protocol differ only in which lines the energy books count as powered,
+/// never in what the level does, so they form one timing class.
+constexpr bool same_timing(const DecayConfig& a, const DecayConfig& b) noexcept {
+  return a == b || (!uses_decay(a.technique) && !uses_decay(b.technique));
+}
 
 }  // namespace cdsim::decay

@@ -6,7 +6,9 @@
 // bandwidth-limited memory channel behind it; per-block RC thermal model
 // sampled every 10K cycles feeding a temperature-dependent leakage model
 // (§V of the paper). One leakage technique (baseline / protocol / decay /
-// selective decay) is active per run.
+// selective decay) drives each level's timing per run; the energy books can
+// be kept under several techniques of that timing class at once
+// (AccountingView).
 
 #include <cstdint>
 #include <memory>
@@ -97,6 +99,23 @@ struct SystemConfig {
   std::uint64_t seed = 42;
 };
 
+/// One set of energy books kept over a run: the technique each cache level
+/// is accounted under. A view must lie in the run's timing class — every
+/// level's config decay::same_timing with the SystemConfig's — so it
+/// changes what the books charge, never what the machine does, and its
+/// RunMetrics equal a standalone run under the view's configs bit for bit
+/// (DESIGN.md §3b).
+struct AccountingView {
+  decay::DecayConfig l1;  ///< In place of SystemConfig::l1_decay.
+  decay::DecayConfig l2;  ///< In place of SystemConfig::decay.
+  decay::DecayConfig l3;  ///< In place of SystemConfig::l3_decay.
+
+  /// The view a plain run of `cfg` keeps: the config's own techniques.
+  static AccountingView of(const SystemConfig& cfg) {
+    return {cfg.l1_decay, cfg.decay, cfg.l3_decay};
+  }
+};
+
 /// Validates a SystemConfig, throwing std::invalid_argument with a message
 /// that names the field on misconfiguration: core counts the fabric cannot
 /// hold, cache geometry at any level, zero depths, widths and latencies a
@@ -119,8 +138,15 @@ class CmpSystem {
   CmpSystem& operator=(const CmpSystem&) = delete;
 
   /// Runs all cores to completion of their instruction budgets and closes
-  /// the books (final power/thermal sample). Call once.
+  /// the books (final power/thermal sample). The one-view case of the
+  /// overload below, keeping AccountingView::of(config()). Call once.
   RunMetrics run();
+
+  /// Runs the machine once and keeps one set of books per view: one
+  /// RunMetrics per view, in order. Throws std::invalid_argument, before
+  /// simulating, when `views` is empty or a view is outside the run's
+  /// timing class. Call once (either overload).
+  std::vector<RunMetrics> run(const std::vector<AccountingView>& views);
 
   /// Attaches a differential-verification observer to every component that
   /// reports data movement (L1s, L2s, bus). Must be called before run().
@@ -163,9 +189,6 @@ class CmpSystem {
   [[nodiscard]] bool has_l3() const noexcept { return l3_ != nullptr; }
   [[nodiscard]] mem::MemoryController& memory() noexcept { return *mem_; }
   [[nodiscard]] const SystemConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] const thermal::RcThermalModel& thermal_model() const {
-    return floorplan_->model;
-  }
 
   /// Invariant checker used by property tests: at most one M/E/TD copy of
   /// any line system-wide, and every L1 line is backed by a valid L2 line.
@@ -173,11 +196,32 @@ class CmpSystem {
   std::uint64_t check_coherence_invariants() const;
 
  private:
+  /// What one accounting view keeps: its ledger, its floorplan (leakage
+  /// heats the blocks, so temperatures differ between views) and its
+  /// counter snapshots at the previous power sample.
+  struct Books {
+    AccountingView view;
+    thermal::Floorplan floorplan;
+    power::EnergyLedger ledger{};
+    std::vector<std::uint64_t> prev_committed;
+    std::vector<cache::LevelCounters> prev_l1;  ///< Per core.
+    std::vector<cache::LevelCounters> prev_l2;  ///< Per slice.
+    cache::LevelCounters prev_l3{};             ///< All banks.
+    std::uint64_t prev_bus_bytes = 0;
+    std::uint64_t prev_noc_flit_hops = 0;
+    std::uint64_t prev_dram_act = 0;
+    std::uint64_t prev_dram_pre = 0;
+  };
+
+  /// Fresh books for `view`, its floorplan warm-started near equilibrium.
+  [[nodiscard]] Books open_books(const AccountingView& view) const;
+  /// Charges [last sample, upto) to every view's books.
   void sample_power(Cycle upto);
+  void sample_books(Books& b, Cycle upto, double dtd);
   void arm_sampler();
   /// Emits one time-series window [wstart, wend) from counter deltas.
   void sample_window(Cycle wstart, Cycle wend);
-  RunMetrics collect(Cycle end) const;
+  RunMetrics collect(const Books& b, Cycle end) const;
 
   SystemConfig cfg_;
   const workload::Benchmark& bench_;
@@ -196,28 +240,18 @@ class CmpSystem {
   /// destruction order stays reference-safe.
   std::vector<std::unique_ptr<mem::TlbPort>> tlbs_;
   std::vector<std::unique_ptr<core::CoreModel>> cores_;
-  std::unique_ptr<thermal::Floorplan> floorplan_;
   power::LeakageModel leak_model_;
 
-  power::EnergyLedger ledger_;
+  /// One per accounting view, opened by run().
+  std::vector<Books> books_;
   std::uint32_t cores_done_ = 0;
   bool ran_ = false;
-
-  // Sampling state: previous counter snapshots per window.
-  Cycle last_sample_ = 0;
-  std::vector<std::uint64_t> prev_committed_;
-  std::vector<cache::LevelCounters> prev_l1_;  ///< Per core.
-  std::vector<cache::LevelCounters> prev_l2_;  ///< Per slice.
-  cache::LevelCounters prev_l3_;               ///< All banks.
-  std::uint64_t prev_bus_bytes_ = 0;
-  std::uint64_t prev_noc_flit_hops_ = 0;
-  std::uint64_t prev_dram_act_ = 0;
-  std::uint64_t prev_dram_pre_ = 0;
+  Cycle last_sample_ = 0;  ///< End of the last power sample.
 
   // Time-series sampling state (cdsim::obs). Kept strictly separate from
-  // the power-sampling prev_* snapshots above: the sampler reads counters
-  // at its own window boundaries and must never disturb the power model's
-  // deltas.
+  // the power-sampling snapshots in books_: the sampler reads counters at
+  // its own window boundaries, under the first view, and must never
+  // disturb the power model's deltas.
   obs::IntervalSampler* sampler_ = nullptr;
   Cycle sampler_wstart_ = 0;      ///< Start of the open window.
   Cycle sampler_next_ = 0;        ///< Next window boundary.

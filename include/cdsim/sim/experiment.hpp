@@ -68,11 +68,22 @@ SystemConfig normalized_run_config(const SystemConfig& cfg,
 RunMetrics run_config(const SystemConfig& cfg,
                       const workload::Benchmark& bench);
 
+/// Runs one configuration once and returns one RunMetrics per accounting
+/// view (CmpSystem::run), each equal to run_config under the view's
+/// techniques. A decaying L2 config in a view is normalized as `cfg.decay`
+/// is. Throws std::invalid_argument for a view outside the timing class.
+std::vector<RunMetrics> run_config(const SystemConfig& cfg,
+                                   const workload::Benchmark& bench,
+                                   std::vector<AccountingView> views);
+
 /// Outcome of one ExperimentRunner::run_grid call.
 struct SweepStats {
-  std::size_t simulated = 0;  ///< Configurations actually simulated.
-  std::size_t reused = 0;     ///< Served from the memo map / disk cache.
-  unsigned workers = 0;       ///< Pool size used (0 when nothing ran).
+  /// Results this call produced rather than read from the memo map or the
+  /// disk cache, accounting views included.
+  std::size_t simulated = 0;
+  std::size_t timing_runs = 0;  ///< CmpSystem runs that produced them.
+  std::size_t reused = 0;       ///< Served from the memo map / disk cache.
+  unsigned workers = 0;         ///< Pool size used (0 when nothing ran).
 };
 
 /// Runs configurations on demand, memoizing results (baselines are shared
@@ -110,11 +121,14 @@ class ExperimentRunner {
                         const decay::DecayConfig& technique);
 
   /// Fills the (benchmark x size x technique) grid — plus the baseline run
-  /// of every (benchmark, size) cell, which all relative metrics need — by
-  /// sharding the not-yet-cached configurations across a ThreadPool of
-  /// `workers` threads (0 = one per hardware thread). Results are merged
-  /// into the memo map and persisted once at the end. Bit-identical to
-  /// calling run() for each cell serially.
+  /// of every (benchmark, size) cell, which all relative metrics need —
+  /// with one pool task per timing class of not-yet-cached cells on a
+  /// ThreadPool of `workers` threads (0 = one per hardware thread): a
+  /// (benchmark, size) cell's baseline and protocol come from one run, as
+  /// two accounting views. Tasks are submitted round-robin over the
+  /// (benchmark, size) cells. Results are merged into the memo map and
+  /// persisted once at the end. Bit-identical to calling run() for each
+  /// cell serially.
   SweepStats run_grid(const std::vector<workload::Benchmark>& benchmarks,
                       const std::vector<std::uint64_t>& sizes,
                       const std::vector<decay::DecayConfig>& techniques,
@@ -150,11 +164,13 @@ class ExperimentRunner {
   [[nodiscard]] std::string key_for(const workload::Benchmark& bench,
                                     std::uint64_t total_l2_bytes,
                                     const decay::DecayConfig& technique) const;
-  /// Runs one configuration with its configuration-derived seed. Pure: no
-  /// locking, no shared state — safe to call from any pool worker.
-  [[nodiscard]] RunMetrics simulate(const workload::Benchmark& bench,
-                                    std::uint64_t total_l2_bytes,
-                                    const decay::DecayConfig& technique) const;
+  /// Runs the configuration of `techniques.front()` once with its
+  /// configuration-derived seed and returns one result per technique, all
+  /// of which must share its timing class. Pure: no locking, no shared
+  /// state — safe to call from any pool worker.
+  [[nodiscard]] std::vector<RunMetrics> simulate(
+      const workload::Benchmark& bench, std::uint64_t total_l2_bytes,
+      const std::vector<decay::DecayConfig>& techniques) const;
   void load_disk_cache();
   /// Atomically rewrites the cache file (temp + rename) with the union of
   /// on-disk and in-memory entries, dropping lines from other cache

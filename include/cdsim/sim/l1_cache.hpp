@@ -122,9 +122,11 @@ class L1Cache final : public core::LoadStorePort {
         .for_each_valid([&](cache::LineRef<Payload> ln) { fn(ln.tag()); });
   }
   [[nodiscard]] CoreId core() const noexcept { return core_; }
-  /// Counter snapshot for the energy model and the end-of-run metrics.
-  [[nodiscard]] cache::LevelCounters counters(Cycle now) const {
-    return level_.counters(now);
+  /// Counter snapshot for the energy model and the end-of-run metrics,
+  /// booked as under `technique` (cache::CacheLevel::counters).
+  [[nodiscard]] cache::LevelCounters counters(
+      Cycle now, decay::Technique technique) const {
+    return level_.counters(now, technique);
   }
 
  private:

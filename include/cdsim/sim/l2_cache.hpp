@@ -122,14 +122,16 @@ class L2Cache final : public noc::Snooper {
   }
   [[nodiscard]] CoreId core() const noexcept { return core_; }
 
-  /// Counter snapshot for the energy model and the end-of-run metrics.
-  [[nodiscard]] cache::LevelCounters counters(Cycle now) const {
-    return level_.counters(now);
+  /// Counter snapshot for the energy model and the end-of-run metrics,
+  /// booked as under `technique` (cache::CacheLevel::counters).
+  [[nodiscard]] cache::LevelCounters counters(
+      Cycle now, decay::Technique technique) const {
+    return level_.counters(now, technique);
   }
   /// Powered fraction of the array, time-averaged over [0, now] — the
-  /// paper's occupation rate for this slice.
+  /// paper's occupation rate for this slice, under its own technique.
   [[nodiscard]] double occupation(Cycle now) const {
-    return counters(now).occupation(now);
+    return level_.counters(now).occupation(now);
   }
   /// Currently powered lines.
   [[nodiscard]] std::uint64_t lines_on() const noexcept {

@@ -91,8 +91,10 @@ class L3Cache final : public noc::MemorySideCache {
   [[nodiscard]] const cache::CacheStats& bank_stats(std::uint32_t b) const {
     return banks_.at(b)->stats();
   }
-  /// The whole L3's counter snapshot: every bank's, summed in bank order.
-  [[nodiscard]] cache::LevelCounters counters(Cycle now) const;
+  /// The whole L3's counter snapshot, booked as under `technique`: every
+  /// bank's, summed in bank order.
+  [[nodiscard]] cache::LevelCounters counters(
+      Cycle now, decay::Technique technique) const;
 
   /// Test hook: whether a bank holds `line`, and whether it is dirty.
   [[nodiscard]] bool has_line(std::uint32_t bank, Addr line) const;

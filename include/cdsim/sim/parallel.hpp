@@ -2,13 +2,23 @@
 // Parallel sweep engine for the experiment grid.
 //
 // The paper's evaluation grid — 6 benchmarks x {1,2,4,8} MB total L2 x
-// 7 techniques plus the always-on baseline — is ~200 completely independent
-// simulations. ThreadPool shards them across std::thread workers; the
-// determinism contract is that a configuration's result depends only on its
-// own (benchmark, size, technique, instructions) description — deterministic
-// per-cell Xoshiro256 seeding, no shared mutable simulation state — so a
-// parallel sweep is bit-identical to running the same configurations
-// serially (tests/parallel_runner_test.cpp proves it).
+// 7 techniques plus the always-on baseline — is 192 results from 168
+// completely independent simulations: one per timing class of each
+// (benchmark, size) cell, where baseline and protocol share a class and
+// come from one run as two accounting views (decay::same_timing,
+// sim::AccountingView). run_grid submits one ThreadPool task per
+// simulation, unbatched: a task is a whole simulation, so a queue round
+// trip is noise, while batching several per task left workers idle at the
+// end of a sweep. Tasks go in round-robin over the (benchmark, size) cells,
+// so the simulations in flight at once come from different cells and peak
+// memory does not stack one cell's footprint per worker. Submission order
+// never reaches a result. The determinism contract is that a configuration's
+// result depends only on its own (benchmark, size, technique,
+// instructions) description — deterministic per-cell Xoshiro256 seeding,
+// no shared mutable simulation state, and per-view books kept exactly as a
+// standalone run keeps them — so a parallel sweep is bit-identical to
+// running the same configurations serially (tests/parallel_runner_test.cpp
+// proves it).
 //
 // Happens-before map (the synchronization contract TSan certifies via
 // tests/tsan_grid_test.cpp; every edge below is a mutex release/acquire or
@@ -68,16 +78,6 @@ class ThreadPool {
   /// done. Slot-indexed: each call owns index i exclusively, so writing
   /// results[i] needs no locking.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Like parallel_for, but submits contiguous index ranges of up to
-  /// `batch` indices per pool task: one queue push, one mutex round trip
-  /// and one std::function allocation amortize over the whole range. The
-  /// call order inside a task is ascending, and every index still runs
-  /// exactly once — so any fn whose work is a pure function of its index
-  /// (the grid determinism contract) produces bit-identical results for
-  /// every batch size, 1 included. `batch == 0` is clamped to 1.
-  void parallel_for_batched(std::size_t n, std::size_t batch,
-                            const std::function<void(std::size_t)>& fn);
 
  private:
   void worker_loop();

@@ -36,6 +36,21 @@ static_assert(!uses_decay(Technique::kProtocol));
 static_assert(gates_invalid_lines(Technique::kProtocol));
 static_assert(!gates_invalid_lines(Technique::kBaseline));
 
+// Timing classes: baseline and protocol share one whatever their unused
+// decay parameters; a decaying config is only in its own.
+static_assert(same_timing(DecayConfig{Technique::kBaseline, 0, 4},
+                          DecayConfig{Technique::kProtocol, 512 * 1024, 0}));
+static_assert(same_timing(DecayConfig{Technique::kDecay, 65536, 4},
+                          DecayConfig{Technique::kDecay, 65536, 4}));
+static_assert(!same_timing(DecayConfig{Technique::kDecay, 65536, 4},
+                           DecayConfig{Technique::kDecay, 131072, 4}));
+static_assert(!same_timing(DecayConfig{Technique::kDecay, 65536, 4},
+                           DecayConfig{Technique::kSelectiveDecay, 65536, 4}));
+static_assert(!same_timing(DecayConfig{Technique::kDecay, 65536, 4},
+                           DecayConfig{Technique::kDecay, 65536, 8}));
+static_assert(!same_timing(DecayConfig{Technique::kBaseline, 0, 4},
+                           DecayConfig{Technique::kDecay, 65536, 4}));
+
 // Expiry-wheel registration math: first_expiry_tick is the smallest tick
 // multiple at which expired() holds — the wheel and a full per-tick sweep
 // therefore switch a line off at the identical tick.

@@ -324,11 +324,6 @@ CmpSystem::CmpSystem(const SystemConfig& cfg, const workload::Benchmark& bench,
   l2cfg.size_bytes = cfg_.total_l2_bytes / cfg_.num_cores;
   l2cfg.protocol = cfg_.protocol;
 
-  const double slice_mb = static_cast<double>(l2cfg.size_bytes) /
-                          static_cast<double>(MiB);
-  floorplan_ = std::make_unique<thermal::Floorplan>(
-      thermal::make_cmp_floorplan(cfg_.thermal, cfg_.num_cores, slice_mb));
-
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     l1s_.push_back(std::make_unique<L1Cache>(eq_, cfg_.l1, c,
                                              cfg_.l1_decay));
@@ -353,26 +348,34 @@ CmpSystem::CmpSystem(const SystemConfig& cfg, const workload::Benchmark& bench,
     cores_.push_back(std::make_unique<core::CoreModel>(
         eq_, cfg_.core, c, *streams_.back(), *port, budget));
   }
+}
 
+CmpSystem::~CmpSystem() = default;
+
+CmpSystem::Books CmpSystem::open_books(const AccountingView& view) const {
+  const double slice_mb =
+      static_cast<double>(cfg_.total_l2_bytes / cfg_.num_cores) /
+      static_cast<double>(MiB);
+  Books b{.view = view,
+          .floorplan = thermal::make_cmp_floorplan(
+              cfg_.thermal, cfg_.num_cores, slice_mb),
+          .prev_committed = std::vector<std::uint64_t>(cfg_.num_cores, 0),
+          .prev_l1 = std::vector<cache::LevelCounters>(cfg_.num_cores),
+          .prev_l2 = std::vector<cache::LevelCounters>(cfg_.num_cores)};
   // Warm-start the thermal network near equilibrium so short runs operate
   // at representative temperatures (see rc_model.hpp header note).
   const double cw = cfg_.thermal.watts_per_eu_cycle;
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     const double core_w =
         (cfg_.power.core_leak_per_cycle + cfg_.power.core_dyn_per_instr) * cw;
-    floorplan_->model.warm_start(floorplan_->core_block(c), core_w);
+    b.floorplan.model.warm_start(b.floorplan.core_block(c), core_w);
     const double l2_lines =
         static_cast<double>(l2s_[c]->capacity_lines());
     const double l2_w = l2_lines * cfg_.power.l2_leak_per_line_cycle * cw;
-    floorplan_->model.warm_start(floorplan_->l2_block(c), l2_w);
+    b.floorplan.model.warm_start(b.floorplan.l2_block(c), l2_w);
   }
-
-  prev_committed_.assign(cfg_.num_cores, 0);
-  prev_l1_.assign(cfg_.num_cores, {});
-  prev_l2_.assign(cfg_.num_cores, {});
+  return b;
 }
-
-CmpSystem::~CmpSystem() = default;
 
 void CmpSystem::set_observer(verify::AccessObserver* obs) {
   CDSIM_ASSERT_MSG(!ran_, "observer must be attached before run()");
@@ -426,15 +429,15 @@ void CmpSystem::sample_window(Cycle wstart, Cycle wend) {
   row.window_end = wend;
   const double dtd = static_cast<double>(wend - wstart);
 
+  const Books& b = books_.front();
   std::uint64_t instr = 0;
   cache::LevelCounters l2;
   double temp_sum = 0.0;
   double temp_max = 0.0;
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     instr += cores_[c]->committed();
-    l2 += l2s_[c]->counters(wend);
-    const double t =
-        floorplan_->model.temperature(floorplan_->l2_block(c));
+    l2 += l2s_[c]->counters(wend, b.view.l2.technique);
+    const double t = b.floorplan.model.temperature(b.floorplan.l2_block(c));
     temp_sum += t;
     temp_max = std::max(temp_max, t);
   }
@@ -486,86 +489,91 @@ void CmpSystem::sample_power(Cycle upto) {
   CDSIM_ASSERT(upto >= last_sample_);
   const Cycle dt = upto - last_sample_;
   if (dt == 0) return;
-  const double dtd = static_cast<double>(dt);
+  for (Books& b : books_) sample_books(b, upto, static_cast<double>(dt));
+  last_sample_ = upto;
+}
+
+void CmpSystem::sample_books(Books& b, Cycle upto, double dtd) {
   const auto& pw = cfg_.power;
   const LevelRates l2_rates{pw.l2_leak_per_line_cycle, pw.l2_dyn_per_access,
                             pw.l2_dyn_per_fill};
   // Every level books into its own three components; the decay-counter
   // component is shared, in L1, L2 per core, then L3 order.
-  const auto book = [this](const LevelEnergy& e, power::Component dyn,
-                           power::Component leak, power::Component off) {
-    ledger_.add(dyn, e.dyn);
-    ledger_.add(leak, e.leak);
-    ledger_.add(off, e.off);
-    ledger_.add(power::Component::kDecayOverhead, e.overhead);
+  const auto book = [&b](const LevelEnergy& e, power::Component dyn,
+                         power::Component leak, power::Component off) {
+    b.ledger.add(dyn, e.dyn);
+    b.ledger.add(leak, e.leak);
+    b.ledger.add(off, e.off);
+    b.ledger.add(power::Component::kDecayOverhead, e.overhead);
   };
+  thermal::Floorplan& fp = b.floorplan;
 
-  std::vector<double> watts(floorplan_->model.num_blocks(), 0.0);
+  std::vector<double> watts(fp.model.num_blocks(), 0.0);
   const double w_per_eu = cfg_.thermal.watts_per_eu_cycle;
 
   double bus_energy = 0.0;
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     const double t_core = cfg_.thermal_feedback
-                              ? floorplan_->model.temperature(
-                                    floorplan_->core_block(c))
+                              ? fp.model.temperature(fp.core_block(c))
                               : leak_model_.params().t0_kelvin;
     const double t_l2 = cfg_.thermal_feedback
-                            ? floorplan_->model.temperature(
-                                  floorplan_->l2_block(c))
+                            ? fp.model.temperature(fp.l2_block(c))
                             : leak_model_.params().t0_kelvin;
     const double lf_core = leak_model_.factor(t_core);
 
     // --- core ---------------------------------------------------------------
     const std::uint64_t committed = cores_[c]->committed();
     const double d_instr =
-        static_cast<double>(committed - prev_committed_[c]);
-    prev_committed_[c] = committed;
+        static_cast<double>(committed - b.prev_committed[c]);
+    b.prev_committed[c] = committed;
     const double core_dyn = d_instr * pw.core_dyn_per_instr;
     const double core_leak = dtd * pw.core_leak_per_cycle * lf_core;
-    ledger_.add(power::Component::kCoreDynamic, core_dyn);
-    ledger_.add(power::Component::kCoreLeakage, core_leak);
+    b.ledger.add(power::Component::kCoreDynamic, core_dyn);
+    b.ledger.add(power::Component::kCoreLeakage, core_leak);
 
     // --- L1: its per-cache leakage constant spread over its lines ----------
-    const cache::LevelCounters l1 = l1s_[c]->counters(upto);
+    const cache::LevelCounters l1 =
+        l1s_[c]->counters(upto, b.view.l1.technique);
     const LevelRates l1_rates{
         pw.l1_leak_per_cycle / static_cast<double>(l1.capacity_lines),
         pw.l1_dyn_per_access, 0.0};
-    const LevelEnergy e1 = level_energy(prev_l1_[c], l1, dtd, l1_rates, pw,
-                                        cfg_.l1_decay.technique, lf_core);
-    prev_l1_[c] = l1;
+    const LevelEnergy e1 = level_energy(b.prev_l1[c], l1, dtd, l1_rates, pw,
+                                        b.view.l1.technique, lf_core);
+    b.prev_l1[c] = l1;
     book(e1, power::Component::kL1Dynamic, power::Component::kL1Leakage,
          power::Component::kL1OffResidual);
 
     // --- L2 slice (the optimized structure) ---------------------------------
-    const cache::LevelCounters l2 = l2s_[c]->counters(upto);
+    const cache::LevelCounters l2 =
+        l2s_[c]->counters(upto, b.view.l2.technique);
     const LevelEnergy e2 =
-        level_energy(prev_l2_[c], l2, dtd, l2_rates, pw,
-                     cfg_.decay.technique, leak_model_.factor(t_l2));
-    prev_l2_[c] = l2;
+        level_energy(b.prev_l2[c], l2, dtd, l2_rates, pw,
+                     b.view.l2.technique, leak_model_.factor(t_l2));
+    b.prev_l2[c] = l2;
     book(e2, power::Component::kL2Dynamic, power::Component::kL2Leakage,
          power::Component::kL2OffResidual);
 
     // --- per-block power for the thermal step -------------------------------
-    watts[floorplan_->core_block(c)] +=
+    watts[fp.core_block(c)] +=
         (core_dyn + core_leak + e1.dyn + e1.leak + e1.off + e1.overhead) /
         dtd * w_per_eu;
-    watts[floorplan_->l2_block(c)] += e2.total() / dtd * w_per_eu;
+    watts[fp.l2_block(c)] += e2.total() / dtd * w_per_eu;
   }
 
   if (bus_ != nullptr) {
     const std::uint64_t bus_bytes = bus_->bytes_transferred();
-    bus_energy = static_cast<double>(bus_bytes - prev_bus_bytes_) *
+    bus_energy = static_cast<double>(bus_bytes - b.prev_bus_bytes) *
                  pw.bus_dyn_per_byte;
-    prev_bus_bytes_ = bus_bytes;
-    ledger_.add(power::Component::kBusDynamic, bus_energy);
+    b.prev_bus_bytes = bus_bytes;
+    b.ledger.add(power::Component::kBusDynamic, bus_energy);
   } else {
     // Mesh NoC: dynamic energy scales with link traversals (flit-hops),
     // not payload bytes — more hops, more switching.
     const std::uint64_t fh = mesh_->noc().flit_hops();
-    bus_energy = static_cast<double>(fh - prev_noc_flit_hops_) *
+    bus_energy = static_cast<double>(fh - b.prev_noc_flit_hops) *
                  pw.noc_dyn_per_flit_hop;
-    prev_noc_flit_hops_ = fh;
-    ledger_.add(power::Component::kNocDynamic, bus_energy);
+    b.prev_noc_flit_hops = fh;
+    b.ledger.add(power::Component::kNocDynamic, bus_energy);
   }
   // --- shared L3 home banks (three-level hierarchy) -------------------------
   if (l3_ != nullptr) {
@@ -573,49 +581,69 @@ void CmpSystem::sample_power(Cycle upto) {
     // next to the routers, so their heat is attributed to the interconnect
     // block (documented simplification).
     const double t_l3 = cfg_.thermal_feedback
-                            ? floorplan_->model.temperature(
-                                  floorplan_->bus_block())
+                            ? fp.model.temperature(fp.bus_block())
                             : leak_model_.params().t0_kelvin;
     const LevelRates l3_rates{pw.l3_leak_per_line_cycle,
                               pw.l3_dyn_per_access, pw.l3_dyn_per_fill};
-    const cache::LevelCounters l3 = l3_->counters(upto);
+    const cache::LevelCounters l3 = l3_->counters(upto, b.view.l3.technique);
     const LevelEnergy e3 =
-        level_energy(prev_l3_, l3, dtd, l3_rates, pw,
-                     cfg_.l3_decay.technique, leak_model_.factor(t_l3));
-    prev_l3_ = l3;
+        level_energy(b.prev_l3, l3, dtd, l3_rates, pw, b.view.l3.technique,
+                     leak_model_.factor(t_l3));
+    b.prev_l3 = l3;
     book(e3, power::Component::kL3Dynamic, power::Component::kL3Leakage,
          power::Component::kL3OffResidual);
-    watts[floorplan_->bus_block()] += e3.total() / dtd * w_per_eu;
+    watts[fp.bus_block()] += e3.total() / dtd * w_per_eu;
   }
 
-  watts[floorplan_->bus_block()] += bus_energy / dtd * w_per_eu;
+  watts[fp.bus_block()] += bus_energy / dtd * w_per_eu;
 
   // Off-chip DRAM command energy (kDram only; flat stats are all zero).
   // Reported in the ledger but never attributed to an on-chip block — the
   // paper's "system" normalization excludes off-chip DRAM (§V, fn. 2).
   if (cfg_.mem.model == mem::MemoryModel::kDram) {
     const mem::DramStats& ds = mem_->dram_stats();
-    ledger_.add(power::Component::kDramActivate,
-                static_cast<double>(ds.activates - prev_dram_act_) *
-                    pw.dram_act_energy);
-    ledger_.add(power::Component::kDramPrecharge,
-                static_cast<double>(ds.precharges - prev_dram_pre_) *
-                    pw.dram_pre_energy);
-    prev_dram_act_ = ds.activates;
-    prev_dram_pre_ = ds.precharges;
+    b.ledger.add(power::Component::kDramActivate,
+                 static_cast<double>(ds.activates - b.prev_dram_act) *
+                     pw.dram_act_energy);
+    b.ledger.add(power::Component::kDramPrecharge,
+                 static_cast<double>(ds.precharges - b.prev_dram_pre) *
+                     pw.dram_pre_energy);
+    b.prev_dram_act = ds.activates;
+    b.prev_dram_pre = ds.precharges;
   }
 
   if (cfg_.thermal_feedback) {
     const double dt_sec =
         dtd / cfg_.thermal.clock_hz;
-    floorplan_->model.step(dt_sec, watts);
+    fp.model.step(dt_sec, watts);
   }
-  last_sample_ = upto;
 }
 
-RunMetrics CmpSystem::run() {
+RunMetrics CmpSystem::run() { return run({AccountingView::of(cfg_)}).front(); }
+
+std::vector<RunMetrics> CmpSystem::run(
+    const std::vector<AccountingView>& views) {
   CDSIM_ASSERT_MSG(!ran_, "CmpSystem::run() may be called once");
+  if (views.empty()) {
+    throw std::invalid_argument("CmpSystem::run: no accounting view");
+  }
+  const auto triple = [](const AccountingView& v) {
+    return "L1 " + v.l1.label() + " / L2 " + v.l2.label() + " / L3 " +
+           v.l3.label();
+  };
+  for (const AccountingView& v : views) {
+    if (!decay::same_timing(v.l1, cfg_.l1_decay) ||
+        !decay::same_timing(v.l2, cfg_.decay) ||
+        !decay::same_timing(v.l3, cfg_.l3_decay)) {
+      throw std::invalid_argument(
+          "CmpSystem::run: view (" + triple(v) +
+          ") is outside the timing class of the run (" +
+          triple(AccountingView::of(cfg_)) + ")");
+    }
+  }
   ran_ = true;
+  books_.reserve(views.size());
+  for (const AccountingView& v : views) books_.push_back(open_books(v));
 
   for (auto& l1 : l1s_) l1->start();
   for (auto& l2 : l2s_) l2->start();
@@ -657,13 +685,16 @@ RunMetrics CmpSystem::run() {
   for (auto& l1 : l1s_) l1->stop();
   for (auto& l2 : l2s_) l2->stop();
   if (l3_ != nullptr) l3_->stop();
-  return collect(end);
+  std::vector<RunMetrics> out;
+  out.reserve(books_.size());
+  for (const Books& b : books_) out.push_back(collect(b, end));
+  return out;
 }
 
-RunMetrics CmpSystem::collect(Cycle end) const {
+RunMetrics CmpSystem::collect(const Books& b, Cycle end) const {
   RunMetrics m;
   m.benchmark = bench_.config.name;
-  m.technique = cfg_.decay.label();
+  m.technique = b.view.l2.label();
   m.total_l2_bytes = cfg_.total_l2_bytes;
   m.cycles = end;
 
@@ -675,14 +706,15 @@ RunMetrics CmpSystem::collect(Cycle end) const {
   double temp_sum = 0.0;
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
     m.instructions += cores_[c]->committed();
-    l1 += l1s_[c]->counters(end);
-    const cache::LevelCounters slice = l2s_[c]->counters(end);
+    l1 += l1s_[c]->counters(end, b.view.l1.technique);
+    const cache::LevelCounters slice =
+        l2s_[c]->counters(end, b.view.l2.technique);
     occ_sum += slice.occupation(end);
     l2 += slice;
     const auto& h = cores_[c]->load_latency();
     lat_sum += h.mean() * static_cast<double>(h.count());
     lat_n += h.count();
-    temp_sum += floorplan_->model.temperature(floorplan_->l2_block(c));
+    temp_sum += b.floorplan.model.temperature(b.floorplan.l2_block(c));
   }
   m.ipc = safe_div(static_cast<double>(m.instructions),
                    static_cast<double>(end));
@@ -699,8 +731,8 @@ RunMetrics CmpSystem::collect(Cycle end) const {
   m.amat = safe_div(lat_sum, static_cast<double>(lat_n));
   m.mem_bytes = mem_->total_bytes();
   m.mem_bandwidth = mem_->bandwidth(end);
-  m.energy = ledger_.total();
-  m.ledger = ledger_;
+  m.energy = b.ledger.total();
+  m.ledger = b.ledger;
   m.avg_l2_temp_kelvin = temp_sum / static_cast<double>(cfg_.num_cores);
   m.bus_utilization = ic_->utilization(end);
   m.topology = std::string(noc::to_string(cfg_.topology));
@@ -718,7 +750,7 @@ RunMetrics CmpSystem::collect(Cycle end) const {
   m.l2 = level_metrics(l2, m.l2_occupation);
   if (l3_ != nullptr) {
     m.total_l3_bytes = cfg_.total_l3_bytes;
-    const cache::LevelCounters l3 = l3_->counters(end);
+    const cache::LevelCounters l3 = l3_->counters(end, b.view.l3.technique);
     m.l3 = level_metrics(l3, l3.occupation(end));
   }
 

@@ -88,6 +88,12 @@ std::optional<std::pair<std::string, RunMetrics>> parse_cache_line(
   m.total_l2_bytes = std::strtoull(size.c_str(), nullptr, 10);
   return std::pair{std::move(key), std::move(m)};
 }
+
+/// Decay sweepers divide by tick count; give non-decay configs a benign
+/// decay_time (they never sweep).
+void normalize_decay_time(decay::DecayConfig& d) {
+  if (d.decay_time == 0) d.decay_time = 4;
+}
 }  // namespace
 
 namespace detail {
@@ -161,10 +167,8 @@ SystemConfig make_system_config(std::uint64_t total_l2_bytes,
 
 SystemConfig normalized_run_config(const SystemConfig& cfg,
                                    const workload::Benchmark& bench) {
-  // Decay sweepers divide by tick count; give non-decay configs a benign
-  // decay_time (they never sweep).
   SystemConfig fixed = cfg;
-  if (fixed.decay.decay_time == 0) fixed.decay.decay_time = 4;
+  normalize_decay_time(fixed.decay);
   // Deterministic per-cell seeding: every (benchmark, size, instructions)
   // cell draws an independent workload stream, mixed with the caller's
   // cfg.seed so explicit seeds still select distinct streams. The
@@ -182,7 +186,14 @@ SystemConfig normalized_run_config(const SystemConfig& cfg,
 
 RunMetrics run_config(const SystemConfig& cfg,
                       const workload::Benchmark& bench) {
+  return run_config(cfg, bench, {AccountingView::of(cfg)}).front();
+}
+
+std::vector<RunMetrics> run_config(const SystemConfig& cfg,
+                                   const workload::Benchmark& bench,
+                                   std::vector<AccountingView> views) {
   const SystemConfig fixed = normalized_run_config(cfg, bench);
+  for (AccountingView& v : views) normalize_decay_time(v.l2);
 
   // CDSIM_VERIFY=1: run every configuration against the differential
   // reference-model oracle (see cdsim/verify/oracle.hpp) and abort on the
@@ -228,7 +239,7 @@ RunMetrics run_config(const SystemConfig& cfg,
     CmpSystem sys(fixed, bench, factory);
     verify::DifferentialChecker checker(fixed.num_cores);
     sys.set_observer(&checker);
-    RunMetrics m = sys.run();
+    std::vector<RunMetrics> ms = sys.run(views);
     if (writer != nullptr && !writer->finish()) {
       std::fprintf(stderr, "cdsim: CDSIM_VERIFY_TRACE: %s\n",
                    writer->error().c_str());
@@ -239,14 +250,14 @@ RunMetrics run_config(const SystemConfig& cfg,
                    "first: %s\n",
                    static_cast<unsigned long long>(
                        checker.total_divergences()),
-                   m.benchmark.c_str(), m.technique.c_str(),
+                   bench.config.name.c_str(), fixed.decay.label().c_str(),
                    verify::to_string(checker.divergences().front()).c_str());
       std::abort();
     }
-    return m;
+    return ms;
   }
   CmpSystem sys(fixed, bench);
-  return sys.run();
+  return sys.run(views);
 }
 
 ExperimentRunner::ExperimentRunner(std::uint64_t instructions_per_core,
@@ -384,12 +395,18 @@ std::string ExperimentRunner::key_for(
   return config_desc(bench, total_l2_bytes, technique) + "/" + kCacheVersion;
 }
 
-RunMetrics ExperimentRunner::simulate(
+std::vector<RunMetrics> ExperimentRunner::simulate(
     const workload::Benchmark& bench, std::uint64_t total_l2_bytes,
-    const decay::DecayConfig& technique) const {
-  SystemConfig cfg = make_system_config(total_l2_bytes, technique);
+    const std::vector<decay::DecayConfig>& techniques) const {
+  SystemConfig cfg = make_system_config(total_l2_bytes, techniques.front());
   cfg.instructions_per_core = instructions_;
-  return run_config(cfg, bench);  // run_config derives the cell seed
+  std::vector<AccountingView> views;
+  views.reserve(techniques.size());
+  for (const decay::DecayConfig& t : techniques) {
+    views.push_back(
+        AccountingView::of(make_system_config(total_l2_bytes, t)));
+  }
+  return run_config(cfg, bench, std::move(views));  // derives the cell seed
 }
 
 const RunMetrics& ExperimentRunner::run(const workload::Benchmark& bench,
@@ -411,7 +428,7 @@ const RunMetrics& ExperimentRunner::run(const workload::Benchmark& bench,
   // are visible. Returning `it->second` by reference outside the lock is
   // sound because std::map nodes are pointer-stable and a memoized entry
   // is never mutated after insertion.
-  RunMetrics m = simulate(bench, total_l2_bytes, technique);
+  RunMetrics m = std::move(simulate(bench, total_l2_bytes, {technique})[0]);
   std::scoped_lock lock(mu_);
   const auto [it, inserted] = cache_.emplace(key, std::move(m));
   if (inserted) {

@@ -166,9 +166,10 @@ void L3Cache::decay_sweep(std::uint32_t bank, Cycle now) {
 // Introspection
 // ---------------------------------------------------------------------------
 
-cache::LevelCounters L3Cache::counters(Cycle now) const {
+cache::LevelCounters L3Cache::counters(Cycle now,
+                                      decay::Technique technique) const {
   cache::LevelCounters sum;
-  for (const auto& b : banks_) sum += b->counters(now);
+  for (const auto& b : banks_) sum += b->counters(now, technique);
   return sum;
 }
 

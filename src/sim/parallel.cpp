@@ -1,5 +1,6 @@
 #include "cdsim/sim/parallel.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <set>
@@ -55,19 +56,6 @@ void ThreadPool::parallel_for(std::size_t n,
   wait_idle();
 }
 
-void ThreadPool::parallel_for_batched(
-    std::size_t n, std::size_t batch,
-    const std::function<void(std::size_t)>& fn) {
-  if (batch == 0) batch = 1;
-  for (std::size_t b = 0; b < n; b += batch) {
-    const std::size_t end = b + batch < n ? b + batch : n;
-    submit([&fn, b, end] {
-      for (std::size_t i = b; i < end; ++i) fn(i);
-    });
-  }
-  wait_idle();
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -113,17 +101,32 @@ SweepStats ExperimentRunner::run_grid(
 
   SweepStats stats;
   std::vector<Job> jobs;
+  // Per (benchmark, size) cell, one simulation per timing class: the jobs
+  // of the cell that share it, every one an accounting view of the run of
+  // the first.
+  std::vector<std::vector<std::vector<std::size_t>>> cell_runs;
   std::set<std::string> scheduled;
   {
     std::scoped_lock lock(mu_);
     for (const auto& bench : benchmarks) {
       for (const std::uint64_t bytes : sizes) {
+        auto& cell = cell_runs.emplace_back();
         for (const auto& tech : techs) {
           std::string key = key_for(bench, bytes, tech);
           if (!scheduled.insert(key).second) continue;  // duplicate cell
           if (cache_.find(key) != cache_.end()) {
             ++stats.reused;
             continue;
+          }
+          const auto same = std::find_if(
+              cell.begin(), cell.end(),
+              [&](const std::vector<std::size_t>& run) {
+                return decay::same_timing(jobs[run.front()].technique, tech);
+              });
+          if (same == cell.end()) {
+            cell.push_back({jobs.size()});
+          } else {
+            same->push_back(jobs.size());
           }
           jobs.push_back(Job{&bench, bytes, tech, std::move(key)});
         }
@@ -132,30 +135,45 @@ SweepStats ExperimentRunner::run_grid(
   }
   if (jobs.empty()) return stats;
 
+  // Submission order: every cell's first run, then every cell's second,
+  // and so on. A cell's runs replay one workload, so their memory
+  // footprints are about equal; submitted back to back, the workers would
+  // run them side by side, and peak memory would be the largest cell's
+  // footprint times the worker count. Interleaved, the simulations in
+  // flight come from different cells.
+  std::vector<const std::vector<std::size_t>*> runs;
+  for (std::size_t k = 0; k < techs.size(); ++k) {
+    for (const auto& cell : cell_runs) {
+      if (k < cell.size()) runs.push_back(&cell[k]);
+    }
+  }
+
   ThreadPool pool(workers);
   stats.workers = pool.worker_count();
-  // Each worker writes only its own slot; merging under the lock happens
-  // once, after the barrier, in job order — so the memo map and cache file
-  // contents are independent of thread scheduling.
+  stats.timing_runs = runs.size();
+  // One pool task per timing run, each writing only its own jobs' slots;
+  // merging under the lock happens once, after the barrier, in job order —
+  // so the memo map and cache file contents are independent of thread
+  // scheduling. Each run still seeds from its cell's description alone
+  // (simulate() takes only the cell's parameters), and a view's books are
+  // kept exactly as its standalone run keeps them, so the merge is
+  // bit-identical to calling run() for every cell serially.
   //
-  // Happens-before: each worker's results[i] store -> its --in_flight_
-  // under the pool mutex -> parallel_for_batched's wait_idle observing 0 ->
-  // the unguarded reads of results[] in the merge loop below. No slot is
-  // ever touched by two threads, so the barrier is the only edge needed.
-  //
-  // Batching: a simulation dwarfs a queue round trip, but a large grid on
-  // many workers still pays jobs.size() submit()s of mutex traffic and
-  // std::function heap churn. Chunking several configs per pool task keeps
-  // ~4 tasks in flight per worker for load balance while amortizing the
-  // scheduling overhead. Each config still seeds from its own description
-  // alone (simulate() takes only the cell's parameters), so the merge —
-  // done after the barrier, in job order — is bit-identical for every
-  // batch size, parallel or serial.
-  const std::size_t batch_hint = jobs.size() / (std::size_t{4} * stats.workers);
-  const std::size_t batch = batch_hint < 1 ? 1 : batch_hint;
+  // Happens-before: each worker's results[i] stores -> its --in_flight_
+  // under the pool mutex -> parallel_for's wait_idle observing 0 -> the
+  // unguarded reads of results[] in the merge loop below. No slot is ever
+  // touched by two threads, so the barrier is the only edge needed.
   std::vector<RunMetrics> results(jobs.size());
-  pool.parallel_for_batched(jobs.size(), batch, [&](std::size_t i) {
-    results[i] = simulate(*jobs[i].bench, jobs[i].bytes, jobs[i].technique);
+  pool.parallel_for(runs.size(), [&](std::size_t r) {
+    const std::vector<std::size_t>& ids = *runs[r];
+    const Job& lead = jobs[ids.front()];
+    std::vector<decay::DecayConfig> views;
+    views.reserve(ids.size());
+    for (const std::size_t i : ids) views.push_back(jobs[i].technique);
+    std::vector<RunMetrics> ms = simulate(*lead.bench, lead.bytes, views);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      results[ids[k]] = std::move(ms[k]);
+    }
   });
 
   // Host-profiling aggregation: the phase accumulators are process-global

@@ -1,7 +1,10 @@
 // Parallel sweep engine: ThreadPool behavior, and the central determinism
-// contract — a run_grid sweep sharded across >= 4 workers produces
-// RunMetrics bit-identical to running the same configurations serially
-// through ExperimentRunner::run().
+// contract — a run_grid sweep sharded across >= 4 workers, one task per
+// timing class with baseline and protocol as two accounting views of one
+// run, produces RunMetrics bit-identical to running the same
+// configurations serially through ExperimentRunner::run(). Also the views
+// themselves: they reproduce the three-level golden pins of other
+// techniques, and a view outside the run's timing class is rejected.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
 #include "cdsim/sim/parallel.hpp"
 #include "cdsim/workload/benchmarks.hpp"
+#include "three_level_pins.hpp"
 
 namespace {
 
@@ -110,8 +115,10 @@ TEST_F(ParallelRunnerTest, ParallelGridIsBitIdenticalToSerial) {
   sim::ExperimentRunner parallel(kInstr, cache_path("parallel"));
   const sim::SweepStats sweep = parallel.run_grid(benches, sizes, techs, 4);
   EXPECT_EQ(sweep.workers, 4u);
-  // 2 benchmarks x 2 sizes x (4 techniques + baseline), all fresh.
+  // 2 benchmarks x 2 sizes x (4 techniques + baseline), all fresh, from
+  // 4 timing classes per cell: baseline and protocol share one run.
   EXPECT_EQ(sweep.simulated, 20u);
+  EXPECT_EQ(sweep.timing_runs, 16u);
   EXPECT_EQ(sweep.reused, 0u);
 
   for (const auto& bench : benches) {
@@ -138,6 +145,7 @@ TEST_F(ParallelRunnerTest, GridIsMemoizedAcrossCalls) {
   sim::ExperimentRunner runner(kInstr, cache_path("memo"));
   const sim::SweepStats first = runner.run_grid(benches, sizes, techs, 2);
   EXPECT_EQ(first.simulated, 2u);  // baseline + protocol
+  EXPECT_EQ(first.timing_runs, 1u);  // ... as two views of one run
   EXPECT_EQ(first.reused, 0u);
 
   const sim::SweepStats second = runner.run_grid(benches, sizes, techs, 2);
@@ -160,6 +168,113 @@ TEST_F(ParallelRunnerTest, GridDeduplicatesRepeatedCells) {
   sim::ExperimentRunner runner(kInstr, cache_path("dedupe"));
   const sim::SweepStats sweep = runner.run_grid(benches, sizes, techs, 2);
   EXPECT_EQ(sweep.simulated, 2u);  // baseline + protocol, once each
+}
+
+// The whole paper grid at a short budget: every one of the 192 cells from
+// 168 timing runs equals its serial run() on all 75 leaves.
+TEST_F(ParallelRunnerTest, PaperGridFromTimingRunsMatchesSerialRuns) {
+  constexpr std::uint64_t kGridInstr = 20'000;
+  const auto& suite = workload::benchmark_suite();
+  const auto sizes = sim::paper_cache_sizes();
+  const auto techs = sim::paper_technique_set();
+
+  sim::ExperimentRunner parallel(kGridInstr, cache_path("parallel"));
+  const sim::SweepStats sweep = parallel.run_grid(suite, sizes, techs, 4);
+  EXPECT_EQ(sweep.simulated, 192u);   // 6 presets x 4 sizes x (7 + 1)
+  EXPECT_EQ(sweep.timing_runs, 168u); // protocol rides on the baseline
+  EXPECT_EQ(sweep.reused, 0u);
+
+  std::vector<decay::DecayConfig> cells{sim::baseline_config()};
+  cells.insert(cells.end(), techs.begin(), techs.end());
+  sim::ExperimentRunner serial(kGridInstr, cache_path("serial"));
+  for (const auto& bench : suite) {
+    for (const std::uint64_t bytes : sizes) {
+      for (const auto& tech : cells) {
+        SCOPED_TRACE(bench.config.name + "/" + std::to_string(bytes / MiB) +
+                     "MB/" + tech.label());
+        EXPECT_EQ(sim::first_difference(serial.run(bench, bytes, tech),
+                                        parallel.run(bench, bytes, tech)),
+                  "");
+      }
+    }
+  }
+}
+
+// Rows 3 and 2 of GoldenMetricsTest.ThreeLevelConfigIsPinned, each kept as
+// a view of a run under other techniques of its timing class: the view
+// meets the standalone row's pins bit for bit.
+TEST_F(ParallelRunnerTest, ViewsReproduceTheThreeLevelPins) {
+  using decay::Technique;
+  struct Case {
+    std::size_t row;   ///< Index into kThreeLevel.
+    Technique l1, l2, l3;  ///< The run the row is a view of.
+  };
+  for (const Case& c :
+       {Case{2, Technique::kSelectiveDecay, Technique::kProtocol,
+             Technique::kBaseline},
+        Case{1, Technique::kBaseline, Technique::kBaseline,
+             Technique::kSelectiveDecay}}) {
+    const ThreeLevelCase& g = kThreeLevel[c.row];
+    const sim::SystemConfig run_cfg = three_level_pin_config(c.l1, c.l2, c.l3);
+    const sim::SystemConfig row_cfg = three_level_pin_config(g.l1, g.l2, g.l3);
+    SCOPED_TRACE("row " + std::to_string(c.row + 1) + " as a view of L1 " +
+                 run_cfg.l1_decay.label() + " / L2 " + run_cfg.decay.label() +
+                 " / L3 " + run_cfg.l3_decay.label());
+    const std::vector<sim::RunMetrics> ms =
+        sim::run_config(run_cfg, workload::benchmark_by_name("FMM"),
+                        {sim::AccountingView::of(run_cfg),
+                         sim::AccountingView::of(row_cfg)});
+    ASSERT_EQ(ms.size(), 2u);
+    const sim::RunMetrics& m = ms[1];
+    EXPECT_EQ(m.technique, row_cfg.decay.label());
+    EXPECT_EQ(m.energy, g.energy);
+    EXPECT_EQ(m.l1.occupation, g.l1_occupation);
+    EXPECT_EQ(m.l2_occupation, g.l2_occupation);
+    EXPECT_EQ(m.l2.occupation, g.l2_occupation);
+    EXPECT_EQ(m.l3.occupation, g.l3_occupation);
+    for (std::size_t i = 0; i < power::kNumComponents; ++i) {
+      const auto comp = static_cast<power::Component>(i);
+      EXPECT_EQ(m.ledger.get(comp), g.ledger[i]) << to_string(comp);
+    }
+    // The run's own view is its standalone run, and the two views share
+    // every timing field.
+    EXPECT_EQ(sim::first_difference(
+                  ms[0], sim::run_config(run_cfg,
+                                         workload::benchmark_by_name("FMM"))),
+              "");
+    EXPECT_EQ(m.cycles, ms[0].cycles);
+    EXPECT_EQ(m.l2_misses, ms[0].l2_misses);
+    EXPECT_EQ(m.mem_bytes, ms[0].mem_bytes);
+  }
+}
+
+TEST_F(ParallelRunnerTest, ViewOutsideTheTimingClassIsRejected) {
+  const decay::DecayConfig decay64k{decay::Technique::kDecay, 64 * 1024, 4};
+  const decay::DecayConfig decay128k{decay::Technique::kDecay, 128 * 1024, 4};
+  const auto& bench = workload::benchmark_suite().front();
+  const auto view_of = [](const decay::DecayConfig& l2) {
+    return sim::AccountingView::of(sim::make_system_config(1 * MiB, l2));
+  };
+  sim::SystemConfig base = sim::make_system_config(1 * MiB,
+                                                   sim::baseline_config());
+  base.instructions_per_core = 1000;
+  sim::SystemConfig dec = sim::make_system_config(1 * MiB, decay64k);
+  dec.instructions_per_core = 1000;
+
+  // decay64K on a baseline run: it would turn lines off the run keeps.
+  EXPECT_THROW(sim::run_config(base, bench, {view_of(decay64k)}),
+               std::invalid_argument);
+  // decay128K next to decay64K: another decay interval, another timing.
+  EXPECT_THROW(
+      sim::run_config(dec, bench, {view_of(decay64k), view_of(decay128k)}),
+      std::invalid_argument);
+  // A view must be given, and a rejected call leaves the system runnable.
+  sim::CmpSystem sys(sim::normalized_run_config(dec, bench), bench);
+  EXPECT_THROW(sys.run(std::vector<sim::AccountingView>{}),
+               std::invalid_argument);
+  EXPECT_THROW(sys.run({view_of(sim::baseline_config())}),
+               std::invalid_argument);
+  EXPECT_EQ(sys.run({view_of(decay64k)}).size(), 1u);
 }
 
 TEST_F(ParallelRunnerTest, ConfigSeedIsStableAndPerKey) {

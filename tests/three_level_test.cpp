@@ -56,7 +56,8 @@ TEST(L3Bank, MissThenInstallThenHit) {
   EXPECT_TRUE(h.l3.has_line(0, 0x1000));
   EXPECT_FALSE(h.l3.line_dirty(0, 0x1000));
   EXPECT_TRUE(h.l3.lookup_for_fill(0, 0x1000));  // now a hit
-  const cache::LevelCounters c = h.l3.counters(h.eq.now());
+  const cache::LevelCounters c =
+      h.l3.counters(h.eq.now(), decay::Technique::kProtocol);
   EXPECT_EQ(c.accesses - c.misses, 1u);  // the hit
   EXPECT_EQ(c.misses, 1u);
   EXPECT_EQ(c.fills, 1u);
