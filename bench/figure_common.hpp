@@ -14,7 +14,6 @@
 
 #include "cdsim/common/table.hpp"
 #include "cdsim/sim/experiment.hpp"
-#include "cdsim/sim/parallel.hpp"
 #include "cdsim/workload/benchmarks.hpp"
 
 namespace cdsim::bench {

@@ -1,9 +1,10 @@
 // diagnose — internal-counters dump for one configuration.
 //
 // Usage: diagnose <benchmark> <technique> <decay_time_k> [instr]
-//   <technique> is baseline|protocol|decay|sel_decay; an unknown name, a
-//   non-numeric decay_time_k or instr, or a config the simulator rejects
-//   (e.g. a decaying technique with decay_time_k 0) exits 2.
+//   <technique> is baseline|protocol|decay|sel_decay; an unknown
+//   benchmark or technique name, a non-numeric decay_time_k or instr, or a
+//   config the simulator rejects (e.g. a decaying technique with
+//   decay_time_k 0) exits 2.
 //                 [--topology=bus|dmesh] [--hierarchy=2|3] [--cores=N]
 //                 [--trace-out=FILE] [--sample-out=FILE]
 //                 [--sample-every=N] [--profile]
@@ -115,14 +116,15 @@ int main(int argc, char** argv) {
   }
   cfg.instructions_per_core = instr;
 
-  const auto& bench = workload::benchmark_by_name(bench_name);
+  const workload::Benchmark* bench = nullptr;
   try {
+    bench = &workload::benchmark_by_name(bench_name);
     sim::validate_system_config(cfg);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "diagnose: %s\n", e.what());
     return 2;
   }
-  sim::CmpSystem sys(cfg, bench);
+  sim::CmpSystem sys(cfg, *bench);
 
   obs::TraceRecorder recorder;
   if (!trace_out.empty()) {

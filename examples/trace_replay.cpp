@@ -43,6 +43,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -242,17 +243,19 @@ int main(int argc, char** argv) {
     programs.push_back(std::move(spec));
   }
   if (!hot_spec.empty()) {
+    const std::size_t colon = hot_spec.find(':');
+    const auto idx =
+        sim::detail::parse_u64(hot_spec.substr(0, colon).c_str());
     char* end = nullptr;
-    const unsigned long idx = std::strtoul(hot_spec.c_str(), &end, 10);
-    const double mult =
-        (end != nullptr && *end == ':') ? std::strtod(end + 1, &end) : 0.0;
-    if (idx >= programs.size() || !(mult > 0.0) ||
-        (end != nullptr && *end != '\0')) {
+    const double mult = colon == std::string::npos
+                            ? 0.0
+                            : std::strtod(hot_spec.c_str() + colon + 1, &end);
+    if (!idx || *idx >= programs.size() || !(mult > 0.0) || *end != '\0') {
       std::fprintf(stderr, "invalid --hot value \"%s\" (want IDX:MULT)\n",
                    hot_spec.c_str());
       return 2;
     }
-    programs[idx].weight = mult;
+    programs[*idx].weight = mult;
   }
 
   const std::optional<decay::Technique> technique =
@@ -298,6 +301,12 @@ int main(int argc, char** argv) {
     cfg.l3_decay = cfg.decay;
   }
   plan.apply(cfg);
+  try {
+    sim::validate_system_config(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "trace_replay: %s\n", e.what());
+    return 2;
+  }
 
   std::printf("trace_replay: %zu program(s) on %s%u (%s), %s\n", paths.size(),
               std::string(noc::to_string(cfg.topology)).c_str(), cfg.num_cores,
@@ -419,8 +428,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", metrics_out.c_str());
       return 1;
     }
-    std::fputs(sim::format_metrics(m).c_str(), f);
-    std::fclose(f);
+    const bool written = std::fputs(sim::format_metrics(m).c_str(), f) >= 0;
+    if (std::fclose(f) != 0 || !written) {
+      std::fprintf(stderr, "trace_replay: failed writing %s\n",
+                   metrics_out.c_str());
+      return 1;
+    }
   }
   return rc;
 }

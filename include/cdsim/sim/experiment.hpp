@@ -56,22 +56,26 @@ std::vector<std::uint64_t> paper_cache_sizes();
 SystemConfig make_system_config(std::uint64_t total_l2_bytes,
                                 const decay::DecayConfig& technique);
 
-/// The exact SystemConfig run_config simulates for (cfg, bench): the
-/// benign decay_time normalization plus the deterministic per-cell seed
-/// mix. Exposed so harnesses that need to own the CmpSystem themselves
-/// (bench_kernel, custom drivers) simulate the identical stream — if the
-/// seeding recipe ever changes, it changes in exactly one place.
+/// The exact SystemConfig run_config simulates for (cfg, bench): `cfg`
+/// with the deterministic per-cell seed mixed in. Exposed so harnesses
+/// that need to own the CmpSystem themselves (bench_kernel, custom
+/// drivers) simulate the identical stream — if the seeding recipe ever
+/// changes, it changes in exactly one place.
 SystemConfig normalized_run_config(const SystemConfig& cfg,
                                    const workload::Benchmark& bench);
 
-/// Runs one configuration to completion.
+/// Runs one configuration to completion. Throws std::invalid_argument for
+/// a config validate_system_config rejects, e.g. a decaying L2 with
+/// decay_time 0. CDSIM_VERIFY=1 attaches the differential oracle and
+/// aborts on a divergence; CDSIM_VERIFY_TRACE=<dir> then also captures
+/// the run's op sequence as <dir>/<bench>_<technique>_s<seed>.cdt.
 RunMetrics run_config(const SystemConfig& cfg,
                       const workload::Benchmark& bench);
 
 /// Runs one configuration once and returns one RunMetrics per accounting
 /// view (CmpSystem::run), each equal to run_config under the view's
-/// techniques. A decaying L2 config in a view is normalized as `cfg.decay`
-/// is. Throws std::invalid_argument for a view outside the timing class.
+/// techniques. Throws std::invalid_argument for a view outside the timing
+/// class.
 std::vector<RunMetrics> run_config(const SystemConfig& cfg,
                                    const workload::Benchmark& bench,
                                    std::vector<AccountingView> views);
@@ -83,7 +87,7 @@ struct SweepStats {
   std::size_t simulated = 0;
   std::size_t timing_runs = 0;  ///< CmpSystem runs that produced them.
   std::size_t reused = 0;       ///< Served from the memo map / disk cache.
-  unsigned workers = 0;         ///< Pool size used (0 when nothing ran).
+  unsigned workers = 0;         ///< Worker count used (0 when nothing ran).
 };
 
 /// Runs configurations on demand, memoizing results (baselines are shared
@@ -115,20 +119,21 @@ class ExperimentRunner {
                             std::string cache_path = {});
   ~ExperimentRunner();
 
-  /// Result for (benchmark, size, technique); runs it on first use.
+  /// Result for (benchmark, size, technique); runs it on first use, by
+  /// itself on the calling thread. The serial reference run_grid is
+  /// checked against.
   const RunMetrics& run(const workload::Benchmark& bench,
                         std::uint64_t total_l2_bytes,
                         const decay::DecayConfig& technique);
 
   /// Fills the (benchmark x size x technique) grid — plus the baseline run
   /// of every (benchmark, size) cell, which all relative metrics need —
-  /// with one pool task per timing class of not-yet-cached cells on a
-  /// ThreadPool of `workers` threads (0 = one per hardware thread): a
-  /// (benchmark, size) cell's baseline and protocol come from one run, as
-  /// two accounting views. Tasks are submitted round-robin over the
-  /// (benchmark, size) cells. Results are merged into the memo map and
-  /// persisted once at the end. Bit-identical to calling run() for each
-  /// cell serially.
+  /// with one simulation per timing class of not-yet-cached cells on
+  /// `workers` threads (0 = one per hardware thread): a (benchmark, size)
+  /// cell's baseline and protocol come from one run, as two accounting
+  /// views. The simulations go out round-robin over the (benchmark, size)
+  /// cells. Results are merged into the memo map and persisted once at the
+  /// end. Bit-identical to calling run() for each cell serially.
   SweepStats run_grid(const std::vector<workload::Benchmark>& benchmarks,
                       const std::vector<std::uint64_t>& sizes,
                       const std::vector<decay::DecayConfig>& techniques,
@@ -164,13 +169,18 @@ class ExperimentRunner {
   [[nodiscard]] std::string key_for(const workload::Benchmark& bench,
                                     std::uint64_t total_l2_bytes,
                                     const decay::DecayConfig& technique) const;
-  /// Runs the configuration of `techniques.front()` once with its
-  /// configuration-derived seed and returns one result per technique, all
-  /// of which must share its timing class. Pure: no locking, no shared
-  /// state — safe to call from any pool worker.
-  [[nodiscard]] std::vector<RunMetrics> simulate(
-      const workload::Benchmark& bench, std::uint64_t total_l2_bytes,
-      const std::vector<decay::DecayConfig>& techniques) const;
+  /// One (benchmark, size, technique) configuration.
+  struct Cell {
+    const workload::Benchmark* bench = nullptr;
+    std::uint64_t total_l2_bytes = 0;
+    decay::DecayConfig technique;
+  };
+  /// The one way results are made: drops the cells already memoized (or
+  /// listed twice), groups each (benchmark, size)'s missing techniques by
+  /// timing class, runs one simulation per group on `workers` threads
+  /// (0 = one per hardware thread), round-robin over the (benchmark, size)
+  /// pairs, and memoizes the results in cell order. Persists nothing.
+  SweepStats fill(const std::vector<Cell>& cells, unsigned workers);
   void load_disk_cache();
   /// Atomically rewrites the cache file (temp + rename) with the union of
   /// on-disk and in-memory entries, dropping lines from other cache

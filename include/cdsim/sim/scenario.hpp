@@ -65,7 +65,8 @@ struct MixPlan {
 /// cores. Opens each program once (to read its core count and recorded
 /// budgets — O(1) for .cdt v2, which carries them in the footer); throws
 /// std::invalid_argument for an empty mix, a program whose opener fails,
-/// or a non-positive weight.
+/// a weight that is not positive and finite, or a weighted budget that
+/// does not fit in 64 bits.
 MixPlan plan_mix(std::vector<ProgramSpec> programs, std::uint32_t num_cores);
 
 }  // namespace cdsim::sim

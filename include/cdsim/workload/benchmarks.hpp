@@ -27,7 +27,7 @@ struct Benchmark {
 const std::vector<Benchmark>& benchmark_suite();
 
 /// Lookup by name ("WATER-NS", "FMM", "VOLREND", "mpeg2enc", "mpeg2dec",
-/// "facerec"). Asserts on unknown names.
+/// "facerec"). Throws std::invalid_argument naming the six for any other.
 const Benchmark& benchmark_by_name(std::string_view name);
 
 /// Creates the per-core stream for a benchmark.

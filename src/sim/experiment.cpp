@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
@@ -11,11 +12,15 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "cdsim/common/assert.hpp"
+#include "cdsim/common/host_timer.hpp"
 #include "cdsim/common/rng.hpp"
+#include "cdsim/sim/parallel.hpp"
 #include "cdsim/verify/oracle.hpp"
 #include "cdsim/workload/benchmarks.hpp"
 #include "cdsim/workload/trace_v2.hpp"
@@ -87,12 +92,6 @@ std::optional<std::pair<std::string, RunMetrics>> parse_cache_line(
   std::getline(ks, m.technique, '/');
   m.total_l2_bytes = std::strtoull(size.c_str(), nullptr, 10);
   return std::pair{std::move(key), std::move(m)};
-}
-
-/// Decay sweepers divide by tick count; give non-decay configs a benign
-/// decay_time (they never sweep).
-void normalize_decay_time(decay::DecayConfig& d) {
-  if (d.decay_time == 0) d.decay_time = 4;
 }
 }  // namespace
 
@@ -168,7 +167,6 @@ SystemConfig make_system_config(std::uint64_t total_l2_bytes,
 SystemConfig normalized_run_config(const SystemConfig& cfg,
                                    const workload::Benchmark& bench) {
   SystemConfig fixed = cfg;
-  normalize_decay_time(fixed.decay);
   // Deterministic per-cell seeding: every (benchmark, size, instructions)
   // cell draws an independent workload stream, mixed with the caller's
   // cfg.seed so explicit seeds still select distinct streams. The
@@ -193,71 +191,65 @@ std::vector<RunMetrics> run_config(const SystemConfig& cfg,
                                    const workload::Benchmark& bench,
                                    std::vector<AccountingView> views) {
   const SystemConfig fixed = normalized_run_config(cfg, bench);
-  for (AccountingView& v : views) normalize_decay_time(v.l2);
 
   // CDSIM_VERIFY=1: run every configuration against the differential
   // reference-model oracle (see cdsim/verify/oracle.hpp) and abort on the
   // first run whose delivered load values diverge from it. Roughly 2x
   // slower; the null-observer default is bit-identical to not checking.
   const char* venv = std::getenv("CDSIM_VERIFY");
-  if (venv != nullptr && *venv != '\0' &&
-      std::string_view(venv) != std::string_view("0")) {
-    // CDSIM_VERIFY_TRACE=<dir>: additionally stream the verified run's
-    // exact op sequence into <dir>/<run>.cdt as chunked .cdt v2. The
-    // capture goes straight to disk chunk by chunk (O(chunk) memory — no
-    // whole-trace copy in shared state), and replaying the file
-    // reproduces the run bit-identically.
-    std::unique_ptr<workload::ChunkedTraceWriter> writer;
-    workload::StreamFactory factory;  // stays null unless capturing
-    const char* tenv = std::getenv("CDSIM_VERIFY_TRACE");
-    if (tenv != nullptr && *tenv != '\0') {
-      std::error_code ec;
-      std::filesystem::create_directories(tenv, ec);  // best effort
-      std::string stem;
-      for (const char ch : bench.config.name + "_" + fixed.decay.label() +
-                               "_s" + std::to_string(fixed.seed)) {
-        const auto uc = static_cast<unsigned char>(ch);
-        stem.push_back(std::isalnum(uc) != 0 ? ch : '_');
-      }
-      const std::string path = std::string(tenv) + "/" + stem + ".cdt";
-      writer = std::make_unique<workload::ChunkedTraceWriter>(
-          path, fixed.num_cores);
-      if (!writer->ok()) {
-        std::fprintf(stderr,
-                     "cdsim: CDSIM_VERIFY_TRACE: %s; capture disabled\n",
-                     writer->error().c_str());
-        writer.reset();
-      } else {
-        factory = workload::capture_factory(
-            [&bench](CoreId core, std::uint64_t seed) {
-              return workload::make_stream(bench, core, seed);
-            },
-            writer.get());
-      }
+  const bool verify = venv != nullptr && *venv != '\0' &&
+                      std::string_view(venv) != std::string_view("0");
+  // CDSIM_VERIFY_TRACE=<dir>: additionally stream the verified run's exact
+  // op sequence into <dir>/<run>.cdt as chunked .cdt v2. The capture goes
+  // straight to disk chunk by chunk (O(chunk) memory — no whole-trace copy
+  // in shared state), and replaying the file reproduces the run
+  // bit-identically.
+  std::unique_ptr<workload::ChunkedTraceWriter> writer;
+  workload::StreamFactory factory;  // stays null unless capturing
+  const char* tenv = verify ? std::getenv("CDSIM_VERIFY_TRACE") : nullptr;
+  if (tenv != nullptr && *tenv != '\0') {
+    std::error_code ec;
+    std::filesystem::create_directories(tenv, ec);  // best effort
+    std::string stem;
+    for (const char ch : bench.config.name + "_" + fixed.decay.label() + "_s" +
+                             std::to_string(fixed.seed)) {
+      const auto uc = static_cast<unsigned char>(ch);
+      stem.push_back(std::isalnum(uc) != 0 ? ch : '_');
     }
-
-    CmpSystem sys(fixed, bench, factory);
-    verify::DifferentialChecker checker(fixed.num_cores);
-    sys.set_observer(&checker);
-    std::vector<RunMetrics> ms = sys.run(views);
-    if (writer != nullptr && !writer->finish()) {
-      std::fprintf(stderr, "cdsim: CDSIM_VERIFY_TRACE: %s\n",
+    const std::string path = std::string(tenv) + "/" + stem + ".cdt";
+    writer =
+        std::make_unique<workload::ChunkedTraceWriter>(path, fixed.num_cores);
+    if (!writer->ok()) {
+      std::fprintf(stderr, "cdsim: CDSIM_VERIFY_TRACE: %s; capture disabled\n",
                    writer->error().c_str());
+      writer.reset();
+    } else {
+      factory = workload::capture_factory(
+          [&bench](CoreId core, std::uint64_t seed) {
+            return workload::make_stream(bench, core, seed);
+          },
+          writer.get());
     }
-    if (checker.total_divergences() != 0) {
-      std::fprintf(stderr,
-                   "cdsim: CDSIM_VERIFY: %llu value divergence(s) on %s/%s; "
-                   "first: %s\n",
-                   static_cast<unsigned long long>(
-                       checker.total_divergences()),
-                   bench.config.name.c_str(), fixed.decay.label().c_str(),
-                   verify::to_string(checker.divergences().front()).c_str());
-      std::abort();
-    }
-    return ms;
   }
-  CmpSystem sys(fixed, bench);
-  return sys.run(views);
+
+  CmpSystem sys(fixed, bench, factory);
+  verify::DifferentialChecker checker(fixed.num_cores);
+  if (verify) sys.set_observer(&checker);
+  std::vector<RunMetrics> ms = sys.run(views);
+  if (writer != nullptr && !writer->finish()) {
+    std::fprintf(stderr, "cdsim: CDSIM_VERIFY_TRACE: %s\n",
+                 writer->error().c_str());
+  }
+  if (checker.total_divergences() != 0) {
+    std::fprintf(
+        stderr,
+        "cdsim: CDSIM_VERIFY: %llu value divergence(s) on %s/%s; first: %s\n",
+        static_cast<unsigned long long>(checker.total_divergences()),
+        bench.config.name.c_str(), fixed.decay.label().c_str(),
+        verify::to_string(checker.divergences().front()).c_str());
+    std::abort();
+  }
+  return ms;
 }
 
 ExperimentRunner::ExperimentRunner(std::uint64_t instructions_per_core,
@@ -378,11 +370,7 @@ std::string ExperimentRunner::config_desc(
   // the raw decay parameters, normalized the same way make_system_config
   // normalizes them so physically identical configs get identical keys.
   const bool decays = decay::uses_decay(technique.technique);
-  // run_config turns a zero decay_time into the benign default 4, so a
-  // decaying config written with decay_time 0 simulates identically to one
-  // written with 4 — give them the same key.
-  const Cycle decay_time =
-      decays ? (technique.decay_time == 0 ? 4 : technique.decay_time) : 0;
+  const Cycle decay_time = decays ? technique.decay_time : 0;
   const std::uint32_t ticks = decays ? technique.hierarchical_ticks : 0;
   return bench.config.name + "/" + std::to_string(total_l2_bytes) + "/" +
          technique.label() + "/dt" + std::to_string(decay_time) + "t" +
@@ -395,49 +383,156 @@ std::string ExperimentRunner::key_for(
   return config_desc(bench, total_l2_bytes, technique) + "/" + kCacheVersion;
 }
 
-std::vector<RunMetrics> ExperimentRunner::simulate(
-    const workload::Benchmark& bench, std::uint64_t total_l2_bytes,
-    const std::vector<decay::DecayConfig>& techniques) const {
-  SystemConfig cfg = make_system_config(total_l2_bytes, techniques.front());
-  cfg.instructions_per_core = instructions_;
-  std::vector<AccountingView> views;
-  views.reserve(techniques.size());
-  for (const decay::DecayConfig& t : techniques) {
-    views.push_back(
-        AccountingView::of(make_system_config(total_l2_bytes, t)));
+SweepStats ExperimentRunner::fill(const std::vector<Cell>& cells,
+                                  unsigned workers) {
+  struct Job {
+    const Cell* cell;
+    std::string key;
+  };
+  SweepStats stats;
+  std::vector<Job> jobs;
+  // Per (benchmark, size) pair, one simulation per timing class: the jobs
+  // of the pair that share it, every one an accounting view of the run of
+  // the first.
+  std::vector<std::vector<std::vector<std::size_t>>> pairs;
+  {
+    std::scoped_lock lock(mu_);
+    std::set<std::string> listed;
+    for (const Cell& cell : cells) {
+      std::string key = key_for(*cell.bench, cell.total_l2_bytes,
+                                cell.technique);
+      if (!listed.insert(key).second) continue;  // listed twice
+      if (cache_.find(key) != cache_.end()) {
+        ++stats.reused;
+        continue;
+      }
+      auto pair = std::find_if(
+          pairs.begin(), pairs.end(),
+          [&](const std::vector<std::vector<std::size_t>>& p) {
+            const Cell& c = *jobs[p.front().front()].cell;
+            return c.bench->config.name == cell.bench->config.name &&
+                   c.total_l2_bytes == cell.total_l2_bytes;
+          });
+      if (pair == pairs.end()) pair = pairs.emplace(pairs.end());
+      const auto run = std::find_if(
+          pair->begin(), pair->end(), [&](const std::vector<std::size_t>& r) {
+            return decay::same_timing(jobs[r.front()].cell->technique,
+                                      cell.technique);
+          });
+      if (run == pair->end()) {
+        pair->push_back({jobs.size()});
+      } else {
+        run->push_back(jobs.size());
+      }
+      jobs.push_back(Job{&cell, std::move(key)});
+    }
   }
-  return run_config(cfg, bench, std::move(views));  // derives the cell seed
+  if (jobs.empty()) return stats;
+
+  // Run order: every pair's first simulation, then every pair's second,
+  // and so on. A pair's runs replay one workload, so their memory
+  // footprints are about equal; back to back, the workers would run them
+  // side by side, and peak memory would be the largest pair's footprint
+  // times the worker count. Interleaved, the simulations in flight come
+  // from different pairs.
+  std::size_t depth = 0;
+  for (const auto& pair : pairs) depth = std::max(depth, pair.size());
+  std::vector<const std::vector<std::size_t>*> runs;
+  for (std::size_t k = 0; k < depth; ++k) {
+    for (const auto& pair : pairs) {
+      if (k < pair.size()) runs.push_back(&pair[k]);
+    }
+  }
+
+  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
+  stats.workers = workers;
+  stats.timing_runs = runs.size();
+  // Each simulation writes only its own jobs' slots; the merge below runs
+  // in job order under the lock, so the memo map and the cache file are
+  // independent of thread scheduling. Each run seeds from its pair's
+  // description alone (run_config derives the seed), and a view's books
+  // are kept exactly as its standalone run keeps them, so the merge is
+  // bit-identical to running every cell by itself.
+  //
+  // Happens-before: the results[] stores of every worker -> parallel_for's
+  // join -> the reads of results[] in the merge below. No slot is written
+  // by two threads, so the join is the only edge needed.
+  std::vector<RunMetrics> results(jobs.size());
+  parallel_for(runs.size(), workers, [&](std::size_t r) {
+    const std::vector<std::size_t>& ids = *runs[r];
+    const Cell& lead = *jobs[ids.front()].cell;
+    SystemConfig cfg = make_system_config(lead.total_l2_bytes, lead.technique);
+    cfg.instructions_per_core = instructions_;
+    std::vector<AccountingView> views;
+    views.reserve(ids.size());
+    for (const std::size_t i : ids) {
+      views.push_back(AccountingView::of(make_system_config(
+          lead.total_l2_bytes, jobs[i].cell->technique)));
+    }
+    std::vector<RunMetrics> ms = run_config(cfg, *lead.bench, std::move(views));
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      results[ids[k]] = std::move(ms[k]);
+    }
+  });
+
+  // Happens-before: this mu_ acquire pairs with the release in any
+  // concurrent fill that inserted one of our cells while we simulated —
+  // emplace then fails and we count the cell as reused instead of
+  // clobbering it (tests/tsan_grid_test.cpp races exactly this). Every
+  // reader acquires mu_ before find() and only dereferences the node after
+  // that, so an entry's contents are visible to it; std::map nodes are
+  // pointer-stable and an entry is never mutated after insertion, so a
+  // reference to one stays valid outside the lock.
+  std::scoped_lock lock(mu_);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (cache_.emplace(std::move(jobs[i].key), std::move(results[i])).second) {
+      ++stats.simulated;
+      dirty_ = true;  // so the destructor retries if a persist fails
+      ++unsaved_;
+    } else {
+      ++stats.reused;  // a concurrent fill beat us to this cell
+    }
+  }
+  return stats;
 }
 
 const RunMetrics& ExperimentRunner::run(const workload::Benchmark& bench,
                                         std::uint64_t total_l2_bytes,
                                         const decay::DecayConfig& technique) {
-  const std::string key = key_for(bench, total_l2_bytes, technique);
-  {
-    std::scoped_lock lock(mu_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-  }
-  // Simulate outside the lock so concurrent callers make progress. Two
-  // threads racing on the same key both compute the same (deterministic)
-  // result; emplace keeps the first.
-  //
-  // Happens-before (memoization handoff): the inserting thread releases
-  // mu_ after emplace; every later reader acquires mu_ before find() and
-  // only dereferences the node after that acquire, so the entry's contents
-  // are visible. Returning `it->second` by reference outside the lock is
-  // sound because std::map nodes are pointer-stable and a memoized entry
-  // is never mutated after insertion.
-  RunMetrics m = std::move(simulate(bench, total_l2_bytes, {technique})[0]);
+  const SweepStats stats = fill({Cell{&bench, total_l2_bytes, technique}}, 1);
   std::scoped_lock lock(mu_);
-  const auto [it, inserted] = cache_.emplace(key, std::move(m));
-  if (inserted) {
-    dirty_ = true;
-    // Throttled incremental persistence: a killed process loses at most
-    // the last few results, without rewriting the file per configuration.
-    if (++unsaved_ >= kPersistEvery) persist_disk_cache_locked();
+  // Throttled incremental persistence: a killed process loses at most the
+  // last few results, without rewriting the file per configuration.
+  if (stats.simulated != 0 && unsaved_ >= kPersistEvery) {
+    persist_disk_cache_locked();
   }
-  return it->second;
+  return cache_.at(key_for(bench, total_l2_bytes, technique));
+}
+
+SweepStats ExperimentRunner::run_grid(
+    const std::vector<workload::Benchmark>& benchmarks,
+    const std::vector<std::uint64_t>& sizes,
+    const std::vector<decay::DecayConfig>& techniques, unsigned workers) {
+  // Every relative metric divides by the matching baseline run, so the
+  // baseline is an implicit member of every technique sweep.
+  std::vector<Cell> cells;
+  for (const auto& bench : benchmarks) {
+    for (const std::uint64_t bytes : sizes) {
+      cells.push_back(Cell{&bench, bytes, baseline_config()});
+      for (const auto& tech : techniques) {
+        cells.push_back(Cell{&bench, bytes, tech});
+      }
+    }
+  }
+  const SweepStats stats = fill(cells, workers);
+  if (stats.timing_runs == 0) return stats;
+  // Host-profiling aggregation: the phase accumulators are process-global
+  // atomics, so worker shards fold in for free — one summary covers the
+  // whole grid.
+  if (prof::HostProfiler::enabled()) prof::HostProfiler::report(stderr);
+  std::scoped_lock lock(mu_);
+  persist_disk_cache_locked();
+  return stats;
 }
 
 RelativeMetrics ExperimentRunner::relative(

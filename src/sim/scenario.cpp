@@ -1,7 +1,9 @@
 #include "cdsim/sim/scenario.hpp"
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "cdsim/common/assert.hpp"
@@ -44,9 +46,9 @@ MixPlan plan_mix(std::vector<ProgramSpec> programs,
       throw std::invalid_argument("plan_mix: program \"" + spec.name +
                                   "\" has no opener");
     }
-    if (!(spec.weight > 0.0)) {
+    if (!(std::isfinite(spec.weight) && spec.weight > 0.0)) {
       throw std::invalid_argument("plan_mix: program \"" + spec.name +
-                                  "\" has non-positive weight");
+                                  "\" needs a positive finite weight");
     }
     workload::TraceSourcePtr src = spec.open();
     if (src == nullptr) {
@@ -73,6 +75,12 @@ MixPlan plan_mix(std::vector<ProgramSpec> programs,
     // weight of exactly 1.0 reproduces the recorded budget bit-for-bit.
     const double scaled = static_cast<double>(shape.budget[a.trace_core]) *
                           programs[a.program].weight;
+    if (!(scaled < 0x1p64)) {  // the conversion below needs it to fit
+      throw std::invalid_argument(
+          "plan_mix: program \"" + programs[a.program].name +
+          "\": weighted budget of trace core " + std::to_string(a.trace_core) +
+          " does not fit in 64 bits");
+    }
     a.instructions = scaled < 1.0 ? 1 : static_cast<std::uint64_t>(scaled);
     plan.assignment.push_back(a);
   }

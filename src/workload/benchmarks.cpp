@@ -1,8 +1,8 @@
 #include "cdsim/workload/benchmarks.hpp"
 
 #include <memory>
-
-#include "cdsim/common/assert.hpp"
+#include <stdexcept>
+#include <string>
 
 // Preset calibration notes
 // ------------------------
@@ -270,11 +270,13 @@ const std::vector<Benchmark>& benchmark_suite() {
 }
 
 const Benchmark& benchmark_by_name(std::string_view name) {
+  std::string names;
   for (const Benchmark& b : benchmark_suite()) {
     if (b.config.name == name) return b;
+    names += (names.empty() ? "" : "|") + b.config.name;
   }
-  CDSIM_ASSERT_MSG(false, "unknown benchmark name");
-  return benchmark_suite().front();  // unreachable
+  throw std::invalid_argument("unknown benchmark \"" + std::string(name) +
+                              "\" (" + names + ")");
 }
 
 StreamPtr make_stream(const Benchmark& b, CoreId core, std::uint64_t seed) {

@@ -6,9 +6,11 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "cdsim/sim/cmp_system.hpp"
+#include "cdsim/sim/experiment.hpp"
 #include "cdsim/workload/benchmarks.hpp"
 
 namespace cdsim::sim {
@@ -137,6 +139,23 @@ TEST(ConfigValidation, L2DecayNeedsTicksAndAPeriod) {
                std::invalid_argument);
   cfg.decay = decay::DecayConfig{decay::Technique::kProtocol, 0, 0};
   EXPECT_NO_THROW(validate_system_config(cfg));
+}
+
+// run_config simulates the L2 technique as given: a decaying L2 with a
+// zero window is rejected by name, never run as a 4-cycle decay.
+TEST(ConfigValidation, RunConfigRejectsZeroL2DecayTime) {
+  SystemConfig cfg = make_system_config(
+      1 * MiB, decay::DecayConfig{decay::Technique::kDecay, 0, 4});
+  cfg.instructions_per_core = 2000;
+  try {
+    (void)run_config(cfg, workload::benchmark_by_name("mpeg2enc"));
+    FAIL() << "a decaying L2 with decay_time 0 ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "L2 decay technique needs a nonzero tick period"),
+              std::string::npos)
+        << "message was: " << e.what();
+  }
 }
 
 TEST(ConfigValidation, L3DecayNeedsTicksAndAPeriod) {

@@ -1,6 +1,7 @@
 // ExperimentRunner disk-cache behavior: lossless round-trips across
 // processes, graceful handling of corrupt/truncated cache files, atomic
-// (temp + rename) persistence, and strict CDSIM_* env parsing.
+// (temp + rename) persistence, strict CDSIM_* env parsing, and run_config's
+// CDSIM_VERIFY / CDSIM_VERIFY_TRACE path.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
 #include "cdsim/workload/benchmarks.hpp"
+#include "cdsim/workload/trace_source.hpp"
+#include "cdsim/workload/trace_v2.hpp"
 
 namespace {
 
@@ -49,6 +53,8 @@ class ExperimentCacheTest : public ::testing::Test {
   void SetUp() override {
     ::unsetenv("CDSIM_INSTR");
     ::unsetenv("CDSIM_CACHE_FILE");
+    ::unsetenv("CDSIM_VERIFY");
+    ::unsetenv("CDSIM_VERIFY_TRACE");
   }
 
   std::string cache_path(const std::string& tag) {
@@ -223,6 +229,43 @@ TEST_F(ExperimentCacheTest, PersistLeavesNoTempFilesAndParsableLines) {
     EXPECT_NE(line.find('|'), std::string::npos) << line;
   }
   EXPECT_EQ(lines, 2u);  // baseline + protocol
+}
+
+// CDSIM_VERIFY attaches the oracle without moving a result, and
+// CDSIM_VERIFY_TRACE captures the verified run as one .cdt file whose
+// replay is the same run.
+TEST_F(ExperimentCacheTest, VerifiedCaptureReplaysTheRun) {
+  const workload::Benchmark& fmm = workload::benchmark_by_name("FMM");
+  sim::SystemConfig cfg = sim::make_system_config(
+      1 * MiB, decay::DecayConfig{decay::Technique::kDecay, 64 * 1024, 4});
+  cfg.instructions_per_core = 30'000;
+  const sim::RunMetrics plain = sim::run_config(cfg, fmm);
+
+  const std::filesystem::path dir = cache_path("vcap") + ".d";
+  std::filesystem::remove_all(dir);
+  ::setenv("CDSIM_VERIFY", "1", 1);
+  ::setenv("CDSIM_VERIFY_TRACE", dir.c_str(), 1);
+  const sim::RunMetrics verified = sim::run_config(cfg, fmm);
+  ::unsetenv("CDSIM_VERIFY");
+  ::unsetenv("CDSIM_VERIFY_TRACE");
+  EXPECT_EQ(sim::first_difference(plain, verified), "");
+
+  std::vector<std::string> captures;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    captures.push_back(entry.path().string());
+  }
+  ASSERT_EQ(captures.size(), 1u);
+  EXPECT_TRUE(captures[0].ends_with(".cdt")) << captures[0];
+
+  const std::string path = captures[0];
+  const workload::TraceOpener open = [path] {
+    return workload::open_trace_source(path);
+  };
+  sim::SystemConfig replay = sim::normalized_run_config(cfg, fmm);
+  replay.per_core_instructions = open()->per_core_instructions();
+  sim::CmpSystem sys(replay, fmm, workload::replay_factory(open));
+  EXPECT_EQ(sim::first_difference(plain, sys.run()), "");
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ExperimentCacheTest, ParsePositiveU64) {

@@ -1,7 +1,7 @@
-// Parallel sweep engine: ThreadPool behavior, and the central determinism
-// contract — a run_grid sweep sharded across >= 4 workers, one task per
-// timing class with baseline and protocol as two accounting views of one
-// run, produces RunMetrics bit-identical to running the same
+// Parallel sweep engine: the parallel_for fork-join loop, and the central
+// determinism contract — a run_grid sweep sharded across >= 4 workers, one
+// simulation per timing class with baseline and protocol as two accounting
+// views of one run, produces RunMetrics bit-identical to running the same
 // configurations serially through ExperimentRunner::run(). Also the views
 // themselves: they reproduce the three-level golden pins of other
 // techniques, and a view outside the run's timing class is rejected.
@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "cdsim/sim/cmp_system.hpp"
@@ -48,49 +50,54 @@ class ParallelRunnerTest : public ::testing::Test {
   static constexpr std::uint64_t kInstr = 60'000;
 };
 
-TEST_F(ParallelRunnerTest, PoolRunsEveryIndexExactlyOnce) {
-  sim::ThreadPool pool(4);
-  EXPECT_EQ(pool.worker_count(), 4u);
+TEST_F(ParallelRunnerTest, ParallelForRunsEveryIndexExactlyOnce) {
+  // More workers than indices too: the surplus never starts.
+  for (const auto& [n, workers] : {std::pair<std::size_t, unsigned>{257, 2},
+                                   {257, 4}, {3, 8}}) {
+    std::vector<std::atomic<int>> hits(n);
+    sim::parallel_for(n, workers, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " of " << n << ", "
+                                   << workers << " workers";
+    }
+  }
+  bool ran = false;
+  sim::parallel_for(0, 4, [&](std::size_t) { ran = true; });
+  EXPECT_FALSE(ran);
+}
 
-  constexpr std::size_t kN = 257;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+TEST_F(ParallelRunnerTest, ParallelForRethrowsAfterEveryIndexHasRun) {
+  constexpr std::size_t kN = 64;
+  for (const unsigned workers : {1u, 4u}) {
+    std::atomic<std::size_t> done{0};
+    try {
+      sim::parallel_for(kN, workers, [&](std::size_t i) {
+        if (i == 40 || i == 3) throw std::runtime_error(std::to_string(i));
+        done.fetch_add(1);
+      });
+      ADD_FAILURE() << "no exception with " << workers << " workers";
+    } catch (const std::runtime_error& e) {
+      // Every other index ran first, and the lowest throwing index wins
+      // whichever worker reached it.
+      EXPECT_EQ(done.load(), kN - 2) << workers << " workers";
+      EXPECT_STREQ(e.what(), "3") << workers << " workers";
+    }
   }
 }
 
-TEST_F(ParallelRunnerTest, PoolWaitIdleIsABarrier) {
-  sim::ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&done] { done.fetch_add(1); });
+TEST_F(ParallelRunnerTest, ParallelForWithOneWorkerRunsOnTheCaller) {
+  for (const unsigned workers : {1u, 0u}) {  // zero workers means one
+    std::vector<std::size_t> order;
+    std::vector<std::thread::id> ran_on;
+    sim::parallel_for(8, workers, [&](std::size_t i) {
+      order.push_back(i);
+      ran_on.push_back(std::this_thread::get_id());
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+    for (const std::thread::id id : ran_on) {
+      EXPECT_EQ(id, std::this_thread::get_id()) << workers << " workers";
+    }
   }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 64);
-  // The pool is reusable after a barrier.
-  pool.parallel_for(16, [&done](std::size_t) { done.fetch_add(1); });
-  EXPECT_EQ(done.load(), 80);
-}
-
-TEST_F(ParallelRunnerTest, PoolRethrowsTaskExceptionAtBarrier) {
-  sim::ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(8,
-                                 [](std::size_t i) {
-                                   if (i == 3) {
-                                     throw std::runtime_error("boom");
-                                   }
-                                 }),
-               std::runtime_error);
-  // The pool survives a throwing task and remains usable.
-  std::atomic<int> done{0};
-  pool.parallel_for(4, [&done](std::size_t) { done.fetch_add(1); });
-  EXPECT_EQ(done.load(), 4);
-}
-
-TEST_F(ParallelRunnerTest, PoolDefaultsToAtLeastOneWorker) {
-  sim::ThreadPool pool;  // workers = hardware_concurrency, floor 1
-  EXPECT_GE(pool.worker_count(), 1u);
 }
 
 TEST_F(ParallelRunnerTest, ParallelGridIsBitIdenticalToSerial) {
@@ -151,7 +158,7 @@ TEST_F(ParallelRunnerTest, GridIsMemoizedAcrossCalls) {
   const sim::SweepStats second = runner.run_grid(benches, sizes, techs, 2);
   EXPECT_EQ(second.simulated, 0u);
   EXPECT_EQ(second.reused, 2u);
-  EXPECT_EQ(second.workers, 0u);  // nothing ran, no pool spun up
+  EXPECT_EQ(second.workers, 0u);  // nothing ran, no thread started
 }
 
 TEST_F(ParallelRunnerTest, GridDeduplicatesRepeatedCells) {

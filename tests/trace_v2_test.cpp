@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -577,6 +578,29 @@ TEST_F(ScenarioMix, RejectsEmptyAndBrokenMixes) {
   std::vector<sim::ProgramSpec> bad;
   bad.push_back({});
   EXPECT_THROW(sim::plan_mix(std::move(bad), 4), std::invalid_argument);
+}
+
+TEST_F(ScenarioMix, RejectsWeightsWhoseBudgetsDoNotFit) {
+  // A budget must convert to 64 bits exactly: an infinite or NaN weight,
+  // or one that scales a recorded budget past 2^64, names the program.
+  for (const double w : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), 1e30}) {
+    auto progs = programs();
+    progs[1].weight = w;
+    try {
+      (void)sim::plan_mix(std::move(progs), 4);
+      ADD_FAILURE() << "weight " << w << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(paths_[1]), std::string::npos)
+          << e.what();
+    }
+  }
+  // A large weight that still fits plans normally.
+  auto progs = programs();
+  progs[1].weight = 1e12;
+  EXPECT_EQ(sim::plan_mix(std::move(progs), 4).assignment[1].instructions,
+            static_cast<std::uint64_t>(
+                static_cast<double>(budgets_[1][0]) * 1e12));
 }
 
 // ---------------------------------------------------------------------------

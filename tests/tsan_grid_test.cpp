@@ -3,15 +3,15 @@
 // parallel_runner_test pins the determinism contract (parallel == serial,
 // bit-identical); this suite pins the *synchronization* contract that makes
 // the parallel path sound. It deliberately provokes every cross-thread
-// handoff in the sweep engine — slot-indexed result writes, double-checked
-// run() memoization, run_grid racing concurrent run() calls, and two
-// runners persisting through the same temp+rename cache file — with small
-// instruction counts so the whole suite stays fast under TSan's ~10x
-// slowdown.
+// handoff in the sweep engine — slot-indexed result writes published by
+// parallel_for's join, concurrent run() calls on one memo entry, run_grid
+// racing concurrent run() calls, and two runners persisting through the
+// same temp+rename cache file — with small instruction counts so the whole
+// suite stays fast under TSan's ~10x slowdown.
 //
 // Build with -DCDSIM_SANITIZE=thread and run this binary: any
-// happens-before edge missing from ThreadPool/ExperimentRunner shows up as
-// a TSan report, and the assertions re-prove parallel == serial *in the
+// happens-before edge missing from parallel_for/ExperimentRunner shows up
+// as a TSan report, and the assertions re-prove parallel == serial *in the
 // instrumented build* (TSan changes timing radically, so the determinism
 // contract must hold under it too, not just in the Release build the golden
 // pins run in). .github/workflows/sanitizers.yml gates on exactly that.
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "cdsim/sim/experiment.hpp"
-#include "cdsim/sim/parallel.hpp"
 #include "cdsim/workload/benchmarks.hpp"
 
 namespace {
@@ -92,10 +91,11 @@ TEST_F(TsanGridTest, ParallelGridMatchesSerialUnderInstrumentation) {
   }
 }
 
-// Double-checked memoization: N threads request the SAME cell at once.
-// Exactly one simulate() may run; everyone must read the same entry. The
-// handoff is the mu_ release by the inserting thread before the waiters'
-// acquire — if that edge were missing, TSan flags the map node reads here.
+// Memoization handoff: N threads request the SAME cell at once. Racing
+// threads may each simulate it, but one entry is kept and everyone must
+// read it. The handoff is the mu_ release by the inserting thread before
+// the readers' acquire — if that edge were missing, TSan flags the map
+// node reads here.
 TEST_F(TsanGridTest, ConcurrentRunCallsShareOneMemoEntry) {
   const auto& suite = workload::benchmark_suite();
   const workload::Benchmark bench = suite[0];
@@ -126,9 +126,9 @@ TEST_F(TsanGridTest, ConcurrentRunCallsShareOneMemoEntry) {
 }
 
 // run_grid racing concurrent run() calls over an overlapping cell set: the
-// grid's post-barrier merge detects cells a concurrent run() inserted first
+// grid's post-join merge detects cells a concurrent run() inserted first
 // (counted as reused, not simulated) and every caller still sees identical
-// metrics. This is the exact interleaving run_grid's emplace-else-reused
+// metrics. This is the exact interleaving the merge's emplace-else-reused
 // branch exists for.
 TEST_F(TsanGridTest, GridRacingSerialRunsStaysCoherent) {
   const auto& suite = workload::benchmark_suite();

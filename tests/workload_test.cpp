@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "cdsim/workload/benchmarks.hpp"
@@ -189,6 +190,14 @@ TEST(BenchmarkSuite, HasThePaperSixInOrder) {
 TEST(BenchmarkSuite, LookupByName) {
   EXPECT_EQ(benchmark_by_name("FMM").config.name, "FMM");
   EXPECT_TRUE(benchmark_by_name("WATER-NS").scientific);
+  try {
+    (void)benchmark_by_name("fmm");  // names are case-sensitive
+    ADD_FAILURE() << "unknown name accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown benchmark \"fmm\" (mpeg2enc|mpeg2dec|facerec|"
+                 "WATER-NS|FMM|VOLREND)");
+  }
 }
 
 TEST(BenchmarkSuite, ConfigsAreInternallyConsistent) {
