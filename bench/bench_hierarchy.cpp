@@ -15,7 +15,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -70,16 +69,10 @@ void print_level_json(std::FILE* f, const char* name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t instr = 120000;
-  if (const char* env = std::getenv("CDSIM_INSTR")) {
-    const auto v = sim::detail::parse_positive_u64(env);
-    if (!v.has_value()) {
-      std::fprintf(stderr, "bench_hierarchy: invalid CDSIM_INSTR \"%s\"\n",
-                   env);
-      return 1;
-    }
-    instr = *v;
-  }
+  const auto env_instr =
+      sim::detail::instructions_from_env(120000, "bench_hierarchy");
+  if (!env_instr) return 1;
+  const std::uint64_t instr = *env_instr;
 
   const std::vector<decay::DecayConfig> techniques = {
       sim::baseline_config(),

@@ -358,15 +358,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::uint64_t instr = 1'000'000;
-  if (const char* env = std::getenv("CDSIM_INSTR")) {
-    const auto v = cdsim::sim::detail::parse_positive_u64(env);
-    if (!v.has_value()) {
-      std::fprintf(stderr, "bench_kernel: invalid CDSIM_INSTR \"%s\"\n", env);
-      return 1;
-    }
-    instr = *v;
-  }
+  const auto env_instr =
+      sim::detail::instructions_from_env(1'000'000, "bench_kernel");
+  if (!env_instr) return 1;
+  const std::uint64_t instr = *env_instr;
   // A baseline recorded at another budget cannot gate this run.
   if (baseline.has_value() && baseline->instructions_per_core != instr) {
     const auto want =

@@ -14,7 +14,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -48,15 +47,10 @@ double row_hit_rate(const sim::RunMetrics& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t instr = 120000;
-  if (const char* env = std::getenv("CDSIM_INSTR")) {
-    const auto v = sim::detail::parse_positive_u64(env);
-    if (!v.has_value()) {
-      std::fprintf(stderr, "bench_memory: invalid CDSIM_INSTR \"%s\"\n", env);
-      return 1;
-    }
-    instr = *v;
-  }
+  const auto env_instr =
+      sim::detail::instructions_from_env(120000, "bench_memory");
+  if (!env_instr) return 1;
+  const std::uint64_t instr = *env_instr;
 
   struct Shape {
     const char* name;

@@ -14,6 +14,7 @@
 // instead — the directory mesh and the three-level hierarchy (private L2s
 // behind the shared home-banked L3, the technique active at every level);
 // those shapes are keyed outside the figure cache and simulate directly.
+// CDSIM_INSTR overrides instructions_per_core on every machine.
 
 #include <cstdio>
 #include <iostream>
@@ -76,13 +77,16 @@ int main(int argc, char** argv) {
   const std::uint32_t cores = mf.effective_cores();
 
   const std::uint64_t size = size_mb * MiB;
+  // The runner applies the CDSIM_INSTR override, so every path below takes
+  // its budget from it.
+  sim::ExperimentRunner runner(instr);
 
   // The machine one technique runs on. The default bus machine is the
   // figure grid's (the ExperimentRunner builds it); the family shapes
   // override the fabric, depth and core count.
   const auto machine = [&](const decay::DecayConfig& d) {
     sim::SystemConfig cfg = sim::make_system_config(size, d);
-    cfg.instructions_per_core = instr;
+    cfg.instructions_per_core = runner.instructions_per_core();
     if (default_machine) return cfg;
     cfg.topology = topology;
     cfg.hierarchy = hierarchy;
@@ -109,7 +113,7 @@ int main(int argc, char** argv) {
       bench->config.name.c_str(), static_cast<unsigned long long>(size_mb),
       std::string(noc::to_string(topology)).c_str(), cores,
       std::string(sim::to_string(hierarchy)).c_str(),
-      static_cast<unsigned long long>(instr));
+      static_cast<unsigned long long>(runner.instructions_per_core()));
 
   // The frontier: protocol, then both decay flavours at four intervals.
   std::vector<decay::DecayConfig> techs{{decay::Technique::kProtocol, 0, 4}};
@@ -126,7 +130,6 @@ int main(int argc, char** argv) {
   // run_grid call (the baseline and protocol share a run); the family
   // shapes are simulated directly (their configs are not part of the
   // figure cache's key space).
-  sim::ExperimentRunner runner(instr);
   if (default_machine) runner.run_grid({*bench}, {size}, techs);
   std::map<std::string, sim::RunMetrics> direct;
   const auto run_one =

@@ -5,10 +5,14 @@
 // dynamics between cycle 0 and the end. CmpSystem drives it from its own
 // run loop — NOT from EventQueue events — so attaching a sampler cannot
 // change the event schedule and the golden hexfloat pins hold with a
-// sampler attached or detached. Every `period` cycles CmpSystem snapshots
-// deltas of the counters it already keeps (instructions, L2 accesses /
-// misses, powered-line integral, DRAM row activity, fabric busy cycles)
-// plus the instantaneous per-tile temperatures, and pushes one SampleRow.
+// sampler attached or detached. A row is the difference of two snapshots
+// of the machine's counters (the same snapshot its power books take):
+// CmpSystem takes one before the components start and one at the first
+// event executed at or after each multiple of `period`, and pushes the
+// difference (instructions, L2 accesses / misses, powered-line integral,
+// DRAM row activity, fabric busy cycles) plus the per-tile temperatures
+// at the window's end. The rows tile [0, end of run), and their counts
+// sum to the run's totals.
 //
 // Determinism: every field derives from deterministic simulator counters,
 // so the series for a pinned config is bit-stable across runs and
@@ -27,7 +31,8 @@
 namespace cdsim::obs {
 
 /// One window of the time-series. All deltas cover [window_start,
-/// window_end); rates are computed over that window only. Fields that a
+/// window_end), both event execution times (0 and the run's last cycle at
+/// the ends); rates are computed over that window only. Fields that a
 /// configuration lacks (row-hit rate under the flat memory model,
 /// temperatures without a floorplan) stay at their initializers.
 struct SampleRow {

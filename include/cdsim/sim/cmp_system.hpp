@@ -161,9 +161,9 @@ class CmpSystem {
 
   /// Attaches a windowed time-series sampler. The run loop — not the event
   /// queue — drives it, so a sampler can never perturb the event schedule.
-  /// Window boundaries are quantized to event execution times (deltas stay
-  /// exact and deterministic at event granularity). nullptr detaches. Must
-  /// be called before run().
+  /// A window closes at the first event executed at or after each multiple
+  /// of the period, so its counters are read exactly when they are current.
+  /// nullptr detaches. Must be called before run().
   void set_sampler(obs::IntervalSampler* s);
 
   // --- component access (tests, custom harnesses) -------------------------
@@ -196,31 +196,42 @@ class CmpSystem {
   std::uint64_t check_coherence_invariants() const;
 
  private:
+  /// The machine's cumulative counters at one instant, every cache level
+  /// read under one view's techniques. The difference of two snapshots is
+  /// what a power sample charges and what a sampler row reports.
+  struct MachineCounters {
+    Cycle now = 0;
+    std::vector<std::uint64_t> committed{};  ///< Per core.
+    std::vector<cache::LevelCounters> l1{};  ///< Per core.
+    std::vector<cache::LevelCounters> l2{};  ///< Per slice.
+    cache::LevelCounters l3{};               ///< All banks (3L only).
+    /// What the fabric's §V energy scales with: bus payload bytes, or
+    /// mesh flit-hops (more hops, more switching).
+    std::uint64_t fabric_traffic = 0;
+    double fabric_utilization = 0.0;  ///< Cumulative over [0, now].
+    mem::DramStats dram{};
+  };
+
   /// What one accounting view keeps: its ledger, its floorplan (leakage
   /// heats the blocks, so temperatures differ between views) and its
-  /// counter snapshots at the previous power sample.
+  /// snapshot at the previous power sample.
   struct Books {
     AccountingView view;
     thermal::Floorplan floorplan;
     power::EnergyLedger ledger{};
-    std::vector<std::uint64_t> prev_committed;
-    std::vector<cache::LevelCounters> prev_l1;  ///< Per core.
-    std::vector<cache::LevelCounters> prev_l2;  ///< Per slice.
-    cache::LevelCounters prev_l3{};             ///< All banks.
-    std::uint64_t prev_bus_bytes = 0;
-    std::uint64_t prev_noc_flit_hops = 0;
-    std::uint64_t prev_dram_act = 0;
-    std::uint64_t prev_dram_pre = 0;
+    MachineCounters prev{};
   };
 
+  [[nodiscard]] MachineCounters snapshot(Cycle now,
+                                         const AccountingView& view) const;
   /// Fresh books for `view`, its floorplan warm-started near equilibrium.
   [[nodiscard]] Books open_books(const AccountingView& view) const;
   /// Charges [last sample, upto) to every view's books.
   void sample_power(Cycle upto);
-  void sample_books(Books& b, Cycle upto, double dtd);
+  void sample_books(Books& b, Cycle upto);
   void arm_sampler();
-  /// Emits one time-series window [wstart, wend) from counter deltas.
-  void sample_window(Cycle wstart, Cycle wend);
+  /// Emits the time-series window [previous window end, wend).
+  void sample_window(Cycle wend);
   RunMetrics collect(const Books& b, Cycle end) const;
 
   SystemConfig cfg_;
@@ -246,20 +257,13 @@ class CmpSystem {
   std::vector<Books> books_;
   std::uint32_t cores_done_ = 0;
   bool ran_ = false;
-  Cycle last_sample_ = 0;  ///< End of the last power sample.
 
-  // Time-series sampling state (cdsim::obs). Kept strictly separate from
-  // the power-sampling snapshots in books_: the sampler reads counters at
-  // its own window boundaries, under the first view, and must never
-  // disturb the power model's deltas.
+  // Time-series sampling state (cdsim::obs). The sampler keeps its own
+  // snapshot, taken under the first view at its window ends, apart from
+  // the books' power-sample snapshots, so it never disturbs them.
   obs::IntervalSampler* sampler_ = nullptr;
-  Cycle sampler_wstart_ = 0;      ///< Start of the open window.
-  Cycle sampler_next_ = 0;        ///< Next window boundary.
-  std::uint64_t s_prev_instr_ = 0;
-  cache::LevelCounters s_prev_l2_;  ///< Summed over the slices.
-  std::uint64_t s_prev_row_hits_ = 0;
-  std::uint64_t s_prev_row_activity_ = 0;
-  double s_prev_fabric_busy_ = 0.0;
+  Cycle sampler_next_ = 0;           ///< Next window boundary.
+  MachineCounters sampler_start_{};  ///< At the open window's start.
 };
 
 }  // namespace cdsim::sim

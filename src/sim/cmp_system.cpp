@@ -281,6 +281,15 @@ LevelEnergy level_energy(const cache::LevelCounters& prev,
   return e;
 }
 
+/// The sum of per-structure counters, in structure order: floating-point
+/// addition is not associative, and the pins hold this order.
+template <typename T>
+T total(const std::vector<T>& parts) {
+  T sum{};
+  for (const T& p : parts) sum += p;
+  return sum;
+}
+
 /// The end-of-run LevelMetrics of a level's summed counters. The caller
 /// supplies the occupation: the L2's is the mean of its slices'.
 LevelMetrics level_metrics(const cache::LevelCounters& c, double occupation) {
@@ -352,6 +361,29 @@ CmpSystem::CmpSystem(const SystemConfig& cfg, const workload::Benchmark& bench,
 
 CmpSystem::~CmpSystem() = default;
 
+CmpSystem::MachineCounters CmpSystem::snapshot(
+    Cycle now, const AccountingView& view) const {
+  const std::size_t n = cfg_.num_cores;
+  MachineCounters s{.now = now,
+                    .committed = std::vector<std::uint64_t>(n),
+                    .l1 = std::vector<cache::LevelCounters>(n),
+                    .l2 = std::vector<cache::LevelCounters>(n),
+                    .l3 = l3_ != nullptr
+                              ? l3_->counters(now, view.l3.technique)
+                              : cache::LevelCounters{},
+                    .fabric_traffic = bus_ != nullptr
+                                          ? bus_->bytes_transferred()
+                                          : mesh_->noc().flit_hops(),
+                    .fabric_utilization = ic_->utilization(now),
+                    .dram = mem_->dram_stats()};
+  for (CoreId c = 0; c < n; ++c) {
+    s.committed[c] = cores_[c]->committed();
+    s.l1[c] = l1s_[c]->counters(now, view.l1.technique);
+    s.l2[c] = l2s_[c]->counters(now, view.l2.technique);
+  }
+  return s;
+}
+
 CmpSystem::Books CmpSystem::open_books(const AccountingView& view) const {
   const double slice_mb =
       static_cast<double>(cfg_.total_l2_bytes / cfg_.num_cores) /
@@ -359,9 +391,7 @@ CmpSystem::Books CmpSystem::open_books(const AccountingView& view) const {
   Books b{.view = view,
           .floorplan = thermal::make_cmp_floorplan(
               cfg_.thermal, cfg_.num_cores, slice_mb),
-          .prev_committed = std::vector<std::uint64_t>(cfg_.num_cores, 0),
-          .prev_l1 = std::vector<cache::LevelCounters>(cfg_.num_cores),
-          .prev_l2 = std::vector<cache::LevelCounters>(cfg_.num_cores)};
+          .prev = snapshot(0, view)};
   // Warm-start the thermal network near equilibrium so short runs operate
   // at representative temperatures (see rc_model.hpp header note).
   const double cw = cfg_.thermal.watts_per_eu_cycle;
@@ -422,59 +452,50 @@ void CmpSystem::set_sampler(obs::IntervalSampler* s) {
   sampler_ = s;
 }
 
-void CmpSystem::sample_window(Cycle wstart, Cycle wend) {
-  CDSIM_ASSERT(wend > wstart);
-  obs::SampleRow row;
-  row.window_start = wstart;
-  row.window_end = wend;
-  const double dtd = static_cast<double>(wend - wstart);
-
+void CmpSystem::sample_window(Cycle wend) {
+  const MachineCounters& start = sampler_start_;
+  CDSIM_ASSERT(wend > start.now);
   const Books& b = books_.front();
-  std::uint64_t instr = 0;
-  cache::LevelCounters l2;
-  double temp_sum = 0.0;
-  double temp_max = 0.0;
-  for (CoreId c = 0; c < cfg_.num_cores; ++c) {
-    instr += cores_[c]->committed();
-    l2 += l2s_[c]->counters(wend, b.view.l2.technique);
-    const double t = b.floorplan.model.temperature(b.floorplan.l2_block(c));
-    temp_sum += t;
-    temp_max = std::max(temp_max, t);
-  }
-  row.instructions = instr - s_prev_instr_;
-  row.l2_accesses = l2.accesses - s_prev_l2_.accesses;
-  row.l2_misses = l2.misses - s_prev_l2_.misses;
+  MachineCounters now = snapshot(wend, b.view);
+  const double dtd = static_cast<double>(wend - start.now);
+  const cache::LevelCounters l2 = total(now.l2);
+  const cache::LevelCounters l2_start = total(start.l2);
+
+  obs::SampleRow row;
+  row.window_start = start.now;
+  row.window_end = wend;
+  row.instructions = total(now.committed) - total(start.committed);
+  row.l2_accesses = l2.accesses - l2_start.accesses;
+  row.l2_misses = l2.misses - l2_start.misses;
   row.ipc = static_cast<double>(row.instructions) / dtd;
   row.l2_miss_rate = safe_div(static_cast<double>(row.l2_misses),
                               static_cast<double>(row.l2_accesses));
   row.l2_powered_frac =
-      (l2.powered_line_cycles - s_prev_l2_.powered_line_cycles) /
+      (l2.powered_line_cycles - l2_start.powered_line_cycles) /
       (static_cast<double>(l2.capacity_lines) * dtd);
+  double temp_sum = 0.0;
+  for (CoreId c = 0; c < cfg_.num_cores; ++c) {
+    const double t = b.floorplan.model.temperature(b.floorplan.l2_block(c));
+    temp_sum += t;
+    row.max_l2_temp_kelvin = std::max(row.max_l2_temp_kelvin, t);
+  }
   row.avg_l2_temp_kelvin = temp_sum / static_cast<double>(cfg_.num_cores);
-  row.max_l2_temp_kelvin = temp_max;
-
-  const mem::DramStats& ds = mem_->dram_stats();
-  const std::uint64_t row_hits = ds.row_hits;
-  const std::uint64_t row_activity =
-      ds.row_hits + ds.row_misses + ds.row_conflicts;
+  const auto row_activity = [](const mem::DramStats& d) {
+    return d.row_hits + d.row_misses + d.row_conflicts;
+  };
   row.dram_row_hit_rate =
-      safe_div(static_cast<double>(row_hits - s_prev_row_hits_),
-               static_cast<double>(row_activity - s_prev_row_activity_));
-
+      safe_div(static_cast<double>(now.dram.row_hits - start.dram.row_hits),
+               static_cast<double>(row_activity(now.dram) -
+                                   row_activity(start.dram)));
   // utilization() is cumulative over [0, now]; busy cycles = util * now,
   // and the window's occupancy is the busy delta over the window length.
-  const double fabric_busy =
-      ic_->utilization(wend) * static_cast<double>(wend);
-  row.fabric_occupancy =
-      std::max(0.0, fabric_busy - s_prev_fabric_busy_) / dtd;
+  const auto busy = [](const MachineCounters& s) {
+    return s.fabric_utilization * static_cast<double>(s.now);
+  };
+  row.fabric_occupancy = std::max(0.0, busy(now) - busy(start)) / dtd;
 
   sampler_->push(row);
-
-  s_prev_instr_ = instr;
-  s_prev_l2_ = l2;
-  s_prev_row_hits_ = row_hits;
-  s_prev_row_activity_ = row_activity;
-  s_prev_fabric_busy_ = fabric_busy;
+  sampler_start_ = std::move(now);
 }
 
 void CmpSystem::arm_sampler() {
@@ -486,14 +507,13 @@ void CmpSystem::arm_sampler() {
 }
 
 void CmpSystem::sample_power(Cycle upto) {
-  CDSIM_ASSERT(upto >= last_sample_);
-  const Cycle dt = upto - last_sample_;
-  if (dt == 0) return;
-  for (Books& b : books_) sample_books(b, upto, static_cast<double>(dt));
-  last_sample_ = upto;
+  for (Books& b : books_) {
+    CDSIM_ASSERT(upto >= b.prev.now);
+    if (upto > b.prev.now) sample_books(b, upto);
+  }
 }
 
-void CmpSystem::sample_books(Books& b, Cycle upto, double dtd) {
+void CmpSystem::sample_books(Books& b, Cycle upto) {
   const auto& pw = cfg_.power;
   const LevelRates l2_rates{pw.l2_leak_per_line_cycle, pw.l2_dyn_per_access,
                             pw.l2_dyn_per_fill};
@@ -507,49 +527,43 @@ void CmpSystem::sample_books(Books& b, Cycle upto, double dtd) {
     b.ledger.add(power::Component::kDecayOverhead, e.overhead);
   };
   thermal::Floorplan& fp = b.floorplan;
+  // Leakage scales with each block's temperature (T0 without feedback).
+  const auto leak_factor = [&](std::size_t block) {
+    return leak_model_.factor(cfg_.thermal_feedback
+                                  ? fp.model.temperature(block)
+                                  : leak_model_.params().t0_kelvin);
+  };
+  MachineCounters now = snapshot(upto, b.view);
+  const MachineCounters& prev = b.prev;
+  const double dtd = static_cast<double>(upto - prev.now);
 
   std::vector<double> watts(fp.model.num_blocks(), 0.0);
   const double w_per_eu = cfg_.thermal.watts_per_eu_cycle;
 
-  double bus_energy = 0.0;
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
-    const double t_core = cfg_.thermal_feedback
-                              ? fp.model.temperature(fp.core_block(c))
-                              : leak_model_.params().t0_kelvin;
-    const double t_l2 = cfg_.thermal_feedback
-                            ? fp.model.temperature(fp.l2_block(c))
-                            : leak_model_.params().t0_kelvin;
-    const double lf_core = leak_model_.factor(t_core);
+    const double lf_core = leak_factor(fp.core_block(c));
 
     // --- core ---------------------------------------------------------------
-    const std::uint64_t committed = cores_[c]->committed();
     const double d_instr =
-        static_cast<double>(committed - b.prev_committed[c]);
-    b.prev_committed[c] = committed;
+        static_cast<double>(now.committed[c] - prev.committed[c]);
     const double core_dyn = d_instr * pw.core_dyn_per_instr;
     const double core_leak = dtd * pw.core_leak_per_cycle * lf_core;
     b.ledger.add(power::Component::kCoreDynamic, core_dyn);
     b.ledger.add(power::Component::kCoreLeakage, core_leak);
 
     // --- L1: its per-cache leakage constant spread over its lines ----------
-    const cache::LevelCounters l1 =
-        l1s_[c]->counters(upto, b.view.l1.technique);
     const LevelRates l1_rates{
-        pw.l1_leak_per_cycle / static_cast<double>(l1.capacity_lines),
+        pw.l1_leak_per_cycle / static_cast<double>(now.l1[c].capacity_lines),
         pw.l1_dyn_per_access, 0.0};
-    const LevelEnergy e1 = level_energy(b.prev_l1[c], l1, dtd, l1_rates, pw,
-                                        b.view.l1.technique, lf_core);
-    b.prev_l1[c] = l1;
+    const LevelEnergy e1 = level_energy(prev.l1[c], now.l1[c], dtd, l1_rates,
+                                        pw, b.view.l1.technique, lf_core);
     book(e1, power::Component::kL1Dynamic, power::Component::kL1Leakage,
          power::Component::kL1OffResidual);
 
     // --- L2 slice (the optimized structure) ---------------------------------
-    const cache::LevelCounters l2 =
-        l2s_[c]->counters(upto, b.view.l2.technique);
     const LevelEnergy e2 =
-        level_energy(b.prev_l2[c], l2, dtd, l2_rates, pw,
-                     b.view.l2.technique, leak_model_.factor(t_l2));
-    b.prev_l2[c] = l2;
+        level_energy(prev.l2[c], now.l2[c], dtd, l2_rates, pw,
+                     b.view.l2.technique, leak_factor(fp.l2_block(c)));
     book(e2, power::Component::kL2Dynamic, power::Component::kL2Leakage,
          power::Component::kL2OffResidual);
 
@@ -560,57 +574,41 @@ void CmpSystem::sample_books(Books& b, Cycle upto, double dtd) {
     watts[fp.l2_block(c)] += e2.total() / dtd * w_per_eu;
   }
 
-  if (bus_ != nullptr) {
-    const std::uint64_t bus_bytes = bus_->bytes_transferred();
-    bus_energy = static_cast<double>(bus_bytes - b.prev_bus_bytes) *
-                 pw.bus_dyn_per_byte;
-    b.prev_bus_bytes = bus_bytes;
-    b.ledger.add(power::Component::kBusDynamic, bus_energy);
-  } else {
-    // Mesh NoC: dynamic energy scales with link traversals (flit-hops),
-    // not payload bytes — more hops, more switching.
-    const std::uint64_t fh = mesh_->noc().flit_hops();
-    bus_energy = static_cast<double>(fh - b.prev_noc_flit_hops) *
-                 pw.noc_dyn_per_flit_hop;
-    b.prev_noc_flit_hops = fh;
-    b.ledger.add(power::Component::kNocDynamic, bus_energy);
-  }
+  const bool on_bus = bus_ != nullptr;
+  const double fabric_energy =
+      static_cast<double>(now.fabric_traffic - prev.fabric_traffic) *
+      (on_bus ? pw.bus_dyn_per_byte : pw.noc_dyn_per_flit_hop);
+  b.ledger.add(on_bus ? power::Component::kBusDynamic
+                      : power::Component::kNocDynamic,
+               fabric_energy);
   // --- shared L3 home banks (three-level hierarchy) -------------------------
   if (l3_ != nullptr) {
     // The floorplan has no dedicated L3 blocks; the banks sit on the tiles
     // next to the routers, so their heat is attributed to the interconnect
     // block (documented simplification).
-    const double t_l3 = cfg_.thermal_feedback
-                            ? fp.model.temperature(fp.bus_block())
-                            : leak_model_.params().t0_kelvin;
     const LevelRates l3_rates{pw.l3_leak_per_line_cycle,
                               pw.l3_dyn_per_access, pw.l3_dyn_per_fill};
-    const cache::LevelCounters l3 = l3_->counters(upto, b.view.l3.technique);
     const LevelEnergy e3 =
-        level_energy(b.prev_l3, l3, dtd, l3_rates, pw, b.view.l3.technique,
-                     leak_model_.factor(t_l3));
-    b.prev_l3 = l3;
+        level_energy(prev.l3, now.l3, dtd, l3_rates, pw, b.view.l3.technique,
+                     leak_factor(fp.bus_block()));
     book(e3, power::Component::kL3Dynamic, power::Component::kL3Leakage,
          power::Component::kL3OffResidual);
     watts[fp.bus_block()] += e3.total() / dtd * w_per_eu;
   }
 
-  watts[fp.bus_block()] += bus_energy / dtd * w_per_eu;
+  watts[fp.bus_block()] += fabric_energy / dtd * w_per_eu;
 
-  // Off-chip DRAM command energy (kDram only; flat stats are all zero).
+  // Off-chip DRAM command energy (the flat model's counts stay zero).
   // Reported in the ledger but never attributed to an on-chip block — the
   // paper's "system" normalization excludes off-chip DRAM (§V, fn. 2).
-  if (cfg_.mem.model == mem::MemoryModel::kDram) {
-    const mem::DramStats& ds = mem_->dram_stats();
-    b.ledger.add(power::Component::kDramActivate,
-                 static_cast<double>(ds.activates - b.prev_dram_act) *
-                     pw.dram_act_energy);
-    b.ledger.add(power::Component::kDramPrecharge,
-                 static_cast<double>(ds.precharges - b.prev_dram_pre) *
-                     pw.dram_pre_energy);
-    b.prev_dram_act = ds.activates;
-    b.prev_dram_pre = ds.precharges;
-  }
+  b.ledger.add(power::Component::kDramActivate,
+               static_cast<double>(now.dram.activates - prev.dram.activates) *
+                   pw.dram_act_energy);
+  b.ledger.add(
+      power::Component::kDramPrecharge,
+      static_cast<double>(now.dram.precharges - prev.dram.precharges) *
+          pw.dram_pre_energy);
+  b.prev = std::move(now);
 
   if (cfg_.thermal_feedback) {
     const double dt_sec =
@@ -642,8 +640,14 @@ std::vector<RunMetrics> CmpSystem::run(
     }
   }
   ran_ = true;
+  // Every snapshot at cycle 0 is taken before the components start: a
+  // core commits its first instructions inside start().
   books_.reserve(views.size());
   for (const AccountingView& v : views) books_.push_back(open_books(v));
+  if (sampler_ != nullptr) {
+    sampler_start_ = snapshot(0, views.front());
+    sampler_next_ = sampler_->period();
+  }
 
   for (auto& l1 : l1s_) l1->start();
   for (auto& l2 : l2s_) l2->start();
@@ -652,10 +656,6 @@ std::vector<RunMetrics> CmpSystem::run(
     core->start([this] { ++cores_done_; });
   }
   arm_sampler();
-  if (sampler_ != nullptr) {
-    sampler_wstart_ = 0;
-    sampler_next_ = sampler_->period();
-  }
 
   {
     // Inclusive run-loop total for the host profiler; the subsystem scopes
@@ -664,22 +664,20 @@ std::vector<RunMetrics> CmpSystem::run(
     while (cores_done_ < cfg_.num_cores) {
       const bool progressed = eq_.step();
       CDSIM_ASSERT_MSG(progressed, "deadlock: event queue drained early");
-      if (sampler_ != nullptr) {
+      if (sampler_ != nullptr && eq_.now() >= sampler_next_) {
         // Loop-driven, never event-driven: emitting a window cannot change
         // the event schedule, so the golden pins hold with a sampler
-        // attached. Boundaries quantize to event execution times.
-        while (eq_.now() >= sampler_next_) {
-          sample_window(sampler_wstart_, sampler_next_);
-          sampler_wstart_ = sampler_next_;
-          sampler_next_ += sampler_->period();
-        }
+        // attached. A window closes at the first event executed at or
+        // after its boundary, so every counter it reads is current.
+        sample_window(eq_.now());
+        while (sampler_next_ <= eq_.now()) sampler_next_ += sampler_->period();
       }
     }
   }
 
   const Cycle end = eq_.now();
-  if (sampler_ != nullptr && end > sampler_wstart_) {
-    sample_window(sampler_wstart_, end);  // final partial window
+  if (sampler_ != nullptr && end > sampler_start_.now) {
+    sample_window(end);  // final partial window
   }
   sample_power(end);  // close the final partial window
   for (auto& l1 : l1s_) l1->stop();
@@ -692,30 +690,27 @@ std::vector<RunMetrics> CmpSystem::run(
 }
 
 RunMetrics CmpSystem::collect(const Books& b, Cycle end) const {
+  const MachineCounters s = snapshot(end, b.view);
   RunMetrics m;
   m.benchmark = bench_.config.name;
   m.technique = b.view.l2.label();
   m.total_l2_bytes = cfg_.total_l2_bytes;
   m.cycles = end;
+  m.instructions = total(s.committed);
 
-  cache::LevelCounters l1;
-  cache::LevelCounters l2;
   double occ_sum = 0.0;
   double lat_sum = 0.0;
   std::uint64_t lat_n = 0;
   double temp_sum = 0.0;
   for (CoreId c = 0; c < cfg_.num_cores; ++c) {
-    m.instructions += cores_[c]->committed();
-    l1 += l1s_[c]->counters(end, b.view.l1.technique);
-    const cache::LevelCounters slice =
-        l2s_[c]->counters(end, b.view.l2.technique);
-    occ_sum += slice.occupation(end);
-    l2 += slice;
+    occ_sum += s.l2[c].occupation(end);
     const auto& h = cores_[c]->load_latency();
     lat_sum += h.mean() * static_cast<double>(h.count());
     lat_n += h.count();
     temp_sum += b.floorplan.model.temperature(b.floorplan.l2_block(c));
   }
+  const cache::LevelCounters l1 = total(s.l1);
+  const cache::LevelCounters l2 = total(s.l2);
   m.ipc = safe_div(static_cast<double>(m.instructions),
                    static_cast<double>(end));
   // Fig. 3(a): the mean of the slices' occupations.
@@ -734,10 +729,10 @@ RunMetrics CmpSystem::collect(const Books& b, Cycle end) const {
   m.energy = b.ledger.total();
   m.ledger = b.ledger;
   m.avg_l2_temp_kelvin = temp_sum / static_cast<double>(cfg_.num_cores);
-  m.bus_utilization = ic_->utilization(end);
+  m.bus_utilization = s.fabric_utilization;
   m.topology = std::string(noc::to_string(cfg_.topology));
   if (mesh_ != nullptr) {
-    m.noc_flit_hops = mesh_->noc().flit_hops();
+    m.noc_flit_hops = s.fabric_traffic;
     m.noc_avg_packet_latency = mesh_->noc().avg_packet_latency();
     m.dir_directed_snoops = mesh_->directory().stats().directed_snoops.value();
     m.dir_recalls = mesh_->recalls();
@@ -750,20 +745,18 @@ RunMetrics CmpSystem::collect(const Books& b, Cycle end) const {
   m.l2 = level_metrics(l2, m.l2_occupation);
   if (l3_ != nullptr) {
     m.total_l3_bytes = cfg_.total_l3_bytes;
-    const cache::LevelCounters l3 = l3_->counters(end, b.view.l3.technique);
-    m.l3 = level_metrics(l3, l3.occupation(end));
+    m.l3 = level_metrics(s.l3, s.l3.occupation(end));
   }
 
   // --- memory side ----------------------------------------------------------
   m.mem_model = std::string(mem::to_string(cfg_.mem.model));
-  const mem::DramStats& ds = mem_->dram_stats();
-  m.dram_row_hits = ds.row_hits;
-  m.dram_row_misses = ds.row_misses;
-  m.dram_row_conflicts = ds.row_conflicts;
-  m.dram_activates = ds.activates;
-  m.dram_precharges = ds.precharges;
-  m.dram_refreshes = ds.refreshes;
-  m.dram_write_forwards = ds.write_forwards;
+  m.dram_row_hits = s.dram.row_hits;
+  m.dram_row_misses = s.dram.row_misses;
+  m.dram_row_conflicts = s.dram.row_conflicts;
+  m.dram_activates = s.dram.activates;
+  m.dram_precharges = s.dram.precharges;
+  m.dram_refreshes = s.dram.refreshes;
+  m.dram_write_forwards = s.dram.write_forwards;
   for (const auto& t : tlbs_) {
     m.tlb_hits += t->tlb().hits();
     m.tlb_misses += t->tlb().misses();

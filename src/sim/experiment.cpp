@@ -116,6 +116,20 @@ std::optional<std::uint64_t> parse_positive_u64(const char* s) noexcept {
   if (!v || *v == 0) return std::nullopt;
   return v;
 }
+
+std::optional<std::uint64_t> instructions_from_env(std::uint64_t fallback,
+                                                   const char* who) {
+  const char* env = std::getenv("CDSIM_INSTR");
+  if (env == nullptr) return fallback;
+  const std::optional<std::uint64_t> v = parse_positive_u64(env);
+  if (!v) {
+    std::fprintf(stderr,
+                 "%s: CDSIM_INSTR=\"%s\" is invalid: expected a positive "
+                 "64-bit decimal instruction count\n",
+                 who, env);
+  }
+  return v;
+}
 }  // namespace detail
 
 std::uint64_t derive_config_seed(std::string_view config) noexcept {
@@ -253,19 +267,11 @@ std::vector<RunMetrics> run_config(const SystemConfig& cfg,
 }
 
 ExperimentRunner::ExperimentRunner(std::uint64_t instructions_per_core,
-                                   std::string cache_path)
-    : instructions_(instructions_per_core) {
-  if (const char* env = std::getenv("CDSIM_INSTR")) {
-    const auto v = detail::parse_positive_u64(env);
-    if (!v.has_value()) {
-      std::fprintf(stderr,
-                   "cdsim: CDSIM_INSTR=\"%s\" is invalid: expected a "
-                   "positive 64-bit decimal instruction count\n",
-                   env);
-      std::abort();
-    }
-    instructions_ = *v;
-  }
+                                   std::string cache_path) {
+  const auto instr = detail::instructions_from_env(instructions_per_core,
+                                                   "cdsim");
+  if (!instr) std::abort();
+  instructions_ = *instr;
   if (instructions_ == 0) instructions_ = SystemConfig{}.instructions_per_core;
   if (!cache_path.empty()) {
     cache_path_ = std::move(cache_path);

@@ -21,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cdsim/common/host_timer.hpp"
 #include "cdsim/obs/interval_sampler.hpp"
@@ -341,6 +342,136 @@ TEST(IntervalSampler, ChecksumCoversBitsNotText) {
   row.ipc = std::nextafter(row.ipc, 1.0);
   c.push(row);
   EXPECT_NE(a.checksum(), c.checksum());
+}
+
+/// The windows of a sampler CSV: the bounds of each row and the sums of
+/// its count columns.
+struct SeriesSums {
+  std::uint64_t rows = 0;
+  std::uint64_t instructions = 0;
+  std::uint64_t l2_accesses = 0;
+  std::uint64_t l2_misses = 0;
+  bool tiles = true;    ///< Each row starts where the previous one ended.
+  Cycle end = 0;        ///< The last row's window_end.
+};
+
+SeriesSums sum_series(const std::string& csv) {
+  std::istringstream in(slurp(csv));
+  std::string line;
+  std::getline(in, line);  // header
+  SeriesSums s;
+  while (std::getline(in, line)) {
+    unsigned long long ws = 0, we = 0, instr = 0, acc = 0, miss = 0;
+    EXPECT_EQ(std::sscanf(line.c_str(), "%llu,%llu,%llu,%llu,%llu", &ws, &we,
+                          &instr, &acc, &miss),
+              5)
+        << line;
+    s.tiles = s.tiles && ws == s.end && we > ws;
+    s.end = we;
+    ++s.rows;
+    s.instructions += instr;
+    s.l2_accesses += acc;
+    s.l2_misses += miss;
+  }
+  return s;
+}
+
+/// A 16-core three-level MOESI mesh with banked DRAM and TLBs, running
+/// `d` at every level: perfbench's mesh16-dram shape, smaller and shorter.
+sim::SystemConfig mesh16_3l_dram(const decay::DecayConfig& d) {
+  sim::SystemConfig cfg = sim::make_system_config(4 * MiB, d);
+  cfg.num_cores = 16;
+  cfg.topology = noc::Topology::kDirectoryMesh;
+  cfg.hierarchy = sim::Hierarchy::kThreeLevel;
+  cfg.total_l3_bytes = 16 * MiB;
+  cfg.protocol = coherence::Protocol::kMoesi;
+  cfg.l1_decay = d;
+  cfg.l3_decay = d;
+  cfg.mem.model = mem::MemoryModel::kDram;
+  cfg.mem.tlb.enabled = true;
+  cfg.instructions_per_core = 5000;
+  return cfg;
+}
+
+/// Runs `cfg` on FMM with a sampler of `period` writing `csv`.
+sim::RunMetrics run_sampled(const sim::SystemConfig& cfg, Cycle period,
+                            const std::string& csv) {
+  const auto& bench = workload::benchmark_by_name("FMM");
+  sim::CmpSystem sys(sim::normalized_run_config(cfg, bench), bench);
+  obs::IntervalSampler s(period);
+  EXPECT_TRUE(s.open_csv(csv));
+  sys.set_sampler(&s);
+  const sim::RunMetrics m = sys.run();
+  EXPECT_TRUE(s.finish());
+  return m;
+}
+
+TEST(IntervalSampler, SampledRowsSumToTheRun) {
+  // A row is the difference of two machine snapshots, so the rows tile
+  // [0, cycles) and their counts add up to the run's totals exactly —
+  // including what the cores commit at cycle 0 as they start.
+  const std::string csv = tmp_path("obs_rows") + ".csv";
+  const auto expect_sums = [&csv](const sim::RunMetrics& m) {
+    const SeriesSums sums = sum_series(csv);
+    std::remove(csv.c_str());
+    EXPECT_GT(sums.rows, 1u);
+    EXPECT_TRUE(sums.tiles);
+    EXPECT_EQ(sums.end, m.cycles);
+    EXPECT_EQ(sums.instructions, m.instructions);
+    EXPECT_EQ(sums.l2_accesses, m.l2_accesses);
+    EXPECT_EQ(sums.l2_misses, m.l2_misses);
+  };
+  obs::IntervalSampler s(7777);
+  ASSERT_TRUE(s.open_csv(csv));
+  const sim::RunMetrics bus = run_small(nullptr, &s);
+  ASSERT_TRUE(s.finish());
+  expect_sums(bus);
+
+  const decay::DecayConfig d{decay::Technique::kDecay, 64 * 1024, 4};
+  expect_sums(run_sampled(mesh16_3l_dram(d), 10000, csv));
+}
+
+TEST(IntervalSampler, SecondViewLeavesTheSeriesUnchanged) {
+  // The sampler reads the machine under the first view; books kept for a
+  // second view change nothing it reports.
+  const decay::DecayConfig baseline{decay::Technique::kBaseline, 0, 4};
+  const decay::DecayConfig protocol{decay::Technique::kProtocol, 0, 4};
+  sim::SystemConfig cfg = sim::make_system_config(1 * MiB, baseline);
+  cfg.instructions_per_core = 20000;
+  const auto& bench = workload::benchmark_by_name("FMM");
+  const auto checksum = [&](const std::vector<sim::AccountingView>& views) {
+    sim::CmpSystem sys(sim::normalized_run_config(cfg, bench), bench);
+    obs::IntervalSampler s(7777);
+    sys.set_sampler(&s);
+    sys.run(views);
+    EXPECT_GT(s.rows(), 1u);
+    return s.checksum();
+  };
+  sim::AccountingView second = sim::AccountingView::of(cfg);
+  second.l2 = protocol;
+  EXPECT_EQ(checksum({sim::AccountingView::of(cfg)}),
+            checksum({sim::AccountingView::of(cfg), second}));
+}
+
+TEST(IntervalSampler, WindowsCloseAtEventsOnGatedMachines) {
+  // A period off the power-sample grid, so boundaries fall between events,
+  // on a machine whose L1, L2 and L3 all gate lines: a window closes at the
+  // first event at or after its boundary, so no powered-line integral is
+  // read before its last change (which aborted), and the sampled run
+  // equals the detached one.
+  const decay::DecayConfig d{decay::Technique::kSelectiveDecay, 4096, 4};
+  const sim::SystemConfig cfg = mesh16_3l_dram(d);
+  const std::string csv = tmp_path("obs_gated") + ".csv";
+  const sim::RunMetrics sampled = run_sampled(cfg, 2500, csv);
+  const SeriesSums s = sum_series(csv);
+  std::remove(csv.c_str());
+  EXPECT_TRUE(s.tiles);
+  EXPECT_EQ(s.end, sampled.cycles);
+  EXPECT_EQ(s.instructions, sampled.instructions);
+
+  const auto& bench = workload::benchmark_by_name("FMM");
+  sim::CmpSystem plain(sim::normalized_run_config(cfg, bench), bench);
+  EXPECT_EQ(sim::first_difference(plain.run(), sampled), "");
 }
 
 // --- the observer-only contract ---------------------------------------------

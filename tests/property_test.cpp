@@ -97,7 +97,8 @@ INSTANTIATE_TEST_SUITE_P(
         Param{decay::Technique::kDecay, 8192, 8 * MiB}),
     [](const ::testing::TestParamInfo<Param>& info) {
       std::string name{decay::to_string(std::get<0>(info.param))};
-      name += "_" + std::to_string(std::get<1>(info.param) / 1024) + "K_" +
+      name += '_';
+      name += std::to_string(std::get<1>(info.param) / 1024) + "K_" +
               std::to_string(std::get<2>(info.param) / MiB) + "MB";
       return name;
     });
