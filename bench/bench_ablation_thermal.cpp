@@ -3,61 +3,49 @@
 // The paper stresses using "a detailed temperature-dependent leakage model"
 // (Liao et al.) rather than a constant per-line leakage. This ablation runs
 // the 4 MB grid with the thermal feedback enabled vs. leakage pinned at the
-// reference temperature, showing how much the reported savings move.
+// reference temperature, showing how much the reported savings move. It
+// runs 1.5M instructions/core (CDSIM_INSTR overrides) through the
+// ExperimentRunner, so a rerun reads its results from the results cache.
 
 #include <initializer_list>
 #include <iostream>
+#include <iterator>
 #include <vector>
 
 #include "cdsim/common/table.hpp"
 #include "cdsim/sim/experiment.hpp"
 #include "cdsim/workload/benchmarks.hpp"
-
-namespace {
-
-/// One run of the 4 MB machine under `techs.begin()`'s technique (decay
-/// 512K), its books kept once per technique in `techs`, all of one timing
-/// class.
-std::vector<cdsim::sim::RunMetrics> run(
-    const cdsim::workload::Benchmark& bench,
-    std::initializer_list<cdsim::decay::Technique> techs, bool feedback) {
-  using namespace cdsim;
-  const auto config = [](decay::Technique tech) {
-    return sim::make_system_config(4 * MiB,
-                                   decay::DecayConfig{tech, 512 * 1024, 4});
-  };
-  std::vector<sim::AccountingView> views;
-  for (const decay::Technique tech : techs) {
-    views.push_back(sim::AccountingView::of(config(tech)));
-  }
-  sim::SystemConfig cfg = config(*techs.begin());
-  cfg.instructions_per_core = 1500000;
-  cfg.thermal_feedback = feedback;
-  return sim::run_config(cfg, bench, views);
-}
-
-}  // namespace
+#include "figure_common.hpp"
 
 int main() {
   using namespace cdsim;
   using decay::Technique;
   const auto& bench = workload::benchmark_by_name("facerec");
+  sim::ExperimentRunner runner(1500000);
 
   std::cout << "Ablation: thermal feedback on leakage (facerec, 4MB, "
                "decay 512K)\n\n";
 
-  // Four runs: per feedback setting, the baseline (Protocol is a second
-  // accounting view of it, the same timing class) and decay.
-  struct Runs {
-    sim::RunMetrics base, protocol, decay;
+  // Per feedback setting: the baseline, protocol and decay 512K on the 4 MB
+  // machine. The runner books protocol as a view of the baseline's run.
+  const Technique techs[] = {Technique::kBaseline, Technique::kProtocol,
+                             Technique::kDecay};
+  std::vector<sim::MachineCell> cells;
+  for (const bool fb : {true, false}) {
+    for (const Technique tech : techs) {
+      sim::SystemConfig cfg = sim::make_system_config(
+          4 * MiB, decay::DecayConfig{tech, 512 * 1024, 4});
+      cfg.instructions_per_core = runner.instructions_per_core();
+      cfg.thermal_feedback = fb;
+      cells.push_back({cfg, &bench});
+    }
+  }
+  const sim::MachineResults runs = runner.run_machines(cells);
+  bench::report_sweep(runs.stats);
+  // The result of techs[tech] with feedback on or off.
+  const auto result = [&](bool fb, std::size_t tech) -> const sim::RunMetrics& {
+    return runs.metrics[(fb ? 0 : std::size(techs)) + tech];
   };
-  const auto runs_at = [&bench](bool fb) {
-    std::vector<sim::RunMetrics> bp =
-        run(bench, {Technique::kBaseline, Technique::kProtocol}, fb);
-    return Runs{bp[0], bp[1], run(bench, {Technique::kDecay}, fb)[0]};
-  };
-  const Runs on = runs_at(true);
-  const Runs off = runs_at(false);
 
   TextTable t;
   t.row()
@@ -65,16 +53,15 @@ int main() {
       .cell("thermal feedback")
       .cell("avg L2 temp (K)")
       .cell("energy reduction");
-  for (const auto tech : {Technique::kProtocol, Technique::kDecay}) {
+  for (std::size_t tech = 1; tech < std::size(techs); ++tech) {
     for (const bool fb : {true, false}) {
-      const Runs& r = fb ? on : off;
-      const sim::RunMetrics& m =
-          tech == Technique::kProtocol ? r.protocol : r.decay;
+      const sim::RunMetrics& m = result(fb, tech);
+      const double base = result(fb, 0).energy;
       t.row()
-          .cell(std::string(decay::to_string(tech)))
+          .cell(std::string(decay::to_string(techs[tech])))
           .cell(fb ? "on" : "off (T = T0)")
           .cell(m.avg_l2_temp_kelvin, 1)
-          .pct((r.base.energy - m.energy) / r.base.energy);
+          .pct((base - m.energy) / base);
     }
   }
   t.print(std::cout);

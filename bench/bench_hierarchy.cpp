@@ -6,20 +6,20 @@
 // each level contributes (per-level turn-offs and occupations), and the
 // IPC cost of the deeper hierarchy.
 //
-// Emits BENCH_hierarchy.json (CI uploads it as an artifact).
+// Emits BENCH_hierarchy.json (CI uploads it as an artifact): one row per
+// machine, its shape and then every RunMetrics leaf (the per-level blocks
+// as "l1.accesses", ...). The machines fill through the ExperimentRunner,
+// so a rerun reads them from the results cache.
 //
 // Usage: bench_hierarchy [output.json]   (default: BENCH_hierarchy.json)
 //        CDSIM_INSTR=<n> overrides the 120000 instructions/core default
 //        (CI uses a small value: this is a datapoint generator, not a
 //        statistically rigorous benchmark harness).
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "cdsim/common/version.hpp"
-#include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
 #include "cdsim/workload/benchmarks.hpp"
 #include "figure_common.hpp"
@@ -43,36 +43,15 @@ constexpr Shape kShapes[] = {
     {"dmesh-3L", noc::Topology::kDirectoryMesh, sim::Hierarchy::kThreeLevel},
 };
 
-struct Cell {
-  const Shape* shape;
-  decay::DecayConfig technique;
-  sim::RunMetrics m;
-  double wall_ms = 0.0;
-};
-
-void print_level_json(std::FILE* f, const char* name,
-                      const sim::LevelMetrics& l, const char* tail) {
-  std::fprintf(f,
-               "     \"%s\": {\"accesses\": %llu, \"hits\": %llu, "
-               "\"misses\": %llu, \"decay_turnoffs\": %llu, "
-               "\"decay_induced_misses\": %llu, \"writebacks\": %llu, "
-               "\"occupation\": %.6f}%s\n",
-               name, static_cast<unsigned long long>(l.accesses),
-               static_cast<unsigned long long>(l.hits),
-               static_cast<unsigned long long>(l.misses),
-               static_cast<unsigned long long>(l.decay_turnoffs),
-               static_cast<unsigned long long>(l.decay_induced_misses),
-               static_cast<unsigned long long>(l.writebacks), l.occupation,
-               tail);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Read first, so a malformed CDSIM_INSTR exits 1 before the runner.
   const auto env_instr =
       sim::detail::instructions_from_env(120000, "bench_hierarchy");
   if (!env_instr) return 1;
-  const std::uint64_t instr = *env_instr;
+  sim::ExperimentRunner runner(*env_instr);
+  const std::uint64_t instr = runner.instructions_per_core();
 
   const std::vector<decay::DecayConfig> techniques = {
       sim::baseline_config(),
@@ -80,11 +59,12 @@ int main(int argc, char** argv) {
   };
 
   const workload::Benchmark& bench = workload::benchmark_by_name(kBenchmark);
-  std::vector<Cell> cells;
   std::printf("bench_hierarchy: %s, %u cores, %llu instr/core, "
               "{bus-2L, dmesh-2L, dmesh-3L}\n",
               kBenchmark, kCores, static_cast<unsigned long long>(instr));
 
+  std::vector<sim::MachineCell> cells;
+  std::vector<std::vector<bench::JsonField>> labels;
   for (const Shape& shape : kShapes) {
     for (const decay::DecayConfig& tech : techniques) {
       // The bus machine caps out at 4 cores of scaling interest but runs
@@ -102,67 +82,35 @@ int main(int argc, char** argv) {
         cfg.l1_decay = cfg.decay;
         cfg.l3_decay = cfg.decay;
       }
-
-      const auto t0 = std::chrono::steady_clock::now();
-      Cell cell{&shape, tech, sim::run_config(cfg, bench), 0.0};
-      cell.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-      std::printf(
-          "  %-8s %-9s ipc=%6.3f mem=%8llu B l3hit%%=%5.1f "
-          "toffs=[%llu,%llu,%llu]  (%.0f ms)\n",
-          shape.name, tech.label().c_str(), cell.m.ipc,
-          static_cast<unsigned long long>(cell.m.mem_bytes),
-          cell.m.l3.accesses
-              ? 100.0 * static_cast<double>(cell.m.l3.hits) /
-                    static_cast<double>(cell.m.l3.accesses)
-              : 0.0,
-          static_cast<unsigned long long>(cell.m.l1.decay_turnoffs),
-          static_cast<unsigned long long>(cell.m.l2.decay_turnoffs),
-          static_cast<unsigned long long>(cell.m.l3.decay_turnoffs),
-          cell.wall_ms);
-      cells.push_back(std::move(cell));
+      cells.push_back({cfg, &bench});
+      labels.push_back({{"shape", shape.name}});
     }
+  }
+  const sim::MachineResults runs = runner.run_machines(cells);
+  bench::report_sweep(runs.stats);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const sim::RunMetrics& m = runs.metrics[i];
+    std::printf(
+        "  %-8s %-9s ipc=%6.3f mem=%8llu B l3hit%%=%5.1f "
+        "toffs=[%llu,%llu,%llu]\n",
+        kShapes[i / techniques.size()].name, m.technique.c_str(), m.ipc,
+        static_cast<unsigned long long>(m.mem_bytes),
+        m.l3.accesses ? 100.0 * static_cast<double>(m.l3.hits) /
+                            static_cast<double>(m.l3.accesses)
+                      : 0.0,
+        static_cast<unsigned long long>(m.l1.decay_turnoffs),
+        static_cast<unsigned long long>(m.l2.decay_turnoffs),
+        static_cast<unsigned long long>(m.l3.decay_turnoffs));
   }
 
   const char* out = argc > 1 ? argv[1] : "BENCH_hierarchy.json";
-  std::FILE* f = std::fopen(out, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_hierarchy: cannot write %s\n", out);
+  if (!bench::write_datapoints("bench_hierarchy", out,
+                               {{"benchmark", kBenchmark},
+                                {"cores", kCores},
+                                {"instructions_per_core", instr}},
+                               labels, runs.metrics)) {
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"bench_hierarchy\",\n");
-  std::fprintf(f, "  \"version\": \"%s\",\n", version());
-  std::fprintf(f, "  \"benchmark\": \"%s\",\n  \"cores\": %u,\n", kBenchmark,
-               kCores);
-  std::fprintf(f, "  \"instructions_per_core\": %llu,\n  \"configs\": [\n",
-               static_cast<unsigned long long>(instr));
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    const sim::RunMetrics& m = c.m;
-    std::fprintf(f,
-                 "    {\"shape\": \"%s\", \"topology\": \"%s\", "
-                 "\"hierarchy\": \"%s\", \"technique\": \"%s\",\n"
-                 "     \"cycles\": %llu, \"ipc\": %.6f, "
-                 "\"mem_bytes\": %llu, \"mem_bandwidth\": %.6f, "
-                 "\"energy\": %.6e,\n"
-                 "     \"fabric_utilization\": %.6f, "
-                 "\"total_l3_bytes\": %llu,\n",
-                 c.shape->name,
-                 std::string(noc::to_string(c.shape->topology)).c_str(),
-                 m.hierarchy.c_str(), c.technique.label().c_str(),
-                 static_cast<unsigned long long>(m.cycles), m.ipc,
-                 static_cast<unsigned long long>(m.mem_bytes),
-                 m.mem_bandwidth, m.energy, m.bus_utilization,
-                 static_cast<unsigned long long>(m.total_l3_bytes));
-    print_level_json(f, "l1", m.l1, ",");
-    print_level_json(f, "l2", m.l2, ",");
-    print_level_json(f, "l3", m.l3, ",");
-    std::fprintf(f, "     \"wall_ms\": %.3f}%s\n", c.wall_ms,
-                 i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  if (!bench::close_output(f, "bench_hierarchy", out)) return 1;
   std::printf("bench_hierarchy: wrote %s (%zu configs)\n", out,
               cells.size());
   return 0;

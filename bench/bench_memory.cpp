@@ -1,24 +1,26 @@
 // bench_memory — the memory-side datapoint: the same workload run against
 // the banked DRAM model (per-core TLBs on) under increasingly aggressive
-// cache decay. The interesting column is the row-buffer hit rate: decay
-// turn-offs eject dirty lines in bursts, and those write-backs interleave
-// with demand reads at the DRAM banks, replacing streaming row hits with
-// row conflicts. A flat-model reference cell anchors the IPC comparison.
+// cache decay. The interesting quantity is the row-buffer hit rate,
+// dram_row_hits / (dram_row_hits + dram_row_misses + dram_row_conflicts):
+// decay turn-offs eject dirty lines in bursts, and those write-backs
+// interleave with demand reads at the DRAM banks, replacing streaming row
+// hits with row conflicts. A flat-model reference cell anchors the IPC
+// comparison.
 //
-// Emits BENCH_memory.json (CI uploads it as an artifact).
+// Emits BENCH_memory.json (CI uploads it as an artifact): one row per
+// machine, its name and then every RunMetrics leaf. The machines fill
+// through the ExperimentRunner, so a rerun reads them from the results
+// cache.
 //
 // Usage: bench_memory [output.json]   (default: BENCH_memory.json)
 //        CDSIM_INSTR=<n> overrides the 120000 instructions/core default
 //        (CI uses a small value: this is a datapoint generator, not a
 //        statistically rigorous benchmark harness).
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "cdsim/common/version.hpp"
-#include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
 #include "cdsim/workload/benchmarks.hpp"
 #include "figure_common.hpp"
@@ -30,27 +32,15 @@ namespace {
 constexpr const char* kBenchmark = "mpeg2enc";  // streaming + working set
 constexpr std::uint64_t kTotalL2MiB = 4;
 
-struct Cell {
-  const char* name;
-  mem::MemoryModel model;
-  decay::DecayConfig technique;
-  sim::RunMetrics m;
-  double wall_ms = 0.0;
-};
-
-double row_hit_rate(const sim::RunMetrics& m) {
-  const double total = static_cast<double>(
-      m.dram_row_hits + m.dram_row_misses + m.dram_row_conflicts);
-  return total > 0.0 ? static_cast<double>(m.dram_row_hits) / total : 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Read first, so a malformed CDSIM_INSTR exits 1 before the runner.
   const auto env_instr =
       sim::detail::instructions_from_env(120000, "bench_memory");
   if (!env_instr) return 1;
-  const std::uint64_t instr = *env_instr;
+  sim::ExperimentRunner runner(*env_instr);
+  const std::uint64_t instr = runner.instructions_per_core();
 
   struct Shape {
     const char* name;
@@ -70,12 +60,13 @@ int main(int argc, char** argv) {
   };
 
   const workload::Benchmark& bench = workload::benchmark_by_name(kBenchmark);
-  std::vector<Cell> cells;
   std::printf("bench_memory: %s, %llu MiB L2, %llu instr/core, "
               "flat reference + DRAM x decay aggressiveness\n",
               kBenchmark, static_cast<unsigned long long>(kTotalL2MiB),
               static_cast<unsigned long long>(instr));
 
+  std::vector<sim::MachineCell> cells;
+  std::vector<std::vector<bench::JsonField>> labels;
   for (const Shape& shape : shapes) {
     sim::SystemConfig cfg =
         sim::make_system_config(kTotalL2MiB * MiB, shape.technique);
@@ -87,71 +78,34 @@ int main(int argc, char** argv) {
     // buried; a single channel keeps the baseline row-hit rate high so
     // the write-back bursts' damage is measurable.
     cfg.mem.dram.channels = 1;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    Cell cell{shape.name, shape.model, shape.technique,
-              sim::run_config(cfg, bench), 0.0};
-    cell.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-    const sim::RunMetrics& m = cell.m;
+    cells.push_back({cfg, &bench});
+    labels.push_back({{"name", shape.name}});
+  }
+  const sim::MachineResults runs = runner.run_machines(cells);
+  bench::report_sweep(runs.stats);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const sim::RunMetrics& m = runs.metrics[i];
+    const auto rows = static_cast<double>(
+        m.dram_row_hits + m.dram_row_misses + m.dram_row_conflicts);
     std::printf("  %-14s ipc=%6.3f mem=%8llu B rowhit%%=%5.1f "
-                "conflicts=%7llu wb=%6llu fwd=%4llu  (%.0f ms)\n",
-                cell.name, m.ipc,
+                "conflicts=%7llu wb=%6llu fwd=%4llu\n",
+                shapes[i].name, m.ipc,
                 static_cast<unsigned long long>(m.mem_bytes),
-                100.0 * row_hit_rate(m),
+                rows > 0.0 ? 100.0 * static_cast<double>(m.dram_row_hits) / rows
+                           : 0.0,
                 static_cast<unsigned long long>(m.dram_row_conflicts),
                 static_cast<unsigned long long>(m.l2_writebacks),
-                static_cast<unsigned long long>(m.dram_write_forwards),
-                cell.wall_ms);
-    cells.push_back(std::move(cell));
+                static_cast<unsigned long long>(m.dram_write_forwards));
   }
 
   const char* out = argc > 1 ? argv[1] : "BENCH_memory.json";
-  std::FILE* f = std::fopen(out, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_memory: cannot write %s\n", out);
+  if (!bench::write_datapoints("bench_memory", out,
+                               {{"benchmark", kBenchmark},
+                                {"total_l2_mib", kTotalL2MiB},
+                                {"instructions_per_core", instr}},
+                               labels, runs.metrics)) {
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"bench_memory\",\n");
-  std::fprintf(f, "  \"version\": \"%s\",\n", version());
-  std::fprintf(f, "  \"benchmark\": \"%s\",\n  \"total_l2_mib\": %llu,\n",
-               kBenchmark, static_cast<unsigned long long>(kTotalL2MiB));
-  std::fprintf(f, "  \"instructions_per_core\": %llu,\n  \"configs\": [\n",
-               static_cast<unsigned long long>(instr));
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    const sim::RunMetrics& m = c.m;
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"mem_model\": \"%s\", "
-                 "\"technique\": \"%s\",\n"
-                 "     \"cycles\": %llu, \"ipc\": %.6f, "
-                 "\"mem_bytes\": %llu, \"l2_writebacks\": %llu, "
-                 "\"energy\": %.6e,\n"
-                 "     \"dram\": {\"row_hits\": %llu, \"row_misses\": %llu, "
-                 "\"row_conflicts\": %llu, \"row_hit_rate\": %.6f,\n"
-                 "              \"activates\": %llu, \"precharges\": %llu, "
-                 "\"refreshes\": %llu, \"write_forwards\": %llu},\n"
-                 "     \"tlb\": {\"hits\": %llu, \"misses\": %llu},\n"
-                 "     \"wall_ms\": %.3f}%s\n",
-                 c.name, m.mem_model.c_str(), c.technique.label().c_str(),
-                 static_cast<unsigned long long>(m.cycles), m.ipc,
-                 static_cast<unsigned long long>(m.mem_bytes),
-                 static_cast<unsigned long long>(m.l2_writebacks), m.energy,
-                 static_cast<unsigned long long>(m.dram_row_hits),
-                 static_cast<unsigned long long>(m.dram_row_misses),
-                 static_cast<unsigned long long>(m.dram_row_conflicts),
-                 row_hit_rate(m),
-                 static_cast<unsigned long long>(m.dram_activates),
-                 static_cast<unsigned long long>(m.dram_precharges),
-                 static_cast<unsigned long long>(m.dram_refreshes),
-                 static_cast<unsigned long long>(m.dram_write_forwards),
-                 static_cast<unsigned long long>(m.tlb_hits),
-                 static_cast<unsigned long long>(m.tlb_misses), c.wall_ms,
-                 i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  if (!bench::close_output(f, "bench_memory", out)) return 1;
   std::printf("bench_memory: wrote %s (%zu configs)\n", out, cells.size());
   return 0;
 }

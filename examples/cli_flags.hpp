@@ -23,7 +23,6 @@ struct MachineFlags {
   noc::Topology topology = noc::Topology::kSnoopBus;
   sim::Hierarchy hierarchy = sim::Hierarchy::kTwoLevel;
   std::uint32_t cores = 0;  ///< 0 = default for the topology.
-  bool any_set = false;     ///< At least one flag was given explicitly.
 
   /// Cores after defaulting: 4 on the bus, 16 on the mesh.
   [[nodiscard]] std::uint32_t effective_cores() const {
@@ -54,7 +53,6 @@ class FlagParser {
                      v.c_str());
         return false;
       }
-      out->any_set = true;
       return true;
     });
     value_option("hierarchy", [out](const std::string& v) {
@@ -64,7 +62,6 @@ class FlagParser {
         std::fprintf(stderr, "unknown hierarchy \"%s\" (2|3)\n", v.c_str());
         return false;
       }
-      out->any_set = true;
       return true;
     });
     value_option("cores", [out](const std::string& v) {
@@ -74,7 +71,6 @@ class FlagParser {
         return false;
       }
       out->cores = static_cast<std::uint32_t>(*n);
-      out->any_set = true;
       return true;
     });
     return *this;

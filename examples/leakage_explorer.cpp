@@ -9,17 +9,17 @@
 //   $ ./leakage_explorer [benchmark] [total_l2_mb] [instructions_per_core]
 //                        [--topology=bus|dmesh] [--hierarchy=2|3] [--cores=N]
 //
-// On the default bus machine results go through the shared ExperimentRunner
-// disk cache. The topology/hierarchy flags explore the machine family
-// instead — the directory mesh and the three-level hierarchy (private L2s
-// behind the shared home-banked L3, the technique active at every level);
-// those shapes are keyed outside the figure cache and simulate directly.
-// CDSIM_INSTR overrides instructions_per_core on every machine.
+// The topology/hierarchy flags explore the machine family — the directory
+// mesh and the three-level hierarchy (private L2s behind the shared
+// home-banked L3, the technique active at every level) — instead of the
+// default 4-core bus. Every machine fills through the shared
+// ExperimentRunner, in parallel and cached (the default one under the same
+// keys as the figure benches). CDSIM_INSTR overrides instructions_per_core
+// on every machine.
 
 #include <cstdio>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv) || bad_positional) return usage();
   const noc::Topology topology = mf.topology;
   const sim::Hierarchy hierarchy = mf.hierarchy;
-  const bool default_machine = !mf.any_set;
   const std::uint32_t cores = mf.effective_cores();
 
   const std::uint64_t size = size_mb * MiB;
@@ -81,13 +80,10 @@ int main(int argc, char** argv) {
   // its budget from it.
   sim::ExperimentRunner runner(instr);
 
-  // The machine one technique runs on. The default bus machine is the
-  // figure grid's (the ExperimentRunner builds it); the family shapes
-  // override the fabric, depth and core count.
+  // The machine one technique runs on: without flags, the figure grid's.
   const auto machine = [&](const decay::DecayConfig& d) {
     sim::SystemConfig cfg = sim::make_system_config(size, d);
     cfg.instructions_per_core = runner.instructions_per_core();
-    if (default_machine) return cfg;
     cfg.topology = topology;
     cfg.hierarchy = hierarchy;
     cfg.num_cores = cores;
@@ -125,24 +121,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Runs one technique on the selected machine. The default bus machine
-  // goes through the ExperimentRunner disk cache, all of it filled by one
-  // run_grid call (the baseline and protocol share a run); the family
-  // shapes are simulated directly (their configs are not part of the
-  // figure cache's key space).
-  if (default_machine) runner.run_grid({*bench}, {size}, techs);
-  std::map<std::string, sim::RunMetrics> direct;
-  const auto run_one =
-      [&](const decay::DecayConfig& d) -> const sim::RunMetrics& {
-    if (default_machine) return runner.run(*bench, size, d);
-    const std::string key = d.label();
-    const auto it = direct.find(key);
-    if (it != direct.end()) return it->second;
-    return direct.emplace(key, sim::run_config(machine(d), *bench))
-        .first->second;
-  };
-
-  const sim::RunMetrics& baseline = run_one(sim::baseline_config());
+  // The baseline first, then the frontier; the baseline and protocol
+  // share a run.
+  std::vector<sim::MachineCell> cells{
+      {machine(sim::baseline_config()), bench}};
+  for (const decay::DecayConfig& d : techs) cells.push_back({machine(d), bench});
+  const std::vector<sim::RunMetrics> runs = runner.run_machines(cells).metrics;
 
   TextTable t;
   t.row()
@@ -153,8 +137,9 @@ int main(int argc, char** argv) {
 
   double best_ed = 1e18;
   std::string best;
-  for (const decay::DecayConfig& d : techs) {
-    const sim::RelativeMetrics r = relative_to(baseline, run_one(d));
+  for (std::size_t i = 0; i < techs.size(); ++i) {
+    const decay::DecayConfig& d = techs[i];
+    const sim::RelativeMetrics r = relative_to(runs[0], runs[i + 1]);
     // ED relative to baseline: (1 - saving) * (1 / (1 - ipc_loss)).
     const double ed = (1.0 - r.energy_reduction) / (1.0 - r.ipc_loss);
     t.row()

@@ -10,8 +10,14 @@
 // be kept under several techniques of that timing class at once
 // (AccountingView).
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "cdsim/bus/snoop_bus.hpp"
@@ -70,10 +76,16 @@ struct SystemConfig {
 
   core::CoreConfig core;
   L1Config l1;
-  L2Config l2;  ///< size_bytes/protocol are overridden from the above.
-  L3Config l3;  ///< bank_bytes is overridden from total_l3_bytes (3L only).
+  /// size_bytes and protocol are derived from total_l2_bytes and protocol
+  /// and must keep their defaults (validate_system_config).
+  L2Config l2;
+  /// Three-level only. bank_bytes and line_bytes are derived from
+  /// total_l3_bytes and l2.line_bytes and must keep their defaults.
+  L3Config l3;
   bus::BusConfig bus;      ///< Used when topology == kSnoopBus.
-  noc::DirectoryMeshConfig dmesh;  ///< Used when topology == kDirectoryMesh.
+  /// Used when topology == kDirectoryMesh. home_interleave_bytes is derived
+  /// from l2.line_bytes and must keep its default.
+  noc::DirectoryMeshConfig dmesh;
   mem::MemoryConfig mem;
   /// Leakage technique at the private L2 level (the paper's knob).
   decay::DecayConfig decay;
@@ -99,6 +111,335 @@ struct SystemConfig {
   std::uint64_t seed = 42;
 };
 
+// --- the field table ---------------------------------------------------------
+// The SystemConfig schema, declared once: validate_system_config checks each
+// leaf's rule and describe prints every leaf, both through
+// for_each_config_field, whose walk static_asserts that each struct's table
+// lists every member exactly once.
+
+/// What validate_system_config requires of one leaf by itself. Rules that
+/// relate leaves (core counts, cache geometry, budgets, decay ticks) are
+/// code in validate_system_config.
+enum class FieldRule : std::uint8_t {
+  kAny,
+  kNonzero,      ///< At least 1 (every entry of a vector).
+  kPow2,         ///< A power of two.
+  kLineBytes,    ///< A power of two >= 8.
+  kWays,         ///< A power of two, at most cache::kMaxWays.
+  kPositive,     ///< Positive and finite.
+  kNonNegative,  ///< Non-negative and finite.
+  kFinite,
+  kDerived,      ///< CmpSystem sets it from another field: keep the default.
+};
+
+/// The machines whose components read a struct: its rules apply there.
+enum class FieldScope : std::uint8_t {
+  kAlways,
+  kSnoopBus,
+  kDirectoryMesh,
+  kThreeLevel,
+  kDram,
+  kTlb,  ///< mem.tlb.enabled.
+};
+
+namespace detail {
+/// A field's dotted name as a chain of parts up to the top level, kept on
+/// the walk's stack: validate_system_config runs in every workload's set-up
+/// and formats no name unless it throws.
+struct FieldPath {
+  const FieldPath* parent = nullptr;  ///< nullptr at the top level.
+  std::string_view part;
+
+  void append_to(std::string& out) const {
+    if (parent != nullptr) {
+      parent->append_to(out);
+      out += '.';
+    }
+    out += part;
+  }
+};
+}  // namespace detail
+
+/// A leaf as for_each_config_field reports it. Its path lives on the walk's
+/// stack: keep the leaf only for the duration of the callback.
+struct ConfigLeaf {
+  detail::FieldPath path;
+  FieldRule rule;
+  std::string_view derived_from;
+  FieldScope scope;  ///< Of the innermost enclosing struct that has one.
+
+  /// The dotted name: "mem.dram.channels".
+  [[nodiscard]] std::string name() const {
+    std::string s;
+    path.append_to(s);
+    return s;
+  }
+};
+
+/// The per-struct tables, kFields<T> in member order (int for a leaf type),
+/// with short names for the structs and rules they use.
+namespace config_fields {
+using enum FieldRule;
+using enum FieldScope;
+using Core = core::CoreConfig;
+using Bus = bus::BusConfig;
+using Noc = noc::NocConfig;
+using Dmesh = noc::DirectoryMeshConfig;
+using Dram = mem::DramConfig;
+using Tlb = mem::TlbConfig;
+using Mem = mem::MemoryConfig;
+using Decay = decay::DecayConfig;
+using Power = power::PowerConfig;
+using Leakage = power::LeakageParams;
+using Thermal = thermal::ThermalConfig;
+
+/// One named member of `Agg`: a leaf, or a struct with its own table.
+template <class Agg>
+struct Field {
+  std::string_view name;
+  std::variant<std::uint32_t Agg::*, std::uint64_t Agg::*, double Agg::*,
+               bool Agg::*, noc::Topology Agg::*, Hierarchy Agg::*,
+               coherence::Protocol Agg::*, mem::MemoryModel Agg::*,
+               decay::Technique Agg::*, std::vector<std::uint64_t> Agg::*,
+               Core Agg::*, L1Config Agg::*, L2Config Agg::*, L3Config Agg::*,
+               Bus Agg::*, Noc Agg::*, Dmesh Agg::*, Dram Agg::*, Tlb Agg::*,
+               Mem Agg::*, Decay Agg::*, Power Agg::*, Leakage Agg::*,
+               Thermal Agg::*>
+      member;
+  FieldRule rule = kAny;
+  std::string_view derived_from = {};  ///< kDerived: the field it is set from.
+  FieldScope scope = kAlways;          ///< A struct member's own scope.
+};
+
+template <class T>
+inline constexpr int kFields = 0;
+
+template <>
+inline constexpr auto kFields<Core> = std::to_array<Field<Core>>({
+    {"issue_width", &Core::issue_width, kPow2},
+    {"max_outstanding_loads", &Core::max_outstanding_loads, kNonzero},
+    {"rob_window", &Core::rob_window},
+});
+
+template <>
+inline constexpr auto kFields<L1Config> = std::to_array<Field<L1Config>>({
+    {"size_bytes", &L1Config::size_bytes, kPow2},
+    {"line_bytes", &L1Config::line_bytes, kLineBytes},
+    {"ways", &L1Config::ways, kWays},
+    {"hit_latency", &L1Config::hit_latency, kNonzero},
+    {"mshr_entries", &L1Config::mshr_entries, kNonzero},
+    {"write_buffer_entries", &L1Config::write_buffer_entries, kNonzero},
+    {"drain_interval", &L1Config::drain_interval},
+    {"max_drains_in_flight", &L1Config::max_drains_in_flight, kNonzero},
+});
+
+template <>
+inline constexpr auto kFields<L2Config> = std::to_array<Field<L2Config>>({
+    {"size_bytes", &L2Config::size_bytes, kDerived, "total_l2_bytes"},
+    {"line_bytes", &L2Config::line_bytes, kLineBytes},
+    {"ways", &L2Config::ways, kWays},
+    {"hit_latency", &L2Config::hit_latency, kNonzero},
+    {"mshr_entries", &L2Config::mshr_entries, kNonzero},
+    {"retry_interval", &L2Config::retry_interval, kNonzero},
+    {"l1_inval_latency", &L2Config::l1_inval_latency},
+    {"protocol", &L2Config::protocol, kDerived, "protocol"},
+    {"test_lose_decay_writeback", &L2Config::test_lose_decay_writeback},
+});
+
+template <>
+inline constexpr auto kFields<L3Config> = std::to_array<Field<L3Config>>({
+    {"bank_bytes", &L3Config::bank_bytes, kDerived, "total_l3_bytes"},
+    {"line_bytes", &L3Config::line_bytes, kDerived, "l2.line_bytes"},
+    {"ways", &L3Config::ways, kWays},
+    {"hit_latency", &L3Config::hit_latency, kNonzero},
+});
+
+template <>
+inline constexpr auto kFields<Bus> = std::to_array<Field<Bus>>({
+    {"arbitration_latency", &Bus::arbitration_latency},
+    {"address_phase", &Bus::address_phase},
+    {"bytes_per_cycle", &Bus::bytes_per_cycle, kNonzero},
+    {"cache_to_cache_latency", &Bus::cache_to_cache_latency},
+});
+
+template <>
+inline constexpr auto kFields<Noc> = std::to_array<Field<Noc>>({
+    {"router_latency", &Noc::router_latency},
+    {"link_latency", &Noc::link_latency},
+    {"flit_bytes", &Noc::flit_bytes, kNonzero},
+    {"header_bytes", &Noc::header_bytes},
+    {"link_credits", &Noc::link_credits, kNonzero},
+});
+
+template <>
+inline constexpr auto kFields<Dmesh> = std::to_array<Field<Dmesh>>({
+    {"noc", &Dmesh::noc},
+    {"directory_latency", &Dmesh::directory_latency},
+    {"bank_occupancy", &Dmesh::bank_occupancy},
+    {"ctrl_bytes", &Dmesh::ctrl_bytes},
+    {"mem_tile", &Dmesh::mem_tile},
+    {"home_interleave_bytes", &Dmesh::home_interleave_bytes, kDerived,
+     "l2.line_bytes"},
+});
+
+template <>
+inline constexpr auto kFields<Dram> = std::to_array<Field<Dram>>({
+    {"channels", &Dram::channels, kNonzero},
+    {"ranks_per_channel", &Dram::ranks_per_channel, kNonzero},
+    {"banks_per_rank", &Dram::banks_per_rank, kNonzero},
+    {"row_bytes", &Dram::row_bytes},
+    {"interleave_bytes", &Dram::interleave_bytes, kNonzero},
+    {"queue_depth", &Dram::queue_depth, kNonzero},
+    {"starvation_limit", &Dram::starvation_limit},
+    {"t_rcd", &Dram::t_rcd},
+    {"t_rp", &Dram::t_rp},
+    {"t_cas", &Dram::t_cas},
+    {"t_refi", &Dram::t_refi},
+    {"t_rfc", &Dram::t_rfc},
+});
+
+template <>
+inline constexpr auto kFields<Tlb> = std::to_array<Field<Tlb>>({
+    {"enabled", &Tlb::enabled},
+    {"entries", &Tlb::entries, kNonzero},
+    {"page_bytes", &Tlb::page_bytes, kNonzero},
+    {"miss_walk_latency", &Tlb::miss_walk_latency},
+});
+
+template <>
+inline constexpr auto kFields<Mem> = std::to_array<Field<Mem>>({
+    {"model", &Mem::model},
+    {"read_latency", &Mem::read_latency},
+    {"bytes_per_cycle", &Mem::bytes_per_cycle, kNonzero},
+    {"posted_writes", &Mem::posted_writes},
+    {.name = "dram", .member = &Mem::dram, .scope = kDram},
+    {.name = "tlb", .member = &Mem::tlb, .scope = kTlb},
+});
+
+template <>
+inline constexpr auto kFields<Decay> = std::to_array<Field<Decay>>({
+    {"technique", &Decay::technique},
+    {"decay_time", &Decay::decay_time},
+    {"hierarchical_ticks", &Decay::hierarchical_ticks},
+});
+
+template <>
+inline constexpr auto kFields<Power> = std::to_array<Field<Power>>({
+    {"l2_leak_per_line_cycle", &Power::l2_leak_per_line_cycle, kNonNegative},
+    {"gated_vdd_overhead", &Power::gated_vdd_overhead, kNonNegative},
+    {"off_residual_frac", &Power::off_residual_frac, kNonNegative},
+    {"l2_dyn_per_access", &Power::l2_dyn_per_access, kNonNegative},
+    {"l2_dyn_per_fill", &Power::l2_dyn_per_fill, kNonNegative},
+    {"decay_counter_leak_frac", &Power::decay_counter_leak_frac, kNonNegative},
+    {"decay_counter_dyn", &Power::decay_counter_dyn, kNonNegative},
+    {"core_leak_per_cycle", &Power::core_leak_per_cycle, kNonNegative},
+    {"core_dyn_per_instr", &Power::core_dyn_per_instr, kNonNegative},
+    {"l1_leak_per_cycle", &Power::l1_leak_per_cycle, kNonNegative},
+    {"l1_dyn_per_access", &Power::l1_dyn_per_access, kNonNegative},
+    {"bus_dyn_per_byte", &Power::bus_dyn_per_byte, kNonNegative},
+    {"noc_dyn_per_flit_hop", &Power::noc_dyn_per_flit_hop, kNonNegative},
+    {"l3_leak_per_line_cycle", &Power::l3_leak_per_line_cycle, kNonNegative},
+    {"l3_dyn_per_access", &Power::l3_dyn_per_access, kNonNegative},
+    {"l3_dyn_per_fill", &Power::l3_dyn_per_fill, kNonNegative},
+    {"dram_act_energy", &Power::dram_act_energy, kNonNegative},
+    {"dram_pre_energy", &Power::dram_pre_energy, kNonNegative},
+});
+
+template <>
+inline constexpr auto kFields<Leakage> = std::to_array<Field<Leakage>>({
+    {"t0_kelvin", &Leakage::t0_kelvin, kPositive},
+    {"beta", &Leakage::beta, kFinite},
+});
+
+template <>
+inline constexpr auto kFields<Thermal> = std::to_array<Field<Thermal>>({
+    {"ambient_kelvin", &Thermal::ambient_kelvin, kPositive},
+    {"watts_per_eu_cycle", &Thermal::watts_per_eu_cycle, kNonNegative},
+    {"clock_hz", &Thermal::clock_hz, kPositive},
+    {"sample_period", &Thermal::sample_period, kNonzero},
+    {"lateral_r", &Thermal::lateral_r, kPositive},
+});
+
+template <>
+inline constexpr auto kFields<SystemConfig> =
+    std::to_array<Field<SystemConfig>>({
+        {"num_cores", &SystemConfig::num_cores},
+        {"topology", &SystemConfig::topology},
+        {"hierarchy", &SystemConfig::hierarchy},
+        {"total_l2_bytes", &SystemConfig::total_l2_bytes},
+        {"total_l3_bytes", &SystemConfig::total_l3_bytes},
+        {"protocol", &SystemConfig::protocol},
+        {"core", &SystemConfig::core},
+        {"l1", &SystemConfig::l1},
+        {"l2", &SystemConfig::l2},
+        {.name = "l3", .member = &SystemConfig::l3, .scope = kThreeLevel},
+        {.name = "bus", .member = &SystemConfig::bus, .scope = kSnoopBus},
+        {.name = "dmesh", .member = &SystemConfig::dmesh,
+         .scope = kDirectoryMesh},
+        {"mem", &SystemConfig::mem},
+        {"decay", &SystemConfig::decay},
+        {"l1_decay", &SystemConfig::l1_decay},
+        {"l3_decay", &SystemConfig::l3_decay},
+        {"power", &SystemConfig::power},
+        {"leakage", &SystemConfig::leakage},
+        {"thermal", &SystemConfig::thermal},
+        {"thermal_feedback", &SystemConfig::thermal_feedback},
+        {"instructions_per_core", &SystemConfig::instructions_per_core},
+        {"per_core_instructions", &SystemConfig::per_core_instructions,
+         kNonzero},
+        {"seed", &SystemConfig::seed},
+    });
+}  // namespace config_fields
+
+inline constexpr const auto& kSystemConfigFields =
+    config_fields::kFields<SystemConfig>;
+
+namespace detail {
+template <class Agg, class F, class... C>
+void walk_config(F& f, const FieldPath* path, FieldScope scope, C&... cs);
+
+/// Entry I of Agg's table, resolved at compile time: validation folds each
+/// leaf's rule into plain code, with no dispatch at run time.
+template <class Agg, std::size_t I, class F, class... C>
+void walk_field(F& f, const FieldPath* path, FieldScope scope, C&... cs) {
+  constexpr const auto& field = config_fields::kFields<Agg>[I];
+  constexpr auto member = std::get<field.member.index()>(field.member);
+  using T = std::remove_cvref_t<decltype(std::declval<Agg&>().*member)>;
+  if constexpr (requires { config_fields::kFields<T>.size(); }) {
+    const FieldPath inner{path, field.name};
+    walk_config<T>(f, &inner,
+                   field.scope == FieldScope::kAlways ? scope : field.scope,
+                   (cs.*member)...);
+  } else {
+    f(ConfigLeaf{{path, field.name}, field.rule, field.derived_from, scope},
+      (cs.*member)...);
+  }
+}
+
+template <class Agg, class F, class... C>
+void walk_config(F& f, const FieldPath* path, FieldScope scope, C&... cs) {
+  static_assert(lists_every_member<Agg>(config_fields::kFields<Agg>),
+                "a config table must list each member of its struct once");
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (walk_field<Agg, I>(f, path, scope, cs...), ...);
+  }(std::make_index_sequence<config_fields::kFields<Agg>.size()>{});
+}
+}  // namespace detail
+
+/// Calls f(leaf, value...) for each of the 102 SystemConfig leaves in table
+/// order ("num_cores", "l1.size_bytes", "mem.dram.channels", ...) with the
+/// matching leaf of every `cfgs`, mutable where the config is.
+template <class F, class... C>
+void for_each_config_field(F&& f, C&... cfgs) {
+  detail::walk_config<SystemConfig>(f, nullptr, FieldScope::kAlways,
+                                    cfgs...);
+}
+
+/// Every leaf of `cfg` as name=value, ';'-separated in table order: enums
+/// by name, doubles in their shortest exact form, a vector as [a,b]. Equal
+/// configs, and only they, describe equally; the text holds no '/' or '|'.
+[[nodiscard]] std::string describe(const SystemConfig& cfg);
+
 /// One set of energy books kept over a run: the technique each cache level
 /// is accounted under. A view must lie in the run's timing class — every
 /// level's config decay::same_timing with the SystemConfig's — so it
@@ -117,12 +458,12 @@ struct AccountingView {
 };
 
 /// Validates a SystemConfig, throwing std::invalid_argument with a message
-/// that names the field on misconfiguration: core counts the fabric cannot
-/// hold, cache geometry at any level, zero depths, widths and latencies a
-/// component asserts on, DRAM/TLB/mesh parameters of the selected models,
-/// decay and thermal settings, or a per-core instruction vector of the
-/// wrong length. CmpSystem's constructor calls this; harnesses can call it
-/// early to fail before building workloads.
+/// that names the field on misconfiguration: each leaf's FieldRule where its
+/// struct's FieldScope holds (a derived field also names its source), then
+/// the rules that relate fields — core counts the fabric cannot hold, cache
+/// geometry at each level, DRAM rows, the mesh's memory tile, decay ticks
+/// and per-core budgets. CmpSystem's constructor calls this; harnesses can
+/// call it early to fail before building workloads.
 void validate_system_config(const SystemConfig& cfg);
 
 /// One fully-wired CMP simulation.

@@ -4,8 +4,8 @@
 // The paper's evaluation grid is: 6 benchmarks x {1,2,4,8} MB total L2 x
 // 7 techniques (protocol, decay/sel_decay x {512K,128K,64K}) plus the
 // always-on baseline every number is normalized against. This driver runs
-// single configurations and caches baseline results so each figure bench
-// only pays for what it prints.
+// whole machines — that grid and any other — and caches every result so
+// each bench only pays for what it prints.
 
 #include <cstdint>
 #include <map>
@@ -74,7 +74,9 @@ SystemConfig normalized_run_config(const SystemConfig& cfg,
 /// a config validate_system_config rejects, e.g. a decaying L2 with
 /// decay_time 0. CDSIM_VERIFY=1 attaches the differential oracle and
 /// aborts on a divergence; CDSIM_VERIFY_TRACE=<dir> then also captures
-/// the run's op sequence as <dir>/<bench>_<technique>_s<seed>.cdt.
+/// the run's op sequence as <dir>/<bench>_<L2 label>_s<seed>_<hash>.cdt,
+/// <hash> being 8 hex digits of describe() of the simulated config, so
+/// machines that share a benchmark, technique and seed keep one file each.
 RunMetrics run_config(const SystemConfig& cfg,
                       const workload::Benchmark& bench);
 
@@ -86,7 +88,14 @@ std::vector<RunMetrics> run_config(const SystemConfig& cfg,
                                    const workload::Benchmark& bench,
                                    std::vector<AccountingView> views);
 
-/// Outcome of one ExperimentRunner::run_grid call.
+/// One cell of an ExperimentRunner fill: a whole machine and the benchmark
+/// it runs.
+struct MachineCell {
+  SystemConfig config;
+  const workload::Benchmark* bench = nullptr;
+};
+
+/// Outcome of one ExperimentRunner::run_machines or run_grid call.
 struct SweepStats {
   /// Results this call produced rather than read from the memo map or the
   /// disk cache, accounting views included.
@@ -96,9 +105,17 @@ struct SweepStats {
   unsigned workers = 0;         ///< Worker count used (0 when nothing ran).
 };
 
-/// Runs configurations on demand, memoizing results (baselines are shared
+/// What ExperimentRunner::run_machines returns.
+struct MachineResults {
+  std::vector<RunMetrics> metrics;  ///< One per cell, in cell order.
+  SweepStats stats;
+};
+
+/// Runs whole machines on demand, memoizing results (baselines are shared
 /// by every figure series).
 ///
+/// A result is keyed by its benchmark and every leaf of its machine:
+/// "<bench>/<total_l2_bytes>/<L2 label>/<describe(config)>/<version>".
 /// Results are also persisted to a small text cache file so the per-figure
 /// bench binaries share one sweep instead of each re-simulating the grid.
 /// Cache location: $CDSIM_CACHE_FILE, default "cdsim_results.cache" in the
@@ -108,10 +125,9 @@ struct SweepStats {
 /// cache can never corrupt it. The merge is best-effort, not transactional:
 /// two processes persisting at the same instant can drop the other's newest
 /// entries (they are simply re-simulated later). Persistence happens at the
-/// end of each
-/// run_grid call, on destruction, and every kPersistEvery-th new serial
-/// result (not per run(): a cold serial sweep would otherwise rewrite the
-/// file once per configuration).
+/// end of each run_machines and run_grid call, on destruction, and every
+/// kPersistEvery-th new serial result (not per run(): a cold serial sweep
+/// would otherwise rewrite the file once per configuration).
 ///
 /// All public methods are thread-safe; simulations run outside the lock.
 class ExperimentRunner {
@@ -125,8 +141,20 @@ class ExperimentRunner {
                             std::string cache_path = {});
   ~ExperimentRunner();
 
-  /// Result for (benchmark, size, technique); runs it on first use, by
-  /// itself on the calling thread. The serial reference run_grid is
+  /// Results for whole machines, one per cell in order: the memoized ones
+  /// read back, the rest made with one simulation per timing class — cells
+  /// of one benchmark whose configs are equal once every level's technique
+  /// that never decays reads as baseline_config() share a run, as
+  /// accounting views — on `workers` threads (0 = one per hardware thread),
+  /// round-robin over the machines. Each config runs as given, its
+  /// instruction budget included. Persists once at the end. Bit-identical
+  /// to run_config of each cell.
+  MachineResults run_machines(const std::vector<MachineCell>& cells,
+                              unsigned workers = 0);
+
+  /// Result for (benchmark, size, technique) on the paper's platform
+  /// (make_system_config at instructions_per_core()); runs it on first use,
+  /// by itself on the calling thread. The serial reference run_grid is
   /// checked against.
   const RunMetrics& run(const workload::Benchmark& bench,
                         std::uint64_t total_l2_bytes,
@@ -134,12 +162,8 @@ class ExperimentRunner {
 
   /// Fills the (benchmark x size x technique) grid — plus the baseline run
   /// of every (benchmark, size) cell, which all relative metrics need —
-  /// with one simulation per timing class of not-yet-cached cells on
-  /// `workers` threads (0 = one per hardware thread): a (benchmark, size)
-  /// cell's baseline and protocol come from one run, as two accounting
-  /// views. The simulations go out round-robin over the (benchmark, size)
-  /// cells. Results are merged into the memo map and persisted once at the
-  /// end. Bit-identical to calling run() for each cell serially.
+  /// through run_machines: a (benchmark, size) cell's baseline and
+  /// protocol come from one run, as two accounting views.
   SweepStats run_grid(const std::vector<workload::Benchmark>& benchmarks,
                       const std::vector<std::uint64_t>& sizes,
                       const std::vector<decay::DecayConfig>& techniques,
@@ -164,37 +188,25 @@ class ExperimentRunner {
   }
 
  private:
-  /// Version-free configuration description
-  /// (benchmark/bytes/label/raw-decay-params/instructions): the prefix of
-  /// the memo key. Sizes are kept in bytes and decay parameters verbatim
-  /// so distinct configurations never collide.
-  [[nodiscard]] std::string config_desc(
+  /// The paper-grid cell of (benchmark, size, technique).
+  [[nodiscard]] MachineCell grid_cell(
       const workload::Benchmark& bench, std::uint64_t total_l2_bytes,
       const decay::DecayConfig& technique) const;
-  /// Memo key: config_desc plus "/<cache version>".
-  [[nodiscard]] std::string key_for(const workload::Benchmark& bench,
-                                    std::uint64_t total_l2_bytes,
-                                    const decay::DecayConfig& technique) const;
-  /// One (benchmark, size, technique) configuration.
-  struct Cell {
-    const workload::Benchmark* bench = nullptr;
-    std::uint64_t total_l2_bytes = 0;
-    decay::DecayConfig technique;
-  };
   /// The one way results are made: drops the cells already memoized (or
-  /// listed twice), groups each (benchmark, size)'s missing techniques by
-  /// timing class, runs one simulation per group on `workers` threads
-  /// (0 = one per hardware thread), round-robin over the (benchmark, size)
-  /// pairs, and memoizes the results in cell order. Persists nothing.
-  SweepStats fill(const std::vector<Cell>& cells, unsigned workers);
+  /// listed twice), groups the rest by machine and each machine's by timing
+  /// class, runs one simulation per class on `workers` threads, round-robin
+  /// over the machines, and memoizes the results in cell order. Persists
+  /// nothing.
+  SweepStats fill(const std::vector<MachineCell>& cells, unsigned workers);
   void load_disk_cache();
   /// Atomically rewrites the cache file (temp + rename) with the union of
   /// on-disk and in-memory entries, dropping lines from other cache
   /// versions and corrupt lines. Caller must hold mu_.
   void persist_disk_cache_locked();
 
-  /// Serial run() persists after this many new results (run_grid persists
-  /// once at the end regardless), bounding loss on an interrupted sweep.
+  /// Serial run() persists after this many new results (run_machines
+  /// persists once at the end regardless), bounding loss on an interrupted
+  /// sweep.
   static constexpr std::size_t kPersistEvery = 16;
 
   std::uint64_t instructions_ = 0;

@@ -165,6 +165,37 @@ inline constexpr auto kRunMetricsFields = std::to_array<RunMetricsField>({
 });
 inline constexpr std::size_t kRunLabelFields = 3;
 
+namespace detail {
+// Counts the direct members of an aggregate by brace-initializing it from
+// ever more "convert to anything" placeholders. Used only in unevaluated
+// context, so the conversion operator needs no definition.
+struct AnyField {
+  template <class T>
+  operator T() const;  // NOLINT(google-explicit-constructor)
+};
+
+template <class T, class... Fields>
+consteval std::size_t member_count() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+    return member_count<T, Fields..., AnyField>();
+  } else {
+    return sizeof...(Fields);
+  }
+}
+
+/// A field table of `Agg` names each of its members exactly once: as many
+/// entries as members, and no member and no name twice.
+template <class Agg, class Table>
+consteval bool lists_every_member(const Table& t) {
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (t[i].member == t[j].member || t[i].name == t[j].name) return false;
+    }
+  }
+  return t.size() == member_count<Agg>();
+}
+}  // namespace detail
+
 /// A mutable ledger leaf: the ledger only accumulates, through add().
 struct LedgerLeaf {
   power::EnergyLedger* ledger;

@@ -1,6 +1,8 @@
 #include "cdsim/sim/cmp_system.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -12,214 +14,222 @@
 
 namespace cdsim::sim {
 
-void validate_system_config(const SystemConfig& cfg) {
-  const auto fail = [](const std::string& why) {
-    throw std::invalid_argument("SystemConfig: " + why);
+namespace {
+
+[[noreturn]] void fail(const std::string& why) {
+  throw std::invalid_argument("SystemConfig: " + why);
+}
+
+/// Appends a leaf's value as describe prints it.
+void append_value(std::string& out, bool v) { out += v ? "true" : "false"; }
+template <class T>
+void append_value(std::string& out, const T& v) {
+  if constexpr (std::is_enum_v<T>) {
+    out += to_string(v);
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    std::array<char, 32> buf{};  // the longest double is 24 characters
+    out.append(buf.data(),
+               std::to_chars(buf.data(), buf.data() + buf.size(), v).ptr);
+  } else {
+    out += '[';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i != 0) out += ',';
+      append_value(out, v[i]);
+    }
+    out += ']';
+  }
+}
+
+/// Why `v` breaks `rule`, or nullptr when it keeps it. A rule that does
+/// not fit the leaf's type always breaks, so a mistyped table entry rejects
+/// every config.
+template <class T>
+const char* broken(FieldRule rule, const T& v) {
+  using enum FieldRule;
+  const auto unless = [](bool ok, const char* why) {
+    return ok ? nullptr : why;
   };
-  if (cfg.num_cores == 0) fail("num_cores must be at least 1");
-  if (cfg.num_cores > 64) {
-    fail("num_cores " + std::to_string(cfg.num_cores) +
+  if constexpr (std::is_floating_point_v<T>) {
+    switch (rule) {
+      case kPositive:
+        return unless(std::isfinite(v) && v > 0.0,
+                      "must be positive and finite");
+      case kNonNegative:
+        return unless(std::isfinite(v) && v >= 0.0,
+                      "must be non-negative and finite");
+      case kFinite: return unless(std::isfinite(v), "must be finite");
+      default: break;
+    }
+  } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+    switch (rule) {
+      case kNonzero: return unless(v != 0, "must be at least 1");
+      case kPow2: return unless(is_pow2(v), "must be a power of two");
+      case kLineBytes:
+        return unless(is_pow2(v) && v >= 8, "must be a power of two >= 8");
+      case kWays:
+        return unless(is_pow2(v) && v <= cache::kMaxWays,
+                      "must be a power of two of at most 64 (one set's valid "
+                      "bits are one 64-bit word)");
+      default: break;
+    }
+  } else if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>) {
+    if (rule == kNonzero) {
+      return unless(std::find(v.begin(), v.end(), 0) == v.end(),
+                    "entries must be at least 1");
+    }
+  }
+  return "has a rule that does not fit its type";
+}
+
+/// Throws naming `leaf`, whose value `v` breaks its rule (`why`); `def` is
+/// its default.
+template <class T>
+[[noreturn]] void reject(const ConfigLeaf& leaf, const T& v, const T& def,
+                         const char* why) {
+  std::string msg = leaf.name() + ' ';
+  append_value(msg, v);
+  msg += ' ';
+  msg += why;
+  if (leaf.rule == FieldRule::kDerived) {
+    msg += leaf.derived_from;
+    msg += ": leave it at its default ";
+    append_value(msg, def);
+  }
+  fail(msg);
+}
+
+/// Throws naming `leaf` when `v` breaks its rule; `def` is its default.
+template <class T>
+void check_leaf(const ConfigLeaf& leaf, const T& v, const T& def) {
+  const char* why = leaf.rule == FieldRule::kDerived
+                        ? (v == def ? nullptr : "is derived from ")
+                        : broken(leaf.rule, v);
+  if (why != nullptr) reject(leaf, v, def, why);
+}
+
+}  // namespace
+
+std::string describe(const SystemConfig& cfg) {
+  std::string out;
+  for_each_config_field(
+      [&out](const ConfigLeaf& leaf, const auto& v) {
+        if (!out.empty()) out += ';';
+        leaf.path.append_to(out);
+        out += '=';
+        append_value(out, v);
+      },
+      cfg);
+  return out;
+}
+
+void validate_system_config(const SystemConfig& cfg) {
+  // Per FieldScope, whether the machine builds the components that read
+  // the struct.
+  const bool built[] = {true,
+                        cfg.topology == noc::Topology::kSnoopBus,
+                        cfg.topology == noc::Topology::kDirectoryMesh,
+                        cfg.hierarchy == Hierarchy::kThreeLevel,
+                        cfg.mem.model == mem::MemoryModel::kDram,
+                        cfg.mem.tlb.enabled};
+  static const SystemConfig defaults;
+  for_each_config_field(
+      [&built](const ConfigLeaf& leaf, const auto& v, const auto& def) {
+        if (leaf.rule != FieldRule::kAny &&
+            built[static_cast<std::size_t>(leaf.scope)]) {
+          check_leaf(leaf, v, def);
+        }
+      },
+      cfg, defaults);
+
+  // The rules that relate fields.
+  const std::uint32_t n = cfg.num_cores;
+  if (n == 0) fail("num_cores must be at least 1");
+  if (n > 64) {
+    fail("num_cores " + std::to_string(n) +
          " exceeds 64 (the directory's sharer bitmap width)");
   }
-  if (cfg.total_l2_bytes == 0 ||
-      cfg.total_l2_bytes % cfg.num_cores != 0) {
-    fail("total_l2_bytes " + std::to_string(cfg.total_l2_bytes) +
-         " is not divisible into " + std::to_string(cfg.num_cores) +
-         " per-core slices");
-  }
-  if (cfg.topology == noc::Topology::kDirectoryMesh &&
-      !is_pow2(cfg.num_cores)) {
-    fail("num_cores " + std::to_string(cfg.num_cores) +
+  if (cfg.topology == noc::Topology::kDirectoryMesh && !is_pow2(n)) {
+    fail("num_cores " + std::to_string(n) +
          " must be a power of two for the mesh tile grid");
   }
-  if (!cfg.per_core_instructions.empty() &&
-      cfg.per_core_instructions.size() != cfg.num_cores) {
+  if (cfg.per_core_instructions.empty()) {
+    if (cfg.instructions_per_core == 0) {
+      fail("instructions_per_core must be at least 1");
+    }
+  } else if (cfg.per_core_instructions.size() != n) {
     fail("per_core_instructions has " +
          std::to_string(cfg.per_core_instructions.size()) +
-         " entries; expected 0 or num_cores (" +
-         std::to_string(cfg.num_cores) + ")");
+         " entries; expected 0 or num_cores (" + std::to_string(n) + ")");
   }
-  // The same geometry rule at every level (cache::Geometry and
-  // cache::TagArray assert it): power-of-two size, line and ways, at most
-  // cache::kMaxWays ways, and at least one set.
-  const auto check_geometry = [&fail](const std::string& size_field,
-                                      std::uint64_t size,
-                                      const char* line_field,
-                                      std::uint32_t line,
-                                      const char* ways_field,
-                                      std::uint32_t ways) {
-    if (!is_pow2(size)) {
-      fail(size_field + " " + std::to_string(size) +
-           " must be a power of two");
-    }
-    if (!is_pow2(line) || line < 8) {
-      fail(std::string(line_field) + " " + std::to_string(line) +
-           " must be a power of two >= 8");
-    }
-    if (!is_pow2(ways)) {
-      fail(std::string(ways_field) + " " + std::to_string(ways) +
-           " must be a power of two");
-    }
-    if (ways > cache::kMaxWays) {
-      fail(std::string(ways_field) + " " + std::to_string(ways) +
-           " exceeds " + std::to_string(cache::kMaxWays) +
-           " (one set's valid bits are one 64-bit word)");
-    }
+  // Each level's per-structure capacity holds at least one set
+  // (cache::Geometry and cache::TagArray assert it). An L2 slice and an L3
+  // bank are equal shares of a total, each a power of two.
+  const auto one_set = [](const char* what, std::uint64_t size,
+                          std::uint32_t line, std::uint32_t ways) {
     if (size < static_cast<std::uint64_t>(line) * ways) {
-      fail(size_field + " " + std::to_string(size) +
+      fail(std::string(what) + " " + std::to_string(size) +
            " is smaller than one set (" + std::to_string(line) +
            " B lines x " + std::to_string(ways) + " ways)");
     }
   };
-  check_geometry("l1.size_bytes", cfg.l1.size_bytes, "l1.line_bytes",
-                 cfg.l1.line_bytes, "l1.ways", cfg.l1.ways);
-  check_geometry("per-core L2 slice (total_l2_bytes / num_cores)",
-                 cfg.total_l2_bytes / cfg.num_cores, "l2.line_bytes",
-                 cfg.l2.line_bytes, "l2.ways", cfg.l2.ways);
+  const auto share = [n](const char* total_field, std::uint64_t total,
+                         const char* parts, const char* share_name) {
+    if (total == 0 || total % n != 0) {
+      fail(std::string(total_field) + " " + std::to_string(total) +
+           " is not divisible into " + std::to_string(n) + parts);
+    }
+    if (!is_pow2(total / n)) {
+      fail(std::string(share_name) + " " + std::to_string(total / n) +
+           " must be a power of two");
+    }
+    return total / n;
+  };
+  one_set("l1.size_bytes", cfg.l1.size_bytes, cfg.l1.line_bytes, cfg.l1.ways);
+  const char* slice = "per-core L2 slice (total_l2_bytes / num_cores)";
+  one_set(slice,
+          share("total_l2_bytes", cfg.total_l2_bytes, " per-core slices",
+                slice),
+          cfg.l2.line_bytes, cfg.l2.ways);
   if (cfg.hierarchy == Hierarchy::kThreeLevel) {
     if (cfg.topology != noc::Topology::kDirectoryMesh) {
       fail("three-level hierarchy requires the directory-mesh topology "
            "(the shared L3 banks live at the mesh home tiles)");
     }
-    if (cfg.total_l3_bytes == 0 ||
-        cfg.total_l3_bytes % cfg.num_cores != 0) {
-      fail("total_l3_bytes " + std::to_string(cfg.total_l3_bytes) +
-           " is not divisible into " + std::to_string(cfg.num_cores) +
-           " home banks");
-    }
-    // The bank line size is overridden to the L2's at construction (one
-    // coherence/interleave unit); validate with the value actually used.
-    check_geometry("per-bank L3 size (total_l3_bytes / num_cores)",
-                   cfg.total_l3_bytes / cfg.num_cores, "l2.line_bytes",
-                   cfg.l2.line_bytes, "l3.ways", cfg.l3.ways);
+    // The banks hold L2-sized lines (one coherence/interleave unit).
+    const char* bank = "per-bank L3 size (total_l3_bytes / num_cores)";
+    one_set(bank,
+            share("total_l3_bytes", cfg.total_l3_bytes, " home banks", bank),
+            cfg.l2.line_bytes, cfg.l3.ways);
   }
-  // Counts, widths and latencies the components assert to be nonzero at
-  // construction or at first use (l1.max_drains_in_flight = 0 would hang,
-  // and l2.retry_interval = 0 would stop simulated time).
-  const auto check_nonzero = [&fail](std::uint64_t v, const char* field) {
-    if (v == 0) fail(std::string(field) + " must be at least 1");
-  };
-  if (cfg.per_core_instructions.empty()) {
-    check_nonzero(cfg.instructions_per_core, "instructions_per_core");
+  const mem::DramConfig& d = cfg.mem.dram;
+  if (cfg.mem.model == mem::MemoryModel::kDram &&
+      d.row_bytes < d.interleave_bytes) {
+    fail("mem.dram.row_bytes " + std::to_string(d.row_bytes) +
+         " is smaller than mem.dram.interleave_bytes " +
+         std::to_string(d.interleave_bytes));
   }
-  for (const std::uint64_t budget : cfg.per_core_instructions) {
-    check_nonzero(budget, "every per_core_instructions entry");
-  }
-  // The core paces issue in exact 1/issue_width-cycle units.
-  if (!is_pow2(cfg.core.issue_width)) {
-    fail("core.issue_width " + std::to_string(cfg.core.issue_width) +
-         " must be a power of two");
-  }
-  check_nonzero(cfg.core.max_outstanding_loads, "core.max_outstanding_loads");
-  check_nonzero(cfg.l1.hit_latency, "l1.hit_latency");
-  check_nonzero(cfg.l1.mshr_entries, "l1.mshr_entries");
-  check_nonzero(cfg.l1.write_buffer_entries, "l1.write_buffer_entries");
-  check_nonzero(cfg.l1.max_drains_in_flight, "l1.max_drains_in_flight");
-  check_nonzero(cfg.l2.hit_latency, "l2.hit_latency");
-  check_nonzero(cfg.l2.mshr_entries, "l2.mshr_entries");
-  check_nonzero(cfg.l2.retry_interval, "l2.retry_interval");
-  if (cfg.hierarchy == Hierarchy::kThreeLevel) {
-    check_nonzero(cfg.l3.hit_latency, "l3.hit_latency");
-  }
-  check_nonzero(cfg.mem.bytes_per_cycle, "mem.bytes_per_cycle");
-  if (cfg.mem.model == mem::MemoryModel::kDram) {
-    const mem::DramConfig& d = cfg.mem.dram;
-    check_nonzero(d.channels, "mem.dram.channels");
-    check_nonzero(d.ranks_per_channel, "mem.dram.ranks_per_channel");
-    check_nonzero(d.banks_per_rank, "mem.dram.banks_per_rank");
-    check_nonzero(d.interleave_bytes, "mem.dram.interleave_bytes");
-    check_nonzero(d.queue_depth, "mem.dram.queue_depth");
-    if (d.row_bytes < d.interleave_bytes) {
-      fail("mem.dram.row_bytes " + std::to_string(d.row_bytes) +
-           " is smaller than mem.dram.interleave_bytes " +
-           std::to_string(d.interleave_bytes));
-    }
-  }
-  if (cfg.mem.tlb.enabled) {
-    check_nonzero(cfg.mem.tlb.entries, "mem.tlb.entries");
-    check_nonzero(cfg.mem.tlb.page_bytes, "mem.tlb.page_bytes");
-  }
-  if (cfg.topology == noc::Topology::kSnoopBus) {
-    check_nonzero(cfg.bus.bytes_per_cycle, "bus.bytes_per_cycle");
-  }
-  if (cfg.topology == noc::Topology::kDirectoryMesh) {
-    check_nonzero(cfg.dmesh.noc.link_credits, "dmesh.noc.link_credits");
-    check_nonzero(cfg.dmesh.noc.flit_bytes, "dmesh.noc.flit_bytes");
-    if (cfg.dmesh.mem_tile >= cfg.num_cores) {
-      fail("dmesh.mem_tile " + std::to_string(cfg.dmesh.mem_tile) +
-           " is not one of the " + std::to_string(cfg.num_cores) +
-           " mesh tiles");
-    }
+  if (cfg.topology == noc::Topology::kDirectoryMesh &&
+      cfg.dmesh.mem_tile >= n) {
+    fail("dmesh.mem_tile " + std::to_string(cfg.dmesh.mem_tile) +
+         " is not one of the " + std::to_string(n) + " mesh tiles");
   }
   // The same check at every level: a decaying technique needs at least one
   // counter tick per interval, and ticks at least one cycle apart.
-  const auto check_decay = [&fail](const decay::DecayConfig& d,
-                                   const char* level) {
-    if (!decay::uses_decay(d.technique)) return;
-    if (d.hierarchical_ticks == 0) {
+  const auto check_decay = [](const decay::DecayConfig& dc,
+                              const char* level) {
+    if (!decay::uses_decay(dc.technique)) return;
+    if (dc.hierarchical_ticks == 0) {
       fail(std::string(level) + " decay needs hierarchical_ticks >= 1");
     }
-    if (d.tick_period() == 0) {
+    if (dc.tick_period() == 0) {
       fail(std::string(level) + " decay technique needs a nonzero tick " +
-           "period (decay_time " + std::to_string(d.decay_time) + " / " +
-           std::to_string(d.hierarchical_ticks) + " ticks)");
+           "period (decay_time " + std::to_string(dc.decay_time) + " / " +
+           std::to_string(dc.hierarchical_ticks) + " ticks)");
     }
   };
   check_decay(cfg.l1_decay, "L1");
   check_decay(cfg.decay, "L2");
   check_decay(cfg.l3_decay, "L3");
-  // The power sampler re-arms every sample_period cycles, and the thermal
-  // step and the leakage model divide by the clock and by T0.
-  if (cfg.thermal.sample_period == 0) {
-    fail("thermal.sample_period must be at least 1 cycle");
-  }
-  const auto check_positive = [&fail](double v, const char* field) {
-    if (!(std::isfinite(v) && v > 0.0)) {
-      fail(std::string(field) + " " + std::to_string(v) +
-           " must be positive and finite");
-    }
-  };
-  check_positive(cfg.thermal.clock_hz, "thermal.clock_hz");
-  check_positive(cfg.leakage.t0_kelvin, "leakage.t0_kelvin");
-  // The RC network divides by the lateral resistance and starts every
-  // block at ambient, where the leakage model needs a positive temperature.
-  check_positive(cfg.thermal.ambient_kelvin, "thermal.ambient_kelvin");
-  check_positive(cfg.thermal.lateral_r, "thermal.lateral_r");
-  if (!std::isfinite(cfg.leakage.beta)) {
-    fail("leakage.beta " + std::to_string(cfg.leakage.beta) +
-         " must be finite");
-  }
-  // The energy ledger only accumulates non-negative contributions.
-  const auto check_nonnegative = [&fail](double v, const char* field) {
-    if (!(std::isfinite(v) && v >= 0.0)) {
-      fail(std::string(field) + " " + std::to_string(v) +
-           " must be non-negative and finite");
-    }
-  };
-  check_nonnegative(cfg.thermal.watts_per_eu_cycle,
-                    "thermal.watts_per_eu_cycle");
-  const power::PowerConfig& pw = cfg.power;
-  const std::pair<double, const char*> power_constants[] = {
-      {pw.l2_leak_per_line_cycle, "power.l2_leak_per_line_cycle"},
-      {pw.gated_vdd_overhead, "power.gated_vdd_overhead"},
-      {pw.off_residual_frac, "power.off_residual_frac"},
-      {pw.l2_dyn_per_access, "power.l2_dyn_per_access"},
-      {pw.l2_dyn_per_fill, "power.l2_dyn_per_fill"},
-      {pw.decay_counter_leak_frac, "power.decay_counter_leak_frac"},
-      {pw.decay_counter_dyn, "power.decay_counter_dyn"},
-      {pw.core_leak_per_cycle, "power.core_leak_per_cycle"},
-      {pw.core_dyn_per_instr, "power.core_dyn_per_instr"},
-      {pw.l1_leak_per_cycle, "power.l1_leak_per_cycle"},
-      {pw.l1_dyn_per_access, "power.l1_dyn_per_access"},
-      {pw.bus_dyn_per_byte, "power.bus_dyn_per_byte"},
-      {pw.noc_dyn_per_flit_hop, "power.noc_dyn_per_flit_hop"},
-      {pw.l3_leak_per_line_cycle, "power.l3_leak_per_line_cycle"},
-      {pw.l3_dyn_per_access, "power.l3_dyn_per_access"},
-      {pw.l3_dyn_per_fill, "power.l3_dyn_per_fill"},
-      {pw.dram_act_energy, "power.dram_act_energy"},
-      {pw.dram_pre_energy, "power.dram_pre_energy"},
-  };
-  for (const auto& [v, field] : power_constants) check_nonnegative(v, field);
 }
 
 namespace {

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
@@ -32,10 +33,32 @@ namespace {
 // stale caches re-run: only the current version loads. The payload is
 // every kRunMetricsFields leaf after the labels, in table order, so a
 // schema change is a table edit plus a bump here. Seeds derive from the
-// version-free configuration description (see derive_config_seed), so
-// bumping this never changes simulation results. v5 added the memory side
-// (mem_model, DRAM and TLB counters, two DRAM ledger components).
-constexpr const char* kCacheVersion = "v5";
+// version-free (benchmark, size, budget) description (see
+// normalized_run_config), so bumping this never changes simulation
+// results. v5 added the memory side (mem_model, DRAM and TLB counters, two
+// DRAM ledger components); v6 keys every leaf of the machine (describe).
+constexpr const char* kCacheVersion = "v6";
+
+/// The memo key: the three labels parse_cache_line reads back, then every
+/// leaf of the machine, then the version.
+std::string cache_key(const MachineCell& cell) {
+  return cell.bench->config.name + "/" +
+         std::to_string(cell.config.total_l2_bytes) + "/" +
+         cell.config.decay.label() + "/" + describe(cell.config) + "/" +
+         kCacheVersion;
+}
+
+/// `cell` as one string with each level's technique read as baseline when
+/// it never decays (every technique, when `all`): equal for two cells of
+/// one timing class (decay::same_timing at every level), or, with `all`,
+/// of one machine.
+std::string masked(const MachineCell& cell, bool all) {
+  SystemConfig cfg = cell.config;
+  for (decay::DecayConfig* d : {&cfg.l1_decay, &cfg.decay, &cfg.l3_decay}) {
+    if (all || !decay::uses_decay(d->technique)) *d = baseline_config();
+  }
+  return cell.bench->config.name + "/" + describe(cfg);
+}
 
 /// The payload: every leaf after the labels (the key carries those),
 /// space-separated, doubles at max_digits10 so the round trip is exact.
@@ -84,7 +107,7 @@ std::optional<std::pair<std::string, RunMetrics>> parse_cache_line(
   if (!key.ends_with(std::string("/") + kCacheVersion)) return std::nullopt;
   RunMetrics m;
   if (!deserialize(line.substr(bar + 1), m)) return std::nullopt;
-  // The key is bench/size/technique/...
+  // The key is bench/size/technique/<describe>/<version>.
   std::istringstream ks(key);
   std::string size;
   std::getline(ks, m.benchmark, '/');
@@ -230,6 +253,12 @@ std::vector<RunMetrics> run_config(const SystemConfig& cfg,
       const auto uc = static_cast<unsigned char>(ch);
       stem.push_back(std::isalnum(uc) != 0 ? ch : '_');
     }
+    // The seed depends only on (benchmark, size, budget): the hash keeps
+    // one file per machine.
+    std::array<char, 10> hash{};
+    std::snprintf(hash.data(), hash.size(), "_%08x",
+                  static_cast<unsigned>(derive_config_seed(describe(fixed))));
+    stem += hash.data();
     const std::string path = std::string(tenv) + "/" + stem + ".cdt";
     writer =
         std::make_unique<workload::ChunkedTraceWriter>(path, fixed.num_cores);
@@ -366,98 +395,75 @@ void ExperimentRunner::persist_disk_cache_locked() {
   unsaved_ = 0;
 }
 
-std::string ExperimentRunner::config_desc(
+MachineCell ExperimentRunner::grid_cell(
     const workload::Benchmark& bench, std::uint64_t total_l2_bytes,
     const decay::DecayConfig& technique) const {
-  // The display label alone is ambiguous: it truncates decay_time to KiB
-  // and omits hierarchical_ticks, so distinct configs could share a key
-  // (and therefore a cached result and a seed). Keep the label as its own
-  // component — load_disk_cache recovers it for figure output — and add
-  // the raw decay parameters, normalized the same way make_system_config
-  // normalizes them so physically identical configs get identical keys.
-  const bool decays = decay::uses_decay(technique.technique);
-  const Cycle decay_time = decays ? technique.decay_time : 0;
-  const std::uint32_t ticks = decays ? technique.hierarchical_ticks : 0;
-  return bench.config.name + "/" + std::to_string(total_l2_bytes) + "/" +
-         technique.label() + "/dt" + std::to_string(decay_time) + "t" +
-         std::to_string(ticks) + "/" + std::to_string(instructions_);
+  SystemConfig cfg = make_system_config(total_l2_bytes, technique);
+  cfg.instructions_per_core = instructions_;
+  return {cfg, &bench};
 }
 
-std::string ExperimentRunner::key_for(
-    const workload::Benchmark& bench, std::uint64_t total_l2_bytes,
-    const decay::DecayConfig& technique) const {
-  return config_desc(bench, total_l2_bytes, technique) + "/" + kCacheVersion;
-}
-
-SweepStats ExperimentRunner::fill(const std::vector<Cell>& cells,
+SweepStats ExperimentRunner::fill(const std::vector<MachineCell>& cells,
                                   unsigned workers) {
-  struct Job {
-    const Cell* cell;
-    std::string key;
-  };
   SweepStats stats;
-  std::vector<Job> jobs;
-  // Per (benchmark, size) pair, one simulation per timing class: the jobs
-  // of the pair that share it, every one an accounting view of the run of
-  // the first.
-  std::vector<std::vector<std::vector<std::size_t>>> pairs;
+  std::vector<const MachineCell*> jobs;
+  // One simulation per timing class: the jobs that share it, every one an
+  // accounting view of the run of the first. Run order: every machine's
+  // first simulation, then every machine's second, and so on. A machine's
+  // runs replay one workload, so their memory footprints are about equal;
+  // back to back, the workers would run them side by side, and peak memory
+  // would be the largest machine's footprint times the worker count.
+  // Interleaved, the simulations in flight come from different machines.
+  std::vector<std::vector<std::size_t>> runs;
   {
     std::scoped_lock lock(mu_);
     std::set<std::string> listed;
-    for (const Cell& cell : cells) {
-      std::string key = key_for(*cell.bench, cell.total_l2_bytes,
-                                cell.technique);
+    // Per machine (masked(cell, true)), its timing classes
+    // (masked(cell, false)) in the order they first appear.
+    using Classes =
+        std::vector<std::pair<std::string, std::vector<std::size_t>>>;
+    std::vector<std::pair<std::string, Classes>> machines;
+    for (const MachineCell& cell : cells) {
+      const std::string key = cache_key(cell);
       if (!listed.insert(key).second) continue;  // listed twice
       if (cache_.find(key) != cache_.end()) {
         ++stats.reused;
         continue;
       }
-      auto pair = std::find_if(
-          pairs.begin(), pairs.end(),
-          [&](const std::vector<std::vector<std::size_t>>& p) {
-            const Cell& c = *jobs[p.front().front()].cell;
-            return c.bench->config.name == cell.bench->config.name &&
-                   c.total_l2_bytes == cell.total_l2_bytes;
-          });
-      if (pair == pairs.end()) pair = pairs.emplace(pairs.end());
-      const auto run = std::find_if(
-          pair->begin(), pair->end(), [&](const std::vector<std::size_t>& r) {
-            return decay::same_timing(jobs[r.front()].cell->technique,
-                                      cell.technique);
-          });
-      if (run == pair->end()) {
-        pair->push_back({jobs.size()});
-      } else {
-        run->push_back(jobs.size());
+      const std::string id = masked(cell, true);
+      auto machine = std::find_if(machines.begin(), machines.end(),
+                                  [&](const auto& m) { return m.first == id; });
+      if (machine == machines.end()) {
+        machine = machines.emplace(machines.end(), id, Classes{});
       }
-      jobs.push_back(Job{&cell, std::move(key)});
+      const std::string timing = masked(cell, false);
+      auto run = std::find_if(machine->second.begin(), machine->second.end(),
+                              [&](const auto& r) { return r.first == timing; });
+      if (run == machine->second.end()) {
+        run = machine->second.emplace(machine->second.end(), timing,
+                                      std::vector<std::size_t>{});
+      }
+      run->second.push_back(jobs.size());
+      jobs.push_back(&cell);
+    }
+    std::size_t depth = 0;
+    for (const auto& m : machines) depth = std::max(depth, m.second.size());
+    for (std::size_t k = 0; k < depth; ++k) {
+      for (auto& m : machines) {
+        if (k < m.second.size()) runs.push_back(std::move(m.second[k].second));
+      }
     }
   }
   if (jobs.empty()) return stats;
-
-  // Run order: every pair's first simulation, then every pair's second,
-  // and so on. A pair's runs replay one workload, so their memory
-  // footprints are about equal; back to back, the workers would run them
-  // side by side, and peak memory would be the largest pair's footprint
-  // times the worker count. Interleaved, the simulations in flight come
-  // from different pairs.
-  std::size_t depth = 0;
-  for (const auto& pair : pairs) depth = std::max(depth, pair.size());
-  std::vector<const std::vector<std::size_t>*> runs;
-  for (std::size_t k = 0; k < depth; ++k) {
-    for (const auto& pair : pairs) {
-      if (k < pair.size()) runs.push_back(&pair[k]);
-    }
-  }
 
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
   stats.workers = workers;
   stats.timing_runs = runs.size();
   // Each simulation writes only its own jobs' slots; the merge below runs
   // in job order under the lock, so the memo map and the cache file are
-  // independent of thread scheduling. Each run seeds from its pair's
-  // description alone (run_config derives the seed), and a view's books
-  // are kept exactly as its standalone run keeps them, so the merge is
+  // independent of thread scheduling. Each run seeds from its own config
+  // alone (run_config derives the seed), and a view's books are kept
+  // exactly as its standalone run keeps them, so the merge is
   // bit-identical to running every cell by itself.
   //
   // Happens-before: the results[] stores of every worker -> parallel_for's
@@ -465,17 +471,15 @@ SweepStats ExperimentRunner::fill(const std::vector<Cell>& cells,
   // by two threads, so the join is the only edge needed.
   std::vector<RunMetrics> results(jobs.size());
   parallel_for(runs.size(), workers, [&](std::size_t r) {
-    const std::vector<std::size_t>& ids = *runs[r];
-    const Cell& lead = *jobs[ids.front()].cell;
-    SystemConfig cfg = make_system_config(lead.total_l2_bytes, lead.technique);
-    cfg.instructions_per_core = instructions_;
+    const std::vector<std::size_t>& ids = runs[r];
+    const MachineCell& lead = *jobs[ids.front()];
     std::vector<AccountingView> views;
     views.reserve(ids.size());
     for (const std::size_t i : ids) {
-      views.push_back(AccountingView::of(make_system_config(
-          lead.total_l2_bytes, jobs[i].cell->technique)));
+      views.push_back(AccountingView::of(jobs[i]->config));
     }
-    std::vector<RunMetrics> ms = run_config(cfg, *lead.bench, std::move(views));
+    std::vector<RunMetrics> ms =
+        run_config(lead.config, *lead.bench, std::move(views));
     for (std::size_t k = 0; k < ids.size(); ++k) {
       results[ids[k]] = std::move(ms[k]);
     }
@@ -491,7 +495,7 @@ SweepStats ExperimentRunner::fill(const std::vector<Cell>& cells,
   // reference to one stays valid outside the lock.
   std::scoped_lock lock(mu_);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (cache_.emplace(std::move(jobs[i].key), std::move(results[i])).second) {
+    if (cache_.emplace(cache_key(*jobs[i]), std::move(results[i])).second) {
       ++stats.simulated;
       dirty_ = true;  // so the destructor retries if a persist fails
       ++unsaved_;
@@ -502,17 +506,36 @@ SweepStats ExperimentRunner::fill(const std::vector<Cell>& cells,
   return stats;
 }
 
+MachineResults ExperimentRunner::run_machines(
+    const std::vector<MachineCell>& cells, unsigned workers) {
+  MachineResults out{.metrics = {}, .stats = fill(cells, workers)};
+  // Host-profiling aggregation: the phase accumulators are process-global
+  // atomics, so worker shards fold in for free — one summary covers the
+  // whole fill.
+  if (out.stats.timing_runs != 0 && prof::HostProfiler::enabled()) {
+    prof::HostProfiler::report(stderr);
+  }
+  std::scoped_lock lock(mu_);
+  if (out.stats.timing_runs != 0) persist_disk_cache_locked();
+  out.metrics.reserve(cells.size());
+  for (const MachineCell& cell : cells) {
+    out.metrics.push_back(cache_.at(cache_key(cell)));
+  }
+  return out;
+}
+
 const RunMetrics& ExperimentRunner::run(const workload::Benchmark& bench,
                                         std::uint64_t total_l2_bytes,
                                         const decay::DecayConfig& technique) {
-  const SweepStats stats = fill({Cell{&bench, total_l2_bytes, technique}}, 1);
+  const MachineCell cell = grid_cell(bench, total_l2_bytes, technique);
+  const SweepStats stats = fill({cell}, 1);
   std::scoped_lock lock(mu_);
   // Throttled incremental persistence: a killed process loses at most the
   // last few results, without rewriting the file per configuration.
   if (stats.simulated != 0 && unsaved_ >= kPersistEvery) {
     persist_disk_cache_locked();
   }
-  return cache_.at(key_for(bench, total_l2_bytes, technique));
+  return cache_.at(cache_key(cell));
 }
 
 SweepStats ExperimentRunner::run_grid(
@@ -521,24 +544,16 @@ SweepStats ExperimentRunner::run_grid(
     const std::vector<decay::DecayConfig>& techniques, unsigned workers) {
   // Every relative metric divides by the matching baseline run, so the
   // baseline is an implicit member of every technique sweep.
-  std::vector<Cell> cells;
+  std::vector<MachineCell> cells;
   for (const auto& bench : benchmarks) {
     for (const std::uint64_t bytes : sizes) {
-      cells.push_back(Cell{&bench, bytes, baseline_config()});
+      cells.push_back(grid_cell(bench, bytes, baseline_config()));
       for (const auto& tech : techniques) {
-        cells.push_back(Cell{&bench, bytes, tech});
+        cells.push_back(grid_cell(bench, bytes, tech));
       }
     }
   }
-  const SweepStats stats = fill(cells, workers);
-  if (stats.timing_runs == 0) return stats;
-  // Host-profiling aggregation: the phase accumulators are process-global
-  // atomics, so worker shards fold in for free — one summary covers the
-  // whole grid.
-  if (prof::HostProfiler::enabled()) prof::HostProfiler::report(stderr);
-  std::scoped_lock lock(mu_);
-  persist_disk_cache_locked();
-  return stats;
+  return run_machines(cells, workers).stats;
 }
 
 RelativeMetrics ExperimentRunner::relative(

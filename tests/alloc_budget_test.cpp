@@ -107,5 +107,23 @@ TEST(AllocBudget, FourCoreFlatBus) {
   EXPECT_LE(b.per_kevent(), 67.0);
 }
 
+// validate_system_config runs in every workload's set-up (the constructor
+// calls it): a valid machine, every struct's rules in scope, costs no heap
+// allocation, so no field name is formatted unless it throws.
+TEST(AllocBudget, ValidatingAValidMachineAllocatesNothing) {
+  SystemConfig cfg = make_system_config(8 * MiB, kDecay8K);
+  cfg.topology = noc::Topology::kDirectoryMesh;
+  cfg.hierarchy = Hierarchy::kThreeLevel;
+  cfg.mem.model = mem::MemoryModel::kDram;
+  cfg.mem.tlb.enabled = true;
+  cfg.per_core_instructions.assign(cfg.num_cores, 1000);
+  validate_system_config(cfg);  // the first call builds its defaults
+  g_allocations = 0;
+  g_counting = true;
+  validate_system_config(cfg);
+  g_counting = false;
+  EXPECT_EQ(g_allocations, 0u);
+}
+
 }  // namespace
 }  // namespace cdsim::sim

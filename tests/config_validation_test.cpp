@@ -7,7 +7,9 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
@@ -371,6 +373,157 @@ TEST(ConfigValidation, FieldsComponentsAssertOnAreRejectedByName) {
     row.bad(cfg);
     expect_invalid(cfg, row.field);
   }
+}
+
+// CmpSystem sets these from other fields and used to overwrite a value
+// given here in silence; each is rejected naming the field it comes from.
+TEST(ConfigValidation, DerivedFieldsNameTheirSource) {
+  using Edit = void (*)(SystemConfig&);
+  struct Row {
+    const char* field;
+    const char* from;
+    Edit machine;  ///< Valid context the field needs (may be null).
+    Edit bad;
+  };
+  const Edit mesh = [](SystemConfig& c) {
+    c.topology = noc::Topology::kDirectoryMesh;
+  };
+  const Edit three_level = [](SystemConfig& c) {
+    c.topology = noc::Topology::kDirectoryMesh;
+    c.hierarchy = Hierarchy::kThreeLevel;
+  };
+  const Row rows[] = {
+      {"l2.size_bytes", "total_l2_bytes", nullptr,
+       [](SystemConfig& c) { c.l2.size_bytes = 64 * KiB; }},
+      {"l2.protocol", "protocol", nullptr,
+       [](SystemConfig& c) { c.l2.protocol = coherence::Protocol::kMoesi; }},
+      {"l3.bank_bytes", "total_l3_bytes", three_level,
+       [](SystemConfig& c) { c.l3.bank_bytes = 4 * MiB; }},
+      {"l3.line_bytes", "l2.line_bytes", three_level,
+       [](SystemConfig& c) { c.l3.line_bytes = 128; }},
+      {"dmesh.home_interleave_bytes", "l2.line_bytes", mesh,
+       [](SystemConfig& c) { c.dmesh.home_interleave_bytes = 128; }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.field);
+    SystemConfig cfg = base();
+    if (row.machine != nullptr) row.machine(cfg);
+    EXPECT_NO_THROW(validate_system_config(cfg));
+    row.bad(cfg);
+    expect_invalid(cfg, row.field);
+    expect_invalid(cfg, (std::string("derived from ") + row.from).c_str());
+  }
+}
+
+/// The base config whose components read a struct of `scope` (inside), or
+/// one whose components do not (outside; kAlways has no outside).
+SystemConfig machine_for(FieldScope scope, bool inside) {
+  SystemConfig cfg = base();
+  if (!inside) {
+    if (scope == FieldScope::kSnoopBus) {
+      cfg.topology = noc::Topology::kDirectoryMesh;
+    }
+    return cfg;
+  }
+  switch (scope) {
+    case FieldScope::kAlways:
+    case FieldScope::kSnoopBus: break;
+    case FieldScope::kThreeLevel:
+      cfg.hierarchy = Hierarchy::kThreeLevel;
+      [[fallthrough]];
+    case FieldScope::kDirectoryMesh:
+      cfg.topology = noc::Topology::kDirectoryMesh;
+      break;
+    case FieldScope::kDram: cfg.mem.model = mem::MemoryModel::kDram; break;
+    case FieldScope::kTlb: cfg.mem.tlb.enabled = true; break;
+  }
+  return cfg;
+}
+
+/// A value of `v`'s type that breaks `rule`; for kDerived (or kAny), one
+/// that differs from `v`.
+template <class T>
+T breaking(FieldRule rule, const T& v) {
+  if constexpr (std::is_enum_v<T>) {
+    return static_cast<T>(static_cast<std::underlying_type_t<T>>(v) ^ 1);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return !v;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    switch (rule) {
+      case FieldRule::kPositive: return 0.0;
+      case FieldRule::kNonNegative: return -1.0;
+      case FieldRule::kFinite: return std::numeric_limits<T>::quiet_NaN();
+      default: return v + 1.0;
+    }
+  } else if constexpr (std::is_integral_v<T>) {
+    switch (rule) {
+      case FieldRule::kNonzero: return 0;
+      case FieldRule::kPow2: return 3;
+      case FieldRule::kLineBytes: return 4;
+      case FieldRule::kWays: return 128;
+      default: return v + 1;
+    }
+  } else {  // per_core_instructions: one budget per core, one of them 0
+    T budgets(base().num_cores, 1000);
+    if (rule == FieldRule::kNonzero) budgets.back() = 0;
+    return budgets;
+  }
+}
+
+/// Sets the leaf named `name` of `cfg` to breaking(rule, its value).
+void break_leaf(SystemConfig& cfg, std::string_view name) {
+  for_each_config_field(
+      [name](const ConfigLeaf& leaf, auto& v) {
+        if (leaf.name() == name) v = breaking(leaf.rule, v);
+      },
+      cfg);
+}
+
+// Every rule in the table, as broadly as it is stated: on a machine whose
+// components read the leaf's struct, one value that breaks the rule is
+// rejected naming the leaf; on one whose components do not, it validates.
+TEST(ConfigValidation, EveryRuleRejectsByName) {
+  const SystemConfig cfg = base();
+  std::size_t ruled = 0;
+  for_each_config_field(
+      [&ruled](const ConfigLeaf& leaf, const auto&) {
+        if (leaf.rule == FieldRule::kAny) return;
+        ++ruled;
+        const std::string name = leaf.name();
+        SCOPED_TRACE(name);
+        SystemConfig cfg = machine_for(leaf.scope, true);
+        EXPECT_NO_THROW(validate_system_config(cfg));
+        break_leaf(cfg, name);
+        expect_invalid(cfg, name.c_str());
+        if (leaf.scope != FieldScope::kAlways) {
+          SystemConfig outside = machine_for(leaf.scope, false);
+          break_leaf(outside, name);
+          EXPECT_NO_THROW(validate_system_config(outside));
+        }
+      },
+      cfg);
+  EXPECT_EQ(ruled, 58u);
+}
+
+// The results cache keys a machine by describe: any one leaf changed
+// changes it, and equal configs describe equally.
+TEST(Describe, EveryLeafChangesTheKey) {
+  const SystemConfig cfg = base();
+  const std::string key = describe(cfg);
+  EXPECT_EQ(describe(base()), key);
+  EXPECT_EQ(key.find_first_of("/|"), std::string::npos) << key;
+  std::size_t leaves = 0;
+  for_each_config_field(
+      [&](const ConfigLeaf& leaf, const auto&) {
+        ++leaves;
+        const std::string name = leaf.name();
+        SystemConfig changed = cfg;
+        break_leaf(changed, name);
+        EXPECT_NE(describe(changed), key) << name;
+        EXPECT_EQ(describe(changed), describe(SystemConfig(changed)));
+      },
+      cfg);
+  EXPECT_EQ(leaves, 102u);
 }
 
 // The constructor validates before it builds the leakage model, whose own

@@ -35,10 +35,52 @@ decay::DecayConfig protocol() {
 
 // mpeg2enc / 1 MiB / protocol() at kPinInstr as the cache persists it:
 // the key, then every RunMetrics leaf after the labels (kRunMetricsFields
-// order). Captured from the build that introduced cache v5.
+// order). The payload was captured from the build that introduced cache
+// v5; v6 re-pinned only the key, which now names every machine leaf.
 constexpr std::uint64_t kPinInstr = 5'000;
 constexpr const char* kPinnedLine =
-    "mpeg2enc/1048576/protocol/dt0t0/5000/v5|12481 20008 1.6030766765483535 "
+    "mpeg2enc/1048576/protocol/num_cores=4;topology=bus;hierarchy=2L;"
+    "total_l2_bytes=1048576;total_l3_bytes=16777216;protocol=MESI;"
+    "core.issue_width=4;core.max_outstanding_loads=48;core.rob_window=512;"
+    "l1.size_bytes=32768;l1.line_bytes=64;l1.ways=4;l1.hit_latency=2;"
+    "l1.mshr_entries=16;l1.write_buffer_entries=12;l1.drain_interval=1;"
+    "l1.max_drains_in_flight=8;l2.size_bytes=1048576;l2.line_bytes=64;"
+    "l2.ways=8;l2.hit_latency=12;l2.mshr_entries=24;l2.retry_interval=4;"
+    "l2.l1_inval_latency=2;l2.protocol=MESI;"
+    "l2.test_lose_decay_writeback=false;l3.bank_bytes=2097152;"
+    "l3.line_bytes=64;l3.ways=16;l3.hit_latency=24;"
+    "bus.arbitration_latency=2;bus.address_phase=2;bus.bytes_per_cycle=16;"
+    "bus.cache_to_cache_latency=10;dmesh.noc.router_latency=1;"
+    "dmesh.noc.link_latency=1;dmesh.noc.flit_bytes=16;"
+    "dmesh.noc.header_bytes=8;dmesh.noc.link_credits=4;"
+    "dmesh.directory_latency=3;dmesh.bank_occupancy=1;dmesh.ctrl_bytes=8;"
+    "dmesh.mem_tile=0;dmesh.home_interleave_bytes=64;mem.model=flat;"
+    "mem.read_latency=130;mem.bytes_per_cycle=16;mem.posted_writes=true;"
+    "mem.dram.channels=2;mem.dram.ranks_per_channel=2;"
+    "mem.dram.banks_per_rank=8;mem.dram.row_bytes=2048;"
+    "mem.dram.interleave_bytes=64;mem.dram.queue_depth=16;"
+    "mem.dram.starvation_limit=4;mem.dram.t_rcd=40;mem.dram.t_rp=40;"
+    "mem.dram.t_cas=35;mem.dram.t_refi=27300;mem.dram.t_rfc=1225;"
+    "mem.tlb.enabled=false;mem.tlb.entries=64;mem.tlb.page_bytes=4096;"
+    "mem.tlb.miss_walk_latency=60;decay.technique=protocol;"
+    "decay.decay_time=0;decay.hierarchical_ticks=4;"
+    "l1_decay.technique=baseline;l1_decay.decay_time=524288;"
+    "l1_decay.hierarchical_ticks=4;l3_decay.technique=baseline;"
+    "l3_decay.decay_time=524288;l3_decay.hierarchical_ticks=4;"
+    "power.l2_leak_per_line_cycle=4e-05;power.gated_vdd_overhead=0.05;"
+    "power.off_residual_frac=0.03;power.l2_dyn_per_access=0.12;"
+    "power.l2_dyn_per_fill=0.25;power.decay_counter_leak_frac=0.01;"
+    "power.decay_counter_dyn=0.002;power.core_leak_per_cycle=0.55;"
+    "power.core_dyn_per_instr=0.4;power.l1_leak_per_cycle=0.06;"
+    "power.l1_dyn_per_access=0.03;power.bus_dyn_per_byte=0.004;"
+    "power.noc_dyn_per_flit_hop=0.05;power.l3_leak_per_line_cycle=2e-05;"
+    "power.l3_dyn_per_access=0.2;power.l3_dyn_per_fill=0.35;"
+    "power.dram_act_energy=1.2;power.dram_pre_energy=0.6;"
+    "leakage.t0_kelvin=343;leakage.beta=0.014;thermal.ambient_kelvin=318;"
+    "thermal.watts_per_eu_cycle=9;thermal.clock_hz=3e+09;"
+    "thermal.sample_period=10000;thermal.lateral_r=4;thermal_feedback=true;"
+    "instructions_per_core=5000;per_core_instructions=[];seed=42"
+    "/v6|12481 20008 1.6030766765483535 "
     "0.031380848303483797 0.6739965095986038 2865 1931 0 0 0 0 "
     "108.8975988700565 4.8560211521512695 60608 32142.993739197933 "
     "329.78714193845644 0.45525198301418157 8003.2000000000007 "
@@ -164,7 +206,7 @@ TEST_F(ExperimentCacheTest, StaleVersionEntriesAreNeitherLoadedNorKept) {
   // The pinned line in the v4 format: v4 key, 14 ledger components (no
   // DRAM ones) and no memory-side tail. Only the current version loads.
   std::string v4 = kPinnedLine;
-  v4.replace(v4.find("/v5|"), 4, "/v4|");
+  v4.replace(v4.find("/v6|"), 4, "/v4|");
   v4.replace(v4.find(" 0 0 bus "), 9, " bus ");
   v4.erase(v4.find(" flat "));
 
@@ -188,7 +230,7 @@ TEST_F(ExperimentCacheTest, StaleVersionEntriesAreNeitherLoadedNorKept) {
   // ...and the rewritten file must have dropped both.
   std::ifstream in(path);
   for (std::string line; std::getline(in, line);) {
-    EXPECT_TRUE(line.find("/v5|") != std::string::npos) << line;
+    EXPECT_TRUE(line.find("/v6|") != std::string::npos) << line;
   }
 }
 

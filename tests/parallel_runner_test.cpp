@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -205,6 +206,93 @@ TEST_F(ParallelRunnerTest, PaperGridFromTimingRunsMatchesSerialRuns) {
       }
     }
   }
+}
+
+// Whole machines through one fill: bench_hierarchy's six (bus-2L, dmesh-2L
+// and dmesh-3L at 16 cores, baseline and decay 64K, at every level on the
+// three-level mesh), plus a
+// 4-core three-level mesh with baseline at every level and the same mesh
+// with protocol at every level. Each result equals run_config of its cell
+// on every leaf, and the baseline/protocol pair shares one timing run.
+TEST_F(ParallelRunnerTest, WholeMachineFillMatchesRunConfig) {
+  constexpr std::uint64_t kMachineInstr = 5'000;
+  const workload::Benchmark& fmm = workload::benchmark_by_name("FMM");
+  const auto every_level = [](sim::SystemConfig& cfg) {
+    cfg.l1_decay = cfg.decay;
+    cfg.l3_decay = cfg.decay;
+  };
+  std::vector<sim::MachineCell> cells;
+  for (const auto& [topo, depth] :
+       {std::pair{noc::Topology::kSnoopBus, sim::Hierarchy::kTwoLevel},
+        {noc::Topology::kDirectoryMesh, sim::Hierarchy::kTwoLevel},
+        {noc::Topology::kDirectoryMesh, sim::Hierarchy::kThreeLevel}}) {
+    for (const decay::DecayConfig& tech :
+         {sim::baseline_config(),
+          decay::DecayConfig{decay::Technique::kDecay, 64 * 1024, 4}}) {
+      sim::SystemConfig cfg = sim::make_system_config(16 * MiB, tech);
+      cfg.num_cores = 16;
+      cfg.topology = topo;
+      cfg.hierarchy = depth;
+      cfg.instructions_per_core = kMachineInstr;
+      if (depth == sim::Hierarchy::kThreeLevel) {
+        cfg.total_l3_bytes = 64 * MiB;
+        every_level(cfg);
+      }
+      cells.push_back({cfg, &fmm});
+    }
+  }
+  for (const decay::DecayConfig& tech :
+       {sim::baseline_config(),
+        decay::DecayConfig{decay::Technique::kProtocol, 0, 4}}) {
+    sim::SystemConfig cfg = sim::make_system_config(4 * MiB, tech);
+    cfg.topology = noc::Topology::kDirectoryMesh;
+    cfg.hierarchy = sim::Hierarchy::kThreeLevel;
+    cfg.instructions_per_core = kMachineInstr;
+    every_level(cfg);
+    cells.push_back({cfg, &fmm});
+  }
+
+  sim::ExperimentRunner runner(0, cache_path("machines"));
+  const sim::MachineResults runs = runner.run_machines(cells, 4);
+  EXPECT_EQ(runs.stats.workers, 4u);
+  EXPECT_EQ(runs.stats.simulated, 8u);
+  EXPECT_EQ(runs.stats.timing_runs, 7u);  // protocol rides on the baseline
+  ASSERT_EQ(runs.metrics.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    EXPECT_EQ(sim::first_difference(
+                  runs.metrics[i], sim::run_config(cells[i].config, fmm)),
+              "");
+  }
+}
+
+// The key is the whole machine: a leaf the run never reads (the DRAM
+// channel count of a flat machine) still keys its own result, and so does
+// one it does (thermal feedback). Neither shares a run with the others.
+TEST_F(ParallelRunnerTest, MachinesThatDifferInOneLeafRunApart) {
+  const workload::Benchmark& bench = workload::benchmark_suite().front();
+  sim::SystemConfig cfg =
+      sim::make_system_config(1 * MiB, sim::baseline_config());
+  cfg.instructions_per_core = 2'000;
+  sim::SystemConfig pinned_t0 = cfg;
+  pinned_t0.thermal_feedback = false;
+  sim::SystemConfig one_channel = cfg;
+  one_channel.mem.dram.channels = 1;
+  const std::vector<sim::MachineCell> cells{
+      {cfg, &bench}, {pinned_t0, &bench}, {one_channel, &bench}};
+
+  const std::string path = cache_path("apart");
+  {
+    sim::ExperimentRunner runner(0, path);
+    const sim::SweepStats first = runner.run_machines(cells, 2).stats;
+    EXPECT_EQ(first.simulated, 3u);
+    EXPECT_EQ(first.timing_runs, 3u);
+    EXPECT_EQ(runner.run_machines(cells, 2).stats.reused, 3u);
+  }
+  std::ifstream in(path);
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  EXPECT_EQ(lines, 3u);
 }
 
 // Rows 3 and 2 of GoldenMetricsTest.ThreeLevelConfigIsPinned, each kept as
