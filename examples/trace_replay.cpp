@@ -3,9 +3,9 @@
 // Two modes:
 //
 //   $ ./trace_replay
-//       No-args demo: replays a hand-written producer/consumer script
-//       through the low-level cache plumbing and prints how the leakage
-//       technique handles the sharing pattern (the original example).
+//       No-args demo: replays a hand-written producer/consumer script on a
+//       4-core bus CmpSystem and prints how the leakage technique handles
+//       the sharing pattern (the original example).
 //
 //   $ ./trace_replay prog_a.cdt [prog_b.cdt ...] [flags]
 //       Streams one or more chunked .cdt v2 traces (any other file is
@@ -47,17 +47,12 @@
 #include <string>
 #include <vector>
 
-#include "cdsim/bus/snoop_bus.hpp"
-#include "cdsim/common/event_queue.hpp"
 #include "cdsim/common/host_timer.hpp"
 #include "cdsim/obs/interval_sampler.hpp"
 #include "cdsim/obs/trace_recorder.hpp"
 #include "cdsim/common/table.hpp"
-#include "cdsim/core/core_model.hpp"
-#include "cdsim/mem/memory.hpp"
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
-#include "cdsim/sim/l1_cache.hpp"
 #include "cdsim/sim/l2_cache.hpp"
 #include "cdsim/sim/scenario.hpp"
 #include "cdsim/verify/oracle.hpp"
@@ -93,37 +88,19 @@ std::vector<workload::MemOp> make_script(CoreId core) {
 int run_demo() {
   std::printf("trace_replay: producer/consumer script on 4 cores, 1MB L2\n\n");
 
-  // Direct low-level replay through the cache hierarchy.
-  EventQueue eq;
-  mem::MemoryController memc(eq, mem::MemoryConfig{});
-  bus::SnoopBus bus(eq, bus::BusConfig{}, memc);
-  std::vector<std::unique_ptr<sim::L1Cache>> l1s;
-  std::vector<std::unique_ptr<sim::L2Cache>> l2s;
-  std::vector<std::unique_ptr<workload::ScriptedWorkload>> scripts;
-  std::vector<std::unique_ptr<core::CoreModel>> cores;
-
-  decay::DecayConfig d{decay::Technique::kSelectiveDecay, 32 * 1024, 4};
-  sim::L2Config l2cfg;
-  l2cfg.size_bytes = 256 * KiB;
-  for (CoreId c = 0; c < 4; ++c) {
-    l1s.push_back(std::make_unique<sim::L1Cache>(eq, sim::L1Config{}, c));
-    l2s.push_back(std::make_unique<sim::L2Cache>(eq, l2cfg, d, c, bus,
-                                                 l1s.back().get()));
-    l1s.back()->connect_l2(l2s.back().get());
-    bus.attach(l2s.back().get());
-    l2s.back()->start();
-    scripts.push_back(
-        std::make_unique<workload::ScriptedWorkload>(make_script(c)));
-    cores.push_back(std::make_unique<core::CoreModel>(
-        eq, core::CoreConfig{}, c, *scripts.back(), *l1s.back(), 60000));
-  }
-
-  unsigned done = 0;
-  for (auto& core : cores) core->start([&] { ++done; });
-  while (done < 4) {
-    if (!eq.step()) break;
-  }
-  for (auto& l2 : l2s) l2->stop();
+  sim::SystemConfig cfg = sim::make_system_config(
+      1 * MiB,
+      decay::DecayConfig{decay::Technique::kSelectiveDecay, 32 * 1024, 4});
+  cfg.instructions_per_core = 60000;
+  workload::Benchmark bench;
+  bench.config.name = "producer/consumer";
+  sim::CmpSystem sys(cfg, bench,
+                     [](CoreId c, std::uint64_t) -> workload::StreamPtr {
+                       return std::make_unique<workload::ScriptedWorkload>(
+                           make_script(c));
+                     });
+  sys.run();
+  const Cycle end = sys.events().now();
 
   TextTable t;
   t.row()
@@ -132,14 +109,15 @@ int run_demo() {
       .cell("L2 state of shared block")
       .cell("L2 occupation")
       .cell("coherence invals");
-  for (CoreId c = 0; c < 4; ++c) {
+  for (CoreId c = 0; c < cfg.num_cores; ++c) {
+    const sim::L2Cache& l2 = sys.l2(c);
     t.row()
         .cell(std::to_string(c))
-        .cell(cores[c]->ipc(eq.now()), 3)
+        .cell(sys.core_model(c).ipc(end), 3)
         .cell(std::string(
-            coherence::to_string(l2s[c]->line_state(0x20000000000ull))))
-        .pct(l2s[c]->occupation(eq.now()))
-        .cell(std::to_string(l2s[c]->stats().coherence_invals.value()));
+            coherence::to_string(l2.line_state(0x20000000000ull))))
+        .pct(l2.occupation(end))
+        .cell(std::to_string(l2.stats().coherence_invals.value()));
   }
   t.print(std::cout);
 

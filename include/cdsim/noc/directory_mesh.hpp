@@ -62,9 +62,6 @@ struct DirectoryMeshConfig {
   std::uint32_t ctrl_bytes = 8;
   /// Tile adjacent to the memory controller (edge of the mesh).
   std::uint32_t mem_tile = 0;
-  /// Home-interleave granularity; CmpSystem sets it to the L2 line size so
-  /// consecutive lines map to consecutive home tiles.
-  std::uint32_t home_interleave_bytes = 64;
 };
 
 /// Memory-side cache colocated with the directory home banks — the shared
@@ -114,8 +111,11 @@ class DirectoryMesh final : public Interconnect {
  public:
   using Interconnect::request;  // the Completion convenience overload
 
+  /// `line_bytes` is the machine's line size, the home-interleave unit:
+  /// consecutive lines map to consecutive home tiles.
   DirectoryMesh(EventQueue& eq, const DirectoryMeshConfig& cfg,
-                mem::MemoryController& mem, std::uint32_t num_cores);
+                std::uint32_t line_bytes, mem::MemoryController& mem,
+                std::uint32_t num_cores);
 
   DirectoryMesh(const DirectoryMesh&) = delete;
   DirectoryMesh& operator=(const DirectoryMesh&) = delete;
@@ -147,7 +147,7 @@ class DirectoryMesh final : public Interconnect {
     // Line-interleaved homes: consecutive lines map to consecutive tiles,
     // spreading an arbitrary stream across every bank.
     return static_cast<std::uint32_t>(
-        (line_addr / cfg_.home_interleave_bytes) % noc_.num_tiles());
+        (line_addr / line_bytes_) % noc_.num_tiles());
   }
   /// Requests parked behind an in-flight write-back (see file comment).
   [[nodiscard]] std::uint64_t deferrals() const noexcept {
@@ -210,6 +210,7 @@ class DirectoryMesh final : public Interconnect {
 
   EventQueue& eq_;
   DirectoryMeshConfig cfg_;
+  std::uint32_t line_bytes_ = 0;  ///< Home-interleave granularity.
   mem::MemoryController& mem_;
   MeshNoc noc_;
   coherence::Directory dir_;

@@ -70,22 +70,20 @@ struct SystemConfig {
   std::uint64_t total_l2_bytes = 4 * MiB;
   /// Total shared-L3 capacity across all home banks (three-level only).
   std::uint64_t total_l3_bytes = 16 * MiB;
+  /// The line size of every cache level, the coherence unit and the mesh's
+  /// home interleave: an L2 line turns off and invalidates exactly one L1
+  /// line (§III), and an L3 bank holds the lines the L2s write back.
+  std::uint32_t line_bytes = 64;
   /// Snooping protocol of the L2 slices (paper §III: MESI; the MOESI
   /// extension realizes the §III sketch for the Owned state).
   coherence::Protocol protocol = coherence::Protocol::kMesi;
 
   core::CoreConfig core;
   L1Config l1;
-  /// size_bytes and protocol are derived from total_l2_bytes and protocol
-  /// and must keep their defaults (validate_system_config).
   L2Config l2;
-  /// Three-level only. bank_bytes and line_bytes are derived from
-  /// total_l3_bytes and l2.line_bytes and must keep their defaults.
-  L3Config l3;
-  bus::BusConfig bus;      ///< Used when topology == kSnoopBus.
-  /// Used when topology == kDirectoryMesh. home_interleave_bytes is derived
-  /// from l2.line_bytes and must keep its default.
-  noc::DirectoryMeshConfig dmesh;
+  L3Config l3;                     ///< Three-level only.
+  bus::BusConfig bus;              ///< Used when topology == kSnoopBus.
+  noc::DirectoryMeshConfig dmesh;  ///< Used when topology == kDirectoryMesh.
   mem::MemoryConfig mem;
   /// Leakage technique at the private L2 level (the paper's knob).
   decay::DecayConfig decay;
@@ -129,7 +127,6 @@ enum class FieldRule : std::uint8_t {
   kPositive,     ///< Positive and finite.
   kNonNegative,  ///< Non-negative and finite.
   kFinite,
-  kDerived,      ///< CmpSystem sets it from another field: keep the default.
 };
 
 /// The machines whose components read a struct: its rules apply there.
@@ -165,7 +162,6 @@ struct FieldPath {
 struct ConfigLeaf {
   detail::FieldPath path;
   FieldRule rule;
-  std::string_view derived_from;
   FieldScope scope;  ///< Of the innermost enclosing struct that has one.
 
   /// The dotted name: "mem.dram.channels".
@@ -207,8 +203,7 @@ struct Field {
                Thermal Agg::*>
       member;
   FieldRule rule = kAny;
-  std::string_view derived_from = {};  ///< kDerived: the field it is set from.
-  FieldScope scope = kAlways;          ///< A struct member's own scope.
+  FieldScope scope = kAlways;  ///< A struct member's own scope.
 };
 
 template <class T>
@@ -224,7 +219,6 @@ inline constexpr auto kFields<Core> = std::to_array<Field<Core>>({
 template <>
 inline constexpr auto kFields<L1Config> = std::to_array<Field<L1Config>>({
     {"size_bytes", &L1Config::size_bytes, kPow2},
-    {"line_bytes", &L1Config::line_bytes, kLineBytes},
     {"ways", &L1Config::ways, kWays},
     {"hit_latency", &L1Config::hit_latency, kNonzero},
     {"mshr_entries", &L1Config::mshr_entries, kNonzero},
@@ -235,21 +229,15 @@ inline constexpr auto kFields<L1Config> = std::to_array<Field<L1Config>>({
 
 template <>
 inline constexpr auto kFields<L2Config> = std::to_array<Field<L2Config>>({
-    {"size_bytes", &L2Config::size_bytes, kDerived, "total_l2_bytes"},
-    {"line_bytes", &L2Config::line_bytes, kLineBytes},
     {"ways", &L2Config::ways, kWays},
     {"hit_latency", &L2Config::hit_latency, kNonzero},
     {"mshr_entries", &L2Config::mshr_entries, kNonzero},
     {"retry_interval", &L2Config::retry_interval, kNonzero},
     {"l1_inval_latency", &L2Config::l1_inval_latency},
-    {"protocol", &L2Config::protocol, kDerived, "protocol"},
-    {"test_lose_decay_writeback", &L2Config::test_lose_decay_writeback},
 });
 
 template <>
 inline constexpr auto kFields<L3Config> = std::to_array<Field<L3Config>>({
-    {"bank_bytes", &L3Config::bank_bytes, kDerived, "total_l3_bytes"},
-    {"line_bytes", &L3Config::line_bytes, kDerived, "l2.line_bytes"},
     {"ways", &L3Config::ways, kWays},
     {"hit_latency", &L3Config::hit_latency, kNonzero},
 });
@@ -278,8 +266,6 @@ inline constexpr auto kFields<Dmesh> = std::to_array<Field<Dmesh>>({
     {"bank_occupancy", &Dmesh::bank_occupancy},
     {"ctrl_bytes", &Dmesh::ctrl_bytes},
     {"mem_tile", &Dmesh::mem_tile},
-    {"home_interleave_bytes", &Dmesh::home_interleave_bytes, kDerived,
-     "l2.line_bytes"},
 });
 
 template <>
@@ -368,6 +354,7 @@ inline constexpr auto kFields<SystemConfig> =
         {"hierarchy", &SystemConfig::hierarchy},
         {"total_l2_bytes", &SystemConfig::total_l2_bytes},
         {"total_l3_bytes", &SystemConfig::total_l3_bytes},
+        {"line_bytes", &SystemConfig::line_bytes, kLineBytes},
         {"protocol", &SystemConfig::protocol},
         {"core", &SystemConfig::core},
         {"l1", &SystemConfig::l1},
@@ -395,13 +382,13 @@ inline constexpr const auto& kSystemConfigFields =
     config_fields::kFields<SystemConfig>;
 
 namespace detail {
-template <class Agg, class F, class... C>
-void walk_config(F& f, const FieldPath* path, FieldScope scope, C&... cs);
+template <class Agg, class F, class C>
+void walk_config(F& f, const FieldPath* path, FieldScope scope, C& c);
 
 /// Entry I of Agg's table, resolved at compile time: validation folds each
 /// leaf's rule into plain code, with no dispatch at run time.
-template <class Agg, std::size_t I, class F, class... C>
-void walk_field(F& f, const FieldPath* path, FieldScope scope, C&... cs) {
+template <class Agg, std::size_t I, class F, class C>
+void walk_field(F& f, const FieldPath* path, FieldScope scope, C& c) {
   constexpr const auto& field = config_fields::kFields<Agg>[I];
   constexpr auto member = std::get<field.member.index()>(field.member);
   using T = std::remove_cvref_t<decltype(std::declval<Agg&>().*member)>;
@@ -409,30 +396,28 @@ void walk_field(F& f, const FieldPath* path, FieldScope scope, C&... cs) {
     const FieldPath inner{path, field.name};
     walk_config<T>(f, &inner,
                    field.scope == FieldScope::kAlways ? scope : field.scope,
-                   (cs.*member)...);
+                   c.*member);
   } else {
-    f(ConfigLeaf{{path, field.name}, field.rule, field.derived_from, scope},
-      (cs.*member)...);
+    f(ConfigLeaf{{path, field.name}, field.rule, scope}, c.*member);
   }
 }
 
-template <class Agg, class F, class... C>
-void walk_config(F& f, const FieldPath* path, FieldScope scope, C&... cs) {
+template <class Agg, class F, class C>
+void walk_config(F& f, const FieldPath* path, FieldScope scope, C& c) {
   static_assert(lists_every_member<Agg>(config_fields::kFields<Agg>),
                 "a config table must list each member of its struct once");
   [&]<std::size_t... I>(std::index_sequence<I...>) {
-    (walk_field<Agg, I>(f, path, scope, cs...), ...);
+    (walk_field<Agg, I>(f, path, scope, c), ...);
   }(std::make_index_sequence<config_fields::kFields<Agg>.size()>{});
 }
 }  // namespace detail
 
-/// Calls f(leaf, value...) for each of the 102 SystemConfig leaves in table
-/// order ("num_cores", "l1.size_bytes", "mem.dram.channels", ...) with the
-/// matching leaf of every `cfgs`, mutable where the config is.
-template <class F, class... C>
-void for_each_config_field(F&& f, C&... cfgs) {
-  detail::walk_config<SystemConfig>(f, nullptr, FieldScope::kAlways,
-                                    cfgs...);
+/// Calls f(leaf, value) for each of the 95 SystemConfig leaves in table
+/// order ("num_cores", "l1.size_bytes", "mem.dram.channels", ...), the
+/// value mutable where `cfg` is.
+template <class F, class C>
+void for_each_config_field(F&& f, C& cfg) {
+  detail::walk_config<SystemConfig>(f, nullptr, FieldScope::kAlways, cfg);
 }
 
 /// Every leaf of `cfg` as name=value, ';'-separated in table order: enums
@@ -459,10 +444,10 @@ struct AccountingView {
 
 /// Validates a SystemConfig, throwing std::invalid_argument with a message
 /// that names the field on misconfiguration: each leaf's FieldRule where its
-/// struct's FieldScope holds (a derived field also names its source), then
-/// the rules that relate fields — core counts the fabric cannot hold, cache
-/// geometry at each level, DRAM rows, the mesh's memory tile, decay ticks
-/// and per-core budgets. CmpSystem's constructor calls this; harnesses can
+/// struct's FieldScope holds, then the rules that relate fields — core
+/// counts the fabric cannot hold, cache geometry at each level, DRAM rows,
+/// the mesh's memory tile, decay ticks at each level the machine builds and
+/// per-core budgets. CmpSystem's constructor calls this; harnesses can
 /// call it early to fail before building workloads.
 void validate_system_config(const SystemConfig& cfg);
 

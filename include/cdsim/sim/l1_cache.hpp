@@ -44,7 +44,6 @@ class L2Cache;  // the level below (l2_cache.hpp)
 
 struct L1Config {
   std::uint64_t size_bytes = 32 * KiB;
-  std::uint32_t line_bytes = 64;
   std::uint32_t ways = 4;
   Cycle hit_latency = 2;   ///< Must be >= 1 (callbacks are always async).
   std::uint32_t mshr_entries = 16;
@@ -60,10 +59,11 @@ struct L1Config {
 /// LoadStorePort and the L2-facing inclusion hooks.
 class L1Cache final : public core::LoadStorePort {
  public:
-  /// `dcfg` enables decay at this level (default: always-on baseline, the
-  /// historical behavior).
-  L1Cache(EventQueue& eq, const L1Config& cfg, CoreId core,
-          const decay::DecayConfig& dcfg = {});
+  /// `line_bytes` is the machine's line size (the L2's). `dcfg` enables
+  /// decay at this level (default: always-on baseline, the historical
+  /// behavior).
+  L1Cache(EventQueue& eq, const L1Config& cfg, std::uint32_t line_bytes,
+          CoreId core, const decay::DecayConfig& dcfg = {});
 
   /// Arms the decay sweeper (no-op without an L1 decay technique).
   void start();

@@ -47,8 +47,6 @@
 namespace cdsim::sim {
 
 struct L2Config {
-  std::uint64_t size_bytes = 1 * MiB;  ///< Per-core slice (paper: total/4).
-  std::uint32_t line_bytes = 64;
   std::uint32_t ways = 8;
   Cycle hit_latency = 12;
   std::uint32_t mshr_entries = 24;
@@ -57,13 +55,6 @@ struct L2Config {
   Cycle retry_interval = 4;
   /// Cycles to invalidate the L1 copy during a turn-off (InvUpp edge).
   Cycle l1_inval_latency = 2;
-  /// Snooping protocol this slice speaks. All slices on one bus must agree.
-  coherence::Protocol protocol = coherence::Protocol::kMesi;
-  /// TEST-ONLY fault injection: a dirty decay turn-off silently discards
-  /// the line instead of writing it back (memory keeps stale data). Used by
-  /// the differential-verification suite to prove the oracle catches
-  /// wrong-data bugs; never set outside tests.
-  bool test_lose_decay_writeback = false;
 };
 
 /// One private L2 slice.
@@ -76,7 +67,11 @@ class L2Cache final : public noc::Snooper {
   /// 32-byte inline buffer, so the request path never allocates.
   using Response = SmallFn<void(Cycle done, bool may_cache_upper), 32>;
 
-  L2Cache(EventQueue& eq, const L2Config& cfg,
+  /// `size_bytes` is this slice's capacity, `line_bytes` the machine's line
+  /// size and `protocol` the snooping protocol every slice on the fabric
+  /// speaks.
+  L2Cache(EventQueue& eq, const L2Config& cfg, std::uint64_t size_bytes,
+          std::uint32_t line_bytes, coherence::Protocol protocol,
           const decay::DecayConfig& dcfg, CoreId core, noc::Interconnect& ic,
           L1Cache* upper);
 
@@ -87,6 +82,12 @@ class L2Cache final : public noc::Snooper {
 
   /// Attaches a differential-verification observer (nullptr detaches).
   void set_observer(verify::AccessObserver* obs) noexcept { obs_ = obs; }
+
+  /// TEST-ONLY fault injection: from now on a dirty decay turn-off silently
+  /// discards the line instead of writing it back (memory keeps stale
+  /// data). The differential-verification suite arms it to prove the
+  /// oracle catches wrong-data bugs; never call it outside tests.
+  void inject_lost_decay_writeback() noexcept { lose_decay_writeback_ = true; }
 
   /// Attaches the timeline recorder (observer-only; nullptr detaches):
   /// miss-lifetime spans, decay-sweep / turn-off / write-back instants.
@@ -205,6 +206,7 @@ class L2Cache final : public noc::Snooper {
 
   EventQueue& eq_;
   L2Config cfg_;
+  coherence::Protocol protocol_ = coherence::Protocol::kMesi;
   CoreId core_ = 0;
   noc::Interconnect& ic_;
   L1Cache* upper_ = nullptr;
@@ -218,6 +220,7 @@ class L2Cache final : public noc::Snooper {
   Counter transient_retries_, upgrades_;
   /// Last TD write-back ticket issued by this slice (tickets start at 1).
   std::uint64_t td_wb_tickets_ = 0;
+  bool lose_decay_writeback_ = false;  ///< inject_lost_decay_writeback().
 };
 
 }  // namespace cdsim::sim

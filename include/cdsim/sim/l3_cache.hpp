@@ -35,10 +35,6 @@
 namespace cdsim::sim {
 
 struct L3Config {
-  /// Per-bank capacity. CmpSystem sets this to total_l3_bytes / num_cores
-  /// (one bank per tile).
-  std::uint64_t bank_bytes = 2 * MiB;
-  std::uint32_t line_bytes = 64;
   std::uint32_t ways = 16;
   /// Bank access latency on the fill-serve path (slower, bigger arrays
   /// than the private L2 slices).
@@ -49,8 +45,12 @@ struct L3Config {
 /// memory-side cache interface.
 class L3Cache final : public noc::MemorySideCache {
  public:
-  L3Cache(EventQueue& eq, const L3Config& cfg,
-          const decay::DecayConfig& dcfg, std::uint32_t num_banks);
+  /// `bank_bytes` is each bank's capacity (CmpSystem: total_l3_bytes /
+  /// num_cores, one bank per tile) and `line_bytes` the machine's line
+  /// size, the unit the L2s write back.
+  L3Cache(EventQueue& eq, const L3Config& cfg, std::uint64_t bank_bytes,
+          std::uint32_t line_bytes, const decay::DecayConfig& dcfg,
+          std::uint32_t num_banks);
 
   L3Cache(const L3Cache&) = delete;
   L3Cache& operator=(const L3Cache&) = delete;
@@ -114,7 +114,6 @@ class L3Cache final : public noc::MemorySideCache {
   void push_to_memory(std::uint32_t bank, Addr line);
 
   EventQueue& eq_;
-  L3Config cfg_;
   verify::AccessObserver* obs_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
   obs::TrackId trace_track_ = 0;

@@ -15,7 +15,7 @@
 // stretch or shrink budgets — the op sequence each core draws is the
 // recorded one, so runs stay bit-deterministic.
 //
-// Streams come from FilteredReplayStream over a private cursor per core
+// Streams come from filtered_replay_stream over a private cursor per core
 // (each opener call opens its own ChunkedTraceReader), so an M-core mix
 // of multi-GB .cdt v2 traces replays in O(M x chunk) memory.
 

@@ -72,8 +72,9 @@ struct FuzzScenario {
   /// values to a flat run (only timing may differ).
   mem::MemoryModel mem_model = mem::MemoryModel::kFlat;
   workload::FuzzerConfig fuzz;
-  /// Enables the L2's test-only lost-write-back fault (the bug the suite
-  /// proves the oracle catches).
+  /// Arms every L2's test-only lost-write-back fault
+  /// (L2Cache::inject_lost_decay_writeback) after the machine is built: the
+  /// bug the suite proves the oracle catches.
   bool inject_writeback_loss = false;
 
   [[nodiscard]] std::string label() const;

@@ -1,9 +1,8 @@
 #pragma once
-// Scripted (trace) workload: replays a fixed operation sequence.
+// Scripted workload: loops over a fixed operation sequence.
 //
 // Used by unit/integration tests to drive the hierarchy with directed
-// access patterns, and by users who want to replay captured traces through
-// the leakage techniques.
+// access patterns, and by examples that hand-write a sharing pattern.
 
 #include <utility>
 #include <vector>
@@ -13,40 +12,20 @@
 
 namespace cdsim::workload {
 
-/// Replays `ops` in order; when the script ends it either loops or repeats
-/// the final op forever (so the simulator's instruction budget, not the
-/// script length, ends the run).
-///
-/// kRepeatLast tail semantics: the final op is returned verbatim exactly
-/// once (it is part of the script); every repeat after that is re-stamped
-/// with `dependent = false` while addr/type/gap/chain are preserved. A
-/// repeated *dependent* load would chain on its own previous issue through
-/// the core's per-chain tracker, serializing the filler tail on the memory
-/// latency — the tail's timing would then depend on how often the op
-/// happens to repeat instead of on the script, which breaks the
-/// determinism contract trace replay relies on (a captured run replayed
-/// with a larger budget must degrade into uniform, independent filler).
+/// Replays `ops` in order and loops at the end. (Recorded traces replay
+/// through trace_source.hpp's factories, which end a core's ops with a
+/// repeat-last tail instead.)
 class ScriptedWorkload final : public WorkloadStream {
  public:
-  enum class AtEnd { kLoop, kRepeatLast };
-
-  ScriptedWorkload(std::vector<MemOp> ops, AtEnd at_end = AtEnd::kLoop,
-                   std::string name = "scripted")
-      : ops_(std::move(ops)), at_end_(at_end), name_(std::move(name)) {
+  explicit ScriptedWorkload(std::vector<MemOp> ops,
+                            std::string name = "scripted")
+      : ops_(std::move(ops)), name_(std::move(name)) {
     CDSIM_ASSERT(!ops_.empty());
   }
 
   MemOp next(Cycle /*now*/) override {
-    MemOp op = ops_[pos_];
-    if (pos_ + 1 < ops_.size()) {
-      ++pos_;
-    } else if (at_end_ == AtEnd::kLoop) {
-      pos_ = 0;
-    } else if (tail_repeat_) {
-      op.dependent = false;  // see class comment
-    } else {
-      tail_repeat_ = true;  // final op returned verbatim this once
-    }
+    const MemOp op = ops_[pos_];
+    pos_ = pos_ + 1 < ops_.size() ? pos_ + 1 : 0;
     return op;
   }
 
@@ -55,8 +34,6 @@ class ScriptedWorkload final : public WorkloadStream {
  private:
   std::vector<MemOp> ops_;
   std::size_t pos_ = 0;
-  AtEnd at_end_;
-  bool tail_repeat_ = false;
   std::string name_;
 };
 

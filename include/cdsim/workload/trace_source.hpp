@@ -19,15 +19,19 @@
 //     matter how skewed the trace is — the path the multi-gigabyte CI
 //     smoke uses — at the price of N file cursors.
 //
-// Both factories reproduce ScriptedWorkload's kRepeatLast contract
-// exactly (see scripted.hpp): the final recorded op is returned verbatim
-// once, every repeat after that is re-stamped dependent=false, and a core
-// the trace never scheduled replays a single idle filler op. That is what
-// keeps the golden replay pins bit-identical across the in-memory and
+// Both feed one replay stream, which ends every core's ops with the same
+// tail rule: the final recorded op is returned verbatim once, every repeat
+// after that is re-stamped dependent=false, and a core the trace never
+// scheduled replays a single idle filler op. A repeated *dependent* load
+// would chain on its own previous issue through the core's per-chain
+// tracker, serializing the filler tail on the memory latency, so the
+// tail's timing would depend on how often the op repeats rather than on
+// the trace; re-stamped, a captured run replayed with a larger budget
+// degrades into uniform, independent filler. One rule on both paths is
+// what keeps the golden replay pins bit-identical across the in-memory and
 // streaming paths.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -123,77 +127,13 @@ class CaptureStream final : public WorkloadStream {
 /// alive for the run and finalizes it afterwards if the sink needs it.
 StreamFactory capture_factory(StreamFactory inner, TraceSink* sink);
 
-/// Shared-cursor demultiplexer: one forward pass over a TraceSource
-/// feeding per-core FIFO queues. pop(core) advances the source (queueing
-/// other cores' ops) until an op for `core` appears or the source ends.
-class ReplayDemux {
- public:
-  explicit ReplayDemux(TraceSourcePtr source)
-      : source_(std::move(source)), queues_(source_->num_cores()) {
-    CDSIM_ASSERT(source_ != nullptr);
-  }
-
-  /// False once the source is exhausted and `core`'s queue is empty.
-  bool pop(CoreId core, MemOp& out);
-
-  [[nodiscard]] std::uint32_t num_cores() const {
-    return static_cast<std::uint32_t>(queues_.size());
-  }
-
- private:
-  TraceSourcePtr source_;
-  std::vector<std::deque<MemOp>> queues_;
-  bool exhausted_ = false;
-};
-
-/// Per-core replay over a shared demux, with ScriptedWorkload's
-/// kRepeatLast tail semantics (final op verbatim once, then re-stamped
-/// dependent=false; idle filler for op-less cores).
-class DemuxReplayStream final : public WorkloadStream {
- public:
-  DemuxReplayStream(std::shared_ptr<ReplayDemux> demux, CoreId core,
-                    std::string name = "replay")
-      : demux_(std::move(demux)), core_(core), name_(std::move(name)) {}
-
-  MemOp next(Cycle now) override;
-
-  [[nodiscard]] std::string_view name() const override { return name_; }
-
- private:
-  std::shared_ptr<ReplayDemux> demux_;
-  CoreId core_ = 0;
-  std::string name_;
-  MemOp last_;
-  bool have_last_ = false;
-  bool tail_ = false;
-};
-
-/// Per-core replay over a PRIVATE cursor: skips records of other cores as
-/// it streams, so memory stays O(1) in trace length regardless of how the
-/// capture interleaved. Same tail semantics as DemuxReplayStream.
-class FilteredReplayStream final : public WorkloadStream {
- public:
-  /// `target` is the trace-core whose ops this stream replays (rate-mode
-  /// co-scheduling maps machine cores onto trace cores explicitly).
-  FilteredReplayStream(TraceSourcePtr source, CoreId target,
-                       std::string name = "replay")
-      : source_(std::move(source)), target_(target), name_(std::move(name)) {
-    CDSIM_ASSERT(source_ != nullptr);
-  }
-
-  MemOp next(Cycle now) override;
-
-  [[nodiscard]] std::string_view name() const override { return name_; }
-
- private:
-  TraceSourcePtr source_;
-  CoreId target_ = 0;
-  std::string name_;
-  MemOp last_;
-  bool have_last_ = false;
-  bool tail_ = false;
-  bool exhausted_ = false;
-};
+/// One core's replay over a PRIVATE cursor: skips records of other cores
+/// as it streams, so memory stays O(1) in trace length regardless of how
+/// the capture interleaved. `target` is the trace core whose ops it
+/// replays (rate-mode co-scheduling maps machine cores onto trace cores
+/// explicitly); the tail rule is the factories'.
+[[nodiscard]] StreamPtr filtered_replay_stream(TraceSourcePtr source,
+                                               CoreId target);
 
 /// Replay on a single shared cursor (one forward pass, per-core queues).
 /// The opener runs once per system: CmpSystem requests streams in core

@@ -11,16 +11,18 @@ using coherence::BusTxKind;
 using coherence::MesiState;
 
 DirectoryMesh::DirectoryMesh(EventQueue& eq, const DirectoryMeshConfig& cfg,
+                             std::uint32_t line_bytes,
                              mem::MemoryController& mem,
                              std::uint32_t num_cores)
     : eq_(eq),
       cfg_(cfg),
+      line_bytes_(line_bytes),
       mem_(mem),
       noc_(eq, cfg.noc, mesh_dims(num_cores).width,
            mesh_dims(num_cores).height),
       dir_(num_cores) {
   CDSIM_ASSERT(cfg_.mem_tile < noc_.num_tiles());
-  CDSIM_ASSERT(cfg_.home_interleave_bytes >= 1);
+  CDSIM_ASSERT(line_bytes_ >= 1);
   bank_free_.assign(noc_.num_tiles(), 0);
 }
 

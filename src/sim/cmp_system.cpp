@@ -81,30 +81,14 @@ const char* broken(FieldRule rule, const T& v) {
   return "has a rule that does not fit its type";
 }
 
-/// Throws naming `leaf`, whose value `v` breaks its rule (`why`); `def` is
-/// its default.
+/// Throws naming `leaf`, whose value `v` breaks its rule (`why`).
 template <class T>
-[[noreturn]] void reject(const ConfigLeaf& leaf, const T& v, const T& def,
-                         const char* why) {
+[[noreturn]] void reject(const ConfigLeaf& leaf, const T& v, const char* why) {
   std::string msg = leaf.name() + ' ';
   append_value(msg, v);
   msg += ' ';
   msg += why;
-  if (leaf.rule == FieldRule::kDerived) {
-    msg += leaf.derived_from;
-    msg += ": leave it at its default ";
-    append_value(msg, def);
-  }
   fail(msg);
-}
-
-/// Throws naming `leaf` when `v` breaks its rule; `def` is its default.
-template <class T>
-void check_leaf(const ConfigLeaf& leaf, const T& v, const T& def) {
-  const char* why = leaf.rule == FieldRule::kDerived
-                        ? (v == def ? nullptr : "is derived from ")
-                        : broken(leaf.rule, v);
-  if (why != nullptr) reject(leaf, v, def, why);
 }
 
 }  // namespace
@@ -131,15 +115,15 @@ void validate_system_config(const SystemConfig& cfg) {
                         cfg.hierarchy == Hierarchy::kThreeLevel,
                         cfg.mem.model == mem::MemoryModel::kDram,
                         cfg.mem.tlb.enabled};
-  static const SystemConfig defaults;
   for_each_config_field(
-      [&built](const ConfigLeaf& leaf, const auto& v, const auto& def) {
-        if (leaf.rule != FieldRule::kAny &&
-            built[static_cast<std::size_t>(leaf.scope)]) {
-          check_leaf(leaf, v, def);
+      [&built](const ConfigLeaf& leaf, const auto& v) {
+        if (leaf.rule == FieldRule::kAny ||
+            !built[static_cast<std::size_t>(leaf.scope)]) {
+          return;
         }
+        if (const char* why = broken(leaf.rule, v)) reject(leaf, v, why);
       },
-      cfg, defaults);
+      cfg);
 
   // The rules that relate fields.
   const std::uint32_t n = cfg.num_cores;
@@ -184,22 +168,21 @@ void validate_system_config(const SystemConfig& cfg) {
     }
     return total / n;
   };
-  one_set("l1.size_bytes", cfg.l1.size_bytes, cfg.l1.line_bytes, cfg.l1.ways);
+  one_set("l1.size_bytes", cfg.l1.size_bytes, cfg.line_bytes, cfg.l1.ways);
   const char* slice = "per-core L2 slice (total_l2_bytes / num_cores)";
   one_set(slice,
           share("total_l2_bytes", cfg.total_l2_bytes, " per-core slices",
                 slice),
-          cfg.l2.line_bytes, cfg.l2.ways);
+          cfg.line_bytes, cfg.l2.ways);
   if (cfg.hierarchy == Hierarchy::kThreeLevel) {
     if (cfg.topology != noc::Topology::kDirectoryMesh) {
       fail("three-level hierarchy requires the directory-mesh topology "
            "(the shared L3 banks live at the mesh home tiles)");
     }
-    // The banks hold L2-sized lines (one coherence/interleave unit).
     const char* bank = "per-bank L3 size (total_l3_bytes / num_cores)";
     one_set(bank,
             share("total_l3_bytes", cfg.total_l3_bytes, " home banks", bank),
-            cfg.l2.line_bytes, cfg.l3.ways);
+            cfg.line_bytes, cfg.l3.ways);
   }
   const mem::DramConfig& d = cfg.mem.dram;
   if (cfg.mem.model == mem::MemoryModel::kDram &&
@@ -213,8 +196,9 @@ void validate_system_config(const SystemConfig& cfg) {
     fail("dmesh.mem_tile " + std::to_string(cfg.dmesh.mem_tile) +
          " is not one of the " + std::to_string(n) + " mesh tiles");
   }
-  // The same check at every level: a decaying technique needs at least one
-  // counter tick per interval, and ticks at least one cycle apart.
+  // The same check at every level the machine builds: a decaying technique
+  // needs at least one counter tick per interval, and ticks at least one
+  // cycle apart.
   const auto check_decay = [](const decay::DecayConfig& dc,
                               const char* level) {
     if (!decay::uses_decay(dc.technique)) return;
@@ -229,7 +213,9 @@ void validate_system_config(const SystemConfig& cfg) {
   };
   check_decay(cfg.l1_decay, "L1");
   check_decay(cfg.decay, "L2");
-  check_decay(cfg.l3_decay, "L3");
+  if (cfg.hierarchy == Hierarchy::kThreeLevel) {
+    check_decay(cfg.l3_decay, "L3");
+  }
 }
 
 namespace {
@@ -318,36 +304,30 @@ CmpSystem::CmpSystem(const SystemConfig& cfg, const workload::Benchmark& bench,
                      const workload::StreamFactory& streams)
     : cfg_(validated(cfg)), bench_(bench), leak_model_(cfg.leakage) {
 
+  const std::uint32_t n = cfg_.num_cores;
+  const std::uint32_t line = cfg_.line_bytes;
   mem_ = std::make_unique<mem::MemoryController>(eq_, cfg_.mem);
   if (cfg_.topology == noc::Topology::kSnoopBus) {
     bus_ = std::make_unique<bus::SnoopBus>(eq_, cfg_.bus, *mem_);
     ic_ = bus_.get();
   } else {
-    noc::DirectoryMeshConfig dcfg = cfg_.dmesh;
-    dcfg.home_interleave_bytes = cfg_.l2.line_bytes;
-    mesh_ = std::make_unique<noc::DirectoryMesh>(eq_, dcfg, *mem_,
-                                                 cfg_.num_cores);
+    mesh_ = std::make_unique<noc::DirectoryMesh>(eq_, cfg_.dmesh, line, *mem_,
+                                                 n);
     ic_ = mesh_.get();
   }
 
   if (cfg_.hierarchy == Hierarchy::kThreeLevel) {
-    L3Config l3cfg = cfg_.l3;
-    l3cfg.bank_bytes = cfg_.total_l3_bytes / cfg_.num_cores;
-    l3cfg.line_bytes = cfg_.l2.line_bytes;  // one coherence/interleave unit
-    l3_ = std::make_unique<L3Cache>(eq_, l3cfg, cfg_.l3_decay,
-                                    cfg_.num_cores);
+    l3_ = std::make_unique<L3Cache>(eq_, cfg_.l3, cfg_.total_l3_bytes / n,
+                                    line, cfg_.l3_decay, n);
     mesh_->attach_l3(l3_.get());
   }
 
-  L2Config l2cfg = cfg_.l2;
-  l2cfg.size_bytes = cfg_.total_l2_bytes / cfg_.num_cores;
-  l2cfg.protocol = cfg_.protocol;
-
-  for (CoreId c = 0; c < cfg_.num_cores; ++c) {
-    l1s_.push_back(std::make_unique<L1Cache>(eq_, cfg_.l1, c,
-                                             cfg_.l1_decay));
-    l2s_.push_back(std::make_unique<L2Cache>(eq_, l2cfg, cfg_.decay, c,
-                                             *ic_, l1s_.back().get()));
+  for (CoreId c = 0; c < n; ++c) {
+    l1s_.push_back(
+        std::make_unique<L1Cache>(eq_, cfg_.l1, line, c, cfg_.l1_decay));
+    l2s_.push_back(std::make_unique<L2Cache>(
+        eq_, cfg_.l2, cfg_.total_l2_bytes / n, line, cfg_.protocol,
+        cfg_.decay, c, *ic_, l1s_.back().get()));
     l1s_.back()->connect_l2(l2s_.back().get());
     ic_->attach(l2s_.back().get());
 

@@ -36,8 +36,9 @@ namespace {
 // version-free (benchmark, size, budget) description (see
 // normalized_run_config), so bumping this never changes simulation
 // results. v5 added the memory side (mem_model, DRAM and TLB counters, two
-// DRAM ledger components); v6 keys every leaf of the machine (describe).
-constexpr const char* kCacheVersion = "v6";
+// DRAM ledger components); v6 keys every leaf of the machine (describe);
+// v7 names one machine line_bytes and drops the fields CmpSystem derives.
+constexpr const char* kCacheVersion = "v7";
 
 /// The memo key: the three labels parse_cache_line reads back, then every
 /// leaf of the machine, then the version.

@@ -6,12 +6,12 @@
 
 namespace cdsim::sim {
 
-L1Cache::L1Cache(EventQueue& eq, const L1Config& cfg, CoreId core,
-                 const decay::DecayConfig& dcfg)
+L1Cache::L1Cache(EventQueue& eq, const L1Config& cfg, std::uint32_t line_bytes,
+                 CoreId core, const decay::DecayConfig& dcfg)
     : eq_(eq),
       cfg_(cfg),
       core_(core),
-      level_(eq, cache::Geometry(cfg.size_bytes, cfg.line_bytes, cfg.ways),
+      level_(eq, cache::Geometry(cfg.size_bytes, line_bytes, cfg.ways),
              cfg.hit_latency, dcfg, [this](Cycle now) { decay_sweep(now); }),
       mshr_(cfg.mshr_entries),
       wb_(cfg.write_buffer_entries) {

@@ -11,15 +11,17 @@ namespace cdsim::sim {
 using coherence::BusTxKind;
 using coherence::MesiState;
 
-L2Cache::L2Cache(EventQueue& eq, const L2Config& cfg,
+L2Cache::L2Cache(EventQueue& eq, const L2Config& cfg, std::uint64_t size_bytes,
+                 std::uint32_t line_bytes, coherence::Protocol protocol,
                  const decay::DecayConfig& dcfg, CoreId core,
                  noc::Interconnect& ic, L1Cache* upper)
     : eq_(eq),
       cfg_(cfg),
+      protocol_(protocol),
       core_(core),
       ic_(ic),
       upper_(upper),
-      level_(eq, cache::Geometry(cfg.size_bytes, cfg.line_bytes, cfg.ways),
+      level_(eq, cache::Geometry(size_bytes, line_bytes, cfg.ways),
              cfg.hit_latency, dcfg, [this](Cycle now) { decay_sweep(now); }),
       mshr_(cfg.mshr_entries) {
   CDSIM_ASSERT(upper_ != nullptr);
@@ -295,7 +297,7 @@ void L2Cache::issue_fetch(Addr line_addr, bool is_write) {
     }
   };
   ic_.request(is_write ? BusTxKind::kBusRdX : BusTxKind::kBusRd, line_addr,
-               core_, cfg_.line_bytes, std::move(hooks));
+              core_, level_.geometry().line_bytes(), std::move(hooks));
 }
 
 void L2Cache::install_at_grant(Addr line_addr, bool is_write,
@@ -342,8 +344,9 @@ void L2Cache::evict(LineT victim) {
       trace_->instant(trace_track_, "wb.evict", eq_.now(), "line", vline);
     }
     if (obs_) obs_->on_writeback_initiated(core_, vline, eq_.now());
-    ic_.request(BusTxKind::kWriteBack, vline, core_, cfg_.line_bytes,
-                 noc::Interconnect::Completion{});
+    ic_.request(BusTxKind::kWriteBack, vline, core_,
+                level_.geometry().line_bytes(),
+                noc::Interconnect::Completion{});
     line_off(victim);
   } else {
     // Clean eviction: no data traffic. The directory still learns about it
@@ -365,7 +368,7 @@ noc::SnoopReply L2Cache::snoop(coherence::BusTxKind kind, Addr line_addr,
 
   Payload& p = ln.payload();
   const coherence::SnoopOutcome out =
-      coherence::apply_snoop(cfg_.protocol, p.state, kind);
+      coherence::apply_snoop(protocol_, p.state, kind);
   noc::SnoopReply reply{out.had_line, out.supply_data, out.memory_update};
 
   if (out.cancel_turnoff_wb) cancel_td_wb(p);
@@ -415,7 +418,7 @@ void L2Cache::decay_sweep(Cycle now) {
     }
 
     const Addr line_addr = ln.tag();
-    switch (coherence::classify_turnoff(cfg_.protocol, p.state)) {
+    switch (coherence::classify_turnoff(protocol_, p.state)) {
       case coherence::TurnOffClass::kCleanTurnOff:
         p.state = MesiState::kTransientClean;
         ++initiated;
@@ -501,15 +504,15 @@ void L2Cache::issue_turnoff_writeback(Addr line_addr) {
     return;  // finished via snoop/eviction while this step was in flight
   }
 
-  if (cfg_.test_lose_decay_writeback) {
-    // Injected fault (see L2Config): drop the dirty data on the floor.
-    // Timing-wise this looks like a clean turn-off; memory keeps its stale
-    // copy, which is exactly the wrong-data bug the differential oracle
-    // must catch (and the internal invariants cannot). The buggy
-    // controller also reports the drop as clean — under the directory
-    // that releases ownership, so the stale refetch (the divergence)
-    // happens instead of a home deferral waiting forever for the
-    // write-back this fault just swallowed.
+  if (lose_decay_writeback_) {
+    // Injected fault (inject_lost_decay_writeback): drop the dirty data on
+    // the floor. Timing-wise this looks like a clean turn-off; memory
+    // keeps its stale copy, which is exactly the wrong-data bug the
+    // differential oracle must catch (and the internal invariants
+    // cannot). The buggy controller also reports the drop as clean —
+    // under the directory that releases ownership, so the stale refetch
+    // (the divergence) happens instead of a home deferral waiting forever
+    // for the write-back this fault just swallowed.
     level_.note_turnoff(line_addr);
     line_off(ln);
     ic_.note_clean_drop(core_, line_addr);
@@ -542,8 +545,8 @@ void L2Cache::issue_turnoff_writeback(Addr line_addr) {
     // until this instant) and releases it here; the bus ignores the note.
     ic_.note_clean_drop(core_, line_addr);
   };
-  ic_.request(BusTxKind::kWriteBack, line_addr, core_, cfg_.line_bytes,
-               std::move(hooks));
+  ic_.request(BusTxKind::kWriteBack, line_addr, core_,
+              level_.geometry().line_bytes(), std::move(hooks));
 }
 
 }  // namespace cdsim::sim

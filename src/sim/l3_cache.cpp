@@ -9,11 +9,12 @@ namespace cdsim::sim {
 
 using coherence::MesiState;
 
-L3Cache::L3Cache(EventQueue& eq, const L3Config& cfg,
-                 const decay::DecayConfig& dcfg, std::uint32_t num_banks)
-    : eq_(eq), cfg_(cfg) {
+L3Cache::L3Cache(EventQueue& eq, const L3Config& cfg, std::uint64_t bank_bytes,
+                 std::uint32_t line_bytes, const decay::DecayConfig& dcfg,
+                 std::uint32_t num_banks)
+    : eq_(eq) {
   CDSIM_ASSERT(num_banks >= 1);
-  const cache::Geometry geo(cfg.bank_bytes, cfg.line_bytes, cfg.ways);
+  const cache::Geometry geo(bank_bytes, line_bytes, cfg.ways);
   banks_.reserve(num_banks);
   for (std::uint32_t b = 0; b < num_banks; ++b) {
     banks_.push_back(std::make_unique<Level>(
@@ -47,7 +48,7 @@ void L3Cache::push_to_memory(std::uint32_t bank, Addr line) {
   if (trace_ != nullptr) {
     trace_->instant(trace_track_, "wb.mem", eq_.now(), "line", line);
   }
-  mem_port_(bank, line, cfg_.line_bytes);
+  mem_port_(bank, line, banks_[bank]->geometry().line_bytes());
 }
 
 void L3Cache::evict(std::uint32_t bank, LineT victim) {

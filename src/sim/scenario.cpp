@@ -101,8 +101,7 @@ MixPlan plan_mix(std::vector<ProgramSpec> programs,
     CDSIM_ASSERT_MSG(src != nullptr, "mix program opener failed mid-run");
     CDSIM_ASSERT_MSG(a.trace_core < src->num_cores(),
                      "mix program shrank between planning and replay");
-    return std::make_unique<workload::FilteredReplayStream>(std::move(src),
-                                                            a.trace_core);
+    return workload::filtered_replay_stream(std::move(src), a.trace_core);
   };
   return plan;
 }

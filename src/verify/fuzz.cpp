@@ -146,7 +146,6 @@ sim::SystemConfig FuzzScenario::system_config() const {
   // A small L1 keeps the L2 (where all the turn-off machinery lives) in
   // the line of fire instead of swallowing the whole footprint.
   cfg.l1.size_bytes = 8 * KiB;
-  cfg.l2.test_lose_decay_writeback = inject_writeback_loss;
   if (hierarchy == sim::Hierarchy::kThreeLevel) {
     // Decay at EVERY level: the scenario's technique runs in the L1 front
     // ends and the shared L3 banks too, so the oracle sees turn-off edges
@@ -233,6 +232,11 @@ ScenarioOutcome run_with_factory(const FuzzScenario& sc,
   DifferentialChecker checker(cfg.num_cores);
   sim::CmpSystem sys(cfg, bench, factory);
   sys.set_observer(&checker);
+  if (sc.inject_writeback_loss) {
+    for (CoreId c = 0; c < cfg.num_cores; ++c) {
+      sys.l2(c).inject_lost_decay_writeback();
+    }
+  }
 
   ScenarioOutcome out;
   out.metrics = sys.run();

@@ -160,6 +160,18 @@ TEST(ConfigValidation, RunConfigRejectsZeroL2DecayTime) {
   }
 }
 
+// A two-level machine builds no L3, so its l3_decay is never swept: like
+// every l3.* field, it is checked only where the L3 exists.
+TEST(ConfigValidation, L3DecayIsCheckedOnlyWhereAnL3IsBuilt) {
+  SystemConfig cfg = base();
+  cfg.l3_decay = decay::DecayConfig{decay::Technique::kDecay, 0, 4};
+  EXPECT_NO_THROW(validate_system_config(cfg));
+  cfg.topology = noc::Topology::kDirectoryMesh;
+  EXPECT_NO_THROW(validate_system_config(cfg));
+  cfg.hierarchy = Hierarchy::kThreeLevel;
+  expect_invalid(cfg, "L3 decay technique needs a nonzero tick period");
+}
+
 TEST(ConfigValidation, L3DecayNeedsTicksAndAPeriod) {
   SystemConfig cfg = base();
   cfg.hierarchy = Hierarchy::kThreeLevel;
@@ -311,8 +323,7 @@ TEST(ConfigValidation, FieldsComponentsAssertOnAreRejectedByName) {
        [](SystemConfig& c) { c.core.max_outstanding_loads = 0; }},
       {"l1.size_bytes", nullptr,
        [](SystemConfig& c) { c.l1.size_bytes = 48 * KiB; }},
-      {"l1.line_bytes", nullptr,
-       [](SystemConfig& c) { c.l1.line_bytes = 4; }},
+      {"line_bytes", nullptr, [](SystemConfig& c) { c.line_bytes = 4; }},
       // Above 64 ways a set's valid bits no longer fit the tag array's
       // one 64-bit word per set (it used to pass and then lose lines).
       {"l1.ways", nullptr, [](SystemConfig& c) { c.l1.ways = 128; }},
@@ -375,46 +386,6 @@ TEST(ConfigValidation, FieldsComponentsAssertOnAreRejectedByName) {
   }
 }
 
-// CmpSystem sets these from other fields and used to overwrite a value
-// given here in silence; each is rejected naming the field it comes from.
-TEST(ConfigValidation, DerivedFieldsNameTheirSource) {
-  using Edit = void (*)(SystemConfig&);
-  struct Row {
-    const char* field;
-    const char* from;
-    Edit machine;  ///< Valid context the field needs (may be null).
-    Edit bad;
-  };
-  const Edit mesh = [](SystemConfig& c) {
-    c.topology = noc::Topology::kDirectoryMesh;
-  };
-  const Edit three_level = [](SystemConfig& c) {
-    c.topology = noc::Topology::kDirectoryMesh;
-    c.hierarchy = Hierarchy::kThreeLevel;
-  };
-  const Row rows[] = {
-      {"l2.size_bytes", "total_l2_bytes", nullptr,
-       [](SystemConfig& c) { c.l2.size_bytes = 64 * KiB; }},
-      {"l2.protocol", "protocol", nullptr,
-       [](SystemConfig& c) { c.l2.protocol = coherence::Protocol::kMoesi; }},
-      {"l3.bank_bytes", "total_l3_bytes", three_level,
-       [](SystemConfig& c) { c.l3.bank_bytes = 4 * MiB; }},
-      {"l3.line_bytes", "l2.line_bytes", three_level,
-       [](SystemConfig& c) { c.l3.line_bytes = 128; }},
-      {"dmesh.home_interleave_bytes", "l2.line_bytes", mesh,
-       [](SystemConfig& c) { c.dmesh.home_interleave_bytes = 128; }},
-  };
-  for (const Row& row : rows) {
-    SCOPED_TRACE(row.field);
-    SystemConfig cfg = base();
-    if (row.machine != nullptr) row.machine(cfg);
-    EXPECT_NO_THROW(validate_system_config(cfg));
-    row.bad(cfg);
-    expect_invalid(cfg, row.field);
-    expect_invalid(cfg, (std::string("derived from ") + row.from).c_str());
-  }
-}
-
 /// The base config whose components read a struct of `scope` (inside), or
 /// one whose components do not (outside; kAlways has no outside).
 SystemConfig machine_for(FieldScope scope, bool inside) {
@@ -440,8 +411,8 @@ SystemConfig machine_for(FieldScope scope, bool inside) {
   return cfg;
 }
 
-/// A value of `v`'s type that breaks `rule`; for kDerived (or kAny), one
-/// that differs from `v`.
+/// A value of `v`'s type that breaks `rule`; for kAny, one that differs
+/// from `v`.
 template <class T>
 T breaking(FieldRule rule, const T& v) {
   if constexpr (std::is_enum_v<T>) {
@@ -502,7 +473,7 @@ TEST(ConfigValidation, EveryRuleRejectsByName) {
         }
       },
       cfg);
-  EXPECT_EQ(ruled, 58u);
+  EXPECT_EQ(ruled, 52u);
 }
 
 // The results cache keys a machine by describe: any one leaf changed
@@ -523,7 +494,7 @@ TEST(Describe, EveryLeafChangesTheKey) {
         EXPECT_EQ(describe(changed), describe(SystemConfig(changed)));
       },
       cfg);
-  EXPECT_EQ(leaves, 102u);
+  EXPECT_EQ(leaves, 95u);
 }
 
 // The constructor validates before it builds the leakage model, whose own

@@ -175,9 +175,7 @@ TEST(CoreModel, RobWindowLimitsRunahead) {
   FakePort port(eq);
   port.miss_set = {0x1000};
   // One miss followed by a long stretch of gap instructions: the ROB fills.
-  workload::ScriptedWorkload w(
-      {load(0x1000, 0), load(0x40, 50)},
-      workload::ScriptedWorkload::AtEnd::kLoop);
+  workload::ScriptedWorkload w({load(0x1000, 0), load(0x40, 50)});
   CoreConfig cfg;
   cfg.rob_window = 64;
   CoreModel core(eq, cfg, 0, w, port, 400);

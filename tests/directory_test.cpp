@@ -99,7 +99,7 @@ struct MeshFixture {
   mem::MemoryConfig mcfg;
   mem::MemoryController mem{eq, mcfg};
   noc::DirectoryMeshConfig cfg;
-  noc::DirectoryMesh mesh{eq, cfg, mem, 4};  // 2x2
+  noc::DirectoryMesh mesh{eq, cfg, /*line_bytes=*/64, mem, 4};  // 2x2
   MiniCache c0, c1, c2, c3;
   MiniCache* caches[4] = {&c0, &c1, &c2, &c3};
 

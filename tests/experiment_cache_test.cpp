@@ -36,25 +36,24 @@ decay::DecayConfig protocol() {
 // mpeg2enc / 1 MiB / protocol() at kPinInstr as the cache persists it:
 // the key, then every RunMetrics leaf after the labels (kRunMetricsFields
 // order). The payload was captured from the build that introduced cache
-// v5; v6 re-pinned only the key, which now names every machine leaf.
+// v5; v6 re-pinned only the key, which now names every machine leaf, and
+// v7 only the key again, which names one machine line_bytes.
 constexpr std::uint64_t kPinInstr = 5'000;
 constexpr const char* kPinnedLine =
     "mpeg2enc/1048576/protocol/num_cores=4;topology=bus;hierarchy=2L;"
-    "total_l2_bytes=1048576;total_l3_bytes=16777216;protocol=MESI;"
-    "core.issue_width=4;core.max_outstanding_loads=48;core.rob_window=512;"
-    "l1.size_bytes=32768;l1.line_bytes=64;l1.ways=4;l1.hit_latency=2;"
+    "total_l2_bytes=1048576;total_l3_bytes=16777216;line_bytes=64;"
+    "protocol=MESI;core.issue_width=4;core.max_outstanding_loads=48;"
+    "core.rob_window=512;l1.size_bytes=32768;l1.ways=4;l1.hit_latency=2;"
     "l1.mshr_entries=16;l1.write_buffer_entries=12;l1.drain_interval=1;"
-    "l1.max_drains_in_flight=8;l2.size_bytes=1048576;l2.line_bytes=64;"
-    "l2.ways=8;l2.hit_latency=12;l2.mshr_entries=24;l2.retry_interval=4;"
-    "l2.l1_inval_latency=2;l2.protocol=MESI;"
-    "l2.test_lose_decay_writeback=false;l3.bank_bytes=2097152;"
-    "l3.line_bytes=64;l3.ways=16;l3.hit_latency=24;"
+    "l1.max_drains_in_flight=8;l2.ways=8;l2.hit_latency=12;"
+    "l2.mshr_entries=24;l2.retry_interval=4;l2.l1_inval_latency=2;"
+    "l3.ways=16;l3.hit_latency=24;"
     "bus.arbitration_latency=2;bus.address_phase=2;bus.bytes_per_cycle=16;"
     "bus.cache_to_cache_latency=10;dmesh.noc.router_latency=1;"
     "dmesh.noc.link_latency=1;dmesh.noc.flit_bytes=16;"
     "dmesh.noc.header_bytes=8;dmesh.noc.link_credits=4;"
     "dmesh.directory_latency=3;dmesh.bank_occupancy=1;dmesh.ctrl_bytes=8;"
-    "dmesh.mem_tile=0;dmesh.home_interleave_bytes=64;mem.model=flat;"
+    "dmesh.mem_tile=0;mem.model=flat;"
     "mem.read_latency=130;mem.bytes_per_cycle=16;mem.posted_writes=true;"
     "mem.dram.channels=2;mem.dram.ranks_per_channel=2;"
     "mem.dram.banks_per_rank=8;mem.dram.row_bytes=2048;"
@@ -80,7 +79,7 @@ constexpr const char* kPinnedLine =
     "thermal.watts_per_eu_cycle=9;thermal.clock_hz=3e+09;"
     "thermal.sample_period=10000;thermal.lateral_r=4;thermal_feedback=true;"
     "instructions_per_core=5000;per_core_instructions=[];seed=42"
-    "/v6|12481 20008 1.6030766765483535 "
+    "/v7|12481 20008 1.6030766765483535 "
     "0.031380848303483797 0.6739965095986038 2865 1931 0 0 0 0 "
     "108.8975988700565 4.8560211521512695 60608 32142.993739197933 "
     "329.78714193845644 0.45525198301418157 8003.2000000000007 "
@@ -206,7 +205,7 @@ TEST_F(ExperimentCacheTest, StaleVersionEntriesAreNeitherLoadedNorKept) {
   // The pinned line in the v4 format: v4 key, 14 ledger components (no
   // DRAM ones) and no memory-side tail. Only the current version loads.
   std::string v4 = kPinnedLine;
-  v4.replace(v4.find("/v6|"), 4, "/v4|");
+  v4.replace(v4.find("/v7|"), 4, "/v4|");
   v4.replace(v4.find(" 0 0 bus "), 9, " bus ");
   v4.erase(v4.find(" flat "));
 
@@ -230,7 +229,7 @@ TEST_F(ExperimentCacheTest, StaleVersionEntriesAreNeitherLoadedNorKept) {
   // ...and the rewritten file must have dropped both.
   std::ifstream in(path);
   for (std::string line; std::getline(in, line);) {
-    EXPECT_TRUE(line.find("/v6|") != std::string::npos) << line;
+    EXPECT_TRUE(line.find("/v7|") != std::string::npos) << line;
   }
 }
 

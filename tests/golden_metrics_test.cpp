@@ -156,7 +156,7 @@ INSTANTIATE_TEST_SUITE_P(PinnedConfigs, GoldenMetricsTest,
 
 // The .cdt trace-replay path, pinned the same way: a deterministic
 // fuzzer-generated trace is written to disk, read back, and replayed
-// through ScriptedWorkload with per-core budgets — every metric must come
+// through replay_factory with per-core budgets — every metric must come
 // out bit-identical to the values captured when the path was introduced.
 // This puts the whole capture -> serialize -> parse -> replay pipeline
 // under the exact-hexfloat regression guard.

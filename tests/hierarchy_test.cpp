@@ -33,12 +33,13 @@ struct Harness {
     decay::DecayConfig d;
     d.technique = tech;
     d.decay_time = decay_time;
-    L2Config l2cfg;
-    l2cfg.size_bytes = 64 * KiB;  // small: tests can exercise eviction
     for (CoreId c = 0; c < cores; ++c) {
-      l1s.push_back(std::make_unique<L1Cache>(eq, L1Config{}, c));
-      l2s.push_back(std::make_unique<L2Cache>(eq, l2cfg, d, c, bus,
-                                              l1s.back().get()));
+      l1s.push_back(
+          std::make_unique<L1Cache>(eq, L1Config{}, /*line_bytes=*/64, c));
+      // A small 64 KiB slice: tests can exercise eviction.
+      l2s.push_back(std::make_unique<L2Cache>(
+          eq, L2Config{}, 64 * KiB, /*line_bytes=*/64,
+          coherence::Protocol::kMesi, d, c, bus, l1s.back().get()));
       l1s.back()->connect_l2(l2s.back().get());
       bus.attach(l2s.back().get());
       l2s.back()->start();

@@ -47,7 +47,7 @@ class GrantContract : public ::testing::TestWithParam<noc::Topology> {
       ic_ = std::make_unique<bus::SnoopBus>(eq_, bus::BusConfig{}, mem_);
     } else {
       ic_ = std::make_unique<noc::DirectoryMesh>(
-          eq_, noc::DirectoryMeshConfig{}, mem_, 4);
+          eq_, noc::DirectoryMeshConfig{}, /*line_bytes=*/64, mem_, 4);
     }
     for (MiniCache& c : caches_) ic_->attach(&c);
   }

@@ -151,11 +151,13 @@ struct PressureHarness {
   std::unique_ptr<L1Cache> l1;
   std::unique_ptr<L2Cache> l2;
 
-  explicit PressureHarness(const L1Config& l1cfg, const L2Config& l2cfg)
+  explicit PressureHarness(const L1Config& l1cfg, const L2Config& l2cfg,
+                           std::uint64_t l2_bytes = 1 * MiB)
       : mem(eq, mem::MemoryConfig{}), bus(eq, bus::BusConfig{}, mem) {
-    l1 = std::make_unique<L1Cache>(eq, l1cfg, 0);
-    l2 = std::make_unique<L2Cache>(eq, l2cfg, decay::DecayConfig{}, 0, bus,
-                                   l1.get());
+    l1 = std::make_unique<L1Cache>(eq, l1cfg, /*line_bytes=*/64, 0);
+    l2 = std::make_unique<L2Cache>(eq, l2cfg, l2_bytes, /*line_bytes=*/64,
+                                   coherence::Protocol::kMesi,
+                                   decay::DecayConfig{}, 0, bus, l1.get());
     l1->connect_l2(l2.get());
     bus.attach(l2.get());
   }
@@ -167,9 +169,8 @@ struct PressureHarness {
 
 TEST(MshrPressure, L2FullMshrStallsAndReplaysAllReads) {
   L2Config l2cfg;
-  l2cfg.size_bytes = 64 * KiB;
   l2cfg.mshr_entries = 2;  // tiny: the 6 concurrent misses must stall
-  PressureHarness h(L1Config{}, l2cfg);
+  PressureHarness h(L1Config{}, l2cfg, 64 * KiB);
 
   int done = 0;
   for (Addr a = 0; a < 6; ++a) {

@@ -26,7 +26,8 @@ struct L3Harness {
 
   explicit L3Harness(decay::Technique tech = decay::Technique::kProtocol,
                      Cycle decay_time = 4096, std::uint32_t ways = 2)
-      : l3(eq, make_cfg(ways),
+      // A 16 KiB bank, 128 sets x 2 ways: evictable in tests.
+      : l3(eq, make_cfg(ways), 16 * KiB, /*line_bytes=*/64,
            decay::DecayConfig{tech, decay_time, 4}, /*num_banks=*/1) {
     l3.connect_memory_port(
         [this](std::uint32_t /*bank*/, Addr line, std::uint32_t /*bytes*/) {
@@ -39,7 +40,6 @@ struct L3Harness {
 
   static L3Config make_cfg(std::uint32_t ways) {
     L3Config cfg;
-    cfg.bank_bytes = 16 * KiB;  // 128 sets x 2 ways: evictable in tests
     cfg.ways = ways;
     return cfg;
   }

@@ -55,7 +55,7 @@ void expect_traces_equal(const Trace& a, const Trace& b) {
 
 TEST(TraceFile, CaptureReadReplayIsBitIdentical) {
   // Capture a hostile scenario, write it to disk, read it back, replay it
-  // through ScriptedWorkload — the RunMetrics must match the original run
+  // through replay_scenario — the RunMetrics must match the original run
   // exactly (doubles compared bit-for-bit via EXPECT_EQ).
   verify::FuzzScenario sc;
   sc.decay = decay::DecayConfig{decay::Technique::kDecay, 2048, 4};

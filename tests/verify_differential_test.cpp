@@ -12,7 +12,8 @@
 //     divergences — every load's returned version matches the flat
 //     last-writer model, including loads that hit lines that were turned
 //     off and refetched, on both interconnect topologies.
-//  3. The injected-bug test flips the L2's test-only lost-write-back fault
+//     The same matrix runs clean at 32 and 128 B machine lines.
+//  3. The injected-bug test arms the L2's test-only lost-write-back fault
 //     and requires the oracle to CATCH it and the shrinker to minimize the
 //     captured trace to a tiny (<= 50 op) replayable repro.
 
@@ -23,8 +24,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "cdsim/verify/fuzz.hpp"
 #include "cdsim/verify/oracle.hpp"
@@ -281,6 +284,46 @@ TEST(FuzzScenarios, MesiScenarioIsMoesiFreeAndDeterministic) {
   EXPECT_EQ(sim::first_difference(a.metrics, b.metrics), "");
   EXPECT_EQ(a.trace.records.size(), b.trace.records.size());
   EXPECT_EQ(a.loads_checked, b.loads_checked);
+}
+
+// The machine's line size is a real parameter: every cache level, the
+// coherence unit and the mesh's home interleave follow
+// SystemConfig::line_bytes. The first 128 matrix scenarios (bus and mesh,
+// two and three levels, flat and DRAM+TLB) run under the oracle at 32 and
+// 128 B lines, the fuzzer striding by the same line, and none may diverge
+// or break an invariant.
+TEST(FuzzLineSize, MatrixRunsCleanAtOtherLineSizes) {
+  verify::FuzzOptions opts;
+  opts.scenarios = 128;
+  const std::vector<verify::FuzzScenario> matrix = verify::fuzz_matrix(opts);
+  for (const std::uint32_t line : {32u, 128u}) {
+    std::uint64_t loads = 0;
+    for (const verify::FuzzScenario& sc : matrix) {
+      SCOPED_TRACE(sc.label() + " line_bytes=" + std::to_string(line));
+      sim::SystemConfig cfg = sc.system_config();
+      cfg.line_bytes = line;
+      workload::FuzzerConfig fc = sc.fuzz;
+      fc.line_bytes = line;
+      workload::Benchmark bench;
+      bench.config.name = sc.label();
+      sim::CmpSystem sys(cfg, bench, [&fc](CoreId c, std::uint64_t seed) {
+        return std::make_unique<workload::FuzzerWorkload>(fc, c, seed);
+      });
+      DifferentialChecker checker(cfg.num_cores);
+      sys.set_observer(&checker);
+      (void)sys.run();
+      sys.check_coherence_invariants();
+      EXPECT_EQ(sys.l1(0).counters(0, decay::Technique::kBaseline)
+                    .capacity_lines,
+                cfg.l1.size_bytes / line);
+      EXPECT_EQ(sys.l2(0).capacity_lines(),
+                cfg.total_l2_bytes / cfg.num_cores / line);
+      ASSERT_EQ(checker.total_divergences(), 0u)
+          << verify::to_string(checker.divergences().front());
+      loads += checker.loads_checked();
+    }
+    EXPECT_GT(loads, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 // Unit tests for the synthetic workload generators: determinism, mix
 // statistics, region partitioning, generational migration, time-paced
-// streaming, and the benchmark suite presets.
+// streaming, and the benchmark suite presets; the scripted loop; and the
+// tail rule both trace-replay factories share.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <unordered_set>
@@ -12,6 +14,7 @@
 #include "cdsim/workload/benchmarks.hpp"
 #include "cdsim/workload/scripted.hpp"
 #include "cdsim/workload/synthetic.hpp"
+#include "cdsim/workload/trace_file.hpp"
 
 namespace cdsim::workload {
 namespace {
@@ -244,56 +247,86 @@ TEST(Scripted, LoopsByDefault) {
   EXPECT_EQ(w.next(0).addr, 0x40u);  // wrapped
 }
 
-TEST(Scripted, RepeatLastHoldsFinalOp) {
-  std::vector<MemOp> ops = {
-      {AccessType::kLoad, 0x40, 1, false, 0},
-      {AccessType::kLoad, 0x80, 1, false, 0},
-  };
-  ScriptedWorkload w(ops, ScriptedWorkload::AtEnd::kRepeatLast);
-  (void)w.next(0);
-  EXPECT_EQ(w.next(0).addr, 0x80u);
-  EXPECT_EQ(w.next(0).addr, 0x80u);
-  EXPECT_EQ(w.next(0).addr, 0x80u);
-}
-
-TEST(Scripted, RepeatLastRestampsDependenceConsistently) {
-  // The final op is a dependent pointer-chase load. It must be returned
-  // verbatim once (it is part of the script); every repeat after that is
-  // the same op re-stamped independent — a repeated dependent load would
-  // chain on its own previous issue and serialize the filler tail, making
-  // replay timing depend on the repeat count instead of the script.
-  std::vector<MemOp> ops = {
-      {AccessType::kLoad, 0x40, 2, false, 1},
-      {AccessType::kLoad, 0x80, 5, true, 3},
-  };
-  ScriptedWorkload w(ops, ScriptedWorkload::AtEnd::kRepeatLast);
-  (void)w.next(0);
-
-  const MemOp last = w.next(0);  // the scripted final op, verbatim
-  EXPECT_EQ(last.addr, 0x80u);
-  EXPECT_TRUE(last.dependent);
-  EXPECT_EQ(last.gap, 5u);
-  EXPECT_EQ(last.chain, 3u);
-
-  for (int i = 0; i < 3; ++i) {
-    const MemOp rep = w.next(0);  // tail filler: re-stamped
-    EXPECT_EQ(rep.addr, 0x80u);
-    EXPECT_EQ(rep.type, AccessType::kLoad);
-    EXPECT_FALSE(rep.dependent);
-    EXPECT_EQ(rep.gap, 5u);    // pacing preserved
-    EXPECT_EQ(rep.chain, 3u);  // identity preserved
-  }
-}
-
 TEST(Scripted, LoopModeNeverRestamps) {
   std::vector<MemOp> ops = {
       {AccessType::kLoad, 0x40, 1, true, 2},
   };
-  ScriptedWorkload w(ops);  // kLoop
+  ScriptedWorkload w(ops);
   for (int i = 0; i < 4; ++i) {
     const MemOp op = w.next(0);
     EXPECT_TRUE(op.dependent) << i;
     EXPECT_EQ(op.chain, 2u) << i;
+  }
+}
+
+// --- replay tail ------------------------------------------------------------
+
+/// Both replay factories over one in-memory trace: the shared cursor
+/// demultiplexed per core, and a private cursor per core.
+std::vector<StreamFactory> replay_factories(Trace trace) {
+  const auto shared = std::make_shared<const Trace>(std::move(trace));
+  const TraceOpener open = [shared]() -> TraceSourcePtr {
+    return std::make_unique<InMemoryTraceSource>(shared);
+  };
+  return {replay_factory(open), streaming_replay_factory(open)};
+}
+
+TEST(ReplayTail, HoldsFinalOpOnBothFactories) {
+  // Core 1's records interleave with core 0's; core 2 recorded none.
+  Trace trace;
+  trace.num_cores = 3;
+  trace.append({0, {AccessType::kLoad, 0x40, 1, false, 0}});
+  trace.append({1, {AccessType::kStore, 0x1000, 1, false, 0}});
+  trace.append({0, {AccessType::kLoad, 0x80, 1, false, 0}});
+  const std::vector<StreamFactory> factories = replay_factories(trace);
+  for (std::size_t f = 0; f < factories.size(); ++f) {
+    SCOPED_TRACE(f);
+    const StreamPtr s0 = factories[f](0, 0);
+    const StreamPtr s1 = factories[f](1, 0);
+    const StreamPtr s2 = factories[f](2, 0);
+    EXPECT_EQ(s0->next(0).addr, 0x40u);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(s0->next(0).addr, 0x80u);
+      EXPECT_EQ(s1->next(0).addr, 0x1000u);
+      // The core the trace never scheduled replays the idle filler.
+      const MemOp idle = s2->next(0);
+      EXPECT_EQ(idle.addr, replay_idle_op(2).addr);
+      EXPECT_FALSE(idle.dependent);
+    }
+  }
+}
+
+TEST(ReplayTail, RestampsDependenceOnBothFactories) {
+  // The final op is a dependent pointer-chase load. It must be returned
+  // verbatim once (it is part of the trace); every repeat after that is
+  // the same op re-stamped independent — a repeated dependent load would
+  // chain on its own previous issue and serialize the filler tail, making
+  // replay timing depend on the repeat count instead of the trace.
+  Trace trace;
+  trace.num_cores = 2;
+  trace.append({0, {AccessType::kLoad, 0x40, 2, false, 1}});
+  trace.append({1, {AccessType::kLoad, 0x2000, 1, true, 2}});
+  trace.append({0, {AccessType::kLoad, 0x80, 5, true, 3}});
+  const std::vector<StreamFactory> factories = replay_factories(trace);
+  for (std::size_t f = 0; f < factories.size(); ++f) {
+    SCOPED_TRACE(f);
+    const StreamPtr s = factories[f](0, 0);
+    (void)s->next(0);
+
+    const MemOp last = s->next(0);  // the recorded final op, verbatim
+    EXPECT_EQ(last.addr, 0x80u);
+    EXPECT_TRUE(last.dependent);
+    EXPECT_EQ(last.gap, 5u);
+    EXPECT_EQ(last.chain, 3u);
+
+    for (int i = 0; i < 3; ++i) {
+      const MemOp rep = s->next(0);  // tail filler: re-stamped
+      EXPECT_EQ(rep.addr, 0x80u);
+      EXPECT_EQ(rep.type, AccessType::kLoad);
+      EXPECT_FALSE(rep.dependent);
+      EXPECT_EQ(rep.gap, 5u);    // pacing preserved
+      EXPECT_EQ(rep.chain, 3u);  // identity preserved
+    }
   }
 }
 
