@@ -5,14 +5,18 @@
 // accepts — the machine-family trio (--topology=/--hierarchy=/--cores=),
 // boolean toggles, and --name=value flags — and routes every non-flag
 // argument (in order) to the positional handler. Strict: an unknown or
-// malformed flag prints an error and parse() returns false.
+// malformed flag prints an error and parse() returns false. MachineFlags
+// turns the trio into a machine and parse_technique_flag a technique name
+// and decay time into a technique, the same way in every binary.
 
 #include <cstdio>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cdsim/decay/technique.hpp"
 #include "cdsim/noc/interconnect.hpp"
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
@@ -29,7 +33,46 @@ struct MachineFlags {
     if (cores != 0) return cores;
     return topology == noc::Topology::kDirectoryMesh ? 16 : 4;
   }
+
+  /// The machine of this family with `total_l2_bytes` of L2 running
+  /// `technique` (make_system_config on the chosen topology, hierarchy and
+  /// cores). The three-level machine has four times the L2 in L3, and the
+  /// technique runs in the L1 front ends and the L3 banks too.
+  [[nodiscard]] sim::SystemConfig machine(
+      std::uint64_t total_l2_bytes,
+      const decay::DecayConfig& technique) const {
+    sim::SystemConfig cfg = sim::make_system_config(total_l2_bytes, technique);
+    cfg.topology = topology;
+    cfg.hierarchy = hierarchy;
+    cfg.num_cores = effective_cores();
+    if (hierarchy == sim::Hierarchy::kThreeLevel) {
+      cfg.total_l3_bytes = 4 * total_l2_bytes;
+      cfg.l1_decay = cfg.decay;
+      cfg.l3_decay = cfg.decay;
+    }
+    return cfg;
+  }
 };
+
+/// The technique named `name` (baseline|protocol|decay|sel_decay) with a
+/// decay time of `decay_k` Kcycles; an unknown name is reported on stderr
+/// and yields nullopt.
+inline std::optional<decay::DecayConfig> parse_technique_flag(
+    const std::string& name, std::uint64_t decay_k) {
+  const std::optional<decay::Technique> technique =
+      decay::parse_technique(name);
+  if (!technique) {
+    std::fprintf(stderr,
+                 "unknown technique \"%s\" (baseline|protocol|decay|"
+                 "sel_decay)\n",
+                 name.c_str());
+    return std::nullopt;
+  }
+  decay::DecayConfig d;
+  d.technique = *technique;
+  d.decay_time = decay_k * 1024;
+  return d;
+}
 
 /// Declarative argv parser. Register options, then parse(); registration
 /// order does not matter. Example:

@@ -85,35 +85,12 @@ int main(int argc, char** argv) {
         }
       });
   if (!parser.parse(argc, argv) || bad_positional) return 2;
-  const std::optional<decay::Technique> technique =
-      decay::parse_technique(tech_name);
-  if (!technique) {
-    std::fprintf(stderr,
-                 "unknown technique \"%s\" (baseline|protocol|decay|"
-                 "sel_decay)\n",
-                 tech_name.c_str());
-    return 2;
-  }
-  const noc::Topology topology = mf.topology;
-  const sim::Hierarchy hierarchy = mf.hierarchy;
-  const std::uint32_t cores = mf.effective_cores();
+  const std::optional<decay::DecayConfig> d =
+      examples::parse_technique_flag(tech_name, decay_k);
+  if (!d) return 2;
 
-  decay::DecayConfig d;
-  d.technique = *technique;
-  d.decay_time = decay_k * 1024;
-
-  sim::SystemConfig cfg = sim::make_system_config(4 * MiB, d);
-  cfg.topology = topology;
-  cfg.hierarchy = hierarchy;
-  cfg.num_cores = cores;
-  cfg.total_l2_bytes = static_cast<std::uint64_t>(cores) * MiB;
-  if (hierarchy == sim::Hierarchy::kThreeLevel) {
-    cfg.total_l3_bytes = 4 * cfg.total_l2_bytes;
-    // Decay at every level: the chosen technique runs in the L1 front
-    // ends and the shared L3 banks too.
-    cfg.l1_decay = cfg.decay;
-    cfg.l3_decay = cfg.decay;
-  }
+  sim::SystemConfig cfg = mf.machine(
+      static_cast<std::uint64_t>(mf.effective_cores()) * MiB, *d);
   cfg.instructions_per_core = instr;
 
   const workload::Benchmark* bench = nullptr;

@@ -71,9 +71,6 @@ int main(int argc, char** argv) {
     return 2;
   };
   if (!parser.parse(argc, argv) || bad_positional) return usage();
-  const noc::Topology topology = mf.topology;
-  const sim::Hierarchy hierarchy = mf.hierarchy;
-  const std::uint32_t cores = mf.effective_cores();
 
   const std::uint64_t size = size_mb * MiB;
   // The runner applies the CDSIM_INSTR override, so every path below takes
@@ -82,16 +79,8 @@ int main(int argc, char** argv) {
 
   // The machine one technique runs on: without flags, the figure grid's.
   const auto machine = [&](const decay::DecayConfig& d) {
-    sim::SystemConfig cfg = sim::make_system_config(size, d);
+    sim::SystemConfig cfg = mf.machine(size, d);
     cfg.instructions_per_core = runner.instructions_per_core();
-    cfg.topology = topology;
-    cfg.hierarchy = hierarchy;
-    cfg.num_cores = cores;
-    if (hierarchy == sim::Hierarchy::kThreeLevel) {
-      cfg.total_l3_bytes = 4 * size;
-      cfg.l1_decay = cfg.decay;   // the technique runs at every level
-      cfg.l3_decay = cfg.decay;
-    }
     return cfg;
   };
   const workload::Benchmark* bench = nullptr;
@@ -107,8 +96,8 @@ int main(int argc, char** argv) {
       "leakage_explorer: %s, %lluMB total L2, %s, %u cores, %s hierarchy, "
       "%llu instr/core\n\n",
       bench->config.name.c_str(), static_cast<unsigned long long>(size_mb),
-      std::string(noc::to_string(topology)).c_str(), cores,
-      std::string(sim::to_string(hierarchy)).c_str(),
+      std::string(noc::to_string(mf.topology)).c_str(), mf.effective_cores(),
+      std::string(sim::to_string(mf.hierarchy)).c_str(),
       static_cast<unsigned long long>(runner.instructions_per_core()));
 
   // The frontier: protocol, then both decay flavours at four intervals.

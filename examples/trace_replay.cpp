@@ -236,30 +236,20 @@ int main(int argc, char** argv) {
     programs[*idx].weight = mult;
   }
 
-  const std::optional<decay::Technique> technique =
-      decay::parse_technique(tech_name);
-  if (!technique) {
-    std::fprintf(stderr,
-                 "unknown technique \"%s\" (baseline|protocol|decay|"
-                 "sel_decay)\n",
-                 tech_name.c_str());
-    return 2;
-  }
-  decay::DecayConfig d;
-  d.technique = *technique;
-  d.decay_time = decay_k * 1024;
+  const std::optional<decay::DecayConfig> d =
+      examples::parse_technique_flag(tech_name, decay_k);
+  if (!d) return 2;
 
   // Machine cores: explicit --cores wins; otherwise a single program
   // replays on exactly its recorded cores, and a mix defaults to the
   // topology's core count.
-  std::uint32_t cores = mf.cores;
-  if (cores == 0 && programs.size() == 1) {
+  if (mf.cores == 0 && programs.size() == 1) {
     std::string err;
     const auto probe = workload::open_trace_source(paths[0], &err);
     if (probe == nullptr) return 1;
-    cores = probe->num_cores();
+    mf.cores = probe->num_cores();
   }
-  if (cores == 0) cores = mf.effective_cores();
+  const std::uint32_t cores = mf.effective_cores();
 
   sim::MixPlan plan;
   try {
@@ -269,15 +259,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  sim::SystemConfig cfg = sim::make_system_config(
-      static_cast<std::uint64_t>(cores) * MiB, d);
-  cfg.topology = mf.topology;
-  cfg.hierarchy = mf.hierarchy;
-  if (mf.hierarchy == sim::Hierarchy::kThreeLevel) {
-    cfg.total_l3_bytes = 4 * cfg.total_l2_bytes;
-    cfg.l1_decay = cfg.decay;  // the technique runs at every level
-    cfg.l3_decay = cfg.decay;
-  }
+  sim::SystemConfig cfg =
+      mf.machine(static_cast<std::uint64_t>(cores) * MiB, *d);
   plan.apply(cfg);
   try {
     sim::validate_system_config(cfg);
@@ -289,7 +272,7 @@ int main(int argc, char** argv) {
   std::printf("trace_replay: %zu program(s) on %s%u (%s), %s\n", paths.size(),
               std::string(noc::to_string(cfg.topology)).c_str(), cfg.num_cores,
               std::string(sim::to_string(cfg.hierarchy)).c_str(),
-              d.label().c_str());
+              d->label().c_str());
   for (std::size_t c = 0; c < plan.assignment.size(); ++c) {
     const sim::MixAssignment& a = plan.assignment[c];
     std::printf("  core %-3zu <- %s (trace core %u, budget %llu)\n", c,

@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <string>
 
+#include "cdsim/common/hash.hpp"
 #include "cdsim/common/types.hpp"
 
 namespace cdsim::obs {
@@ -80,12 +81,10 @@ class IntervalSampler {
   [[nodiscard]] std::uint64_t checksum() const noexcept { return hash_; }
 
  private:
-  void fold(std::uint64_t bits) noexcept;
-
   Cycle period_ = 1;
   std::FILE* out_ = nullptr;
   std::uint64_t rows_ = 0;
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;  ///< FNV-1a64 offset basis.
+  std::uint64_t hash_ = kFnvBasis;
   bool write_error_ = false;
 };
 

@@ -116,18 +116,19 @@ struct MachineResults {
 ///
 /// A result is keyed by its benchmark and every leaf of its machine:
 /// "<bench>/<total_l2_bytes>/<L2 label>/<describe(config)>/<version>".
-/// Results are also persisted to a small text cache file so the per-figure
-/// bench binaries share one sweep instead of each re-simulating the grid.
+/// Results are also kept in a text cache file so the per-figure bench
+/// binaries share one sweep instead of each re-simulating the grid.
 /// Cache location: $CDSIM_CACHE_FILE, default "cdsim_results.cache" in the
 /// working directory; delete the file (or change CDSIM_INSTR) to re-run.
-/// The cache file is replaced atomically (temp file + rename) and merged
-/// with concurrent writers' entries, so parallel bench binaries sharing one
-/// cache can never corrupt it. The merge is best-effort, not transactional:
-/// two processes persisting at the same instant can drop the other's newest
-/// entries (they are simply re-simulated later). Persistence happens at the
-/// end of each run_machines and run_grid call, on destruction, and every
-/// kPersistEvery-th new serial result (not per run(): a cold serial sweep
-/// would otherwise rewrite the file once per configuration).
+/// The file is an append-only log, "<key>|<payload>|<checksum>" per line,
+/// the checksum being 16 hex digits of FNV-1a over the text before its
+/// bar. Each fill appends one line per result it made, in cell order, in
+/// one append-mode write, and nothing else writes the file: bench binaries
+/// and runners sharing it lose nothing, and a killed process loses only
+/// the fill it was in. Loading keeps the first valid line of each key and
+/// skips duplicates, other versions' lines and lines whose checksum fails
+/// (a torn tail, an edited digit). Nothing rewrites those dead lines; they
+/// stay until the file is deleted.
 ///
 /// All public methods are thread-safe; simulations run outside the lock.
 class ExperimentRunner {
@@ -139,7 +140,6 @@ class ExperimentRunner {
   ///        $CDSIM_CACHE_FILE or the default.
   explicit ExperimentRunner(std::uint64_t instructions_per_core = 0,
                             std::string cache_path = {});
-  ~ExperimentRunner();
 
   /// Results for whole machines, one per cell in order: the memoized ones
   /// read back, the rest made with one simulation per timing class — cells
@@ -147,8 +147,8 @@ class ExperimentRunner {
   /// that never decays reads as baseline_config() share a run, as
   /// accounting views — on `workers` threads (0 = one per hardware thread),
   /// round-robin over the machines. Each config runs as given, its
-  /// instruction budget included. Persists once at the end. Bit-identical
-  /// to run_config of each cell.
+  /// instruction budget included. Bit-identical to run_config of each
+  /// cell.
   MachineResults run_machines(const std::vector<MachineCell>& cells,
                               unsigned workers = 0);
 
@@ -195,26 +195,15 @@ class ExperimentRunner {
   /// The one way results are made: drops the cells already memoized (or
   /// listed twice), groups the rest by machine and each machine's by timing
   /// class, runs one simulation per class on `workers` threads, round-robin
-  /// over the machines, and memoizes the results in cell order. Persists
-  /// nothing.
+  /// over the machines, and memoizes the results in cell order, appending
+  /// each new one to the cache file. The one writer of the file.
   SweepStats fill(const std::vector<MachineCell>& cells, unsigned workers);
   void load_disk_cache();
-  /// Atomically rewrites the cache file (temp + rename) with the union of
-  /// on-disk and in-memory entries, dropping lines from other cache
-  /// versions and corrupt lines. Caller must hold mu_.
-  void persist_disk_cache_locked();
-
-  /// Serial run() persists after this many new results (run_machines
-  /// persists once at the end regardless), bounding loss on an interrupted
-  /// sweep.
-  static constexpr std::size_t kPersistEvery = 16;
 
   std::uint64_t instructions_ = 0;
   std::string cache_path_;
-  std::mutex mu_;  ///< Guards cache_, dirty_, unsaved_, and persistence.
+  std::mutex mu_;  ///< Guards cache_, persist_warned_ and the appends.
   std::map<std::string, RunMetrics> cache_;
-  bool dirty_ = false;        ///< In-memory results not yet persisted.
-  std::size_t unsaved_ = 0;   ///< New results since the last persist.
   bool persist_warned_ = false;  ///< One-time unwritable-cache warning fired.
 };
 

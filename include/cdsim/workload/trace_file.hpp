@@ -28,9 +28,6 @@ struct Trace : TraceSink {
 
   void append(const TraceRecord& rec) override { records.push_back(rec); }
 
-  /// Per-core op sequences, in draw order (size = num_cores).
-  [[nodiscard]] std::vector<std::vector<MemOp>> ops_by_core() const;
-
   /// Instruction budget that makes a replayed core commit exactly its
   /// recorded ops: sum of (gap + 1) per core. Cores with no records get 1
   /// (they replay a single idle filler op — see replay_factory).

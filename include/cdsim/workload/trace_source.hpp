@@ -14,10 +14,11 @@
 //     into per-core queues. Memory is bounded by the capture's
 //     interleaving skew (simulator captures interleave fairly, so queues
 //     stay shallow). Cheapest when the source is already in memory.
-//   * streaming_replay_factory(open): every core opens its OWN cursor and
+//   * filtered_replay_stream(source, core): one core's OWN cursor, which
 //     discards other cores' records. Strictly O(chunk) memory per core no
-//     matter how skewed the trace is — the path the multi-gigabyte CI
-//     smoke uses — at the price of N file cursors.
+//     matter how skewed the trace is, at the price of N file cursors.
+//     sim::plan_mix builds every mix on it, so trace_replay and the
+//     multi-gigabyte CI smoke replay through it.
 //
 // Both feed one replay stream, which ends every core's ops with the same
 // tail rule: the final recorded op is returned verbatim once, every repeat
@@ -131,7 +132,7 @@ StreamFactory capture_factory(StreamFactory inner, TraceSink* sink);
 /// as it streams, so memory stays O(1) in trace length regardless of how
 /// the capture interleaved. `target` is the trace core whose ops it
 /// replays (rate-mode co-scheduling maps machine cores onto trace cores
-/// explicitly); the tail rule is the factories'.
+/// explicitly); the tail rule is replay_factory's.
 [[nodiscard]] StreamPtr filtered_replay_stream(TraceSourcePtr source,
                                                CoreId target);
 
@@ -140,9 +141,5 @@ StreamFactory capture_factory(StreamFactory inner, TraceSink* sink);
 /// order, and a request for a core at or below the previous one starts a
 /// fresh pass, so the factory is safely reusable across runs.
 StreamFactory replay_factory(TraceOpener open);
-
-/// Replay with strictly O(chunk) memory: every core opens its own cursor
-/// via `open` and filters to its own records.
-StreamFactory streaming_replay_factory(TraceOpener open);
 
 }  // namespace cdsim::workload

@@ -35,18 +35,19 @@ bool IntervalSampler::open_csv(const std::string& path, std::string* err) {
 
 void IntervalSampler::push(const SampleRow& row) {
   ++rows_;
-  fold(row.window_start);
-  fold(row.window_end);
-  fold(row.instructions);
-  fold(row.l2_accesses);
-  fold(row.l2_misses);
-  fold(std::bit_cast<std::uint64_t>(row.ipc));
-  fold(std::bit_cast<std::uint64_t>(row.l2_miss_rate));
-  fold(std::bit_cast<std::uint64_t>(row.l2_powered_frac));
-  fold(std::bit_cast<std::uint64_t>(row.dram_row_hit_rate));
-  fold(std::bit_cast<std::uint64_t>(row.fabric_occupancy));
-  fold(std::bit_cast<std::uint64_t>(row.avg_l2_temp_kelvin));
-  fold(std::bit_cast<std::uint64_t>(row.max_l2_temp_kelvin));
+  // FNV-1a over each field's 8 bytes, little-endian, in field order: fully
+  // specified, so the pinned golden checksum is platform-independent.
+  for (const std::uint64_t bits :
+       {row.window_start, row.window_end, row.instructions, row.l2_accesses,
+        row.l2_misses, std::bit_cast<std::uint64_t>(row.ipc),
+        std::bit_cast<std::uint64_t>(row.l2_miss_rate),
+        std::bit_cast<std::uint64_t>(row.l2_powered_frac),
+        std::bit_cast<std::uint64_t>(row.dram_row_hit_rate),
+        std::bit_cast<std::uint64_t>(row.fabric_occupancy),
+        std::bit_cast<std::uint64_t>(row.avg_l2_temp_kelvin),
+        std::bit_cast<std::uint64_t>(row.max_l2_temp_kelvin)}) {
+    hash_ = fnv1a_u64(hash_, bits);
+  }
   if (out_ == nullptr) return;
   // CSV text is the human-facing view; %.9g round-trips enough digits for
   // plotting while the checksum above carries the exact bits.
@@ -67,15 +68,6 @@ bool IntervalSampler::finish() {
   if (std::fclose(out_) != 0) write_error_ = true;
   out_ = nullptr;
   return !write_error_;
-}
-
-void IntervalSampler::fold(std::uint64_t bits) noexcept {
-  // FNV-1a64 one byte at a time, little-endian field order: fully
-  // specified, so the pinned golden checksum is platform-independent.
-  for (int i = 0; i < 8; ++i) {
-    hash_ ^= (bits >> (8 * i)) & 0xffU;
-    hash_ *= 0x100000001b3ULL;
-  }
 }
 
 }  // namespace cdsim::obs

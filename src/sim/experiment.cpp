@@ -1,10 +1,7 @@
 #include "cdsim/sim/experiment.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -19,6 +16,7 @@
 #include <utility>
 
 #include "cdsim/common/assert.hpp"
+#include "cdsim/common/hash.hpp"
 #include "cdsim/common/host_timer.hpp"
 #include "cdsim/common/rng.hpp"
 #include "cdsim/sim/parallel.hpp"
@@ -37,8 +35,9 @@ namespace {
 // normalized_run_config), so bumping this never changes simulation
 // results. v5 added the memory side (mem_model, DRAM and TLB counters, two
 // DRAM ledger components); v6 keys every leaf of the machine (describe);
-// v7 names one machine line_bytes and drops the fields CmpSystem derives.
-constexpr const char* kCacheVersion = "v7";
+// v7 names one machine line_bytes and drops the fields CmpSystem derives;
+// v8 ends every line with its checksum.
+constexpr const char* kCacheVersion = "v8";
 
 /// The memo key: the three labels parse_cache_line reads back, then every
 /// leaf of the machine, then the version.
@@ -97,17 +96,39 @@ bool deserialize(const std::string& payload, RunMetrics& m) {
   return !is.fail() && (is >> std::ws).eof();
 }
 
+/// The 16 lowercase hex digits that end a cache line: FNV-1a of the text
+/// before them and their bar.
+std::string checksum_hex(std::string_view text) {
+  std::array<char, 17> hex{};
+  std::snprintf(hex.data(), hex.size(), "%016llx",
+                static_cast<unsigned long long>(fnv1a(text)));
+  return hex.data();
+}
+
+/// One cache line, without its newline: "<key>|<payload>|<checksum>".
+std::string cache_line(const std::string& key, const RunMetrics& m) {
+  std::string line = key + '|' + serialize(m);
+  return line + '|' + checksum_hex(line);
+}
+
 /// Parses one cache line into its key and metrics (labels recovered from
-/// the key); malformed lines, corrupt payloads and other versions yield
-/// nullopt. The single gatekeeper for both loading and persisting.
+/// the key); lines whose checksum fails (a torn tail, two glued lines, an
+/// edited digit), malformed lines, corrupt payloads and other versions
+/// yield nullopt. The single gatekeeper of what loads.
 std::optional<std::pair<std::string, RunMetrics>> parse_cache_line(
-    const std::string& line) {
+    std::string_view line) {
+  const auto sum = line.rfind('|');
+  if (sum == std::string_view::npos ||
+      line.substr(sum + 1) != checksum_hex(line.substr(0, sum))) {
+    return std::nullopt;
+  }
+  line = line.substr(0, sum);
   const auto bar = line.find('|');
-  if (bar == std::string::npos) return std::nullopt;
-  std::string key = line.substr(0, bar);
+  if (bar == std::string_view::npos) return std::nullopt;
+  std::string key(line.substr(0, bar));
   if (!key.ends_with(std::string("/") + kCacheVersion)) return std::nullopt;
   RunMetrics m;
-  if (!deserialize(line.substr(bar + 1), m)) return std::nullopt;
+  if (!deserialize(std::string(line.substr(bar + 1)), m)) return std::nullopt;
   // The key is bench/size/technique/<describe>/<version>.
   std::istringstream ks(key);
   std::string size;
@@ -116,6 +137,29 @@ std::optional<std::pair<std::string, RunMetrics>> parse_cache_line(
   std::getline(ks, m.technique, '/');
   m.total_l2_bytes = std::strtoull(size.c_str(), nullptr, 10);
   return std::pair{std::move(key), std::move(m)};
+}
+
+/// Appends `lines` to the file at `path` in one unbuffered append-mode
+/// write: O_APPEND places each write() at the end of the file as one
+/// unit, so writers sharing the file, in this process or another, never
+/// interleave inside each other's lines. False when the file cannot be
+/// opened or written.
+bool append_lines(const std::string& path, std::string lines) {
+  const auto close = [](std::FILE* f) { std::fclose(f); };
+  std::unique_ptr<std::FILE, decltype(close)> f(
+      std::fopen(path.c_str(), "a+b"), close);
+  if (f == nullptr) return false;
+  std::setvbuf(f.get(), nullptr, _IONBF, 0);
+  // A writer that died mid-line left no newline: start a fresh line, so
+  // the torn one fails its checksum alone.
+  if (std::fseek(f.get(), -1, SEEK_END) == 0 && std::fgetc(f.get()) != '\n') {
+    lines.insert(0, 1, '\n');
+  }
+  const bool written =
+      std::fseek(f.get(), 0, SEEK_END) == 0 &&
+      std::fwrite(lines.data(), 1, lines.size(), f.get()) == lines.size();
+  // fclose's own result says whether the write reached the file.
+  return std::fclose(f.release()) == 0 && written;
 }
 }  // namespace
 
@@ -159,12 +203,7 @@ std::optional<std::uint64_t> instructions_from_env(std::uint64_t fallback,
 std::uint64_t derive_config_seed(std::string_view config) noexcept {
   // FNV-1a over the description, whitened through Xoshiro256 so nearby
   // descriptions ("...1/..." vs "...2/...") yield uncorrelated streams.
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : config) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  Xoshiro256 rng(h);
+  Xoshiro256 rng(fnv1a(config));
   return rng.next();
 }
 
@@ -319,81 +358,15 @@ ExperimentRunner::ExperimentRunner(std::uint64_t instructions_per_core,
   load_disk_cache();
 }
 
-ExperimentRunner::~ExperimentRunner() {
-  std::scoped_lock lock(mu_);
-  if (dirty_) persist_disk_cache_locked();
-}
-
 void ExperimentRunner::load_disk_cache() {
   std::ifstream in(cache_path_);
   std::string line;
   while (std::getline(in, line)) {
-    // Other-version entries may deserialize cleanly but describe a
-    // different simulator; parse_cache_line keeps them out of the memo.
+    // insert keeps the first valid line of a key. Other-version entries
+    // may deserialize cleanly but describe a different simulator;
+    // parse_cache_line keeps them out of the memo.
     if (auto entry = parse_cache_line(line)) cache_.insert(std::move(*entry));
   }
-}
-
-void ExperimentRunner::persist_disk_cache_locked() {
-  // Merge whatever is on disk (another process may have added results since
-  // we loaded) with the in-memory memo, then replace the file atomically:
-  // the rename guarantees readers and concurrent writers only ever see a
-  // complete file, never interleaved or half-written lines. Lines that
-  // parse_cache_line rejects (other cache versions, corrupt payloads) are
-  // dead weight, since lookups can never hit them, and are dropped here.
-  //
-  // Happens-before (persistence): the caller holds mu_, so this snapshot
-  // of cache_ happens-after every insertion it contains. Within one
-  // process, two runners sharing a path serialize through their own mu_
-  // and write distinct tmp names (pid + counter below); rename() is atomic
-  // at the filesystem level, so a concurrent loader in another runner
-  // reads either the old complete file or the new complete file — never a
-  // torn one (tests/tsan_grid_test.cpp persists two runners into one path
-  // concurrently to certify this under TSan).
-  std::map<std::string, std::string> lines;
-  {
-    std::ifstream in(cache_path_);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (auto entry = parse_cache_line(line)) {
-        lines.emplace(std::move(entry->first), serialize(entry->second));
-      }
-    }
-  }
-  for (const auto& [key, m] : cache_) lines[key] = serialize(m);
-
-  // pid + process-wide counter: unique even when several runners in one
-  // process share a cache path, so writers never interleave in one tmp.
-  static std::atomic<unsigned> tmp_counter{0};
-  const std::string tmp = cache_path_ + ".tmp." +
-                          std::to_string(static_cast<long>(::getpid())) + "." +
-                          std::to_string(tmp_counter.fetch_add(1));
-  bool written = false;
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (out) {
-      for (const auto& [key, text] : lines) out << key << '|' << text << '\n';
-      out.flush();
-      written = out.good();
-    }
-  }
-  // Never install a partial file over a good cache (e.g. ENOSPC midway),
-  // and keep dirty_/unsaved_ set on any failure so a later attempt retries.
-  if (!written || std::rename(tmp.c_str(), cache_path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    // Warn once: an unwritable cache path silently re-simulates the whole
-    // grid on every invocation, which is worth a diagnostic line.
-    if (!persist_warned_) {
-      persist_warned_ = true;
-      std::fprintf(stderr,
-                   "cdsim: warning: could not persist result cache to "
-                   "\"%s\"; results will be re-simulated next run\n",
-                   cache_path_.c_str());
-    }
-    return;
-  }
-  dirty_ = false;
-  unsaved_ = 0;
 }
 
 MachineCell ExperimentRunner::grid_cell(
@@ -493,16 +466,30 @@ SweepStats ExperimentRunner::fill(const std::vector<MachineCell>& cells,
   // reader acquires mu_ before find() and only dereferences the node after
   // that, so an entry's contents are visible to it; std::map nodes are
   // pointer-stable and an entry is never mutated after insertion, so a
-  // reference to one stays valid outside the lock.
+  // reference to one stays valid outside the lock. The cache file gets
+  // one line per result memoized here, in cell order, under the same
+  // lock, so this runner's appends never overlap.
   std::scoped_lock lock(mu_);
+  std::string lines;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (cache_.emplace(cache_key(*jobs[i]), std::move(results[i])).second) {
+    const auto [it, fresh] =
+        cache_.emplace(cache_key(*jobs[i]), std::move(results[i]));
+    if (fresh) {
       ++stats.simulated;
-      dirty_ = true;  // so the destructor retries if a persist fails
-      ++unsaved_;
+      lines += cache_line(it->first, it->second) + '\n';
     } else {
       ++stats.reused;  // a concurrent fill beat us to this cell
     }
+  }
+  // Warn once: an unwritable cache path silently re-simulates the whole
+  // grid on every invocation, which is worth a diagnostic line.
+  if (!lines.empty() && !append_lines(cache_path_, std::move(lines)) &&
+      !persist_warned_) {
+    persist_warned_ = true;
+    std::fprintf(stderr,
+                 "cdsim: warning: could not persist result cache to "
+                 "\"%s\"; results will be re-simulated next run\n",
+                 cache_path_.c_str());
   }
   return stats;
 }
@@ -517,7 +504,6 @@ MachineResults ExperimentRunner::run_machines(
     prof::HostProfiler::report(stderr);
   }
   std::scoped_lock lock(mu_);
-  if (out.stats.timing_runs != 0) persist_disk_cache_locked();
   out.metrics.reserve(cells.size());
   for (const MachineCell& cell : cells) {
     out.metrics.push_back(cache_.at(cache_key(cell)));
@@ -529,13 +515,8 @@ const RunMetrics& ExperimentRunner::run(const workload::Benchmark& bench,
                                         std::uint64_t total_l2_bytes,
                                         const decay::DecayConfig& technique) {
   const MachineCell cell = grid_cell(bench, total_l2_bytes, technique);
-  const SweepStats stats = fill({cell}, 1);
+  fill({cell}, 1);
   std::scoped_lock lock(mu_);
-  // Throttled incremental persistence: a killed process loses at most the
-  // last few results, without rewriting the file per configuration.
-  if (stats.simulated != 0 && unsaved_ >= kPersistEvery) {
-    persist_disk_cache_locked();
-  }
   return cache_.at(cache_key(cell));
 }
 

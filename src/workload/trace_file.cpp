@@ -7,15 +7,6 @@
 
 namespace cdsim::workload {
 
-std::vector<std::vector<MemOp>> Trace::ops_by_core() const {
-  std::vector<std::vector<MemOp>> per(num_cores);
-  for (const TraceRecord& r : records) {
-    CDSIM_ASSERT(r.core < num_cores);
-    per[r.core].push_back(r.op);
-  }
-  return per;
-}
-
 std::vector<std::uint64_t> Trace::per_core_instructions() const {
   std::vector<std::uint64_t> budget(num_cores, 0);
   for (const TraceRecord& r : records) {

@@ -143,16 +143,4 @@ StreamFactory replay_factory(TraceOpener open) {
   };
 }
 
-StreamFactory streaming_replay_factory(TraceOpener open) {
-  CDSIM_ASSERT(open != nullptr);
-  return [open = std::move(open)](CoreId core,
-                                  std::uint64_t /*seed*/) -> StreamPtr {
-    TraceSourcePtr src = open();
-    CDSIM_ASSERT_MSG(src != nullptr, "trace opener failed");
-    CDSIM_ASSERT_MSG(core < src->num_cores(),
-                     "replay on more cores than the trace recorded");
-    return filtered_replay_stream(std::move(src), core);
-  };
-}
-
 }  // namespace cdsim::workload

@@ -3,6 +3,8 @@
 #include <limits>
 #include <memory>
 
+#include "cdsim/common/hash.hpp"
+
 namespace cdsim::workload {
 
 namespace {
@@ -47,15 +49,6 @@ std::uint64_t get_u64(const std::string& in, std::size_t off) {
          << (8 * i);
   }
   return v;
-}
-
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 void put_varint(std::string& out, std::uint64_t v) {

@@ -1,10 +1,11 @@
 // ExperimentRunner disk-cache behavior: lossless round-trips across
-// processes, graceful handling of corrupt/truncated cache files, atomic
-// (temp + rename) persistence, strict CDSIM_* env parsing, and run_config's
-// CDSIM_VERIFY / CDSIM_VERIFY_TRACE path.
+// processes, graceful handling of corrupt, edited and truncated cache
+// files, the append-only checksummed log, strict CDSIM_* env parsing, and
+// run_config's CDSIM_VERIFY / CDSIM_VERIFY_TRACE path.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "cdsim/common/hash.hpp"
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
 #include "cdsim/workload/benchmarks.hpp"
@@ -35,9 +37,10 @@ decay::DecayConfig protocol() {
 
 // mpeg2enc / 1 MiB / protocol() at kPinInstr as the cache persists it:
 // the key, then every RunMetrics leaf after the labels (kRunMetricsFields
-// order). The payload was captured from the build that introduced cache
-// v5; v6 re-pinned only the key, which now names every machine leaf, and
-// v7 only the key again, which names one machine line_bytes.
+// order), then the line's checksum. The payload was captured from the
+// build that introduced cache v5; v6 re-pinned only the key, which now
+// names every machine leaf, v7 only the key again, which names one machine
+// line_bytes, and v8 only the version tag and the checksum suffix.
 constexpr std::uint64_t kPinInstr = 5'000;
 constexpr const char* kPinnedLine =
     "mpeg2enc/1048576/protocol/num_cores=4;topology=bus;hierarchy=2L;"
@@ -79,7 +82,7 @@ constexpr const char* kPinnedLine =
     "thermal.watts_per_eu_cycle=9;thermal.clock_hz=3e+09;"
     "thermal.sample_period=10000;thermal.lateral_r=4;thermal_feedback=true;"
     "instructions_per_core=5000;per_core_instructions=[];seed=42"
-    "/v7|12481 20008 1.6030766765483535 "
+    "/v8|12481 20008 1.6030766765483535 "
     "0.031380848303483797 0.6739965095986038 2865 1931 0 0 0 0 "
     "108.8975988700565 4.8560211521512695 60608 32142.993739197933 "
     "329.78714193845644 0.45525198301418157 8003.2000000000007 "
@@ -87,7 +90,21 @@ constexpr const char* kPinnedLine =
     "580.55000000000007 207.10253704653357 182.64834195002007 "
     "242.43200000000002 0 0 0 0 0 0 0 0 bus 0 0 0 0 0 2L 0 7860 1605 6255 0 "
     "0 0 1 2865 934 1931 0 0 0 0.031380848303483797 0 0 0 0 0 0 1 flat 0 0 0 "
-    "0 0 0 0 0 0";
+    "0 0 0 0 0 0|699c7b5472c668be";
+
+/// `body` ("<key>|<payload>") as a cache line with a valid checksum.
+std::string checksummed(const std::string& body) {
+  std::array<char, 17> hex{};
+  std::snprintf(hex.data(), hex.size(), "%016llx",
+                static_cast<unsigned long long>(fnv1a(body)));
+  return body + '|' + hex.data();
+}
+
+/// kPinnedLine without its checksum suffix.
+std::string pinned_body() {
+  const std::string line = kPinnedLine;
+  return line.substr(0, line.rfind('|'));
+}
 
 class ExperimentCacheTest : public ::testing::Test {
  protected:
@@ -151,9 +168,11 @@ TEST_F(ExperimentCacheTest, CorruptLinesAreIgnoredAndResimulated) {
     reference = clean.run(bench(), 1 * MiB, protocol());
   }
   // The pinned line with ledger.core_dyn negated: it parses, but energy
-  // only accumulates, so loading it would trip EnergyLedger::add.
+  // only accumulates, so loading it would trip EnergyLedger::add. It and
+  // the line with a token too many carry valid checksums, so deserialize
+  // is what rejects them.
   const std::string core_dyn = " 8003.2000000000007 ";
-  std::string negative = kPinnedLine;
+  std::string negative = pinned_body();
   negative.replace(negative.find(core_dyn), core_dyn.size(), " -1 ");
 
   {
@@ -164,8 +183,8 @@ TEST_F(ExperimentCacheTest, CorruptLinesAreIgnoredAndResimulated) {
         << "|\n"
         << "\n"
         << "\x01\x02\x03|\x04\x05\n"
-        << negative << '\n'
-        << kPinnedLine << " 7\n";  // one token too many
+        << checksummed(negative) << '\n'
+        << checksummed(pinned_body() + " 7") << '\n';  // a token too many
   }
 
   // Loading must not crash, and none of the junk may masquerade as a
@@ -201,22 +220,26 @@ TEST_F(ExperimentCacheTest, TruncatedTailIsIgnored) {
   EXPECT_EQ(reader.run_grid({bench()}, {1 * MiB}, {protocol()}).simulated, 0u);
 }
 
-TEST_F(ExperimentCacheTest, StaleVersionEntriesAreNeitherLoadedNorKept) {
+TEST_F(ExperimentCacheTest, StaleVersionEntriesAreNotLoaded) {
   // The pinned line in the v4 format: v4 key, 14 ledger components (no
-  // DRAM ones) and no memory-side tail. Only the current version loads.
-  std::string v4 = kPinnedLine;
-  v4.replace(v4.find("/v7|"), 4, "/v4|");
+  // DRAM ones), no memory-side tail and no checksum. Only the current
+  // version loads.
+  std::string v4 = pinned_body();
+  v4.replace(v4.find("/v8|"), 4, "/v4|");
   v4.replace(v4.find(" 0 0 bus "), 9, " bus ");
   v4.erase(v4.find(" flat "));
 
   const std::string path = cache_path("stale");
+  std::string v1 = "WATER-NS/1/protocol/50000/v1|1";
+  for (int i = 2; i <= 27; ++i) {
+    v1 += ' ';
+    v1 += std::to_string(i);
+  }
   {
     // Well-formed lines from older cache versions: the payloads parse, but
     // the keys' version tags are not current.
     std::ofstream out(path);
-    out << "WATER-NS/1/protocol/50000/v1|";
-    for (int i = 0; i < 27; ++i) out << (i ? " " : "") << i + 1;
-    out << '\n' << v4 << '\n';
+    out << v1 << '\n' << v4 << '\n';
   }
 
   sim::ExperimentRunner runner(kPinInstr, path);
@@ -226,11 +249,47 @@ TEST_F(ExperimentCacheTest, StaleVersionEntriesAreNeitherLoadedNorKept) {
   EXPECT_EQ(sweep.simulated, 2u);
   EXPECT_EQ(sweep.reused, 0u);
 
-  // ...and the rewritten file must have dropped both.
+  // ...and the file holds them as written, followed by the two appended
+  // current-version lines.
   std::ifstream in(path);
-  for (std::string line; std::getline(in, line);) {
-    EXPECT_TRUE(line.find("/v7|") != std::string::npos) << line;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0], v1);
+  EXPECT_EQ(lines[1], v4);
+  for (std::size_t i = 2; i < lines.size(); ++i) {
+    EXPECT_TRUE(lines[i].find("/v8|") != std::string::npos) << lines[i];
   }
+}
+
+// An edited digit fails the line's checksum: the cell runs again and the
+// true value is served, never the edited one.
+TEST_F(ExperimentCacheTest, EditedLineIsNotServed) {
+  const std::string path = cache_path("edited");
+  sim::RunMetrics truth;
+  {
+    sim::ExperimentRunner writer(kPinInstr, path);
+    truth = writer.run(bench(), 1 * MiB, protocol());
+  }
+  std::string line;
+  {
+    std::ifstream in(path);
+    ASSERT_TRUE(std::getline(in, line));
+  }
+  // The first payload token is the cycle count.
+  char& digit = line[line.find('|') + 1];
+  ASSERT_TRUE(digit >= '1' && digit <= '8') << line;
+  ++digit;
+  std::ofstream(path) << line << '\n';
+
+  sim::ExperimentRunner reader(kPinInstr, path);
+  const sim::SweepStats sweep =
+      reader.run_grid({bench()}, {1 * MiB}, {protocol()});
+  EXPECT_EQ(sweep.simulated, 2u);  // the edited protocol cell ran again
+  EXPECT_EQ(sweep.reused, 0u);
+  EXPECT_EQ(sim::first_difference(truth,
+                                  reader.run(bench(), 1 * MiB, protocol())),
+            "");
 }
 
 // The persisted line, pinned byte for byte: a cache written by any build

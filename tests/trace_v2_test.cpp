@@ -403,7 +403,8 @@ TEST(TraceV2, SeekLandsOnAnyRecordAndResumes) {
 TEST(TraceV2, StreamingReplayIsBitIdenticalToInMemoryReplay) {
   // Capture a hostile run, save as v2, then replay it twice: through the
   // load-it-whole in-memory demux and through the streaming per-core
-  // cursors. Metrics must match bit-for-bit (EXPECT_EQ on doubles).
+  // cursors of a one-program mix. Metrics must match bit-for-bit
+  // (EXPECT_EQ on doubles).
   verify::FuzzScenario sc;
   sc.decay = decay::DecayConfig{decay::Technique::kDecay, 2048, 4};
   sc.seed = 2718;
@@ -422,16 +423,18 @@ TEST(TraceV2, StreamingReplayIsBitIdenticalToInMemoryReplay) {
       verify::replay_scenario(sc, original.trace);
   ASSERT_EQ(in_memory.total_divergences, 0u);
 
-  // Streaming: per-core FilteredReplayStream cursors over the v2 file.
+  // Streaming: sim::plan_mix's per-core filtered_replay_stream cursors
+  // over the v2 file, the path trace_replay takes.
   sim::SystemConfig cfg = sc.system_config();
   cfg.per_core_instructions = original.trace.per_core_instructions();
+  const sim::MixPlan plan = sim::plan_mix(
+      {sim::ProgramSpec{[&path] { return workload::open_trace_source(path); },
+                        "replayab", 1.0}},
+      cfg.num_cores);
   workload::Benchmark bench;
   bench.config.name = sc.label();
   verify::DifferentialChecker checker(cfg.num_cores);
-  sim::CmpSystem sys(cfg, bench,
-                     workload::streaming_replay_factory([&path] {
-                       return workload::open_trace_source(path);
-                     }));
+  sim::CmpSystem sys(cfg, bench, plan.streams);
   sys.set_observer(&checker);
   const sim::RunMetrics streamed = sys.run();
   EXPECT_EQ(checker.total_divergences(), 0u);

@@ -5,9 +5,9 @@
 // the parallel path sound. It deliberately provokes every cross-thread
 // handoff in the sweep engine — slot-indexed result writes published by
 // parallel_for's join, concurrent run() calls on one memo entry, run_grid
-// racing concurrent run() calls, and two runners persisting through the
-// same temp+rename cache file — with small instruction counts so the whole
-// suite stays fast under TSan's ~10x slowdown.
+// racing concurrent run() calls, and four runners appending to one cache
+// file at once — with small instruction counts so the whole suite stays
+// fast under TSan's ~10x slowdown.
 //
 // Build with -DCDSIM_SANITIZE=thread and run this binary: any
 // happens-before edge missing from parallel_for/ExperimentRunner shows up
@@ -19,8 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,33 +158,59 @@ TEST_F(TsanGridTest, GridRacingSerialRunsStaysCoherent) {
             "");
 }
 
-// Two runners sharing one cache FILE, persisting concurrently: temp+rename
-// means readers never observe a torn file, and the merge-on-persist keeps
-// both writers' entries available for a third runner. (Cross-process loss
-// of the newest entries is documented best-effort; corruption never is.)
-TEST_F(TsanGridTest, SharedCacheFileSurvivesConcurrentPersist) {
-  const auto& suite = workload::benchmark_suite();
-  const std::string shared = cache_path("shared");
+// Four runners sharing one cache FILE, each filling its own cells on its
+// own thread at the same time. Every fill appends its lines in one write
+// and nothing rewrites the file, so a fresh runner must reuse every cell,
+// round after round on fresh files, and agree bit for bit with what the
+// writers made.
+TEST_F(TsanGridTest, ConcurrentFillsIntoOneFileLoseNothing) {
+  const workload::Benchmark& bench = workload::benchmark_suite()[0];
   const decay::DecayConfig protocol{decay::Technique::kProtocol, 0, 4};
-  const decay::DecayConfig decay64{decay::Technique::kDecay, 64 * 1024, 4};
+  constexpr std::size_t kRunners = 4;
+  constexpr int kRounds = 4;
 
-  {
-    sim::ExperimentRunner a(kInstr, shared);
-    sim::ExperimentRunner b(kInstr, shared);
-    std::thread ta([&] { a.run(suite[0], 1 * MiB, protocol); });
-    std::thread tb([&] { b.run(suite[0], 1 * MiB, decay64); });
-    ta.join();
-    tb.join();
-  }  // both destructors persist (temp + rename) into the same path
+  // Runner r fills the baseline and protocol cells at 2^r MiB: one timing
+  // run each, all about equally long, so the appends coincide.
+  std::vector<std::vector<sim::MachineCell>> cells(kRunners);
+  std::vector<sim::MachineCell> every;
+  for (std::size_t r = 0; r < kRunners; ++r) {
+    for (const decay::DecayConfig& d : {sim::baseline_config(), protocol}) {
+      sim::SystemConfig cfg = sim::make_system_config(MiB << r, d);
+      cfg.instructions_per_core = kInstr;
+      cells[r].push_back({cfg, &bench});
+      every.push_back(cells[r].back());
+    }
+  }
 
-  // A fresh runner must reuse at least the surviving writer's entries and
-  // agree bit-for-bit with an isolated reference runner on every cell.
-  sim::ExperimentRunner fresh(kInstr, shared);
-  sim::ExperimentRunner reference(kInstr, cache_path("shared_ref"));
-  for (const auto* tech : {&protocol, &decay64}) {
-    EXPECT_EQ(sim::first_difference(fresh.run(suite[0], 1 * MiB, *tech),
-                                    reference.run(suite[0], 1 * MiB, *tech)),
-              "");
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::string shared = cache_path("shared" + std::to_string(round));
+    std::vector<std::unique_ptr<sim::ExperimentRunner>> runners;
+    for (std::size_t r = 0; r < kRunners; ++r) {
+      runners.push_back(
+          std::make_unique<sim::ExperimentRunner>(kInstr, shared));
+    }
+    std::vector<sim::RunMetrics> made(every.size());
+    {
+      std::vector<std::thread> threads;
+      threads.reserve(kRunners);
+      for (std::size_t r = 0; r < kRunners; ++r) {
+        threads.emplace_back([&, r] {
+          const std::vector<sim::RunMetrics> ms =
+              runners[r]->run_machines(cells[r], 1).metrics;
+          std::copy(ms.begin(), ms.end(), made.begin() + 2 * r);
+        });
+      }
+      for (auto& th : threads) th.join();
+    }
+
+    sim::ExperimentRunner fresh(kInstr, shared);
+    const sim::MachineResults read = fresh.run_machines(every, 1);
+    EXPECT_EQ(read.stats.simulated, 0u);
+    EXPECT_EQ(read.stats.reused, every.size());
+    for (std::size_t i = 0; i < every.size(); ++i) {
+      EXPECT_EQ(sim::first_difference(made[i], read.metrics[i]), "") << i;
+    }
   }
 }
 

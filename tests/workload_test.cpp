@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "cdsim/sim/scenario.hpp"
 #include "cdsim/workload/benchmarks.hpp"
 #include "cdsim/workload/scripted.hpp"
 #include "cdsim/workload/synthetic.hpp"
@@ -261,14 +262,18 @@ TEST(Scripted, LoopModeNeverRestamps) {
 
 // --- replay tail ------------------------------------------------------------
 
-/// Both replay factories over one in-memory trace: the shared cursor
-/// demultiplexed per core, and a private cursor per core.
+/// Both production replay paths over one in-memory trace: replay_factory's
+/// shared cursor demultiplexed per core, and sim::plan_mix's private cursor
+/// per core (filtered_replay_stream), the path trace_replay takes.
 std::vector<StreamFactory> replay_factories(Trace trace) {
+  const std::uint32_t cores = trace.num_cores;
   const auto shared = std::make_shared<const Trace>(std::move(trace));
   const TraceOpener open = [shared]() -> TraceSourcePtr {
     return std::make_unique<InMemoryTraceSource>(shared);
   };
-  return {replay_factory(open), streaming_replay_factory(open)};
+  return {replay_factory(open),
+          sim::plan_mix({sim::ProgramSpec{open, "trace", 1.0}}, cores)
+              .streams};
 }
 
 TEST(ReplayTail, HoldsFinalOpOnBothFactories) {
