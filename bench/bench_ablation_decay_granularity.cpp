@@ -16,7 +16,7 @@
 #include "cdsim/workload/benchmarks.hpp"
 #include "figure_common.hpp"
 
-int main() {
+int main() try {
   using namespace cdsim;
   const auto& bench = workload::benchmark_by_name("mpeg2dec");
   sim::ExperimentRunner runner(1500000);
@@ -53,4 +53,8 @@ int main() {
   }
   t.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  // The runner rejects a malformed CDSIM_INSTR or an empty CDSIM_CACHE_FILE.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

@@ -17,7 +17,7 @@
 #include "cdsim/workload/benchmarks.hpp"
 #include "figure_common.hpp"
 
-int main() {
+int main() try {
   using namespace cdsim;
   using decay::Technique;
   const auto& bench = workload::benchmark_by_name("facerec");
@@ -72,4 +72,8 @@ int main() {
                "move the comparison the other way, which is why the paper\n"
                "insists on temperature-dependent leakage.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  // The runner rejects a malformed CDSIM_INSTR or an empty CDSIM_CACHE_FILE.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

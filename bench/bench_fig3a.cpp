@@ -7,8 +7,7 @@
 #include "figure_common.hpp"
 
 int main() {
-  cdsim::bench::print_size_sweep_figure(
+  return cdsim::bench::print_size_sweep_figure(
       "Figure 3(a): L2 occupation rate", "occupation",
       [](const cdsim::sim::RelativeMetrics& r) { return r.occupation; });
-  return 0;
 }

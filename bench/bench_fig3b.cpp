@@ -6,8 +6,7 @@
 #include "figure_common.hpp"
 
 int main() {
-  cdsim::bench::print_size_sweep_figure(
+  return cdsim::bench::print_size_sweep_figure(
       "Figure 3(b): L2 miss rate", "miss_rate",
       [](const cdsim::sim::RelativeMetrics& r) { return r.miss_rate; });
-  return 0;
 }

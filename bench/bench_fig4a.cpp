@@ -7,8 +7,7 @@
 #include "figure_common.hpp"
 
 int main() {
-  cdsim::bench::print_size_sweep_figure(
+  return cdsim::bench::print_size_sweep_figure(
       "Figure 4(a): memory bandwidth increase vs. baseline", "bw_increase",
       [](const cdsim::sim::RelativeMetrics& r) { return r.bw_increase; });
-  return 0;
 }

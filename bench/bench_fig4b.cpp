@@ -6,8 +6,7 @@
 #include "figure_common.hpp"
 
 int main() {
-  cdsim::bench::print_size_sweep_figure(
+  return cdsim::bench::print_size_sweep_figure(
       "Figure 4(b): AMAT increase vs. baseline", "amat_increase",
       [](const cdsim::sim::RelativeMetrics& r) { return r.amat_increase; });
-  return 0;
 }

@@ -7,8 +7,7 @@
 #include "figure_common.hpp"
 
 int main() {
-  cdsim::bench::print_size_sweep_figure(
+  return cdsim::bench::print_size_sweep_figure(
       "Figure 5(a): system energy reduction vs. baseline", "energy",
       [](const cdsim::sim::RelativeMetrics& r) { return r.energy_reduction; });
-  return 0;
 }

@@ -6,8 +6,7 @@
 #include "figure_common.hpp"
 
 int main() {
-  cdsim::bench::print_size_sweep_figure(
+  return cdsim::bench::print_size_sweep_figure(
       "Figure 5(b): IPC loss vs. baseline", "ipc_loss",
       [](const cdsim::sim::RelativeMetrics& r) { return r.ipc_loss; });
-  return 0;
 }

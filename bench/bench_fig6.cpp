@@ -9,7 +9,7 @@
 
 #include "figure_common.hpp"
 
-int main() {
+int main() try {
   using namespace cdsim;
   sim::ExperimentRunner runner;
   const std::uint64_t size = 4 * MiB;
@@ -45,4 +45,8 @@ int main() {
   }
   tb.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  // The runner rejects a malformed CDSIM_INSTR or an empty CDSIM_CACHE_FILE.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

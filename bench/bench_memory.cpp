@@ -34,7 +34,7 @@ constexpr std::uint64_t kTotalL2MiB = 4;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // Read first, so a malformed CDSIM_INSTR exits 1 before the runner.
   const auto env_instr =
       sim::detail::instructions_from_env(120000, "bench_memory");
@@ -108,4 +108,8 @@ int main(int argc, char** argv) {
   }
   std::printf("bench_memory: wrote %s (%zu configs)\n", out, cells.size());
   return 0;
+} catch (const std::invalid_argument& e) {
+  // The runner rejects a malformed CDSIM_INSTR or an empty CDSIM_CACHE_FILE.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -117,10 +118,12 @@ inline bool write_datapoints(const char* tool, const char* path,
 
 /// Prints one paper figure: rows = techniques, columns = total cache sizes
 /// (the paper's BM1/BM2/BM4/BM8 groups), cell = suite-average metric.
-inline void print_size_sweep_figure(
+/// Returns the bench's exit status: 2, after the message, when the runner
+/// rejects a malformed CDSIM_INSTR or an empty CDSIM_CACHE_FILE.
+inline int print_size_sweep_figure(
     const std::string& title, const std::string& metric_name,
     const std::function<double(const sim::RelativeMetrics&)>& metric,
-    int precision = 1) {
+    int precision = 1) try {
   sim::ExperimentRunner runner;
   prefetch_paper_grid(runner);
   std::cout << title << "\n";
@@ -142,6 +145,10 @@ inline void print_size_sweep_figure(
     }
   }
   t.print(std::cout);
+  return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }
 
 }  // namespace cdsim::bench

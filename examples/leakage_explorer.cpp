@@ -30,7 +30,7 @@
 
 using namespace cdsim;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::string bench_name = "VOLREND";
   std::uint64_t size_mb = 4;
   std::uint64_t instr = 1500000;
@@ -145,4 +145,8 @@ int main(int argc, char** argv) {
   std::printf("\nBest Energy-Delay: %s (ED = %.3f of baseline)\n",
               best.c_str(), best_ed);
   return 0;
+} catch (const std::invalid_argument& e) {
+  // The runner rejects a malformed CDSIM_INSTR or an empty CDSIM_CACHE_FILE.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

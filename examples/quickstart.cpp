@@ -9,12 +9,13 @@
 #include <cstdio>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "cdsim/common/table.hpp"
 #include "cdsim/sim/experiment.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cdsim;
 
   std::uint64_t instr = 400000;  // small default: this is a demo
@@ -45,10 +46,16 @@ int main(int argc, char** argv) {
       .cell("L2 miss rate")
       .cell("energy reduction")
       .cell("IPC loss");
-  // One call fills all eight cells: seven timing runs (protocol is a view
-  // of the baseline's) spread over every hardware thread.
+  // One call fills all eight cells on every hardware thread, in at most
+  // seven timing runs: protocol is a view of the baseline's run, and a
+  // decaying technique is served by another one's run when that run ends
+  // before either could turn a line off.
   const std::vector<decay::DecayConfig> techs = sim::paper_technique_set();
-  runner.run_grid({bench}, {size}, techs);
+  const sim::SweepStats sweep = runner.run_grid({bench}, {size}, techs);
+  if (sweep.simulated > 0) {
+    std::fprintf(stderr, "[simulated %zu configurations in %zu timing runs]\n",
+                 sweep.simulated, sweep.timing_runs);
+  }
   for (const auto& tech : techs) {
     const sim::RelativeMetrics r = runner.relative(bench, size, tech);
     t.row()
@@ -60,4 +67,8 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  // The runner rejects a malformed CDSIM_INSTR or an empty CDSIM_CACHE_FILE.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

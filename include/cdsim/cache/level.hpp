@@ -265,8 +265,9 @@ class CacheLevel {
   /// `technique`: the powered-line integral counts the valid lines when
   /// the technique gates them and the whole capacity when it does not.
   /// Nothing else in the snapshot reads the technique, so a level run
-  /// under one config reports every config of its timing class
-  /// (decay::same_timing) exactly as a run under that config would.
+  /// under one config reports every config it agrees with
+  /// (decay::agree_until) exactly as a run under that config would, up to
+  /// the cycle they agree until.
   [[nodiscard]] LevelCounters counters(Cycle now,
                                        decay::Technique technique) const {
     const std::uint64_t capacity = tags_.capacity_lines();

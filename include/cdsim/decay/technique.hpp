@@ -2,7 +2,9 @@
 // The leakage-saving techniques evaluated by the paper (§IV), plus the
 // always-on baseline they are normalized against.
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -18,8 +20,8 @@ enum class Technique : std::uint8_t {
   /// "Turn off on Protocol Invalidation": the valid bit gates Vdd, so a
   /// line is off exactly when it is invalid (cold or protocol-invalidated).
   /// Timing is identical to baseline — no extra misses, ever — so the two
-  /// share a timing class (same_timing) and a Protocol result is booked as
-  /// an accounting view of the baseline's run (sim::AccountingView).
+  /// agree for the whole run (agree_until) and a Protocol result is booked
+  /// as an accounting view of the baseline's run (sim::AccountingView).
   kProtocol,
   /// Fixed-interval cache decay (Kaxiras et al.) on top of the coherence-
   /// safe turn-off primitive: every valid line decays after `decay_time`
@@ -137,12 +139,37 @@ struct DecayConfig {
                                    const DecayConfig&) noexcept = default;
 };
 
-/// Whether a level runs cycle for cycle the same under `a` as under `b`:
-/// the same config, or two techniques that never decay. Baseline and
-/// protocol differ only in which lines the energy books count as powered,
-/// never in what the level does, so they form one timing class.
-constexpr bool same_timing(const DecayConfig& a, const DecayConfig& b) noexcept {
-  return a == b || (!uses_decay(a.technique) && !uses_decay(b.technique));
+/// The cycle no run reaches: agree_until of two configs that never differ.
+inline constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
+/// The first sweep tick at which a level under `d` can switch a line off:
+/// first_expiry_tick(0), since a line touched at or after cycle 0 expires
+/// no sooner. kNever when `d` does not decay, and 0 when it has no tick
+/// period (a config validate_system_config rejects), so a horizon is
+/// never computed by dividing by zero.
+constexpr Cycle first_turnoff(const DecayConfig& d) noexcept {
+  if (!uses_decay(d.technique)) return kNever;
+  return d.tick_period() == 0 ? 0 : d.first_expiry_tick(0);
+}
+
+/// The first cycle at which a level under `a` can act differently from one
+/// under `b`; a machine's is the minimum over its L1, L2 and L3.
+/// - kNever when neither decays or the configs are equal: baseline and
+///   protocol differ only in which lines the energy books count as
+///   powered, never in what the level does, so they form one timing class.
+/// - 0 when exactly one decays: its +1-cycle Gated-Vdd access penalty
+///   (CacheLevel::access_latency) differs from the first access.
+/// - Otherwise the earlier first_turnoff. Until a sweep finds a line
+///   expired, two decaying levels pay the same penalty, and their arming
+///   bits, expiry-wheel registrations and empty sweeps change nothing the
+///   machine does: each is the same penalty machine that never turns a
+///   line off.
+constexpr Cycle agree_until(const DecayConfig& a,
+                            const DecayConfig& b) noexcept {
+  const bool a_decays = uses_decay(a.technique);
+  if (a_decays != uses_decay(b.technique)) return 0;
+  if (!a_decays || a == b) return kNever;
+  return std::min(first_turnoff(a), first_turnoff(b));
 }
 
 }  // namespace cdsim::decay

@@ -8,11 +8,14 @@
 // (§V of the paper). One leakage technique (baseline / protocol / decay /
 // selective decay) drives each level's timing per run; the energy books can
 // be kept under several techniques of that timing class at once
-// (AccountingView).
+// (AccountingView), and under other techniques that agree with the run
+// until some cycle, returned when the run ends before it (candidates).
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -426,11 +429,11 @@ void for_each_config_field(F&& f, C& cfg) {
 [[nodiscard]] std::string describe(const SystemConfig& cfg);
 
 /// One set of energy books kept over a run: the technique each cache level
-/// is accounted under. A view must lie in the run's timing class — every
-/// level's config decay::same_timing with the SystemConfig's — so it
-/// changes what the books charge, never what the machine does, and its
-/// RunMetrics equal a standalone run under the view's configs bit for bit
-/// (DESIGN.md §3b).
+/// is accounted under. A view must lie in the run's timing class — it
+/// agrees with the run's configs for the whole run (agree_until below) —
+/// so it changes what the books charge, never what the machine does, and
+/// its RunMetrics equal a standalone run under the view's configs bit for
+/// bit (DESIGN.md §3b).
 struct AccountingView {
   decay::DecayConfig l1;  ///< In place of SystemConfig::l1_decay.
   decay::DecayConfig l2;  ///< In place of SystemConfig::decay.
@@ -440,6 +443,25 @@ struct AccountingView {
   static AccountingView of(const SystemConfig& cfg) {
     return {cfg.l1_decay, cfg.decay, cfg.l3_decay};
   }
+};
+
+/// The first cycle at which a machine under `a`'s techniques can act
+/// differently from the same machine under `b`'s: decay::agree_until at
+/// each level, the minimum of the three. decay::kNever within a timing
+/// class.
+constexpr Cycle agree_until(const AccountingView& a,
+                            const AccountingView& b) noexcept {
+  return std::min({decay::agree_until(a.l1, b.l1),
+                   decay::agree_until(a.l2, b.l2),
+                   decay::agree_until(a.l3, b.l3)});
+}
+
+/// What CmpSystem::run(views, candidates) returns.
+struct ViewResults {
+  std::vector<RunMetrics> views;  ///< One per view, in order.
+  /// One per candidate, in order: set only when the run ended strictly
+  /// before the candidate's horizon.
+  std::vector<std::optional<RunMetrics>> candidates;
 };
 
 /// Validates a SystemConfig, throwing std::invalid_argument with a message
@@ -471,8 +493,16 @@ class CmpSystem {
   /// Runs the machine once and keeps one set of books per view: one
   /// RunMetrics per view, in order. Throws std::invalid_argument, before
   /// simulating, when `views` is empty or a view is outside the run's
-  /// timing class. Call once (either overload).
+  /// timing class. Call once (any overload).
   std::vector<RunMetrics> run(const std::vector<AccountingView>& views);
+
+  /// run(views), also keeping books for each candidate, a view that may
+  /// lie outside the timing class. A candidate's horizon is agree_until
+  /// of its techniques and the run's; its RunMetrics come back only when
+  /// the run ended strictly before that cycle, and then equal a standalone
+  /// run under the candidate's configs bit for bit (DESIGN.md §3b).
+  ViewResults run(const std::vector<AccountingView>& views,
+                  const std::vector<AccountingView>& candidates);
 
   /// Attaches a differential-verification observer to every component that
   /// reports data movement (L1s, L2s, bus). Must be called before run().
@@ -579,7 +609,7 @@ class CmpSystem {
   std::vector<std::unique_ptr<core::CoreModel>> cores_;
   power::LeakageModel leak_model_;
 
-  /// One per accounting view, opened by run().
+  /// One per accounting view, then one per candidate, opened by run().
   std::vector<Books> books_;
   std::uint32_t cores_done_ = 0;
   bool ran_ = false;

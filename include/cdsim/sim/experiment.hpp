@@ -88,6 +88,14 @@ std::vector<RunMetrics> run_config(const SystemConfig& cfg,
                                    const workload::Benchmark& bench,
                                    std::vector<AccountingView> views);
 
+/// The same run, also keeping books for each candidate view: a candidate's
+/// RunMetrics come back only when the run ended before the candidate's
+/// horizon (CmpSystem::run(views, candidates)).
+ViewResults run_config(const SystemConfig& cfg,
+                       const workload::Benchmark& bench,
+                       std::vector<AccountingView> views,
+                       std::vector<AccountingView> candidates);
+
 /// One cell of an ExperimentRunner fill: a whole machine and the benchmark
 /// it runs.
 struct MachineCell {
@@ -100,7 +108,10 @@ struct SweepStats {
   /// Results this call produced rather than read from the memo map or the
   /// disk cache, accounting views included.
   std::size_t simulated = 0;
-  std::size_t timing_runs = 0;  ///< CmpSystem runs that produced them.
+  /// CmpSystem runs that produced them: a function of the cells, the
+  /// worker count and the end cycles of the runs that may serve
+  /// candidates, never of thread timing.
+  std::size_t timing_runs = 0;
   std::size_t reused = 0;       ///< Served from the memo map / disk cache.
   unsigned workers = 0;         ///< Worker count used (0 when nothing ran).
 };
@@ -138,17 +149,21 @@ class ExperimentRunner {
   /// @param cache_path overrides the disk-cache location when nonempty
   ///        (tests use this for isolated temporary caches); empty = use
   ///        $CDSIM_CACHE_FILE or the default.
+  /// Throws std::invalid_argument, naming the variable, when CDSIM_INSTR is
+  /// set but not a positive decimal count, or CDSIM_CACHE_FILE is set but
+  /// empty.
   explicit ExperimentRunner(std::uint64_t instructions_per_core = 0,
                             std::string cache_path = {});
 
   /// Results for whole machines, one per cell in order: the memoized ones
-  /// read back, the rest made with one simulation per timing class — cells
-  /// of one benchmark whose configs are equal once every level's technique
-  /// that never decays reads as baseline_config() share a run, as
-  /// accounting views — on `workers` threads (0 = one per hardware thread),
-  /// round-robin over the machines. Each config runs as given, its
-  /// instruction budget included. Bit-identical to run_config of each
-  /// cell.
+  /// read back, the rest made with at most one simulation per timing class
+  /// — cells of one benchmark whose configs are equal once every level's
+  /// technique that never decays reads as baseline_config() share a run,
+  /// as accounting views, and a decaying class may be served by another
+  /// class's run that ended before the two could differ (decay::agree_until)
+  /// — on `workers` threads (0 = one per hardware thread), round-robin over
+  /// the machines. Each config runs as given, its instruction budget
+  /// included. Bit-identical to run_config of each cell.
   MachineResults run_machines(const std::vector<MachineCell>& cells,
                               unsigned workers = 0);
 
@@ -194,9 +209,11 @@ class ExperimentRunner {
       const decay::DecayConfig& technique) const;
   /// The one way results are made: drops the cells already memoized (or
   /// listed twice), groups the rest by machine and each machine's by timing
-  /// class, runs one simulation per class on `workers` threads, round-robin
-  /// over the machines, and memoizes the results in cell order, appending
-  /// each new one to the cache file. The one writer of the file.
+  /// class, runs at most one simulation per class on `workers` threads,
+  /// round-robin over the machines — a decaying class may be a candidate
+  /// that its driver's run serves (DESIGN.md §3b) — and memoizes the
+  /// results in cell order, appending each new one to the cache file. The
+  /// one writer of the file.
   SweepStats fill(const std::vector<MachineCell>& cells, unsigned workers);
   void load_disk_cache();
 

@@ -36,20 +36,47 @@ static_assert(!uses_decay(Technique::kProtocol));
 static_assert(gates_invalid_lines(Technique::kProtocol));
 static_assert(!gates_invalid_lines(Technique::kBaseline));
 
-// Timing classes: baseline and protocol share one whatever their unused
-// decay parameters; a decaying config is only in its own.
-static_assert(same_timing(DecayConfig{Technique::kBaseline, 0, 4},
-                          DecayConfig{Technique::kProtocol, 512 * 1024, 0}));
-static_assert(same_timing(DecayConfig{Technique::kDecay, 65536, 4},
-                          DecayConfig{Technique::kDecay, 65536, 4}));
-static_assert(!same_timing(DecayConfig{Technique::kDecay, 65536, 4},
-                           DecayConfig{Technique::kDecay, 131072, 4}));
-static_assert(!same_timing(DecayConfig{Technique::kDecay, 65536, 4},
-                           DecayConfig{Technique::kSelectiveDecay, 65536, 4}));
-static_assert(!same_timing(DecayConfig{Technique::kDecay, 65536, 4},
-                           DecayConfig{Technique::kDecay, 65536, 8}));
-static_assert(!same_timing(DecayConfig{Technique::kBaseline, 0, 4},
-                           DecayConfig{Technique::kDecay, 65536, 4}));
+// Timing classes: baseline and protocol agree for the whole run whatever
+// their unused decay parameters; a decaying config agrees for the whole
+// run only with itself.
+static_assert(agree_until(DecayConfig{Technique::kBaseline, 0, 4},
+                          DecayConfig{Technique::kProtocol, 512 * 1024, 0}) ==
+              kNever);
+static_assert(agree_until(DecayConfig{Technique::kDecay, 65536, 4},
+                          DecayConfig{Technique::kDecay, 65536, 4}) == kNever);
+static_assert(agree_until(DecayConfig{Technique::kDecay, 65536, 4},
+                          DecayConfig{Technique::kDecay, 131072, 4}) != kNever);
+static_assert(agree_until(DecayConfig{Technique::kDecay, 65536, 4},
+                          DecayConfig{Technique::kSelectiveDecay, 65536, 4}) !=
+              kNever);
+static_assert(agree_until(DecayConfig{Technique::kDecay, 65536, 4},
+                          DecayConfig{Technique::kDecay, 65536, 8}) != kNever);
+
+// Exactly one decaying level pays the access penalty from the first cycle.
+static_assert(agree_until(DecayConfig{Technique::kBaseline, 0, 4},
+                          DecayConfig{Technique::kDecay, 65536, 4}) == 0);
+static_assert(agree_until(DecayConfig{Technique::kSelectiveDecay, 65536, 4},
+                          DecayConfig{Technique::kProtocol, 0, 4}) == 0);
+// Two decaying levels agree until the earlier one can turn a line off:
+// its first tick at or after the decay time, in either argument order.
+static_assert(agree_until(DecayConfig{Technique::kDecay, 65536, 4},
+                          DecayConfig{Technique::kSelectiveDecay, 524288, 4}) ==
+              65536);
+static_assert(agree_until(DecayConfig{Technique::kSelectiveDecay, 524288, 4},
+                          DecayConfig{Technique::kDecay, 65536, 4}) == 65536);
+static_assert(agree_until(DecayConfig{Technique::kDecay, 524288, 4},
+                          DecayConfig{Technique::kSelectiveDecay, 524288, 4}) ==
+              524288);
+// 1000 cycles in 3 ticks of 333: the first tick at or after 1000 is 1332.
+static_assert(agree_until(DecayConfig{Technique::kDecay, 1000, 3},
+                          DecayConfig{Technique::kDecay, 2000, 4}) == 1332);
+// A decaying config without a tick period (rejected by validation) agrees
+// with no other decaying config, and its horizon divides by nothing.
+static_assert(first_turnoff(DecayConfig{Technique::kDecay, 65536, 0}) == 0);
+static_assert(agree_until(DecayConfig{Technique::kDecay, 65536, 0},
+                          DecayConfig{Technique::kDecay, 524288, 4}) == 0);
+static_assert(first_turnoff(DecayConfig{Technique::kProtocol, 0, 0}) ==
+              kNever);
 
 // Expiry-wheel registration math: first_expiry_tick is the smallest tick
 // multiple at which expired() holds — the wheel and a full per-tick sweep

@@ -611,29 +611,33 @@ RunMetrics CmpSystem::run() { return run({AccountingView::of(cfg_)}).front(); }
 
 std::vector<RunMetrics> CmpSystem::run(
     const std::vector<AccountingView>& views) {
+  return run(views, {}).views;
+}
+
+ViewResults CmpSystem::run(const std::vector<AccountingView>& views,
+                           const std::vector<AccountingView>& candidates) {
   CDSIM_ASSERT_MSG(!ran_, "CmpSystem::run() may be called once");
   if (views.empty()) {
     throw std::invalid_argument("CmpSystem::run: no accounting view");
   }
+  const AccountingView own = AccountingView::of(cfg_);
   const auto triple = [](const AccountingView& v) {
     return "L1 " + v.l1.label() + " / L2 " + v.l2.label() + " / L3 " +
            v.l3.label();
   };
   for (const AccountingView& v : views) {
-    if (!decay::same_timing(v.l1, cfg_.l1_decay) ||
-        !decay::same_timing(v.l2, cfg_.decay) ||
-        !decay::same_timing(v.l3, cfg_.l3_decay)) {
+    if (agree_until(v, own) != decay::kNever) {
       throw std::invalid_argument(
           "CmpSystem::run: view (" + triple(v) +
-          ") is outside the timing class of the run (" +
-          triple(AccountingView::of(cfg_)) + ")");
+          ") is outside the timing class of the run (" + triple(own) + ")");
     }
   }
   ran_ = true;
   // Every snapshot at cycle 0 is taken before the components start: a
   // core commits its first instructions inside start().
-  books_.reserve(views.size());
+  books_.reserve(views.size() + candidates.size());
   for (const AccountingView& v : views) books_.push_back(open_books(v));
+  for (const AccountingView& v : candidates) books_.push_back(open_books(v));
   if (sampler_ != nullptr) {
     sampler_start_ = snapshot(0, views.front());
     sampler_next_ = sampler_->period();
@@ -673,9 +677,18 @@ std::vector<RunMetrics> CmpSystem::run(
   for (auto& l1 : l1s_) l1->stop();
   for (auto& l2 : l2s_) l2->stop();
   if (l3_ != nullptr) l3_->stop();
-  std::vector<RunMetrics> out;
-  out.reserve(books_.size());
-  for (const Books& b : books_) out.push_back(collect(b, end));
+  ViewResults out;
+  out.views.reserve(views.size());
+  out.candidates.reserve(candidates.size());
+  for (std::size_t i = 0; i < books_.size(); ++i) {
+    if (i < views.size()) {
+      out.views.push_back(collect(books_[i], end));
+    } else if (end < agree_until(books_[i].view, own)) {
+      out.candidates.emplace_back(collect(books_[i], end));
+    } else {
+      out.candidates.emplace_back();  // the run outlived the candidate
+    }
+  }
   return out;
 }
 

@@ -6,12 +6,16 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -58,6 +62,125 @@ std::string masked(const MachineCell& cell, bool all) {
     if (all || !decay::uses_decay(d->technique)) *d = baseline_config();
   }
   return cell.bench->config.name + "/" + describe(cfg);
+}
+
+/// One timing class of a fill: its masked(cell, false) string and the
+/// jobs one run keeps as accounting views.
+using TimingClass = std::pair<std::string, std::vector<std::size_t>>;
+
+/// One machine of a fill: its masked(cell, true) string and its timing
+/// classes in the order they first appear.
+using Machine = std::pair<std::string, std::vector<TimingClass>>;
+
+constexpr std::size_t kAlone = std::numeric_limits<std::size_t>::max();
+
+/// One simulation of a fill, unless a driver's run serves it.
+struct Run {
+  std::vector<std::size_t> jobs;  ///< Its timing class, one view per job.
+  /// The run that may serve this one as a candidate, or kAlone.
+  std::size_t driver = kAlone;
+  std::vector<std::size_t> riders;  ///< The candidates this run carries.
+};
+
+/// Every machine's lists, round-robin: each list's first entry, then each
+/// list's second, and so on.
+template <typename T>
+std::vector<T> round_robin(const std::vector<std::vector<T>>& lists) {
+  std::size_t depth = 0;
+  for (const std::vector<T>& list : lists) depth = std::max(depth, list.size());
+  std::vector<T> out;
+  for (std::size_t k = 0; k < depth; ++k) {
+    for (const std::vector<T>& list : lists) {
+      if (k < list.size()) out.push_back(list[k]);
+    }
+  }
+  return out;
+}
+
+/// The runs of a fill, in the order they go out. Within a machine, a class
+/// rides as a candidate on the run of its driver, with agree_until as its
+/// horizon: of the classes it agrees with for a while (agree_until > 0:
+/// the same levels decay, and each config has a tick period), the one
+/// that can turn a line off latest, the first listed on a tie. A class
+/// that is its own driver leads its own run. First go every machine's
+/// leads, drivers before the others so they finish first, then the
+/// candidates in ascending horizon, the least likely to be served first.
+/// Both go round-robin over the machines: a machine's runs replay one
+/// workload and have about equal footprints, so back to back the workers
+/// would run them side by side and peak memory would be the largest
+/// machine's footprint times the worker count. A candidate among the
+/// first `workers` runs would leave a worker idle while its driver runs,
+/// so it runs unconditionally instead.
+std::vector<Run> plan_runs(const std::vector<Machine>& machines,
+                           const std::vector<const MachineCell*>& jobs,
+                           unsigned workers) {
+  using Slot = std::pair<std::size_t, std::size_t>;  // (machine, class)
+  std::vector<std::vector<Slot>> leads(machines.size());
+  std::vector<std::vector<Slot>> candidates(machines.size());
+  // Per machine and class: the class whose run may serve it (itself when
+  // it leads), and where the class goes out.
+  std::vector<std::vector<std::size_t>> driver(machines.size());
+  std::vector<std::vector<std::size_t>> position(machines.size());
+  for (std::size_t m = 0; m < machines.size(); ++m) {
+    const std::vector<TimingClass>& classes = machines[m].second;
+    std::vector<AccountingView> view;
+    for (const TimingClass& c : classes) {
+      view.push_back(AccountingView::of(jobs[c.second.front()]->config));
+    }
+    const auto turnoff = [&](std::size_t c) {
+      return std::min({decay::first_turnoff(view[c].l1),
+                       decay::first_turnoff(view[c].l2),
+                       decay::first_turnoff(view[c].l3)});
+    };
+    std::vector<Cycle> horizon(classes.size());
+    driver[m].resize(classes.size());
+    position[m].resize(classes.size());
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      // Agreeing for a while is an equivalence, so every class of a group
+      // picks the same driver.
+      std::size_t d = kAlone;
+      for (std::size_t o = 0; o < classes.size(); ++o) {
+        if (agree_until(view[o], view[c]) > 0 &&
+            (d == kAlone || turnoff(o) > turnoff(d))) {
+          d = o;
+        }
+      }
+      driver[m][c] = d;
+      horizon[c] = agree_until(view[d], view[c]);
+    }
+    std::vector<char> drives(classes.size(), 0);
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      if (driver[m][c] != c) {
+        drives[driver[m][c]] = 1;
+        candidates[m].push_back({m, c});
+      }
+    }
+    for (const char first : {1, 0}) {
+      for (std::size_t c = 0; c < classes.size(); ++c) {
+        if (driver[m][c] == c && drives[c] == first) leads[m].push_back({m, c});
+      }
+    }
+    std::stable_sort(candidates[m].begin(), candidates[m].end(),
+                     [&](const Slot& a, const Slot& b) {
+                       return horizon[a.second] < horizon[b.second];
+                     });
+  }
+  std::vector<Slot> order = round_robin(leads);
+  for (const Slot& s : round_robin(candidates)) order.push_back(s);
+
+  std::vector<Run> runs(order.size());
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    const auto [m, c] = order[p];
+    position[m][c] = p;
+    runs[p].jobs = machines[m].second[c].second;
+  }
+  for (std::size_t p = workers; p < order.size(); ++p) {
+    const auto [m, c] = order[p];
+    if (driver[m][c] == c) continue;
+    runs[p].driver = position[m][driver[m][c]];
+    runs[runs[p].driver].riders.push_back(p);
+  }
+  return runs;
 }
 
 /// The payload: every leaf after the labels (the key carries those),
@@ -185,18 +308,29 @@ std::optional<std::uint64_t> parse_positive_u64(const char* s) noexcept {
   return v;
 }
 
-std::optional<std::uint64_t> instructions_from_env(std::uint64_t fallback,
-                                                   const char* who) {
+namespace {
+/// The CDSIM_INSTR budget, else `fallback`; a set value that is not a
+/// positive decimal count throws std::invalid_argument prefixed by `who`.
+std::uint64_t instructions_or_throw(std::uint64_t fallback, const char* who) {
   const char* env = std::getenv("CDSIM_INSTR");
   if (env == nullptr) return fallback;
-  const std::optional<std::uint64_t> v = parse_positive_u64(env);
-  if (!v) {
-    std::fprintf(stderr,
-                 "%s: CDSIM_INSTR=\"%s\" is invalid: expected a positive "
-                 "64-bit decimal instruction count\n",
-                 who, env);
+  if (const std::optional<std::uint64_t> v = parse_positive_u64(env)) {
+    return *v;
   }
-  return v;
+  throw std::invalid_argument(std::string(who) + ": CDSIM_INSTR=\"" + env +
+                              "\" is invalid: expected a positive 64-bit "
+                              "decimal instruction count");
+}
+}  // namespace
+
+std::optional<std::uint64_t> instructions_from_env(std::uint64_t fallback,
+                                                   const char* who) {
+  try {
+    return instructions_or_throw(fallback, who);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return std::nullopt;
+  }
 }
 }  // namespace detail
 
@@ -267,6 +401,13 @@ RunMetrics run_config(const SystemConfig& cfg,
 std::vector<RunMetrics> run_config(const SystemConfig& cfg,
                                    const workload::Benchmark& bench,
                                    std::vector<AccountingView> views) {
+  return run_config(cfg, bench, std::move(views), {}).views;
+}
+
+ViewResults run_config(const SystemConfig& cfg,
+                       const workload::Benchmark& bench,
+                       std::vector<AccountingView> views,
+                       std::vector<AccountingView> candidates) {
   const SystemConfig fixed = normalized_run_config(cfg, bench);
 
   // CDSIM_VERIFY=1: run every configuration against the differential
@@ -318,7 +459,7 @@ std::vector<RunMetrics> run_config(const SystemConfig& cfg,
   CmpSystem sys(fixed, bench, factory);
   verify::DifferentialChecker checker(fixed.num_cores);
   if (verify) sys.set_observer(&checker);
-  std::vector<RunMetrics> ms = sys.run(views);
+  ViewResults ms = sys.run(views, candidates);
   if (writer != nullptr && !writer->finish()) {
     std::fprintf(stderr, "cdsim: CDSIM_VERIFY_TRACE: %s\n",
                  writer->error().c_str());
@@ -336,20 +477,17 @@ std::vector<RunMetrics> run_config(const SystemConfig& cfg,
 }
 
 ExperimentRunner::ExperimentRunner(std::uint64_t instructions_per_core,
-                                   std::string cache_path) {
-  const auto instr = detail::instructions_from_env(instructions_per_core,
-                                                   "cdsim");
-  if (!instr) std::abort();
-  instructions_ = *instr;
+                                   std::string cache_path)
+    : instructions_(detail::instructions_or_throw(instructions_per_core,
+                                                  "cdsim")) {
   if (instructions_ == 0) instructions_ = SystemConfig{}.instructions_per_core;
   if (!cache_path.empty()) {
     cache_path_ = std::move(cache_path);
   } else if (const char* path = std::getenv("CDSIM_CACHE_FILE")) {
     if (*path == '\0') {
-      std::fprintf(stderr,
-                   "cdsim: CDSIM_CACHE_FILE is set but empty: expected a "
-                   "cache file path (unset it to use the default)\n");
-      std::abort();
+      throw std::invalid_argument(
+          "cdsim: CDSIM_CACHE_FILE is set but empty: expected a cache file "
+          "path (unset it to use the default)");
     }
     cache_path_ = path;
   } else {
@@ -381,22 +519,10 @@ SweepStats ExperimentRunner::fill(const std::vector<MachineCell>& cells,
                                   unsigned workers) {
   SweepStats stats;
   std::vector<const MachineCell*> jobs;
-  // One simulation per timing class: the jobs that share it, every one an
-  // accounting view of the run of the first. Run order: every machine's
-  // first simulation, then every machine's second, and so on. A machine's
-  // runs replay one workload, so their memory footprints are about equal;
-  // back to back, the workers would run them side by side, and peak memory
-  // would be the largest machine's footprint times the worker count.
-  // Interleaved, the simulations in flight come from different machines.
-  std::vector<std::vector<std::size_t>> runs;
+  std::vector<Machine> machines;
   {
     std::scoped_lock lock(mu_);
     std::set<std::string> listed;
-    // Per machine (masked(cell, true)), its timing classes
-    // (masked(cell, false)) in the order they first appear.
-    using Classes =
-        std::vector<std::pair<std::string, std::vector<std::size_t>>>;
-    std::vector<std::pair<std::string, Classes>> machines;
     for (const MachineCell& cell : cells) {
       const std::string key = cache_key(cell);
       if (!listed.insert(key).second) continue;  // listed twice
@@ -408,7 +534,8 @@ SweepStats ExperimentRunner::fill(const std::vector<MachineCell>& cells,
       auto machine = std::find_if(machines.begin(), machines.end(),
                                   [&](const auto& m) { return m.first == id; });
       if (machine == machines.end()) {
-        machine = machines.emplace(machines.end(), id, Classes{});
+        machine = machines.emplace(machines.end(), id,
+                                   std::vector<TimingClass>{});
       }
       const std::string timing = masked(cell, false);
       auto run = std::find_if(machine->second.begin(), machine->second.end(),
@@ -420,44 +547,73 @@ SweepStats ExperimentRunner::fill(const std::vector<MachineCell>& cells,
       run->second.push_back(jobs.size());
       jobs.push_back(&cell);
     }
-    std::size_t depth = 0;
-    for (const auto& m : machines) depth = std::max(depth, m.second.size());
-    for (std::size_t k = 0; k < depth; ++k) {
-      for (auto& m : machines) {
-        if (k < m.second.size()) runs.push_back(std::move(m.second[k].second));
-      }
-    }
   }
   if (jobs.empty()) return stats;
 
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
   stats.workers = workers;
-  stats.timing_runs = runs.size();
-  // Each simulation writes only its own jobs' slots; the merge below runs
-  // in job order under the lock, so the memo map and the cache file are
-  // independent of thread scheduling. Each run seeds from its own config
-  // alone (run_config derives the seed), and a view's books are kept
+  const std::vector<Run> runs = plan_runs(machines, jobs, workers);
+  // Each simulation writes only its own jobs' slots, and a driver those of
+  // the candidates it served; the merge below runs in job order under the
+  // lock, so the memo map and the cache file are independent of thread
+  // scheduling. Each run seeds from its own config alone (run_config
+  // derives the seed), and a view's or a served candidate's books are kept
   // exactly as its standalone run keeps them, so the merge is
   // bit-identical to running every cell by itself.
   //
-  // Happens-before: the results[] stores of every worker -> parallel_for's
-  // join -> the reads of results[] in the merge below. No slot is written
-  // by two threads, so the join is the only edge needed.
+  // Happens-before: a driver's results[] and served[] stores -> its
+  // finished[] count_down -> the wait of each candidate it carries, which
+  // then reads served[] and, unserved, writes its own slots. Every store
+  // -> parallel_for's join -> the merge's reads. A candidate waits only on
+  // a run listed before it, which a worker has already taken, so a wait
+  // always ends.
   std::vector<RunMetrics> results(jobs.size());
-  parallel_for(runs.size(), workers, [&](std::size_t r) {
-    const std::vector<std::size_t>& ids = runs[r];
-    const MachineCell& lead = *jobs[ids.front()];
+  std::vector<char> served(runs.size(), 0);
+  std::deque<std::latch> finished;
+  for (std::size_t r = 0; r < runs.size(); ++r) finished.emplace_back(1);
+  const auto simulate = [&](std::size_t r) {
+    const Run& run = runs[r];
     std::vector<AccountingView> views;
-    views.reserve(ids.size());
-    for (const std::size_t i : ids) {
+    std::vector<AccountingView> candidates;
+    for (const std::size_t i : run.jobs) {
       views.push_back(AccountingView::of(jobs[i]->config));
     }
-    std::vector<RunMetrics> ms =
-        run_config(lead.config, *lead.bench, std::move(views));
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      results[ids[k]] = std::move(ms[k]);
+    for (const std::size_t c : run.riders) {
+      for (const std::size_t i : runs[c].jobs) {
+        candidates.push_back(AccountingView::of(jobs[i]->config));
+      }
     }
+    const MachineCell& lead = *jobs[run.jobs.front()];
+    ViewResults ms = run_config(lead.config, *lead.bench, std::move(views),
+                                std::move(candidates));
+    for (std::size_t k = 0; k < run.jobs.size(); ++k) {
+      results[run.jobs[k]] = std::move(ms.views[k]);
+    }
+    std::size_t k = 0;
+    for (const std::size_t c : run.riders) {
+      // A rider's views share one horizon: all are served, or none.
+      served[c] = ms.candidates[k].has_value() ? 1 : 0;
+      for (const std::size_t i : runs[c].jobs) {
+        if (served[c] != 0) results[i] = std::move(*ms.candidates[k]);
+        ++k;
+      }
+    }
+  };
+  parallel_for(runs.size(), workers, [&](std::size_t r) {
+    if (runs[r].driver != kAlone) {
+      finished[runs[r].driver].wait();
+      if (served[r] != 0) return;
+    }
+    try {
+      simulate(r);
+    } catch (...) {
+      finished[r].count_down();  // a failed driver serves nobody
+      throw;
+    }
+    finished[r].count_down();
   });
+  stats.timing_runs = runs.size() - static_cast<std::size_t>(std::count(
+                                        served.begin(), served.end(), 1));
 
   // Happens-before: this mu_ acquire pairs with the release in any
   // concurrent fill that inserted one of our cells while we simulated —

@@ -4,7 +4,10 @@
 // views of one run, produces RunMetrics bit-identical to running the same
 // configurations serially through ExperimentRunner::run(). Also the views
 // themselves: they reproduce the three-level golden pins of other
-// techniques, and a view outside the run's timing class is rejected.
+// techniques, and a view outside the run's timing class is rejected. And
+// candidates: a decaying class is served by its driver's run only when
+// that run ends before the two could differ, and a failing driver
+// releases the candidates waiting on it.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -179,7 +183,7 @@ TEST_F(ParallelRunnerTest, GridDeduplicatesRepeatedCells) {
 }
 
 // The whole paper grid at a short budget: every one of the 192 cells from
-// 168 timing runs equals its serial run() on all 75 leaves.
+// 58 timing runs equals its serial run() on all 75 leaves.
 TEST_F(ParallelRunnerTest, PaperGridFromTimingRunsMatchesSerialRuns) {
   constexpr std::uint64_t kGridInstr = 20'000;
   const auto& suite = workload::benchmark_suite();
@@ -189,7 +193,11 @@ TEST_F(ParallelRunnerTest, PaperGridFromTimingRunsMatchesSerialRuns) {
   sim::ExperimentRunner parallel(kGridInstr, cache_path("parallel"));
   const sim::SweepStats sweep = parallel.run_grid(suite, sizes, techs, 4);
   EXPECT_EQ(sweep.simulated, 192u);   // 6 presets x 4 sizes x (7 + 1)
-  EXPECT_EQ(sweep.timing_runs, 168u); // protocol rides on the baseline
+  // Protocol rides on the baseline, and the five other decaying techniques
+  // ride on decay512K's run as candidates. Those 24 runs end before 64K
+  // cycles on every machine but five (facerec at every size, FMM at 2 MB),
+  // whose two 64K candidates run on their own: 24 x 2 + 5 x 2.
+  EXPECT_EQ(sweep.timing_runs, 58u);
   EXPECT_EQ(sweep.reused, 0u);
 
   std::vector<decay::DecayConfig> cells{sim::baseline_config()};
@@ -293,6 +301,107 @@ TEST_F(ParallelRunnerTest, MachinesThatDifferInOneLeafRunApart) {
   std::size_t lines = 0;
   for (std::string line; std::getline(in, line);) ++lines;
   EXPECT_EQ(lines, 3u);
+}
+
+// One 4 MB bus machine at 250K instr/core, where the decaying runs end
+// between 128K and 512K cycles. Carried by decay512K's run, sel_decay512K
+// is served and equals its standalone run; the 64K and 128K candidates are
+// outlived and come back empty. Through the runner the eight cells take six
+// timing runs, or seven when every class gets a worker of its own.
+TEST_F(ParallelRunnerTest, CandidatesAreServedOnlyBeforeTheirHorizon) {
+  constexpr std::uint64_t kInstr250K = 250'000;
+  const workload::Benchmark& fmm = workload::benchmark_by_name("FMM");
+  const auto techs = sim::paper_technique_set();
+  const auto machine = [](const decay::DecayConfig& d) {
+    sim::SystemConfig cfg = sim::make_system_config(4 * MiB, d);
+    cfg.instructions_per_core = kInstr250K;
+    return cfg;
+  };
+  ASSERT_EQ(techs[1].label(), "decay512K");
+  std::vector<sim::AccountingView> candidates;
+  for (std::size_t t = 2; t < techs.size(); ++t) {
+    candidates.push_back(sim::AccountingView::of(machine(techs[t])));
+  }
+  const sim::ViewResults ms =
+      sim::run_config(machine(techs[1]), fmm,
+                      {sim::AccountingView::of(machine(techs[1]))}, candidates);
+  ASSERT_EQ(ms.views.size(), 1u);
+  ASSERT_EQ(ms.candidates.size(), 5u);
+  EXPECT_GT(ms.views[0].cycles, 128u * 1024);
+  EXPECT_LT(ms.views[0].cycles, 512u * 1024);
+  for (std::size_t t = 2; t < techs.size(); ++t) {
+    SCOPED_TRACE(techs[t].label());
+    const std::optional<sim::RunMetrics>& m = ms.candidates[t - 2];
+    ASSERT_EQ(m.has_value(), techs[t].decay_time == 512u * 1024);
+    if (m) {
+      EXPECT_EQ(sim::first_difference(*m, sim::run_config(machine(techs[t]),
+                                                          fmm)),
+                "");
+    }
+  }
+
+  std::vector<decay::DecayConfig> cells{sim::baseline_config()};
+  cells.insert(cells.end(), techs.begin(), techs.end());
+  sim::ExperimentRunner serial(kInstr250K, cache_path("serial"));
+  // One worker: every candidate waits for its driver. Four: the 64K pair
+  // fills the first wave's idle workers, outlived either way. Eight: each
+  // of the seven classes runs at once, as with no candidates at all.
+  for (const auto& [workers, runs] :
+       {std::pair<unsigned, std::size_t>{1, 6}, {4, 6}, {8, 7}}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    sim::ExperimentRunner parallel(
+        kInstr250K, cache_path("parallel" + std::to_string(workers)));
+    const sim::SweepStats sweep =
+        parallel.run_grid({fmm}, {4 * MiB}, techs, workers);
+    EXPECT_EQ(sweep.simulated, 8u);
+    EXPECT_EQ(sweep.timing_runs, runs);
+    for (const auto& tech : cells) {
+      SCOPED_TRACE(tech.label());
+      EXPECT_EQ(sim::first_difference(serial.run(fmm, 4 * MiB, tech),
+                                      parallel.run(fmm, 4 * MiB, tech)),
+                "");
+    }
+  }
+}
+
+// An invalid decaying cell still fails by name: its horizon is 0, so it
+// rides on no run and none rides on it. A machine no class can build fails
+// in its driver, which releases the candidates waiting on it; each then
+// runs on its own and fails too, and the fill rethrows.
+TEST_F(ParallelRunnerTest, InvalidCellsFailByNameAndReleaseTheirCandidates) {
+  const workload::Benchmark& bench = workload::benchmark_suite().front();
+  using decay::Technique;
+  const std::vector<decay::DecayConfig> techs{
+      sim::baseline_config(),
+      {Technique::kDecay, 512 * 1024, 4},
+      {Technique::kDecay, 64 * 1024, 0},  // no tick period
+      {Technique::kSelectiveDecay, 512 * 1024, 4},
+      {Technique::kSelectiveDecay, 128 * 1024, 4}};
+  const auto cells_of = [&](std::uint32_t num_cores) {
+    std::vector<sim::MachineCell> cells;
+    for (const decay::DecayConfig& d : techs) {
+      sim::SystemConfig cfg = sim::make_system_config(1 * MiB, d);
+      cfg.instructions_per_core = 2'000;
+      cfg.num_cores = num_cores;
+      cells.push_back({cfg, &bench});
+    }
+    return cells;
+  };
+  for (const unsigned workers : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    sim::ExperimentRunner runner(0, cache_path(std::to_string(workers)));
+    try {
+      runner.run_machines(cells_of(4), workers);
+      ADD_FAILURE() << "no exception for hierarchical_ticks = 0";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("hierarchical_ticks"),
+                std::string::npos)
+          << e.what();
+    }
+    // 65 cores: no machine of these cells can be built.
+    EXPECT_THROW(runner.run_machines(cells_of(65), workers),
+                 std::invalid_argument);
+  }
 }
 
 // Rows 3 and 2 of GoldenMetricsTest.ThreeLevelConfigIsPinned, each kept as

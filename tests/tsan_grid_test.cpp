@@ -4,10 +4,11 @@
 // bit-identical); this suite pins the *synchronization* contract that makes
 // the parallel path sound. It deliberately provokes every cross-thread
 // handoff in the sweep engine — slot-indexed result writes published by
-// parallel_for's join, concurrent run() calls on one memo entry, run_grid
-// racing concurrent run() calls, and four runners appending to one cache
-// file at once — with small instruction counts so the whole suite stays
-// fast under TSan's ~10x slowdown.
+// parallel_for's join, candidates waiting on their drivers' latches,
+// concurrent run() calls on one memo entry, run_grid racing concurrent
+// run() calls, and four runners appending to one cache file at once — with
+// small instruction counts so the whole suite stays fast under TSan's ~10x
+// slowdown.
 //
 // Build with -DCDSIM_SANITIZE=thread and run this binary: any
 // happens-before edge missing from parallel_for/ExperimentRunner shows up
@@ -89,6 +90,42 @@ TEST_F(TsanGridTest, ParallelGridMatchesSerialUnderInstrumentation) {
                                         parallel.run(bench, bytes, *tech)),
                   "");
       }
+    }
+  }
+}
+
+// Candidates waiting on their drivers: two machines on four workers, so
+// the four leads (two drivers, two baselines) fill the first wave and every
+// candidate waits on its driver's latch. The 512K candidates are served by
+// the driver's run, written by the driver's thread and read after the
+// candidate's wait; the 4K ones are outlived, run on their own and write
+// their own slots. Every cell equals its serial run.
+TEST_F(TsanGridTest, CandidatesWaitingOnDriversMatchSerial) {
+  const auto& suite = workload::benchmark_suite();
+  const std::vector<workload::Benchmark> benches{suite[0], suite[2]};
+  const std::vector<std::uint64_t> sizes{1 * MiB};
+  using decay::Technique;
+  const std::vector<decay::DecayConfig> techs{
+      {Technique::kDecay, 512 * 1024, 4},
+      {Technique::kSelectiveDecay, 512 * 1024, 4},
+      {Technique::kDecay, 4 * 1024, 4},
+      {Technique::kSelectiveDecay, 4 * 1024, 4},
+  };
+
+  sim::ExperimentRunner serial(kInstr, cache_path("serial"));
+  sim::ExperimentRunner parallel(kInstr, cache_path("parallel"));
+  const sim::SweepStats sweep = parallel.run_grid(benches, sizes, techs, 4);
+  EXPECT_EQ(sweep.simulated, 10u);    // 2 machines x (4 techniques + base)
+  EXPECT_EQ(sweep.timing_runs, 8u);   // sel_decay512K served on both
+
+  std::vector<decay::DecayConfig> cells{sim::baseline_config()};
+  cells.insert(cells.end(), techs.begin(), techs.end());
+  for (const auto& bench : benches) {
+    for (const auto& tech : cells) {
+      SCOPED_TRACE(bench.config.name + "/" + tech.label());
+      EXPECT_EQ(sim::first_difference(serial.run(bench, 1 * MiB, tech),
+                                      parallel.run(bench, 1 * MiB, tech)),
+                "");
     }
   }
 }
