@@ -246,7 +246,10 @@ int main(int argc, char** argv) {
   if (mf.cores == 0 && programs.size() == 1) {
     std::string err;
     const auto probe = workload::open_trace_source(paths[0], &err);
-    if (probe == nullptr) return 1;
+    if (probe == nullptr) {
+      std::fprintf(stderr, "trace_replay: %s\n", err.c_str());
+      return 1;
+    }
     mf.cores = probe->num_cores();
   }
   const std::uint32_t cores = mf.effective_cores();

@@ -7,9 +7,9 @@
 // sampled every 10K cycles feeding a temperature-dependent leakage model
 // (§V of the paper). One leakage technique (baseline / protocol / decay /
 // selective decay) drives each level's timing per run; the energy books can
-// be kept under several techniques of that timing class at once
-// (AccountingView), and under other techniques that agree with the run
-// until some cycle, returned when the run ends before it (candidates).
+// be kept under several techniques at once (AccountingView), each returned
+// when the run ends before the first cycle at which the machine could act
+// differently under it (always, within the run's timing class).
 
 #include <algorithm>
 #include <array>
@@ -429,10 +429,10 @@ void for_each_config_field(F&& f, C& cfg) {
 [[nodiscard]] std::string describe(const SystemConfig& cfg);
 
 /// One set of energy books kept over a run: the technique each cache level
-/// is accounted under. A view must lie in the run's timing class — it
-/// agrees with the run's configs for the whole run (agree_until below) —
-/// so it changes what the books charge, never what the machine does, and
-/// its RunMetrics equal a standalone run under the view's configs bit for
+/// is accounted under. Until its horizon, agree_until (below) of the view
+/// and the run's configs, the view changes what the books charge, never
+/// what the machine does, so a run that ends before the horizon yields
+/// RunMetrics equal to a standalone run under the view's configs bit for
 /// bit (DESIGN.md §3b).
 struct AccountingView {
   decay::DecayConfig l1;  ///< In place of SystemConfig::l1_decay.
@@ -455,14 +455,6 @@ constexpr Cycle agree_until(const AccountingView& a,
                    decay::agree_until(a.l2, b.l2),
                    decay::agree_until(a.l3, b.l3)});
 }
-
-/// What CmpSystem::run(views, candidates) returns.
-struct ViewResults {
-  std::vector<RunMetrics> views;  ///< One per view, in order.
-  /// One per candidate, in order: set only when the run ended strictly
-  /// before the candidate's horizon.
-  std::vector<std::optional<RunMetrics>> candidates;
-};
 
 /// Validates a SystemConfig, throwing std::invalid_argument with a message
 /// that names the field on misconfiguration: each leaf's FieldRule where its
@@ -490,19 +482,14 @@ class CmpSystem {
   /// overload below, keeping AccountingView::of(config()). Call once.
   RunMetrics run();
 
-  /// Runs the machine once and keeps one set of books per view: one
-  /// RunMetrics per view, in order. Throws std::invalid_argument, before
-  /// simulating, when `views` is empty or a view is outside the run's
-  /// timing class. Call once (any overload).
-  std::vector<RunMetrics> run(const std::vector<AccountingView>& views);
-
-  /// run(views), also keeping books for each candidate, a view that may
-  /// lie outside the timing class. A candidate's horizon is agree_until
-  /// of its techniques and the run's; its RunMetrics come back only when
-  /// the run ended strictly before that cycle, and then equal a standalone
-  /// run under the candidate's configs bit for bit (DESIGN.md §3b).
-  ViewResults run(const std::vector<AccountingView>& views,
-                  const std::vector<AccountingView>& candidates);
+  /// Runs the machine once and keeps one set of books per view. Returns
+  /// one entry per view, in order, set exactly when the run ended strictly
+  /// before the view's horizon, agree_until(view, AccountingView::of(
+  /// config())): always for a view in the run's timing class, never for
+  /// one at horizon 0. Throws std::invalid_argument, before simulating,
+  /// when `views` is empty. Call once (either overload).
+  std::vector<std::optional<RunMetrics>> run(
+      const std::vector<AccountingView>& views);
 
   /// Attaches a differential-verification observer to every component that
   /// reports data movement (L1s, L2s, bus). Must be called before run().
@@ -609,7 +596,7 @@ class CmpSystem {
   std::vector<std::unique_ptr<core::CoreModel>> cores_;
   power::LeakageModel leak_model_;
 
-  /// One per accounting view, then one per candidate, opened by run().
+  /// One per accounting view, opened by run().
   std::vector<Books> books_;
   std::uint32_t cores_done_ = 0;
   bool ran_ = false;

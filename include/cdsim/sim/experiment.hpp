@@ -80,21 +80,13 @@ SystemConfig normalized_run_config(const SystemConfig& cfg,
 RunMetrics run_config(const SystemConfig& cfg,
                       const workload::Benchmark& bench);
 
-/// Runs one configuration once and returns one RunMetrics per accounting
-/// view (CmpSystem::run), each equal to run_config under the view's
-/// techniques. Throws std::invalid_argument for a view outside the timing
-/// class.
-std::vector<RunMetrics> run_config(const SystemConfig& cfg,
-                                   const workload::Benchmark& bench,
-                                   std::vector<AccountingView> views);
-
-/// The same run, also keeping books for each candidate view: a candidate's
-/// RunMetrics come back only when the run ended before the candidate's
-/// horizon (CmpSystem::run(views, candidates)).
-ViewResults run_config(const SystemConfig& cfg,
-                       const workload::Benchmark& bench,
-                       std::vector<AccountingView> views,
-                       std::vector<AccountingView> candidates);
+/// Runs one configuration once and keeps books for each accounting view
+/// (CmpSystem::run): one entry per view, in order, set when the run ended
+/// before the view's horizon and then equal to run_config under the view's
+/// techniques.
+std::vector<std::optional<RunMetrics>> run_config(
+    const SystemConfig& cfg, const workload::Benchmark& bench,
+    const std::vector<AccountingView>& views);
 
 /// One cell of an ExperimentRunner fill: a whole machine and the benchmark
 /// it runs.
@@ -109,8 +101,8 @@ struct SweepStats {
   /// disk cache, accounting views included.
   std::size_t simulated = 0;
   /// CmpSystem runs that produced them: a function of the cells, the
-  /// worker count and the end cycles of the runs that may serve
-  /// candidates, never of thread timing.
+  /// worker count and the end cycles of the runs that may serve riders,
+  /// never of thread timing.
   std::size_t timing_runs = 0;
   std::size_t reused = 0;       ///< Served from the memo map / disk cache.
   unsigned workers = 0;         ///< Worker count used (0 when nothing ran).
@@ -157,13 +149,13 @@ class ExperimentRunner {
 
   /// Results for whole machines, one per cell in order: the memoized ones
   /// read back, the rest made with at most one simulation per timing class
-  /// — cells of one benchmark whose configs are equal once every level's
-  /// technique that never decays reads as baseline_config() share a run,
-  /// as accounting views, and a decaying class may be served by another
-  /// class's run that ended before the two could differ (decay::agree_until)
-  /// — on `workers` threads (0 = one per hardware thread), round-robin over
-  /// the machines. Each config runs as given, its instruction budget
-  /// included. Bit-identical to run_config of each cell.
+  /// — cells of one machine whose techniques agree for the whole run
+  /// (sim::agree_until) share a run, as accounting views, and a decaying
+  /// class may be served by another class's run that ended before the two
+  /// could differ — on `workers` threads (0 = one per hardware thread),
+  /// round-robin over the machines. Each config runs as given, its
+  /// instruction budget included. Bit-identical to run_config of each
+  /// cell.
   MachineResults run_machines(const std::vector<MachineCell>& cells,
                               unsigned workers = 0);
 
@@ -210,8 +202,8 @@ class ExperimentRunner {
   /// The one way results are made: drops the cells already memoized (or
   /// listed twice), groups the rest by machine and each machine's by timing
   /// class, runs at most one simulation per class on `workers` threads,
-  /// round-robin over the machines — a decaying class may be a candidate
-  /// that its driver's run serves (DESIGN.md §3b) — and memoizes the
+  /// round-robin over the machines — a decaying class may ride on its
+  /// driver's run as extra views (DESIGN.md §3b) — and memoizes the
   /// results in cell order, appending each new one to the cache file. The
   /// one writer of the file.
   SweepStats fill(const std::vector<MachineCell>& cells, unsigned workers);

@@ -6,18 +6,18 @@
 // 168 independent simulations: one per timing class of each (benchmark,
 // size) cell, where baseline and protocol share a class and come from one
 // run as two accounting views (decay::agree_until, sim::AccountingView).
-// A decaying class may also be served by the run of its cell's driver,
-// decay512K, when that run ends before the two could differ: 58 runs at
-// 20K instr/core. ExperimentRunner fills the grid with one parallel_for
-// index per simulation, unbatched: an index is a whole simulation, so
-// handing it out is noise, while batching several per index left workers
-// idle at the end of a sweep. The runner lists the drivers and other leads
-// first and the candidates after them, each round-robin over the
-// (benchmark, size) cells, so the simulations in flight at once come from
-// different cells and peak memory does not stack one cell's footprint per
-// worker. A candidate waits on its driver's latch, which a worker that
-// took an earlier index counts down, so fn may block on an earlier index
-// but never on a later one. Which worker runs which index never reaches a
+// A decaying class may also ride on the run of its cell's driver,
+// decay512K, as more views, which come back when that run ends before the
+// two could differ: 58 runs at 20K instr/core. ExperimentRunner fills the
+// grid with one parallel_for index per simulation, unbatched: an index is
+// a whole simulation, so handing it out is noise, while batching several
+// per index left workers idle at the end of a sweep. The runner lists the
+// drivers and other leads first and the riders after them, each
+// round-robin over the (benchmark, size) cells, so the simulations in
+// flight at once come from different cells and peak memory does not stack
+// one cell's footprint per worker. A rider waits on its driver's latch,
+// which a worker that took an earlier index counts down, so fn may block
+// on an earlier index but never on a later one. Which worker runs which index never reaches a
 // result. The determinism contract is that a configuration's result
 // depends only on its own (benchmark, size, technique, instructions)
 // description — deterministic per-cell Xoshiro256 seeding, no shared

@@ -607,37 +607,21 @@ void CmpSystem::sample_books(Books& b, Cycle upto) {
   }
 }
 
-RunMetrics CmpSystem::run() { return run({AccountingView::of(cfg_)}).front(); }
-
-std::vector<RunMetrics> CmpSystem::run(
-    const std::vector<AccountingView>& views) {
-  return run(views, {}).views;
+RunMetrics CmpSystem::run() {
+  return *run({AccountingView::of(cfg_)}).front();
 }
 
-ViewResults CmpSystem::run(const std::vector<AccountingView>& views,
-                           const std::vector<AccountingView>& candidates) {
+std::vector<std::optional<RunMetrics>> CmpSystem::run(
+    const std::vector<AccountingView>& views) {
   CDSIM_ASSERT_MSG(!ran_, "CmpSystem::run() may be called once");
   if (views.empty()) {
     throw std::invalid_argument("CmpSystem::run: no accounting view");
   }
-  const AccountingView own = AccountingView::of(cfg_);
-  const auto triple = [](const AccountingView& v) {
-    return "L1 " + v.l1.label() + " / L2 " + v.l2.label() + " / L3 " +
-           v.l3.label();
-  };
-  for (const AccountingView& v : views) {
-    if (agree_until(v, own) != decay::kNever) {
-      throw std::invalid_argument(
-          "CmpSystem::run: view (" + triple(v) +
-          ") is outside the timing class of the run (" + triple(own) + ")");
-    }
-  }
   ran_ = true;
   // Every snapshot at cycle 0 is taken before the components start: a
   // core commits its first instructions inside start().
-  books_.reserve(views.size() + candidates.size());
+  books_.reserve(views.size());
   for (const AccountingView& v : views) books_.push_back(open_books(v));
-  for (const AccountingView& v : candidates) books_.push_back(open_books(v));
   if (sampler_ != nullptr) {
     sampler_start_ = snapshot(0, views.front());
     sampler_next_ = sampler_->period();
@@ -677,16 +661,13 @@ ViewResults CmpSystem::run(const std::vector<AccountingView>& views,
   for (auto& l1 : l1s_) l1->stop();
   for (auto& l2 : l2s_) l2->stop();
   if (l3_ != nullptr) l3_->stop();
-  ViewResults out;
-  out.views.reserve(views.size());
-  out.candidates.reserve(candidates.size());
+  const AccountingView own = AccountingView::of(cfg_);
+  std::vector<std::optional<RunMetrics>> out(books_.size());
   for (std::size_t i = 0; i < books_.size(); ++i) {
-    if (i < views.size()) {
-      out.views.push_back(collect(books_[i], end));
-    } else if (end < agree_until(books_[i].view, own)) {
-      out.candidates.emplace_back(collect(books_[i], end));
-    } else {
-      out.candidates.emplace_back();  // the run outlived the candidate
+    // A view whose machine could have acted differently by now has books
+    // no run of its own would keep: it comes back empty.
+    if (end < agree_until(books_[i].view, own)) {
+      out[i] = collect(books_[i], end);
     }
   }
   return out;

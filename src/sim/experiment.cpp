@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -52,24 +53,19 @@ std::string cache_key(const MachineCell& cell) {
          kCacheVersion;
 }
 
-/// `cell` as one string with each level's technique read as baseline when
-/// it never decays (every technique, when `all`): equal for two cells of
-/// one timing class (decay::same_timing at every level), or, with `all`,
-/// of one machine.
-std::string masked(const MachineCell& cell, bool all) {
+/// The machine `cell` runs: its benchmark and every leaf of its config
+/// but the three techniques, which accounting views vary.
+std::string machine_id(const MachineCell& cell) {
   SystemConfig cfg = cell.config;
-  for (decay::DecayConfig* d : {&cfg.l1_decay, &cfg.decay, &cfg.l3_decay}) {
-    if (all || !decay::uses_decay(d->technique)) *d = baseline_config();
-  }
+  cfg.l1_decay = cfg.decay = cfg.l3_decay = baseline_config();
   return cell.bench->config.name + "/" + describe(cfg);
 }
 
-/// One timing class of a fill: its masked(cell, false) string and the
-/// jobs one run keeps as accounting views.
-using TimingClass = std::pair<std::string, std::vector<std::size_t>>;
+/// One timing class of a fill: the jobs one run keeps as accounting views.
+using TimingClass = std::vector<std::size_t>;
 
-/// One machine of a fill: its masked(cell, true) string and its timing
-/// classes in the order they first appear.
+/// One machine of a fill: its machine_id and its timing classes in the
+/// order they first appear.
 using Machine = std::pair<std::string, std::vector<TimingClass>>;
 
 constexpr std::size_t kAlone = std::numeric_limits<std::size_t>::max();
@@ -77,9 +73,9 @@ constexpr std::size_t kAlone = std::numeric_limits<std::size_t>::max();
 /// One simulation of a fill, unless a driver's run serves it.
 struct Run {
   std::vector<std::size_t> jobs;  ///< Its timing class, one view per job.
-  /// The run that may serve this one as a candidate, or kAlone.
+  /// The run that may serve this one as a rider, or kAlone.
   std::size_t driver = kAlone;
-  std::vector<std::size_t> riders;  ///< The candidates this run carries.
+  std::vector<std::size_t> riders;  ///< The runs whose jobs this one carries.
 };
 
 /// Every machine's lists, round-robin: each list's first entry, then each
@@ -98,25 +94,25 @@ std::vector<T> round_robin(const std::vector<std::vector<T>>& lists) {
 }
 
 /// The runs of a fill, in the order they go out. Within a machine, a class
-/// rides as a candidate on the run of its driver, with agree_until as its
-/// horizon: of the classes it agrees with for a while (agree_until > 0:
-/// the same levels decay, and each config has a tick period), the one
-/// that can turn a line off latest, the first listed on a tie. A class
-/// that is its own driver leads its own run. First go every machine's
-/// leads, drivers before the others so they finish first, then the
-/// candidates in ascending horizon, the least likely to be served first.
-/// Both go round-robin over the machines: a machine's runs replay one
-/// workload and have about equal footprints, so back to back the workers
-/// would run them side by side and peak memory would be the largest
-/// machine's footprint times the worker count. A candidate among the
-/// first `workers` runs would leave a worker idle while its driver runs,
-/// so it runs unconditionally instead.
+/// rides on the run of its driver, its jobs kept there as extra views
+/// with agree_until as their horizon: of the classes it agrees with for a
+/// while (agree_until > 0: the same levels decay, and each config has a
+/// tick period), the one that can turn a line off latest, the first
+/// listed on a tie. A class that is its own driver leads its own run.
+/// First go every machine's leads, drivers before the others so they
+/// finish first, then the riders in ascending horizon, the least likely
+/// to be served first. Both go round-robin over the machines: a machine's
+/// runs replay one workload and have about equal footprints, so back to
+/// back the workers would run them side by side and peak memory would be
+/// the largest machine's footprint times the worker count. A rider among
+/// the first `workers` runs would leave a worker idle while its driver
+/// runs, so it runs unconditionally instead.
 std::vector<Run> plan_runs(const std::vector<Machine>& machines,
                            const std::vector<const MachineCell*>& jobs,
                            unsigned workers) {
   using Slot = std::pair<std::size_t, std::size_t>;  // (machine, class)
   std::vector<std::vector<Slot>> leads(machines.size());
-  std::vector<std::vector<Slot>> candidates(machines.size());
+  std::vector<std::vector<Slot>> riders(machines.size());
   // Per machine and class: the class whose run may serve it (itself when
   // it leads), and where the class goes out.
   std::vector<std::vector<std::size_t>> driver(machines.size());
@@ -125,7 +121,7 @@ std::vector<Run> plan_runs(const std::vector<Machine>& machines,
     const std::vector<TimingClass>& classes = machines[m].second;
     std::vector<AccountingView> view;
     for (const TimingClass& c : classes) {
-      view.push_back(AccountingView::of(jobs[c.second.front()]->config));
+      view.push_back(AccountingView::of(jobs[c.front()]->config));
     }
     const auto turnoff = [&](std::size_t c) {
       return std::min({decay::first_turnoff(view[c].l1),
@@ -152,7 +148,7 @@ std::vector<Run> plan_runs(const std::vector<Machine>& machines,
     for (std::size_t c = 0; c < classes.size(); ++c) {
       if (driver[m][c] != c) {
         drives[driver[m][c]] = 1;
-        candidates[m].push_back({m, c});
+        riders[m].push_back({m, c});
       }
     }
     for (const char first : {1, 0}) {
@@ -160,19 +156,19 @@ std::vector<Run> plan_runs(const std::vector<Machine>& machines,
         if (driver[m][c] == c && drives[c] == first) leads[m].push_back({m, c});
       }
     }
-    std::stable_sort(candidates[m].begin(), candidates[m].end(),
+    std::stable_sort(riders[m].begin(), riders[m].end(),
                      [&](const Slot& a, const Slot& b) {
                        return horizon[a.second] < horizon[b.second];
                      });
   }
   std::vector<Slot> order = round_robin(leads);
-  for (const Slot& s : round_robin(candidates)) order.push_back(s);
+  for (const Slot& s : round_robin(riders)) order.push_back(s);
 
   std::vector<Run> runs(order.size());
   for (std::size_t p = 0; p < order.size(); ++p) {
     const auto [m, c] = order[p];
     position[m][c] = p;
-    runs[p].jobs = machines[m].second[c].second;
+    runs[p].jobs = machines[m].second[c];
   }
   for (std::size_t p = workers; p < order.size(); ++p) {
     const auto [m, c] = order[p];
@@ -395,19 +391,12 @@ SystemConfig normalized_run_config(const SystemConfig& cfg,
 
 RunMetrics run_config(const SystemConfig& cfg,
                       const workload::Benchmark& bench) {
-  return run_config(cfg, bench, {AccountingView::of(cfg)}).front();
+  return *run_config(cfg, bench, {AccountingView::of(cfg)}).front();
 }
 
-std::vector<RunMetrics> run_config(const SystemConfig& cfg,
-                                   const workload::Benchmark& bench,
-                                   std::vector<AccountingView> views) {
-  return run_config(cfg, bench, std::move(views), {}).views;
-}
-
-ViewResults run_config(const SystemConfig& cfg,
-                       const workload::Benchmark& bench,
-                       std::vector<AccountingView> views,
-                       std::vector<AccountingView> candidates) {
+std::vector<std::optional<RunMetrics>> run_config(
+    const SystemConfig& cfg, const workload::Benchmark& bench,
+    const std::vector<AccountingView>& views) {
   const SystemConfig fixed = normalized_run_config(cfg, bench);
 
   // CDSIM_VERIFY=1: run every configuration against the differential
@@ -459,7 +448,7 @@ ViewResults run_config(const SystemConfig& cfg,
   CmpSystem sys(fixed, bench, factory);
   verify::DifferentialChecker checker(fixed.num_cores);
   if (verify) sys.set_observer(&checker);
-  ViewResults ms = sys.run(views, candidates);
+  std::vector<std::optional<RunMetrics>> ms = sys.run(views);
   if (writer != nullptr && !writer->finish()) {
     std::fprintf(stderr, "cdsim: CDSIM_VERIFY_TRACE: %s\n",
                  writer->error().c_str());
@@ -530,21 +519,24 @@ SweepStats ExperimentRunner::fill(const std::vector<MachineCell>& cells,
         ++stats.reused;
         continue;
       }
-      const std::string id = masked(cell, true);
+      const std::string id = machine_id(cell);
       auto machine = std::find_if(machines.begin(), machines.end(),
                                   [&](const auto& m) { return m.first == id; });
       if (machine == machines.end()) {
         machine = machines.emplace(machines.end(), id,
                                    std::vector<TimingClass>{});
       }
-      const std::string timing = masked(cell, false);
-      auto run = std::find_if(machine->second.begin(), machine->second.end(),
-                              [&](const auto& r) { return r.first == timing; });
+      const AccountingView view = AccountingView::of(cell.config);
+      auto run = std::find_if(
+          machine->second.begin(), machine->second.end(),
+          [&](const TimingClass& c) {
+            return agree_until(AccountingView::of(jobs[c.front()]->config),
+                               view) == decay::kNever;
+          });
       if (run == machine->second.end()) {
-        run = machine->second.emplace(machine->second.end(), timing,
-                                      std::vector<std::size_t>{});
+        run = machine->second.emplace(machine->second.end());
       }
-      run->second.push_back(jobs.size());
+      run->push_back(jobs.size());
       jobs.push_back(&cell);
     }
   }
@@ -553,56 +545,48 @@ SweepStats ExperimentRunner::fill(const std::vector<MachineCell>& cells,
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
   stats.workers = workers;
   const std::vector<Run> runs = plan_runs(machines, jobs, workers);
-  // Each simulation writes only its own jobs' slots, and a driver those of
-  // the candidates it served; the merge below runs in job order under the
-  // lock, so the memo map and the cache file are independent of thread
-  // scheduling. Each run seeds from its own config alone (run_config
-  // derives the seed), and a view's or a served candidate's books are kept
+  // Each simulation writes only the slots of the jobs it kept books for
+  // and that came back: its own jobs always, a rider's when the run ended
+  // before the rider's horizon. The merge below runs in job order under
+  // the lock, so the memo map and the cache file are independent of
+  // thread scheduling. Each run seeds from its own config alone
+  // (run_config derives the seed), and every view's books are kept
   // exactly as its standalone run keeps them, so the merge is
   // bit-identical to running every cell by itself.
   //
-  // Happens-before: a driver's results[] and served[] stores -> its
-  // finished[] count_down -> the wait of each candidate it carries, which
-  // then reads served[] and, unserved, writes its own slots. Every store
-  // -> parallel_for's join -> the merge's reads. A candidate waits only on
-  // a run listed before it, which a worker has already taken, so a wait
-  // always ends.
-  std::vector<RunMetrics> results(jobs.size());
-  std::vector<char> served(runs.size(), 0);
+  // Happens-before: a driver's results[] stores -> its finished[]
+  // count_down -> the wait of each rider it carries, which then reads its
+  // first job's slot and, empty, writes its own slots. Every store ->
+  // parallel_for's join -> the merge's reads. A rider waits only on a run
+  // listed before it, which a worker has already taken, so a wait always
+  // ends.
+  std::vector<std::optional<RunMetrics>> results(jobs.size());
   std::deque<std::latch> finished;
   for (std::size_t r = 0; r < runs.size(); ++r) finished.emplace_back(1);
+  std::atomic<std::size_t> made{0};
   const auto simulate = [&](std::size_t r) {
-    const Run& run = runs[r];
+    // The run's own jobs, then each rider's: one view per job.
+    std::vector<std::size_t> kept = runs[r].jobs;
+    for (const std::size_t c : runs[r].riders) {
+      kept.insert(kept.end(), runs[c].jobs.begin(), runs[c].jobs.end());
+    }
     std::vector<AccountingView> views;
-    std::vector<AccountingView> candidates;
-    for (const std::size_t i : run.jobs) {
+    for (const std::size_t i : kept) {
       views.push_back(AccountingView::of(jobs[i]->config));
     }
-    for (const std::size_t c : run.riders) {
-      for (const std::size_t i : runs[c].jobs) {
-        candidates.push_back(AccountingView::of(jobs[i]->config));
-      }
-    }
-    const MachineCell& lead = *jobs[run.jobs.front()];
-    ViewResults ms = run_config(lead.config, *lead.bench, std::move(views),
-                                std::move(candidates));
-    for (std::size_t k = 0; k < run.jobs.size(); ++k) {
-      results[run.jobs[k]] = std::move(ms.views[k]);
-    }
-    std::size_t k = 0;
-    for (const std::size_t c : run.riders) {
-      // A rider's views share one horizon: all are served, or none.
-      served[c] = ms.candidates[k].has_value() ? 1 : 0;
-      for (const std::size_t i : runs[c].jobs) {
-        if (served[c] != 0) results[i] = std::move(*ms.candidates[k]);
-        ++k;
-      }
+    const MachineCell& lead = *jobs[kept.front()];
+    ++made;
+    std::vector<std::optional<RunMetrics>> ms =
+        run_config(lead.config, *lead.bench, views);
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      if (ms[k]) results[kept[k]] = std::move(ms[k]);
     }
   };
   parallel_for(runs.size(), workers, [&](std::size_t r) {
     if (runs[r].driver != kAlone) {
       finished[runs[r].driver].wait();
-      if (served[r] != 0) return;
+      // A rider's jobs share one horizon: all came back, or none.
+      if (results[runs[r].jobs.front()]) return;
     }
     try {
       simulate(r);
@@ -612,8 +596,7 @@ SweepStats ExperimentRunner::fill(const std::vector<MachineCell>& cells,
     }
     finished[r].count_down();
   });
-  stats.timing_runs = runs.size() - static_cast<std::size_t>(std::count(
-                                        served.begin(), served.end(), 1));
+  stats.timing_runs = made;
 
   // Happens-before: this mu_ acquire pairs with the release in any
   // concurrent fill that inserted one of our cells while we simulated —
@@ -629,7 +612,7 @@ SweepStats ExperimentRunner::fill(const std::vector<MachineCell>& cells,
   std::string lines;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto [it, fresh] =
-        cache_.emplace(cache_key(*jobs[i]), std::move(results[i]));
+        cache_.emplace(cache_key(*jobs[i]), std::move(results[i]).value());
     if (fresh) {
       ++stats.simulated;
       lines += cache_line(it->first, it->second) + '\n';

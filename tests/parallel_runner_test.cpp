@@ -4,10 +4,10 @@
 // views of one run, produces RunMetrics bit-identical to running the same
 // configurations serially through ExperimentRunner::run(). Also the views
 // themselves: they reproduce the three-level golden pins of other
-// techniques, and a view outside the run's timing class is rejected. And
-// candidates: a decaying class is served by its driver's run only when
-// that run ends before the two could differ, and a failing driver
-// releases the candidates waiting on it.
+// techniques, and a view outside the run's timing class comes back only
+// when the run ends before the two could differ. So a decaying class rides
+// on its driver's run, is served only before its horizon, and a failing
+// driver releases the riders waiting on it.
 
 #include <gtest/gtest.h>
 
@@ -194,9 +194,9 @@ TEST_F(ParallelRunnerTest, PaperGridFromTimingRunsMatchesSerialRuns) {
   const sim::SweepStats sweep = parallel.run_grid(suite, sizes, techs, 4);
   EXPECT_EQ(sweep.simulated, 192u);   // 6 presets x 4 sizes x (7 + 1)
   // Protocol rides on the baseline, and the five other decaying techniques
-  // ride on decay512K's run as candidates. Those 24 runs end before 64K
+  // ride on decay512K's run as extra views. Those 24 runs end before 64K
   // cycles on every machine but five (facerec at every size, FMM at 2 MB),
-  // whose two 64K candidates run on their own: 24 x 2 + 5 x 2.
+  // whose two 64K riders run on their own: 24 x 2 + 5 x 2.
   EXPECT_EQ(sweep.timing_runs, 58u);
   EXPECT_EQ(sweep.reused, 0u);
 
@@ -304,10 +304,11 @@ TEST_F(ParallelRunnerTest, MachinesThatDifferInOneLeafRunApart) {
 }
 
 // One 4 MB bus machine at 250K instr/core, where the decaying runs end
-// between 128K and 512K cycles. Carried by decay512K's run, sel_decay512K
-// is served and equals its standalone run; the 64K and 128K candidates are
-// outlived and come back empty. Through the runner the eight cells take six
-// timing runs, or seven when every class gets a worker of its own.
+// between 128K and 512K cycles. Kept as views of decay512K's run,
+// sel_decay512K comes back and equals its standalone run; the 64K and 128K
+// views are outlived and come back empty. Through the runner the eight
+// cells take six timing runs, or seven when every class gets a worker of
+// its own.
 TEST_F(ParallelRunnerTest, CandidatesAreServedOnlyBeforeTheirHorizon) {
   constexpr std::uint64_t kInstr250K = 250'000;
   const workload::Benchmark& fmm = workload::benchmark_by_name("FMM");
@@ -318,20 +319,19 @@ TEST_F(ParallelRunnerTest, CandidatesAreServedOnlyBeforeTheirHorizon) {
     return cfg;
   };
   ASSERT_EQ(techs[1].label(), "decay512K");
-  std::vector<sim::AccountingView> candidates;
-  for (std::size_t t = 2; t < techs.size(); ++t) {
-    candidates.push_back(sim::AccountingView::of(machine(techs[t])));
+  std::vector<sim::AccountingView> views;
+  for (std::size_t t = 1; t < techs.size(); ++t) {
+    views.push_back(sim::AccountingView::of(machine(techs[t])));
   }
-  const sim::ViewResults ms =
-      sim::run_config(machine(techs[1]), fmm,
-                      {sim::AccountingView::of(machine(techs[1]))}, candidates);
-  ASSERT_EQ(ms.views.size(), 1u);
-  ASSERT_EQ(ms.candidates.size(), 5u);
-  EXPECT_GT(ms.views[0].cycles, 128u * 1024);
-  EXPECT_LT(ms.views[0].cycles, 512u * 1024);
+  const std::vector<std::optional<sim::RunMetrics>> ms =
+      sim::run_config(machine(techs[1]), fmm, views);
+  ASSERT_EQ(ms.size(), 6u);
+  ASSERT_TRUE(ms[0].has_value());  // the run's own view
+  EXPECT_GT(ms[0]->cycles, 128u * 1024);
+  EXPECT_LT(ms[0]->cycles, 512u * 1024);
   for (std::size_t t = 2; t < techs.size(); ++t) {
     SCOPED_TRACE(techs[t].label());
-    const std::optional<sim::RunMetrics>& m = ms.candidates[t - 2];
+    const std::optional<sim::RunMetrics>& m = ms[t - 1];
     ASSERT_EQ(m.has_value(), techs[t].decay_time == 512u * 1024);
     if (m) {
       EXPECT_EQ(sim::first_difference(*m, sim::run_config(machine(techs[t]),
@@ -343,9 +343,9 @@ TEST_F(ParallelRunnerTest, CandidatesAreServedOnlyBeforeTheirHorizon) {
   std::vector<decay::DecayConfig> cells{sim::baseline_config()};
   cells.insert(cells.end(), techs.begin(), techs.end());
   sim::ExperimentRunner serial(kInstr250K, cache_path("serial"));
-  // One worker: every candidate waits for its driver. Four: the 64K pair
+  // One worker: every rider waits for its driver. Four: the 64K pair
   // fills the first wave's idle workers, outlived either way. Eight: each
-  // of the seven classes runs at once, as with no candidates at all.
+  // of the seven classes runs at once, as with no riders at all.
   for (const auto& [workers, runs] :
        {std::pair<unsigned, std::size_t>{1, 6}, {4, 6}, {8, 7}}) {
     SCOPED_TRACE(std::to_string(workers) + " workers");
@@ -366,7 +366,7 @@ TEST_F(ParallelRunnerTest, CandidatesAreServedOnlyBeforeTheirHorizon) {
 
 // An invalid decaying cell still fails by name: its horizon is 0, so it
 // rides on no run and none rides on it. A machine no class can build fails
-// in its driver, which releases the candidates waiting on it; each then
+// in its driver, which releases the riders waiting on it; each then
 // runs on its own and fails too, and the fill rethrows.
 TEST_F(ParallelRunnerTest, InvalidCellsFailByNameAndReleaseTheirCandidates) {
   const workload::Benchmark& bench = workload::benchmark_suite().front();
@@ -424,12 +424,13 @@ TEST_F(ParallelRunnerTest, ViewsReproduceTheThreeLevelPins) {
     SCOPED_TRACE("row " + std::to_string(c.row + 1) + " as a view of L1 " +
                  run_cfg.l1_decay.label() + " / L2 " + run_cfg.decay.label() +
                  " / L3 " + run_cfg.l3_decay.label());
-    const std::vector<sim::RunMetrics> ms =
+    const std::vector<std::optional<sim::RunMetrics>> ms =
         sim::run_config(run_cfg, workload::benchmark_by_name("FMM"),
                         {sim::AccountingView::of(run_cfg),
                          sim::AccountingView::of(row_cfg)});
     ASSERT_EQ(ms.size(), 2u);
-    const sim::RunMetrics& m = ms[1];
+    ASSERT_TRUE(ms[0].has_value() && ms[1].has_value());
+    const sim::RunMetrics& m = *ms[1];
     EXPECT_EQ(m.technique, row_cfg.decay.label());
     EXPECT_EQ(m.energy, g.energy);
     EXPECT_EQ(m.l1.occupation, g.l1_occupation);
@@ -443,42 +444,95 @@ TEST_F(ParallelRunnerTest, ViewsReproduceTheThreeLevelPins) {
     // The run's own view is its standalone run, and the two views share
     // every timing field.
     EXPECT_EQ(sim::first_difference(
-                  ms[0], sim::run_config(run_cfg,
-                                         workload::benchmark_by_name("FMM"))),
+                  *ms[0], sim::run_config(run_cfg,
+                                          workload::benchmark_by_name("FMM"))),
               "");
-    EXPECT_EQ(m.cycles, ms[0].cycles);
-    EXPECT_EQ(m.l2_misses, ms[0].l2_misses);
-    EXPECT_EQ(m.mem_bytes, ms[0].mem_bytes);
+    EXPECT_EQ(m.cycles, ms[0]->cycles);
+    EXPECT_EQ(m.l2_misses, ms[0]->l2_misses);
+    EXPECT_EQ(m.mem_bytes, ms[0]->mem_bytes);
   }
 }
 
-TEST_F(ParallelRunnerTest, ViewOutsideTheTimingClassIsRejected) {
+// Views outside the run's timing class on a 1000-instr decay64K run, which
+// ends long before its first possible turn-off: decay128K agrees with it
+// until 64K cycles and comes back equal to its standalone run; baseline,
+// without the Gated-Vdd penalty, differs from the first access (horizon 0)
+// and comes back empty.
+TEST_F(ParallelRunnerTest, ViewOutsideTheTimingClassComesBackBeforeItsHorizon) {
   const decay::DecayConfig decay64k{decay::Technique::kDecay, 64 * 1024, 4};
   const decay::DecayConfig decay128k{decay::Technique::kDecay, 128 * 1024, 4};
   const auto& bench = workload::benchmark_suite().front();
-  const auto view_of = [](const decay::DecayConfig& l2) {
-    return sim::AccountingView::of(sim::make_system_config(1 * MiB, l2));
+  const auto machine = [](const decay::DecayConfig& l2) {
+    sim::SystemConfig cfg = sim::make_system_config(1 * MiB, l2);
+    cfg.instructions_per_core = 1000;
+    return cfg;
   };
-  sim::SystemConfig base = sim::make_system_config(1 * MiB,
-                                                   sim::baseline_config());
-  base.instructions_per_core = 1000;
-  sim::SystemConfig dec = sim::make_system_config(1 * MiB, decay64k);
-  dec.instructions_per_core = 1000;
+  const auto view_of = [&](const decay::DecayConfig& l2) {
+    return sim::AccountingView::of(machine(l2));
+  };
+  ASSERT_EQ(sim::agree_until(view_of(decay128k), view_of(decay64k)),
+            64u * 1024);
+  ASSERT_EQ(sim::agree_until(view_of(sim::baseline_config()),
+                             view_of(decay64k)),
+            0u);
 
-  // decay64K on a baseline run: it would turn lines off the run keeps.
-  EXPECT_THROW(sim::run_config(base, bench, {view_of(decay64k)}),
-               std::invalid_argument);
-  // decay128K next to decay64K: another decay interval, another timing.
-  EXPECT_THROW(
-      sim::run_config(dec, bench, {view_of(decay64k), view_of(decay128k)}),
-      std::invalid_argument);
+  const std::vector<std::optional<sim::RunMetrics>> ms = sim::run_config(
+      machine(decay64k), bench,
+      {view_of(decay64k), view_of(decay128k), view_of(sim::baseline_config())});
+  ASSERT_EQ(ms.size(), 3u);
+  ASSERT_TRUE(ms[0].has_value());
+  EXPECT_LT(ms[0]->cycles, 64u * 1024);
+  ASSERT_TRUE(ms[1].has_value());
+  EXPECT_EQ(sim::first_difference(*ms[1],
+                                  sim::run_config(machine(decay128k), bench)),
+            "");
+  EXPECT_FALSE(ms[2].has_value());
+
   // A view must be given, and a rejected call leaves the system runnable.
-  sim::CmpSystem sys(sim::normalized_run_config(dec, bench), bench);
+  sim::CmpSystem sys(sim::normalized_run_config(machine(decay64k), bench),
+                     bench);
   EXPECT_THROW(sys.run(std::vector<sim::AccountingView>{}),
                std::invalid_argument);
-  EXPECT_THROW(sys.run({view_of(sim::baseline_config())}),
-               std::invalid_argument);
-  EXPECT_EQ(sys.run({view_of(decay64k)}).size(), 1u);
+  const std::vector<std::optional<sim::RunMetrics>> own =
+      sys.run({view_of(decay64k)});
+  ASSERT_EQ(own.size(), 1u);
+  ASSERT_TRUE(own[0].has_value());
+  EXPECT_EQ(sim::first_difference(*own[0], *ms[0]), "");
+}
+
+// The timing class is per level: on a 3L mesh with a decaying L2, the L1
+// and L3 may each be baseline or protocol, which never decay, so the four
+// cells are one class and fill in one timing run. Each equals run_config
+// of its cell on every leaf.
+TEST_F(ParallelRunnerTest, TimingClassSpansL1AndL3TechniquesUnderADecayingL2) {
+  const workload::Benchmark& fmm = workload::benchmark_by_name("FMM");
+  const decay::DecayConfig protocol{decay::Technique::kProtocol, 0, 4};
+  std::vector<sim::MachineCell> cells;
+  for (const decay::DecayConfig& l1 : {sim::baseline_config(), protocol}) {
+    for (const decay::DecayConfig& l3 : {sim::baseline_config(), protocol}) {
+      sim::SystemConfig cfg = sim::make_system_config(
+          4 * MiB, {decay::Technique::kDecay, 64 * 1024, 4});
+      cfg.topology = noc::Topology::kDirectoryMesh;
+      cfg.hierarchy = sim::Hierarchy::kThreeLevel;
+      cfg.instructions_per_core = 5'000;
+      cfg.l1_decay = l1;
+      cfg.l3_decay = l3;
+      cells.push_back({cfg, &fmm});
+    }
+  }
+
+  sim::ExperimentRunner runner(0, cache_path("levels"));
+  const sim::MachineResults runs = runner.run_machines(cells, 2);
+  EXPECT_EQ(runs.stats.simulated, 4u);
+  EXPECT_EQ(runs.stats.timing_runs, 1u);
+  ASSERT_EQ(runs.metrics.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE("L1 " + cells[i].config.l1_decay.label() + " / L3 " +
+                 cells[i].config.l3_decay.label());
+    EXPECT_EQ(sim::first_difference(
+                  runs.metrics[i], sim::run_config(cells[i].config, fmm)),
+              "");
+  }
 }
 
 TEST_F(ParallelRunnerTest, ConfigSeedIsStableAndPerKey) {

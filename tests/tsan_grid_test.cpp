@@ -4,7 +4,7 @@
 // bit-identical); this suite pins the *synchronization* contract that makes
 // the parallel path sound. It deliberately provokes every cross-thread
 // handoff in the sweep engine — slot-indexed result writes published by
-// parallel_for's join, candidates waiting on their drivers' latches,
+// parallel_for's join, riders waiting on their drivers' latches,
 // concurrent run() calls on one memo entry, run_grid racing concurrent
 // run() calls, and four runners appending to one cache file at once — with
 // small instruction counts so the whole suite stays fast under TSan's ~10x
@@ -94,12 +94,12 @@ TEST_F(TsanGridTest, ParallelGridMatchesSerialUnderInstrumentation) {
   }
 }
 
-// Candidates waiting on their drivers: two machines on four workers, so
-// the four leads (two drivers, two baselines) fill the first wave and every
-// candidate waits on its driver's latch. The 512K candidates are served by
-// the driver's run, written by the driver's thread and read after the
-// candidate's wait; the 4K ones are outlived, run on their own and write
-// their own slots. Every cell equals its serial run.
+// Riders waiting on their drivers: two machines on four workers, so the
+// four leads (two drivers, two baselines) fill the first wave and every
+// rider waits on its driver's latch. The 512K riders are served by the
+// driver's run, written by the driver's thread and read after the rider's
+// wait; the 4K ones are outlived, run on their own and write their own
+// slots. Every cell equals its serial run.
 TEST_F(TsanGridTest, CandidatesWaitingOnDriversMatchSerial) {
   const auto& suite = workload::benchmark_suite();
   const std::vector<workload::Benchmark> benches{suite[0], suite[2]};

@@ -15,7 +15,8 @@
 //
 //       simple (ChampSim-style one-access-per-line dumps):
 //           <core> <L|S|I> <hex-addr> <gap>
-//         '#' starts a comment; blank lines are skipped.
+//         '#' starts a comment; lines blank after it are skipped, and any
+//         other line that is not exactly one record exits 1 naming it.
 //
 //       lackey (Valgrind --tool=lackey --trace-mem=yes output):
 //           I  0023c790,2     instruction fetch: folded into the next
@@ -245,13 +246,14 @@ int convert_simple(std::istream& in, workload::ChunkedTraceWriter& w,
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream ss(line);
+    if ((ss >> std::ws).eof()) continue;  // blank or comment-only line
     unsigned core = 0;
     std::string type;
     std::uint64_t addr = 0;
     std::uint32_t gap = 0;
-    if (!(ss >> core >> type)) continue;  // blank/comment line
-    ss >> std::hex >> addr >> std::dec >> gap;
-    if (ss.fail() || core >= cores ||
+    std::string extra;
+    ss >> core >> type >> std::hex >> addr >> std::dec >> gap;
+    if (ss.fail() || ss >> extra || core >= cores ||
         (type != "L" && type != "S" && type != "I")) {
       std::fprintf(stderr, "cdtrace: line %" PRIu64 ": bad record \"%s\"\n",
                    lineno, line.c_str());
