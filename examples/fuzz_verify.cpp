@@ -3,16 +3,24 @@
 //   ./fuzz_verify [scenarios] [report_dir]
 //       Runs the adversarial fuzz matrix ({MESI, MOESI} x all four leakage
 //       techniques x three decay times x {4-core snoop bus, 8/16-core
-//       directory mesh} x seeds) with the reference-model oracle attached,
-//       printing a summary. Exit code 1 on any divergence; failing
-//       scenarios are captured, shrunk, and written to report_dir as .cdt
-//       traces (CI uploads them as artifacts).
+//       directory mesh} x {two, three levels} x {flat, DRAM} x seeds) with
+//       the reference-model oracle attached, printing a summary. Default
+//       208 scenarios. Exit code 1 on any divergence; failing scenarios are
+//       captured, shrunk, and written to report_dir as .cdt traces next to
+//       a report naming every leaf of the scenario's machine (CI uploads
+//       them as artifacts).
 //
 //   ./fuzz_verify --dmesh-smoke [scenarios] [report_dir]
 //       The many-core CI gate: restricts the matrix to 16-core
 //       directory-mesh cells (hot-home contention + all-to-all sharing
-//       over the NoC, both protocols, all techniques). Default 64
-//       scenarios.
+//       over the NoC, both protocols, all techniques, flat and DRAM).
+//       Default 64 scenarios.
+//
+//   ./fuzz_verify --three-level-smoke [scenarios] [report_dir]
+//       The three-level CI gate: restricts the matrix to shared-L3 cells
+//       (16-core MESI and 8-core MOESI meshes, decay at L1, L2 and L3, and
+//       a DRAM-backed MOESI round). Default 64 scenarios. The two smoke
+//       flags pick different matrices: giving both exits 2.
 //
 //   ./fuzz_verify --demo-bug
 //       Injects the test-only "dirty decay turn-off loses its write-back"
@@ -22,7 +30,8 @@
 //       outcome), 1 when it slips through.
 //
 // This is also the reference for wiring the pieces manually: build a
-// FuzzScenario (or your own SystemConfig), attach a DifferentialChecker
+// FuzzScenario around any SystemConfig (verify::fuzz_machine builds the
+// fuzz family's), attach a DifferentialChecker
 // via CmpSystem::set_observer, capture with workload::capture_factory,
 // replay with verify::replay_scenario, minimize with verify::shrink_trace.
 
@@ -40,19 +49,18 @@ using namespace cdsim;
 namespace {
 
 int run_matrix(std::size_t scenarios, const char* report_dir,
-               bool dmesh_only, bool three_level_only) {
+               verify::FuzzMatrix matrix) {
   verify::FuzzOptions opts;
   opts.scenarios = scenarios;
-  opts.dmesh_only = dmesh_only;
-  opts.three_level_only = three_level_only;
+  opts.matrix = matrix;
   if (report_dir != nullptr) opts.report_dir = report_dir;
 
   std::printf("fuzz_verify: %zu scenarios across {MESI, MOESI} x "
               "{baseline, protocol, decay, sel_decay} x {1K, 2K, 4K} x %s\n",
               opts.scenarios,
-              three_level_only
+              matrix == verify::FuzzMatrix::kThreeLevelSmoke
                   ? "{three-level dmesh16/dmesh8, decay at L1+L2+L3}"
-                  : (dmesh_only
+                  : (matrix == verify::FuzzMatrix::kDmeshSmoke
                          ? "{16-core directory mesh}"
                          : "{bus4-2L, dmesh16/8-2L, dmesh16/8-3L}"));
   const verify::FuzzReport rep = verify::run_fuzz(opts);
@@ -94,9 +102,10 @@ int demo_bug() {
   // A scenario tuned so dirty lines decay and get re-read: MESI + full
   // decay with a tiny window, straddle-heavy fuzzing.
   verify::FuzzScenario sc;
-  sc.protocol = coherence::Protocol::kMesi;
-  sc.decay = decay::DecayConfig{decay::Technique::kDecay, 1024, 4};
-  sc.seed = 12345;
+  sc.machine = verify::fuzz_machine(
+      coherence::Protocol::kMesi,
+      decay::DecayConfig{decay::Technique::kDecay, 1024, 4});
+  sc.machine.seed = 12345;
   sc.fuzz.decay_window = 1024;
   sc.inject_writeback_loss = true;
 
@@ -163,7 +172,8 @@ int main(int argc, char** argv) {
           bad_positional = true;
         }
       });
-  if (!parser.parse(argc, argv) || bad_positional) {
+  if (!parser.parse(argc, argv) || bad_positional ||
+      (dmesh_only && three_level_only)) {
     std::fprintf(stderr,
                  "usage: %s [--dmesh-smoke|--three-level-smoke] "
                  "[scenarios] [report_dir] | --demo-bug\n",
@@ -171,8 +181,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (demo) return demo_bug();
-  if ((dmesh_only || three_level_only) && !scenarios_set) scenarios = 64;
+  const verify::FuzzMatrix matrix =
+      dmesh_only ? verify::FuzzMatrix::kDmeshSmoke
+      : three_level_only ? verify::FuzzMatrix::kThreeLevelSmoke
+                         : verify::FuzzMatrix::kFull;
+  if (matrix != verify::FuzzMatrix::kFull && !scenarios_set) scenarios = 64;
   return run_matrix(scenarios, report_dir.empty() ? nullptr
                                                   : report_dir.c_str(),
-                    dmesh_only, three_level_only);
+                    matrix);
 }

@@ -14,7 +14,8 @@
 //       machine cores than trace cores) become a rate-mode co-scheduled
 //       mix: core c runs program c % P (see cdsim/sim/scenario.hpp).
 //       Replay is streaming — multi-GB v2 traces run in O(cores x chunk)
-//       memory.
+//       memory. A trace that cannot be read, or whose chunk turns out
+//       corrupt mid-replay, exits 1 naming the file (and the chunk).
 //
 //       --topology=bus|dmesh --hierarchy=2|3 --cores=N   machine family
 //       --technique=baseline|protocol|decay|sel_decay    leakage technique
@@ -165,11 +166,8 @@ ReplayResult run_machine(const sim::SystemConfig& cfg,
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc == 1) return run_demo();
-
+/// Trace mode: everything but the no-argument demo.
+int replay(int argc, char** argv) {
   examples::MachineFlags mf;
   std::string tech_name = "sel_decay";
   std::uint64_t decay_k = 32;
@@ -400,4 +398,16 @@ int main(int argc, char** argv) {
     }
   }
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc == 1) return run_demo();
+  try {
+    return replay(argc, argv);
+  } catch (const std::runtime_error& e) {  // a trace chunk failed mid-run
+    std::fprintf(stderr, "trace_replay: %s\n", e.what());
+    return 1;
+  }
 }

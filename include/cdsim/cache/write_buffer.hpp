@@ -58,7 +58,6 @@ class WriteBuffer {
     }
     if (full()) return false;
     fifo_.push_back(Slot{line_addr, now, 0, false});
-    ++pushes_;
     return true;
   }
 
@@ -93,7 +92,6 @@ class WriteBuffer {
     return n;
   }
 
-  [[nodiscard]] std::uint64_t total_pushes() const noexcept { return pushes_; }
   [[nodiscard]] std::uint64_t total_coalesced() const noexcept {
     return coalesced_total_;
   }
@@ -110,7 +108,6 @@ class WriteBuffer {
   /// FIFO by construction (erase preserves order); a vector because the
   /// occupancy is bounded by capacity_ — see the constructor reservation.
   std::vector<Slot> fifo_;
-  std::uint64_t pushes_ = 0;
   std::uint64_t coalesced_total_ = 0;
 };
 

@@ -107,9 +107,6 @@ class CoreModel {
   [[nodiscard]] std::uint64_t loads_issued() const noexcept {
     return loads_.value();
   }
-  [[nodiscard]] std::uint64_t stores_issued() const noexcept {
-    return stores_.value();
-  }
   /// Cycles spent unable to issue (all stall reasons).
   [[nodiscard]] std::uint64_t stall_cycles() const noexcept {
     return stall_cycles_.value();
@@ -184,7 +181,7 @@ class CoreModel {
   /// Direct-call depth for the zero-delay advance fast path.
   std::uint32_t chain_depth_ = 0;
 
-  Counter loads_, stores_, stall_cycles_;
+  Counter loads_, stall_cycles_;
   Counter stall_by_[static_cast<std::size_t>(StallReason::kCount)];
   StallReason park_reason_ = StallReason::kDep;
   obs::TraceRecorder* trace_ = nullptr;

@@ -95,9 +95,6 @@ class MeshNoc {
                                    std::uint32_t dst) const noexcept;
 
   // --- statistics ---------------------------------------------------------
-  [[nodiscard]] std::uint64_t packets_sent() const noexcept {
-    return packets_sent_;
-  }
   [[nodiscard]] std::uint64_t packets_delivered() const noexcept {
     return packets_delivered_;
   }

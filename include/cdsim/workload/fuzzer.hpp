@@ -31,9 +31,11 @@
 //                       hotspot. Off by default (w_hot_home = 0), so
 //                       snoop-bus streams are unchanged.
 //
-// A FuzzerWorkload is a pure function of (config, core, seed); the `now`
-// argument is deliberately ignored so a captured fuzz trace replays the
-// identical op sequence regardless of timing.
+// A FuzzerWorkload is a pure function of (config, machine geometry, core,
+// seed); the `now` argument is deliberately ignored so a captured fuzz
+// trace replays the identical op sequence regardless of timing. The
+// geometry (core count, line size, issue width) is the machine's, passed
+// to the constructor: FuzzerConfig holds only the attack-pattern knobs.
 
 #include <cstdint>
 #include <deque>
@@ -44,12 +46,10 @@
 
 namespace cdsim::workload {
 
-/// Knobs of the adversarial generator. Defaults are tuned for small L2
-/// slices (32-64 KiB) and decay windows of 1K-4K cycles.
+/// Attack-pattern knobs of the adversarial generator. Defaults are tuned
+/// for small L2 slices (32-64 KiB) and decay windows of 1K-4K cycles.
 struct FuzzerConfig {
   std::string name = "fuzzer";
-  std::uint32_t line_bytes = 64;
-  std::uint32_t num_cores = 4;  ///< Shapes false-sharing offsets.
 
   // Pool sizes (lines).
   std::uint64_t false_share_lines = 16;
@@ -61,11 +61,9 @@ struct FuzzerConfig {
 
   /// Decay window the straddle sleeps target (cycles). Straddle fillers
   /// sleep between 0.5x and 1.3x this window so reuse lands on both sides
-  /// of the turn-off edge.
+  /// of the turn-off edge. A knob of its own, not the machine's decay
+  /// time: a machine that does not decay has none to straddle.
   Cycle decay_window = 2048;
-  /// Non-memory instructions the core retires per cycle; converts the
-  /// straddle window from cycles into a gap instruction count.
-  std::uint32_t issue_width = 4;
   /// Lines parked per straddle episode (amortizes one sleep over several
   /// decay-edge reuses).
   std::uint32_t straddle_park = 3;
@@ -83,18 +81,20 @@ struct FuzzerConfig {
   double w_straddle = 0.10;
   double w_chain = 0.16;
   /// Hot-home weight; 0 (the default) disables the pattern and leaves
-  /// every legacy stream bit-identical. Enable together with home_tiles.
+  /// every legacy stream bit-identical.
   double w_hot_home = 0.0;
-  /// Home-interleave modulus of the system under test (the mesh tile
-  /// count): hot-home lines are spaced home_tiles lines apart so they all
-  /// map to one directory bank. Required (nonzero) when w_hot_home > 0.
-  std::uint32_t home_tiles = 0;
 };
 
-/// Deterministic hostile stream for one core.
+/// Deterministic hostile stream for one core of a `num_cores`-core machine
+/// with `line_bytes` lines whose cores retire `issue_width` non-memory
+/// instructions per cycle. Hot-home lines are `num_cores` lines apart, the
+/// mesh's tile count, so under line-interleaved homes they all map to one
+/// directory bank.
 class FuzzerWorkload final : public WorkloadStream {
  public:
-  FuzzerWorkload(const FuzzerConfig& cfg, CoreId core, std::uint64_t seed);
+  FuzzerWorkload(const FuzzerConfig& cfg, std::uint32_t num_cores,
+                 std::uint32_t line_bytes, std::uint32_t issue_width,
+                 CoreId core, std::uint64_t seed);
 
   MemOp next(Cycle now) override;
   [[nodiscard]] std::string_view name() const override { return cfg_.name; }
@@ -113,6 +113,9 @@ class FuzzerWorkload final : public WorkloadStream {
   void burst_hot_home();
 
   FuzzerConfig cfg_;
+  Addr line_bytes_ = 0;
+  Addr hot_home_stride_ = 0;  ///< num_cores lines: one home tile.
+  std::uint32_t issue_width_ = 0;
   CoreId core_ = 0;
   Xoshiro256 rng_;
   std::deque<MemOp> queue_;

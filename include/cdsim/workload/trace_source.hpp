@@ -64,8 +64,10 @@ class TraceSource {
   virtual ~TraceSource() = default;
 
   /// Pulls the next record in global draw order. Returns false at the end
-  /// of the trace (or, for disk-backed sources, on a read error — check
-  /// the source's own error state when that matters).
+  /// of the trace. A disk-backed source that cannot go on (an unreadable
+  /// or corrupt chunk) throws std::runtime_error naming the file and the
+  /// chunk instead, so every consumer — a replay, a mix, a copy — stops
+  /// with that message rather than taking a damaged trace for a short one.
   virtual bool next(TraceRecord& out) = 0;
 
   [[nodiscard]] virtual std::uint32_t num_cores() const = 0;

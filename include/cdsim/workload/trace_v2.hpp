@@ -44,8 +44,10 @@
 // and every cross-reference (chunk offsets contiguous from the header to
 // the footer, record counts consistent, per-core sums matching the total)
 // at open(); each chunk's checksum and field ranges are checked when the
-// chunk is first decoded. Corruption anywhere fails loudly — never
-// crashes, never replays garbage.
+// chunk is first decoded, and a chunk that fails them makes next() throw
+// naming the file and the chunk. Corruption anywhere fails loudly — never
+// crashes, never replays garbage, never passes for a shorter trace. The
+// writer leaves a file only when finish() sealed it.
 
 #include <cstdint>
 #include <fstream>
@@ -73,8 +75,11 @@ struct TraceV2Info {
 };
 
 /// Streaming .cdt v2 writer: O(chunk) memory, append one record at a
-/// time, finish() (or destruction) seals the footer. All I/O errors latch
-/// into ok()/error() — appends after a failure are ignored.
+/// time, finish() seals the footer. All I/O errors latch into
+/// ok()/error() — appends after a failure are ignored. finish() is the
+/// only way a .cdt comes to exist: a writer destroyed unfinished, or
+/// whose finish() failed, removes its file, so an abandoned capture never
+/// reads as a valid, truncated trace.
 class ChunkedTraceWriter final : public TraceSink {
  public:
   static constexpr std::uint32_t kDefaultChunkRecords = 1u << 16;
@@ -89,7 +94,8 @@ class ChunkedTraceWriter final : public TraceSink {
   void append(const TraceRecord& rec) override;
 
   /// Flushes the partial chunk and writes the footer. Idempotent. Returns
-  /// ok(): false if any write failed or a record was invalid.
+  /// ok(): false (and the file removed) if any write failed or a record
+  /// was invalid.
   bool finish();
 
   [[nodiscard]] bool ok() const { return error_.empty(); }
@@ -99,6 +105,7 @@ class ChunkedTraceWriter final : public TraceSink {
  private:
   void fail(const std::string& msg);
   void flush_chunk();
+  void discard();  ///< Closes and removes the file this writer created.
 
   struct ChunkEntry {
     std::uint64_t offset = 0;
@@ -123,8 +130,9 @@ class ChunkedTraceWriter final : public TraceSink {
 };
 
 /// Streaming .cdt v2 reader: validates header/footer at open(), then
-/// decodes one chunk at a time. next() returns false at end-of-trace OR
-/// on corruption — failed()/error() distinguish the two.
+/// decodes one chunk at a time. next() returns false at end-of-trace and
+/// throws std::runtime_error carrying error() on corruption, which
+/// failed()/error() keep recording.
 class ChunkedTraceReader final : public TraceSource {
  public:
   /// Returns nullptr (and sets *error) on any validation failure.
@@ -184,7 +192,8 @@ bool save_v2(const Trace& trace, const std::string& path,
              std::uint32_t chunk_records =
                  ChunkedTraceWriter::kDefaultChunkRecords);
 
-/// Copies a source to a .cdt v2 file (streaming, O(chunk) memory).
+/// Copies a source to a .cdt v2 file (streaming, O(chunk) memory). A
+/// source that fails mid-copy throws out of here and leaves no file.
 bool write_v2_from_source(TraceSource& src, const std::string& path,
                           std::string* error = nullptr,
                           std::uint32_t chunk_records =

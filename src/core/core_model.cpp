@@ -156,7 +156,6 @@ void CoreModel::try_issue() {
       park(StallReason::kStore);  // woken when the write buffer drains
       return;
     }
-    stores_.inc();
   }
 
   ++committed_;
@@ -188,16 +187,10 @@ void CoreModel::wake() {
 
 void CoreModel::finish() {
   CDSIM_ASSERT(!done_);
+  // Reached only with no pending op, and a parked core always holds one.
+  CDSIM_ASSERT(!parked_);
   done_ = true;
   finish_ = eq_.now();
-  if (parked_) {
-    parked_ = false;
-    stall_cycles_.inc(eq_.now() - parked_since_);
-    if (trace_ != nullptr && eq_.now() > parked_since_) {
-      trace_->span(trace_track_, stall_name(park_reason_), parked_since_,
-                   eq_.now());
-    }
-  }
   if (trace_ != nullptr) trace_->instant(trace_track_, "finish", eq_.now());
   if (on_finished_) on_finished_();
 }

@@ -22,18 +22,24 @@ constexpr Addr kHotHomeOffset = 0x800000;
 
 }  // namespace
 
-FuzzerWorkload::FuzzerWorkload(const FuzzerConfig& cfg, CoreId core,
+FuzzerWorkload::FuzzerWorkload(const FuzzerConfig& cfg,
+                               std::uint32_t num_cores,
+                               std::uint32_t line_bytes,
+                               std::uint32_t issue_width, CoreId core,
                                std::uint64_t seed)
     : cfg_(cfg),
+      line_bytes_(line_bytes),
+      hot_home_stride_(static_cast<Addr>(num_cores) * line_bytes),
+      issue_width_(issue_width),
       core_(core),
       // Mix the core id into the seed the same way the synthetic generator
       // family does: per-core streams must be decorrelated.
       rng_(SplitMix64(seed ^ (0x9e3779b97f4a7c15ULL *
                               (static_cast<std::uint64_t>(core) + 1)))
                .next()) {
-  CDSIM_ASSERT(cfg_.line_bytes >= 8);
-  CDSIM_ASSERT(cfg_.num_cores >= 1);
-  CDSIM_ASSERT(cfg_.issue_width >= 1);
+  CDSIM_ASSERT(line_bytes >= 8);
+  CDSIM_ASSERT(num_cores >= 1);
+  CDSIM_ASSERT(issue_width >= 1);
   CDSIM_ASSERT(cfg_.false_share_lines >= 1);
   CDSIM_ASSERT(cfg_.pingpong_lines >= 1);
   CDSIM_ASSERT(cfg_.straddle_lines >= 1);
@@ -78,17 +84,13 @@ void FuzzerWorkload::refill() {
 }
 
 void FuzzerWorkload::burst_hot_home() {
-  // Directory stressor: a pool of lines spaced `home_tiles` lines apart —
+  // Directory stressor: a pool of lines spaced one tile count apart —
   // under line-interleaved homes every one of them serializes through the
   // SAME directory bank, while all cores read/write them concurrently
   // (all-to-all sharing through one mesh hotspot). The offset keeps the
   // pool disjoint from every other shared pool.
-  CDSIM_ASSERT_MSG(cfg_.home_tiles >= 1,
-                   "w_hot_home > 0 requires home_tiles");
-  const Addr stride =
-      static_cast<Addr>(cfg_.home_tiles) * cfg_.line_bytes;
   const Addr line = kSharedBase + kHotHomeOffset +
-                    rng_.below(cfg_.hot_home_lines) * stride;
+                    rng_.below(cfg_.hot_home_lines) * hot_home_stride_;
   const std::uint64_t n = 2 + rng_.below(4);
   for (std::uint64_t i = 0; i < n; ++i) {
     const bool store = rng_.chance(cfg_.store_fraction);
@@ -97,7 +99,8 @@ void FuzzerWorkload::burst_hot_home() {
     const Addr a = (i & 1) == 0
                        ? line
                        : kSharedBase + kHotHomeOffset +
-                             rng_.below(cfg_.hot_home_lines) * stride;
+                             rng_.below(cfg_.hot_home_lines) *
+                                 hot_home_stride_;
     push(store ? AccessType::kStore : AccessType::kLoad, a, small_gap(),
          false, 0);
   }
@@ -107,9 +110,9 @@ void FuzzerWorkload::burst_false_share() {
   // Every core picks offsets inside the same line: ownership must ping-pong
   // while each core believes it touches "its own" bytes.
   const Addr line = kSharedBase + kFalseShareOffset +
-                    rng_.below(cfg_.false_share_lines) * cfg_.line_bytes;
+                    rng_.below(cfg_.false_share_lines) * line_bytes_;
   const Addr mine =
-      line + (static_cast<Addr>(core_) * 8) % cfg_.line_bytes;
+      line + (static_cast<Addr>(core_) * 8) % line_bytes_;
   const std::uint64_t n = 1 + rng_.below(3);
   for (std::uint64_t i = 0; i < n; ++i) {
     const bool store = rng_.chance(cfg_.store_fraction);
@@ -123,7 +126,7 @@ void FuzzerWorkload::burst_pingpong() {
   // S->M upgrades racing invalidations, and under MOESI a steady source of
   // M->O downgrades (a remote load snooping our fresh store).
   const Addr line = kSharedBase + kPingpongOffset +
-                    rng_.below(cfg_.pingpong_lines) * cfg_.line_bytes;
+                    rng_.below(cfg_.pingpong_lines) * line_bytes_;
   const std::uint64_t n = 2 + rng_.below(4);
   for (std::uint64_t i = 0; i < n; ++i) {
     const bool store = ((pingpong_step_++ + core_) & 1) == 0;
@@ -144,7 +147,7 @@ void FuzzerWorkload::burst_straddle() {
   const std::uint32_t n = k > 16 ? 16 : k;
   for (std::uint32_t i = 0; i < n; ++i) {
     lines[i] = kSharedBase + kStraddleOffset +
-               rng_.below(cfg_.straddle_lines) * cfg_.line_bytes;
+               rng_.below(cfg_.straddle_lines) * line_bytes_;
     const bool dirty = rng_.chance(cfg_.store_fraction);
     push(dirty ? AccessType::kStore : AccessType::kLoad, lines[i],
          small_gap(), false, 0);
@@ -156,9 +159,9 @@ void FuzzerWorkload::burst_straddle() {
   const double frac = 0.5 + 0.8 * rng_.uniform();
   const auto sleep_gap = static_cast<std::uint32_t>(
       frac * static_cast<double>(cfg_.decay_window) *
-      static_cast<double>(cfg_.issue_width));
+      static_cast<double>(issue_width_));
   const Addr filler = kPrivateBase | (static_cast<Addr>(core_) << 32) |
-                      ((churn_pos_++ % cfg_.churn_lines) * cfg_.line_bytes);
+                      ((churn_pos_++ % cfg_.churn_lines) * line_bytes_);
   push(AccessType::kLoad, filler, sleep_gap, false, 0);
 
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -176,7 +179,7 @@ void FuzzerWorkload::burst_chain() {
                     kChainOffset;
   const std::uint64_t n = 3 + rng_.below(4);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const Addr addr = base + rng_.below(cfg_.chain_lines) * cfg_.line_bytes;
+    const Addr addr = base + rng_.below(cfg_.chain_lines) * line_bytes_;
     push(AccessType::kLoad, addr, small_gap(), /*dependent=*/i > 0, chain);
   }
 }
@@ -188,7 +191,7 @@ void FuzzerWorkload::burst_churn() {
   const std::uint64_t n = 2 + rng_.below(6);
   for (std::uint64_t i = 0; i < n; ++i) {
     const Addr addr =
-        base + (churn_pos_++ % cfg_.churn_lines) * cfg_.line_bytes;
+        base + (churn_pos_++ % cfg_.churn_lines) * line_bytes_;
     AccessType type = AccessType::kLoad;
     if (rng_.chance(cfg_.ifetch_fraction)) {
       type = AccessType::kIFetch;

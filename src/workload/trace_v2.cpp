@@ -1,7 +1,9 @@
 #include "cdsim/workload/trace_v2.hpp"
 
+#include <cstdio>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "cdsim/common/hash.hpp"
 
@@ -127,7 +129,15 @@ ChunkedTraceWriter::ChunkedTraceWriter(const std::string& path,
   offset_ = header.size();
 }
 
-ChunkedTraceWriter::~ChunkedTraceWriter() { finish(); }
+ChunkedTraceWriter::~ChunkedTraceWriter() {
+  if (!finished_) discard();
+}
+
+void ChunkedTraceWriter::discard() {
+  if (!out_.is_open()) return;  // the file was never ours to remove
+  out_.close();
+  std::remove(path_.c_str());
+}
 
 void ChunkedTraceWriter::fail(const std::string& msg) {
   if (error_.empty()) error_ = msg;
@@ -185,9 +195,11 @@ void ChunkedTraceWriter::flush_chunk() {
 bool ChunkedTraceWriter::finish() {
   if (finished_) return ok();
   finished_ = true;
-  if (!ok()) return false;
   flush_chunk();
-  if (!ok()) return false;
+  if (!ok()) {
+    discard();
+    return false;
+  }
 
   std::string body;
   put_u32(body, static_cast<std::uint32_t>(index_.size()));
@@ -211,7 +223,10 @@ bool ChunkedTraceWriter::finish() {
   out_.write(body.data(), static_cast<std::streamsize>(body.size()));
   out_.write(tail.data(), static_cast<std::streamsize>(tail.size()));
   out_.flush();
-  if (!out_.good()) fail("short write to \"" + path_ + "\"");
+  if (!out_.good()) {
+    fail("short write to \"" + path_ + "\"");
+    discard();
+  }
   return ok();
 }
 
@@ -451,11 +466,13 @@ bool ChunkedTraceReader::load_chunk(std::uint32_t idx) {
 }
 
 bool ChunkedTraceReader::next(TraceRecord& out) {
-  if (failed() || pos_ >= info_.total_records) return false;
+  if (failed()) throw std::runtime_error(error_);
+  if (pos_ >= info_.total_records) return false;
   if (!chunk_loaded_ || chunk_pos_ >= chunk_.size()) {
     const std::uint32_t idx =
         chunk_loaded_ ? cur_chunk_ + 1 : cur_chunk_;
-    if (idx >= index_.size() || !load_chunk(idx)) return false;
+    if (idx >= index_.size()) return false;
+    if (!load_chunk(idx)) throw std::runtime_error(error_);
     chunk_pos_ = 0;
   }
   out = chunk_[chunk_pos_++];

@@ -268,15 +268,14 @@ TEST(DirectoryCmp, SixteenCoreMeshRunsVerifiedWithNocMetrics) {
   cfg.decay = decay::DecayConfig{decay::Technique::kDecay, 2048, 4};
 
   workload::FuzzerConfig fc;
-  fc.num_cores = cfg.num_cores;
   fc.decay_window = 2048;
   fc.w_hot_home = 0.2;
-  fc.home_tiles = cfg.num_cores;
   workload::Benchmark bench;
   bench.config.name = "dmesh-16";
-  const workload::StreamFactory factory = [&fc](CoreId core,
-                                                std::uint64_t seed) {
-    return std::make_unique<workload::FuzzerWorkload>(fc, core, seed);
+  const workload::StreamFactory factory = [&fc, &cfg](CoreId core,
+                                                      std::uint64_t seed) {
+    return std::make_unique<workload::FuzzerWorkload>(
+        fc, cfg.num_cores, cfg.line_bytes, cfg.core.issue_width, core, seed);
   };
 
   verify::DifferentialChecker checker(cfg.num_cores);
@@ -312,13 +311,13 @@ TEST(DirectoryCmp, DecayTurnoffsReleaseDirectoryTracking) {
   cfg.decay = decay::DecayConfig{decay::Technique::kDecay, 1024, 4};
 
   workload::FuzzerConfig fc;
-  fc.num_cores = cfg.num_cores;
   fc.decay_window = 1024;
   workload::Benchmark bench;
   bench.config.name = "dmesh-8-decay";
-  const workload::StreamFactory factory = [&fc](CoreId core,
-                                                std::uint64_t seed) {
-    return std::make_unique<workload::FuzzerWorkload>(fc, core, seed);
+  const workload::StreamFactory factory = [&fc, &cfg](CoreId core,
+                                                      std::uint64_t seed) {
+    return std::make_unique<workload::FuzzerWorkload>(
+        fc, cfg.num_cores, cfg.line_bytes, cfg.core.issue_width, core, seed);
   };
   sim::CmpSystem sys(cfg, bench, factory);
   const sim::RunMetrics m = sys.run();

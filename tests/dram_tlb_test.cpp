@@ -250,13 +250,13 @@ TEST(DramSystem, OracleSeesIdenticalValuesUnderDram) {
   // exactly the values the differential oracle predicts — the DRAM
   // scheduler may reorder *service*, never *data*.
   verify::FuzzScenario sc;
-  sc.topology = noc::Topology::kDirectoryMesh;
-  sc.num_cores = 8;
-  sc.fuzz.num_cores = 8;
-  sc.decay = decay::DecayConfig{decay::Technique::kDecay, 2048, 4};
+  sc.machine = verify::fuzz_machine(
+      coherence::Protocol::kMesi,
+      decay::DecayConfig{decay::Technique::kDecay, 2048, 4},
+      noc::Topology::kDirectoryMesh, 8, sim::Hierarchy::kTwoLevel,
+      MemoryModel::kDram, /*l2_bytes_per_core=*/16 * KiB);
+  sc.machine.seed = 90210;
   sc.fuzz.decay_window = 2048;
-  sc.mem_model = MemoryModel::kDram;
-  sc.seed = 90210;
   const verify::ScenarioOutcome out = verify::run_scenario(sc);
   EXPECT_EQ(out.total_divergences, 0u)
       << verify::to_string(out.divergences.front());

@@ -369,6 +369,25 @@ TEST_F(ExperimentCacheTest, VerifiedCaptureReplaysTheRun) {
   std::filesystem::remove_all(dir);
 }
 
+// A verified run the validator rejects (a decaying L2 with decay_time 0)
+// throws before simulating, and leaves no capture behind: only a finished
+// run's writer makes a .cdt.
+TEST_F(ExperimentCacheTest, RejectedVerifiedRunLeavesNoCapture) {
+  const workload::Benchmark& fmm = workload::benchmark_by_name("FMM");
+  sim::SystemConfig cfg = sim::make_system_config(
+      1 * MiB, decay::DecayConfig{decay::Technique::kDecay, 0, 4});
+  cfg.instructions_per_core = 2'000;
+  const std::filesystem::path dir = cache_path("vreject") + ".d";
+  std::filesystem::remove_all(dir);
+  ::setenv("CDSIM_VERIFY", "1", 1);
+  ::setenv("CDSIM_VERIFY_TRACE", dir.c_str(), 1);
+  EXPECT_THROW((void)sim::run_config(cfg, fmm), std::invalid_argument);
+  ::unsetenv("CDSIM_VERIFY");
+  ::unsetenv("CDSIM_VERIFY_TRACE");
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(ExperimentCacheTest, ParsePositiveU64) {
   using sim::detail::parse_positive_u64;
   EXPECT_EQ(parse_positive_u64("1"), 1u);

@@ -162,12 +162,12 @@ INSTANTIATE_TEST_SUITE_P(PinnedConfigs, GoldenMetricsTest,
 // under the exact-hexfloat regression guard.
 TEST(GoldenMetricsTest, TraceReplayCdtPathIsPinned) {
   workload::FuzzerConfig fc;
-  fc.num_cores = 2;
   fc.decay_window = 2048;
   workload::Trace t;
   t.num_cores = 2;
   for (CoreId c = 0; c < 2; ++c) {
-    workload::FuzzerWorkload w(fc, c, /*seed=*/99);
+    workload::FuzzerWorkload w(fc, /*num_cores=*/2, /*line_bytes=*/64,
+                               /*issue_width=*/4, c, /*seed=*/99);
     Cycle now = 0;
     for (int i = 0; i < 1200; ++i) t.records.push_back({c, w.next(now += 2)});
   }

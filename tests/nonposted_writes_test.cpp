@@ -21,7 +21,6 @@
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/verify/fuzz.hpp"
 #include "cdsim/verify/oracle.hpp"
-#include "cdsim/workload/fuzzer.hpp"
 
 namespace cdsim {
 namespace {
@@ -46,34 +45,23 @@ verify::FuzzScenario scenario(coherence::Protocol protocol,
                               noc::Topology topology, std::uint32_t cores,
                               mem::MemoryModel model) {
   verify::FuzzScenario sc;
-  sc.protocol = protocol;
-  sc.topology = topology;
-  sc.num_cores = cores;
-  sc.mem_model = model;
-  sc.decay = decay::DecayConfig{decay::Technique::kDecay, 2048, 4};
-  sc.total_l2_bytes = 32 * KiB * cores;
-  sc.instructions_per_core = 200000;
-  sc.fuzz.num_cores = cores;
+  sc.machine = verify::fuzz_machine(
+      protocol, decay::DecayConfig{decay::Technique::kDecay, 2048, 4},
+      topology, cores, sim::Hierarchy::kTwoLevel, model);
+  sc.machine.instructions_per_core = 200000;
+  sc.machine.seed = 1;
+  sc.machine.mem.posted_writes = false;
   sc.fuzz.decay_window = 2048;
-  if (topology == noc::Topology::kDirectoryMesh) {
-    sc.fuzz.w_hot_home = 0.18;
-    sc.fuzz.home_tiles = cores;
-  }
+  if (topology == noc::Topology::kDirectoryMesh) sc.fuzz.w_hot_home = 0.18;
   return sc;
 }
 
-void expect_pinned(const verify::FuzzScenario& sc, sim::SystemConfig cfg,
-                   const Pinned& want) {
-  cfg.mem.posted_writes = false;
+void expect_pinned(const verify::FuzzScenario& sc, const Pinned& want) {
+  const sim::SystemConfig& cfg = sc.machine;
   workload::Benchmark bench;
   bench.config.name = sc.label();
-  const workload::FuzzerConfig& fc = sc.fuzz;
-  const workload::StreamFactory factory = [&fc](CoreId core,
-                                                std::uint64_t seed) {
-    return std::make_unique<workload::FuzzerWorkload>(fc, core, seed);
-  };
   verify::DifferentialChecker checker(cfg.num_cores);
-  sim::CmpSystem sys(cfg, bench, factory);
+  sim::CmpSystem sys(cfg, bench, verify::fuzz_streams(sc));
   sys.set_observer(&checker);
   const sim::RunMetrics m = sys.run();
   EXPECT_GT(sys.check_coherence_invariants(), 0u);
@@ -96,33 +84,32 @@ void expect_pinned(const verify::FuzzScenario& sc, sim::SystemConfig cfg,
 // turn-off write-back completes when the bus is done with it: this run is
 // identical to its posted twin.
 TEST(NonPostedWrites, BusMesiFlatFasterThanTheBusIsPinned) {
-  const verify::FuzzScenario sc =
+  verify::FuzzScenario sc =
       scenario(coherence::Protocol::kMesi, noc::Topology::kSnoopBus, 4,
                mem::MemoryModel::kFlat);
-  sim::SystemConfig cfg = sc.system_config();
-  cfg.mem.bytes_per_cycle = 64;
-  expect_pinned(sc, cfg, {14409, 75208, 0x4257004c32632a80});
+  sc.machine.mem.bytes_per_cycle = 64;
+  expect_pinned(sc, {14409, 75208, 0x4257004c32632a80});
 }
 
 TEST(NonPostedWrites, BusMoesiDramAndTlbIsPinned) {
   const verify::FuzzScenario sc =
       scenario(coherence::Protocol::kMoesi, noc::Topology::kSnoopBus, 4,
                mem::MemoryModel::kDram);
-  expect_pinned(sc, sc.system_config(), {22430, 144331, 0x61cd50a6583cfb4b});
+  expect_pinned(sc, {22430, 144331, 0x61cd50a6583cfb4b});
 }
 
 TEST(NonPostedWrites, SixteenCoreMesiMeshFlatIsPinned) {
   const verify::FuzzScenario sc =
       scenario(coherence::Protocol::kMesi, noc::Topology::kDirectoryMesh, 16,
                mem::MemoryModel::kFlat);
-  expect_pinned(sc, sc.system_config(), {194184, 87733, 0x6651d7cab2452dc8});
+  expect_pinned(sc, {194184, 87733, 0x6651d7cab2452dc8});
 }
 
 TEST(NonPostedWrites, EightCoreMoesiMeshDramAndTlbIsPinned) {
   const verify::FuzzScenario sc =
       scenario(coherence::Protocol::kMoesi, noc::Topology::kDirectoryMesh, 8,
                mem::MemoryModel::kDram);
-  expect_pinned(sc, sc.system_config(), {109778, 238110, 0x9a6f4aac73839572});
+  expect_pinned(sc, {109778, 238110, 0x9a6f4aac73839572});
 }
 
 }  // namespace

@@ -58,10 +58,12 @@ TEST(TraceFile, CaptureReadReplayIsBitIdentical) {
   // through replay_scenario — the RunMetrics must match the original run
   // exactly (doubles compared bit-for-bit via EXPECT_EQ).
   verify::FuzzScenario sc;
-  sc.decay = decay::DecayConfig{decay::Technique::kDecay, 2048, 4};
-  sc.seed = 31415;
+  sc.machine = verify::fuzz_machine(
+      coherence::Protocol::kMesi,
+      decay::DecayConfig{decay::Technique::kDecay, 2048, 4});
+  sc.machine.seed = 31415;
+  sc.machine.instructions_per_core = 12000;
   sc.fuzz.decay_window = 2048;
-  sc.instructions_per_core = 12000;
 
   const verify::ScenarioOutcome original = verify::run_scenario(sc);
   ASSERT_EQ(original.total_divergences, 0u);
@@ -114,7 +116,7 @@ TEST(TraceFile, IdleCoreGetsUnitBudgetAndFillerStream) {
 
   // A trace with idle cores must also replay end-to-end.
   verify::FuzzScenario sc;
-  sc.instructions_per_core = 1;  // overridden by per-core budgets anyway
+  sc.machine.instructions_per_core = 1;  // overridden by per-core budgets
   const verify::ScenarioOutcome out = verify::replay_scenario(sc, t);
   EXPECT_EQ(out.total_divergences, 0u);
   EXPECT_EQ(out.metrics.instructions, 3u + 1 + 1 + 1);

@@ -14,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,33 @@ TEST(TraceV2, FooterCarriesBudgetsAndIdleCoresGetUnitBudget) {
   std::remove(path.c_str());
 }
 
+// Only finish() makes a .cdt: an abandoned writer, or one whose finish()
+// failed, removes what it wrote, and a writer that never opened its path
+// leaves whatever was there alone.
+TEST(TraceV2, OnlyFinishLeavesAFile) {
+  const std::string path = temp_path("unfinished");
+  const TraceRecord rec{1, {AccessType::kLoad, 0x40, 0, false, 0}};
+  {
+    ChunkedTraceWriter w(path, /*num_cores=*/2, /*chunk_records=*/1);
+    w.append(rec);  // a whole chunk reaches the file
+    ASSERT_TRUE(std::ifstream(path).good());
+  }
+  EXPECT_FALSE(std::ifstream(path).good());
+  {
+    ChunkedTraceWriter w(path, /*num_cores=*/1);
+    w.append(rec);  // core 1 of a 1-core trace
+    EXPECT_FALSE(w.finish());
+  }
+  EXPECT_FALSE(std::ifstream(path).good());
+  std::ofstream(path) << "not ours";
+  {
+    ChunkedTraceWriter w(path, /*num_cores=*/0);
+    EXPECT_FALSE(w.ok());
+  }
+  EXPECT_TRUE(std::ifstream(path).good());
+  std::remove(path.c_str());
+}
+
 TEST(TraceV2, WriterRejectsOutOfRangeCoreAndBadShape) {
   const std::string path = temp_path("badwrite");
   {
@@ -266,7 +294,7 @@ TEST_F(TraceV2Corruption, ChunkPayloadFlipFailsAtDecodeNotAtOpen) {
   auto r = ChunkedTraceReader::open(path_, &err);
   ASSERT_NE(r, nullptr) << err;  // footer is intact: open succeeds
   TraceRecord rec;
-  EXPECT_FALSE(r->next(rec));  // false on corruption, not a crash
+  EXPECT_THROW(r->next(rec), std::runtime_error);  // loud, not a crash
   EXPECT_TRUE(r->failed());
   EXPECT_NE(r->error().find("checksum"), std::string::npos) << r->error();
 }
@@ -284,7 +312,7 @@ TEST_F(TraceV2Corruption, MidStreamChunkFlipStopsAtTheBoundary) {
   ASSERT_NE(r, nullptr) << err;
   TraceRecord rec;
   std::size_t streamed = 0;
-  while (r->next(rec)) ++streamed;
+  EXPECT_THROW(while (r->next(rec)) ++streamed, std::runtime_error);
   EXPECT_TRUE(r->failed());
   EXPECT_EQ(streamed, 32u);  // both full chunks streamed, the short one not
 }
@@ -346,9 +374,95 @@ TEST_F(TraceV2Corruption, ChunkHeaderFooterDisagreementIsCorruption) {
   auto r = ChunkedTraceReader::open(path_, &err);
   ASSERT_NE(r, nullptr) << err;
   TraceRecord rec;
-  EXPECT_FALSE(r->next(rec));
+  EXPECT_THROW(r->next(rec), std::runtime_error);
   EXPECT_TRUE(r->failed());
   EXPECT_NE(r->error().find("disagrees"), std::string::npos) << r->error();
+}
+
+/// Runs `fn`, which must throw std::runtime_error whose message holds
+/// `needle`.
+template <typename Fn>
+void expect_runtime_error(Fn&& fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "no exception; expected one naming \"" << needle << "\"";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+// A corrupt chunk in the middle of a captured run: every consumer that
+// reaches it fails naming the chunk, instead of ending early as if the
+// trace were shorter.
+class TraceV2MidFileCorruption : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    sc_.machine.seed = 4242;
+    sc_.machine.instructions_per_core = 6000;
+    const Trace trace = verify::run_scenario(sc_).trace;
+    path_ = temp_path("midcorrupt");
+    ASSERT_TRUE(workload::save_v2(trace, path_, nullptr, /*chunk_records=*/16));
+    std::ifstream in(path_, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    std::string b = ss.str();
+    in.close();
+    const auto chunks = ChunkedTraceReader::open(path_)->info().chunk_count;
+    ASSERT_GE(chunks, 3u);
+    // Walk the chunk headers (u32 payload bytes, u32 records, u64
+    // checksum) to the middle chunk and flip its first payload byte.
+    const std::uint32_t mid = chunks / 2;
+    std::size_t off = 20;  // past the file header
+    for (std::uint32_t i = 0; i < mid; ++i) {
+      std::uint32_t payload = 0;
+      for (int k = 0; k < 4; ++k) {
+        payload |= static_cast<std::uint32_t>(
+                       static_cast<unsigned char>(b[off + k]))
+                   << (8 * k);
+      }
+      off += 16 + payload;
+    }
+    b[off + 16] ^= 0x5a;
+    std::ofstream(path_, std::ios::binary | std::ios::trunc)
+        .write(b.data(), static_cast<std::streamsize>(b.size()));
+    chunk_ = "chunk " + std::to_string(mid) + " checksum mismatch";
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  [[nodiscard]] workload::TraceOpener opener() const {
+    return [path = path_] { return workload::open_trace_source(path); };
+  }
+
+  verify::FuzzScenario sc_;
+  std::string path_;
+  std::string chunk_;
+};
+
+TEST_F(TraceV2MidFileCorruption, ReplayFactoryReplayFailsNamingTheChunk) {
+  sim::SystemConfig cfg = sc_.machine;
+  cfg.per_core_instructions = opener()()->per_core_instructions();
+  workload::Benchmark bench;
+  sim::CmpSystem sys(cfg, bench, workload::replay_factory(opener()));
+  expect_runtime_error([&sys] { (void)sys.run(); }, chunk_);
+}
+
+TEST_F(TraceV2MidFileCorruption, MixReplayFailsNamingTheChunk) {
+  sim::MixPlan plan = sim::plan_mix(
+      {sim::ProgramSpec{opener(), "midcorrupt", 1.0}}, sc_.machine.num_cores);
+  sim::SystemConfig cfg = sc_.machine;
+  plan.apply(cfg);
+  workload::Benchmark bench;
+  sim::CmpSystem sys(cfg, bench, plan.streams);
+  expect_runtime_error([&sys] { (void)sys.run(); }, chunk_);
+}
+
+TEST_F(TraceV2MidFileCorruption, CopyFailsNamingTheChunkAndLeavesNoFile) {
+  const std::string copy = temp_path("midcorrupt_copy");
+  auto src = opener()();
+  expect_runtime_error(
+      [&] { (void)workload::write_v2_from_source(*src, copy); }, chunk_);
+  EXPECT_FALSE(std::ifstream(copy).good());
 }
 
 // ---------------------------------------------------------------------------
@@ -406,10 +520,12 @@ TEST(TraceV2, StreamingReplayIsBitIdenticalToInMemoryReplay) {
   // cursors of a one-program mix. Metrics must match bit-for-bit
   // (EXPECT_EQ on doubles).
   verify::FuzzScenario sc;
-  sc.decay = decay::DecayConfig{decay::Technique::kDecay, 2048, 4};
-  sc.seed = 2718;
+  sc.machine = verify::fuzz_machine(
+      coherence::Protocol::kMesi,
+      decay::DecayConfig{decay::Technique::kDecay, 2048, 4});
+  sc.machine.seed = 2718;
+  sc.machine.instructions_per_core = 8000;
   sc.fuzz.decay_window = 2048;
-  sc.instructions_per_core = 8000;
 
   const verify::ScenarioOutcome original = verify::run_scenario(sc);
   ASSERT_EQ(original.total_divergences, 0u);
@@ -425,7 +541,7 @@ TEST(TraceV2, StreamingReplayIsBitIdenticalToInMemoryReplay) {
 
   // Streaming: sim::plan_mix's per-core filtered_replay_stream cursors
   // over the v2 file, the path trace_replay takes.
-  sim::SystemConfig cfg = sc.system_config();
+  sim::SystemConfig cfg = sc.machine;
   cfg.per_core_instructions = original.trace.per_core_instructions();
   const sim::MixPlan plan = sim::plan_mix(
       {sim::ProgramSpec{[&path] { return workload::open_trace_source(path); },
@@ -447,22 +563,17 @@ TEST(TraceV2, CaptureToChunkedSinkMatchesInMemoryCapture) {
   // The same run captured through both TraceSinks — the in-memory Trace
   // and the streaming ChunkedTraceWriter — must record identical streams.
   verify::FuzzScenario sc;
-  sc.seed = 1618;
-  sc.instructions_per_core = 4000;
+  sc.machine.seed = 1618;
+  sc.machine.instructions_per_core = 4000;
 
   const verify::ScenarioOutcome mem_run = verify::run_scenario(sc);
   const std::string path = temp_path("sink");
   {
-    sim::SystemConfig cfg = sc.system_config();
-    ChunkedTraceWriter w(path, cfg.num_cores, /*chunk_records=*/256);
-    const workload::FuzzerConfig& fc = sc.fuzz;
-    workload::StreamFactory base = [&fc](CoreId core, std::uint64_t seed) {
-      return std::make_unique<workload::FuzzerWorkload>(fc, core, seed);
-    };
+    ChunkedTraceWriter w(path, sc.machine.num_cores, /*chunk_records=*/256);
     workload::Benchmark bench;
     bench.config.name = sc.label();
-    sim::CmpSystem sys(cfg, bench,
-                       workload::capture_factory(std::move(base), &w));
+    sim::CmpSystem sys(sc.machine, bench,
+                       workload::capture_factory(verify::fuzz_streams(sc), &w));
     (void)sys.run();
     ASSERT_TRUE(w.finish()) << w.error();
   }
@@ -483,8 +594,8 @@ class ScenarioMix : public ::testing::Test {
     // Four distinct captured programs, saved as v2.
     for (int i = 0; i < 4; ++i) {
       verify::FuzzScenario sc;
-      sc.seed = 100 + static_cast<std::uint64_t>(i);
-      sc.instructions_per_core = 3000;
+      sc.machine.seed = 100 + static_cast<std::uint64_t>(i);
+      sc.machine.instructions_per_core = 3000;
       const verify::ScenarioOutcome out = verify::run_scenario(sc);
       ASSERT_EQ(out.total_divergences, 0u);
       const std::string path = temp_path("mix" + std::to_string(i));
@@ -615,15 +726,28 @@ TEST(TraceV2, FuzzMatrixIncludesMultiProgramCells) {
   opts.scenarios = 64;
   std::size_t mix_cells = 0;
   bool skewed_budget_seen = false;
-  for (const verify::FuzzScenario& sc : verify::fuzz_matrix(opts)) {
+  for (verify::FuzzScenario sc : verify::fuzz_matrix(opts)) {
     if (sc.programs == 0) continue;
     ++mix_cells;
+    sc.machine.instructions_per_core = 2000;
     EXPECT_NE(sc.label().find("progs="), std::string::npos);
-    const sim::SystemConfig cfg = sc.system_config();
-    ASSERT_EQ(cfg.per_core_instructions.size(), cfg.num_cores);
-    // Hot tenant: program 0's cores get a doubled budget.
-    EXPECT_EQ(cfg.per_core_instructions[0], 2 * sc.instructions_per_core);
-    EXPECT_EQ(cfg.per_core_instructions[1], sc.instructions_per_core);
+    // Hot tenant: program 0's cores run a doubled budget. A core draws ops
+    // until it has committed its budget, so the budget lies in (the
+    // instructions before its last op, the instructions through it].
+    const verify::ScenarioOutcome out = verify::run_scenario(sc);
+    const std::uint32_t cores = sc.machine.num_cores;
+    std::vector<std::uint64_t> before(cores, 0);
+    std::vector<std::uint64_t> through(cores, 0);
+    for (const TraceRecord& r : out.trace.records) {
+      before[r.core] = through[r.core];
+      through[r.core] += std::uint64_t{r.op.gap} + 1;
+    }
+    for (CoreId c = 0; c < cores; ++c) {
+      const std::uint64_t budget = (c % sc.programs == 0 ? 2 : 1) *
+                                   sc.machine.instructions_per_core;
+      EXPECT_LT(before[c], budget) << sc.label() << " core " << c;
+      EXPECT_GE(through[c], budget) << sc.label() << " core " << c;
+    }
     skewed_budget_seen = true;
   }
   EXPECT_EQ(mix_cells, 16u);  // two 8-cell blocks of the 64-cell matrix
@@ -640,7 +764,7 @@ TEST(TraceV2, MultiProgramFuzzCellCapturesAndReplaysBitIdentically) {
                    [](const verify::FuzzScenario& s) { return s.programs > 0; });
   ASSERT_NE(it, matrix.end());
   verify::FuzzScenario sc = *it;
-  sc.instructions_per_core = 4000;
+  sc.machine.instructions_per_core = 4000;
 
   const verify::ScenarioOutcome out = verify::run_scenario(sc);
   EXPECT_EQ(out.total_divergences, 0u);

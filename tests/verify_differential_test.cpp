@@ -8,10 +8,10 @@
 //     deferred-memory flush chain stays consistent).
 //  2. The acceptance sweep runs >= 200 seeded hostile scenarios spanning
 //     {MESI, MOESI} x all four leakage techniques x three decay times x
-//     {4-core snoop bus, 8/16-core directory mesh} and requires ZERO
-//     divergences — every load's returned version matches the flat
-//     last-writer model, including loads that hit lines that were turned
-//     off and refetched, on both interconnect topologies.
+//     {4-core snoop bus, 8/16-core directory mesh} x {two, three levels}
+//     and requires ZERO divergences — every load's returned version
+//     matches the flat last-writer model, including loads that hit lines
+//     that were turned off and refetched, on both interconnect topologies.
 //     The same matrix runs clean at 32 and 128 B machine lines.
 //  3. The injected-bug test arms the L2's test-only lost-write-back fault
 //     and requires the oracle to CATCH it and the shrinker to minimize the
@@ -170,28 +170,26 @@ TEST(FuzzMatrix, SpansProtocolsTechniquesTopologiesAndHierarchies) {
   std::set<Cycle> decay_times;
   std::set<std::uint64_t> seeds;
   for (const auto& sc : matrix) {
-    protocols[static_cast<int>(sc.protocol)]++;
-    techniques[static_cast<int>(sc.decay.technique)]++;
-    topologies[static_cast<int>(sc.topology)]++;
-    hierarchies[static_cast<int>(sc.hierarchy)]++;
-    if (decay::uses_decay(sc.decay.technique)) {
-      decay_times.insert(sc.decay.decay_time);
+    const sim::SystemConfig& m = sc.machine;
+    protocols[static_cast<int>(m.protocol)]++;
+    techniques[static_cast<int>(m.decay.technique)]++;
+    topologies[static_cast<int>(m.topology)]++;
+    hierarchies[static_cast<int>(m.hierarchy)]++;
+    if (decay::uses_decay(m.decay.technique)) {
+      decay_times.insert(m.decay.decay_time);
     }
-    if (sc.topology == noc::Topology::kDirectoryMesh) {
-      mesh_core_counts.insert(sc.num_cores);
+    if (m.topology == noc::Topology::kDirectoryMesh) {
+      mesh_core_counts.insert(m.num_cores);
       // NoC stressor armed: hot-home contention targets one bank.
       EXPECT_GT(sc.fuzz.w_hot_home, 0.0);
-      EXPECT_EQ(sc.fuzz.home_tiles, sc.num_cores);
     }
-    if (sc.hierarchy == sim::Hierarchy::kThreeLevel) {
+    if (m.hierarchy == sim::Hierarchy::kThreeLevel) {
       // Three-level cells are mesh-only with a real L3 behind the L2s.
-      EXPECT_EQ(sc.topology, noc::Topology::kDirectoryMesh);
-      EXPECT_GT(sc.total_l3_bytes, sc.total_l2_bytes);
-      three_level_core_counts.insert(sc.num_cores);
-    } else {
-      EXPECT_EQ(sc.total_l3_bytes, 0u);
+      EXPECT_EQ(m.topology, noc::Topology::kDirectoryMesh);
+      EXPECT_GT(m.total_l3_bytes, m.total_l2_bytes);
+      three_level_core_counts.insert(m.num_cores);
     }
-    seeds.insert(sc.seed);
+    seeds.insert(m.seed);
   }
   EXPECT_GT(protocols[0], 50);  // MESI
   EXPECT_GT(protocols[1], 50);  // MOESI
@@ -236,9 +234,10 @@ TEST(FuzzAcceptance, TwoHundredScenariosZeroDivergences) {
 
 TEST(FuzzScenarios, MoesiScenarioExercisesOwnedState) {
   verify::FuzzScenario sc;
-  sc.protocol = coherence::Protocol::kMoesi;
-  sc.decay = decay::DecayConfig{decay::Technique::kDecay, 2048, 4};
-  sc.seed = 424242;
+  sc.machine = verify::fuzz_machine(
+      coherence::Protocol::kMoesi,
+      decay::DecayConfig{decay::Technique::kDecay, 2048, 4});
+  sc.machine.seed = 424242;
   sc.fuzz.decay_window = 2048;
   const verify::ScenarioOutcome out = verify::run_scenario(sc);
   EXPECT_EQ(out.total_divergences, 0u);
@@ -249,18 +248,13 @@ TEST(FuzzScenarios, MoesiScenarioExercisesOwnedState) {
 
 TEST(FuzzScenarios, ThreeLevelScenarioDecaysAtEveryLevel) {
   verify::FuzzScenario sc;
-  sc.protocol = coherence::Protocol::kMoesi;
-  sc.topology = noc::Topology::kDirectoryMesh;
-  sc.hierarchy = sim::Hierarchy::kThreeLevel;
-  sc.num_cores = 8;
-  sc.total_l2_bytes = 8 * 32 * KiB;
-  sc.total_l3_bytes = 4 * sc.total_l2_bytes;
-  sc.decay = decay::DecayConfig{decay::Technique::kDecay, 2048, 4};
-  sc.seed = 31337;
-  sc.fuzz.num_cores = 8;
+  sc.machine = verify::fuzz_machine(
+      coherence::Protocol::kMoesi,
+      decay::DecayConfig{decay::Technique::kDecay, 2048, 4},
+      noc::Topology::kDirectoryMesh, 8, sim::Hierarchy::kThreeLevel);
+  sc.machine.seed = 31337;
   sc.fuzz.decay_window = 2048;
   sc.fuzz.w_hot_home = 0.18;
-  sc.fuzz.home_tiles = 8;
   const verify::ScenarioOutcome out = verify::run_scenario(sc);
   EXPECT_EQ(out.total_divergences, 0u)
       << verify::to_string(out.divergences.front());
@@ -277,7 +271,7 @@ TEST(FuzzScenarios, ThreeLevelScenarioDecaysAtEveryLevel) {
 
 TEST(FuzzScenarios, MesiScenarioIsMoesiFreeAndDeterministic) {
   verify::FuzzScenario sc;
-  sc.seed = 7;
+  sc.machine.seed = 7;
   const verify::ScenarioOutcome a = verify::run_scenario(sc);
   const verify::ScenarioOutcome b = verify::run_scenario(sc);
   EXPECT_EQ(a.owned_downgrades, 0u);  // MESI never reaches O
@@ -286,41 +280,59 @@ TEST(FuzzScenarios, MesiScenarioIsMoesiFreeAndDeterministic) {
   EXPECT_EQ(a.loads_checked, b.loads_checked);
 }
 
+// A scenario is a whole machine: a leaf that no fuzz-specific field ever
+// carried (the L2's associativity) reaches the run, which still matches
+// the oracle. Without straddle sleeps the budget goes to memory traffic,
+// so the ways decide which lines survive.
+TEST(FuzzScenarios, AnyMachineLeafReachesTheRun) {
+  verify::FuzzScenario sc;
+  sc.machine = verify::fuzz_machine(
+      coherence::Protocol::kMoesi,
+      decay::DecayConfig{decay::Technique::kDecay, 2048, 4});
+  sc.machine.instructions_per_core = 20000;
+  sc.machine.seed = 2024;
+  sc.fuzz.decay_window = 2048;
+  sc.fuzz.w_straddle = 0.0;
+  const verify::ScenarioOutcome eight_way =
+      verify::run_scenario(sc, /*capture=*/false);
+  sc.machine.l2.ways = 16;
+  const verify::ScenarioOutcome sixteen_way =
+      verify::run_scenario(sc, /*capture=*/false);
+  EXPECT_EQ(eight_way.total_divergences, 0u);
+  EXPECT_EQ(sixteen_way.total_divergences, 0u);
+  EXPECT_NE(sim::first_difference(eight_way.metrics, sixteen_way.metrics),
+            "");
+}
+
 // The machine's line size is a real parameter: every cache level, the
 // coherence unit and the mesh's home interleave follow
 // SystemConfig::line_bytes. The first 128 matrix scenarios (bus and mesh,
 // two and three levels, flat and DRAM+TLB) run under the oracle at 32 and
-// 128 B lines, the fuzzer striding by the same line, and none may diverge
-// or break an invariant.
+// 128 B lines, the fuzzer striding by the machine's line, and none may
+// diverge or break an invariant.
 TEST(FuzzLineSize, MatrixRunsCleanAtOtherLineSizes) {
   verify::FuzzOptions opts;
   opts.scenarios = 128;
   const std::vector<verify::FuzzScenario> matrix = verify::fuzz_matrix(opts);
   for (const std::uint32_t line : {32u, 128u}) {
     std::uint64_t loads = 0;
-    for (const verify::FuzzScenario& sc : matrix) {
+    for (verify::FuzzScenario sc : matrix) {
       SCOPED_TRACE(sc.label() + " line_bytes=" + std::to_string(line));
-      sim::SystemConfig cfg = sc.system_config();
-      cfg.line_bytes = line;
-      workload::FuzzerConfig fc = sc.fuzz;
-      fc.line_bytes = line;
+      sc.machine.line_bytes = line;
+      const verify::ScenarioOutcome out =
+          verify::run_scenario(sc, /*capture=*/false);
+      ASSERT_EQ(out.total_divergences, 0u)
+          << verify::to_string(out.divergences.front());
+      loads += out.loads_checked;
+      // The levels the run was built with: their geometry follows the line.
+      const sim::SystemConfig& cfg = sc.machine;
       workload::Benchmark bench;
-      bench.config.name = sc.label();
-      sim::CmpSystem sys(cfg, bench, [&fc](CoreId c, std::uint64_t seed) {
-        return std::make_unique<workload::FuzzerWorkload>(fc, c, seed);
-      });
-      DifferentialChecker checker(cfg.num_cores);
-      sys.set_observer(&checker);
-      (void)sys.run();
-      sys.check_coherence_invariants();
+      sim::CmpSystem sys(cfg, bench, verify::fuzz_streams(sc));
       EXPECT_EQ(sys.l1(0).counters(0, decay::Technique::kBaseline)
                     .capacity_lines,
                 cfg.l1.size_bytes / line);
       EXPECT_EQ(sys.l2(0).capacity_lines(),
                 cfg.total_l2_bytes / cfg.num_cores / line);
-      ASSERT_EQ(checker.total_divergences(), 0u)
-          << verify::to_string(checker.divergences().front());
-      loads += checker.loads_checked();
     }
     EXPECT_GT(loads, 0u);
   }
@@ -332,9 +344,10 @@ TEST(FuzzLineSize, MatrixRunsCleanAtOtherLineSizes) {
 
 TEST(InjectedBug, LostDecayWritebackIsCaughtAndShrunk) {
   verify::FuzzScenario sc;
-  sc.protocol = coherence::Protocol::kMesi;
-  sc.decay = decay::DecayConfig{decay::Technique::kDecay, 1024, 4};
-  sc.seed = 777;
+  sc.machine = verify::fuzz_machine(
+      coherence::Protocol::kMesi,
+      decay::DecayConfig{decay::Technique::kDecay, 1024, 4});
+  sc.machine.seed = 777;
   sc.fuzz.decay_window = 1024;
   sc.inject_writeback_loss = true;
 
@@ -375,15 +388,11 @@ TEST(InjectedBug, LostWritebackIsCaughtThroughThreeLevels) {
   // diverge. This is the proof that the oracle threads write-versions
   // through all three levels, not just past the L2.
   verify::FuzzScenario sc;
-  sc.protocol = coherence::Protocol::kMesi;
-  sc.topology = noc::Topology::kDirectoryMesh;
-  sc.hierarchy = sim::Hierarchy::kThreeLevel;
-  sc.num_cores = 8;
-  sc.total_l2_bytes = 8 * 32 * KiB;
-  sc.total_l3_bytes = 4 * sc.total_l2_bytes;
-  sc.decay = decay::DecayConfig{decay::Technique::kDecay, 1024, 4};
-  sc.seed = 777;
-  sc.fuzz.num_cores = 8;
+  sc.machine = verify::fuzz_machine(
+      coherence::Protocol::kMesi,
+      decay::DecayConfig{decay::Technique::kDecay, 1024, 4},
+      noc::Topology::kDirectoryMesh, 8, sim::Hierarchy::kThreeLevel);
+  sc.machine.seed = 777;
   sc.fuzz.decay_window = 1024;
   sc.inject_writeback_loss = true;
 
@@ -435,6 +444,12 @@ TEST(InjectedBug, RunFuzzPipelineReportsAndShrinksFailures) {
     EXPECT_EQ(min_records, f.shrunk.records.size());
     std::ifstream report(stem + ".report.txt");
     EXPECT_TRUE(report.good());
+    // The report names every leaf of the machine, not just the label.
+    const std::string text((std::istreambuf_iterator<char>(report)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("machine: " + sim::describe(f.scenario.machine)),
+              std::string::npos)
+        << text;
     // Clean up.
     std::remove((stem + ".cdt").c_str());
     std::remove((stem + ".min.cdt").c_str());

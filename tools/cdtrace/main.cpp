@@ -51,7 +51,9 @@
 //       gap total.
 //
 //   inspect, head and stats read .cdt v2 only; any other file (a retired
-//   v1 trace included) is rejected with a nonzero exit.
+//   v1 trace included) is rejected with a nonzero exit, and head and stats
+//   exit 1 naming the chunk when one they reach is corrupt. A convert that
+//   fails leaves no output file.
 //
 //   Numeric flags take plain decimal digits within the flag's range;
 //   anything else exits 2 with an error naming the flag.
@@ -66,6 +68,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -507,11 +510,16 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   Flags f;
   if (!parse_flags(argc, argv, 2, f)) return 2;
-  if (cmd == "gen") return cmd_gen(f);
-  if (cmd == "convert") return cmd_convert(f);
-  if (cmd == "inspect") return cmd_inspect(f);
-  if (cmd == "render") return cmd_render(f);
-  if (cmd == "head") return cmd_head(f);
-  if (cmd == "stats") return cmd_stats(f);
+  try {
+    if (cmd == "gen") return cmd_gen(f);
+    if (cmd == "convert") return cmd_convert(f);
+    if (cmd == "inspect") return cmd_inspect(f);
+    if (cmd == "render") return cmd_render(f);
+    if (cmd == "head") return cmd_head(f);
+    if (cmd == "stats") return cmd_stats(f);
+  } catch (const std::runtime_error& e) {  // a chunk failed to decode
+    std::fprintf(stderr, "cdtrace: %s\n", e.what());
+    return 1;
+  }
   return usage();
 }
