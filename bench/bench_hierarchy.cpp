@@ -46,11 +46,7 @@ constexpr Shape kShapes[] = {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  // Read first, so a malformed CDSIM_INSTR exits 1 before the runner.
-  const auto env_instr =
-      sim::detail::instructions_from_env(120000, "bench_hierarchy");
-  if (!env_instr) return 1;
-  sim::ExperimentRunner runner(*env_instr);
+  sim::ExperimentRunner runner(120000);
   const std::uint64_t instr = runner.instructions_per_core();
 
   const std::vector<decay::DecayConfig> techniques = {

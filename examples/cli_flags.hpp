@@ -7,7 +7,8 @@
 // argument (in order) to the positional handler. Strict: an unknown or
 // malformed flag prints an error and parse() returns false. MachineFlags
 // turns the trio into a machine and parse_technique_flag a technique name
-// and decay time into a technique, the same way in every binary.
+// and decay time into a technique, the same way in every binary; ObsFlags
+// is the observability front end of diagnose and trace_replay.
 
 #include <cstdio>
 #include <functional>
@@ -16,8 +17,11 @@
 #include <utility>
 #include <vector>
 
+#include "cdsim/common/host_timer.hpp"
 #include "cdsim/decay/technique.hpp"
 #include "cdsim/noc/interconnect.hpp"
+#include "cdsim/obs/interval_sampler.hpp"
+#include "cdsim/obs/trace_recorder.hpp"
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
 
@@ -74,6 +78,75 @@ inline std::optional<decay::DecayConfig> parse_technique_flag(
   return d;
 }
 
+/// The observability flags (FlagParser::observability registers them),
+/// all strictly observer-only — metrics are bit-identical with and without:
+///   --trace-out=FILE   binary .cdtl timeline (`cdtrace render FILE
+///                      out.json` makes Perfetto-loadable JSON)
+///   --sample-out=FILE  windowed time-series CSV
+///   --sample-every=N   sampling window in cycles (default 100000)
+///   --profile          host wall-clock phase profile on stderr
+/// open, attach and finish bracket the one run they observe.
+class ObsFlags {
+ public:
+  std::string trace_out;
+  std::string sample_out;
+  std::uint64_t sample_every = 100000;
+  bool profile = false;
+
+  /// Opens the requested outputs and enables the profiler. On failure
+  /// prints why and returns false (the caller exits 1).
+  bool open() {
+    std::string err;
+    if (!trace_out.empty() && !recorder_.open(trace_out, &err)) {
+      std::fprintf(stderr, "%s\n", err.c_str());
+      return false;
+    }
+    if (!sample_out.empty() &&
+        !sampler_.emplace(sample_every).open_csv(sample_out, &err)) {
+      std::fprintf(stderr, "%s\n", err.c_str());
+      return false;
+    }
+    if (profile) prof::HostProfiler::set_enabled(true);
+    return true;
+  }
+
+  /// Attaches the opened recorder and sampler to `sys`, before its run().
+  void attach(sim::CmpSystem& sys) {
+    if (!trace_out.empty()) sys.set_trace_recorder(&recorder_);
+    if (sampler_) sys.set_sampler(&*sampler_);
+  }
+
+  /// After the run: closes each output and reports it on stderr, then the
+  /// profile. On a failed write prints which and returns false (exit 1).
+  bool finish() {
+    if (!trace_out.empty()) {
+      if (!recorder_.close()) {
+        std::fprintf(stderr, "trace write failed: %s\n", trace_out.c_str());
+        return false;
+      }
+      std::fprintf(stderr, "trace: %llu event(s) on %u track(s) -> %s\n",
+                   static_cast<unsigned long long>(recorder_.events()),
+                   recorder_.tracks(), trace_out.c_str());
+    }
+    if (sampler_) {
+      if (!sampler_->finish()) {
+        std::fprintf(stderr, "series write failed: %s\n", sample_out.c_str());
+        return false;
+      }
+      std::fprintf(stderr, "series: %llu row(s), checksum %016llx -> %s\n",
+                   static_cast<unsigned long long>(sampler_->rows()),
+                   static_cast<unsigned long long>(sampler_->checksum()),
+                   sample_out.c_str());
+    }
+    if (profile) prof::HostProfiler::report(stderr);
+    return true;
+  }
+
+ private:
+  obs::TraceRecorder recorder_;
+  std::optional<obs::IntervalSampler> sampler_;
+};
+
 /// Declarative argv parser. Register options, then parse(); registration
 /// order does not matter. Example:
 ///
@@ -117,6 +190,14 @@ class FlagParser {
       return true;
     });
     return *this;
+  }
+
+  /// --trace-out=, --sample-out=, --sample-every= and --profile.
+  FlagParser& observability(ObsFlags* out) {
+    return str("trace-out", &out->trace_out)
+        .str("sample-out", &out->sample_out)
+        .u64("sample-every", &out->sample_every)
+        .toggle("profile", &out->profile);
   }
 
   /// Bare boolean switch: --name sets *out (and *seen, when given).

@@ -13,25 +13,15 @@
 // calibrating workloads. The topology/hierarchy flags drive the full
 // machine family: the paper's 4-core snoop bus, the scaled directory
 // mesh, and the three-level machine (private L2s behind the shared
-// home-banked L3) with the chosen technique active at every level.
-//
-// Observability (all strictly observer-only — metrics are bit-identical
-// with and without them):
-//   --trace-out=FILE     binary .cdtl timeline; `cdtrace render FILE
-//                        out.json` turns it into Chrome trace-event JSON
-//                        for Perfetto / chrome://tracing.
-//   --sample-out=FILE    windowed time-series CSV.
-//   --sample-every=N     sampling window in cycles (default 100000).
-//   --profile            host wall-clock phase profile on stderr.
+// home-banked L3) with the chosen technique active at every level. The
+// observability flags are examples::ObsFlags (cli_flags.hpp), all
+// strictly observer-only.
 
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "cdsim/common/host_timer.hpp"
-#include "cdsim/obs/interval_sampler.hpp"
-#include "cdsim/obs/trace_recorder.hpp"
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
 #include "cli_flags.hpp"
@@ -44,19 +34,13 @@ int main(int argc, char** argv) {
   Cycle decay_k = 512;
   std::uint64_t instr = 4000000;
 
-  std::string trace_out;
-  std::string sample_out;
-  std::uint64_t sample_every = 100000;
-  bool profile = false;
   bool bad_positional = false;
 
   examples::MachineFlags mf;
+  examples::ObsFlags obs_flags;
   examples::FlagParser parser;
   parser.machine(&mf)
-      .str("trace-out", &trace_out)
-      .str("sample-out", &sample_out)
-      .u64("sample-every", &sample_every)
-      .toggle("profile", &profile)
+      .observability(&obs_flags)
       .on_positional([&](int pos, const std::string& arg) {
         // decay_time_k may be 0 (baseline/protocol ignore it) but must
         // not overflow when scaled to cycles; instr must be positive.
@@ -103,47 +87,10 @@ int main(int argc, char** argv) {
   }
   sim::CmpSystem sys(cfg, *bench);
 
-  obs::TraceRecorder recorder;
-  if (!trace_out.empty()) {
-    std::string err;
-    if (!recorder.open(trace_out, &err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 1;
-    }
-    sys.set_trace_recorder(&recorder);
-  }
-  obs::IntervalSampler sampler(sample_every);
-  if (!sample_out.empty()) {
-    std::string err;
-    if (!sampler.open_csv(sample_out, &err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 1;
-    }
-    sys.set_sampler(&sampler);
-  }
-  if (profile) prof::HostProfiler::set_enabled(true);
-
+  if (!obs_flags.open()) return 1;
+  obs_flags.attach(sys);
   const sim::RunMetrics m = sys.run();
-
-  if (!trace_out.empty()) {
-    if (!recorder.close()) {
-      std::fprintf(stderr, "trace write failed: %s\n", trace_out.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "trace: %llu event(s) on %u track(s) -> %s\n",
-                 (unsigned long long)recorder.events(), recorder.tracks(),
-                 trace_out.c_str());
-  }
-  if (!sample_out.empty()) {
-    if (!sampler.finish()) {
-      std::fprintf(stderr, "series write failed: %s\n", sample_out.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "series: %llu row(s), checksum %016llx -> %s\n",
-                 (unsigned long long)sampler.rows(),
-                 (unsigned long long)sampler.checksum(), sample_out.c_str());
-  }
-  if (profile) prof::HostProfiler::report(stderr);
+  if (!obs_flags.finish()) return 1;
 
   std::printf("=== %s / %s / %lluMB L2 / %s%u / %s / %llu instr/core ===\n",
               m.benchmark.c_str(), m.technique.c_str(),

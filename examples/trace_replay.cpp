@@ -29,12 +29,8 @@
 //       --max-rss-mb=N     fail if peak RSS exceeded N MiB
 //       --metrics-out=F    append a "name value" line per RunMetrics leaf
 //                          to F (sim::format_metrics; hexfloat doubles)
-//       --trace-out=F      binary .cdtl timeline of the streaming replay;
-//                          `cdtrace render F out.json` makes it
-//                          Perfetto-loadable JSON
-//       --sample-out=F     windowed time-series CSV of the streaming replay
-//       --sample-every=N   sampling window in cycles (default 100000)
-//       --profile          host wall-clock phase profile on stderr
+//       --trace-out=F --sample-out=F --sample-every=N --profile
+//                          observe the streaming replay (examples::ObsFlags)
 
 #include <sys/resource.h>
 
@@ -48,9 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "cdsim/common/host_timer.hpp"
-#include "cdsim/obs/interval_sampler.hpp"
-#include "cdsim/obs/trace_recorder.hpp"
 #include "cdsim/common/table.hpp"
 #include "cdsim/sim/cmp_system.hpp"
 #include "cdsim/sim/experiment.hpp"
@@ -144,15 +137,13 @@ struct ReplayResult {
 ReplayResult run_machine(const sim::SystemConfig& cfg,
                          const workload::StreamFactory& streams,
                          bool verify, const std::string& name,
-                         obs::TraceRecorder* rec = nullptr,
-                         obs::IntervalSampler* sampler = nullptr) {
+                         examples::ObsFlags* obs_flags = nullptr) {
   workload::Benchmark bench;
   bench.config.name = name;
   verify::DifferentialChecker checker(cfg.num_cores);
   sim::CmpSystem sys(cfg, bench, streams);
   if (verify) sys.set_observer(&checker);
-  if (rec != nullptr) sys.set_trace_recorder(rec);
-  if (sampler != nullptr) sys.set_sampler(sampler);
+  if (obs_flags != nullptr) obs_flags->attach(sys);
   ReplayResult out;
   out.metrics = sys.run();
   if (verify) {
@@ -174,16 +165,14 @@ int replay(int argc, char** argv) {
   std::uint64_t max_rss_mb = 0;
   std::string hot_spec;
   std::string metrics_out;
-  std::string trace_out;
-  std::string sample_out;
-  std::uint64_t sample_every = 100000;
-  bool profile = false;
+  examples::ObsFlags obs_flags;
   bool verify = false;
   bool in_memory = false;
   std::vector<std::string> paths;
 
   examples::FlagParser parser;
   parser.machine(&mf)
+      .observability(&obs_flags)
       .str("technique", &tech_name)
       .u64("decay-k", &decay_k)
       .str("hot", &hot_spec)
@@ -191,10 +180,6 @@ int replay(int argc, char** argv) {
       .toggle("in-memory", &in_memory)
       .u64("max-rss-mb", &max_rss_mb)
       .str("metrics-out", &metrics_out)
-      .str("trace-out", &trace_out)
-      .str("sample-out", &sample_out)
-      .u64("sample-every", &sample_every)
-      .toggle("profile", &profile)
       .on_positional(
           [&](int, const std::string& arg) { paths.push_back(arg); });
   if (!parser.parse(argc, argv)) return 2;
@@ -281,50 +266,11 @@ int replay(int argc, char** argv) {
                 static_cast<unsigned long long>(a.instructions));
   }
 
-  obs::TraceRecorder recorder;
-  if (!trace_out.empty()) {
-    std::string err;
-    if (!recorder.open(trace_out, &err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 1;
-    }
-  }
-  obs::IntervalSampler sampler(sample_every);
-  if (!sample_out.empty()) {
-    std::string err;
-    if (!sampler.open_csv(sample_out, &err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 1;
-    }
-  }
-  if (profile) prof::HostProfiler::set_enabled(true);
-
+  if (!obs_flags.open()) return 1;
   const ReplayResult streamed =
-      run_machine(cfg, plan.streams, verify, "trace_replay",
-                  trace_out.empty() ? nullptr : &recorder,
-                  sample_out.empty() ? nullptr : &sampler);
+      run_machine(cfg, plan.streams, verify, "trace_replay", &obs_flags);
   const sim::RunMetrics& m = streamed.metrics;
-
-  if (!trace_out.empty()) {
-    if (!recorder.close()) {
-      std::fprintf(stderr, "trace write failed: %s\n", trace_out.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "trace: %llu event(s) on %u track(s) -> %s\n",
-                 static_cast<unsigned long long>(recorder.events()),
-                 recorder.tracks(), trace_out.c_str());
-  }
-  if (!sample_out.empty()) {
-    if (!sampler.finish()) {
-      std::fprintf(stderr, "series write failed: %s\n", sample_out.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "series: %llu row(s), checksum %016llx -> %s\n",
-                 static_cast<unsigned long long>(sampler.rows()),
-                 static_cast<unsigned long long>(sampler.checksum()),
-                 sample_out.c_str());
-  }
-  if (profile) prof::HostProfiler::report(stderr);
+  if (!obs_flags.finish()) return 1;
   std::printf("\ncycles %llu  IPC %.3f  L2 miss %.2f%%  energy %.3e\n",
               static_cast<unsigned long long>(m.cycles), m.ipc,
               100.0 * m.l2_miss_rate, m.energy);

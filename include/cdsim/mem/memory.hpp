@@ -66,8 +66,11 @@ struct DramConfig {
   std::uint32_t row_bytes = 2048;
   /// Channel-interleave granularity (one cache line by default).
   std::uint32_t interleave_bytes = 64;
-  /// Bounded FR-FCFS scheduling window per channel; arrivals beyond it
-  /// wait in a FIFO spill and are not visible to the scheduler yet.
+  /// Bounded FR-FCFS scheduling window per channel. An arrival that finds
+  /// it full waits in a spill the scheduler cannot see, refilled into the
+  /// window in order only right before the next pick; an arrival that
+  /// finds room enters at once, ahead of older spilled requests, which
+  /// starvation_limit does not cover (a known fault, DESIGN §9).
   std::uint32_t queue_depth = 16;
   /// A row-hit may bypass the oldest request at most this many times
   /// before oldest-first is forced (FR-FCFS starvation cap).
@@ -184,7 +187,9 @@ class DramController {
   };
   struct Channel {
     std::deque<Request> queue;  ///< The scheduler's bounded window.
-    std::deque<Request> spill;  ///< FIFO overflow beyond queue_depth.
+    /// Overflow beyond queue_depth, moved into the window in order at each
+    /// pick; a later arrival that finds the window with room enters first.
+    std::deque<Request> spill;
     std::vector<Bank> banks;
     Cycle data_free = 0;  ///< Channel data bus busy until here.
     bool busy = false;    ///< A command is in service.

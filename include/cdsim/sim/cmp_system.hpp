@@ -514,11 +514,6 @@ class CmpSystem {
   [[nodiscard]] core::CoreModel& core_model(CoreId c) { return *cores_.at(c); }
   [[nodiscard]] L1Cache& l1(CoreId c) { return *l1s_.at(c); }
   [[nodiscard]] L2Cache& l2(CoreId c) { return *l2s_.at(c); }
-  /// The snoopy bus (topology kSnoopBus only; asserts otherwise).
-  [[nodiscard]] bus::SnoopBus& bus() noexcept {
-    CDSIM_ASSERT(bus_ != nullptr);
-    return *bus_;
-  }
   /// The directory mesh (topology kDirectoryMesh only; asserts otherwise).
   [[nodiscard]] noc::DirectoryMesh& mesh() noexcept {
     CDSIM_ASSERT(mesh_ != nullptr);
@@ -530,7 +525,6 @@ class CmpSystem {
     return *l3_;
   }
   [[nodiscard]] bool has_l3() const noexcept { return l3_ != nullptr; }
-  [[nodiscard]] mem::MemoryController& memory() noexcept { return *mem_; }
   [[nodiscard]] const SystemConfig& config() const noexcept { return cfg_; }
 
   /// Invariant checker used by property tests: at most one M/E/TD copy of

@@ -32,10 +32,9 @@ std::optional<std::uint64_t> parse_u64(const char* s) noexcept;
 std::optional<std::uint64_t> parse_positive_u64(const char* s) noexcept;
 /// The per-core instruction budget under the CDSIM_INSTR override: the
 /// variable's value when set, else `fallback`. A set value that is not a
-/// positive decimal count is reported on stderr, prefixed by `who`, and
-/// yields nullopt; the caller decides how to exit.
-std::optional<std::uint64_t> instructions_from_env(std::uint64_t fallback,
-                                                   const char* who);
+/// positive decimal count throws std::invalid_argument naming the
+/// variable, prefixed by `who`.
+std::uint64_t instructions_from_env(std::uint64_t fallback, const char* who);
 }  // namespace detail
 
 /// Deterministic seed derived from a configuration description string by

@@ -304,10 +304,7 @@ std::optional<std::uint64_t> parse_positive_u64(const char* s) noexcept {
   return v;
 }
 
-namespace {
-/// The CDSIM_INSTR budget, else `fallback`; a set value that is not a
-/// positive decimal count throws std::invalid_argument prefixed by `who`.
-std::uint64_t instructions_or_throw(std::uint64_t fallback, const char* who) {
+std::uint64_t instructions_from_env(std::uint64_t fallback, const char* who) {
   const char* env = std::getenv("CDSIM_INSTR");
   if (env == nullptr) return fallback;
   if (const std::optional<std::uint64_t> v = parse_positive_u64(env)) {
@@ -316,17 +313,6 @@ std::uint64_t instructions_or_throw(std::uint64_t fallback, const char* who) {
   throw std::invalid_argument(std::string(who) + ": CDSIM_INSTR=\"" + env +
                               "\" is invalid: expected a positive 64-bit "
                               "decimal instruction count");
-}
-}  // namespace
-
-std::optional<std::uint64_t> instructions_from_env(std::uint64_t fallback,
-                                                   const char* who) {
-  try {
-    return instructions_or_throw(fallback, who);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return std::nullopt;
-  }
 }
 }  // namespace detail
 
@@ -467,7 +453,7 @@ std::vector<std::optional<RunMetrics>> run_config(
 
 ExperimentRunner::ExperimentRunner(std::uint64_t instructions_per_core,
                                    std::string cache_path)
-    : instructions_(detail::instructions_or_throw(instructions_per_core,
+    : instructions_(detail::instructions_from_env(instructions_per_core,
                                                   "cdsim")) {
   if (instructions_ == 0) instructions_ = SystemConfig{}.instructions_per_core;
   if (!cache_path.empty()) {
