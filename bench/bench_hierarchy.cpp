@@ -69,15 +69,9 @@ int main(int argc, char** argv) try {
           static_cast<std::uint64_t>(kCores) * MiB, tech);
       cfg.num_cores = kCores;
       cfg.topology = shape.topology;
-      cfg.hierarchy = shape.hierarchy;
       cfg.instructions_per_core = instr;
-      if (shape.hierarchy == sim::Hierarchy::kThreeLevel) {
-        cfg.total_l3_bytes = 4 * cfg.total_l2_bytes;
-        // Decay at every level: the technique runs in the L1 front ends
-        // and the shared L3 banks too.
-        cfg.l1_decay = cfg.decay;
-        cfg.l3_decay = cfg.decay;
-      }
+      // On three levels the technique decays at every level.
+      sim::set_hierarchy(cfg, shape.hierarchy);
       cells.push_back({cfg, &bench});
       labels.push_back({{"shape", shape.name}});
     }

@@ -2,19 +2,16 @@
 // Shared scaffolding for the bench binaries.
 //
 // Every bench fills its machines through one ExperimentRunner, which
-// persists results to cdsim_results.cache so the whole bench suite pays for
-// each configuration exactly once. The figure benches sweep (a subset of)
-// the paper's grid — 6 benchmarks x {1,2,4,8} MB x 7 techniques +
-// baseline; the datapoint benches and bench_kernel write their results as
-// JSON through write_datapoints, and bench_kernel's gate reads its baseline
-// back through read_datapoints.
+// persists results to cdsim_results.cache, and reports the fill with
+// report_sweep. bench_figures prints Figs. 3-6 from one fill of the paper's
+// grid; the datapoint benches and bench_kernel write their results as JSON
+// through write_datapoints, and bench_kernel's gate reads its baseline back
+// through read_datapoints.
 
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -22,11 +19,9 @@
 #include <variant>
 #include <vector>
 
-#include "cdsim/common/table.hpp"
 #include "cdsim/common/version.hpp"
 #include "cdsim/sim/experiment.hpp"
 #include "cdsim/sim/metrics.hpp"
-#include "cdsim/workload/benchmarks.hpp"
 
 namespace cdsim::bench {
 
@@ -40,19 +35,6 @@ inline void report_sweep(const sim::SweepStats& sweep) {
               << sweep.timing_runs << " timing runs on " << sweep.workers
               << " workers; " << sweep.reused << " already cached]\n";
   }
-}
-
-/// Fills the paper grid (suite x sizes x techniques + baselines) in
-/// parallel and reports it. After this, every runner.relative()/
-/// suite_average() on those cells is a memo hit. Figures that only need one
-/// column pass their own size list.
-inline sim::SweepStats prefetch_paper_grid(
-    sim::ExperimentRunner& runner,
-    const std::vector<std::uint64_t>& sizes = sim::paper_cache_sizes()) {
-  const sim::SweepStats sweep = runner.run_grid(
-      workload::benchmark_suite(), sizes, sim::paper_technique_set());
-  report_sweep(sweep);
-  return sweep;
 }
 
 /// A value of a datapoint file: a header field or a row label.
@@ -171,41 +153,6 @@ inline Datapoints read_datapoints(const std::string& path) {
     }
   }
   return d;
-}
-
-/// Prints one paper figure: rows = techniques, columns = total cache sizes
-/// (the paper's BM1/BM2/BM4/BM8 groups), cell = suite-average metric.
-/// Returns the bench's exit status: 2, after the message, when the runner
-/// rejects a malformed CDSIM_INSTR or an empty CDSIM_CACHE_FILE.
-inline int print_size_sweep_figure(
-    const std::string& title, const std::string& metric_name,
-    const std::function<double(const sim::RelativeMetrics&)>& metric,
-    int precision = 1) try {
-  sim::ExperimentRunner runner;
-  prefetch_paper_grid(runner);
-  std::cout << title << "\n";
-  std::cout << "(metric: " << metric_name << "; suite average over "
-            << workload::benchmark_suite().size() << " benchmarks, "
-            << runner.instructions_per_core()
-            << " instructions/core; columns are total L2 capacity)\n\n";
-
-  TextTable t;
-  auto& header = t.row().cell("technique");
-  for (const std::uint64_t size : sim::paper_cache_sizes()) {
-    header.cell(std::to_string(size / MiB) + "MB");
-  }
-  for (const auto& tech : sim::paper_technique_set()) {
-    auto& row = t.row().cell(tech.label());
-    for (const std::uint64_t size : sim::paper_cache_sizes()) {
-      const sim::RelativeMetrics r = runner.suite_average(size, tech);
-      row.pct(metric(r), precision);
-    }
-  }
-  t.print(std::cout);
-  return 0;
-} catch (const std::invalid_argument& e) {
-  std::fprintf(stderr, "%s\n", e.what());
-  return 2;
 }
 
 }  // namespace cdsim::bench

@@ -39,21 +39,15 @@ struct MachineFlags {
   }
 
   /// The machine of this family with `total_l2_bytes` of L2 running
-  /// `technique` (make_system_config on the chosen topology, hierarchy and
-  /// cores). The three-level machine has four times the L2 in L3, and the
-  /// technique runs in the L1 front ends and the L3 banks too.
+  /// `technique`: make_system_config on the chosen topology and cores, and
+  /// sim::set_hierarchy on the chosen hierarchy.
   [[nodiscard]] sim::SystemConfig machine(
       std::uint64_t total_l2_bytes,
       const decay::DecayConfig& technique) const {
     sim::SystemConfig cfg = sim::make_system_config(total_l2_bytes, technique);
     cfg.topology = topology;
-    cfg.hierarchy = hierarchy;
     cfg.num_cores = effective_cores();
-    if (hierarchy == sim::Hierarchy::kThreeLevel) {
-      cfg.total_l3_bytes = 4 * total_l2_bytes;
-      cfg.l1_decay = cfg.decay;
-      cfg.l3_decay = cfg.decay;
-    }
+    sim::set_hierarchy(cfg, hierarchy);
     return cfg;
   }
 };

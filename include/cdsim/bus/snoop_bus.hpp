@@ -14,7 +14,9 @@
 //
 // Snooping is atomic-at-grant: all other caches observe and apply the
 // transaction at the grant cycle, which serializes coherence decisions in
-// bus order — exactly the property a physical snoopy bus provides.
+// bus order — exactly the property a physical snoopy bus provides. The
+// transaction vocabulary (noc::Snooper, noc::BusResult, noc::RequestHooks)
+// is shared with the directory mesh and lives in noc/interconnect.hpp.
 
 #include <cstdint>
 #include <vector>
@@ -31,14 +33,6 @@
 #include "cdsim/noc/interconnect.hpp"
 
 namespace cdsim::bus {
-
-// The transaction vocabulary (snoop interface, result, hooks) is shared
-// with the directory mesh and lives in noc/interconnect.hpp; these aliases
-// keep the historical bus:: spellings working.
-using noc::BusResult;
-using noc::RequestHooks;
-using noc::Snooper;
-using noc::SnoopReply;
 
 struct BusConfig {
   /// Cycles from request to earliest possible grant (arbiter latency).
@@ -67,14 +61,14 @@ class SnoopBus final : public noc::Interconnect {
 
   /// Registers a snooping agent. The agent's position in attach order is
   /// its round-robin arbitration slot. Must be called before any request.
-  void attach(Snooper* s) override {
+  void attach(noc::Snooper* s) override {
     noc::Interconnect::attach(s);
     queues_.emplace_back(kQueueCapacity);
   }
 
   /// Full-control variant with grant hook and cancellation validator.
   void request(coherence::BusTxKind kind, Addr line_addr, CoreId requester,
-               std::uint32_t bytes, RequestHooks hooks) override {
+               std::uint32_t bytes, noc::RequestHooks hooks) override {
     CDSIM_ASSERT(requester < queues_.size());
     queues_[requester].push_back(
         Pending{kind, line_addr, requester, bytes, std::move(hooks)});
@@ -101,7 +95,7 @@ class SnoopBus final : public noc::Interconnect {
     Addr line_addr = 0;
     CoreId requester = 0;
     std::uint32_t bytes = 0;
-    RequestHooks hooks;
+    noc::RequestHooks hooks;
   };
 
   [[nodiscard]] Cycle transfer_cycles(std::uint32_t bytes) const noexcept {
@@ -150,7 +144,7 @@ class SnoopBus final : public noc::Interconnect {
       return;
     }
 
-    BusResult res;
+    noc::BusResult res;
     res.granted_at = granted;
 
     // Address/snoop phase: all *other* agents observe the transaction now.

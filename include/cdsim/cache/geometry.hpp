@@ -19,7 +19,7 @@ class Geometry {
   /// @param ways        associativity (power of two, >= 1)
   Geometry(std::uint64_t size_bytes, std::uint32_t line_bytes,
            std::uint32_t ways)
-      : size_(size_bytes), line_(line_bytes), ways_(ways) {
+      : line_(line_bytes), ways_(ways) {
     CDSIM_ASSERT_MSG(is_pow2(size_bytes), "cache size must be a power of two");
     CDSIM_ASSERT_MSG(is_pow2(line_bytes) && line_bytes >= 8,
                      "line size must be a power of two >= 8");
@@ -28,11 +28,10 @@ class Geometry {
     CDSIM_ASSERT_MSG(size_bytes >= static_cast<std::uint64_t>(line_bytes) * ways,
                      "cache smaller than one set");
     line_shift_ = log2_pow2(line_bytes);
-    sets_ = size_ / (static_cast<std::uint64_t>(line_) * ways_);
+    sets_ = size_bytes / (static_cast<std::uint64_t>(line_) * ways_);
     set_mask_ = sets_ - 1;
   }
 
-  [[nodiscard]] std::uint64_t size_bytes() const noexcept { return size_; }
   [[nodiscard]] std::uint32_t line_bytes() const noexcept { return line_; }
   [[nodiscard]] std::uint32_t ways() const noexcept { return ways_; }
   [[nodiscard]] std::uint64_t num_sets() const noexcept { return sets_; }
@@ -55,7 +54,6 @@ class Geometry {
   [[nodiscard]] Addr tag(Addr a) const noexcept { return line_addr(a); }
 
  private:
-  std::uint64_t size_ = 0;
   std::uint32_t line_ = 0;
   std::uint32_t ways_ = 0;
   unsigned line_shift_ = 0;

@@ -69,14 +69,6 @@ class Xoshiro256 {
   /// Bernoulli draw with probability p.
   constexpr bool chance(double p) noexcept { return uniform() < p; }
 
-  /// Geometric-ish draw: number of failures before first success with
-  /// probability p per trial, capped at `cap`. Used for burst lengths.
-  constexpr std::uint64_t geometric(double p, std::uint64_t cap) noexcept {
-    std::uint64_t n = 0;
-    while (n < cap && !chance(p)) ++n;
-    return n;
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

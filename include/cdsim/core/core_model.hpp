@@ -136,7 +136,6 @@ class CoreModel {
   void try_issue();        ///< Attempts to issue the pending operation.
   void park(StallReason r); ///< Records a stall; resumed by wake().
   void wake();             ///< Re-attempts issue after a resource freed.
-  void on_load_done(std::size_t slot, Cycle done);
   void finish();
 
   [[nodiscard]] bool rob_blocked() const;

@@ -85,8 +85,6 @@ class MeshNoc {
             Delivery on_delivered);
 
   // --- geometry -----------------------------------------------------------
-  [[nodiscard]] std::uint32_t width() const noexcept { return width_; }
-  [[nodiscard]] std::uint32_t height() const noexcept { return height_; }
   [[nodiscard]] std::uint32_t num_tiles() const noexcept {
     return width_ * height_;
   }

@@ -61,6 +61,12 @@ std::vector<std::uint64_t> paper_cache_sizes();
 SystemConfig make_system_config(std::uint64_t total_l2_bytes,
                                 const decay::DecayConfig& technique);
 
+/// Gives `cfg` the hierarchy `hierarchy` the way every machine family
+/// does: a three-level machine has four times its total L2 in L3 and runs
+/// the L2's technique (cfg.decay) at L1 and L3 too. Call it once cfg's L2
+/// size and technique are set.
+void set_hierarchy(SystemConfig& cfg, Hierarchy hierarchy);
+
 /// The exact SystemConfig run_config simulates for (cfg, bench): `cfg`
 /// with the deterministic per-cell seed mixed in. Exposed so harnesses
 /// that need to own the CmpSystem themselves (bench_kernel, custom
@@ -187,10 +193,6 @@ class ExperimentRunner {
 
   [[nodiscard]] std::uint64_t instructions_per_core() const noexcept {
     return instructions_;
-  }
-
-  [[nodiscard]] const std::string& cache_path() const noexcept {
-    return cache_path_;
   }
 
  private:

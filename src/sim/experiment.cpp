@@ -357,6 +357,15 @@ SystemConfig make_system_config(std::uint64_t total_l2_bytes,
   return cfg;
 }
 
+void set_hierarchy(SystemConfig& cfg, Hierarchy hierarchy) {
+  cfg.hierarchy = hierarchy;
+  if (hierarchy == Hierarchy::kThreeLevel) {
+    cfg.total_l3_bytes = 4 * cfg.total_l2_bytes;
+    cfg.l1_decay = cfg.decay;
+    cfg.l3_decay = cfg.decay;
+  }
+}
+
 SystemConfig normalized_run_config(const SystemConfig& cfg,
                                    const workload::Benchmark& bench) {
   SystemConfig fixed = cfg;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "cdsim/common/assert.hpp"
+#include "cdsim/sim/experiment.hpp"
 #include "cdsim/verify/shrink.hpp"
 #include "cdsim/workload/benchmarks.hpp"
 #include "cdsim/workload/trace_v2.hpp"
@@ -172,20 +173,17 @@ sim::SystemConfig fuzz_machine(coherence::Protocol protocol,
   sim::SystemConfig cfg;
   cfg.num_cores = cores;
   cfg.topology = topology;
-  cfg.hierarchy = hierarchy;
   cfg.total_l2_bytes = l2_bytes_per_core * cores;
   cfg.protocol = protocol;
   if (!decay::uses_decay(decay.technique)) decay.decay_time = 0;
   cfg.decay = decay;
   cfg.l1.size_bytes = 8 * KiB;
   cfg.instructions_per_core = 30000;
+  sim::set_hierarchy(cfg, hierarchy);
   if (hierarchy == sim::Hierarchy::kThreeLevel) {
-    // A 4x-L2 shared L3 of small banks: big enough to filter refetches,
+    // The 4x-L2 shared L3 in small banks: big enough to filter refetches,
     // small enough that bank evictions and L3 decay churn within the run.
-    cfg.total_l3_bytes = 4 * cfg.total_l2_bytes;
     cfg.l3.ways = 8;
-    cfg.l1_decay = decay;
-    cfg.l3_decay = decay;
   }
   if (memory == mem::MemoryModel::kDram) {
     cfg.mem.model = mem::MemoryModel::kDram;

@@ -17,9 +17,9 @@ namespace {
 using coherence::BusTxKind;
 
 /// Scriptable snooper: reports a configurable reply and records what it saw.
-class FakeSnooper final : public Snooper {
+class FakeSnooper final : public noc::Snooper {
  public:
-  SnoopReply reply;
+  noc::SnoopReply reply;
   struct Seen {
     BusTxKind kind;
     Addr line;
@@ -27,7 +27,7 @@ class FakeSnooper final : public Snooper {
   };
   std::vector<Seen> seen;
 
-  SnoopReply snoop(BusTxKind kind, Addr line, CoreId requester) override {
+  noc::SnoopReply snoop(BusTxKind kind, Addr line, CoreId requester) override {
     seen.push_back({kind, line, requester});
     return reply;
   }
@@ -64,9 +64,9 @@ TEST(SnoopBus, SharedAndSupplierFlagsAggregate) {
   BusFixture f;
   f.s0.reply = {.had_line = true, .supplied_data = false};
   f.s2.reply = {.had_line = true, .supplied_data = true};
-  BusResult got;
+  noc::BusResult got;
   f.bus.request(BusTxKind::kBusRd, 0x40, 1, 64,
-                [&](const BusResult& r) { got = r; });
+                [&](const noc::BusResult& r) { got = r; });
   f.eq.run();
   EXPECT_TRUE(got.shared);
   EXPECT_TRUE(got.supplied_by_cache);
@@ -74,9 +74,9 @@ TEST(SnoopBus, SharedAndSupplierFlagsAggregate) {
 
 TEST(SnoopBus, MemorySuppliesWhenNoDirtyOwner) {
   BusFixture f;
-  BusResult got;
+  noc::BusResult got;
   f.bus.request(BusTxKind::kBusRd, 0x40, 0, 64,
-                [&](const BusResult& r) { got = r; });
+                [&](const noc::BusResult& r) { got = r; });
   f.eq.run();
   EXPECT_FALSE(got.supplied_by_cache);
   // Memory path: at least the read latency beyond the grant.
@@ -90,11 +90,11 @@ TEST(SnoopBus, CacheToCacheFasterThanMemory) {
   // A MESI dirty owner: flushes to the requester AND memory.
   dirty.s0.reply = {.had_line = true, .supplied_data = true,
                     .memory_update = true};
-  BusResult rd, rc;
+  noc::BusResult rd, rc;
   dirty.bus.request(BusTxKind::kBusRd, 0x40, 1, 64,
-                    [&](const BusResult& r) { rd = r; });
+                    [&](const noc::BusResult& r) { rd = r; });
   clean.bus.request(BusTxKind::kBusRd, 0x40, 1, 64,
-                    [&](const BusResult& r) { rc = r; });
+                    [&](const noc::BusResult& r) { rc = r; });
   dirty.eq.run();
   clean.eq.run();
   EXPECT_LT(rd.done_at - rd.granted_at, rc.done_at - rc.granted_at);
@@ -109,9 +109,9 @@ TEST(SnoopBus, OwnedSupplyGeneratesNoMemoryTraffic) {
   BusFixture f;
   f.s0.reply = {.had_line = true, .supplied_data = true,
                 .memory_update = false};
-  BusResult got;
+  noc::BusResult got;
   f.bus.request(BusTxKind::kBusRd, 0x40, 1, 64,
-                [&](const BusResult& r) { got = r; });
+                [&](const noc::BusResult& r) { got = r; });
   f.eq.run();
   EXPECT_TRUE(got.supplied_by_cache);
   EXPECT_EQ(f.mem.write_count(), 0u);
@@ -120,9 +120,9 @@ TEST(SnoopBus, OwnedSupplyGeneratesNoMemoryTraffic) {
 
 TEST(SnoopBus, UpgradeCarriesNoData) {
   BusFixture f;
-  BusResult got;
+  noc::BusResult got;
   f.bus.request(BusTxKind::kBusUpgr, 0x40, 0, 0,
-                [&](const BusResult& r) { got = r; });
+                [&](const noc::BusResult& r) { got = r; });
   f.eq.run();
   EXPECT_EQ(got.done_at, got.granted_at + f.bcfg.address_phase);
   EXPECT_EQ(f.bus.bytes_transferred(), 0u);
@@ -144,10 +144,10 @@ TEST(SnoopBus, ValidatorCancelsTransaction) {
   BusFixture f;
   bool cancelled = false;
   bool done = false;
-  RequestHooks hooks;
+  noc::RequestHooks hooks;
   hooks.validator = [] { return false; };
   hooks.on_cancel = [&] { cancelled = true; };
-  hooks.on_done = [&](const BusResult&) { done = true; };
+  hooks.on_done = [&](const noc::BusResult&) { done = true; };
   f.bus.request(BusTxKind::kWriteBack, 0x80, 0, 64, std::move(hooks));
   f.eq.run();
   EXPECT_TRUE(cancelled);
@@ -161,8 +161,8 @@ TEST(SnoopBus, RoundRobinFairness) {
   BusFixture f;
   std::vector<CoreId> grant_order;
   for (CoreId c : {0u, 0u, 1u, 2u}) {
-    RequestHooks hooks;
-    hooks.on_grant = [&grant_order, c](const BusResult&) {
+    noc::RequestHooks hooks;
+    hooks.on_grant = [&grant_order, c](const noc::BusResult&) {
       grant_order.push_back(c);
     };
     f.bus.request(BusTxKind::kBusUpgr, 0x40 * (c + 1), c, 0,
@@ -181,8 +181,8 @@ TEST(SnoopBus, TransactionsSerializeOnTheBus) {
   BusFixture f;
   std::vector<Cycle> grants;
   for (int i = 0; i < 3; ++i) {
-    RequestHooks hooks;
-    hooks.on_grant = [&grants, &f](const BusResult&) {
+    noc::RequestHooks hooks;
+    hooks.on_grant = [&grants, &f](const noc::BusResult&) {
       grants.push_back(f.eq.now());
     };
     f.bus.request(BusTxKind::kBusRd, 0x40u * (i + 1), 0, 64,
@@ -345,24 +345,24 @@ TEST(SnoopBus, NonPostedWriteBackWaitsForTheMemoryChannel) {
     bus.attach(&s0);
     bus.attach(&s1);
     if (congest_bytes > 0) mem.write(0, congest_bytes, 0, {});
-    BusResult got;
+    noc::BusResult got;
     bus.request(BusTxKind::kWriteBack, 0x80, 0, 64,
-                [&](const BusResult& r) { got = r; });
+                [&](const noc::BusResult& r) { got = r; });
     eq.run();
     return got;
   };
   const bus::BusConfig bcfg;
   const Cycle data_phase = bcfg.address_phase + 64 / bcfg.bytes_per_cycle;
   // 640 bytes congest the default 16 B/cycle channel until cycle 40.
-  const BusResult posted = write_back(true, 16, 640);
+  const noc::BusResult posted = write_back(true, 16, 640);
   EXPECT_EQ(posted.done_at, posted.granted_at + data_phase);
-  const BusResult held = write_back(false, 16, 640);
+  const noc::BusResult held = write_back(false, 16, 640);
   EXPECT_GT(held.done_at, posted.done_at);
   // Behind the 640-byte burst plus the write's own transfer.
   EXPECT_EQ(held.done_at, 640 / 16 + 64 / 16);
   // Memory faster than the bus (64 B/cycle, idle channel) absorbs the write
   // in one cycle, before the bus data phase ends: that end is done_at.
-  const BusResult fast = write_back(false, 64, 0);
+  const noc::BusResult fast = write_back(false, 64, 0);
   EXPECT_EQ(fast.done_at, fast.granted_at + data_phase);
 }
 
