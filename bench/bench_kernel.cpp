@@ -15,9 +15,9 @@
 // "runs_ms", "events" and "events_per_sec", then every RunMetrics leaf.
 //
 // Usage: bench_kernel <output.json> [--baseline file] [--tolerance ratio]
-//   output.json   where to write this run's numbers (required, so a run
-//                 from the repo root cannot overwrite the committed
-//                 BENCH_kernel.json it is gated against)
+//   output.json   where to write this run's numbers (exactly one,
+//                 required, so a run from the repo root cannot overwrite
+//                 the committed BENCH_kernel.json it is gated against)
 //   --baseline    a previously committed BENCH_kernel.json to gate against:
 //                 its instruction budget must equal this run's (exit 2
 //                 before any rep otherwise), each sample's events and
@@ -26,13 +26,16 @@
 //                 baseline * tolerance. A sample that differs is reported
 //                 with its first differing field and how many differ.
 //                 This is the CI perf gate for the throughput-class sweep.
-//   --tolerance   wall-clock slowdown ratio allowed vs. the baseline
-//                 (default 3.0 — wide on purpose: shared CI runners are
-//                 noisy and the committed baseline came from different
-//                 hardware; the gate catches order-of-magnitude sins, the
-//                 committed history catches drift).
+//   --tolerance   wall-clock slowdown ratio allowed vs. the baseline, a
+//                 finite number > 0 and nothing after it (default 3.0 —
+//                 wide on purpose: shared CI runners are noisy and the
+//                 committed baseline came from different hardware; the
+//                 gate catches order-of-magnitude sins, the committed
+//                 history catches drift).
+// A malformed argument exits 2 naming it, before any rep runs.
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstdio>
 #include <stdexcept>
@@ -192,16 +195,25 @@ int main(int argc, char** argv) try {
       }
       char* end = nullptr;
       tolerance = std::strtod(argv[++i], &end);
-      if (end == argv[i] || tolerance <= 0.0) {
-        std::fprintf(stderr, "bench_kernel: invalid --tolerance \"%s\"\n",
+      if (end == argv[i] || *end != '\0' || !std::isfinite(tolerance) ||
+          tolerance <= 0.0) {
+        std::fprintf(stderr,
+                     "bench_kernel: invalid --tolerance \"%s\" (want a "
+                     "finite ratio > 0)\n",
                      argv[i]);
         return 2;
       }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "bench_kernel: unknown option %s\n", arg.c_str());
       return 2;
-    } else {
+    } else if (out.empty()) {
       out = arg;
+    } else {
+      std::fprintf(stderr,
+                   "bench_kernel: unexpected argument \"%s\" (one output "
+                   "path, already given \"%s\")\n",
+                   arg.c_str(), out.c_str());
+      return 2;
     }
   }
   if (out.empty()) {

@@ -1,12 +1,13 @@
 #pragma once
 // Shared scaffolding for the bench binaries.
 //
-// Every bench fills its machines through one ExperimentRunner, which
-// persists results to cdsim_results.cache, and reports the fill with
-// report_sweep. bench_figures prints Figs. 3-6 from one fill of the paper's
-// grid; the datapoint benches and bench_kernel write their results as JSON
-// through write_datapoints, and bench_kernel's gate reads its baseline back
-// through read_datapoints.
+// bench_figures, bench_ablations and bench_datapoints each fill all their
+// machines in one call to an ExperimentRunner, which persists results to
+// cdsim_results.cache, and report the fill with report_sweep: bench_figures
+// prints Figs. 3-6 from the paper's grid, bench_ablations the A1 and A3
+// tables. bench_datapoints (one file per sweep) and bench_kernel write
+// their results as JSON through write_datapoints, and bench_kernel's gate
+// reads its baseline back through read_datapoints.
 
 #include <cstdio>
 #include <fstream>

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -53,8 +54,9 @@ struct MachineFlags {
 };
 
 /// The technique named `name` (baseline|protocol|decay|sel_decay) with a
-/// decay time of `decay_k` Kcycles; an unknown name is reported on stderr
-/// and yields nullopt.
+/// decay time of `decay_k` Kcycles; an unknown name, or a decay time whose
+/// cycle count does not fit in 64 bits, is reported on stderr and yields
+/// nullopt.
 inline std::optional<decay::DecayConfig> parse_technique_flag(
     const std::string& name, std::uint64_t decay_k) {
   const std::optional<decay::Technique> technique =
@@ -64,6 +66,16 @@ inline std::optional<decay::DecayConfig> parse_technique_flag(
                  "unknown technique \"%s\" (baseline|protocol|decay|"
                  "sel_decay)\n",
                  name.c_str());
+    return std::nullopt;
+  }
+  constexpr std::uint64_t kMaxDecayK =
+      std::numeric_limits<std::uint64_t>::max() / 1024;
+  if (decay_k > kMaxDecayK) {
+    std::fprintf(stderr,
+                 "invalid decay time \"%llu\" Kcycles (want at most %llu: "
+                 "the cycle count must fit in 64 bits)\n",
+                 static_cast<unsigned long long>(decay_k),
+                 static_cast<unsigned long long>(kMaxDecayK));
     return std::nullopt;
   }
   decay::DecayConfig d;

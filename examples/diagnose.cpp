@@ -2,9 +2,10 @@
 //
 // Usage: diagnose <benchmark> <technique> <decay_time_k> [instr]
 //   <technique> is baseline|protocol|decay|sel_decay; an unknown
-//   benchmark or technique name, a non-numeric decay_time_k or instr, or a
-//   config the simulator rejects (e.g. a decaying technique with
-//   decay_time_k 0) exits 2.
+//   benchmark or technique name, a non-numeric decay_time_k or instr, a
+//   decay_time_k whose cycle count does not fit in 64 bits, or a config
+//   the simulator rejects (e.g. a decaying technique with decay_time_k 0)
+//   exits 2.
 //                 [--topology=bus|dmesh] [--hierarchy=2|3] [--cores=N]
 //                 [--trace-out=FILE] [--sample-out=FILE]
 //                 [--sample-every=N] [--profile]
@@ -42,8 +43,8 @@ int main(int argc, char** argv) {
   parser.machine(&mf)
       .observability(&obs_flags)
       .on_positional([&](int pos, const std::string& arg) {
-        // decay_time_k may be 0 (baseline/protocol ignore it) but must
-        // not overflow when scaled to cycles; instr must be positive.
+        // decay_time_k may be 0 (baseline/protocol ignore it), and
+        // parse_technique_flag bounds it; instr must be positive.
         const auto number = [&](const char* what, std::uint64_t lo,
                                 std::uint64_t hi, std::uint64_t* out) {
           const auto v = sim::detail::parse_u64(arg.c_str());
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
         switch (pos) {
           case 0: bench_name = arg; break;
           case 1: tech_name = arg; break;
-          case 2: number("decay_time_k", 0, ~0ull / 1024, &decay_k); break;
+          case 2: number("decay_time_k", 0, ~0ull, &decay_k); break;
           case 3: number("instr", 1, ~0ull, &instr); break;
           default:
             std::fprintf(stderr, "unexpected argument \"%s\"\n", arg.c_str());

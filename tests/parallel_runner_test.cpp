@@ -216,9 +216,9 @@ TEST_F(ParallelRunnerTest, PaperGridFromTimingRunsMatchesSerialRuns) {
   }
 }
 
-// Whole machines through one fill: bench_hierarchy's six (bus-2L, dmesh-2L
-// and dmesh-3L at 16 cores, baseline and decay 64K, at every level on the
-// three-level mesh), plus a
+// Whole machines through one fill: the six of bench_datapoints' hierarchy
+// sweep (bus-2L, dmesh-2L and dmesh-3L at 16 cores, baseline and decay 64K,
+// at every level on the three-level mesh), plus a
 // 4-core three-level mesh with baseline at every level and the same mesh
 // with protocol at every level. Each result equals run_config of its cell
 // on every leaf, and the baseline/protocol pair shares one timing run.

@@ -25,7 +25,9 @@
 //            S 1c0000b0,4     data store
 //            M 0421c7f0,4     modify: expanded to load + store
 //         Lackey is single-threaded; records land on core 0 unless
-//         --cores=N spreads them round-robin per line.
+//         --cores=N spreads them round-robin per line. An I, L, S or M
+//         line without a hex address, or a line of another kind with one,
+//         exits 1 naming it; other lines are noise.
 //
 //   cdtrace inspect <file>
 //       Header/footer summary (no chunk decodes): cores, chunks, records,
@@ -60,6 +62,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -70,6 +73,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "cdsim/common/rng.hpp"
@@ -280,34 +284,40 @@ int convert_lackey(std::istream& in, workload::ChunkedTraceWriter& w,
   std::uint64_t lineno = 0;
   std::uint32_t pending_gap = 0;
   std::uint64_t next_core = 0;
+  const auto bad_record = [&] {
+    std::fprintf(stderr, "cdtrace: line %" PRIu64 ": bad record \"%s\"\n",
+                 lineno, line.c_str());
+    return 1;
+  };
   while (std::getline(in, line)) {
     ++lineno;
     std::istringstream ss(line);
     std::string kind;
     std::string rest;
     if (!(ss >> kind)) continue;
-    if (kind == "==" || kind.rfind("==", 0) == 0) continue;  // valgrind noise
-    if (!(ss >> rest)) {
-      // "I addr,size" sometimes parses as one token ("I" already holds
-      // the kind); anything else without an operand is noise.
-      continue;
-    }
+    if (kind.rfind("==", 0) == 0) continue;  // valgrind noise
+    const bool has_operand = static_cast<bool>(ss >> rest);
     const std::size_t comma = rest.find(',');
     if (comma != std::string::npos) rest.resize(comma);
-    char* end = nullptr;
-    const std::uint64_t addr = std::strtoull(rest.c_str(), &end, 16);
-    if (end == nullptr || *end != '\0') continue;  // not an address: skip
+    if (kind != "I" && kind != "L" && kind != "S" && kind != "M") {
+      // Another kind is noise, unless it carries what strtoull reads as
+      // an address: then it is a record this converter cannot represent.
+      char* end = nullptr;
+      std::strtoull(rest.c_str(), &end, 16);
+      if (!has_operand || *end != '\0') continue;
+      return bad_record();
+    }
+    // An access's operand is a hex address, then an optional ",size".
+    std::uint64_t addr = 0;
+    const char* const last = rest.data() + rest.size();
+    const auto [ptr, ec] = std::from_chars(rest.data(), last, addr, 16);
+    if (ec != std::errc() || ptr != last) return bad_record();
     if (kind == "I") {
       // Instruction fetch: retire one instruction before the next data
       // access instead of emitting a record (keeps traces compact and
       // budgets faithful).
       if (pending_gap < 0xffffffffu) ++pending_gap;
       continue;
-    }
-    if (kind != "L" && kind != "S" && kind != "M") {
-      std::fprintf(stderr, "cdtrace: line %" PRIu64 ": bad record \"%s\"\n",
-                   lineno, line.c_str());
-      return 1;
     }
     workload::TraceRecord rec;
     rec.core = static_cast<CoreId>(next_core);
